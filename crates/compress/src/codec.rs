@@ -278,6 +278,13 @@ pub trait Codec: fmt::Debug + Send + Sync {
     /// Encodes a slice of doubles, losslessly.
     fn encode(&self, data: &[f64]) -> Encoded;
 
+    /// `self.encode(data).total_bytes()`, for callers that only size a
+    /// transfer. Codecs override it to walk the data without building
+    /// the buffer; the result must be equal to the byte.
+    fn encoded_len(&self, data: &[f64]) -> usize {
+        self.encode(data).total_bytes()
+    }
+
     /// Decodes back into doubles, reporting corruption as an error.
     ///
     /// # Errors
@@ -300,6 +307,11 @@ pub trait Codec: fmt::Debug + Send + Sync {
     /// doubles, exactly how the simulator stores chunks).
     fn encode_amplitudes(&self, amps: &[Complex64]) -> Encoded {
         self.encode(amps_as_f64(amps))
+    }
+
+    /// [`Codec::encoded_len`] of a complex-amplitude slice.
+    fn encoded_len_amplitudes(&self, amps: &[Complex64]) -> usize {
+        self.encoded_len(amps_as_f64(amps))
     }
 
     /// [`Codec::encode_amplitudes`] under observation: records a

@@ -323,6 +323,15 @@ impl Codec for GfcCodec {
         Encoded::from_parts(CodecKind::Gfc, num_values, segments)
     }
 
+    fn encoded_len(&self, data: &[f64]) -> usize {
+        let seg_len = segment_len(data.len(), self.num_segments);
+        if seg_len == 0 {
+            segment_encoded_len(data)
+        } else {
+            data.chunks(seg_len).map(segment_encoded_len).sum()
+        }
+    }
+
     fn try_decode(&self, enc: &Encoded) -> Result<Vec<f64>, DecodeError> {
         if enc.codec() != CodecKind::Gfc {
             return Err(DecodeError {
@@ -356,6 +365,32 @@ fn segment_len(total: usize, num_segments: usize) -> usize {
     raw.div_ceil(MICRO_CHUNK) * MICRO_CHUNK
 }
 
+/// Value `i`'s residual against the same lane of the previous
+/// micro-chunk, as `(sign, magnitude, leading-zero bytes)`. The byte
+/// count is clamped to 7 so at least one payload byte is always written
+/// for the value.
+#[inline]
+fn residual(values: &[f64], i: usize) -> (u8, u64, u8) {
+    // Lane j of micro-chunk k predicts from lane j of micro-chunk k-1.
+    let prev = if i >= MICRO_CHUNK {
+        values[i - MICRO_CHUNK].to_bits()
+    } else {
+        0
+    };
+    let residual = values[i].to_bits().wrapping_sub(prev) as i64;
+    let magnitude = residual.unsigned_abs();
+    let lzb = (magnitude.leading_zeros() / 8).min(7) as u8;
+    (u8::from(residual < 0), magnitude, lzb)
+}
+
+/// `compress_segment(values).len()` without the buffers.
+fn segment_encoded_len(values: &[f64]) -> usize {
+    let payload: usize = (0..values.len())
+        .map(|i| 8 - residual(values, i).2 as usize)
+        .sum();
+    8 + values.len().div_ceil(2) + payload
+}
+
 fn compress_segment(values: &[f64]) -> Vec<u8> {
     // Layout: [u32 count][u32 payload_len][packed 4-bit headers][payload].
     let n = values.len();
@@ -363,23 +398,8 @@ fn compress_segment(values: &[f64]) -> Vec<u8> {
     let mut payload: Vec<u8> = Vec::with_capacity(n * 4);
     let mut pending_header: Option<u8> = None;
 
-    for (i, &v) in values.iter().enumerate() {
-        // Lane j of micro-chunk k predicts from lane j of micro-chunk k-1.
-        let prev = if i >= MICRO_CHUNK {
-            values[i - MICRO_CHUNK].to_bits()
-        } else {
-            0
-        };
-        let cur = v.to_bits();
-        let residual = cur.wrapping_sub(prev) as i64;
-        let (sign, magnitude) = if residual < 0 {
-            (1u8, residual.unsigned_abs())
-        } else {
-            (0u8, residual as u64)
-        };
-        // Leading-zero *bytes* of the magnitude, clamped to 7 so at least
-        // one payload byte is always written for the value.
-        let lzb = (magnitude.leading_zeros() / 8).min(7) as u8;
+    for i in 0..n {
+        let (sign, magnitude, lzb) = residual(values, i);
         let header = (sign << 3) | lzb;
         match pending_header.take() {
             None => pending_header = Some(header),

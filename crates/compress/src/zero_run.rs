@@ -38,6 +38,16 @@ impl ZeroRunCodec {
     }
 }
 
+/// Length of the run of bit-identical values starting at `data[i]`.
+fn run_at(data: &[f64], i: usize) -> usize {
+    let bits = data[i].to_bits();
+    let mut run = 1usize;
+    while i + run < data.len() && run < MAX_RUN && data[i + run].to_bits() == bits {
+        run += 1;
+    }
+    run
+}
+
 impl Codec for ZeroRunCodec {
     fn kind(&self) -> CodecKind {
         CodecKind::ZeroRun
@@ -47,16 +57,21 @@ impl Codec for ZeroRunCodec {
         let mut payload = Vec::new();
         let mut i = 0usize;
         while i < data.len() {
-            let bits = data[i].to_bits();
-            let mut run = 1usize;
-            while i + run < data.len() && run < MAX_RUN && data[i + run].to_bits() == bits {
-                run += 1;
-            }
+            let run = run_at(data, i);
             payload.extend_from_slice(&(run as u32).to_le_bytes());
-            payload.extend_from_slice(&bits.to_le_bytes());
+            payload.extend_from_slice(&data[i].to_bits().to_le_bytes());
             i += run;
         }
         Encoded::from_parts(CodecKind::ZeroRun, data.len(), vec![payload])
+    }
+
+    fn encoded_len(&self, data: &[f64]) -> usize {
+        let (mut i, mut runs) = (0usize, 0usize);
+        while i < data.len() {
+            i += run_at(data, i);
+            runs += 1;
+        }
+        12 * runs
     }
 
     fn try_decode(&self, enc: &Encoded) -> Result<Vec<f64>, DecodeError> {

@@ -150,4 +150,26 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn encoded_len_is_the_encoded_size_to_the_byte(
+        noisy in proptest::collection::vec(proptest::num::f64::ANY, 0..600),
+        smooth in proptest::collection::vec(-1.0f64..1.0, 0..300),
+        run in 1usize..80,
+        segs in 1usize..12,
+    ) {
+        // Arbitrary bit patterns, amplitude-like values, and the same
+        // values repeated in runs (the zero-run / pruned-chunk shape).
+        let runs: Vec<f64> = smooth.iter().flat_map(|&v| std::iter::repeat_n(v, run)).collect();
+        for kind in CodecKind::ALL {
+            let codec = codec_for_kind(kind, segs);
+            for data in [&noisy, &smooth, &runs] {
+                prop_assert_eq!(
+                    codec.encoded_len(data),
+                    codec.encode(data).total_bytes(),
+                    "codec {}", kind
+                );
+            }
+        }
+    }
 }

@@ -15,7 +15,8 @@ use qgpu_sched::InvolvementTracker;
 
 use crate::engine::flops_per_amp;
 
-use super::middleware::{self, Resilience};
+use super::middleware::{self, Resilience, Touched};
+use super::transfer::{transfer_with_integrity, Dir};
 use super::Env;
 
 /// Runs the batch beginning at `idx` (whose op is already known to be
@@ -152,31 +153,27 @@ fn batch_chunk(
     let cb = env.chunk_bits;
     let chunk_bytes = 16u64 << cb;
     let gpu = super::deal_gpu(env);
-    let link = cfg.platform.link(gpu);
     let gspec = cfg.platform.gpu(gpu);
 
     // Upload once.
-    let (h2d_bytes, raw_up_compressed) = match (compressing, env.compressed.get(&chunk)) {
-        (true, Some(&sz)) => (sz as u64, chunk_bytes),
+    let (h2d_bytes, raw_up_compressed) = match (compressing, env.compressed.get(chunk)) {
+        (true, Some(sz)) => (sz as u64, chunk_bytes),
         _ => (chunk_bytes, 0),
     };
     let mut ready = env.epoch_floor;
-    if let Some(&t) = env.last_d2h.get(&chunk) {
+    if let Some(t) = env.last_d2h.get(chunk) {
         ready = ready.max(t);
     }
     super::admit_window(env, gpu, 1, compressing, chunk_bytes, &mut ready);
     if let Some(rs) = env.resil.as_mut() {
-        rs.seal_for_upload(&env.state, &[chunk], cb, |_| false);
+        rs.seal_for_upload(&env.state, std::iter::once(chunk), cb, |_| false);
     }
-    let h2d = super::transfer::transfer_with_integrity(
+    let h2d = transfer_with_integrity(
         &mut env.tl,
-        Engine::HostDmaOut,
-        Engine::H2d(gpu),
-        TaskKind::H2dCopy,
+        cfg,
+        Dir::Up(gpu),
         ready,
         h2d_bytes,
-        link,
-        cfg.platform.host.copy_bw,
         env.resil.as_mut(),
         env.rec,
     )?;
@@ -212,19 +209,14 @@ fn batch_chunk(
             if batch[i].is_fused() {
                 env.tl.count_fused_kernel();
             }
-            if env.integ.is_some() {
-                super::integrity::apply_gate(
-                    &mut env.integ,
-                    &mut env.executor,
-                    &mut env.state,
-                    &mut env.tl,
-                    env.rec,
-                    batch[i],
-                    base_idx + i,
-                    &[chunk],
-                    &[],
-                    &[],
-                )?;
+            if let Some(imw) = env.integ.as_mut() {
+                let w = Touched {
+                    singles: &[chunk],
+                    groups: &[],
+                    high_mixing: &[],
+                };
+                let (ex, st, tl) = (&mut env.executor, &mut env.state, &mut env.tl);
+                imw.checked_apply(ex, st, tl, env.rec, batch[i], base_idx + i, w)?;
             } else {
                 let restarts = env.executor.try_apply_local_run(
                     &mut env.state,
@@ -277,7 +269,7 @@ fn batch_download(
     let mut d2h_bytes = 0u64;
     let mut sealed_at_encode = false;
     if pruning && tracker_end.chunk_is_zero(chunk, cb) {
-        env.compressed.remove(&chunk);
+        env.compressed.remove(chunk);
     } else if compressing {
         // Injected encode failure: degrade to a raw transfer for this
         // chunk (no compress kernel, full bytes).
@@ -290,7 +282,7 @@ fn batch_download(
                     format!("chunk {chunk}: {cname} encode failed, moving raw")
                 });
             }
-            env.compressed.remove(&chunk);
+            env.compressed.remove(chunk);
             d2h_bytes = chunk_bytes;
         } else {
             let sz = {
@@ -302,6 +294,10 @@ fn batch_download(
                 );
                 super::encode_member(env, chunk)
             };
+            if let Some(r) = env.rec {
+                let ratio = super::transfer::ratio_x100(chunk_bytes, sz);
+                r.observe("compress.ratio.x100", ratio);
+            }
             sealed_at_encode = true;
             env.tl.record_compression(chunk_bytes, sz as u64);
             env.compressed.insert(chunk, sz);
@@ -323,18 +319,15 @@ fn batch_download(
     // pruned-to-zero chunk never moved at all.
     if let Some(rs) = env.resil.as_mut() {
         if !sealed_at_encode && d2h_bytes > 0 {
-            rs.verify_on_arrival(&env.state, &[chunk], cb, |_| false);
+            rs.verify_on_arrival(&env.state, std::iter::once(chunk), cb, |_| false);
         }
     }
-    let d2h = super::transfer::transfer_with_integrity(
+    let d2h = transfer_with_integrity(
         &mut env.tl,
-        Engine::HostDmaIn,
-        Engine::D2h(gpu),
-        TaskKind::D2hCopy,
+        cfg,
+        Dir::Down(gpu),
         d2h_ready,
         d2h_bytes,
-        cfg.platform.link(gpu),
-        cfg.platform.host.copy_bw,
         env.resil.as_mut(),
         env.rec,
     )?;

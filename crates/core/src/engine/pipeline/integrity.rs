@@ -47,11 +47,12 @@ use qgpu_math::rng::unit_draw;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::health::{DeviceHealthBoard, HealthTransition};
+use qgpu_sched::plan::{GatePlan, Tasks};
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
 
 use crate::config::SimConfig;
 
-use super::middleware;
+use super::middleware::{self, Touched};
 
 /// Salt for the flip's amplitude-offset draw — its own stream, distinct
 /// from the fire/no-fire decision ("target" in ASCII).
@@ -63,8 +64,7 @@ const SALT_FLIP_TARGET: u64 = 0x7461_7267_6574_0000;
 const UNARMED_STRIDE: u64 = 4;
 
 /// One checked unit of kernel work: a chunk-local task or a mixing
-/// group. Mirrors `qgpu_sched::plan::ChunkTask`, but borrows the
-/// caller's slices.
+/// group, borrowing the caller's slices.
 #[derive(Clone, Copy)]
 enum Task<'t> {
     Single(usize),
@@ -329,10 +329,13 @@ impl IntegrityMw {
         rec: Option<&Recorder>,
         fop: &FusedOp,
         op_idx: usize,
-        singles: &[usize],
-        groups: &[&[usize]],
-        high_mixing: &[usize],
+        w: Touched,
     ) -> Result<(), SimError> {
+        let Touched {
+            singles,
+            groups,
+            high_mixing,
+        } = w;
         let diag = fop.actions().iter().all(|a| a.is_diagonal());
         if !self.armed && diag {
             // Fault-free verify mode: a diagonal kernel provably
@@ -340,16 +343,7 @@ impl IntegrityMw {
             // without a recompute. The whole-state gate still audits
             // the final answer; staleness widens later tolerances.
             self.stale_gates += 1;
-            return middleware::apply_functional(
-                executor,
-                state,
-                tl,
-                rec,
-                fop,
-                singles,
-                groups,
-                high_mixing,
-            );
+            return middleware::apply_functional(executor, state, tl, rec, fop, w);
         }
 
         if !self.armed {
@@ -368,16 +362,7 @@ impl IntegrityMw {
                         self.peaks[c] = f64::NAN;
                     }
                 }
-                return middleware::apply_functional(
-                    executor,
-                    state,
-                    tl,
-                    rec,
-                    fop,
-                    singles,
-                    groups,
-                    high_mixing,
-                );
+                return middleware::apply_functional(executor, state, tl, rec, fop, w);
             }
             self.since_check = 0;
         }
@@ -411,7 +396,7 @@ impl IntegrityMw {
             Vec::new()
         };
 
-        middleware::apply_functional(executor, state, tl, rec, fop, singles, groups, high_mixing)?;
+        middleware::apply_functional(executor, state, tl, rec, fop, w)?;
         if self.armed && self.inj.kernel_flip_fires(op_idx, 0) {
             // The flip lands in the first touched chunk (stable, so a
             // flip campaign indicts a stable device); the amplitude
@@ -584,11 +569,13 @@ impl IntegrityMw {
     }
 }
 
-/// The functional update with integrity checking when armed: the single
-/// entry point every execution mode (streaming stages, batch, static)
-/// routes its kernel application through.
+/// The functional update of `tasks` of `plan`, with integrity checking
+/// when armed: the entry point the streaming stages and the static mode
+/// route their kernel application through. Materializes the chunk lists
+/// the executor partitions across workers — O(tasks), so O(live) under
+/// pruning.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_gate(
+pub(crate) fn apply_tasks(
     integ: &mut Option<IntegrityMw>,
     executor: &mut ChunkExecutor,
     state: &mut ChunkedState,
@@ -596,31 +583,22 @@ pub(crate) fn apply_gate(
     rec: Option<&Recorder>,
     fop: &FusedOp,
     op_idx: usize,
-    singles: &[usize],
-    groups: &[&[usize]],
-    high_mixing: &[usize],
+    plan: &GatePlan,
+    tasks: Tasks,
 ) -> Result<(), SimError> {
+    let members: Vec<usize> = tasks.flat_map(|rep| plan.members(rep)).collect();
+    let groups: Vec<&[usize]> = if plan.needs_grouping() {
+        members.chunks_exact(plan.group_len()).collect()
+    } else {
+        Vec::new()
+    };
+    let w = Touched {
+        singles: if plan.needs_grouping() { &[] } else { &members },
+        groups: &groups,
+        high_mixing: plan.high_mixing(),
+    };
     match integ.as_mut() {
-        Some(mw) => mw.checked_apply(
-            executor,
-            state,
-            tl,
-            rec,
-            fop,
-            op_idx,
-            singles,
-            groups,
-            high_mixing,
-        ),
-        None => middleware::apply_functional(
-            executor,
-            state,
-            tl,
-            rec,
-            fop,
-            singles,
-            groups,
-            high_mixing,
-        ),
+        Some(mw) => mw.checked_apply(executor, state, tl, rec, fop, op_idx, w),
+        None => middleware::apply_functional(executor, state, tl, rec, fop, w),
     }
 }

@@ -27,8 +27,8 @@ use qgpu_statevec::{ChunkExecutor, ChunkedState};
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 
-use super::transfer::copy_with_dma;
-use super::Window;
+use super::transfer::{copy_with_dma, Dir};
+use super::{ChunkTable, Env};
 
 /// Upper bound on `chunk_bits`, sizing the flat all-zero-tag cache.
 pub(crate) const MAX_CHUNK_BITS: usize = 64;
@@ -59,9 +59,8 @@ pub(crate) struct Resilience {
     /// sealed at encode time and must never show up here — the
     /// `integrity.retags` counter makes that invariant observable.
     pub(crate) retags: u64,
-    /// Last tag computed for each chunk (indexed by chunk number),
-    /// refreshed on every arrival.
-    tags: Vec<Option<u32>>,
+    /// Last tag computed for each chunk, refreshed on every arrival.
+    tags: ChunkTable<u32>,
     /// Tag of an all-zero chunk, indexed by chunk size — it never changes.
     zero_tag: [Option<u32>; MAX_CHUNK_BITS],
 }
@@ -75,7 +74,7 @@ impl Resilience {
             codec_ops: 0,
             kernels: 0,
             retags: 0,
-            tags: Vec::new(),
+            tags: ChunkTable::default(),
             zero_tag: [None; MAX_CHUNK_BITS],
         }
     }
@@ -89,14 +88,6 @@ impl Resilience {
         })
     }
 
-    /// Grows the tag table to cover chunk indices in `members`.
-    fn reserve_tags(&mut self, members: &[usize]) {
-        let max = members.iter().copied().max().map_or(0, |m| m + 1);
-        if max > self.tags.len() {
-            self.tags.resize(max, None);
-        }
-    }
-
     /// Encode-time sealing: the GFC encoder computes the chunk's tag in
     /// the same pass that sizes the compressed stream — the amplitudes
     /// are cache-hot from the codec walk, so the checksum is nearly free
@@ -104,19 +95,14 @@ impl Resilience {
     /// then travels with the compressed chunk; no separate arrival pass
     /// is needed.
     pub(crate) fn seal_at_encode(&mut self, m: usize, amps: &[Complex64]) {
-        if m >= self.tags.len() {
-            self.tags.resize(m + 1, None);
-        }
-        self.tags[m] = Some(qgpu_faults::fast_checksum(amp_bytes(amps)));
+        self.tags
+            .insert(m, qgpu_faults::fast_checksum(amp_bytes(amps)));
     }
 
     /// Encode-time sealing of an all-zero chunk (cached per chunk size).
     pub(crate) fn seal_zero_at_encode(&mut self, m: usize, chunk_bits: u32) {
-        if m >= self.tags.len() {
-            self.tags.resize(m + 1, None);
-        }
         let zero = self.zero_tag(chunk_bits);
-        self.tags[m] = Some(zero);
+        self.tags.insert(m, zero);
     }
 
     /// Upload-side integrity: a departing chunk carries the tag computed
@@ -130,20 +116,19 @@ impl Resilience {
     pub(crate) fn seal_for_upload(
         &mut self,
         state: &ChunkedState,
-        members: &[usize],
+        members: impl Iterator<Item = usize>,
         chunk_bits: u32,
         skip: impl Fn(usize) -> bool,
     ) {
-        self.reserve_tags(members);
         let zero = self.zero_tag(chunk_bits);
-        for &m in members {
-            if skip(m) || self.tags[m].is_some() {
+        for m in members {
+            if skip(m) || self.tags.get(m).is_some() {
                 continue;
             }
-            self.tags[m] = Some(match state.chunk(m) {
-                Some(amps) => qgpu_faults::fast_checksum(amp_bytes(amps)),
-                None => zero,
-            });
+            let tag = state
+                .chunk(m)
+                .map_or(zero, |a| qgpu_faults::fast_checksum(amp_bytes(a)));
+            self.tags.insert(m, tag);
         }
     }
 
@@ -160,28 +145,27 @@ impl Resilience {
     pub(crate) fn verify_on_arrival(
         &mut self,
         state: &ChunkedState,
-        members: &[usize],
+        members: impl Iterator<Item = usize>,
         chunk_bits: u32,
-        skip: impl Fn(usize) -> bool,
+        mut skip: impl FnMut(usize) -> bool,
     ) {
-        self.reserve_tags(members);
         let zero = self.zero_tag(chunk_bits);
-        for &m in members {
+        for m in members {
             if skip(m) {
                 continue;
             }
             self.retags += 1;
-            self.tags[m] = Some(match state.chunk(m) {
-                Some(amps) => qgpu_faults::fast_checksum(amp_bytes(amps)),
-                None => zero,
-            });
+            let tag = state
+                .chunk(m)
+                .map_or(zero, |a| qgpu_faults::fast_checksum(amp_bytes(a)));
+            self.tags.insert(m, tag);
         }
     }
 
     /// Chunk-size re-partitioning renumbers chunks: every cached tag is
     /// stale and must be dropped.
     pub(crate) fn on_repartition(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = None);
+        self.tags.clear();
     }
 
     /// Whether this op's involvement mask reads back corrupted — the
@@ -392,17 +376,21 @@ impl BarrierClock {
 /// task re-uploads its bytes and re-runs its kernel on the survivor the
 /// post-loss epoch rotation deals it to — and the recovered result is
 /// bit-identical to an undisturbed run.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn handle_device_loss(
-    device: usize,
-    o: &mut Orchestration,
-    tl: &mut Timeline,
-    windows: &mut [Window],
-    epoch_floor: &mut f64,
-    chain: &mut f64,
-    cfg: &SimConfig,
-    rec: Option<&Recorder>,
-) -> Result<(), SimError> {
+pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), SimError> {
+    let Env {
+        orch: Some(o),
+        tl,
+        windows,
+        epoch_floor,
+        chain,
+        cfg,
+        rec,
+        ..
+    } = env
+    else {
+        return Ok(());
+    };
+    let rec = *rec;
     if !o.group.is_alive(device) {
         return Ok(());
     }
@@ -426,17 +414,7 @@ pub(crate) fn handle_device_loss(
     let mut done = floor;
     for (i, t) in replay.iter().enumerate() {
         let g = o.group.owner_of(i);
-        let h2d = copy_with_dma(
-            tl,
-            Engine::HostDmaOut,
-            Engine::H2d(g),
-            TaskKind::H2dCopy,
-            floor,
-            t.bytes,
-            cfg.platform.link(g),
-            cfg.platform.host.copy_bw,
-            1.0,
-        );
+        let h2d = copy_with_dma(tl, cfg, Dir::Up(g), floor, t.bytes, 1.0);
         let k = tl.schedule(
             Engine::GpuCompute(g),
             h2d.end,
@@ -516,28 +494,35 @@ pub(crate) fn note_restarts(tl: &mut Timeline, rec: Option<&Recorder>, restarts:
     }
 }
 
+/// The chunks one functional update touches: chunk-local tasks, or
+/// mixing groups together with the high qubits they mix.
+#[derive(Clone, Copy)]
+pub(crate) struct Touched<'a> {
+    pub(crate) singles: &'a [usize],
+    pub(crate) groups: &'a [&'a [usize]],
+    pub(crate) high_mixing: &'a [usize],
+}
+
 /// The functional update (identical across every mode and flag subset):
 /// the executor replays the op's member gates chunk by chunk, bitwise
 /// identical to per-gate application at every thread count.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_functional(
     executor: &mut ChunkExecutor,
     state: &mut ChunkedState,
     tl: &mut Timeline,
     rec: Option<&Recorder>,
     fop: &FusedOp,
-    singles: &[usize],
-    groups: &[&[usize]],
-    high_mixing: &[usize],
+    w: Touched,
 ) -> Result<(), SimError> {
-    if !singles.is_empty() {
+    if !w.singles.is_empty() {
         let _g = span_opt(rec, Track::Main, ObsStage::Update, "update.local");
-        let restarts = executor.try_apply_local_run(state, fop.actions(), singles)?;
+        let restarts = executor.try_apply_local_run(state, fop.actions(), w.singles)?;
         note_restarts(tl, rec, restarts);
     }
-    if !groups.is_empty() {
+    if !w.groups.is_empty() {
         let _g = span_opt(rec, Track::Main, ObsStage::Update, "update.group");
-        let restarts = executor.try_apply_group_runs(state, fop.actions(), groups, high_mixing)?;
+        let acts = fop.actions();
+        let restarts = executor.try_apply_group_runs(state, acts, w.groups, w.high_mixing)?;
         note_restarts(tl, rec, restarts);
     }
     Ok(())

@@ -11,9 +11,14 @@
 //!
 //! * `begin_gate` — gate-level work: the chunk plan, the pruning
 //!   decision, the functional update, and the compressed-size pass;
-//! * `on_task` — per chunk task, in plan order: deal to a device,
-//!   modeled H2D, decompress, kernel, compress, modeled D2H;
+//! * `on_task` — per *live* chunk task, in plan order, through the
+//!   stages that act per task: deal to a device, modeled H2D,
+//!   decompress, kernel, compress, modeled D2H;
 //! * `end_gate` — window occupancy sampling and the per-gate sync.
+//!
+//! Host cost follows live chunks: the plan enumerates only surviving
+//! tasks and the per-chunk tables are dense stamped vectors
+//! (`ChunkTable`) — nothing hashes, or is sized by `num_chunks`.
 //!
 //! Cross-cutting concerns (integrity + fault injection, orchestration,
 //! checkpoint barriers) are middleware (`middleware`) threaded through
@@ -32,7 +37,7 @@ pub(crate) mod stochastic;
 pub(crate) mod transfer;
 pub(crate) mod xfer_stages;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
@@ -43,7 +48,7 @@ use qgpu_device::{CodecClass, ExecutionReport};
 use qgpu_faults::SimError;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
-use qgpu_sched::plan::GatePlan;
+use qgpu_sched::plan::{GatePlan, Tasks};
 use qgpu_sched::residency::RoundRobin;
 use qgpu_sched::InvolvementTracker;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
@@ -53,8 +58,9 @@ use crate::config::SimConfig;
 use crate::result::RunResult;
 
 use integrity::IntegrityMw;
-use middleware::{BarrierClock, CheckpointLayer, Orchestration, Resilience};
+use middleware::{BarrierClock, CheckpointLayer, Orchestration, Resilience, MAX_CHUNK_BITS};
 use spec::{ExecMode, PipelineSpec};
+use stages::Stage;
 
 /// Per-chunk compressed size recorded as "the codec failed, move raw"
 /// (see the codec-failure degradation path).
@@ -65,6 +71,44 @@ pub(crate) const RAW_FALLBACK: usize = usize::MAX;
 pub(crate) struct Window {
     pub(crate) slots: VecDeque<(f64, usize)>, // (d2h end, chunks held)
     pub(crate) inflight: usize,
+}
+
+/// A chunk-indexed table without hashing: dense slots stamped with the
+/// generation that wrote them, so [`ChunkTable::clear`] — every
+/// repartition and collapse invalidates all chunks — is O(1). It grows
+/// to the highest chunk ever written, which under pruning is the highest
+/// *live* chunk, not `num_chunks`.
+#[derive(Default)]
+pub(crate) struct ChunkTable<T> {
+    generation: u64,
+    /// `(generation + 1 at the write, value)`; stamp 0 is never live.
+    slots: Vec<(u64, T)>,
+}
+
+impl<T: Copy + Default> ChunkTable<T> {
+    pub(crate) fn get(&self, chunk: usize) -> Option<T> {
+        match self.slots.get(chunk) {
+            Some(&(stamp, v)) if stamp == self.generation + 1 => Some(v),
+            _ => None,
+        }
+    }
+
+    pub(crate) fn insert(&mut self, chunk: usize, value: T) {
+        if chunk >= self.slots.len() {
+            self.slots.resize(chunk + 1, (0, T::default()));
+        }
+        self.slots[chunk] = (self.generation + 1, value);
+    }
+
+    pub(crate) fn remove(&mut self, chunk: usize) {
+        if let Some(slot) = self.slots.get_mut(chunk) {
+            slot.0 = 0;
+        }
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.generation += 1;
+    }
 }
 
 /// The streaming pipeline's shared environment: configuration, the
@@ -101,15 +145,20 @@ pub(crate) struct Env<'a> {
     /// Per-device modeled compute backlog, refilled at each assignment.
     pub(crate) backlog: Vec<f64>,
     /// Compressed representation held by the CPU, per chunk (bytes).
-    pub(crate) compressed: HashMap<usize, usize>,
-    pub(crate) last_d2h: HashMap<usize, f64>,
+    pub(crate) compressed: ChunkTable<usize>,
+    pub(crate) last_d2h: ChunkTable<f64>,
+    /// This gate's codec sizes, in the order the Compress stage's sizing
+    /// pass visits the members moving back ([`RAW_FALLBACK`] marks an
+    /// injected encode failure); its per-task pass reads them back in
+    /// the same order. Reused across gates.
+    pub(crate) new_sizes: Vec<usize>,
     pub(crate) windows: Vec<Window>,
     pub(crate) epoch_floor: f64,
     /// Naive's single-stream chain.
     pub(crate) chain: f64,
     pub(crate) task_counter: usize,
     /// Compressed size of an all-zero chunk, per chunk_bits (cached).
-    pub(crate) zero_chunk_size: HashMap<u32, usize>,
+    pub(crate) zero_chunk_size: [Option<usize>; MAX_CHUNK_BITS],
     pub(crate) rr: RoundRobin,
 }
 
@@ -127,11 +176,10 @@ pub(crate) struct GateCtx<'p> {
     pub(crate) compressing: bool,
     pub(crate) num_chunks: usize,
     pub(crate) chunk_bytes: u64,
-    /// Indices into `plan.tasks()` surviving the prune stage.
-    pub(crate) task_ixs: Vec<usize>,
-    /// GFC sizes for every member moving back this gate
-    /// ([`RAW_FALLBACK`] marks an injected encode failure).
-    pub(crate) new_sizes: HashMap<usize, usize>,
+    /// The tasks surviving the prune stage, by representative chunk.
+    pub(crate) tasks: Tasks,
+    /// Where the next task's entries start in [`Env::new_sizes`].
+    pub(crate) sizes_cursor: usize,
     /// Members marked [`RAW_FALLBACK`] this gate.
     pub(crate) raw_members: usize,
 }
@@ -148,8 +196,8 @@ impl<'p> GateCtx<'p> {
             compressing,
             num_chunks: 1usize << (env.num_qubits as u32 - env.chunk_bits),
             chunk_bytes: 16u64 << env.chunk_bits,
-            task_ixs: Vec::new(),
-            new_sizes: HashMap::new(),
+            tasks: Tasks::default(),
+            sizes_cursor: 0,
             raw_members: 0,
         }
     }
@@ -161,8 +209,12 @@ impl<'p> GateCtx<'p> {
 }
 
 /// Per-task context threaded through the `on_task` hooks.
+#[derive(Default)]
 pub(crate) struct TaskCtx {
-    pub(crate) task_ix: usize,
+    /// The task's representative chunk (see [`GatePlan::members`]).
+    pub(crate) rep: usize,
+    /// Where this task's entries start in [`Env::new_sizes`].
+    pub(crate) sizes_at: usize,
     pub(crate) gpu: usize,
     pub(crate) compute_ready: f64,
     pub(crate) h2d_bytes: u64,
@@ -172,21 +224,6 @@ pub(crate) struct TaskCtx {
     pub(crate) d2h_bytes: u64,
     /// Raw bytes departing compressed (compress kernel input).
     pub(crate) raw_down_compressed: u64,
-}
-
-impl TaskCtx {
-    pub(crate) fn new(task_ix: usize) -> Self {
-        TaskCtx {
-            task_ix,
-            gpu: 0,
-            compute_ready: 0.0,
-            h2d_bytes: 0,
-            raw_up_compressed: 0,
-            d2h_ready: 0.0,
-            d2h_bytes: 0,
-            raw_down_compressed: 0,
-        }
-    }
 }
 
 /// The configured codec, sized for the current chunk width. For GFC (and
@@ -328,16 +365,10 @@ pub(crate) fn encode_member(env: &mut Env, m: usize) -> usize {
             if let Some(rs) = env.resil.as_mut() {
                 rs.seal_zero_at_encode(m, env.chunk_bits);
             }
-            let Env {
-                codec,
-                zero_chunk_size,
-                rec,
-                chunk_bits,
-                ..
-            } = env;
-            *zero_chunk_size.entry(*chunk_bits).or_insert_with(|| {
-                let zeros = vec![Complex64::ZERO; 1usize << *chunk_bits];
-                transfer::compressed_size(&**codec, &zeros, raw, *rec)
+            let cb = env.chunk_bits as usize;
+            *env.zero_chunk_size[cb].get_or_insert_with(|| {
+                let zeros = vec![Complex64::ZERO; 1usize << cb];
+                transfer::compressed_size(&*env.codec, &zeros, raw, env.rec)
             })
         }
     }
@@ -399,21 +430,12 @@ pub(crate) fn drain_quarantine(env: &mut Env) -> Result<(), SimError> {
     else {
         return Ok(());
     };
-    if let Some(o) = env.orch.as_mut() {
-        if o.group.alive_devices() > 1 && o.group.is_alive(dev) {
-            middleware::handle_device_loss(
-                dev,
-                o,
-                &mut env.tl,
-                &mut env.windows,
-                &mut env.epoch_floor,
-                &mut env.chain,
-                env.cfg,
-                env.rec,
-            )?;
+    match env.orch.as_ref() {
+        Some(o) if o.group.alive_devices() > 1 && o.group.is_alive(dev) => {
+            middleware::handle_device_loss(env, dev)
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Engine entry point: apply the seeded noise rewrite (if configured),
@@ -438,10 +460,19 @@ pub(crate) fn run(
         None => (circuit, 0),
     };
     let spec = PipelineSpec::from_config(cfg);
-    match spec.mode {
-        ExecMode::Static => static_alloc::run(circuit, cfg, recorder, resume, noise_ops),
-        ExecMode::Streaming => run_streaming(circuit, cfg, spec, recorder, resume, noise_ops),
-    }
+    let rec = recorder.map(Arc::as_ref);
+    let mut mw = obs_mw::ObsMw::new(rec, cfg, cfg.platform.num_gpus());
+    let result = match spec.mode {
+        ExecMode::Static => static_alloc::run(circuit, cfg, recorder, resume, noise_ops, &mut mw),
+        ExecMode::Streaming => {
+            run_streaming(circuit, cfg, spec, recorder, resume, noise_ops, &mut mw)
+        }
+    };
+    // Whatever the mode still held is released by now: that, and an
+    // aborted run's partial timings, are flushed with the rest.
+    mw.mark(obs_mw::DRIVER);
+    mw.finish();
+    result
 }
 
 fn run_streaming(
@@ -451,9 +482,9 @@ fn run_streaming(
     recorder: Option<&Arc<Recorder>>,
     resume: Option<&Checkpoint>,
     noise_ops: u64,
+    mw: &mut obs_mw::ObsMw,
 ) -> Result<RunResult, SimError> {
     let rec = recorder.map(Arc::as_ref);
-    let mut mw = obs_mw::ObsMw::new(rec, cfg, cfg.platform.num_gpus());
     let circuit_owned;
     let circuit = if spec.flags.reorder {
         // The forward-looking pass (§IV-C) runs first.
@@ -490,22 +521,12 @@ fn run_streaming(
     let mut idx = start;
     while idx < program.len() {
         if let Some(err) = cfg.cancel.as_ref().and_then(|t| t.poll_abort(idx)) {
-            return Err(abort_run(err, env.state.dense_chunk_count(), rec, mw));
+            return Err(abort_run(err, env.state.dense_chunk_count(), rec));
         }
         ckpt.before_op(idx, &env.state, cfg, rec)?;
-        if let Some(o) = env.orch.as_mut() {
-            if let Some(d) = clock.poll(idx, cfg, &mut o.group, env.num_gpus) {
-                middleware::handle_device_loss(
-                    d,
-                    o,
-                    &mut env.tl,
-                    &mut env.windows,
-                    &mut env.epoch_floor,
-                    &mut env.chain,
-                    cfg,
-                    rec,
-                )?;
-            }
+        let orch = env.orch.as_mut();
+        if let Some(d) = orch.and_then(|o| clock.poll(idx, cfg, &mut o.group, env.num_gpus)) {
+            middleware::handle_device_loss(&mut env, d)?;
         }
         resize_chunks(&mut env);
 
@@ -556,73 +577,107 @@ fn run_streaming(
         }
         idx += 1;
 
-        let mut g = GateCtx::new(fop, idx, compressing, &env);
-        mw.gate_begin();
-        for (si, s) in stages.iter().enumerate() {
-            s.begin_gate(&mut g, &mut env)?;
-            mw.mark(obs_mw::stage_bucket(si));
-        }
-        let ixs = g.task_ixs.clone();
-        for task_ix in ixs {
-            let mut t = TaskCtx::new(task_ix);
-            for s in &stages {
-                s.on_task(&mut t, &mut g, &mut env)?;
-            }
-            mw.task_done(t.gpu);
-        }
-        for (si, s) in stages.iter().enumerate() {
-            s.end_gate(&mut g, &mut env)?;
-            mw.mark(obs_mw::stage_bucket(si));
-        }
-        mw.gate_done();
-        env.tracker = g.tracker_after;
+        stream_gate(&mut env, &stages, mw, fop, idx, compressing)?;
         drain_quarantine(&mut env)?;
     }
 
     if let (Some(rs), Some(r)) = (env.resil.as_ref(), rec) {
         r.add("integrity.retags", rs.retags);
     }
-    // The whole-state norm gate ahead of readout: the last line of
-    // defense before samples leave the engine.
-    if let Some(imw) = env.integ.as_mut() {
-        imw.check_whole_state(&env.state, program.len(), rec)?;
+    let ops = program.len();
+    let (state, tl, integ) = (&env.state, &mut env.tl, &mut env.integ);
+    finish_run(mw, circuit, cfg, rec, state, tl, integ, ops, noise_ops)
+}
+
+/// The tail both modes share: the whole-state norm gate (the last line
+/// of defense before samples leave the engine), the seeded readout, the
+/// result.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn finish_run(
+    mw: &mut obs_mw::ObsMw,
+    circuit: &Circuit,
+    cfg: &SimConfig,
+    rec: Option<&Recorder>,
+    state: &ChunkedState,
+    tl: &mut Timeline,
+    integ: &mut Option<IntegrityMw>,
+    program_len: usize,
+    noise_ops: u64,
+) -> Result<RunResult, SimError> {
+    if let Some(imw) = integ.as_mut() {
+        imw.check_whole_state(state, program_len, rec)?;
     }
     mw.mark(obs_mw::DRIVER);
-    let samples = stochastic::sample_readout(&env.state, cfg, &mut env.tl, rec);
+    let samples = stochastic::sample_readout(state, cfg, tl, rec);
     mw.mark(obs_mw::SAMPLE);
-    mw.finish();
-    env.tl.set_noise_ops(noise_ops);
-    let report = ExecutionReport::from_timeline(&env.tl, env.num_gpus);
+    tl.set_noise_ops(noise_ops);
     Ok(RunResult {
         version: cfg.version,
         circuit_name: circuit.name().to_string(),
-        state: cfg.collect_state.then(|| env.state.to_flat()),
-        report,
-        trace: env.tl.trace().to_vec(),
+        state: cfg.collect_state.then(|| state.to_flat()),
+        report: ExecutionReport::from_timeline(tl, cfg.platform.num_gpus()),
+        trace: tl.trace().to_vec(),
         obs: None,
         samples,
-        integrity: env.integ.as_ref().map(|m| m.summary),
+        integrity: integ.as_ref().map(|m| m.summary),
     })
+}
+
+/// One unitary op through the stage list: every stage's `begin_gate`,
+/// then each live task through the per-task stages, then every
+/// `end_gate`. `idx` is the program index *after* the op.
+fn stream_gate(
+    env: &mut Env,
+    stages: &[Box<dyn Stage>],
+    mw: &mut obs_mw::ObsMw,
+    fop: &FusedOp,
+    idx: usize,
+    compressing: bool,
+) -> Result<(), SimError> {
+    let mut g = GateCtx::new(fop, idx, compressing, env);
+    mw.gate_begin();
+    for (si, s) in stages.iter().enumerate() {
+        s.begin_gate(&mut g, env)?;
+        mw.mark(obs_mw::stage_bucket(si));
+    }
+    for rep in g.tasks {
+        let mut t = TaskCtx {
+            rep,
+            ..TaskCtx::default()
+        };
+        // Attribution samples tasks: a sampled task laps the clock after
+        // each hook, the rest run with no clock reads at all.
+        let sampled = mw.task_begin();
+        for si in stages::PER_TASK {
+            stages[si].on_task(&mut t, &mut g, env)?;
+            if sampled {
+                mw.task_lap(obs_mw::stage_bucket(si));
+            }
+        }
+        mw.task_done(t.gpu);
+    }
+    mw.tasks_end();
+    for (si, s) in stages.iter().enumerate() {
+        s.end_gate(&mut g, env)?;
+        mw.mark(obs_mw::stage_bucket(si));
+    }
+    mw.gate_done();
+    env.tracker = g.tracker_after;
+    Ok(())
 }
 
 /// The cooperative-cancellation exit, shared by both execution modes:
 /// stopping at a gate boundary means the functional state is consistent
-/// and simply dropped — record what is released, flush the partial
-/// per-stage timings gathered so far (the post-mortem's "where did the
-/// cancelled run spend its time"), then surface the abort error.
-pub(crate) fn abort_run(
-    err: SimError,
-    released_chunks: usize,
-    rec: Option<&Recorder>,
-    mw: obs_mw::ObsMw,
-) -> SimError {
+/// and simply dropped — record what is released, then surface the abort
+/// error ([`run`] flushes the partial per-stage timings: the
+/// post-mortem's "where did the cancelled run spend its time").
+pub(crate) fn abort_run(err: SimError, released_chunks: usize, rec: Option<&Recorder>) -> SimError {
     if let Some(r) = rec {
         r.add("cancel.aborts", 1);
         r.flight("abort", || {
             format!("{err}; releasing {released_chunks} resident chunk(s)")
         });
     }
-    mw.finish();
     err
 }
 
@@ -691,13 +746,71 @@ fn build_env<'a>(
             .effective_orchestration()
             .map(|o| Orchestration::new(num_gpus, o, cfg)),
         backlog: vec![0.0; num_gpus],
-        compressed: HashMap::new(),
-        last_d2h: HashMap::new(),
+        compressed: ChunkTable::default(),
+        last_d2h: ChunkTable::default(),
+        new_sizes: Vec::new(),
         windows: (0..num_gpus).map(|_| Window::default()).collect(),
         epoch_floor: 0.0,
         chain: 0.0,
         task_counter: 0,
-        zero_chunk_size: HashMap::new(),
+        zero_chunk_size: [None; MAX_CHUNK_BITS],
         rr: RoundRobin::new(num_gpus),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Version;
+
+    #[test]
+    fn chunk_table_clears_in_place_and_grows_only_on_insert() {
+        let mut t: ChunkTable<usize> = ChunkTable::default();
+        assert_eq!(t.get(1 << 40), None);
+        t.insert(5, 7);
+        t.insert(2, 9);
+        assert_eq!((t.get(5), t.get(2), t.get(3)), (Some(7), Some(9), None));
+        assert_eq!(t.slots.len(), 6);
+        t.remove(5);
+        t.remove(1 << 40);
+        assert_eq!(t.get(5), None);
+        t.clear();
+        assert_eq!(t.get(2), None);
+        t.insert(2, 1);
+        assert_eq!(t.get(2), Some(1));
+        assert_eq!(t.slots.len(), 6);
+    }
+
+    /// A 20-qubit run that only ever involves five qubits: the per-chunk
+    /// tables must follow the highest *live* chunk index, never the
+    /// chunk count.
+    #[test]
+    fn pruned_run_sizes_chunk_tables_by_its_highest_live_chunk() {
+        let n = 20;
+        let mut circuit = Circuit::new(n);
+        circuit.h(0).h(1).cx(1, 13).h(2).cx(0, 2).h(15).cx(15, 13);
+        let cfg = SimConfig::scaled_paper(n).with_version(Version::QGpu);
+        let program = crate::engine::program_for(&circuit, &cfg);
+        let spec = PipelineSpec::from_config(&cfg);
+        let mut env = build_env(spec, &cfg, None, None, n, 0, &program, None);
+        let mut mw = obs_mw::ObsMw::new(None, &cfg, env.num_gpus);
+        let stages = stages::stage_list();
+
+        let (mut highest_live, mut fewest_chunks) = (0usize, usize::MAX);
+        for (i, op) in program.iter().enumerate() {
+            resize_chunks(&mut env);
+            let fop = op.unitary().expect("no collapse in this circuit");
+            stream_gate(&mut env, &stages, &mut mw, fop, i + 1, true).expect("fault-free run");
+            highest_live = highest_live.max((env.tracker.mask() >> env.chunk_bits) as usize);
+            fewest_chunks = fewest_chunks.min(1usize << (n as u32 - env.chunk_bits));
+            assert!(env.compressed.slots.len() <= highest_live + 1);
+            assert!(env.last_d2h.slots.len() <= highest_live + 1);
+        }
+        // The tables were used, and stayed far below one slot per chunk.
+        assert!(!env.last_d2h.slots.is_empty() && !env.compressed.slots.is_empty());
+        assert!(
+            highest_live < fewest_chunks / 4,
+            "{highest_live} of {fewest_chunks}"
+        );
     }
 }

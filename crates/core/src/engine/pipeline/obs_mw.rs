@@ -6,12 +6,18 @@
 //! flush into the recorder's labeled [`qgpu_obs::Registry`]:
 //!
 //! * `stage.time_ns{stage=…,version=…}` — HDR histogram of per-gate time
-//!   attributed to each stage, plus the pseudo-stages `setup`, `tasks`
-//!   (the per-task hook loop), `measure`, `sample` and `driver` (loop
-//!   overhead between hook passes). Histogram **sums** reconstruct the
-//!   wall-clock breakdown; percentiles expose tail gates.
+//!   attributed to each stage, plus the pseudo-stages `setup`,
+//!   `measure`, `sample` and `driver` (loop overhead between hook
+//!   passes). Histogram **sums** reconstruct the wall-clock breakdown;
+//!   percentiles expose tail gates.
 //! * `gate.ns{version=…}` — HDR histogram of whole-gate latency.
 //! * `tasks{device=…,version=…}` — chunk tasks executed per device.
+//!
+//! The per-task hook loop is lapped once per gate, not per task — at
+//! tens of nanoseconds a task, a clock read each would be the largest
+//! cost in the loop. Every [`TASK_SAMPLE`]-th task of a gate (the first
+//! included) instead laps after each hook, and the loop's wall clock is
+//! apportioned across the per-task stages by those samples' shares.
 //!
 //! Attribution is exhaustive by construction — every nanosecond between
 //! construction and [`ObsMw::finish`] lands in exactly one bucket — so
@@ -28,7 +34,7 @@ use crate::config::SimConfig;
 /// Attribution buckets: `setup`, one per streaming stage (in
 /// `stages::stage_list()` order at `1 + stage_index`), then the
 /// driver-level pseudo-stages.
-pub(crate) const BUCKETS: [&str; 14] = [
+pub(crate) const BUCKETS: [&str; 13] = [
     "setup",
     "plan",
     "prune",
@@ -39,7 +45,6 @@ pub(crate) const BUCKETS: [&str; 14] = [
     "compress",
     "writeback",
     "sync",
-    "tasks",
     "measure",
     "sample",
     "driver",
@@ -51,10 +56,12 @@ pub(crate) const fn stage_bucket(si: usize) -> usize {
     1 + si
 }
 pub(crate) const KERNEL: usize = 6;
-pub(crate) const TASKS: usize = 10;
-pub(crate) const MEASURE: usize = 11;
-pub(crate) const SAMPLE: usize = 12;
-pub(crate) const DRIVER: usize = 13;
+pub(crate) const MEASURE: usize = 10;
+pub(crate) const SAMPLE: usize = 11;
+pub(crate) const DRIVER: usize = 12;
+
+/// One task in this many has its hooks timed individually.
+const TASK_SAMPLE: u32 = 128;
 
 /// The per-stage wall-clock attribution middleware (see module docs).
 pub(crate) struct ObsMw<'a> {
@@ -63,6 +70,12 @@ pub(crate) struct ObsMw<'a> {
     last: Instant,
     gate_start: Instant,
     acc: [u64; BUCKETS.len()],
+    /// Tasks seen in the current gate's loop.
+    gate_tasks: u32,
+    sample_last: Instant,
+    lap_ns: u64,
+    /// Per-bucket time of this gate's sampled tasks.
+    sampled: [u64; BUCKETS.len()],
     device_tasks: Vec<u64>,
 }
 
@@ -81,6 +94,10 @@ impl<'a> ObsMw<'a> {
             last: now,
             gate_start: now,
             acc: [0; BUCKETS.len()],
+            gate_tasks: 0,
+            sample_last: now,
+            lap_ns: 0,
+            sampled: [0; BUCKETS.len()],
             device_tasks: vec![0; num_gpus],
         }
     }
@@ -104,14 +121,61 @@ impl<'a> ObsMw<'a> {
         self.gate_start = self.last;
     }
 
-    /// Ends one task's hook loop: time laps into the `tasks` bucket and
-    /// the executing device's task counter.
+    /// Starts one task's hook loop; `true` when this task is sampled and
+    /// the caller should [`ObsMw::task_lap`] after each hook.
+    pub(crate) fn task_begin(&mut self) -> bool {
+        if self.rec.is_none() {
+            return false;
+        }
+        let sampled = self.gate_tasks.is_multiple_of(TASK_SAMPLE);
+        self.gate_tasks += 1;
+        if sampled {
+            // Two reads back to back: what a lap itself costs, which at
+            // this granularity rivals the hooks and is subtracted.
+            let t0 = Instant::now();
+            self.sample_last = Instant::now();
+            self.lap_ns = self.sample_last.duration_since(t0).as_nanos() as u64;
+        }
+        sampled
+    }
+
+    /// Credits a sampled task's time since its previous lap to `bucket`.
+    pub(crate) fn task_lap(&mut self, bucket: usize) {
+        let now = Instant::now();
+        let ns = now.duration_since(self.sample_last).as_nanos() as u64;
+        self.sampled[bucket] += ns.saturating_sub(self.lap_ns);
+        self.sample_last = now;
+    }
+
+    /// Ends one task's hook loop: bumps the executing device's counter.
     #[inline]
     pub(crate) fn task_done(&mut self, gpu: usize) {
-        self.mark(TASKS);
         if self.rec.is_some() {
             self.device_tasks[gpu] += 1;
         }
+    }
+
+    /// Ends a gate's task loop: its wall clock since the previous mark
+    /// is split across the per-task stages in proportion to the sampled
+    /// tasks' time (the rounding remainder, and a loop that ran no task,
+    /// go to `driver`).
+    pub(crate) fn tasks_end(&mut self) {
+        if self.rec.is_none() {
+            return;
+        }
+        let now = Instant::now();
+        let mut left = now.duration_since(self.last).as_nanos() as u64;
+        self.last = now;
+        let total: u128 = self.sampled.iter().map(|&ns| u128::from(ns)).sum();
+        let wall = u128::from(left);
+        for (acc, ns) in self.acc.iter_mut().zip(&mut self.sampled) {
+            let share = (wall * u128::from(*ns)).checked_div(total).unwrap_or(0) as u64;
+            *acc += share;
+            left -= share;
+            *ns = 0;
+        }
+        self.acc[DRIVER] += left;
+        self.gate_tasks = 0;
     }
 
     /// Ends a gate: flushes the accumulated per-stage slices into the

@@ -8,7 +8,7 @@
 
 use qgpu_device::timeline::{Engine, TaskKind};
 use qgpu_faults::SimError;
-use qgpu_sched::plan::{ChunkTask, GatePlan};
+use qgpu_sched::plan::GatePlan;
 
 use crate::engine::flops_per_amp;
 
@@ -18,16 +18,13 @@ use super::{Env, GateCtx, TaskCtx};
 /// One stage of the per-chunk pipeline. Hooks default to no-ops; each
 /// stage overrides the granularities it acts at.
 pub(crate) trait Stage {
-    /// The stage's pipeline name (maps onto an observability span
-    /// category via [`qgpu_obs::Stage::for_pipeline`]).
-    fn name(&self) -> &'static str;
-
     /// Gate-level work, before any task runs.
     fn begin_gate(&self, _g: &mut GateCtx, _env: &mut Env) -> Result<(), SimError> {
         Ok(())
     }
 
-    /// Per chunk task, in plan order.
+    /// Per live chunk task, in plan order (only called on the
+    /// [`PER_TASK`] stages).
     fn on_task(&self, _t: &mut TaskCtx, _g: &mut GateCtx, _env: &mut Env) -> Result<(), SimError> {
         Ok(())
     }
@@ -56,14 +53,15 @@ pub(crate) fn stage_list() -> Vec<Box<dyn Stage>> {
     ]
 }
 
+/// [`stage_list`] indices of the stages that act per task (Deal through
+/// Writeback); Plan, Prune and Sync only have gate-level hooks, and the
+/// task loop does not call them.
+pub(crate) const PER_TASK: std::ops::Range<usize> = 2..8;
+
 /// Plan: the gate's chunk plan, flops density, and post-op involvement.
 pub(crate) struct PlanStage;
 
 impl Stage for PlanStage {
-    fn name(&self) -> &'static str {
-        "plan"
-    }
-
     fn begin_gate(&self, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
         let action = g.fop.collapsed();
         g.plan = Some(GatePlan::new_observed(
@@ -84,10 +82,6 @@ impl Stage for PlanStage {
 pub(crate) struct PruneStage;
 
 impl Stage for PruneStage {
-    fn name(&self) -> &'static str {
-        "prune"
-    }
-
     fn begin_gate(&self, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
         // A corrupted involvement mask (decided once per op) means no
         // chunk is provably zero: fall back to full-chunk execution.
@@ -109,17 +103,14 @@ impl Stage for PruneStage {
         };
         g.pruning = env.spec.flags.pruning && prune_ok;
 
-        let (task_ixs, kept_chunks, total) = {
-            let plan = g.plan.as_ref().expect("Plan stage ran");
-            let ixs: Vec<usize> = if g.pruning {
-                plan.live_task_indices(&env.tracker)
-            } else {
-                (0..plan.tasks().len()).collect()
-            };
-            let kept: usize = ixs.iter().map(|&i| plan.tasks()[i].len()).sum();
-            (ixs, kept, plan.total_chunks())
+        let plan = g.plan.as_ref().expect("Plan stage ran");
+        let tasks = if g.pruning {
+            plan.live_task_indices(&env.tracker)
+        } else {
+            plan.tasks()
         };
-        g.task_ixs = task_ixs;
+        let (kept_chunks, total) = (tasks.len() * plan.group_len(), plan.total_chunks());
+        g.tasks = tasks;
         env.tl.count_pruned((total - kept_chunks) as u64);
         env.tl.count_processed(kept_chunks as u64);
         if let Some(r) = env.rec {
@@ -136,10 +127,6 @@ impl Stage for PruneStage {
 pub(crate) struct DealStage;
 
 impl Stage for DealStage {
-    fn name(&self) -> &'static str {
-        "deal"
-    }
-
     fn on_task(&self, t: &mut TaskCtx, _g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
         t.gpu = super::deal_gpu(env);
         Ok(())
@@ -153,24 +140,12 @@ impl Stage for DealStage {
 pub(crate) struct KernelStage;
 
 impl Stage for KernelStage {
-    fn name(&self) -> &'static str {
-        "kernel"
-    }
-
     fn begin_gate(&self, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
-        let plan = g.plan.as_ref().expect("Plan stage ran");
-        let mut singles: Vec<usize> = Vec::new();
-        let mut groups: Vec<&[usize]> = Vec::new();
-        for &i in &g.task_ixs {
-            match &plan.tasks()[i] {
-                ChunkTask::Single(c) => singles.push(*c),
-                ChunkTask::Group(grp) => groups.push(grp),
-            }
-        }
+        let plan = g.plan();
         // `g.idx` is the loop's post-increment index; the op itself is
         // one back.
         let op_idx = g.idx.saturating_sub(1);
-        super::integrity::apply_gate(
+        super::integrity::apply_tasks(
             &mut env.integ,
             &mut env.executor,
             &mut env.state,
@@ -178,9 +153,8 @@ impl Stage for KernelStage {
             env.rec,
             g.fop,
             op_idx,
-            &singles,
-            &groups,
-            plan.high_mixing(),
+            plan,
+            g.tasks,
         )?;
         // Zero-block invariant over the chunks the prune stage skipped.
         // Zero (unallocated) chunks trivially satisfy it, so the sweep
@@ -189,17 +163,13 @@ impl Stage for KernelStage {
         if g.pruning {
             if let Some(imw) = env.integ.as_mut() {
                 if imw.zero_sweep_due() {
-                    let mut live = vec![false; plan.tasks().len()];
-                    for &i in &g.task_ixs {
-                        live[i] = true;
-                    }
-                    let state = &env.state;
+                    // A task was pruned iff its representative (its
+                    // lowest member) is provably zero.
+                    let (state, tracker, cb) = (&env.state, &env.tracker, env.chunk_bits);
                     let pruned = plan
                         .tasks()
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| !live[i])
-                        .flat_map(|(_, t)| t.chunks().iter().copied())
+                        .filter(|&rep| tracker.chunk_is_zero(rep, cb))
+                        .flat_map(|rep| plan.members(rep))
                         .filter(|&c| !state.is_zero_chunk(c));
                     imw.check_zero_blocks(state, pruned, op_idx, env.rec)?;
                 }
@@ -209,8 +179,7 @@ impl Stage for KernelStage {
     }
 
     fn on_task(&self, t: &mut TaskCtx, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
-        let members_len = g.plan().tasks()[t.task_ix].len();
-        let task_bytes = members_len as u64 * g.chunk_bytes;
+        let task_bytes = g.plan().group_len() as u64 * g.chunk_bytes;
         let stretch = super::kernel_stretch(env, t.gpu);
         let gspec = env.cfg.platform.gpu(t.gpu);
         let kernel_s = (task_bytes as f64 / gspec.update_bw() + gspec.kernel_launch) * stretch;
@@ -240,10 +209,6 @@ impl Stage for KernelStage {
 pub(crate) struct SyncStage;
 
 impl Stage for SyncStage {
-    fn name(&self) -> &'static str {
-        "sync"
-    }
-
     fn end_gate(&self, _g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
         if !env.spec.flags.overlap {
             let s = env.tl.schedule(

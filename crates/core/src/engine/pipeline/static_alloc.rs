@@ -23,11 +23,10 @@ use std::sync::Arc;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_circuit::Circuit;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
-use qgpu_device::ExecutionReport;
 use qgpu_faults::{FaultInjector, SimError};
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::devicegroup::DeviceGroup;
-use qgpu_sched::plan::{ChunkTask, GatePlan};
+use qgpu_sched::plan::GatePlan;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
 
 use crate::checkpoint::Checkpoint;
@@ -39,7 +38,7 @@ use super::integrity::IntegrityMw;
 use super::middleware::{self, BarrierClock, CheckpointLayer};
 use super::obs_mw::{self, ObsMw};
 use super::stochastic::{self, CollapseRng};
-use super::transfer::copy_with_dma;
+use super::transfer::{copy_with_dma, Dir};
 
 /// Where a chunk lives under the striped static allocation.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -76,9 +75,9 @@ pub(crate) fn run(
     recorder: Option<&Arc<Recorder>>,
     resume: Option<&Checkpoint>,
     noise_ops: u64,
+    mw: &mut ObsMw,
 ) -> Result<RunResult, SimError> {
     let rec = recorder.map(Arc::as_ref);
-    let mut mw = ObsMw::new(rec, cfg, cfg.platform.num_gpus());
     let n = circuit.num_qubits();
     let program = {
         let _g = span_opt(rec, Track::Main, ObsStage::Plan, "engine.program");
@@ -100,7 +99,7 @@ pub(crate) fn run(
 
     for (idx, op) in program.iter().enumerate().skip(start) {
         if let Some(err) = cfg.cancel.as_ref().and_then(|t| t.poll_abort(idx)) {
-            return Err(super::abort_run(err, sr.state.dense_chunk_count(), rec, mw));
+            return Err(super::abort_run(err, sr.state.dense_chunk_count(), rec));
         }
         ckpt.before_op(idx, &sr.state, cfg, rec)?;
         let lost = match sr.group.as_mut() {
@@ -120,23 +119,13 @@ pub(crate) fn run(
                 mw.mark(obs_mw::KERNEL);
                 mw.gate_done();
             }
-            &ProgramOp::Measure { qubit } => {
+            &ProgramOp::Measure { qubit } | &ProgramOp::Reset { qubit } => {
                 if let Some(imw) = sr.integ.as_mut() {
                     imw.check_whole_state(&sr.state, idx, rec)?;
                 }
                 mw.mark(obs_mw::DRIVER);
-                sr.collapse_step(qubit, false, crng.draw(qubit));
-                if let Some(imw) = sr.integ.as_mut() {
-                    imw.rebuild(&sr.state);
-                }
-                mw.mark(obs_mw::MEASURE);
-            }
-            &ProgramOp::Reset { qubit } => {
-                if let Some(imw) = sr.integ.as_mut() {
-                    imw.check_whole_state(&sr.state, idx, rec)?;
-                }
-                mw.mark(obs_mw::DRIVER);
-                sr.collapse_step(qubit, true, crng.draw(qubit));
+                let is_reset = matches!(op, ProgramOp::Reset { .. });
+                sr.collapse_step(qubit, is_reset, crng.draw(qubit));
                 if let Some(imw) = sr.integ.as_mut() {
                     imw.rebuild(&sr.state);
                 }
@@ -162,26 +151,9 @@ pub(crate) fn run(
         }
     }
 
-    // The whole-state norm gate ahead of readout.
-    if let Some(imw) = sr.integ.as_mut() {
-        imw.check_whole_state(&sr.state, program.len(), rec)?;
-    }
-    mw.mark(obs_mw::DRIVER);
-    let samples = stochastic::sample_readout(&sr.state, cfg, &mut sr.tl, rec);
-    mw.mark(obs_mw::SAMPLE);
-    mw.finish();
-    sr.tl.set_noise_ops(noise_ops);
-    let report = ExecutionReport::from_timeline(&sr.tl, sr.num_gpus);
-    Ok(RunResult {
-        version: cfg.version,
-        circuit_name: circuit.name().to_string(),
-        state: cfg.collect_state.then(|| sr.state.to_flat()),
-        report,
-        trace: sr.tl.trace().to_vec(),
-        obs: None,
-        samples,
-        integrity: sr.integ.as_ref().map(|m| m.summary),
-    })
+    let ops = program.len();
+    let (state, tl, integ) = (&sr.state, &mut sr.tl, &mut sr.integ);
+    super::finish_run(mw, circuit, cfg, rec, state, tl, integ, ops, noise_ops)
 }
 
 impl<'a> StaticRun<'a> {
@@ -369,23 +341,22 @@ impl<'a> StaticRun<'a> {
         // Partition tasks: same-device batches vs. mixed groups.
         let mut host_bytes = 0u64;
         let mut gpu_bytes = vec![0u64; self.num_gpus];
-        let mut mixed: Vec<&ChunkTask> = Vec::new();
-        for task in plan.tasks() {
-            let locs: Vec<Loc> = task.chunks().iter().map(|&c| self.loc(c)).collect();
-            let bytes = task.len() as u64 * self.chunk_bytes;
-            if locs.iter().all(|&l| l == Loc::Host) {
-                host_bytes += bytes;
-            } else if locs.windows(2).all(|w| w[0] == w[1]) {
-                let Loc::Gpu(g) = locs[0] else { unreachable!() };
-                gpu_bytes[g] += bytes;
+        let mut mixed: Vec<usize> = Vec::new();
+        let task_bytes = plan.group_len() as u64 * self.chunk_bytes;
+        for rep in plan.tasks() {
+            let first = self.loc(rep);
+            if !plan.members(rep).all(|c| self.loc(c) == first) {
+                mixed.push(rep);
+            } else if let Loc::Gpu(g) = first {
+                gpu_bytes[g] += task_bytes;
             } else {
-                mixed.push(task);
+                host_bytes += task_bytes;
             }
-            self.tl.count_processed(task.len() as u64);
-            if let Some(r) = self.rec {
-                r.add("chunks.processed", task.len() as u64);
-                r.observe("chunk.bytes", self.chunk_bytes);
-            }
+        }
+        self.tl.count_processed(plan.total_chunks() as u64);
+        if let Some(r) = self.rec {
+            r.add("chunks.processed", plan.total_chunks() as u64);
+            r.observe_n("chunk.bytes", self.chunk_bytes, plan.tasks().len() as u64);
         }
 
         let mut gate_end = self.gate_ready;
@@ -425,7 +396,7 @@ impl<'a> StaticRun<'a> {
             gate_end = gate_end.max(span.end);
         }
 
-        gate_end = gate_end.max(self.exchange(&mixed, fop, fpa, gate_end));
+        gate_end = gate_end.max(self.exchange(&plan, &mixed, fop, fpa, gate_end));
 
         // Per-gate synchronization between the scheduler and the device.
         let sync = self.tl.schedule(
@@ -438,15 +409,7 @@ impl<'a> StaticRun<'a> {
         self.gate_ready = sync.end;
 
         // Functional update (identical across modes), after the sync.
-        let mut singles: Vec<usize> = Vec::new();
-        let mut groups: Vec<&[usize]> = Vec::new();
-        for task in plan.tasks() {
-            match task {
-                ChunkTask::Single(c) => singles.push(*c),
-                ChunkTask::Group(g) => groups.push(g),
-            }
-        }
-        super::integrity::apply_gate(
+        super::integrity::apply_tasks(
             &mut self.integ,
             &mut self.executor,
             &mut self.state,
@@ -454,9 +417,8 @@ impl<'a> StaticRun<'a> {
             self.rec,
             fop,
             op_idx,
-            &singles,
-            &groups,
-            plan.high_mixing(),
+            &plan,
+            plan.tasks(),
         )
     }
 
@@ -465,37 +427,39 @@ impl<'a> StaticRun<'a> {
     /// batches, since the scheduler blocks when it reaches the boundary
     /// (the paper's Figure 2 splits the makespan into CPU time then
     /// exchange time). Returns the chain's end.
-    fn exchange(&mut self, mixed: &[&ChunkTask], fop: &FusedOp, fpa: f64, gate_end: f64) -> f64 {
+    fn exchange(
+        &mut self,
+        plan: &GatePlan,
+        mixed: &[usize],
+        fop: &FusedOp,
+        fpa: f64,
+        gate_end: f64,
+    ) -> f64 {
         let mut chain = gate_end;
-        for task in mixed {
-            let primary = task
-                .chunks()
-                .iter()
-                .find_map(|&c| match self.loc(c) {
+        for &rep in mixed {
+            let primary = plan
+                .members(rep)
+                .find_map(|c| match self.loc(c) {
                     Loc::Gpu(g) => Some(g),
                     Loc::Host => None,
                 })
                 .unwrap_or_else(|| self.alive.iter().position(|&a| a).unwrap_or(0));
-            let off_device_bytes: u64 = task
-                .chunks()
-                .iter()
-                .filter(|&&c| self.loc(c) != Loc::Gpu(primary))
+            let off_device_bytes: u64 = plan
+                .members(rep)
+                .filter(|&c| self.loc(c) != Loc::Gpu(primary))
                 .count() as u64
                 * self.chunk_bytes;
-            let link = self.cfg.platform.link(primary);
-            let link_stretch = self.next_link_stretch();
+            let up_stretch = self.next_link_stretch();
+            let up = Dir::Up(primary);
             let h2d = copy_with_dma(
                 &mut self.tl,
-                Engine::HostDmaOut,
-                Engine::H2d(primary),
-                TaskKind::H2dCopy,
+                self.cfg,
+                up,
                 chain,
                 off_device_bytes,
-                link,
-                self.cfg.platform.host.copy_bw,
-                link_stretch,
+                up_stretch,
             );
-            let group_bytes = task.len() as u64 * self.chunk_bytes;
+            let group_bytes = plan.group_len() as u64 * self.chunk_bytes;
             let kt = (group_bytes as f64 / self.cfg.platform.gpu(primary).update_bw()
                 + self.cfg.platform.gpu(primary).kernel_launch)
                 * self
@@ -514,15 +478,13 @@ impl<'a> StaticRun<'a> {
                 self.tl.count_fused_kernel();
             }
             let down_stretch = self.next_link_stretch();
+            let down = Dir::Down(primary);
             let d2h = copy_with_dma(
                 &mut self.tl,
-                Engine::HostDmaIn,
-                Engine::D2h(primary),
-                TaskKind::D2hCopy,
+                self.cfg,
+                down,
                 kernel.end,
                 off_device_bytes,
-                link,
-                self.cfg.platform.host.copy_bw,
                 down_stretch,
             );
             chain = d2h.end;

@@ -7,45 +7,52 @@
 //! copies through [`copy_with_dma`], so the §V-E host-DMA bottleneck is
 //! modeled once.
 
-use qgpu_compress::Codec;
+use qgpu_compress::{Codec, CodecKind};
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
 use qgpu_faults::{FaultSite, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::Recorder;
 
+use crate::config::SimConfig;
+
 use super::middleware::Resilience;
+
+/// A host↔device copy over GPU `.0`'s link: the shared host-DMA staging
+/// engine, the link engine and the task kind all follow from it.
+#[derive(Clone, Copy)]
+pub(crate) enum Dir {
+    Up(usize),
+    Down(usize),
+}
+
+impl Dir {
+    /// `(dma engine, link engine, kind, gpu)`.
+    fn route(self) -> (Engine, Engine, TaskKind, usize) {
+        match self {
+            Dir::Up(g) => (Engine::HostDmaOut, Engine::H2d(g), TaskKind::H2dCopy, g),
+            Dir::Down(g) => (Engine::HostDmaIn, Engine::D2h(g), TaskKind::D2hCopy, g),
+        }
+    }
+}
 
 /// Schedules a CPU↔GPU copy: the transfer holds its per-GPU link engine
 /// for `bytes/link_bw` *and* reserves the shared host-DRAM DMA path for
 /// `bytes/copy_bw`, so aggregate traffic across all GPUs never exceeds
 /// what host memory can stage (the paper's §V-E observation that CPU↔GPU
 /// movement, not GPU↔GPU links, bounds multi-GPU scaling).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn copy_with_dma(
     tl: &mut Timeline,
-    dma_engine: Engine,
-    link_engine: Engine,
-    kind: TaskKind,
+    cfg: &SimConfig,
+    dir: Dir,
     ready: f64,
     bytes: u64,
-    link: &qgpu_device::LinkSpec,
-    copy_bw: f64,
     link_stretch: f64,
 ) -> qgpu_device::Span {
-    let dma = tl.schedule(
-        dma_engine,
-        ready,
-        bytes as f64 / copy_bw,
-        TaskKind::HostDma,
-        0,
-    );
-    tl.schedule(
-        link_engine,
-        dma.start,
-        link.transfer_time(bytes) * link_stretch,
-        kind,
-        bytes,
-    )
+    let (dma_engine, link_engine, kind, gpu) = dir.route();
+    let dma_s = bytes as f64 / cfg.platform.host.copy_bw;
+    let dma = tl.schedule(dma_engine, ready, dma_s, TaskKind::HostDma, 0);
+    let link_s = cfg.platform.link(gpu).transfer_time(bytes) * link_stretch;
+    tl.schedule(link_engine, dma.start, link_s, kind, bytes)
 }
 
 /// [`copy_with_dma`] under integrity checking: after each modeled
@@ -54,31 +61,17 @@ pub(crate) fn copy_with_dma(
 /// full retransmit; after `max_retries` consumed attempts the transfer is
 /// abandoned with [`SimError::ChunkCorrupt`]. With `resil == None` this
 /// is exactly `copy_with_dma`.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn transfer_with_integrity(
     tl: &mut Timeline,
-    dma_engine: Engine,
-    link_engine: Engine,
-    kind: TaskKind,
+    cfg: &SimConfig,
+    dir: Dir,
     mut ready: f64,
     bytes: u64,
-    link: &qgpu_device::LinkSpec,
-    copy_bw: f64,
     resil: Option<&mut Resilience>,
     rec: Option<&Recorder>,
 ) -> Result<qgpu_device::Span, SimError> {
     let Some(rs) = resil else {
-        return Ok(copy_with_dma(
-            tl,
-            dma_engine,
-            link_engine,
-            kind,
-            ready,
-            bytes,
-            link,
-            copy_bw,
-            1.0,
-        ));
+        return Ok(copy_with_dma(tl, cfg, dir, ready, bytes, 1.0));
     };
     let index = rs.transfers;
     rs.transfers += 1;
@@ -96,17 +89,7 @@ pub(crate) fn transfer_with_integrity(
     }
     let mut attempt: u32 = 0;
     loop {
-        let span = copy_with_dma(
-            tl,
-            dma_engine,
-            link_engine,
-            kind,
-            ready,
-            bytes,
-            link,
-            copy_bw,
-            stretch,
-        );
+        let span = copy_with_dma(tl, cfg, dir, ready, bytes, stretch);
         if !rs
             .inj
             .fires_attempt(FaultSite::TransferCorrupt, index, attempt)
@@ -125,7 +108,7 @@ pub(crate) fn transfer_with_integrity(
         // resynchronizes them into retry storms) while keeping replay
         // under a fixed seed bit-exact.
         let b = tl.schedule(
-            link_engine,
+            dir.route().1,
             span.end,
             rs.retry
                 .jittered_backoff_s(rs.inj.config().seed ^ index, attempt),
@@ -146,25 +129,32 @@ pub(crate) fn transfer_with_integrity(
 
 /// Real compressed size of a chunk under the configured codec, capped at
 /// raw size (the scheme falls back to the raw representation if
-/// compression would expand the data). Records the per-chunk ratio
-/// histogram; the wall-clock Compress span is opened by the caller at
-/// per-gate granularity (a span per chunk would swamp the recorder on
-/// million-chunk runs).
+/// compression would expand the data). The caller records the ratio
+/// histogram ([`ratio_x100`]) and opens the wall-clock Compress span, both
+/// at per-gate granularity: a lock or a span per chunk would swamp the
+/// recorder on million-chunk runs.
 pub(crate) fn compressed_size(
     codec: &dyn Codec,
     amps: &[Complex64],
     raw_bytes: usize,
     rec: Option<&Recorder>,
 ) -> usize {
-    let enc = codec.encode_amplitudes(amps);
-    let out = enc.total_bytes().min(raw_bytes);
-    if let Some(r) = rec {
-        r.observe("compress.ratio.x100", (raw_bytes * 100 / out.max(1)) as u64);
-        if codec.kind() == qgpu_compress::CodecKind::Cascade {
-            // The sizing pass is where the cascade actually runs in the
-            // engine: publish which inner codec won this chunk.
+    // The sizing pass is where the cascade actually runs in the engine:
+    // an observed run builds the buffer to publish which inner codec won
+    // this chunk. Everything else only needs the length.
+    let len = match rec {
+        Some(r) if codec.kind() == CodecKind::Cascade => {
+            let enc = codec.encode_amplitudes(amps);
             qgpu_compress::record_cascade_pick(r, enc.codec());
+            enc.total_bytes()
         }
-    }
-    out
+        _ => codec.encoded_len_amplitudes(amps),
+    };
+    len.min(raw_bytes)
+}
+
+/// A chunk's compression ratio ×100, as the `compress.ratio.x100`
+/// histogram records it.
+pub(crate) fn ratio_x100(raw_bytes: u64, compressed: usize) -> u64 {
+    raw_bytes * 100 / compressed.max(1) as u64
 }

@@ -12,6 +12,7 @@ use qgpu_obs::{span_opt, Stage as ObsStage, Track};
 
 use super::middleware::Resilience;
 use super::stages::Stage;
+use super::transfer::{transfer_with_integrity, Dir};
 use super::{Env, GateCtx, TaskCtx, RAW_FALLBACK};
 
 /// Fetch: compute the task's upload bytes (pruned members don't move;
@@ -21,20 +22,15 @@ use super::{Env, GateCtx, TaskCtx, RAW_FALLBACK};
 pub(crate) struct FetchStage;
 
 impl Stage for FetchStage {
-    fn name(&self) -> &'static str {
-        "fetch"
-    }
-
     fn on_task(&self, t: &mut TaskCtx, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
-        let cfg = env.cfg;
-        let members = g.plan.as_ref().expect("Plan stage ran").tasks()[t.task_ix].chunks();
+        let members = g.plan().members(t.rep);
         // Pruning skips provably-zero members; otherwise all move.
-        for &m in members {
+        for m in members.clone() {
             if g.pruning && env.tracker.chunk_is_zero(m, env.chunk_bits) {
                 continue;
             }
-            match (g.compressing, env.compressed.get(&m)) {
-                (true, Some(&sz)) => {
+            match (g.compressing, env.compressed.get(m)) {
+                (true, Some(sz)) => {
                     t.h2d_bytes += sz as u64;
                     t.raw_up_compressed += g.chunk_bytes;
                 }
@@ -42,8 +38,8 @@ impl Stage for FetchStage {
             }
         }
         let mut ready = env.epoch_floor;
-        for &m in members {
-            if let Some(&x) = env.last_d2h.get(&m) {
+        for m in members.clone() {
+            if let Some(x) = env.last_d2h.get(m) {
                 ready = ready.max(x);
             }
         }
@@ -62,15 +58,12 @@ impl Stage for FetchStage {
                 pruning && env.tracker.chunk_is_zero(m, cb)
             });
         }
-        let h2d = super::transfer::transfer_with_integrity(
+        let h2d = transfer_with_integrity(
             &mut env.tl,
-            Engine::HostDmaOut,
-            Engine::H2d(t.gpu),
-            TaskKind::H2dCopy,
+            env.cfg,
+            Dir::Up(t.gpu),
             ready,
             t.h2d_bytes,
-            cfg.platform.link(t.gpu),
-            cfg.platform.host.copy_bw,
             env.resil.as_mut(),
             env.rec,
         )?;
@@ -84,10 +77,6 @@ impl Stage for FetchStage {
 pub(crate) struct DecompressStage;
 
 impl Stage for DecompressStage {
-    fn name(&self) -> &'static str {
-        "decompress"
-    }
-
     fn on_task(&self, t: &mut TaskCtx, _g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
         if t.raw_up_compressed > 0 {
             let gspec = env.cfg.platform.gpu(t.gpu);
@@ -112,10 +101,6 @@ impl Stage for DecompressStage {
 pub(crate) struct CompressStage;
 
 impl Stage for CompressStage {
-    fn name(&self) -> &'static str {
-        "compress"
-    }
-
     fn begin_gate(&self, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
         if !g.compressing {
             return Ok(());
@@ -123,17 +108,12 @@ impl Stage for CompressStage {
         let _sp = span_opt(
             env.rec,
             Track::Main,
-            ObsStage::for_pipeline(self.name()),
+            ObsStage::Compress,
             env.codec.kind().compress_span(),
         );
-        let members: Vec<usize> = {
-            let plan = g.plan.as_ref().expect("Plan stage ran");
-            g.task_ixs
-                .iter()
-                .flat_map(|&i| plan.tasks()[i].chunks().iter().copied())
-                .collect()
-        };
-        for m in members {
+        env.new_sizes.clear();
+        let plan = g.plan.as_ref().expect("Plan stage ran");
+        for m in g.tasks.flat_map(|rep| plan.members(rep)) {
             if g.pruning && g.tracker_after.chunk_is_zero(m, env.chunk_bits) {
                 continue;
             }
@@ -148,29 +128,37 @@ impl Stage for CompressStage {
                         format!("chunk {m}: {cname} encode failed, moving raw")
                     });
                 }
-                g.new_sizes.insert(m, RAW_FALLBACK);
+                env.new_sizes.push(RAW_FALLBACK);
                 g.raw_members += 1;
                 continue;
             }
             let sz = super::encode_member(env, m);
-            g.new_sizes.insert(m, sz);
+            env.new_sizes.push(sz);
+        }
+        if let Some(r) = env.rec {
+            let sized = env.new_sizes.iter().filter(|&&sz| sz != RAW_FALLBACK);
+            let ratios = sized.map(|&sz| super::transfer::ratio_x100(g.chunk_bytes, sz));
+            r.observe_all("compress.ratio.x100", ratios);
         }
         Ok(())
     }
 
     fn on_task(&self, t: &mut TaskCtx, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
-        let members = g.plan.as_ref().expect("Plan stage ran").tasks()[t.task_ix].chunks();
-        for &m in members {
+        t.sizes_at = g.sizes_cursor;
+        let plan = g.plan.as_ref().expect("Plan stage ran");
+        for m in plan.members(t.rep) {
             if g.pruning && g.tracker_after.chunk_is_zero(m, env.chunk_bits) {
-                env.compressed.remove(&m);
+                env.compressed.remove(m);
                 continue;
             }
             if g.compressing {
-                let sz = g.new_sizes[&m];
+                // The sizing pass visited the same members in this order.
+                let sz = env.new_sizes[g.sizes_cursor];
+                g.sizes_cursor += 1;
                 if sz == RAW_FALLBACK {
                     // Encode failed for this member: raw download, no
                     // compress kernel time, nothing cached as compressed.
-                    env.compressed.remove(&m);
+                    env.compressed.remove(m);
                     t.d2h_bytes += g.chunk_bytes;
                 } else {
                     env.tl.record_compression(g.chunk_bytes, sz as u64);
@@ -203,55 +191,49 @@ impl Stage for CompressStage {
 pub(crate) struct WritebackStage;
 
 impl Stage for WritebackStage {
-    fn name(&self) -> &'static str {
-        "writeback"
-    }
-
     fn on_task(&self, t: &mut TaskCtx, g: &mut GateCtx, env: &mut Env) -> Result<(), SimError> {
-        let cfg = env.cfg;
-        let members = g.plan.as_ref().expect("Plan stage ran").tasks()[t.task_ix].chunks();
+        let members = g.plan().members(t.rep);
         let cb = env.chunk_bits;
         let pruning = g.pruning;
         // Arrival re-tags are paid only for members that moved raw:
         // a fully-pruned task (`d2h_bytes == 0`) and a fully-sealed
         // compressed task skip the pass entirely.
         if t.d2h_bytes > 0 {
+            let ta = &g.tracker_after;
             if !g.compressing {
-                let ta = &g.tracker_after;
                 if let Some(rs) = env.resil.as_mut() {
-                    rs.verify_on_arrival(&env.state, members, cb, |m| {
+                    rs.verify_on_arrival(&env.state, members.clone(), cb, |m| {
                         pruning && ta.chunk_is_zero(m, cb)
                     });
                 }
             } else if g.raw_members > 0 {
                 // Compressed members were sealed at encode time; only
-                // raw codec-failure fallbacks need an arrival pass.
-                let ns = &g.new_sizes;
+                // raw codec-failure fallbacks need an arrival pass. The
+                // task's sizes follow its moving members in order.
+                let mut sizes = env.new_sizes[t.sizes_at..].iter();
                 if let Some(rs) = env.resil.as_mut() {
-                    rs.verify_on_arrival(&env.state, members, cb, |m| {
-                        ns.get(&m) != Some(&RAW_FALLBACK)
+                    rs.verify_on_arrival(&env.state, members.clone(), cb, |m| {
+                        (pruning && ta.chunk_is_zero(m, cb)) || sizes.next() != Some(&RAW_FALLBACK)
                     });
                 }
             }
         }
-        let d2h = super::transfer::transfer_with_integrity(
+        let d2h = transfer_with_integrity(
             &mut env.tl,
-            Engine::HostDmaIn,
-            Engine::D2h(t.gpu),
-            TaskKind::D2hCopy,
+            env.cfg,
+            Dir::Down(t.gpu),
             t.d2h_ready,
             t.d2h_bytes,
-            cfg.platform.link(t.gpu),
-            cfg.platform.host.copy_bw,
             env.resil.as_mut(),
             env.rec,
         )?;
-        for &m in members {
+        let incoming = members.len();
+        for m in members {
             env.last_d2h.insert(m, d2h.end);
         }
         if env.spec.flags.overlap {
-            env.windows[t.gpu].slots.push_back((d2h.end, members.len()));
-            env.windows[t.gpu].inflight += members.len();
+            env.windows[t.gpu].slots.push_back((d2h.end, incoming));
+            env.windows[t.gpu].inflight += incoming;
         } else {
             env.chain = d2h.end;
         }

@@ -1,7 +1,5 @@
 //! The discrete-event timeline: engines, spans, and busy accounting.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 /// An execution engine that serializes its own tasks but runs concurrently
@@ -50,6 +48,21 @@ pub enum TaskKind {
     /// Retry backoff wait after an integrity failure (the resilient
     /// pipeline's exponential-backoff pauses; bytes = 0).
     Backoff,
+}
+
+impl Engine {
+    /// Dense table slot: the three host-side engines first, then three
+    /// per GPU.
+    fn slot(self) -> usize {
+        match self {
+            Engine::Host => 0,
+            Engine::HostDmaOut => 1,
+            Engine::HostDmaIn => 2,
+            Engine::GpuCompute(g) => 3 + 3 * g,
+            Engine::H2d(g) => 4 + 3 * g,
+            Engine::D2h(g) => 5 + 3 * g,
+        }
+    }
 }
 
 impl TaskKind {
@@ -123,9 +136,11 @@ struct EngineState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    engines: BTreeMap<Engine, EngineState>,
-    kind_busy: BTreeMap<TaskKind, f64>,
-    kind_bytes: BTreeMap<TaskKind, u64>,
+    /// Indexed by [`Engine::slot`], grown on demand.
+    engines: Vec<EngineState>,
+    /// Indexed by `TaskKind as usize`.
+    kind_busy: [f64; TaskKind::ALL.len()],
+    kind_bytes: [u64; TaskKind::ALL.len()],
     makespan: f64,
     trace: Option<Vec<TraceEvent>>,
     trace_cap: usize,
@@ -189,13 +204,17 @@ impl Timeline {
             duration.is_finite() && duration >= 0.0,
             "bad task duration {duration}"
         );
-        let state = self.engines.entry(engine).or_default();
+        let slot = engine.slot();
+        if slot >= self.engines.len() {
+            self.engines.resize(slot + 1, EngineState::default());
+        }
+        let state = &mut self.engines[slot];
         let start = state.available.max(ready);
         let end = start + duration;
         state.available = end;
         state.busy += duration;
-        *self.kind_busy.entry(kind).or_default() += duration;
-        *self.kind_bytes.entry(kind).or_default() += bytes;
+        self.kind_busy[kind as usize] += duration;
+        self.kind_bytes[kind as usize] += bytes;
         self.makespan = self.makespan.max(end);
         if let Some(trace) = &mut self.trace {
             if trace.len() < self.trace_cap {
@@ -212,22 +231,22 @@ impl Timeline {
 
     /// The time the engine becomes free (0 if never used).
     pub fn engine_available(&self, engine: Engine) -> f64 {
-        self.engines.get(&engine).map_or(0.0, |s| s.available)
+        self.engines.get(engine.slot()).map_or(0.0, |s| s.available)
     }
 
     /// Total busy time of an engine.
     pub fn engine_busy(&self, engine: Engine) -> f64 {
-        self.engines.get(&engine).map_or(0.0, |s| s.busy)
+        self.engines.get(engine.slot()).map_or(0.0, |s| s.busy)
     }
 
     /// Total busy time across all engines of one task category.
     pub fn kind_busy(&self, kind: TaskKind) -> f64 {
-        self.kind_busy.get(&kind).copied().unwrap_or(0.0)
+        self.kind_busy[kind as usize]
     }
 
     /// Total bytes accounted to one task category.
     pub fn kind_bytes(&self, kind: TaskKind) -> u64 {
-        self.kind_bytes.get(&kind).copied().unwrap_or(0)
+        self.kind_bytes[kind as usize]
     }
 
     /// End of the last scheduled task — the modeled wall-clock time.
@@ -463,16 +482,16 @@ impl Timeline {
     pub fn sample_time(&self) -> f64 {
         self.sample_time
     }
-
-    /// Engines that have been used, with their busy time.
-    pub fn engine_summary(&self) -> Vec<(Engine, f64)> {
-        self.engines.iter().map(|(e, s)| (*e, s.busy)).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::report::ExecutionReport;
 
     #[test]
     fn serial_on_one_engine() {
@@ -563,5 +582,112 @@ mod tests {
     fn negative_duration_panics() {
         let mut tl = Timeline::new();
         tl.schedule(Engine::Host, 0.0, -1.0, TaskKind::Sync, 0);
+    }
+
+    /// The ordered-map timeline the slot tables replaced, kept as the
+    /// reference model: same arithmetic, same accumulation order.
+    #[derive(Default)]
+    struct MapTimeline {
+        engines: BTreeMap<Engine, (f64, f64)>, // (available, busy)
+        kind_busy: BTreeMap<TaskKind, f64>,
+        kind_bytes: BTreeMap<TaskKind, u64>,
+        makespan: f64,
+    }
+
+    impl MapTimeline {
+        fn schedule(&mut self, e: Engine, ready: f64, d: f64, k: TaskKind, bytes: u64) -> Span {
+            let state = self.engines.entry(e).or_default();
+            let start = state.0.max(ready);
+            let end = start + d;
+            state.0 = end;
+            state.1 += d;
+            *self.kind_busy.entry(k).or_default() += d;
+            *self.kind_bytes.entry(k).or_default() += bytes;
+            self.makespan = self.makespan.max(end);
+            Span { start, end }
+        }
+
+        fn busy(&self, e: Engine) -> f64 {
+            self.engines.get(&e).map_or(0.0, |s| s.1)
+        }
+
+        fn kind_busy(&self, k: TaskKind) -> f64 {
+            self.kind_busy.get(&k).copied().unwrap_or(0.0)
+        }
+
+        fn kind_bytes(&self, k: TaskKind) -> u64 {
+            self.kind_bytes.get(&k).copied().unwrap_or(0)
+        }
+    }
+
+    fn engine_of(code: u32) -> Engine {
+        let g = (code / 6 % 3) as usize;
+        match code % 6 {
+            0 => Engine::Host,
+            1 => Engine::GpuCompute(g),
+            2 => Engine::H2d(g),
+            3 => Engine::D2h(g),
+            4 => Engine::HostDmaOut,
+            _ => Engine::HostDmaIn,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn slot_tables_match_the_ordered_map_model(
+            tasks in proptest::collection::vec(
+                (any::<u32>(), any::<u32>(), 0.0f64..3.0, 0.0f64..2.0, any::<u32>()),
+                0..200,
+            ),
+        ) {
+            let num_gpus = 3;
+            let (mut tl, mut model) = (Timeline::new(), MapTimeline::default());
+            let mut last_end = 0.0;
+            for &(e, k, ready, d, bytes) in &tasks {
+                let engine = engine_of(e);
+                let kind = TaskKind::ALL[k as usize % TaskKind::ALL.len()];
+                // Half the tasks chain on the previous one, like the
+                // pipeline's dependent copies and kernels.
+                let ready = if e & 64 == 0 { ready } else { last_end };
+                let got = tl.schedule(engine, ready, d, kind, u64::from(bytes));
+                let want = model.schedule(engine, ready, d, kind, u64::from(bytes));
+                prop_assert_eq!(got.start.to_bits(), want.start.to_bits());
+                prop_assert_eq!(got.end.to_bits(), want.end.to_bits());
+                last_end = got.end;
+            }
+            prop_assert_eq!(tl.makespan().to_bits(), model.makespan.to_bits());
+            for code in 0..18 {
+                let e = engine_of(code);
+                prop_assert_eq!(tl.engine_busy(e).to_bits(), model.busy(e).to_bits());
+                let avail = model.engines.get(&e).map_or(0.0, |s| s.0);
+                prop_assert_eq!(tl.engine_available(e).to_bits(), avail.to_bits());
+            }
+            for k in TaskKind::ALL {
+                prop_assert_eq!(tl.kind_busy(k).to_bits(), model.kind_busy(k).to_bits());
+                prop_assert_eq!(tl.kind_bytes(k), model.kind_bytes(k));
+            }
+            // The report, field by field from the model, then as JSON.
+            let got = ExecutionReport::from_timeline(&tl, num_gpus);
+            let want = ExecutionReport {
+                total_time: model.makespan,
+                host_time: model.kind_busy(TaskKind::HostUpdate),
+                gpu_time: (0..num_gpus).fold(0.0, |a, g| a + model.busy(Engine::GpuCompute(g))),
+                transfer_time: (0..num_gpus).fold(0.0, |a, g| {
+                    a + (model.busy(Engine::H2d(g)) + model.busy(Engine::D2h(g)))
+                }),
+                sync_time: model.kind_busy(TaskKind::Sync),
+                compress_time: model.kind_busy(TaskKind::Compress),
+                decompress_time: model.kind_busy(TaskKind::Decompress),
+                backoff_time: model.kind_busy(TaskKind::Backoff),
+                bytes_h2d: model.kind_bytes(TaskKind::H2dCopy),
+                bytes_d2h: model.kind_bytes(TaskKind::D2hCopy),
+                bytes_host: model.kind_bytes(TaskKind::HostUpdate),
+                bytes_gpu: model.kind_bytes(TaskKind::Kernel),
+                ..ExecutionReport::from_timeline(&Timeline::new(), num_gpus)
+            };
+            prop_assert_eq!(got.to_json_string(), want.to_json_string());
+        }
     }
 }

@@ -156,34 +156,47 @@ impl HdrHistogram {
     /// error is bounded by the bucket width, i.e. `value / 2^PRECISION`
     /// (exact below `2^PRECISION`).
     pub fn percentile(&self, q: f64) -> u64 {
+        self.percentiles([q])[0]
+    }
+
+    /// [`HdrHistogram::percentile`] at several ascending quantiles in one
+    /// walk over the occupied buckets (a snapshot asks for four per
+    /// series, and a walk from bucket 0 each would cost more than a
+    /// small run's whole telemetry budget).
+    fn percentiles<const N: usize>(&self, qs: [f64; N]) -> [u64; N] {
+        let mut out = [0u64; N];
         if self.count == 0 {
-            return 0;
+            return out;
         }
-        let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
-        let rank = rank.min(self.count);
-        let mut cum = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= rank {
+        let ranks = qs.map(|q| {
+            let rank = ((q / 100.0) * self.count as f64).ceil().max(1.0) as u64;
+            rank.min(self.count)
+        });
+        let (mut cum, mut next) = (0u64, 0);
+        for idx in Self::index(self.min)..=Self::index(self.max) {
+            cum += self.counts[idx];
+            while next < N && cum >= ranks[next] {
                 // Clamp to the observed range so a single-sample bucket
                 // never reports a midpoint outside [min, max].
-                return Self::representative(idx).clamp(self.min, self.max);
+                out[next] = Self::representative(idx).clamp(self.min, self.max);
+                next += 1;
             }
         }
-        self.max
+        out
     }
 
     /// Fixed percentile summary for snapshots and JSON.
     pub fn snapshot(&self) -> HdrSnapshot {
+        let [p50, p90, p99, p999] = self.percentiles([50.0, 90.0, 99.0, 99.9]);
         HdrSnapshot {
             count: self.count(),
             sum: self.sum(),
             min: self.min(),
             max: self.max(),
-            p50: self.percentile(50.0),
-            p90: self.percentile(90.0),
-            p99: self.percentile(99.0),
-            p999: self.percentile(99.9),
+            p50,
+            p90,
+            p99,
+            p999,
         }
     }
 }

@@ -283,6 +283,24 @@ impl Recorder {
         }
     }
 
+    /// Records every value into the named histogram under one lock —
+    /// for per-chunk series, where a lock per value would dominate.
+    pub fn observe_all(&self, name: &'static str, values: impl IntoIterator<Item = u64>) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
+        let mut hists = self.hists.lock();
+        let i = hists
+            .iter()
+            .position(|(k, _)| *k == name)
+            .unwrap_or_else(|| {
+                hists.push((name, LogHistogram::new()));
+                hists.len() - 1
+            });
+        values.for_each(|v| hists[i].1.record(v));
+    }
+
     fn push(&self, span: WallSpan) {
         if span.track == Track::Main {
             let idx = Stage::ALL

@@ -52,11 +52,6 @@ impl InvolvementTracker {
         self.mask
     }
 
-    /// Number of involved qubits.
-    pub fn involved_count(&self) -> u32 {
-        self.mask.count_ones()
-    }
-
     /// Returns `true` once every qubit has been involved (pruning can no
     /// longer help).
     pub fn is_fully_involved(&self) -> bool {
@@ -141,10 +136,7 @@ impl InvolvementTracker {
 
     /// Number of prunable chunks under the given chunk size.
     pub fn prunable_chunks(&self, chunk_bits: u32) -> usize {
-        let total = 1usize << (self.num_qubits as u32 - chunk_bits);
-        (0..total)
-            .filter(|&c| self.chunk_is_zero(c, chunk_bits))
-            .count()
+        (1usize << (self.num_qubits as u32 - chunk_bits)) - self.surviving_chunks(chunk_bits)
     }
 }
 

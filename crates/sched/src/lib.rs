@@ -39,5 +39,5 @@ pub mod residency;
 pub use devicegroup::{DeviceGroup, OrchestratorConfig, PressureAction, PressureGovernor};
 pub use health::{DeviceHealthBoard, HealthConfig, HealthState, HealthTransition};
 pub use involvement::InvolvementTracker;
-pub use plan::{ChunkTask, GatePlan};
+pub use plan::{GatePlan, Tasks};
 pub use reorder::ReorderStrategy;

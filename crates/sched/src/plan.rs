@@ -3,51 +3,69 @@
 //! A [`GatePlan`] resolves one gate against a chunked state layout:
 //!
 //! * diagonal gates and gates whose mixing qubits are all inside a chunk
-//!   produce independent [`ChunkTask::Single`] tasks (the paper's Case 1);
-//! * a mixing qubit at or above the chunk boundary produces
-//!   [`ChunkTask::Group`] tasks of `2^high_mixing` chunks that must be
-//!   co-resident (Case 2);
+//!   produce independent single-chunk tasks (the paper's Case 1);
+//! * a mixing qubit at or above the chunk boundary produces tasks of
+//!   `2^high_mixing` chunks that must be co-resident (Case 2);
 //! * a *control* qubit above the boundary merely filters which chunks
 //!   participate — those with the control bit clear are untouched and
 //!   never moved.
 //!
-//! The plan is purely combinatorial; the orchestrator pairs it with an
-//! [`crate::InvolvementTracker`] to drop all-zero tasks (pruning) and with
-//! the device model to charge transfer and kernel time.
+//! The plan is a closed form over three chunk-index masks, never a task
+//! list: a task is named by its *representative* (its lowest member: the
+//! high-control bits set, the high-mixing bits clear) and its members are
+//! `rep | pattern`. With `H` the high-control mask and `G` the
+//! high-mixing mask, the representatives are `H | s` for every `s` inside
+//! the remaining index bits; pairing the plan with an
+//! [`crate::InvolvementTracker`] restricts `s` to the involved bits, so
+//! planning and pruning cost nothing per pruned chunk (Algorithm 1 never
+//! scans what it prunes).
 
 use qgpu_circuit::access::GateAction;
 
 use crate::involvement::InvolvementTracker;
 
-/// One unit of chunk work for a gate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ChunkTask {
-    /// An independently updatable chunk (Case 1).
-    Single(usize),
-    /// Chunks that must be processed together (Case 2), ordered by
-    /// high-mixing bit pattern.
-    Group(Vec<usize>),
+/// Task representatives `fixed | s` for every `s ⊆ free`, ascending
+/// (the default is the empty enumeration).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tasks {
+    fixed: usize,
+    free: usize,
+    sub: usize,
+    remaining: usize,
 }
 
-impl ChunkTask {
-    /// The chunks this task touches.
-    pub fn chunks(&self) -> &[usize] {
-        match self {
-            ChunkTask::Single(c) => std::slice::from_ref(c),
-            ChunkTask::Group(g) => g,
+impl Tasks {
+    fn over(fixed: usize, free: usize) -> Self {
+        Tasks {
+            fixed,
+            free,
+            sub: 0,
+            remaining: 1usize << free.count_ones(),
         }
     }
+}
 
-    /// Number of chunks in the task.
-    pub fn len(&self) -> usize {
-        self.chunks().len()
+impl Iterator for Tasks {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.remaining == 0 {
+            return None;
+        }
+        self.remaining -= 1;
+        let rep = self.fixed | self.sub;
+        // Next subset of `free`: carry ripples through the non-free bits.
+        self.sub = (self.sub | !self.free).wrapping_add(1) & self.free;
+        Some(rep)
     }
 
-    /// Tasks always touch at least one chunk.
-    pub fn is_empty(&self) -> bool {
-        false
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
     }
 }
+
+impl ExactSizeIterator for Tasks {}
 
 /// The resolved chunk plan of one gate.
 ///
@@ -62,13 +80,18 @@ impl ChunkTask {
 /// let action = GateAction::from_operation(&Operation::new(Gate::H, vec![5]));
 /// let plan = GatePlan::new(&action, 3, 32);
 /// assert_eq!(plan.tasks().len(), 16);
-/// assert_eq!(plan.tasks()[0].len(), 2);
+/// assert_eq!(plan.members(1).collect::<Vec<_>>(), [1, 5]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GatePlan {
-    tasks: Vec<ChunkTask>,
+    /// `H`: chunk-index bits of the control qubits above the boundary.
+    high_controls: usize,
+    /// Member offsets by high-mixing bit pattern (pattern bit `b` ↔
+    /// `high_mixing[b]`); `[0]` for Case 1, and the last entry is `G`.
+    offsets: Vec<usize>,
     high_mixing: Vec<usize>,
     chunk_bits: u32,
+    num_chunks: usize,
 }
 
 impl GatePlan {
@@ -78,8 +101,7 @@ impl GatePlan {
     ///
     /// # Panics
     ///
-    /// Panics if `num_chunks` is not a power of two, like
-    /// [`GatePlan::new`].
+    /// Panics like [`GatePlan::new`].
     pub fn new_observed(
         action: &GateAction,
         chunk_bits: u32,
@@ -95,9 +117,133 @@ impl GatePlan {
     ///
     /// # Panics
     ///
-    /// Panics if `num_chunks` is not a power of two.
+    /// Panics if `num_chunks` is not a power of two or a high operand
+    /// qubit lies outside the layout.
     pub fn new(action: &GateAction, chunk_bits: u32, num_chunks: usize) -> Self {
         assert!(num_chunks.is_power_of_two());
+        let (high_controls, high_mixing) = match action {
+            GateAction::Diagonal { .. } => (0usize, Vec::new()),
+            GateAction::ControlledDense {
+                controls, mixing, ..
+            } => {
+                let mask = controls
+                    .iter()
+                    .filter(|&&c| (c as u32) >= chunk_bits)
+                    .map(|&c| 1usize << (c as u32 - chunk_bits))
+                    .sum();
+                let high: Vec<usize> = mixing
+                    .iter()
+                    .copied()
+                    .filter(|&q| (q as u32) >= chunk_bits)
+                    .collect();
+                (mask, high)
+            }
+        };
+        let offsets: Vec<usize> = (0..1usize << high_mixing.len())
+            .map(|pattern| {
+                high_mixing
+                    .iter()
+                    .enumerate()
+                    .filter(|&(b, _)| (pattern >> b) & 1 == 1)
+                    .map(|(_, &q)| 1usize << (q as u32 - chunk_bits))
+                    .sum()
+            })
+            .collect();
+        let plan = GatePlan {
+            high_controls,
+            offsets,
+            high_mixing,
+            chunk_bits,
+            num_chunks,
+        };
+        assert!(
+            (plan.high_controls | plan.group_mask()) < num_chunks,
+            "operand qubit outside the chunk layout"
+        );
+        plan
+    }
+
+    /// `G`: chunk-index bits of the mixing qubits above the boundary.
+    fn group_mask(&self) -> usize {
+        self.offsets[self.offsets.len() - 1]
+    }
+
+    /// Every planned task's representative, in chunk order:
+    /// `num_chunks >> (|H| + |G|)` of them.
+    pub fn tasks(&self) -> Tasks {
+        let fixed = self.high_controls | self.group_mask();
+        Tasks::over(self.high_controls, (self.num_chunks - 1) & !fixed)
+    }
+
+    /// The chunks of the task represented by `rep`, ordered by
+    /// high-mixing bit pattern (just `rep` for Case 1).
+    pub fn members(&self, rep: usize) -> impl ExactSizeIterator<Item = usize> + Clone + '_ {
+        self.offsets.iter().map(move |&o| rep | o)
+    }
+
+    /// Chunks per task: `2^high_mixing` (1 for Case 1).
+    pub fn group_len(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// The mixing qubits above the chunk boundary (empty for Case 1).
+    pub fn high_mixing(&self) -> &[usize] {
+        &self.high_mixing
+    }
+
+    /// Returns `true` if the gate requires chunk grouping (Case 2).
+    pub fn needs_grouping(&self) -> bool {
+        !self.high_mixing.is_empty()
+    }
+
+    /// Representatives of the tasks surviving zero-amplitude pruning, in
+    /// chunk order: a task is dropped when all of its chunks are provably
+    /// zero under `tracker`. The representative is the task's minimal
+    /// member, so that is exactly "the representative is provably zero",
+    /// and with `M` the involved chunk-index bits the survivors are
+    /// `H | s` for `s ⊆ M ∖ (H | G)` — none at all unless `H ⊆ M`.
+    ///
+    /// (Dropping such tasks is exact: a linear map keeps an all-zero
+    /// subspace zero, per the paper's §IV-C correctness argument.)
+    pub fn live_task_indices(&self, tracker: &InvolvementTracker) -> Tasks {
+        let involved = (tracker.mask() >> self.chunk_bits) as usize & (self.num_chunks - 1);
+        if self.high_controls & !involved != 0 {
+            return Tasks::default();
+        }
+        let fixed = self.high_controls | self.group_mask();
+        Tasks::over(self.high_controls, involved & !fixed)
+    }
+
+    /// Number of tasks dropped by pruning under `tracker`.
+    pub fn pruned_count(&self, tracker: &InvolvementTracker) -> usize {
+        self.tasks().len() - self.live_task_indices(tracker).len()
+    }
+
+    /// Total chunks touched by the unpruned plan.
+    pub fn total_chunks(&self) -> usize {
+        self.tasks().len() * self.group_len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use qgpu_circuit::access::GateAction;
+    use qgpu_circuit::{Gate, Operation};
+
+    fn action(g: Gate, qs: &[usize]) -> GateAction {
+        GateAction::from_operation(&Operation::new(g, qs.to_vec()))
+    }
+
+    fn tasks_of(plan: &GatePlan, reps: Tasks) -> Vec<Vec<usize>> {
+        reps.map(|r| plan.members(r).collect()).collect()
+    }
+
+    /// The materializing enumeration the closed form replaced: scan every
+    /// chunk, keep canonical representatives whose control bits are set,
+    /// build each group member by member. Kept as the test reference.
+    fn reference_tasks(action: &GateAction, chunk_bits: u32, num_chunks: usize) -> Vec<Vec<usize>> {
         let (high_controls_mask, high_mixing) = match action {
             GateAction::Diagonal { .. } => (0usize, Vec::new()),
             GateAction::ControlledDense {
@@ -116,27 +262,17 @@ impl GatePlan {
                 (mask, high)
             }
         };
-
+        let group_mask: usize = high_mixing
+            .iter()
+            .map(|&q| 1usize << (q as u32 - chunk_bits))
+            .sum();
         let mut tasks = Vec::new();
-        if high_mixing.is_empty() {
-            for c in 0..num_chunks {
-                if c & high_controls_mask == high_controls_mask {
-                    tasks.push(ChunkTask::Single(c));
-                }
+        for c in 0..num_chunks {
+            if c & group_mask != 0 || c & high_controls_mask != high_controls_mask {
+                continue;
             }
-        } else {
-            let group_mask: usize = high_mixing
-                .iter()
-                .map(|&q| 1usize << (q as u32 - chunk_bits))
-                .sum();
-            for c in 0..num_chunks {
-                if c & group_mask != 0 {
-                    continue; // not the canonical group representative
-                }
-                if c & high_controls_mask != high_controls_mask {
-                    continue; // a high control bit is 0 for this group
-                }
-                let members: Vec<usize> = (0..1usize << high_mixing.len())
+            tasks.push(
+                (0..1usize << high_mixing.len())
                     .map(|pattern| {
                         let mut idx = c;
                         for (b, &q) in high_mixing.iter().enumerate() {
@@ -146,85 +282,24 @@ impl GatePlan {
                         }
                         idx
                     })
-                    .collect();
-                tasks.push(ChunkTask::Group(members));
-            }
+                    .collect(),
+            );
         }
-        GatePlan {
-            tasks,
-            high_mixing,
-            chunk_bits,
-        }
+        tasks
     }
 
-    /// The task list, in chunk order.
-    pub fn tasks(&self) -> &[ChunkTask] {
-        &self.tasks
-    }
-
-    /// The mixing qubits above the chunk boundary (empty for Case 1).
-    pub fn high_mixing(&self) -> &[usize] {
-        &self.high_mixing
-    }
-
-    /// Returns `true` if the gate requires chunk grouping (Case 2).
-    pub fn needs_grouping(&self) -> bool {
-        !self.high_mixing.is_empty()
-    }
-
-    /// Tasks surviving zero-amplitude pruning: a task is dropped when all
-    /// of its chunks are provably zero under `tracker`.
-    ///
-    /// (Dropping such tasks is exact: a linear map keeps an all-zero
-    /// subspace zero, per the paper's §IV-C correctness argument.)
-    pub fn pruned_tasks<'a>(
-        &'a self,
-        tracker: &'a InvolvementTracker,
-    ) -> impl Iterator<Item = &'a ChunkTask> + 'a {
-        let chunk_bits = self.chunk_bits;
-        self.tasks.iter().filter(move |t| {
-            t.chunks()
-                .iter()
-                .any(|&c| !tracker.chunk_is_zero(c, chunk_bits))
-        })
-    }
-
-    /// Indices (into [`GatePlan::tasks`]) of the tasks surviving
-    /// zero-amplitude pruning — the same predicate as
-    /// [`GatePlan::pruned_tasks`], in index form for engines that walk
-    /// tasks positionally.
-    pub fn live_task_indices(&self, tracker: &InvolvementTracker) -> Vec<usize> {
-        self.tasks
+    /// The reference pruning filter: a task survives when any member is
+    /// not provably zero.
+    fn reference_live(
+        tasks: &[Vec<usize>],
+        tracker: &InvolvementTracker,
+        chunk_bits: u32,
+    ) -> Vec<Vec<usize>> {
+        tasks
             .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                t.chunks()
-                    .iter()
-                    .any(|&c| !tracker.chunk_is_zero(c, self.chunk_bits))
-            })
-            .map(|(i, _)| i)
+            .filter(|t| t.iter().any(|&c| !tracker.chunk_is_zero(c, chunk_bits)))
+            .cloned()
             .collect()
-    }
-
-    /// Number of tasks dropped by pruning under `tracker`.
-    pub fn pruned_count(&self, tracker: &InvolvementTracker) -> usize {
-        self.tasks.len() - self.pruned_tasks(tracker).count()
-    }
-
-    /// Total chunks touched by the unpruned plan.
-    pub fn total_chunks(&self) -> usize {
-        self.tasks.iter().map(|t| t.len()).sum()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use qgpu_circuit::access::GateAction;
-    use qgpu_circuit::{Gate, Operation};
-
-    fn action(g: Gate, qs: &[usize]) -> GateAction {
-        GateAction::from_operation(&Operation::new(g, qs.to_vec()))
     }
 
     #[test]
@@ -232,7 +307,7 @@ mod tests {
         let plan = GatePlan::new(&action(Gate::H, &[1]), 3, 16);
         assert!(!plan.needs_grouping());
         assert_eq!(plan.tasks().len(), 16);
-        assert!(matches!(plan.tasks()[0], ChunkTask::Single(0)));
+        assert_eq!(tasks_of(&plan, plan.tasks())[0], [0]);
     }
 
     #[test]
@@ -240,9 +315,10 @@ mod tests {
         // Qubit 4 with 3-qubit chunks: chunk-index bit 1.
         let plan = GatePlan::new(&action(Gate::H, &[4]), 3, 16);
         assert!(plan.needs_grouping());
-        assert_eq!(plan.tasks().len(), 8);
-        assert_eq!(plan.tasks()[0], ChunkTask::Group(vec![0, 2]));
-        assert_eq!(plan.tasks()[1], ChunkTask::Group(vec![1, 3]));
+        let tasks = tasks_of(&plan, plan.tasks());
+        assert_eq!(tasks.len(), 8);
+        assert_eq!(tasks[0], [0, 2]);
+        assert_eq!(tasks[1], [1, 3]);
         // The paper's Figure 1 example: (chunk0, chunk2), (chunk1, chunk3)…
     }
 
@@ -260,8 +336,8 @@ mod tests {
         assert!(!plan.needs_grouping());
         // Only chunks with bit 1 set participate: 8 of 16.
         assert_eq!(plan.tasks().len(), 8);
-        for t in plan.tasks() {
-            let ChunkTask::Single(c) = t else { panic!() };
+        assert_eq!(plan.group_len(), 1);
+        for c in plan.tasks() {
             assert_eq!(c & 0b10, 0b10);
         }
     }
@@ -272,7 +348,7 @@ mod tests {
         let plan = GatePlan::new(&action(Gate::Swap, &[4, 5]), 3, 32);
         assert!(plan.needs_grouping());
         assert_eq!(plan.tasks().len(), 8);
-        assert_eq!(plan.tasks()[0].len(), 4);
+        assert_eq!(plan.group_len(), 4);
     }
 
     #[test]
@@ -284,8 +360,8 @@ mod tests {
         // representatives have bit 1 (qubit 4) clear → 4 groups... of the
         // 32 chunks, those with bits {3,4} set: 8; grouped in pairs → 4.
         assert_eq!(plan.tasks().len(), 4);
-        for t in plan.tasks() {
-            for &c in t.chunks() {
+        for rep in plan.tasks() {
+            for c in plan.members(rep) {
                 assert_eq!(c & 0b11000, 0b11000);
             }
         }
@@ -296,7 +372,7 @@ mod tests {
         let plan = GatePlan::new(&action(Gate::H, &[0]), 2, 16);
         let mut tracker = InvolvementTracker::new(6);
         // Nothing involved: only chunk 0 can be non-zero.
-        assert_eq!(plan.pruned_tasks(&tracker).count(), 1);
+        assert_eq!(plan.live_task_indices(&tracker).len(), 1);
         assert_eq!(plan.pruned_count(&tracker), 15);
         tracker.involve_mask(0b111111);
         assert_eq!(plan.pruned_count(&tracker), 0);
@@ -307,22 +383,20 @@ mod tests {
         // H on qubit 5 (high): group {0, 8}; chunk 0 non-zero initially.
         let plan = GatePlan::new(&action(Gate::H, &[5]), 2, 16);
         let tracker = InvolvementTracker::new(6);
-        let survivors: Vec<_> = plan.pruned_tasks(&tracker).collect();
-        assert_eq!(survivors.len(), 1);
-        assert_eq!(survivors[0].chunks(), &[0, 8]);
+        let survivors = tasks_of(&plan, plan.live_task_indices(&tracker));
+        assert_eq!(survivors, [[0, 8]]);
     }
 
     #[test]
     fn live_task_indices_agree_with_pruned_tasks() {
-        let plan = GatePlan::new(&action(Gate::H, &[0]), 2, 16);
+        let act = action(Gate::H, &[0]);
+        let plan = GatePlan::new(&act, 2, 16);
+        let all = reference_tasks(&act, 2, 16);
         let mut tracker = InvolvementTracker::new(6);
-        let by_index: Vec<&ChunkTask> = plan
-            .live_task_indices(&tracker)
-            .into_iter()
-            .map(|i| &plan.tasks()[i])
-            .collect();
-        let by_filter: Vec<&ChunkTask> = plan.pruned_tasks(&tracker).collect();
-        assert_eq!(by_index, by_filter);
+        assert_eq!(
+            tasks_of(&plan, plan.live_task_indices(&tracker)),
+            reference_live(&all, &tracker, 2)
+        );
         tracker.involve_mask(0b111111);
         assert_eq!(plan.live_task_indices(&tracker).len(), plan.tasks().len());
     }
@@ -331,5 +405,85 @@ mod tests {
     fn total_chunks_counts_members() {
         let plan = GatePlan::new(&action(Gate::Swap, &[4, 5]), 3, 32);
         assert_eq!(plan.total_chunks(), 32);
+    }
+
+    #[test]
+    fn unsatisfied_high_control_leaves_no_live_task() {
+        // CX control on qubit 5 never involved: H ⊄ M.
+        let plan = GatePlan::new(&action(Gate::Cx, &[5, 0]), 2, 16);
+        let mut tracker = InvolvementTracker::new(6);
+        tracker.involve_mask(0b001111);
+        assert_eq!(plan.live_task_indices(&tracker).len(), 0);
+        assert_eq!(plan.live_task_indices(&tracker).next(), None);
+    }
+
+    #[test]
+    fn plan_cost_follows_live_chunks_not_planned() {
+        // 2^40 planned tasks: a plan that materializes (or scans) them
+        // cannot finish; the closed form enumerates the 8 live ones.
+        let plan = GatePlan::new(&action(Gate::H, &[0]), 1, 1 << 40);
+        assert_eq!(plan.tasks().len(), 1 << 40);
+        assert_eq!(plan.total_chunks(), 1 << 40);
+        let mut tracker = InvolvementTracker::new(41);
+        tracker.involve_mask((1 << 3) | (1 << 17) | (1 << 40));
+        let live: Vec<usize> = plan.live_task_indices(&tracker).collect();
+        let (a, b, c) = (1usize << 2, 1usize << 16, 1usize << 39);
+        assert_eq!(live, [0, a, b, a | b, c, a | c, b | c, a | b | c]);
+        assert_eq!(plan.pruned_count(&tracker), (1 << 40) - 8);
+    }
+
+    /// The gate shapes the engine plans: diagonal, dense, controlled
+    /// dense, two mixing qubits, two controls — operands drawn in any
+    /// order, so high controls and *unsorted* high mixing qubits (e.g.
+    /// `Swap [5, 4]`, `Ccx [7, 6, 4]`) are covered.
+    fn shaped_action(shape: usize, order: &[usize]) -> GateAction {
+        match shape % 6 {
+            0 => action(Gate::H, &order[..1]),
+            1 => action(Gate::Cp(0.5), &order[..2]),
+            2 => action(Gate::Cx, &order[..2]),
+            3 => action(Gate::Swap, &order[..2]),
+            4 => action(Gate::Rzz(0.25), &order[..2]),
+            _ => action(Gate::Ccx, &order[..3]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn closed_form_matches_materializing_reference(
+            n in 4usize..10,
+            shape in 0usize..6,
+            keys in proptest::collection::vec(any::<u32>(), 10),
+            bits_seed in any::<u32>(),
+            mask in any::<u64>(),
+            // Half the cases involve everything but one qubit, so a high
+            // control is often the missing one (`H ⊄ M`).
+            drop_one in any::<u32>(),
+        ) {
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&q| keys[q]);
+            let act = shaped_action(shape, &order);
+            let chunk_bits = 1 + bits_seed % (n as u32 - 1);
+            let num_chunks = 1usize << (n as u32 - chunk_bits);
+            let full = (1u64 << n) - 1;
+            let mut tracker = InvolvementTracker::new(n);
+            tracker.involve_mask(if drop_one % 2 == 0 {
+                mask & full
+            } else {
+                full & !(1u64 << (drop_one as usize / 2 % n))
+            });
+
+            let plan = GatePlan::new(&act, chunk_bits, num_chunks);
+            let all = reference_tasks(&act, chunk_bits, num_chunks);
+            prop_assert_eq!(plan.tasks().len(), all.len());
+            prop_assert_eq!(plan.total_chunks(), all.iter().map(Vec::len).sum::<usize>());
+            prop_assert_eq!(&tasks_of(&plan, plan.tasks()), &all);
+
+            let live = reference_live(&all, &tracker, chunk_bits);
+            prop_assert_eq!(plan.live_task_indices(&tracker).len(), live.len());
+            prop_assert_eq!(plan.pruned_count(&tracker), all.len() - live.len());
+            prop_assert_eq!(&tasks_of(&plan, plan.live_task_indices(&tracker)), &live);
+        }
     }
 }
