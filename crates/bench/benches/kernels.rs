@@ -9,7 +9,7 @@ use qgpu_bench::noise_amplitudes;
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::generators::Benchmark;
 use qgpu_circuit::{Gate, Operation};
-use qgpu_statevec::{kernels, parallel, StateVector};
+use qgpu_statevec::{kernels, ChunkExecutor, StateVector};
 
 const QUBITS: usize = 18;
 
@@ -45,7 +45,8 @@ fn bench_kernels(c: &mut Criterion) {
             |b, &threads| {
                 let act = action(Gate::H, &[7]);
                 let mut amps = noise_amplitudes(1 << QUBITS, 42);
-                b.iter(|| parallel::apply_action_parallel(&mut amps, &act, threads));
+                let ex = ChunkExecutor::new(threads);
+                b.iter(|| ex.apply_flat(&mut amps, &act));
             },
         );
     }

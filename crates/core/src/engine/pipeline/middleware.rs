@@ -284,6 +284,14 @@ impl CheckpointLayer {
         }
     }
 
+    /// Whether [`CheckpointLayer::before_op`] will save the state at op
+    /// `idx` (so it must be current by then).
+    pub(crate) fn due(&self, idx: usize, cfg: &SimConfig) -> bool {
+        cfg.checkpoint_path.is_some()
+            && cfg.checkpoint_every > 0
+            && idx as u64 >= self.last_ckpt + cfg.checkpoint_every
+    }
+
     pub(crate) fn before_op(
         &mut self,
         idx: usize,
@@ -291,14 +299,16 @@ impl CheckpointLayer {
         cfg: &SimConfig,
         rec: Option<&Recorder>,
     ) -> Result<(), SimError> {
-        if cfg.checkpoint_every > 0 && idx as u64 >= self.last_ckpt + cfg.checkpoint_every {
-            if let Some(path) = cfg.checkpoint_path.as_deref() {
-                crate::checkpoint::save_with_codec(&state.to_flat(), idx as u64, cfg.codec(), path)
-                    .map_err(|e| SimError::Checkpoint(e.to_string()))?;
-                self.last_ckpt = idx as u64;
-                if let Some(r) = rec {
-                    r.add("checkpoints.written", 1);
-                }
+        if let Some(path) = cfg
+            .checkpoint_path
+            .as_deref()
+            .filter(|_| self.due(idx, cfg))
+        {
+            crate::checkpoint::save_with_codec(&state.to_flat(), idx as u64, cfg.codec(), path)
+                .map_err(|e| SimError::Checkpoint(e.to_string()))?;
+            self.last_ckpt = idx as u64;
+            if let Some(r) = rec {
+                r.add("checkpoints.written", 1);
             }
         }
         if idx >= cfg.faults.fail_at_gate {

@@ -17,13 +17,25 @@
 //! almost all time is CPU update, roughly 10% is exchange, and the GPU
 //! is idle. Checkpoints, barriers, device loss, and the functional
 //! update ride the same middleware as the streaming mode.
+//!
+//! The *modeled* work above is issued op by op. The *functional* update
+//! of a chunk-local op touches no other chunk and nothing modeled reads
+//! the amplitudes, so consecutive chunk-local ops are only noted as a
+//! range of program indices and replayed together — one visit per dense
+//! chunk, every op of the range applied while the chunk is cache-resident
+//! — when something needs the state: a grouping op, a collapse, a
+//! checkpoint, the end of the run. Same arithmetic per amplitude in the
+//! same order, so the state is bit-identical to per-op updates. Runs that
+//! observe the state per op (integrity checks, a worker-death campaign
+//! keyed on dispatch counts) do not defer.
 
 use std::sync::Arc;
 
+use qgpu_circuit::access::GateAction;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_circuit::Circuit;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
-use qgpu_faults::{FaultInjector, SimError};
+use qgpu_faults::{CancelToken, FaultInjector, SimError};
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::devicegroup::DeviceGroup;
 use qgpu_sched::plan::GatePlan;
@@ -67,6 +79,12 @@ struct StaticRun<'a> {
     dev_inj: Option<FaultInjector>,
     transfer_ix: u64,
     integ: Option<IntegrityMw>,
+    /// Whether chunk-local functional updates may wait for a flush: a
+    /// property of the run (nothing observes the state per op).
+    defer: bool,
+    /// The first op of the run of chunk-local ops (it reaches to the op
+    /// being modeled) whose updates have not been applied to the state.
+    pending: Option<usize>,
 }
 
 pub(crate) fn run(
@@ -99,7 +117,11 @@ pub(crate) fn run(
 
     for (idx, op) in program.iter().enumerate().skip(start) {
         if let Some(err) = cfg.cancel.as_ref().and_then(|t| t.poll_abort(idx)) {
+            // The state is dropped: pending updates with it.
             return Err(super::abort_run(err, sr.state.dense_chunk_count(), rec));
+        }
+        if ckpt.due(idx, cfg) {
+            sr.flush(&program[..idx], mw)?;
         }
         ckpt.before_op(idx, &sr.state, cfg, rec)?;
         let lost = match sr.group.as_mut() {
@@ -114,12 +136,18 @@ pub(crate) fn run(
         // `measure`.
         match op {
             ProgramOp::Unitary(fop) => {
+                let mixing = fop.collapsed().mixing_qubits();
+                let deferred = sr.defer && mixing.iter().all(|&q| (q as u32) < sr.chunk_bits);
+                if !deferred {
+                    sr.flush(&program[..idx], mw)?;
+                }
                 mw.gate_begin();
-                sr.gate_step(fop, idx)?;
+                sr.gate_step(fop, idx, deferred)?;
                 mw.mark(obs_mw::KERNEL);
                 mw.gate_done();
             }
             &ProgramOp::Measure { qubit } | &ProgramOp::Reset { qubit } => {
+                sr.flush(&program[..idx], mw)?;
                 if let Some(imw) = sr.integ.as_mut() {
                     imw.check_whole_state(&sr.state, idx, rec)?;
                 }
@@ -151,6 +179,7 @@ pub(crate) fn run(
         }
     }
 
+    sr.flush(&program, mw)?;
     let ops = program.len();
     let (state, tl, integ) = (&sr.state, &mut sr.tl, &mut sr.integ);
     super::finish_run(mw, circuit, cfg, rec, state, tl, integ, ops, noise_ops)
@@ -251,6 +280,51 @@ impl<'a> StaticRun<'a> {
             integ: cfg
                 .integrity_active()
                 .then(|| IntegrityMw::new(cfg, n, chunk_bits)),
+            defer: !cfg.integrity_active() && cfg.faults.p_worker_death == 0.0,
+            pending: None,
+        }
+    }
+
+    /// Applies the pending chunk-local ops — the tail of `modeled`, the
+    /// program so far — to the state: one pass over the dense chunks,
+    /// each replaying the whole run while resident. It is its own entry
+    /// in `gate.ns`, charged to `kernel`, and stays cancellable between
+    /// chunk visits — an abort names the first op whose update had not
+    /// landed everywhere.
+    fn flush(&mut self, modeled: &[ProgramOp], mw: &mut ObsMw) -> Result<(), SimError> {
+        let Some(first) = self.pending.take() else {
+            return Ok(());
+        };
+        let ops = &modeled[first..];
+        let actions: Vec<GateAction> = ops
+            .iter()
+            .filter_map(ProgramOp::unitary)
+            .flat_map(|fop| fop.actions().iter().cloned())
+            .collect();
+        let chunks: Vec<usize> = (0..self.num_chunks).collect();
+        let cancel = self.cfg.cancel.as_ref();
+        mw.gate_begin();
+        if let Some(r) = self.rec {
+            r.observe("update.local.ops", ops.len() as u64);
+        }
+        let done = {
+            let _g = span_opt(self.rec, Track::Main, ObsStage::Update, "update.local");
+            let poll = || cancel.and_then(|t| t.poll_abort(first));
+            self.executor
+                .try_apply_local_run_polled(&mut self.state, &actions, &chunks, &poll)
+        };
+        mw.mark(obs_mw::KERNEL);
+        mw.gate_done();
+        match done {
+            Ok(restarts) => {
+                middleware::note_restarts(&mut self.tl, self.rec, restarts);
+                Ok(())
+            }
+            Err(err) if cancel.is_some_and(CancelToken::is_tripped) => {
+                let held = self.state.dense_chunk_count();
+                Err(super::abort_run(err, held, self.rec))
+            }
+            Err(err) => Err(err),
         }
     }
 
@@ -332,8 +406,9 @@ impl<'a> StaticRun<'a> {
     }
 
     /// One program op: partition, update batches, reactive exchange,
-    /// sync, then the functional update.
-    fn gate_step(&mut self, fop: &FusedOp, op_idx: usize) -> Result<(), SimError> {
+    /// sync, then the functional update — noted for the next flush when
+    /// `deferred`.
+    fn gate_step(&mut self, fop: &FusedOp, op_idx: usize, deferred: bool) -> Result<(), SimError> {
         let action = fop.collapsed();
         let plan = GatePlan::new_observed(action, self.chunk_bits, self.num_chunks, self.rec);
         let fpa = flops_per_amp(action);
@@ -408,6 +483,10 @@ impl<'a> StaticRun<'a> {
         );
         self.gate_ready = sync.end;
 
+        if deferred {
+            self.pending.get_or_insert(op_idx);
+            return Ok(());
+        }
         // Functional update (identical across modes), after the sync.
         super::integrity::apply_tasks(
             &mut self.integ,

@@ -119,3 +119,63 @@ fn untripped_token_is_free_and_bit_exact() {
         tokened.state.as_ref().expect("collected"),
     );
 }
+
+/// Static mode replays runs of chunk-local updates in one flush, far
+/// longer than a gate; the flush polls the token between chunk visits.
+/// Every per-op poll of this run passes before the watcher — released by
+/// the flush announcing itself on the recorder — trips the token, so
+/// only the flush can have produced the abort, and it names the first
+/// op whose update had not landed.
+#[test]
+fn cancel_during_a_deferred_run_lands_between_chunk_visits() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    // Eight grouping ops spread amplitude over all 256 chunks; the 12 004
+    // chunk-local ops after them (from index 8) are one pending run.
+    let mut c = qgpu_circuit::Circuit::new(12);
+    for q in (0..12).rev() {
+        c.h(q);
+    }
+    for i in 0..4000 {
+        c.h(i % 3).t((i + 1) % 3).cx(i % 3, (i + 2) % 3);
+    }
+    let token = CancelToken::new();
+    let cfg = SimConfig::scaled_paper(12)
+        .with_version(Version::Baseline)
+        .with_cancel(token.clone());
+    let rec = Arc::new(Recorder::new().with_flight(256));
+    let finished = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (rec, finished) = (Arc::clone(&rec), Arc::clone(&finished));
+        std::thread::spawn(move || {
+            while rec.metrics().histogram("update.local.ops").is_none()
+                && !finished.load(Ordering::Acquire)
+            {
+                std::thread::yield_now();
+            }
+            token.cancel()
+        })
+    };
+    let outcome = pipeline::run(&c, &cfg, Some(&rec), None);
+    finished.store(true, Ordering::Release);
+    assert!(
+        watcher.join().expect("watcher"),
+        "the watcher's cancel tripped the token"
+    );
+    let err = outcome.expect_err("a flush of seconds outlasts the watcher's reaction");
+    assert!(
+        matches!(err, SimError::JobAborted { op: 8 }),
+        "aborted inside the flush, at its first pending op: {err}"
+    );
+    assert!(rec.flight_events().iter().any(|e| e.kind == "abort"));
+    let snap = rec.registry().snapshot();
+    let gates: u64 = snap
+        .histograms_named("gate.ns")
+        .map(|e| e.value.count)
+        .sum();
+    assert_eq!(
+        gates,
+        c.len() as u64 + 1,
+        "every op was modeled, then one flush"
+    );
+}

@@ -10,17 +10,25 @@
 //! Gates whose mixing qubits are all below the chunk boundary update each
 //! chunk independently (the paper's Case 1). A mixing qubit at or above
 //! the boundary forces chunks to be processed in groups of
-//! `2^high_mixing` (Case 2); [`ChunkedState::apply_action`] gathers each
-//! group into a scratch buffer, applies the kernel with remapped qubit
-//! positions, and scatters the result back — the functional analogue of
-//! the CPU→GPU chunk exchange the paper optimizes.
+//! `2^high_mixing` (Case 2) — the functional analogue of the CPU→GPU
+//! chunk exchange the paper optimizes. Both cases are executed by
+//! [`crate::ChunkExecutor`]; [`ChunkedState::apply_action`] is its serial
+//! path over the whole state.
 
 use qgpu_circuit::access::GateAction;
-use qgpu_circuit::{Matrix, Operation};
+use qgpu_circuit::Operation;
 use qgpu_math::Complex64;
 
-use crate::kernels;
+use crate::executor::ChunkExecutor;
 use crate::state::StateVector;
+
+/// A chunk checked out of a [`ChunkedState`] so an executor worker can
+/// own it (see [`ChunkedState::take_chunk`]).
+pub(crate) struct Member {
+    pub(crate) chunk: usize,
+    pub(crate) amps: Box<[Complex64]>,
+    was_sparse: bool,
+}
 
 /// A state vector partitioned into power-of-two chunks with sparse
 /// all-zero chunks.
@@ -173,17 +181,41 @@ impl ChunkedState {
         self.chunks[i].get_or_insert_with(|| vec![Complex64::ZERO; len].into_boxed_slice())
     }
 
-    /// Reverts chunk `i` to sparse storage if its contents are all zero.
-    ///
-    /// Used by the run executor to undo speculative materialization: a
-    /// sparse chunk is materialized before a fused run so worker threads
-    /// can write it freely, then demoted again if the run left it zero —
-    /// matching the sparsity the per-gate path would have produced.
+    /// Reverts chunk `i` to sparse storage if its contents are all zero
+    /// (a collapse zeroes whole chunks).
     pub(crate) fn demote_if_zero(&mut self, i: usize) {
         if let Some(c) = &self.chunks[i] {
             if c.iter().all(|a| a.is_zero()) {
                 self.chunks[i] = None;
             }
+        }
+    }
+
+    /// The chunk's amplitudes for in-place update, or `None` if it is
+    /// stored sparsely.
+    pub(crate) fn chunk_mut(&mut self, i: usize) -> Option<&mut [Complex64]> {
+        self.chunks[i].as_deref_mut()
+    }
+
+    /// Checks chunk `i` out of the state — materialized (zero-filled) if
+    /// it was sparse, so a worker can write it without allocating. Until
+    /// [`ChunkedState::put_chunk`] hands it back the slot reads as sparse.
+    pub(crate) fn take_chunk(&mut self, i: usize) -> Member {
+        let taken = self.chunks[i].take();
+        Member {
+            chunk: i,
+            was_sparse: taken.is_none(),
+            amps: taken
+                .unwrap_or_else(|| vec![Complex64::ZERO; self.chunk_len()].into_boxed_slice()),
+        }
+    }
+
+    /// Hands a checked-out chunk back. One that was sparse and is still
+    /// all zero goes back sparse, matching the sparsity a per-gate update
+    /// would have produced; one that was dense stays dense.
+    pub(crate) fn put_chunk(&mut self, m: Member) {
+        if !(m.was_sparse && m.amps.iter().all(|a| a.is_zero())) {
+            self.chunks[m.chunk] = Some(m.amps);
         }
     }
 
@@ -275,151 +307,34 @@ impl ChunkedState {
             .collect()
     }
 
-    /// Applies an action to a single chunk (Case 1: all mixing qubits
-    /// below the boundary). Sparse chunks are skipped — linear maps
-    /// preserve all-zero blocks.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the action has a high mixing qubit.
-    pub fn apply_local(&mut self, action: &GateAction, chunk: usize) {
-        assert!(
-            action
-                .mixing_qubits()
-                .iter()
-                .all(|&q| (q as u32) < self.chunk_bits),
-            "apply_local called with a high mixing qubit"
-        );
-        if self.chunks[chunk].is_none() {
-            return;
-        }
-        let base = chunk << self.chunk_bits;
-        let c = self.chunks[chunk].as_mut().expect("checked above");
-        kernels::apply_action(c, base, action);
-    }
-
-    /// Applies an action to a chunk group (Case 2), gathering the group
-    /// into a scratch buffer.
-    ///
-    /// If every chunk of the group is sparse the group is skipped. The
-    /// group must be exactly [`ChunkedState::chunk_group`] of its first
-    /// member for the action's high mixing qubits.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a diagonal action (those never need grouping) or a
-    /// mismatched group size.
-    pub fn apply_group(&mut self, action: &GateAction, group: &[usize]) {
-        let GateAction::ControlledDense {
-            controls,
-            mixing,
-            matrix,
-        } = action
-        else {
-            panic!("diagonal actions never require chunk groups");
-        };
-        let (low_mixing, high_mixing): (Vec<usize>, Vec<usize>) =
-            mixing.iter().partition(|&&q| (q as u32) < self.chunk_bits);
-        assert_eq!(
-            group.len(),
-            1 << high_mixing.len(),
-            "group size must be 2^high_mixing"
-        );
-        if group.iter().all(|&g| self.chunks[g].is_none()) {
-            return;
-        }
-
-        // High controls are constant across the group (controls and mixing
-        // are disjoint): check them against the first member's index bits.
-        let mut local_controls: Vec<usize> = Vec::with_capacity(controls.len());
-        for &c in controls {
-            if (c as u32) < self.chunk_bits {
-                local_controls.push(c);
-            } else {
-                let bit = (group[0] >> (c as u32 - self.chunk_bits)) & 1;
-                if bit == 0 {
-                    return; // control is 0 for the whole group
-                }
-            }
-        }
-
-        // Gather the group into a scratch buffer; qubit positions remap so
-        // high mixing qubit #r lands at local position chunk_bits + r.
-        let chunk_len = self.chunk_len();
-        let mut scratch = vec![Complex64::ZERO; chunk_len * group.len()];
-        for (j, &g) in group.iter().enumerate() {
-            if let Some(c) = &self.chunks[g] {
-                scratch[j * chunk_len..(j + 1) * chunk_len].copy_from_slice(c);
-            }
-        }
-        let remapped_mixing: Vec<usize> = mixing
-            .iter()
-            .map(|&q| {
-                if (q as u32) < self.chunk_bits {
-                    q
-                } else {
-                    let rank = high_mixing
-                        .iter()
-                        .position(|&h| h == q)
-                        .expect("high mixing qubit present");
-                    self.chunk_bits as usize + rank
-                }
-            })
-            .collect();
-        let _ = low_mixing; // ordering information is kept in `mixing` itself
-        kernels::apply_controlled_dense(&mut scratch, &local_controls, &remapped_mixing, matrix);
-
-        // Scatter back, materializing chunks that received amplitude.
-        for (j, &g) in group.iter().enumerate() {
-            let part = &scratch[j * chunk_len..(j + 1) * chunk_len];
-            if self.chunks[g].is_none() && part.iter().all(|a| a.is_zero()) {
-                continue;
-            }
-            self.chunk_mut_or_alloc(g).copy_from_slice(part);
-        }
-        let _ = matrix_dim_check(matrix, remapped_mixing.len());
-    }
-
-    /// Applies one action to the whole state, dispatching Case 1 / Case 2
-    /// per chunk.
+    /// Applies one action to the whole state: chunk by chunk when every
+    /// mixing qubit is below the boundary (Case 1), by canonical chunk
+    /// groups otherwise (Case 2) — the executor's serial path.
     pub fn apply_action(&mut self, action: &GateAction) {
-        match action {
-            GateAction::Diagonal { .. } => {
-                for chunk in 0..self.num_chunks() {
-                    if self.chunks[chunk].is_some() {
-                        let base = chunk << self.chunk_bits;
-                        let c = self.chunks[chunk].as_mut().expect("checked");
-                        kernels::apply_action(c, base, action);
-                    }
-                }
-            }
-            GateAction::ControlledDense { mixing, .. } => {
-                let high_mixing: Vec<usize> = mixing
-                    .iter()
-                    .copied()
-                    .filter(|&q| (q as u32) >= self.chunk_bits)
-                    .collect();
-                if high_mixing.is_empty() {
-                    for chunk in 0..self.num_chunks() {
-                        self.apply_local(action, chunk);
-                    }
-                } else {
-                    // Enumerate canonical groups: chunks whose high-mixing
-                    // index bits are all zero.
-                    let group_mask: usize = high_mixing
-                        .iter()
-                        .map(|&q| 1usize << (q as u32 - self.chunk_bits))
-                        .sum();
-                    for chunk in 0..self.num_chunks() {
-                        if chunk & group_mask != 0 {
-                            continue;
-                        }
-                        let group = self.chunk_group(chunk, &high_mixing);
-                        self.apply_group(action, &group);
-                    }
-                }
-            }
+        let ex = ChunkExecutor::with_exact_threads(1);
+        let actions = std::slice::from_ref(action);
+        let high_mixing: Vec<usize> = action
+            .mixing_qubits()
+            .iter()
+            .copied()
+            .filter(|&q| (q as u32) >= self.chunk_bits)
+            .collect();
+        if high_mixing.is_empty() {
+            let chunks: Vec<usize> = (0..self.num_chunks()).collect();
+            return ex.apply_local_run(self, actions, &chunks);
         }
+        // Canonical groups start at chunks whose high-mixing index bits
+        // are all zero.
+        let group_mask: usize = high_mixing
+            .iter()
+            .map(|&q| 1usize << (q as u32 - self.chunk_bits))
+            .sum();
+        let groups: Vec<Vec<usize>> = (0..self.num_chunks())
+            .filter(|chunk| chunk & group_mask == 0)
+            .map(|chunk| self.chunk_group(chunk, &high_mixing))
+            .collect();
+        let groups: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
+        ex.apply_group_runs(self, actions, &groups, &high_mixing);
     }
 
     /// Applies one operation (convenience wrapper over
@@ -427,11 +342,6 @@ impl ChunkedState {
     pub fn apply_operation(&mut self, op: &Operation) {
         self.apply_action(&GateAction::from_operation(op));
     }
-}
-
-fn matrix_dim_check(m: &Matrix, k: usize) -> bool {
-    debug_assert_eq!(m.dim(), 1 << k);
-    true
 }
 
 #[cfg(test)]

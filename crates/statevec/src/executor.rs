@@ -4,9 +4,9 @@
 //! path — the flat comparators, the chunked engines, and the reduction
 //! helpers in [`crate::measure`] / [`crate::observable`] — asks it to
 //! spread work over a crossbeam-scoped worker pool. Each worker owns a
-//! disjoint set of amplitudes (distinct chunks, distinct blocks, or
-//! distinct compressed-index ranges), so no synchronization is needed
-//! beyond the scope join.
+//! disjoint set of amplitudes (distinct chunks, checked out of the state
+//! for the dispatch, or distinct aligned blocks of a flat slice), so no
+//! synchronization — and no `unsafe` — is needed beyond the scope join.
 //!
 //! # Determinism
 //!
@@ -29,14 +29,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use qgpu_circuit::access::GateAction;
-use qgpu_circuit::Matrix;
 use qgpu_faults::{FaultInjector, FaultSite, SimError};
-use qgpu_math::bits::insert_zero_bits;
 use qgpu_math::reduce;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage, Track};
 
-use crate::chunked::ChunkedState;
+use crate::chunked::{ChunkedState, Member};
 use crate::kernels;
 
 /// Below this many amplitudes thread-spawn overhead dominates and the
@@ -47,15 +45,6 @@ const MIN_PARALLEL: usize = 1 << 14;
 /// amplitudes = 128 KiB, sized to sit in L2 while a fused run makes
 /// several passes over the block.
 const FLAT_BLOCK_BITS: u32 = 13;
-
-/// Raw amplitude pointer that can cross thread boundaries.
-///
-/// Safety: every spawn site hands each worker a disjoint set of
-/// amplitudes (distinct chunks, blocks, or compressed-index ranges).
-#[derive(Clone, Copy)]
-struct AmpPtr(*mut Complex64);
-unsafe impl Send for AmpPtr {}
-unsafe impl Sync for AmpPtr {}
 
 /// A worker pool applying gate kernels across disjoint chunks in
 /// parallel.
@@ -100,12 +89,7 @@ impl ChunkExecutor {
     pub fn new(threads: usize) -> Self {
         assert!(threads > 0, "need at least one thread");
         let cores = std::thread::available_parallelism().map_or(threads, |n| n.get());
-        ChunkExecutor {
-            threads: threads.min(cores),
-            recorder: None,
-            faults: None,
-            dispatches: Arc::new(AtomicU64::new(0)),
-        }
+        ChunkExecutor::with_exact_threads(threads.min(cores))
     }
 
     /// Creates an executor with *exactly* `threads` workers, bypassing
@@ -153,8 +137,9 @@ impl ChunkExecutor {
         self.threads
     }
 
-    /// Applies one action to a flat amplitude slice, splitting the
-    /// compressed pair-index space over the workers.
+    /// Applies one action to a flat amplitude slice, splitting the state
+    /// over the workers in aligned blocks that span the action's highest
+    /// mixing qubit (a gate mixing the top qubit is one block, one worker).
     ///
     /// Semantically identical to [`crate::kernels::apply_action`] with
     /// `base = 0`, and bitwise identical at every thread count; small
@@ -168,33 +153,11 @@ impl ChunkExecutor {
         if self.threads == 1 || amps.len() < MIN_PARALLEL {
             return kernels::apply_action(amps, 0, action);
         }
-        match action {
-            GateAction::Diagonal { qubits, dvec } => {
-                let per = amps.len().div_ceil(self.threads);
-                let rec = self.recorder.as_deref();
-                crossbeam::scope(|scope| {
-                    for (t, piece) in amps.chunks_mut(per).enumerate() {
-                        let base = t * per;
-                        scope.spawn(move |_| {
-                            let _g = span_opt(rec, Track::Worker(t), Stage::Update, "worker.diag");
-                            kernels::apply_diagonal(piece, base, qubits, dvec);
-                        });
-                    }
-                })
-                .expect("worker thread panicked");
-            }
-            GateAction::ControlledDense {
-                controls,
-                mixing,
-                matrix,
-            } => {
-                let local_bits = amps.len().trailing_zeros() as usize;
-                for &q in controls.iter().chain(mixing.iter()) {
-                    assert!(q < local_bits, "qubit {q} outside state");
-                }
-                self.dense_over_ranges(amps, controls, mixing, matrix);
-            }
+        let local_bits = amps.len().trailing_zeros() as usize;
+        for &q in action.control_qubits().iter().chain(action.mixing_qubits()) {
+            assert!(q < local_bits, "qubit {q} outside state");
         }
+        self.apply_flat_run(amps, std::slice::from_ref(action));
     }
 
     /// Applies a (merged) diagonal over a flat state with the strided
@@ -261,81 +224,6 @@ impl ChunkExecutor {
         .expect("worker thread panicked");
     }
 
-    /// Splits the compressed index space of a dense gate over the workers.
-    fn dense_over_ranges(
-        &self,
-        amps: &mut [Complex64],
-        controls: &[usize],
-        mixing: &[usize],
-        matrix: &Matrix,
-    ) {
-        let mut positions: Vec<u32> = mixing
-            .iter()
-            .chain(controls.iter())
-            .map(|&q| q as u32)
-            .collect();
-        positions.sort_unstable();
-        let control_mask: usize = controls.iter().map(|&c| 1usize << c).sum();
-        let dim = matrix.dim();
-        let offsets: Vec<usize> = (0..dim)
-            .map(|s| {
-                let mut off = 0usize;
-                for (bit, &q) in mixing.iter().enumerate() {
-                    off |= ((s >> bit) & 1) << q;
-                }
-                off
-            })
-            .collect();
-        let count = amps.len() >> positions.len();
-        let per = count.div_ceil(self.threads);
-        let ptr = AmpPtr(amps.as_mut_ptr());
-        let rec = self.recorder.as_deref();
-        crossbeam::scope(|scope| {
-            for t in 0..self.threads {
-                let lo = t * per;
-                let hi = ((t + 1) * per).min(count);
-                if lo >= hi {
-                    break;
-                }
-                let positions = &positions;
-                let offsets = &offsets;
-                scope.spawn(move |_| {
-                    let _g = span_opt(rec, Track::Worker(t), Stage::Update, "worker.dense");
-                    let ptr = ptr; // move the Send wrapper
-                    let mut gathered = vec![Complex64::ZERO; dim];
-                    for c in lo..hi {
-                        let ibase = insert_zero_bits(c, positions) | control_mask;
-                        if dim == 2 {
-                            // Fast path for single-qubit gates.
-                            let i0 = ibase + offsets[0];
-                            let i1 = ibase + offsets[1];
-                            unsafe {
-                                let a0 = *ptr.0.add(i0);
-                                let a1 = *ptr.0.add(i1);
-                                *ptr.0.add(i0) = matrix.get(0, 0) * a0 + matrix.get(0, 1) * a1;
-                                *ptr.0.add(i1) = matrix.get(1, 0) * a0 + matrix.get(1, 1) * a1;
-                            }
-                        } else {
-                            unsafe {
-                                for (s, g) in gathered.iter_mut().enumerate() {
-                                    *g = *ptr.0.add(ibase + offsets[s]);
-                                }
-                                for (r, &off) in offsets.iter().enumerate() {
-                                    let mut acc = Complex64::ZERO;
-                                    for (s, &g) in gathered.iter().enumerate() {
-                                        acc = matrix.get(r, s).mul_add(g, acc);
-                                    }
-                                    *ptr.0.add(ibase + off) = acc;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("worker thread panicked");
-    }
-
     /// Replays a fused run over a flat state in cache-sized blocks: each
     /// block is brought in once and every member action is applied to it
     /// before moving on, so the state makes one memory pass per *run*
@@ -350,10 +238,8 @@ impl ChunkExecutor {
     /// Panics if an action references a qubit outside the state.
     pub fn apply_flat_run(&self, amps: &mut [Complex64], actions: &[GateAction]) {
         assert!(amps.len().is_power_of_two());
-        match actions {
-            [] => return,
-            [single] => return self.apply_flat(amps, single),
-            _ => {}
+        if actions.is_empty() {
+            return;
         }
         let n_bits = amps.len().trailing_zeros();
         // Dense mixing qubits must be local to a block; raise the block
@@ -402,7 +288,7 @@ impl ChunkExecutor {
     /// Applies a fused run to the listed chunks (Case 1: every dense
     /// mixing qubit below the chunk boundary), visiting each dense chunk
     /// once and replaying the member actions inside the visit. Sparse
-    /// chunks are skipped, like [`ChunkedState::apply_local`].
+    /// chunks are skipped — linear maps preserve all-zero blocks.
     ///
     /// Chunks are distributed over the workers; results are bitwise
     /// identical at every thread count.
@@ -440,6 +326,26 @@ impl ChunkExecutor {
         actions: &[GateAction],
         chunks: &[usize],
     ) -> Result<u64, SimError> {
+        self.try_apply_local_run_polled(state, actions, chunks, &|| None)
+    }
+
+    /// [`ChunkExecutor::try_apply_local_run`] for long runs that must stay
+    /// interruptible: `poll` is asked before every chunk visit, and its
+    /// first `Some(err)` ends the run with that error — chunks visited so
+    /// far hold the whole run, the rest none of it, so the state is only
+    /// fit to be dropped. `poll` must keep answering `Some` once it has
+    /// (a tripped [`qgpu_faults::CancelToken`] does).
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`ChunkExecutor::try_apply_local_run`].
+    pub fn try_apply_local_run_polled(
+        &self,
+        state: &mut ChunkedState,
+        actions: &[GateAction],
+        chunks: &[usize],
+        poll: &(dyn Fn() -> Option<SimError> + Sync),
+    ) -> Result<u64, SimError> {
         let chunk_bits = state.chunk_bits();
         for a in actions {
             assert!(
@@ -447,55 +353,73 @@ impl ChunkExecutor {
                 "apply_local_run called with a high mixing qubit"
             );
         }
-        // Collect (global base, pointer, length) of the dense chunks. The
-        // boxes backing them are stable, so the pointers stay valid for
-        // the whole run.
-        let chunk_len = state.chunk_len();
-        let mut work: Vec<(usize, AmpPtr)> = Vec::with_capacity(chunks.len());
-        for &c in chunks {
-            if state.is_zero_chunk(c) {
-                continue;
-            }
-            let slice = state.chunk_mut_or_alloc(c);
-            work.push((c << chunk_bits, AmpPtr(slice.as_mut_ptr())));
-        }
-
-        let run = |items: &[(usize, AmpPtr)]| {
-            for &(base, ptr) in items {
-                let slice = unsafe { std::slice::from_raw_parts_mut(ptr.0, chunk_len) };
-                for a in actions {
-                    kernels::apply_action(slice, base, a);
-                }
+        let visit = |chunk: usize, amps: &mut [Complex64]| {
+            for a in actions {
+                kernels::apply_action(amps, chunk << chunk_bits, a);
             }
         };
-        if self.threads == 1 || work.len() <= 1 || work.len() * chunk_len < MIN_PARALLEL {
-            run(&work);
+        let dense = match self.threads {
+            1 => 0,
+            _ => chunks.iter().filter(|&&c| !state.is_zero_chunk(c)).count(),
+        };
+        if dense <= 1 || dense << chunk_bits < MIN_PARALLEL {
+            for &c in chunks {
+                if let Some(err) = poll() {
+                    return Err(err);
+                }
+                if let Some(amps) = state.chunk_mut(c) {
+                    visit(c, amps);
+                }
+            }
             return Ok(0);
         }
+        // Workers own their chunks for the dispatch: check the dense ones
+        // out of the state, hand them back whatever happens.
+        let mut work = Vec::with_capacity(dense);
+        for &c in chunks {
+            if !state.is_zero_chunk(c) {
+                work.push(state.take_chunk(c));
+            }
+        }
         let per = work.len().div_ceil(self.threads);
-        self.run_dispatch(&work, per, "apply_local_run", "worker.local", &|piece| {
-            run(piece)
-        })
+        let restarts = self.run_dispatch(
+            &mut work,
+            per,
+            "apply_local_run",
+            "worker.local",
+            &|piece| {
+                for m in piece {
+                    if poll().is_some() {
+                        return;
+                    }
+                    visit(m.chunk, &mut m.amps);
+                }
+            },
+        );
+        work.into_iter().for_each(|m| state.put_chunk(m));
+        match poll() {
+            Some(err) => Err(err),
+            None => restarts,
+        }
     }
 
     /// Applies a fused run to chunk groups (Case 2: a mixing qubit at or
-    /// above the boundary). Each group is gathered into a scratch buffer
-    /// once, every member action is applied with qubit positions remapped
-    /// into scratch coordinates, and the group is scattered back —
-    /// generalizing [`ChunkedState::apply_group`] from one gate to a run.
+    /// above the boundary). Every member action is applied straight to the
+    /// group's member chunks: a high mixing qubit selects *which* members
+    /// a kernel pairs up, so nothing is gathered or scattered.
     ///
-    /// Groups are distributed over the workers (each group's scratch is
-    /// worker-local); results are bitwise identical at every thread
-    /// count. Sparse members that remain all-zero after the run stay
-    /// sparse.
+    /// Groups are distributed over the workers; results are bitwise
+    /// identical at every thread count. Sparse members that remain
+    /// all-zero after the run stay sparse.
     ///
     /// # Panics
     ///
     /// Panics if a group's size is not `2^high_mixing.len()`, if a dense
-    /// member mixes a high qubit not listed in `high_mixing`, or if a
-    /// worker thread panics (see
-    /// [`ChunkExecutor::try_apply_group_runs`] for the non-panicking
-    /// form).
+    /// member mixes a high qubit not listed in `high_mixing`, if a dense
+    /// member spanning chunks has more than two mixing qubits (or two
+    /// and a local control — no gate does), or if a worker thread panics
+    /// (see [`ChunkExecutor::try_apply_group_runs`] for the
+    /// non-panicking form).
     pub fn apply_group_runs(
         &self,
         state: &mut ChunkedState,
@@ -515,8 +439,8 @@ impl ChunkExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if a group's size is not `2^high_mixing.len()` (a caller
-    /// contract violation, not a runtime fault).
+    /// Panics on the caller contract violations listed for
+    /// [`ChunkExecutor::apply_group_runs`] (not runtime faults).
     pub fn try_apply_group_runs(
         &self,
         state: &mut ChunkedState,
@@ -525,76 +449,39 @@ impl ChunkExecutor {
         high_mixing: &[usize],
     ) -> Result<u64, SimError> {
         let chunk_bits = state.chunk_bits();
-        let chunk_len = state.chunk_len();
-        let hm = high_mixing.len();
-        let prepared: Vec<Prepared> = actions
-            .iter()
-            .map(|a| Prepared::build(a, chunk_bits, high_mixing))
-            .collect();
+        let group_len = 1usize << high_mixing.len();
 
-        // Select surviving groups and speculatively materialize their
-        // members so workers can write without allocation. Previously
-        // sparse members are demoted again after the run if still zero.
-        struct GroupWork {
-            anchor: usize,
-            members: Vec<(usize, AmpPtr, bool)>, // (chunk, ptr, was_sparse)
-        }
-        let mut work: Vec<GroupWork> = Vec::new();
+        // Check the surviving groups' members out of the state, sparse
+        // ones materialized so workers can write without allocation;
+        // `put_chunk` re-sparsifies those the run left zero.
+        let mut work: Vec<Member> = Vec::with_capacity(groups.len() * group_len);
         for &group in groups {
-            assert_eq!(group.len(), 1 << hm, "group size must be 2^high_mixing");
-            if group.iter().all(|&m| state.is_zero_chunk(m)) {
-                continue;
+            assert_eq!(group.len(), group_len, "group size must be 2^high_mixing");
+            if group.iter().any(|&m| !state.is_zero_chunk(m)) {
+                work.extend(group.iter().map(|&m| state.take_chunk(m)));
             }
-            let members = group
-                .iter()
-                .map(|&m| {
-                    let was_sparse = state.is_zero_chunk(m);
-                    let slice = state.chunk_mut_or_alloc(m);
-                    (m, AmpPtr(slice.as_mut_ptr()), was_sparse)
-                })
-                .collect();
-            work.push(GroupWork {
-                anchor: group[0],
-                members,
-            });
         }
 
-        let process = |w: &GroupWork| {
-            let mut scratch = vec![Complex64::ZERO; chunk_len << hm];
-            for (j, &(_, ptr, _)) in w.members.iter().enumerate() {
-                let src = unsafe { std::slice::from_raw_parts(ptr.0, chunk_len) };
-                scratch[j * chunk_len..(j + 1) * chunk_len].copy_from_slice(src);
-            }
-            for p in &prepared {
-                p.apply(&mut scratch, w.anchor);
-            }
-            for (j, &(_, ptr, _)) in w.members.iter().enumerate() {
-                let dst = unsafe { std::slice::from_raw_parts_mut(ptr.0, chunk_len) };
-                dst.copy_from_slice(&scratch[j * chunk_len..(j + 1) * chunk_len]);
+        let run = |piece: &mut [Member]| {
+            for group in piece.chunks_exact_mut(group_len) {
+                for a in actions {
+                    apply_to_group(group, chunk_bits, high_mixing, a);
+                }
             }
         };
-        let restarts = if self.threads == 1 || work.len() <= 1 {
-            for w in &work {
-                process(w);
-            }
-            0
+        let num_groups = work.len() / group_len;
+        // A seeded worker-death campaign counts dispatches, so it keeps
+        // every one; otherwise small work stays on this thread.
+        let small = self.faults.is_none() && work.len() << chunk_bits < MIN_PARALLEL;
+        let restarts = if self.threads == 1 || num_groups <= 1 || small {
+            run(&mut work);
+            Ok(0)
         } else {
-            let per = work.len().div_ceil(self.threads);
-            self.run_dispatch(&work, per, "apply_group_runs", "worker.group", &|piece| {
-                for w in piece {
-                    process(w);
-                }
-            })?
+            let per = num_groups.div_ceil(self.threads) * group_len;
+            self.run_dispatch(&mut work, per, "apply_group_runs", "worker.group", &run)
         };
-
-        for w in &work {
-            for &(m, _, was_sparse) in &w.members {
-                if was_sparse {
-                    state.demote_if_zero(m);
-                }
-            }
-        }
-        Ok(restarts)
+        work.into_iter().for_each(|m| state.put_chunk(m));
+        restarts
     }
 
     /// Shared parallel dispatch with fault awareness: splits `work` into
@@ -606,13 +493,13 @@ impl ChunkExecutor {
     /// nothing. A genuine worker panic cannot guarantee that, so it maps
     /// to [`SimError::WorkerLost`] and is not retried. Returns the
     /// number of recovered workers.
-    fn run_dispatch<T: Sync>(
+    fn run_dispatch<T: Send>(
         &self,
-        work: &[T],
+        work: &mut [T],
         per: usize,
         dispatch_name: &'static str,
         span_name: &'static str,
-        run_piece: &(dyn Fn(&[T]) + Sync),
+        run_piece: &(dyn Fn(&mut [T]) + Sync),
     ) -> Result<u64, SimError> {
         let rec = self.recorder.as_deref();
         let dispatch = self.dispatches.fetch_add(1, Ordering::Relaxed);
@@ -628,7 +515,7 @@ impl ChunkExecutor {
         let killed = &killed;
         let done = &done;
         crossbeam::scope(|scope| {
-            for (t, piece) in work.chunks(per).enumerate() {
+            for (t, piece) in work.chunks_mut(per).enumerate() {
                 if let Some(r) = rec {
                     r.observe("worker.queue", piece.len() as u64);
                 }
@@ -646,7 +533,7 @@ impl ChunkExecutor {
             dispatch: dispatch_name,
         })?;
         let mut restarts = 0u64;
-        for (t, piece) in work.chunks(per).enumerate() {
+        for (t, piece) in work.chunks_mut(per).enumerate() {
             if !done[t].load(Ordering::Acquire) {
                 run_piece(piece);
                 restarts += 1;
@@ -708,126 +595,87 @@ impl ChunkExecutor {
     }
 }
 
-/// A member action with qubit positions remapped into the scratch
-/// coordinates of a chunk group (high mixing qubit of rank `r` lives at
-/// scratch position `chunk_bits + r`).
-enum Prepared {
-    Dense {
-        local_controls: Vec<usize>,
-        /// Chunk-index bit positions of high controls, checked against
-        /// the group anchor (constant across the group).
-        high_control_bits: Vec<u32>,
-        mixing: Vec<usize>,
-        matrix: Matrix,
-    },
-    Diag {
-        qubits: Vec<usize>,
-        /// `(chunk-index bit, scratch position)` of qubits that are high
-        /// but not mixing: their value is constant across the group, so
-        /// they get virtual positions above the scratch and a base word
-        /// carrying the anchor's bits there.
-        virtual_bits: Vec<(u32, usize)>,
-        dvec: Vec<Complex64>,
-    },
-}
-
-impl Prepared {
-    fn build(action: &GateAction, chunk_bits: u32, high_mixing: &[usize]) -> Prepared {
-        let rank_of = |q: usize| {
-            chunk_bits as usize
-                + high_mixing
-                    .iter()
-                    .position(|&h| h == q)
-                    .expect("high mixing qubit of a member must be in the run's high_mixing")
-        };
-        match action {
-            GateAction::ControlledDense {
-                controls,
-                mixing,
-                matrix,
-            } => {
-                let mut local_controls = Vec::new();
-                let mut high_control_bits = Vec::new();
-                for &c in controls {
-                    if (c as u32) < chunk_bits {
-                        local_controls.push(c);
-                    } else {
-                        high_control_bits.push(c as u32 - chunk_bits);
-                    }
-                }
-                let mixing = mixing
-                    .iter()
-                    .map(|&q| {
-                        if (q as u32) < chunk_bits {
-                            q
-                        } else {
-                            rank_of(q)
-                        }
-                    })
-                    .collect();
-                Prepared::Dense {
-                    local_controls,
-                    high_control_bits,
-                    mixing,
-                    matrix: matrix.clone(),
-                }
+/// Applies one member action of a run to a checked-out chunk group
+/// (`group[j]` is the member whose high-mixing bit pattern is `j`, rank
+/// `r` of `high_mixing` ↔ bit `r`). Diagonals and chunk-local dense
+/// actions visit each member with its own global base; a dense action
+/// mixing a high qubit pairs up the members that qubit tells apart.
+fn apply_to_group(
+    group: &mut [Member],
+    chunk_bits: u32,
+    high_mixing: &[usize],
+    action: &GateAction,
+) {
+    let (controls, mixing, matrix) = match action {
+        GateAction::Diagonal { qubits, dvec } => {
+            for m in group {
+                kernels::apply_diagonal(&mut m.amps, m.chunk << chunk_bits, qubits, dvec);
             }
-            GateAction::Diagonal { qubits, dvec } => {
-                let mut next_virtual = chunk_bits as usize + high_mixing.len();
-                let mut virtual_bits = Vec::new();
-                let qubits = qubits
-                    .iter()
-                    .map(|&q| {
-                        if (q as u32) < chunk_bits {
-                            q
-                        } else if high_mixing.contains(&q) {
-                            rank_of(q)
-                        } else {
-                            // Constant across the group: park it above the
-                            // scratch and feed its value via the base word.
-                            let pos = next_virtual;
-                            next_virtual += 1;
-                            virtual_bits.push((q as u32 - chunk_bits, pos));
-                            pos
-                        }
-                    })
-                    .collect();
-                Prepared::Diag {
-                    qubits,
-                    virtual_bits,
-                    dvec: dvec.clone(),
-                }
-            }
+            return;
+        }
+        GateAction::ControlledDense {
+            controls,
+            mixing,
+            matrix,
+        } => (controls, mixing, matrix),
+    };
+    let is_high = |q: usize| q as u32 >= chunk_bits;
+    // A high mixing qubit as a bit of the member index.
+    let member_bit = |q: usize| {
+        let rank = high_mixing.iter().position(|&h| h == q);
+        1usize << rank.expect("high mixing qubit of a member must be in the run's high_mixing")
+    };
+    // Local controls index into a chunk; high ones are bits of each
+    // member's chunk index (the operands of one kernel call agree on them).
+    let (mut cmask, mut high_cmask) = (0usize, 0usize);
+    for &c in controls {
+        if is_high(c) {
+            high_cmask |= 1 << (c as u32 - chunk_bits);
+        } else {
+            cmask |= 1 << c;
         }
     }
-
-    fn apply(&self, scratch: &mut [Complex64], anchor: usize) {
-        match self {
-            Prepared::Dense {
-                local_controls,
-                high_control_bits,
-                mixing,
-                matrix,
-            } => {
-                // High controls are constant across the group: skip the
-                // whole action when any is 0, like apply_group does.
-                if high_control_bits.iter().any(|&b| (anchor >> b) & 1 == 0) {
-                    return;
-                }
-                kernels::apply_controlled_dense(scratch, local_controls, mixing, matrix);
-            }
-            Prepared::Diag {
-                qubits,
-                virtual_bits,
-                dvec,
-            } => {
-                let base: usize = virtual_bits
-                    .iter()
-                    .map(|&(cb, pos)| ((anchor >> cb) & 1) << pos)
-                    .sum();
-                kernels::apply_diagonal(scratch, base, qubits, dvec);
+    let enabled = |m: &Member| m.chunk & high_cmask == high_cmask;
+    // The members a kernel call starts from: index 0 at every mixing bit.
+    let anchors = |bits: usize| (0..group.len()).filter(move |j| j & bits == 0);
+    match **mixing {
+        _ if !mixing.iter().any(|&q| is_high(q)) => {
+            for m in group.iter_mut().filter(|m| enabled(m)) {
+                kernels::apply_dense(&mut m.amps, cmask, mixing, matrix);
             }
         }
+        [target] => {
+            let bit = member_bit(target);
+            for j in anchors(bit) {
+                let [lo, hi] = group.get_disjoint_mut([j, j | bit]).expect("distinct members");
+                if enabled(lo) {
+                    kernels::apply_1q_halves(&mut lo.amps, &mut hi.amps, cmask, matrix);
+                }
+            }
+        }
+        [q0, q1] if cmask == 0 && is_high(q0) && is_high(q1) => {
+            let (b0, b1) = (member_bit(q0), member_bit(q1));
+            for j in anchors(b0 | b1) {
+                let [s0, s1, s2, s3] = group
+                    .get_disjoint_mut([j, j | b0, j | b1, j | b0 | b1])
+                    .expect("distinct members");
+                if enabled(s0) {
+                    let quarters = [&mut *s0.amps, &mut *s1.amps, &mut *s2.amps, &mut *s3.amps];
+                    kernels::apply_2q_quarters(quarters, matrix);
+                }
+            }
+        }
+        [q0, q1] if cmask == 0 => {
+            let (low, high) = if is_high(q0) { (q1, q0) } else { (q0, q1) };
+            let bit = member_bit(high);
+            for j in anchors(bit) {
+                let [h0, h1] = group.get_disjoint_mut([j, j | bit]).expect("distinct members");
+                if enabled(h0) {
+                    kernels::apply_2q_halves(&mut h0.amps, &mut h1.amps, low, low == q0, matrix);
+                }
+            }
+        }
+        _ => panic!("a dense action spanning chunks has at most two mixing qubits, and no local control beside two"),
     }
 }
 
@@ -1258,11 +1106,83 @@ mod tests {
     }
 
     #[test]
+    fn polled_local_run_stops_between_chunk_visits() {
+        use std::sync::atomic::AtomicUsize;
+        let n = 15;
+        let chunk_bits = 8;
+        let mut flat = StateVector::new_zero(n);
+        flat.run(&Benchmark::Qft.generate(n));
+        let before = ChunkedState::from_flat(&flat, chunk_bits);
+        let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
+        let chunks: Vec<usize> = (0..before.num_chunks()).collect();
+        let mut done = before.clone();
+        ChunkExecutor::with_exact_threads(1).apply_local_run(&mut done, &run, &chunks);
+
+        // Serial: the poll answers `Some` from its 6th call on, so exactly
+        // five chunks carry the run and the rest are untouched.
+        let polls = AtomicUsize::new(0);
+        let poll = || {
+            (polls.fetch_add(1, Ordering::Relaxed) >= 5).then_some(SimError::JobAborted { op: 7 })
+        };
+        let mut state = before.clone();
+        let err = ChunkExecutor::with_exact_threads(1)
+            .try_apply_local_run_polled(&mut state, &run, &chunks, &poll)
+            .expect_err("the poll ends the run");
+        assert!(matches!(err, SimError::JobAborted { op: 7 }));
+        for &c in &chunks {
+            let want = if c < 5 { &done } else { &before };
+            assert_eq!(state.chunk(c), want.chunk(c), "chunk {c}");
+        }
+
+        // Parallel: every worker stops at once, and every chunk checked
+        // out for the dispatch is back in place.
+        let mut state = before.clone();
+        ChunkExecutor::with_exact_threads(4)
+            .try_apply_local_run_polled(&mut state, &run, &chunks, &|| {
+                Some(SimError::JobAborted { op: 7 })
+            })
+            .expect_err("the poll ends the run");
+        assert_eq!(state, before);
+    }
+
+    #[test]
+    fn small_group_dispatch_stays_on_the_calling_thread() {
+        use qgpu_faults::FaultConfig;
+        // 16 groups of two 8-amplitude chunks: far below MIN_PARALLEL.
+        let n = 8;
+        let chunk_bits: u32 = 3;
+        let mut flat = StateVector::new_zero(n);
+        flat.run(&Benchmark::Rqc.generate(n));
+        let run = actions_of(&[(Gate::H, vec![7])]);
+        let groups_owned: Vec<Vec<usize>> = (0..16).map(|k| vec![k, k + 16]).collect();
+        let groups: Vec<&[usize]> = groups_owned.iter().map(Vec::as_slice).collect();
+        let dispatches = |ex: ChunkExecutor| {
+            let rec = Arc::new(Recorder::new());
+            let mut state = ChunkedState::from_flat(&flat, chunk_bits);
+            ex.with_recorder(Arc::clone(&rec))
+                .apply_group_runs(&mut state, &run, &groups, &[7]);
+            let queued = rec
+                .metrics()
+                .histogram("worker.queue")
+                .map_or(0, |h| h.count());
+            (state, queued)
+        };
+        let (serial, none) = dispatches(ChunkExecutor::with_exact_threads(4));
+        assert_eq!(none, 0, "no worker was spawned for 256 amplitudes");
+        // A seeded worker-death campaign counts dispatches: it keeps them.
+        let injector = Arc::new(FaultInjector::new(FaultConfig::default()));
+        let (dispatched, four) =
+            dispatches(ChunkExecutor::with_exact_threads(4).with_faults(injector));
+        assert_eq!(four, 4);
+        assert_eq!(serial, dispatched);
+    }
+
+    #[test]
     fn genuine_worker_panic_surfaces_as_worker_lost() {
         let ex = ChunkExecutor::with_exact_threads(2);
-        let work: Vec<usize> = (0..4).collect();
+        let mut work: Vec<usize> = (0..4).collect();
         let err = ex
-            .run_dispatch(&work, 2, "test_dispatch", "worker.test", &|piece| {
+            .run_dispatch(&mut work, 2, "test_dispatch", "worker.test", &|piece| {
                 if piece[0] == 2 {
                     panic!("injected genuine panic");
                 }

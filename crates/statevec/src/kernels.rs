@@ -7,51 +7,101 @@
 //! need the base to read qubit bits above the chunk boundary).
 //!
 //! Kernels for mixing gates require all referenced qubit positions to be
-//! *local* (below `log2(amps.len())`); the chunked layer regroups chunks
-//! so this always holds (the paper's Case 2 handling).
+//! *local* (below `log2(amps.len())`); a mixing qubit above the chunk
+//! boundary is served by the `*_halves` / `*_quarters` entry points, which
+//! take the member chunks of a group as separate slices (the paper's
+//! Case 2 handling, with no gather buffer).
+//!
+//! The loops are block-structured: qubit positions cut the slice into
+//! aligned power-of-two blocks, index bits are resolved once per block,
+//! and the innermost loop zips contiguous runs with fixed-size operands.
+//! No kernel a gate can reach allocates. Per amplitude, every kernel
+//! evaluates the same expressions in the same order as the per-index
+//! loop in [`crate::reference`] — only the visit order differs — so
+//! results agree with it bit for bit.
+
+use std::ops::Range;
 
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::Matrix;
-use qgpu_math::bits::{insert_zero_bit, insert_zero_bits};
 use qgpu_math::Complex64;
+
+/// Amplitudes per cache line: blocks shorter than this get fixed-size
+/// scalar loops instead of slice zips.
+const LINE: usize = 4;
+
+/// The aligned runs of `0..len` whose indices have every `mask` bit set
+/// (all of `0..len` for an empty mask), in ascending order. `len` must
+/// be a power of two above `mask`.
+fn selected_runs(len: usize, mask: usize) -> impl Iterator<Item = Range<usize>> {
+    let run = if mask == 0 {
+        len
+    } else {
+        mask & mask.wrapping_neg()
+    };
+    // Counting with the fixed bits forced to 1 carries straight through
+    // them: `x` visits exactly the indices that are 0 at every fixed bit.
+    let fixed = mask | (run - 1);
+    let mut x = 0;
+    std::iter::from_fn(move || {
+        (x < len).then(|| {
+            let start = x | mask;
+            x = ((x | fixed) + 1) & !fixed;
+            start..start + run
+        })
+    })
+}
 
 /// Applies a diagonal action: `amps[off] *= dvec[s]` where `s` gathers the
 /// bits of the *global* index `base + off` at `qubits`.
 ///
 /// Works for any qubit positions, including those above the slice's local
-/// range — that is exactly why diagonal gates never force chunk exchange.
+/// range — that is exactly why diagonal gates never force chunk exchange —
+/// and for any `base` and slice length. Indices that agree above the
+/// lowest listed qubit share one factor, so a line-aligned slice is
+/// walked in runs as long as the lowest qubit outside a cache line
+/// allows, with the index bits read once per run, not per amplitude.
 ///
 /// # Panics
 ///
 /// Panics if `dvec.len() != 2^qubits.len()`.
 pub fn apply_diagonal(amps: &mut [Complex64], base: usize, qubits: &[usize], dvec: &[Complex64]) {
     assert_eq!(dvec.len(), 1 << qubits.len());
-    match qubits.len() {
-        1 => {
-            let q = qubits[0];
-            let (d0, d1) = (dvec[0], dvec[1]);
-            for (off, amp) in amps.iter_mut().enumerate() {
-                let bit = ((base + off) >> q) & 1;
-                *amp *= if bit == 0 { d0 } else { d1 };
-            }
+    let factor = |g: usize| {
+        let s = qubits
+            .iter()
+            .enumerate()
+            .fold(0, |s, (bit, &q)| s | ((g >> q) & 1) << bit);
+        dvec[s]
+    };
+    if !(base | amps.len()).is_multiple_of(LINE) {
+        for (off, amp) in amps.iter_mut().enumerate() {
+            *amp *= factor(base + off);
         }
-        2 => {
-            let (q0, q1) = (qubits[0], qubits[1]);
-            for (off, amp) in amps.iter_mut().enumerate() {
-                let g = base + off;
-                let s = ((g >> q0) & 1) | (((g >> q1) & 1) << 1);
-                *amp *= dvec[s];
-            }
-        }
-        _ => {
-            for (off, amp) in amps.iter_mut().enumerate() {
-                let g = base + off;
-                let mut s = 0usize;
-                for (bit, &q) in qubits.iter().enumerate() {
-                    s |= ((g >> q) & 1) << bit;
-                }
-                *amp *= dvec[s];
-            }
+        return;
+    }
+    // Within a run only the index bits inside a line vary: one line of
+    // factors serves the whole run.
+    let run = qubits
+        .iter()
+        .filter(|&&q| 1 << q >= LINE)
+        .min()
+        .map_or(usize::MAX / 2 + 1, |&q| 1usize << q);
+    let (mut rest, mut g) = (amps, base);
+    while !rest.is_empty() {
+        let n = (run - (g & (run - 1))).min(rest.len());
+        let (head, tail) = rest.split_at_mut(n);
+        let factors: [Complex64; LINE] = std::array::from_fn(|i| factor(g + i));
+        scale_lines(head, &factors);
+        (rest, g) = (tail, g + n);
+    }
+}
+
+/// `line[i] *= factors[i]` over every cache line of `amps`.
+fn scale_lines(amps: &mut [Complex64], factors: &[Complex64; LINE]) {
+    for line in amps.chunks_exact_mut(LINE) {
+        for (amp, &d) in line.iter_mut().zip(factors) {
+            *amp *= d;
         }
     }
 }
@@ -135,121 +185,235 @@ fn diagonal_strided_rec(
     }
 }
 
-/// Applies a dense single-qubit matrix to local target `target`, restricted
-/// to indices where all local `controls` bits are 1.
+/// A 2×2 operand, row-major.
+type M2 = [Complex64; 4];
+/// A 4×4 operand by rows.
+type M4 = [[Complex64; 4]; 4];
+
+fn m2(m: &Matrix) -> M2 {
+    let entries = m.as_slice().try_into();
+    entries.expect("matrix dimension mismatch: a single-qubit kernel takes 2×2")
+}
+
+fn m4(m: &Matrix) -> M4 {
+    assert_eq!(m.dim(), 4, "matrix dimension mismatch");
+    std::array::from_fn(|r| std::array::from_fn(|c| m.as_slice()[4 * r + c]))
+}
+
+#[inline(always)]
+fn butterfly(m: &M2, a0: &mut Complex64, a1: &mut Complex64) {
+    let (x, y) = (*a0, *a1);
+    *a0 = m[0] * x + m[1] * y;
+    *a1 = m[2] * x + m[3] * y;
+}
+
+/// Two half-slices must be a valid operand pair for in-slice `cmask`.
+fn check_halves(lo: &[Complex64], hi: &[Complex64], cmask: usize) {
+    assert!(
+        lo.len() == hi.len() && lo.len().is_power_of_two(),
+        "halves must be equal power-of-two slices"
+    );
+    assert!(cmask < lo.len(), "controls must be local");
+}
+
+/// Applies a single-qubit matrix whose target bit selects between two
+/// equal slices — `lo` holds the amplitudes with the bit 0, `hi` those
+/// with it 1, at the same in-slice offsets — restricted to offsets with
+/// every `cmask` bit set. This is the whole single-qubit kernel: a local
+/// target hands it the two halves of each block, a target above the
+/// chunk boundary the two member chunks of a group.
 ///
 /// # Panics
 ///
-/// Panics if `amps.len()` is not a power of two, or if `target`/`controls`
-/// are not local to the slice.
-pub fn apply_controlled_1q(amps: &mut [Complex64], controls: &[usize], target: usize, m: &Matrix) {
-    assert!(amps.len().is_power_of_two());
-    let local_bits = amps.len().trailing_zeros();
-    assert!((target as u32) < local_bits, "target must be local");
-    assert!(
-        controls.iter().all(|&c| (c as u32) < local_bits),
-        "controls must be local"
-    );
-    let (m00, m01, m10, m11) = (m.get(0, 0), m.get(0, 1), m.get(1, 0), m.get(1, 1));
+/// Panics if the matrix is not 2×2, the slices are not equal powers of
+/// two, or `cmask` has a bit outside them.
+pub fn apply_1q_halves(lo: &mut [Complex64], hi: &mut [Complex64], cmask: usize, m: &Matrix) {
+    check_halves(lo, hi, cmask);
+    halves_1q(lo, hi, cmask, &m2(m));
+}
 
-    if controls.is_empty() {
-        let pairs = amps.len() >> 1;
-        for c in 0..pairs {
-            let i0 = insert_zero_bit(c, target as u32);
-            let i1 = i0 | (1 << target);
-            let a0 = amps[i0];
-            let a1 = amps[i1];
-            amps[i0] = m00 * a0 + m01 * a1;
-            amps[i1] = m10 * a0 + m11 * a1;
+// Out of line on purpose: inlined into the run walk this loop measured
+// 15 GB/s, on its own 26 (H on a high qubit, 64 MiB state).
+#[inline(never)]
+fn zip_1q(lo: &mut [Complex64], hi: &mut [Complex64], m: &M2) {
+    for (a0, a1) in lo.iter_mut().zip(hi) {
+        butterfly(m, a0, a1);
+    }
+}
+
+fn halves_1q(lo: &mut [Complex64], hi: &mut [Complex64], cmask: usize, m: &M2) {
+    for run in selected_runs(lo.len(), cmask) {
+        zip_1q(&mut lo[run.clone()], &mut hi[run], m);
+    }
+}
+
+fn dense_1q(amps: &mut [Complex64], cmask: usize, target: usize, m: &M2) {
+    let tbit = 1usize << target;
+    let (below, above) = (cmask & (tbit - 1), cmask & !(2 * tbit - 1));
+    for region in selected_runs(amps.len(), above) {
+        let region = &mut amps[region];
+        match tbit {
+            // Blocks below a cache line: fixed-size scalar loops.
+            1 => {
+                for block in region.chunks_exact_mut(2) {
+                    if let [a0, a1] = block {
+                        butterfly(m, a0, a1);
+                    }
+                }
+            }
+            2 => {
+                for block in region.chunks_exact_mut(4) {
+                    if let [a0, b0, a1, b1] = block {
+                        if below == 0 {
+                            butterfly(m, a0, a1);
+                        }
+                        butterfly(m, b0, b1);
+                    }
+                }
+            }
+            _ => {
+                for block in region.chunks_exact_mut(2 * tbit) {
+                    let (lo, hi) = block.split_at_mut(tbit);
+                    halves_1q(lo, hi, below, m);
+                }
+            }
         }
+    }
+}
+
+/// Rewrites one amplitude group as `m · group`, each row a dot product
+/// accumulated from zero in column order.
+#[inline(always)]
+fn mix4(m: &M4, group: [&mut Complex64; 4]) {
+    let g = [*group[0], *group[1], *group[2], *group[3]];
+    for (out, row) in group.into_iter().zip(m) {
+        let mut acc = Complex64::ZERO;
+        for (&w, &x) in row.iter().zip(&g) {
+            acc = w.mul_add(x, acc);
+        }
+        *out = acc;
+    }
+}
+
+/// Applies a two-qubit matrix whose mixing qubits *both* select the
+/// slice: `quarters[s]` holds the amplitudes of matrix basis index `s`
+/// (bit 0 ↔ the first mixing qubit) at the same offsets.
+///
+/// # Panics
+///
+/// Panics if the matrix is not 4×4 or the slices differ in length.
+pub fn apply_2q_quarters(quarters: [&mut [Complex64]; 4], m: &Matrix) {
+    assert!(
+        quarters.iter().all(|q| q.len() == quarters[0].len()),
+        "quarters must be equal slices"
+    );
+    quarters_2q(quarters, &m4(m));
+}
+
+#[inline(never)] // as `zip_1q`
+fn quarters_2q(quarters: [&mut [Complex64]; 4], m: &M4) {
+    let [s0, s1, s2, s3] = quarters;
+    for (((a, b), c), d) in s0.iter_mut().zip(s1).zip(s2).zip(s3) {
+        mix4(m, [a, b, c, d]);
+    }
+}
+
+/// Applies a two-qubit matrix with one mixing qubit selecting between two
+/// equal slices (`h0`: bit 0, `h1`: bit 1) and the other at in-slice
+/// position `low`; `low_first` says the in-slice qubit is the matrix's
+/// first (bit-0) qubit.
+///
+/// # Panics
+///
+/// Panics if the matrix is not 4×4, the slices are not equal powers of
+/// two, or `low` is outside them.
+pub fn apply_2q_halves(
+    h0: &mut [Complex64],
+    h1: &mut [Complex64],
+    low: usize,
+    low_first: bool,
+    m: &Matrix,
+) {
+    check_halves(h0, h1, 1 << low);
+    halves_2q(h0, h1, 1 << low, low_first, &m4(m));
+}
+
+/// A group's operands `[g(high, low)]` in matrix basis order (bit 0 ↔ the
+/// matrix's first qubit).
+fn basis_order<T>(low_first: bool, [g00, g01, g10, g11]: [T; 4]) -> [T; 4] {
+    if low_first {
+        [g00, g01, g10, g11]
     } else {
-        // Enumerate indices with target bit 0 and all control bits 1.
-        let mut positions: Vec<u32> = controls.iter().map(|&c| c as u32).collect();
-        positions.push(target as u32);
-        positions.sort_unstable();
-        let control_mask: usize = controls.iter().map(|&c| 1usize << c).sum();
-        let count = amps.len() >> positions.len();
-        for c in 0..count {
-            let i0 = insert_zero_bits(c, &positions) | control_mask;
-            let i1 = i0 | (1 << target);
-            let a0 = amps[i0];
-            let a1 = amps[i1];
-            amps[i0] = m00 * a0 + m01 * a1;
-            amps[i1] = m10 * a0 + m11 * a1;
+        [g00, g10, g01, g11]
+    }
+}
+
+fn halves_2q(h0: &mut [Complex64], h1: &mut [Complex64], lbit: usize, low_first: bool, m: &M4) {
+    for (b0, b1) in h0
+        .chunks_exact_mut(2 * lbit)
+        .zip(h1.chunks_exact_mut(2 * lbit))
+    {
+        match (b0, b1) {
+            // Blocks below a cache line: fixed-size scalar groups.
+            ([a00, a01], [a10, a11]) => mix4(m, basis_order(low_first, [a00, a01, a10, a11])),
+            ([a00, b00, a01, b01], [a10, b10, a11, b11]) => {
+                mix4(m, basis_order(low_first, [a00, a01, a10, a11]));
+                mix4(m, basis_order(low_first, [b00, b01, b10, b11]));
+            }
+            (b0, b1) => {
+                let ((b00, b01), (b10, b11)) = (b0.split_at_mut(lbit), b1.split_at_mut(lbit));
+                quarters_2q(basis_order(low_first, [b00, b01, b10, b11]), m);
+            }
         }
     }
 }
 
 /// Applies a dense matrix over `mixing` local qubits (matrix bit order =
-/// `mixing` order), restricted to indices where all local `controls` bits
-/// are 1.
+/// `mixing` order), restricted to indices where every bit of `cmask` —
+/// the local control positions — is 1.
 ///
 /// # Panics
 ///
-/// Panics if the matrix dimension does not match `2^mixing.len()`, or if
-/// any qubit is not local to the slice.
-pub fn apply_controlled_dense(
-    amps: &mut [Complex64],
-    controls: &[usize],
-    mixing: &[usize],
-    m: &Matrix,
-) {
-    let k = mixing.len();
-    assert_eq!(m.dim(), 1 << k, "matrix dimension mismatch");
-    if k == 1 {
-        return apply_controlled_1q(amps, controls, mixing[0], m);
-    }
+/// Panics if the matrix dimension does not match `2^mixing.len()`, if
+/// `amps.len()` is not a power of two, or if any qubit is not local to
+/// the slice.
+pub fn apply_dense(amps: &mut [Complex64], cmask: usize, mixing: &[usize], m: &Matrix) {
+    assert_eq!(m.dim(), 1 << mixing.len(), "matrix dimension mismatch");
     assert!(amps.len().is_power_of_two());
-    let local_bits = amps.len().trailing_zeros();
-    let mut positions: Vec<u32> = mixing
-        .iter()
-        .chain(controls.iter())
-        .map(|&q| q as u32)
-        .collect();
     assert!(
-        positions.iter().all(|&p| p < local_bits),
-        "qubits must be local"
+        mixing.iter().all(|&q| 1usize << q < amps.len()),
+        "every mixing target must be local"
     );
-    positions.sort_unstable();
-    let control_mask: usize = controls.iter().map(|&c| 1usize << c).sum();
-
-    let dim = 1usize << k;
-    // Offset of each matrix basis index within the amplitude array.
-    let offsets: Vec<usize> = (0..dim)
-        .map(|s| {
-            let mut off = 0usize;
-            for (bit, &q) in mixing.iter().enumerate() {
-                off |= ((s >> bit) & 1) << q;
+    assert!(cmask < amps.len(), "controls must be local");
+    match *mixing {
+        [target] => dense_1q(amps, cmask, target, &m2(m)),
+        [q0, q1] if cmask == 0 => {
+            let hbit = 1usize << q0.max(q1);
+            for block in amps.chunks_exact_mut(2 * hbit) {
+                let (h0, h1) = block.split_at_mut(hbit);
+                halves_2q(h0, h1, 1 << q0.min(q1), q0 < q1, &m4(m));
             }
-            off
-        })
-        .collect();
-
-    let count = amps.len() >> positions.len();
-    let mut gathered = vec![Complex64::ZERO; dim];
-    for c in 0..count {
-        let ibase = insert_zero_bits(c, &positions) | control_mask;
-        for (s, g) in gathered.iter_mut().enumerate() {
-            *g = amps[ibase + offsets[s]];
         }
-        for (r, &off) in offsets.iter().enumerate() {
-            let mut acc = Complex64::ZERO;
-            for (s, &g) in gathered.iter().enumerate() {
-                acc = m.get(r, s).mul_add(g, acc);
-            }
-            amps[ibase + off] = acc;
+        // Shapes no gate has (three or more mixing qubits, a controlled
+        // two-qubit matrix) keep the per-index loop.
+        _ => {
+            let controls: Vec<usize> = (0..usize::BITS as usize)
+                .filter(|c| cmask >> c & 1 == 1)
+                .collect();
+            crate::reference::apply_dense_per_index(amps, &controls, mixing, m);
         }
     }
 }
 
 /// Applies a full [`GateAction`] to a slice with the given global base.
 ///
-/// For mixing actions, every control and mixing qubit must be local to the
-/// slice (the chunked layer guarantees this by grouping chunks).
+/// For mixing actions, every mixing qubit must be local to the slice
+/// (the chunked layer guarantees this by grouping chunks); controls at
+/// or above the slice's range are read off `base`.
 ///
 /// # Panics
 ///
-/// Panics if a mixing action references a non-local qubit.
+/// Panics if a mixing action references a non-local mixing qubit.
 pub fn apply_action(amps: &mut [Complex64], base: usize, action: &GateAction) {
     match action {
         GateAction::Diagonal { qubits, dvec } => apply_diagonal(amps, base, qubits, dvec),
@@ -258,18 +422,16 @@ pub fn apply_action(amps: &mut [Complex64], base: usize, action: &GateAction) {
             mixing,
             matrix,
         } => {
-            // High controls (at or above the local range) select whole
-            // slices: if the base has the control bit 0, nothing happens.
             let local_bits = amps.len().trailing_zeros() as usize;
-            let mut local_controls = Vec::with_capacity(controls.len());
+            let mut cmask = 0usize;
             for &c in controls {
                 if c < local_bits {
-                    local_controls.push(c);
+                    cmask |= 1 << c;
                 } else if (base >> c) & 1 == 0 {
                     return; // control bit is 0 for this whole slice
                 }
             }
-            apply_controlled_dense(amps, &local_controls, mixing, matrix);
+            apply_dense(amps, cmask, mixing, matrix);
         }
     }
 }

@@ -14,7 +14,8 @@
 //! * [`ChunkExecutor`] — the shared worker pool that applies gate
 //!   kernels (and fused runs) across disjoint chunks in parallel, with
 //!   bit-exact results at every thread count.
-//! * [`kernels`] — the low-level update routines shared by both layouts.
+//! * [`kernels`] — the low-level update routines shared by both layouts
+//!   ([`reference`] keeps the per-index loops they are checked against).
 //! * [`measure`] — probabilities and sampling.
 //!
 //! # Examples
@@ -40,7 +41,6 @@ pub mod executor;
 pub mod kernels;
 pub mod measure;
 pub mod observable;
-pub mod parallel;
 pub mod reference;
 pub mod state;
 

@@ -6,7 +6,9 @@
 //! *independent check* on the optimized kernels: the two paths share no
 //! indexing code, so agreement is strong evidence both are right.
 
+use qgpu_circuit::access::GateAction;
 use qgpu_circuit::{Circuit, Matrix, Operation};
+use qgpu_math::bits::insert_zero_bits;
 use qgpu_math::Complex64;
 
 use crate::state::StateVector;
@@ -74,6 +76,93 @@ pub fn run_dense(circuit: &Circuit) -> StateVector {
         amps = next;
     }
     StateVector::from_amplitudes(amps)
+}
+
+/// The per-index gate loop that [`crate::kernels`] replaced, kept as its
+/// bit-for-bit oracle (and as its fallback for the shapes no gate has):
+/// every amplitude is located by its own index computation and rewritten
+/// with the expressions the block kernels must reproduce. Same contract
+/// as [`crate::kernels::apply_action`].
+///
+/// # Panics
+///
+/// Panics as `apply_action` does.
+pub fn apply_action_per_index(amps: &mut [Complex64], base: usize, action: &GateAction) {
+    match action {
+        GateAction::Diagonal { qubits, dvec } => {
+            for (off, amp) in amps.iter_mut().enumerate() {
+                let s = qubits
+                    .iter()
+                    .enumerate()
+                    .fold(0, |s, (bit, &q)| s | (((base + off) >> q) & 1) << bit);
+                *amp *= dvec[s];
+            }
+        }
+        GateAction::ControlledDense {
+            controls,
+            mixing,
+            matrix,
+        } => {
+            // Controls above the slice select it whole, by its base.
+            let (local, high): (Vec<usize>, Vec<usize>) =
+                controls.iter().partition(|&&c| 1usize << c < amps.len());
+            if high.iter().all(|&c| (base >> c) & 1 == 1) {
+                apply_dense_per_index(amps, &local, mixing, matrix);
+            }
+        }
+    }
+}
+
+/// The dense half of [`apply_action_per_index`], all qubits local: one
+/// gathered group per index of the compressed space. A 2×2 matrix adds
+/// two products; a larger one accumulates each row from zero in column
+/// order (so it rewrites `-0.0` as `0.0` and turns `0·∞` into NaN).
+///
+/// # Panics
+///
+/// Panics if the matrix dimension is not `2^mixing.len()`, the slice
+/// length not a power of two, or a qubit not local.
+pub fn apply_dense_per_index(
+    amps: &mut [Complex64],
+    controls: &[usize],
+    mixing: &[usize],
+    m: &Matrix,
+) {
+    assert_eq!(m.dim(), 1 << mixing.len(), "matrix dimension mismatch");
+    assert!(amps.len().is_power_of_two());
+    let mut positions: Vec<u32> = mixing.iter().chain(controls).map(|&q| q as u32).collect();
+    assert!(
+        positions.iter().all(|&p| 1usize << p < amps.len()),
+        "qubits must be local"
+    );
+    positions.sort_unstable();
+    let control_mask: usize = controls.iter().map(|&c| 1usize << c).sum();
+    let offsets: Vec<usize> = (0..m.dim())
+        .map(|s| {
+            mixing
+                .iter()
+                .enumerate()
+                .fold(0, |off, (bit, &q)| off | ((s >> bit) & 1) << q)
+        })
+        .collect();
+    let mut gathered = vec![Complex64::ZERO; m.dim()];
+    for c in 0..amps.len() >> positions.len() {
+        let ibase = insert_zero_bits(c, &positions) | control_mask;
+        for (g, &off) in gathered.iter_mut().zip(&offsets) {
+            *g = amps[ibase + off];
+        }
+        if let [a0, a1] = gathered[..] {
+            amps[ibase] = m.get(0, 0) * a0 + m.get(0, 1) * a1;
+            amps[ibase + offsets[1]] = m.get(1, 0) * a0 + m.get(1, 1) * a1;
+            continue;
+        }
+        for (r, &off) in offsets.iter().enumerate() {
+            amps[ibase + off] = gathered
+                .iter()
+                .enumerate()
+                .fold(Complex64::ZERO, |acc, (s, &g)| m.get(r, s).mul_add(g, acc));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -129,9 +129,9 @@ impl StateVector {
     /// `threads == 0`.
     pub fn run_parallel(&mut self, circuit: &Circuit, threads: usize) {
         assert!(circuit.num_qubits() <= self.num_qubits);
+        let ex = crate::executor::ChunkExecutor::new(threads);
         for op in circuit.iter() {
-            let action = GateAction::from_operation(op);
-            crate::parallel::apply_action_parallel(&mut self.amps, &action, threads);
+            ex.apply_flat(&mut self.amps, &GateAction::from_operation(op));
         }
     }
 
