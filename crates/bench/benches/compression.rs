@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use qgpu_bench::{bench_state, noise_amplitudes};
 use qgpu_circuit::generators::Benchmark;
-use qgpu_compress::{codec_for_kind, CodecKind, GfcCodec};
+use qgpu_compress::{codec_for_kind, Codec, CodecKind, GfcCodec};
 use qgpu_math::Complex64;
 
 fn bench_compression(c: &mut Criterion) {
@@ -34,6 +34,17 @@ fn bench_compression(c: &mut Criterion) {
                 let compressed = codec.compress_amplitudes(amps);
                 codec.decompress_amplitudes(&compressed)
             });
+        });
+    }
+
+    // The size walk — all the engine's Compress stage runs per chunk — on
+    // a near-incompressible state (iqp) and a compressible one (qaoa). Its
+    // ceiling is a read of the data: compare `statevec.copy_gbps`.
+    let iqp = bench_state(Benchmark::Iqp, 16);
+    for (name, amps) in [("iqp", iqp.amps()), ("qaoa", qaoa.amps())] {
+        group.bench_function(format!("encoded_len/{name}"), |b| {
+            let codec = GfcCodec::new(32);
+            b.iter(|| codec.encoded_len_amplitudes(amps));
         });
     }
 

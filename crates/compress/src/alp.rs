@@ -166,6 +166,27 @@ fn encode_block(block: &[f64], payload: &mut Vec<u8>) {
     }
 }
 
+/// Bytes [`encode_block`] writes for `block`, without the buffers: the
+/// packed width is the span of the integers that encode (exception slots
+/// pack delta 0), and each exception costs its 10-byte record.
+fn block_encoded_len(block: &[f64]) -> usize {
+    let e = best_exponent(block);
+    let (mut lo, mut hi, mut exceptions) = (i64::MAX, i64::MIN, 0usize);
+    for &v in block {
+        match encode_value(v, e) {
+            Some(d) => (lo, hi) = (lo.min(d), hi.max(d)),
+            None => exceptions += 1,
+        }
+    }
+    let span = if lo <= hi {
+        hi.wrapping_sub(lo) as u64
+    } else {
+        0
+    };
+    let width = 64 - span.leading_zeros() as usize;
+    14 + (block.len() * width).div_ceil(8) + 10 * exceptions
+}
+
 fn decode_block(payload: &[u8], out: &mut Vec<f64>) -> Result<usize, &'static str> {
     if payload.len() < 14 {
         return Err("block header truncated");
@@ -216,6 +237,10 @@ impl Codec for AlpCodec {
             encode_block(block, &mut payload);
         }
         Encoded::from_parts(CodecKind::Alp, data.len(), vec![payload])
+    }
+
+    fn encoded_len(&self, data: &[f64]) -> usize {
+        data.chunks(BLOCK).map(block_encoded_len).sum()
     }
 
     fn try_decode(&self, enc: &Encoded) -> Result<Vec<f64>, DecodeError> {

@@ -17,11 +17,13 @@
 //! so on dense amplitude chunks the cascade behaves exactly like GFC,
 //! while pruned / collapsed chunks collapse to a 12-byte run record.
 
+use std::borrow::Cow;
+
 use qgpu_math::Complex64;
-use qgpu_obs::{span_opt, Recorder, Stage, Track};
+use qgpu_obs::Recorder;
 
 use crate::alp::AlpCodec;
-use crate::codec::{try_decode_any, Codec, CodecKind, DecodeError, Encoded};
+use crate::codec::{amps_as_f64, try_decode_any, Codec, CodecKind, DecodeError, Encoded};
 use crate::gfc::GfcCodec;
 use crate::zero_run::ZeroRunCodec;
 
@@ -63,7 +65,8 @@ impl CascadeCodec {
         }
     }
 
-    /// Scores every candidate on the sample and returns the winner.
+    /// Scores every candidate on the sample — by its exact encoded size,
+    /// no buffer built — and returns the winner.
     pub fn pick(&self, data: &[f64]) -> CodecKind {
         if data.is_empty() {
             return CodecKind::Gfc;
@@ -73,10 +76,8 @@ impl CascadeCodec {
         let mut winner = (CodecKind::Gfc, f64::MIN);
         for kind in [CodecKind::Gfc, CodecKind::ZeroRun, CodecKind::Alp] {
             let encoded_bytes = match kind {
-                CodecKind::Gfc => self.probe_gfc.encode(&sample).total_bytes(),
-                CodecKind::ZeroRun => self.zero_run.encode(&sample).total_bytes(),
-                CodecKind::Alp => self.alp.encode(&sample).total_bytes(),
-                CodecKind::Cascade => unreachable!(),
+                CodecKind::Gfc => self.probe_gfc.encoded_len(&sample),
+                _ => self.member(kind).encoded_len(&sample),
             };
             let ratio = raw / encoded_bytes.max(1) as f64;
             if ratio < MIN_RATIO && kind != CodecKind::Gfc {
@@ -90,28 +91,47 @@ impl CascadeCodec {
         winner.0
     }
 
-    fn encode_with(&self, kind: CodecKind, data: &[f64]) -> Encoded {
+    /// The candidate that encodes a full chunk as `kind`.
+    fn member(&self, kind: CodecKind) -> &dyn Codec {
         match kind {
-            CodecKind::Gfc => self.gfc.encode(data),
-            CodecKind::ZeroRun => self.zero_run.encode(data),
-            CodecKind::Alp => self.alp.encode(data),
+            CodecKind::Gfc => &self.gfc,
+            CodecKind::ZeroRun => &self.zero_run,
+            CodecKind::Alp => &self.alp,
             CodecKind::Cascade => unreachable!("cascade never delegates to itself"),
         }
     }
 }
 
 /// Up to `SAMPLE_RUNS` contiguous runs of `SAMPLE_RUN` values, spread
-/// evenly; short inputs are sampled whole.
-fn sample_of(data: &[f64]) -> Vec<f64> {
+/// evenly; short inputs are sampled whole (and in place).
+fn sample_of(data: &[f64]) -> Cow<'_, [f64]> {
     if data.len() <= SAMPLE_RUN * SAMPLE_RUNS {
-        return data.to_vec();
+        return Cow::Borrowed(data);
     }
     let mut sample = Vec::with_capacity(SAMPLE_RUN * SAMPLE_RUNS);
     for r in 0..SAMPLE_RUNS {
         let start = r * (data.len() - SAMPLE_RUN) / (SAMPLE_RUNS - 1);
         sample.extend_from_slice(&data[start..start + SAMPLE_RUN]);
     }
-    sample
+    Cow::Owned(sample)
+}
+
+/// Publishes one cascade pick to the metrics registry: the total
+/// `codec.cascade.picks` counter plus a per-winner counter. Counter
+/// names must be `&'static str`, hence the match.
+fn record_cascade_pick(rec: &Recorder, winner: CodecKind) {
+    rec.add("codec.cascade.picks", 1);
+    rec.add(
+        match winner {
+            CodecKind::Gfc => "codec.cascade.pick.gfc",
+            CodecKind::ZeroRun => "codec.cascade.pick.zero-run",
+            CodecKind::Alp => "codec.cascade.pick.alp",
+            // Buffers carry the winning inner codec; a cascade tag would
+            // be a bug, but a metrics helper is no place to panic.
+            CodecKind::Cascade => "codec.cascade.pick.cascade",
+        },
+        1,
+    );
 }
 
 impl Codec for CascadeCodec {
@@ -120,36 +140,27 @@ impl Codec for CascadeCodec {
     }
 
     fn encode(&self, data: &[f64]) -> Encoded {
-        self.encode_with(self.pick(data), data)
+        self.member(self.pick(data)).encode(data)
+    }
+
+    fn encoded_len(&self, data: &[f64]) -> usize {
+        self.member(self.pick(data)).encoded_len(data)
     }
 
     fn try_decode(&self, enc: &Encoded) -> Result<Vec<f64>, DecodeError> {
         try_decode_any(enc)
     }
 
-    /// Observed encode that additionally publishes the per-chunk pick:
-    /// bumps `codec.cascade.picks` plus a per-winner counter and drops a
-    /// `codec.pick` flight-recorder event, so post-mortems can see which
-    /// encodings a run actually used.
-    fn encode_amplitudes_observed(&self, amps: &[Complex64], rec: Option<&Recorder>) -> Encoded {
-        let _g = span_opt(rec, Track::Main, Stage::Compress, "cascade.compress");
-        let encoded = self.encode_amplitudes(amps);
+    /// Publishes the per-chunk pick on the way: bumps
+    /// `codec.cascade.picks` plus a per-winner counter, so a run's metrics
+    /// show which encodings it actually used.
+    fn encoded_len_amplitudes_observed(&self, amps: &[Complex64], rec: Option<&Recorder>) -> usize {
+        let data = amps_as_f64(amps);
+        let pick = self.pick(data);
         if let Some(r) = rec {
-            let raw = std::mem::size_of_val(amps) as u64;
-            let out = encoded.total_bytes().max(1) as u64;
-            r.observe("compress.ratio.x100", raw * 100 / out);
-            let pick = encoded.codec();
-            crate::codec::record_cascade_pick(r, pick);
-            r.flight("codec.pick", || {
-                format!(
-                    "cascade picked {} for {} amplitudes ({} B)",
-                    pick,
-                    amps.len(),
-                    encoded.total_bytes()
-                )
-            });
+            record_cascade_pick(r, pick);
         }
-        encoded
+        self.member(pick).encoded_len(data)
     }
 }
 

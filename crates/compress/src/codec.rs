@@ -279,8 +279,9 @@ pub trait Codec: fmt::Debug + Send + Sync {
     fn encode(&self, data: &[f64]) -> Encoded;
 
     /// `self.encode(data).total_bytes()`, for callers that only size a
-    /// transfer. Codecs override it to walk the data without building
-    /// the buffer; the result must be equal to the byte.
+    /// transfer. Every codec overrides it to walk the data without
+    /// building the buffer; the result must equal the encoded size to the
+    /// byte.
     fn encoded_len(&self, data: &[f64]) -> usize {
         self.encode(data).total_bytes()
     }
@@ -314,25 +315,16 @@ pub trait Codec: fmt::Debug + Send + Sync {
         self.encoded_len(amps_as_f64(amps))
     }
 
-    /// [`Codec::encode_amplitudes`] under observation: records a
-    /// [`Stage::Compress`] span and the per-chunk compression ratio
-    /// (×100, into the `compress.ratio.x100` histogram). With
-    /// `rec == None` this is exactly `encode_amplitudes` — no clock
-    /// reads.
-    fn encode_amplitudes_observed(&self, amps: &[Complex64], rec: Option<&Recorder>) -> Encoded {
-        let _g = span_opt(
-            rec,
-            Track::Main,
-            Stage::Compress,
-            self.kind().compress_span(),
-        );
-        let encoded = self.encode_amplitudes(amps);
-        if let Some(r) = rec {
-            let raw = std::mem::size_of_val(amps) as u64;
-            let out = encoded.total_bytes().max(1) as u64;
-            r.observe("compress.ratio.x100", raw * 100 / out);
-        }
-        encoded
+    /// [`Codec::encoded_len_amplitudes`] under observation — the engine's
+    /// sizing pass. A codec that makes a per-chunk decision publishes it
+    /// here (the cascade counts its picks); the Compress span and the
+    /// ratio histogram are the caller's, opened once per gate.
+    fn encoded_len_amplitudes_observed(
+        &self,
+        amps: &[Complex64],
+        _rec: Option<&Recorder>,
+    ) -> usize {
+        self.encoded_len_amplitudes(amps)
     }
 
     /// Decodes into complex amplitudes, reporting corruption.
@@ -465,24 +457,6 @@ pub fn try_decode_any(enc: &Encoded) -> Result<Vec<f64>, DecodeError> {
             message: "cascade buffers must carry the winning inner codec",
         }),
     }
-}
-
-/// Publishes one cascade pick to the metrics registry: the total
-/// `codec.cascade.picks` counter plus a per-winner counter. Counter
-/// names must be `&'static str`, hence the match.
-pub fn record_cascade_pick(rec: &Recorder, winner: CodecKind) {
-    rec.add("codec.cascade.picks", 1);
-    rec.add(
-        match winner {
-            CodecKind::Gfc => "codec.cascade.pick.gfc",
-            CodecKind::ZeroRun => "codec.cascade.pick.zero-run",
-            CodecKind::Alp => "codec.cascade.pick.alp",
-            // Buffers carry the winning inner codec; a cascade tag would
-            // be a bug, but a metrics helper is no place to panic.
-            CodecKind::Cascade => "codec.cascade.pick.cascade",
-        },
-        1,
-    );
 }
 
 #[cfg(test)]

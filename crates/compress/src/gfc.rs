@@ -6,17 +6,15 @@
 //! sign/length prefix plus its non-zero low-order bytes.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use qgpu_math::Complex64;
-use qgpu_obs::{span_opt, Recorder, Stage, Track};
 use serde::{Deserialize, Serialize};
 
-use crate::codec::{amps_as_f64, Codec, CodecKind, DecodeError, Encoded};
+use crate::codec::{
+    amplitude_crc32, amps_as_f64, value_crc32, Codec, CodecKind, DecodeError, Encoded,
+};
 use crate::stats::CompressionStats;
-
-// The CRC seals predate the codec layer and historically lived here;
-// re-exported so `gfc::value_crc32` callers keep working.
-pub use crate::codec::{amplitude_crc32, value_crc32};
 
 /// Error returned when a compressed buffer cannot be decoded.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,25 +148,6 @@ impl GfcCodec {
         self.compress(amps_as_f64(amps))
     }
 
-    /// [`GfcCodec::compress_amplitudes`] under observation: records a
-    /// [`Stage::Compress`] span and the per-chunk compression ratio (×100,
-    /// into the `compress.ratio.x100` histogram). With `rec == None` this
-    /// is exactly `compress_amplitudes` — no clock reads.
-    pub fn compress_amplitudes_observed(
-        &self,
-        amps: &[Complex64],
-        rec: Option<&Recorder>,
-    ) -> Compressed {
-        let _g = span_opt(rec, Track::Main, Stage::Compress, "gfc.compress");
-        let compressed = self.compress_amplitudes(amps);
-        if let Some(r) = rec {
-            let raw = std::mem::size_of_val(amps) as u64;
-            let out = compressed.total_bytes().max(1) as u64;
-            r.observe("compress.ratio.x100", raw * 100 / out);
-        }
-        compressed
-    }
-
     /// Decompresses back into doubles.
     ///
     /// # Panics
@@ -212,22 +191,6 @@ impl GfcCodec {
     pub fn decompress_amplitudes(&self, c: &Compressed) -> Vec<Complex64> {
         self.try_decompress_amplitudes(c)
             .expect("corrupt compressed buffer")
-    }
-
-    /// [`GfcCodec::decompress_amplitudes`] under observation: records a
-    /// [`Stage::Decompress`] span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is corrupt, like
-    /// [`GfcCodec::decompress_amplitudes`].
-    pub fn decompress_amplitudes_observed(
-        &self,
-        c: &Compressed,
-        rec: Option<&Recorder>,
-    ) -> Vec<Complex64> {
-        let _g = span_opt(rec, Track::Main, Stage::Decompress, "gfc.decompress");
-        self.decompress_amplitudes(c)
     }
 
     /// Decompresses and verifies the decoded content against the CRC32
@@ -324,12 +287,15 @@ impl Codec for GfcCodec {
     }
 
     fn encoded_len(&self, data: &[f64]) -> usize {
-        let seg_len = segment_len(data.len(), self.num_segments);
-        if seg_len == 0 {
-            segment_encoded_len(data)
-        } else {
-            data.chunks(seg_len).map(segment_encoded_len).sum()
+        let walk = size_walk();
+        // One segment (every chunk under 512 doubles in the engine) is the
+        // whole slice: no segment length to divide out.
+        if self.num_segments == 1 || data.is_empty() {
+            return walk(data);
         }
+        data.chunks(segment_len(data.len(), self.num_segments))
+            .map(walk)
+            .sum()
     }
 
     fn try_decode(&self, enc: &Encoded) -> Result<Vec<f64>, DecodeError> {
@@ -365,10 +331,19 @@ fn segment_len(total: usize, num_segments: usize) -> usize {
     raw.div_ceil(MICRO_CHUNK) * MICRO_CHUNK
 }
 
+/// Whole leading zero bytes of a residual magnitude that the format
+/// drops: 0..=7, so a value always keeps at least one payload byte.
+/// `| 1` gives that range without a clamp — it leaves the highest set bit
+/// of a non-zero magnitude where it is and turns 0 (64 zero bits, which
+/// would read as 8 bytes) into 1 (63 bits, 7 bytes), exactly
+/// `(leading_zeros / 8).min(7)` — and `leading_zeros` never sees 0.
+#[inline(always)]
+fn leading_zero_bytes(magnitude: u64) -> u32 {
+    (magnitude | 1).leading_zeros() / 8
+}
+
 /// Value `i`'s residual against the same lane of the previous
-/// micro-chunk, as `(sign, magnitude, leading-zero bytes)`. The byte
-/// count is clamped to 7 so at least one payload byte is always written
-/// for the value.
+/// micro-chunk, as `(sign, magnitude, leading-zero bytes)`.
 #[inline]
 fn residual(values: &[f64], i: usize) -> (u8, u64, u8) {
     // Lane j of micro-chunk k predicts from lane j of micro-chunk k-1.
@@ -379,16 +354,70 @@ fn residual(values: &[f64], i: usize) -> (u8, u64, u8) {
     };
     let residual = values[i].to_bits().wrapping_sub(prev) as i64;
     let magnitude = residual.unsigned_abs();
-    let lzb = (magnitude.leading_zeros() / 8).min(7) as u8;
-    (u8::from(residual < 0), magnitude, lzb)
+    (
+        u8::from(residual < 0),
+        magnitude,
+        leading_zero_bytes(magnitude) as u8,
+    )
 }
 
-/// `compress_segment(values).len()` without the buffers.
-fn segment_encoded_len(values: &[f64]) -> usize {
-    let payload: usize = (0..values.len())
-        .map(|i| 8 - residual(values, i).2 as usize)
+/// `compress_segment(values).len()` without the buffers — the one body of
+/// the size walk, instantiated below once per instruction set. The first
+/// micro-chunk predicts from zero and is summed on its own; every later
+/// value is zipped against the one a micro-chunk before it, so the loop
+/// has no branch and no bounds check: the compiler interleaves its sum
+/// over independent accumulators, and vectorizes it where the target
+/// counts leading zeros per lane.
+#[inline(always)]
+fn segment_encoded_len_body(values: &[f64]) -> usize {
+    let dropped = |cur: &f64, prev: u64| {
+        let residual = cur.to_bits().wrapping_sub(prev) as i64;
+        leading_zero_bytes(residual.unsigned_abs()) as usize
+    };
+    let n = values.len();
+    let (head, rest) = values.split_at(n.min(MICRO_CHUNK));
+    let head_dropped: usize = head.iter().map(|v| dropped(v, 0)).sum();
+    let rest_dropped: usize = rest
+        .iter()
+        .zip(&values[..rest.len()])
+        .map(|(v, prev)| dropped(v, prev.to_bits()))
         .sum();
-    8 + values.len().div_ceil(2) + payload
+    8 + n.div_ceil(2) + 8 * n - head_dropped - rest_dropped
+}
+
+/// A size walk: [`segment_encoded_len_body`] compiled for one target.
+type SizeWalk = fn(&[f64]) -> usize;
+
+fn segment_encoded_len_portable(values: &[f64]) -> usize {
+    segment_encoded_len_body(values)
+}
+
+/// The body again with AVX-512 lanes: `vplzcntq` counts eight residuals'
+/// leading zeros at once (optimized builds only).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512cd,avx512vl,lzcnt")]
+fn segment_encoded_len_wide(values: &[f64]) -> usize {
+    segment_encoded_len_body(values)
+}
+
+/// The wide instantiation, where this CPU can run it.
+fn wide_size_walk() -> Option<SizeWalk> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx512f") && has!("avx512cd") && has!("avx512vl") && has!("lzcnt") {
+            // SAFETY: every feature `segment_encoded_len_wide` enables
+            // was just detected on the running CPU.
+            return Some(|values| unsafe { segment_encoded_len_wide(values) });
+        }
+    }
+    None
+}
+
+/// The widest size walk available, resolved once per process.
+fn size_walk() -> SizeWalk {
+    static WALK: OnceLock<SizeWalk> = OnceLock::new();
+    *WALK.get_or_init(|| wide_size_walk().unwrap_or(segment_encoded_len_portable))
 }
 
 fn compress_segment(values: &[f64]) -> Vec<u8> {
@@ -635,6 +664,59 @@ mod tests {
         c.segments[0] = vec![0, 0, 0, 0, 0, 0, 0, 0];
         let err = codec.try_decompress(&c).expect_err("count mismatch");
         assert!(err.message.contains("count"));
+    }
+
+    /// `len` doubles on the size walk's byte-count boundaries: residuals
+    /// cycle through 0, ±2^(8k), ±(2^(8k)−1), `i64::MIN` and `i64::MAX`;
+    /// every eleventh value is −0.0 or a NaN with a payload outright.
+    fn boundary_values(len: usize, rot: usize) -> Vec<f64> {
+        let mut residuals = vec![0, i64::MIN, i64::MAX];
+        for k in 0..8 {
+            let p = 1i64 << (8 * k);
+            residuals.extend([p, -p, p - 1, 1 - p]);
+        }
+        let outright = [1u64 << 63, 0x7ff8_0000_dead_beef, 0xfff0_0000_0000_0001];
+        let mut bits: Vec<u64> = Vec::with_capacity(len);
+        for i in 0..len {
+            let prev = if i >= MICRO_CHUNK {
+                bits[i - MICRO_CHUNK]
+            } else {
+                0
+            };
+            bits.push(if (i + rot).is_multiple_of(11) {
+                outright[i % outright.len()]
+            } else {
+                prev.wrapping_add(residuals[(i + rot) % residuals.len()] as u64)
+            });
+        }
+        bits.into_iter().map(f64::from_bits).collect()
+    }
+
+    #[test]
+    fn every_size_walk_matches_the_encoder_to_the_byte() {
+        // Both instantiations are one body, so they can only diverge if
+        // the compiler (or an edit that forks the body) breaks one: run
+        // every one this host has against the encoder itself. Lengths
+        // 0..=97 (head only, ragged tails, tails not a multiple of the
+        // vector width) and within 3 of every micro-chunk multiple.
+        let walks: Vec<SizeWalk> = [
+            Some(segment_encoded_len_portable as SizeWalk),
+            wide_size_walk(),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let lens = (0..=97).chain((4..=24).flat_map(|k| k * MICRO_CHUNK - 3..=k * MICRO_CHUNK + 3));
+        let mut rng = StdRng::seed_from_u64(18);
+        for len in lens {
+            let noise: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            for data in [boundary_values(len, len % 35), noise] {
+                let want = compress_segment(&data).len();
+                for walk in &walks {
+                    assert_eq!(walk(&data), want, "len {len}");
+                }
+            }
+        }
     }
 
     proptest! {

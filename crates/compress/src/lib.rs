@@ -55,8 +55,8 @@ pub mod zero_run;
 pub use alp::AlpCodec;
 pub use cascade::CascadeCodec;
 pub use codec::{
-    amplitude_crc32, codec_for_kind, record_cascade_pick, try_decode_any, value_crc32, Codec,
-    CodecKind, DecodeError, Encoded,
+    amplitude_crc32, codec_for_kind, try_decode_any, value_crc32, Codec, CodecKind, DecodeError,
+    Encoded,
 };
 pub use gfc::{Compressed, GfcCodec};
 pub use stats::CompressionStats;

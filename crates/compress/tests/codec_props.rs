@@ -42,6 +42,30 @@ fn assert_caught_or_exact(
     }
 }
 
+/// `len` doubles on the byte-count boundaries of GFC's size walk: each
+/// value's residual (against zero in the first micro-chunk, then against
+/// the value 32 back) cycles through 0, ±2^(8k), ±(2^(8k)−1), `i64::MIN`
+/// and `i64::MAX`, and every eleventh value is −0.0 or a NaN with a
+/// payload outright.
+fn boundary_values(len: usize, rot: usize) -> Vec<f64> {
+    let mut residuals = vec![0, i64::MIN, i64::MAX];
+    for k in 0..8 {
+        let p = 1i64 << (8 * k);
+        residuals.extend([p, -p, p - 1, 1 - p]);
+    }
+    let outright = [1u64 << 63, 0x7ff8_0000_dead_beef, 0xfff0_0000_0000_0001];
+    let mut bits: Vec<u64> = Vec::with_capacity(len);
+    for i in 0..len {
+        let prev = if i >= 32 { bits[i - 32] } else { 0 };
+        bits.push(if (i + rot).is_multiple_of(11) {
+            outright[i % outright.len()]
+        } else {
+            prev.wrapping_add(residuals[(i + rot) % residuals.len()] as u64)
+        });
+    }
+    bits.into_iter().map(f64::from_bits).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -157,13 +181,19 @@ proptest! {
         smooth in proptest::collection::vec(-1.0f64..1.0, 0..300),
         run in 1usize..80,
         segs in 1usize..12,
+        (short, micro_chunks, off, rot) in (0usize..=97, 1usize..24, 0usize..7, 0usize..35),
     ) {
         // Arbitrary bit patterns, amplitude-like values, and the same
         // values repeated in runs (the zero-run / pruned-chunk shape).
         let runs: Vec<f64> = smooth.iter().flat_map(|&v| std::iter::repeat_n(v, run)).collect();
+        // Boundary residuals at a short length (head only, ragged tails)
+        // and within 3 of a multiple of 32 — segment lengths are such
+        // multiples, so this also straddles every segment boundary.
+        let head = boundary_values(short, rot);
+        let ragged = boundary_values(32 * micro_chunks + off - 3, rot);
         for kind in CodecKind::ALL {
             let codec = codec_for_kind(kind, segs);
-            for data in [&noisy, &smooth, &runs] {
+            for data in [&noisy, &smooth, &runs, &head, &ragged] {
                 prop_assert_eq!(
                     codec.encoded_len(data),
                     codec.encode(data).total_bytes(),

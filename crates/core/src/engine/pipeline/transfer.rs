@@ -7,7 +7,7 @@
 //! copies through [`copy_with_dma`], so the §V-E host-DMA bottleneck is
 //! modeled once.
 
-use qgpu_compress::{Codec, CodecKind};
+use qgpu_compress::Codec;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
 use qgpu_faults::{FaultSite, SimError};
 use qgpu_math::Complex64;
@@ -139,18 +139,12 @@ pub(crate) fn compressed_size(
     raw_bytes: usize,
     rec: Option<&Recorder>,
 ) -> usize {
-    // The sizing pass is where the cascade actually runs in the engine:
-    // an observed run builds the buffer to publish which inner codec won
-    // this chunk. Everything else only needs the length.
-    let len = match rec {
-        Some(r) if codec.kind() == CodecKind::Cascade => {
-            let enc = codec.encode_amplitudes(amps);
-            qgpu_compress::record_cascade_pick(r, enc.codec());
-            enc.total_bytes()
-        }
-        _ => codec.encoded_len_amplitudes(amps),
-    };
-    len.min(raw_bytes)
+    // Size only: no codec builds a buffer here, traced or not. The sizing
+    // pass is where the cascade runs in the engine, so its observed entry
+    // point is what publishes which inner codec won this chunk.
+    codec
+        .encoded_len_amplitudes_observed(amps, rec)
+        .min(raw_bytes)
 }
 
 /// A chunk's compression ratio ×100, as the `compress.ratio.x100`
