@@ -17,7 +17,7 @@ use std::str::FromStr;
 
 use qgpu_faults::Crc32;
 use qgpu_math::Complex64;
-use qgpu_obs::{span_opt, Recorder, Stage, Track};
+use qgpu_obs::Recorder;
 use serde::{Deserialize, Serialize};
 
 use crate::alp::AlpCodec;
@@ -131,16 +131,6 @@ impl CodecKind {
             CodecKind::ZeroRun => "zero-run.compress",
             CodecKind::Alp => "alp.compress",
             CodecKind::Cascade => "cascade.compress",
-        }
-    }
-
-    /// Recorder span label for this codec's decode pass.
-    pub fn decompress_span(self) -> &'static str {
-        match self {
-            CodecKind::Gfc => "gfc.decompress",
-            CodecKind::ZeroRun => "zero-run.decompress",
-            CodecKind::Alp => "alp.decompress",
-            CodecKind::Cascade => "cascade.decompress",
         }
     }
 }
@@ -357,22 +347,6 @@ pub trait Codec: fmt::Debug + Send + Sync {
     fn decode_amplitudes(&self, enc: &Encoded) -> Vec<Complex64> {
         self.try_decode_amplitudes(enc)
             .expect("corrupt encoded buffer")
-    }
-
-    /// [`Codec::decode_amplitudes`] under observation: records a
-    /// [`Stage::Decompress`] span.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the buffer is corrupt, like [`Codec::decode_amplitudes`].
-    fn decode_amplitudes_observed(&self, enc: &Encoded, rec: Option<&Recorder>) -> Vec<Complex64> {
-        let _g = span_opt(
-            rec,
-            Track::Main,
-            Stage::Decompress,
-            self.kind().decompress_span(),
-        );
-        self.decode_amplitudes(enc)
     }
 
     /// Decodes and verifies the content against the CRC32 computed at

@@ -30,13 +30,11 @@
 //! for the pruned regions, GFC for the dense ones — and the per-block
 //! codec id is what makes the file self-describing.
 //!
-//! Version 2 (whole-state GFC, per-segment CRCs, trailing file checksum)
-//! and version 1 (no CRCs, no `gates_done`) are still read — old
-//! checkpoints restore bit-exactly, v1 with `gates_done = 0`. The
-//! per-segment CRCs localize damage (the error names the segment); the
-//! trailing file checksum catches corruption in the header and framing
-//! bytes the segment CRCs do not cover. Both are verified before any
-//! decoded amplitude is trusted.
+//! Versions 1 and 2 (whole-state GFC; nothing writes them) are rejected
+//! as unsupported. The per-segment CRCs localize damage; the trailing
+//! file checksum catches corruption in the header and framing bytes the
+//! segment CRCs do not cover. Both are verified before any decoded
+//! amplitude is trusted.
 //!
 //! # Examples
 //!
@@ -56,15 +54,13 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use qgpu_compress::{codec_for_kind, try_decode_any, CodecKind, Encoded, GfcCodec};
+use qgpu_compress::{codec_for_kind, try_decode_any, CodecKind, Encoded};
 use qgpu_faults::Crc32;
 use qgpu_math::Complex64;
 use qgpu_statevec::StateVector;
 
 const MAGIC: &[u8; 8] = b"QGPUSTAT";
-const VERSION_V1: u32 = 1;
-const VERSION_V2: u32 = 2;
-const VERSION_V3: u32 = 3;
+const VERSION: u32 = 3;
 
 /// Errors produced by checkpoint I/O.
 #[derive(Debug)]
@@ -73,9 +69,7 @@ pub enum CheckpointError {
     Io(io::Error),
     /// The file is not a checkpoint or is structurally damaged.
     Corrupt(&'static str),
-    /// The GFC payload of a v1/v2 checkpoint failed to decode.
-    Decode(qgpu_compress::gfc::DecodeGfcError),
-    /// A v3 block payload failed to decode under its declared codec.
+    /// A block payload failed to decode under its declared codec.
     Codec(qgpu_compress::DecodeError),
 }
 
@@ -84,7 +78,6 @@ impl fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o error: {e}"),
             CheckpointError::Corrupt(m) => write!(f, "corrupt checkpoint: {m}"),
-            CheckpointError::Decode(e) => write!(f, "corrupt checkpoint payload: {e}"),
             CheckpointError::Codec(e) => write!(f, "corrupt checkpoint payload: {e}"),
         }
     }
@@ -94,7 +87,6 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Io(e) => Some(e),
-            CheckpointError::Decode(e) => Some(e),
             CheckpointError::Codec(e) => Some(e),
             CheckpointError::Corrupt(_) => None,
         }
@@ -108,8 +100,8 @@ impl From<io::Error> for CheckpointError {
 }
 
 /// A restored checkpoint: the state plus how far into the program it
-/// was taken (`gates_done` program ops already applied; 0 for a v1 file
-/// or an initial-state snapshot).
+/// was taken (`gates_done` program ops already applied; 0 for an
+/// initial-state snapshot).
 #[derive(Debug)]
 pub struct Checkpoint {
     /// The restored state vector.
@@ -119,7 +111,7 @@ pub struct Checkpoint {
 }
 
 /// Forwards writes while accumulating a CRC32 of everything written —
-/// how the v2 writer produces the trailing file checksum in one pass.
+/// how the writer produces the trailing file checksum in one pass.
 struct CrcWriter<'a, W: Write> {
     inner: &'a mut W,
     crc: Crc32,
@@ -229,7 +221,7 @@ pub fn write_checkpoint<W: Write>(
         crc: Crc32::new(),
     };
     cw.write_all(MAGIC)?;
-    cw.write_all(&VERSION_V3.to_le_bytes())?;
+    cw.write_all(&VERSION.to_le_bytes())?;
     cw.write_all(&(state.num_qubits() as u32).to_le_bytes())?;
     cw.write_all(&gates_done.to_le_bytes())?;
     cw.write_all(&(blocks.len() as u32).to_le_bytes())?;
@@ -250,7 +242,7 @@ pub fn write_checkpoint<W: Write>(
     Ok(())
 }
 
-/// Loads a state vector from `path` (either format version).
+/// Loads a state vector from `path`.
 ///
 /// # Errors
 ///
@@ -278,7 +270,7 @@ pub fn read_from<R: Read>(r: &mut R) -> Result<StateVector, CheckpointError> {
     Ok(read_checkpoint(r)?.state)
 }
 
-/// Accumulates a CRC32 of every byte read — the v2 reader's running
+/// Accumulates a CRC32 of every byte read — the reader's running
 /// checksum, compared against the file trailer after the last segment.
 struct CrcReader<'a, R: Read> {
     inner: &'a mut R,
@@ -305,7 +297,7 @@ impl<R: Read> CrcReader<'_, R> {
     }
 }
 
-/// Reads a checkpoint (v1, v2, or v3) from any reader.
+/// Reads a (v3) checkpoint from any reader.
 ///
 /// # Errors
 ///
@@ -321,30 +313,20 @@ pub fn read_checkpoint<R: Read>(r: &mut R) -> Result<Checkpoint, CheckpointError
         return Err(CheckpointError::Corrupt("bad magic"));
     }
     let version = cr.read_u32()?;
-    if !(VERSION_V1..=VERSION_V3).contains(&version) {
+    if version != VERSION {
         return Err(CheckpointError::Corrupt("unsupported version"));
     }
     let num_qubits = cr.read_u32()? as usize;
     if num_qubits == 0 || num_qubits >= 48 {
         return Err(CheckpointError::Corrupt("implausible qubit count"));
     }
-    let gates_done = if version >= VERSION_V2 {
-        cr.read_u64()?
-    } else {
-        0
-    };
-    let amps = if version >= VERSION_V3 {
-        read_v3_blocks(&mut cr, num_qubits)?
-    } else {
-        read_legacy_segments(&mut cr, num_qubits, version)?
-    };
-    if version >= VERSION_V2 {
-        let computed = cr.crc.finish();
-        let mut trailer = [0u8; 4];
-        cr.inner.read_exact(&mut trailer)?;
-        if u32::from_le_bytes(trailer) != computed {
-            return Err(CheckpointError::Corrupt("file checksum mismatch"));
-        }
+    let gates_done = cr.read_u64()?;
+    let amps = read_blocks(&mut cr, num_qubits)?;
+    let computed = cr.crc.finish();
+    let mut trailer = [0u8; 4];
+    cr.inner.read_exact(&mut trailer)?;
+    if u32::from_le_bytes(trailer) != computed {
+        return Err(CheckpointError::Corrupt("file checksum mismatch"));
     }
     if amps.len() != 1usize << num_qubits {
         return Err(CheckpointError::Corrupt("amplitude count mismatch"));
@@ -355,9 +337,9 @@ pub fn read_checkpoint<R: Read>(r: &mut R) -> Result<Checkpoint, CheckpointError
     })
 }
 
-/// Reads the v3 block list: each block names its own codec and decodes
+/// Reads the block list: each block names its own codec and decodes
 /// independently through the codec-agnostic dispatcher.
-fn read_v3_blocks<R: Read>(
+fn read_blocks<R: Read>(
     cr: &mut CrcReader<'_, R>,
     num_qubits: usize,
 ) -> Result<Vec<Complex64>, CheckpointError> {
@@ -406,54 +388,10 @@ fn read_v3_blocks<R: Read>(
     Ok(amps)
 }
 
-/// Reads the v1/v2 whole-state GFC segment list.
-fn read_legacy_segments<R: Read>(
-    cr: &mut CrcReader<'_, R>,
-    num_qubits: usize,
-    version: u32,
-) -> Result<Vec<Complex64>, CheckpointError> {
-    let segment_count = cr.read_u32()? as usize;
-    if segment_count == 0 || segment_count > 1 << 20 {
-        return Err(CheckpointError::Corrupt("implausible segment count"));
-    }
-    let mut segments = Vec::with_capacity(segment_count);
-    for _ in 0..segment_count {
-        let len = cr.read_u64()? as usize;
-        if len > (1usize << num_qubits) * 20 + 64 {
-            return Err(CheckpointError::Corrupt("implausible segment length"));
-        }
-        let seg_crc = if version >= VERSION_V2 {
-            Some(cr.read_u32()?)
-        } else {
-            None
-        };
-        let mut seg = vec![0u8; len];
-        cr.read_exact(&mut seg)?;
-        if let Some(expected) = seg_crc {
-            if qgpu_faults::crc32(&seg) != expected {
-                return Err(CheckpointError::Corrupt("segment CRC mismatch"));
-            }
-        }
-        segments.push(seg);
-    }
-    let compressed = qgpu_compress::Compressed::from_parts(1usize << (num_qubits + 1), segments);
-    let codec = codec_for(num_qubits);
-    codec
-        .try_decompress_amplitudes(&compressed)
-        .map_err(CheckpointError::Decode)
-}
-
-/// Block/segment count scaled to the state (≥ 8 micro-chunks per
-/// segment) — shared by the v3 block split and the legacy v1/v2 GFC
-/// segmenting.
+/// Block count scaled to the state (≥ 8 micro-chunks per block).
 fn block_count_for(num_qubits: usize) -> usize {
     let doubles = 2usize << num_qubits;
     (doubles / 256).clamp(1, 64)
-}
-
-/// The legacy whole-state GFC codec for v1/v2 reads.
-fn codec_for(num_qubits: usize) -> GfcCodec {
-    GfcCodec::new(block_count_for(num_qubits))
 }
 
 #[cfg(test)]
@@ -514,6 +452,23 @@ mod tests {
     }
 
     #[test]
+    fn rejects_retired_versions() {
+        // v1/v2 files (whole-state GFC) are refused at the version word,
+        // before any of their layout is interpreted.
+        let state = benchmark_state(Benchmark::Bv, 8);
+        let mut buf = Vec::new();
+        write_to(&state, &mut buf).expect("write");
+        for version in [0u32, 1, 2, 4] {
+            buf[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = read_from(&mut buf.as_slice()).expect_err("retired version");
+            assert!(
+                matches!(err, CheckpointError::Corrupt("unsupported version")),
+                "version {version}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn rejects_truncated_payload() {
         let state = benchmark_state(Benchmark::Bv, 8);
         let mut buf = Vec::new();
@@ -529,91 +484,9 @@ mod tests {
         write_to(&state, &mut buf).expect("write");
         let mid = buf.len() / 2;
         buf[mid] ^= 0xff;
-        // v2 CRCs make this unconditional: any payload bit flip is
+        // The CRCs make this unconditional: any payload bit flip is
         // caught, never a silently different state.
         assert!(read_from(&mut buf.as_slice()).is_err());
-    }
-
-    /// Writes the legacy v1 layout (no gates_done, no CRCs) byte by
-    /// byte — the compatibility fixture for the v1 read path.
-    fn write_v1(state: &StateVector, w: &mut Vec<u8>) {
-        let codec = codec_for(state.num_qubits());
-        let compressed = codec.compress_amplitudes(state.amps());
-        w.extend_from_slice(MAGIC);
-        w.extend_from_slice(&VERSION_V1.to_le_bytes());
-        w.extend_from_slice(&(state.num_qubits() as u32).to_le_bytes());
-        w.extend_from_slice(&(compressed.num_segments() as u32).to_le_bytes());
-        for i in 0..compressed.num_segments() {
-            let seg = compressed.segment(i);
-            w.extend_from_slice(&(seg.len() as u64).to_le_bytes());
-            w.extend_from_slice(seg);
-        }
-    }
-
-    /// Writes the legacy v2 layout (whole-state GFC, per-segment CRCs,
-    /// trailing file checksum) — the compatibility fixture for the v2
-    /// read path, byte-identical to what the previous writer produced.
-    fn write_v2(state: &StateVector, gates_done: u64, w: &mut Vec<u8>) {
-        let codec = codec_for(state.num_qubits());
-        let compressed = codec.compress_amplitudes(state.amps());
-        let mut cw = CrcWriter {
-            inner: w,
-            crc: Crc32::new(),
-        };
-        cw.write_all(MAGIC).expect("vec write");
-        cw.write_all(&VERSION_V2.to_le_bytes()).expect("vec write");
-        cw.write_all(&(state.num_qubits() as u32).to_le_bytes())
-            .expect("vec write");
-        cw.write_all(&gates_done.to_le_bytes()).expect("vec write");
-        cw.write_all(&(compressed.num_segments() as u32).to_le_bytes())
-            .expect("vec write");
-        for i in 0..compressed.num_segments() {
-            let seg = compressed.segment(i);
-            cw.write_all(&(seg.len() as u64).to_le_bytes())
-                .expect("vec write");
-            cw.write_all(&qgpu_faults::crc32(seg).to_le_bytes())
-                .expect("vec write");
-            cw.write_all(seg).expect("vec write");
-        }
-        let file_crc = cw.crc.finish();
-        cw.inner
-            .write_all(&file_crc.to_le_bytes())
-            .expect("vec write");
-    }
-
-    #[test]
-    fn still_reads_version_1_files() {
-        let state = benchmark_state(Benchmark::Qft, 9);
-        let mut buf = Vec::new();
-        write_v1(&state, &mut buf);
-        let ckpt = read_checkpoint(&mut buf.as_slice()).expect("v1 read");
-        assert_eq!(ckpt.gates_done, 0, "v1 has no progress marker");
-        for (a, b) in state.amps().iter().zip(ckpt.state.amps().iter()) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
-        }
-    }
-
-    #[test]
-    fn mixed_versions_restore_the_same_state() {
-        // One state written in every format generation the reader
-        // supports: all three must restore bit-identically, and v2/v3
-        // must carry the progress marker through.
-        let state = benchmark_state(Benchmark::Qft, 9);
-        let mut v1 = Vec::new();
-        write_v1(&state, &mut v1);
-        let mut v2 = Vec::new();
-        write_v2(&state, 21, &mut v2);
-        let mut v3 = Vec::new();
-        write_checkpoint(&state, 21, CodecKind::Gfc, &mut v3).expect("v3 write");
-        for (label, buf, gates) in [("v1", &v1, 0), ("v2", &v2, 21), ("v3", &v3, 21)] {
-            let ckpt = read_checkpoint(&mut buf.as_slice()).expect(label);
-            assert_eq!(ckpt.gates_done, gates, "{label} progress marker");
-            for (a, b) in state.amps().iter().zip(ckpt.state.amps().iter()) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits(), "{label} re");
-                assert_eq!(a.im.to_bits(), b.im.to_bits(), "{label} im");
-            }
-        }
     }
 
     #[test]
@@ -691,7 +564,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_truncation_is_caught_at_every_cut() {
+    fn truncation_is_caught_at_every_cut() {
         let state = benchmark_state(Benchmark::Gs, 8);
         let mut buf = Vec::new();
         write_to_with_progress(&state, 5, &mut buf).expect("write");
@@ -708,7 +581,7 @@ mod tests {
     }
 
     #[test]
-    fn v2_single_bit_flips_are_caught_everywhere() {
+    fn single_bit_flips_are_caught_everywhere() {
         let state = benchmark_state(Benchmark::Hchain, 8);
         let mut buf = Vec::new();
         write_to_with_progress(&state, 9, &mut buf).expect("write");

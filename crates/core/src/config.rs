@@ -299,8 +299,6 @@ pub struct SimConfig {
     /// tasks while chunks stay large enough for GFC's warp-lane
     /// prediction).
     pub chunk_count_log2: u32,
-    /// GFC segment count per chunk (warps in the paper's Figure 11).
-    pub compress_segments: usize,
     /// Keep the final state in the result (disable to save memory in
     /// timing sweeps).
     pub collect_state: bool,
@@ -322,19 +320,6 @@ pub struct SimConfig {
     /// which the paper's baseline lineage cites. Off by default to match
     /// the paper's per-gate streaming.
     pub batch_local_gates: bool,
-    /// Longest run of chunk-local gates merged into one chunk visit when
-    /// [`SimConfig::batch_local_gates`] is on (default 64).
-    ///
-    /// This bounds the *involvement-staleness* of the pruning decision: a
-    /// batch evaluates prune-or-keep once, against the involvement mask
-    /// snapshotted at its first gate, so a chunk's zero/non-zero status
-    /// can be up to `max_batch - 1` gates stale by the batch's end. That
-    /// is conservative, never wrong — chunk-local gates cannot move
-    /// amplitude across chunk boundaries, so a chunk provably zero before
-    /// the batch stays zero through it — but a larger cap defers pruning
-    /// of chunks that *become* provably zero mid-batch, trading missed
-    /// prune opportunities for fewer H2D/D2H round trips.
-    pub max_batch: usize,
     /// Worker threads for the functional update (the
     /// [`qgpu_statevec::ChunkExecutor`] pool). Results are bitwise
     /// identical at every thread count; 1 keeps the seed's serial path.
@@ -381,7 +366,7 @@ pub struct SimConfig {
     /// Write a checkpoint every N program ops (0 disables). Requires
     /// [`SimConfig::checkpoint_path`].
     pub checkpoint_every: u64,
-    /// Where periodic checkpoints are written (format v2, carrying the
+    /// Where periodic checkpoints are written (format v3, carrying the
     /// op index for [`crate::Simulator::try_run_from`] resume).
     pub checkpoint_path: Option<String>,
     /// Resilient multi-device orchestration: device-loss re-sharding,
@@ -435,14 +420,12 @@ impl SimConfig {
             platform,
             version: Version::QGpu,
             chunk_count_log2: 8,
-            compress_segments: 32,
             collect_state: true,
             trace_events: 0,
             dynamic_chunk_size: true,
             reorder_strategy: ReorderStrategy::ForwardLooking,
             buffer_split: 0.5,
             batch_local_gates: false,
-            max_batch: 64,
             threads: 1,
             gate_fusion: false,
             obs_spans: false,
@@ -520,17 +503,6 @@ impl SimConfig {
     /// [`SimConfig::batch_local_gates`]).
     pub fn with_gate_batching(mut self) -> Self {
         self.batch_local_gates = true;
-        self
-    }
-
-    /// Caps the gate-batching run length (see [`SimConfig::max_batch`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch == 0`.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        assert!(max_batch > 0, "batches hold at least one gate");
-        self.max_batch = max_batch;
         self
     }
 
@@ -613,7 +585,7 @@ impl SimConfig {
         self
     }
 
-    /// Enables periodic checkpointing: a v2 checkpoint is written to
+    /// Enables periodic checkpointing: a v3 checkpoint is written to
     /// `path` every `every` program ops.
     ///
     /// # Panics
@@ -818,11 +790,7 @@ mod tests {
     fn opts_and_max_batch_defaults() {
         let cfg = SimConfig::scaled_paper(8);
         assert_eq!(cfg.opts, None);
-        assert_eq!(cfg.max_batch, 64);
-        let cfg = cfg
-            .with_opts(OptFlags::parse("pruning+compression").unwrap())
-            .with_max_batch(8);
-        assert_eq!(cfg.max_batch, 8);
+        let cfg = cfg.with_opts(OptFlags::parse("pruning+compression").unwrap());
         assert!(cfg.opts.unwrap().pruning && cfg.opts.unwrap().compression);
     }
 

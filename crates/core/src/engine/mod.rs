@@ -1,8 +1,8 @@
 //! The execution engine: functional simulation driven through the device
 //! timing model.
 //!
-//! [`Simulator`] hands every run to the composable chunk-pipeline stage
-//! graph in [`pipeline`]. A `PipelineSpec` — derived from the
+//! [`Simulator`] hands every run to the chunk pipeline in
+//! [`pipeline`]. A `PipelineSpec` — derived from the
 //! configured [`crate::Version`] or an explicit [`crate::OptFlags`]
 //! subset — selects:
 //!
@@ -11,7 +11,7 @@
 //!   (the paper's baseline);
 //! * the **streaming** mode: chunks stream through the GPU(s) along the
 //!   *Plan → Prune → Deal → Fetch → Decompress → Kernel → Compress →
-//!   Writeback → Sync* stage list, with overlap / pruning / reordering /
+//!   Writeback → Sync* round trip, with overlap / pruning / reordering /
 //!   compression toggled by flags.
 //!
 //! Both modes walk the same program of [`qgpu_circuit::fuse::ProgramOp`]s
@@ -27,7 +27,7 @@
 //! subsets, thread counts and fusion settings, with version-specific
 //! timing.
 
-// The stage-graph refactor's guard rails: no engine function grows back
+// The engine's guard rails: no engine function grows back
 // into a monolith (thresholds in clippy.toml; CI runs -D warnings).
 #![warn(clippy::too_many_lines, clippy::cognitive_complexity)]
 

@@ -1,10 +1,11 @@
 //! The gate-batching extension: a run of chunk-local ops shares a single
-//! chunk round trip. Batching is a *pipeline shape* change (one Fetch /
-//! many Kernels / one Writeback per chunk), so it is driven here rather
-//! than through the per-gate stage hooks — but it reuses the same
-//! helpers ([`super::deal_gpu`], [`super::admit_window`],
-//! [`super::encode_member`]) and middleware, so every flag subset and
-//! fault site composes identically.
+//! chunk round trip. Batching is a *pipeline shape* change (one upload /
+//! many kernels / one download per chunk), so it has its own driver —
+//! but the round trip is the same [`super::steps`] `stream_gate` calls,
+//! so every flag subset and fault site composes identically. Its own:
+//! batch formation, the per-op control masks, the kernel loop, and an
+//! inline per-chunk encode (whose injector draws interleave with the
+//! transfers', unlike the per-gate sizing pass).
 
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
@@ -16,36 +17,31 @@ use qgpu_sched::InvolvementTracker;
 use crate::engine::flops_per_amp;
 
 use super::middleware::{self, Resilience, Touched};
-use super::transfer::{transfer_with_integrity, Dir};
-use super::Env;
+use super::{steps, Env};
+
+/// Longest run of chunk-local gates merged into one chunk visit.
+///
+/// This bounds the *involvement-staleness* of the pruning decision: a
+/// batch evaluates prune-or-keep once, against the involvement mask
+/// snapshotted at its first gate, so a chunk's zero/non-zero status can
+/// be up to `MAX_BATCH - 1` gates stale by the batch's end. That is
+/// conservative, never wrong — chunk-local gates cannot move amplitude
+/// across chunk boundaries, so a chunk provably zero before the batch
+/// stays zero through it — but a larger cap defers pruning of chunks
+/// that *become* provably zero mid-batch, trading missed prune
+/// opportunities for fewer H2D/D2H round trips.
+pub(crate) const MAX_BATCH: usize = 64;
 
 /// Runs the batch beginning at `idx` (whose op is already known to be
-/// chunk-local) and returns the index of the first op after it. The
-/// batch length is bounded by [`crate::config::SimConfig::max_batch`],
-/// which bounds involvement-staleness of the pruning decision — it is
-/// evaluated once per batch.
+/// chunk-local) and returns the index of the first op after it: at most
+/// [`MAX_BATCH`] ops, pruned once per batch.
 pub(crate) fn run_batch(
     env: &mut Env,
     program: &[ProgramOp],
     mut idx: usize,
     compressing: bool,
 ) -> Result<usize, SimError> {
-    // A corrupted involvement mask (decided once per batch) means no
-    // chunk is provably zero: fall back to full-chunk execution.
-    let prune_ok = match &env.resil {
-        Some(rs) if env.spec.flags.pruning && rs.mask_corrupt(idx) => {
-            env.tl.count_prune_fallback();
-            if let Some(r) = env.rec {
-                r.add("prune.fallbacks", 1);
-                r.flight("prune_fallback", || {
-                    format!("batch at op {idx}: corrupt involvement mask, full-chunk execution")
-                });
-            }
-            false
-        }
-        _ => true,
-    };
-    let pruning = env.spec.flags.pruning && prune_ok;
+    let pruning = steps::prune_allowed(env, idx);
     let cb = env.chunk_bits;
     let is_local = |a: &GateAction| a.mixing_qubits().iter().all(|&q| (q as u32) < cb);
 
@@ -58,7 +54,7 @@ pub(crate) fn run_batch(
     let base_idx = idx;
     let mut batch: Vec<&FusedOp> = vec![first];
     idx += 1;
-    while idx < program.len() && batch.len() < env.cfg.max_batch {
+    while idx < program.len() && batch.len() < MAX_BATCH {
         // Measurements and resets end the batch: collapse must see every
         // preceding kernel's amplitudes landed.
         let Some(next) = program[idx].unitary() else {
@@ -122,16 +118,7 @@ pub(crate) fn run_batch(
             compressing,
         )?;
     }
-    if !env.spec.flags.overlap {
-        let s = env.tl.schedule(
-            Engine::Host,
-            env.chain,
-            env.cfg.platform.host.sync_latency,
-            TaskKind::Sync,
-            0,
-        );
-        env.chain = s.end;
-    }
+    steps::gate_sync(env);
     env.tracker = tracker_end;
     Ok(idx)
 }
@@ -149,66 +136,26 @@ fn batch_chunk(
     pruning: bool,
     compressing: bool,
 ) -> Result<(), SimError> {
-    let cfg = env.cfg;
-    let cb = env.chunk_bits;
-    let chunk_bytes = 16u64 << cb;
+    let chunk_bytes = 16u64 << env.chunk_bits;
     let gpu = super::deal_gpu(env);
-    let gspec = cfg.platform.gpu(gpu);
-
-    // Upload once.
-    let (h2d_bytes, raw_up_compressed) = match (compressing, env.compressed.get(chunk)) {
-        (true, Some(sz)) => (sz as u64, chunk_bytes),
-        _ => (chunk_bytes, 0),
-    };
-    let mut ready = env.epoch_floor;
-    if let Some(t) = env.last_d2h.get(chunk) {
-        ready = ready.max(t);
-    }
-    super::admit_window(env, gpu, 1, compressing, chunk_bytes, &mut ready);
-    if let Some(rs) = env.resil.as_mut() {
-        rs.seal_for_upload(&env.state, std::iter::once(chunk), cb, |_| false);
-    }
-    let h2d = transfer_with_integrity(
-        &mut env.tl,
-        cfg,
-        Dir::Up(gpu),
-        ready,
-        h2d_bytes,
-        env.resil.as_mut(),
-        env.rec,
-    )?;
-    let mut compute_ready = h2d.end;
-    if raw_up_compressed > 0 {
-        let d = env.tl.schedule(
-            Engine::GpuCompute(gpu),
-            compute_ready,
-            raw_up_compressed as f64 / gspec.codec_bw(env.codec_class),
-            TaskKind::Decompress,
-            raw_up_compressed,
-        );
-        compute_ready = d.end;
-    }
+    let (h2d_end, raw_up) = steps::upload(env, gpu, &[chunk], pruning, compressing)?;
+    let mut compute_ready = steps::decompress(env, gpu, h2d_end, raw_up);
     // One kernel per applicable op over the resident chunk.
     let mut kernel_service = 0.0f64;
     {
         let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.batch");
         for &i in applicable {
-            let stretch = super::kernel_stretch(env, gpu);
-            let kernel_s = (chunk_bytes as f64 / gspec.update_bw() + gspec.kernel_launch) * stretch;
-            let kernel = env.tl.schedule(
-                Engine::GpuCompute(gpu),
+            let fpa = flops_per_amp(batch[i].collapsed());
+            let (end, kernel_s) = steps::modeled_kernel(
+                env,
+                gpu,
                 compute_ready,
-                kernel_s,
-                TaskKind::Kernel,
                 chunk_bytes,
+                fpa,
+                batch[i].is_fused(),
             );
             kernel_service += kernel_s;
-            compute_ready = kernel.end;
-            env.tl
-                .add_flops((chunk_bytes as f64 / 16.0) * flops_per_amp(batch[i].collapsed()));
-            if batch[i].is_fused() {
-                env.tl.count_fused_kernel();
-            }
+            compute_ready = end;
             if let Some(imw) = env.integ.as_mut() {
                 let w = Touched {
                     singles: &[chunk],
@@ -232,11 +179,7 @@ fn batch_chunk(
         r.add("chunks.processed", applicable.len() as u64);
         r.observe("chunk.bytes", chunk_bytes);
     }
-    if let Some(o) = env.orch.as_mut() {
-        // Pure kernel service time: queueing and codec spans would let
-        // backlog leak into the pace estimate.
-        o.group.record_task(gpu, kernel_service, chunk_bytes);
-    }
+    steps::note_kernel_service(env, gpu, kernel_service, chunk_bytes);
     batch_download(
         env,
         chunk,
@@ -251,7 +194,6 @@ fn batch_chunk(
 /// The batch's single download: pruned-to-zero chunks don't move,
 /// compressed chunks pay the encode pass and compress kernel, raw
 /// fallbacks (and uncompressed subsets) pay the arrival re-tag.
-#[allow(clippy::too_many_arguments)]
 fn batch_download(
     env: &mut Env,
     chunk: usize,
@@ -261,10 +203,9 @@ fn batch_download(
     pruning: bool,
     compressing: bool,
 ) -> Result<(), SimError> {
-    let cfg = env.cfg;
     let cb = env.chunk_bits;
     let chunk_bytes = 16u64 << cb;
-    let gspec = cfg.platform.gpu(gpu);
+    let gspec = env.cfg.platform.gpu(gpu);
     let mut d2h_ready = compute_ready;
     let mut d2h_bytes = 0u64;
     let mut sealed_at_encode = false;
@@ -274,14 +215,7 @@ fn batch_download(
         // Injected encode failure: degrade to a raw transfer for this
         // chunk (no compress kernel, full bytes).
         if env.resil.as_mut().is_some_and(Resilience::codec_fails) {
-            env.tl.count_codec_fallback();
-            if let Some(r) = env.rec {
-                let cname = env.codec.kind().name();
-                r.add("codec.fallbacks", 1);
-                r.flight("codec_fallback", || {
-                    format!("chunk {chunk}: {cname} encode failed, moving raw")
-                });
-            }
+            steps::note_codec_fallback(env, chunk);
             env.compressed.remove(chunk);
             d2h_bytes = chunk_bytes;
         } else {
@@ -322,21 +256,5 @@ fn batch_download(
             rs.verify_on_arrival(&env.state, std::iter::once(chunk), cb, |_| false);
         }
     }
-    let d2h = transfer_with_integrity(
-        &mut env.tl,
-        cfg,
-        Dir::Down(gpu),
-        d2h_ready,
-        d2h_bytes,
-        env.resil.as_mut(),
-        env.rec,
-    )?;
-    env.last_d2h.insert(chunk, d2h.end);
-    if env.spec.flags.overlap {
-        env.windows[gpu].slots.push_back((d2h.end, 1));
-        env.windows[gpu].inflight += 1;
-    } else {
-        env.chain = d2h.end;
-    }
-    Ok(())
+    steps::d2h_tail(env, gpu, &[chunk], d2h_ready, d2h_bytes)
 }

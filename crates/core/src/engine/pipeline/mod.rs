@@ -1,20 +1,18 @@
-//! The composable chunk-pipeline stage graph.
+//! The chunk pipeline: one engine executes every version.
 //!
-//! One engine executes every version. A `PipelineSpec` (see `spec`) reduces
-//! the configured [`crate::Version`] (or an explicit
-//! [`crate::OptFlags`] subset) to an execution mode plus optimization
-//! flags; the streaming driver then walks a fixed list of per-chunk
-//! stages — *Plan → Prune → Deal → Fetch → Decompress → Kernel →
-//! Compress → Writeback → Sync* — each consulting only the flags, never
-//! the version. Per gate the driver runs three hook passes over the
-//! stage list:
+//! A `PipelineSpec` (see `spec`) reduces the configured
+//! [`crate::Version`] (or an explicit [`crate::OptFlags`] subset) to an
+//! execution mode plus optimization flags; the streaming driver then runs
+//! the paper's fixed chunk round trip — *Plan → Prune → Deal → Fetch →
+//! Decompress → Kernel → Compress → Writeback → Sync* — as straight-line
+//! code (`stream_gate`) over the plain functions in `steps`, each
+//! consulting only the flags, never the version. Per gate:
 //!
-//! * `begin_gate` — gate-level work: the chunk plan, the pruning
-//!   decision, the functional update, and the compressed-size pass;
-//! * `on_task` — per *live* chunk task, in plan order, through the
-//!   stages that act per task: deal to a device, modeled H2D,
-//!   decompress, kernel, compress, modeled D2H;
-//! * `end_gate` — window occupancy sampling and the per-gate sync.
+//! * gate-level work first: the chunk plan, the pruning decision, the
+//!   functional update, and the compressed-size pass;
+//! * then each *live* chunk task, in plan order: deal to a device,
+//!   modeled H2D, decompress, kernel, compress, modeled D2H;
+//! * then window occupancy sampling and the per-gate sync.
 //!
 //! Host cost follows live chunks: the plan enumerates only surviving
 //! tasks and the per-chunk tables are dense stamped vectors
@@ -31,11 +29,10 @@ pub(crate) mod integrity;
 pub(crate) mod middleware;
 pub(crate) mod obs_mw;
 pub(crate) mod spec;
-pub(crate) mod stages;
 pub(crate) mod static_alloc;
+pub(crate) mod steps;
 pub(crate) mod stochastic;
 pub(crate) mod transfer;
-pub(crate) mod xfer_stages;
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -48,7 +45,6 @@ use qgpu_device::{CodecClass, ExecutionReport};
 use qgpu_faults::SimError;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
-use qgpu_sched::plan::{GatePlan, Tasks};
 use qgpu_sched::residency::RoundRobin;
 use qgpu_sched::InvolvementTracker;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
@@ -60,7 +56,6 @@ use crate::result::RunResult;
 use integrity::IntegrityMw;
 use middleware::{BarrierClock, CheckpointLayer, Orchestration, Resilience, MAX_CHUNK_BITS};
 use spec::{ExecMode, PipelineSpec};
-use stages::Stage;
 
 /// Per-chunk compressed size recorded as "the codec failed, move raw"
 /// (see the codec-failure degradation path).
@@ -113,8 +108,8 @@ impl<T: Copy + Default> ChunkTable<T> {
 
 /// The streaming pipeline's shared environment: configuration, the
 /// modeled timeline, functional state, and every piece of cross-gate
-/// bookkeeping the stages read and write. Stages receive `&mut Env`
-/// and borrow disjoint fields.
+/// bookkeeping the round-trip steps read and write. Steps receive
+/// `&mut Env` and borrow disjoint fields.
 pub(crate) struct Env<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) rec: Option<&'a Recorder>,
@@ -133,7 +128,7 @@ pub(crate) struct Env<'a> {
     pub(crate) chunk_bits: u32,
     pub(crate) codec: Box<dyn Codec>,
     /// The configured codec's modeled-bandwidth class, cached so the
-    /// Compress/Decompress stages don't re-derive it per task. The
+    /// compress/decompress steps don't re-derive it per task. The
     /// cascade uses its own blended class rather than per-pick classes:
     /// the modeled kernel time reflects the sampling pass plus the
     /// average winner, keeping the timeline independent of amplitude
@@ -147,10 +142,10 @@ pub(crate) struct Env<'a> {
     /// Compressed representation held by the CPU, per chunk (bytes).
     pub(crate) compressed: ChunkTable<usize>,
     pub(crate) last_d2h: ChunkTable<f64>,
-    /// This gate's codec sizes, in the order the Compress stage's sizing
-    /// pass visits the members moving back ([`RAW_FALLBACK`] marks an
-    /// injected encode failure); its per-task pass reads them back in
-    /// the same order. Reused across gates.
+    /// This gate's codec sizes, in the order [`steps::size_members`]
+    /// visits the members moving back ([`RAW_FALLBACK`] marks an
+    /// injected encode failure); the task loop reads them back in the
+    /// same order. Reused across gates.
     pub(crate) new_sizes: Vec<usize>,
     pub(crate) windows: Vec<Window>,
     pub(crate) epoch_floor: f64,
@@ -162,69 +157,9 @@ pub(crate) struct Env<'a> {
     pub(crate) rr: RoundRobin,
 }
 
-/// Per-gate context threaded through the stage hooks.
-pub(crate) struct GateCtx<'p> {
-    pub(crate) fop: &'p FusedOp,
-    /// Program index *after* this op (the original loop's post-increment
-    /// index — the injector's mask-corruption draw is keyed on it).
-    pub(crate) idx: usize,
-    pub(crate) plan: Option<GatePlan>,
-    pub(crate) fpa: f64,
-    /// Involvement after this op: decides which members move back.
-    pub(crate) tracker_after: InvolvementTracker,
-    pub(crate) pruning: bool,
-    pub(crate) compressing: bool,
-    pub(crate) num_chunks: usize,
-    pub(crate) chunk_bytes: u64,
-    /// The tasks surviving the prune stage, by representative chunk.
-    pub(crate) tasks: Tasks,
-    /// Where the next task's entries start in [`Env::new_sizes`].
-    pub(crate) sizes_cursor: usize,
-    /// Members marked [`RAW_FALLBACK`] this gate.
-    pub(crate) raw_members: usize,
-}
-
-impl<'p> GateCtx<'p> {
-    pub(crate) fn new(fop: &'p FusedOp, idx: usize, compressing: bool, env: &Env) -> Self {
-        GateCtx {
-            fop,
-            idx,
-            plan: None,
-            fpa: 0.0,
-            tracker_after: env.tracker,
-            pruning: false,
-            compressing,
-            num_chunks: 1usize << (env.num_qubits as u32 - env.chunk_bits),
-            chunk_bytes: 16u64 << env.chunk_bits,
-            tasks: Tasks::default(),
-            sizes_cursor: 0,
-            raw_members: 0,
-        }
-    }
-
-    /// The chunk plan, available from the Plan stage onward.
-    pub(crate) fn plan(&self) -> &GatePlan {
-        self.plan.as_ref().expect("Plan stage ran")
-    }
-}
-
-/// Per-task context threaded through the `on_task` hooks.
-#[derive(Default)]
-pub(crate) struct TaskCtx {
-    /// The task's representative chunk (see [`GatePlan::members`]).
-    pub(crate) rep: usize,
-    /// Where this task's entries start in [`Env::new_sizes`].
-    pub(crate) sizes_at: usize,
-    pub(crate) gpu: usize,
-    pub(crate) compute_ready: f64,
-    pub(crate) h2d_bytes: u64,
-    /// Raw bytes arriving compressed (decompress kernel input).
-    pub(crate) raw_up_compressed: u64,
-    pub(crate) d2h_ready: f64,
-    pub(crate) d2h_bytes: u64,
-    /// Raw bytes departing compressed (compress kernel input).
-    pub(crate) raw_down_compressed: u64,
-}
+/// Most GFC segments a chunk is split into (warps in the paper's
+/// Figure 11).
+const COMPRESS_SEGMENTS: usize = 32;
 
 /// The configured codec, sized for the current chunk width. For GFC (and
 /// the cascade's GFC member): one segment per warp, but never so many
@@ -234,7 +169,7 @@ pub(crate) struct TaskCtx {
 /// parallelism".)
 pub(crate) fn codec_for(cfg: &SimConfig, chunk_bits: u32) -> Box<dyn Codec> {
     let doubles = 2usize << chunk_bits;
-    codec_for_kind(cfg.codec(), (doubles / 256).clamp(1, cfg.compress_segments))
+    codec_for_kind(cfg.codec(), (doubles / 256).clamp(1, COMPRESS_SEGMENTS))
 }
 
 /// Maps the configured codec to its modeled-bandwidth class in the
@@ -338,15 +273,6 @@ pub(crate) fn admit_window(
             }
         }
     }
-}
-
-/// Modeled-time multiplier for the next kernel on `gpu`: the injected
-/// stage slowdown times the device's straggler factor (1.0 without
-/// resilience).
-pub(crate) fn kernel_stretch(env: &mut Env, gpu: usize) -> f64 {
-    env.resil.as_mut().map_or(1.0, |rs| {
-        rs.kernel_stretch() * rs.inj.straggler_stretch(gpu)
-    })
 }
 
 /// Real compressed size of member `m` under the configured codec (the
@@ -515,7 +441,6 @@ fn run_streaming(
     let mut crng = stochastic::CollapseRng::new(cfg.stoch_seed, n, &program[..start]);
     let mut ckpt = CheckpointLayer::new(start);
     let mut clock = BarrierClock::new(cfg, start);
-    let stages = stages::stage_list();
     mw.mark(obs_mw::SETUP);
 
     let mut idx = start;
@@ -577,7 +502,7 @@ fn run_streaming(
         }
         idx += 1;
 
-        stream_gate(&mut env, &stages, mw, fop, idx, compressing)?;
+        stream_gate(&mut env, mw, fop, idx, compressing)?;
         drain_quarantine(&mut env)?;
     }
 
@@ -623,44 +548,55 @@ pub(crate) fn finish_run(
     })
 }
 
-/// One unitary op through the stage list: every stage's `begin_gate`,
-/// then each live task through the per-task stages, then every
-/// `end_gate`. `idx` is the program index *after* the op.
+/// One unitary op through the chunk round trip: the gate-level steps,
+/// then each live task through deal → upload → decompress → kernel →
+/// compress → download, then the end-of-gate steps. `idx` is the program
+/// index *after* the op. Attribution samples tasks: a sampled task laps
+/// `mw`'s clock after each step, the rest run with no clock reads.
 fn stream_gate(
     env: &mut Env,
-    stages: &[Box<dyn Stage>],
     mw: &mut obs_mw::ObsMw,
     fop: &FusedOp,
     idx: usize,
     compressing: bool,
 ) -> Result<(), SimError> {
-    let mut g = GateCtx::new(fop, idx, compressing, env);
     mw.gate_begin();
-    for (si, s) in stages.iter().enumerate() {
-        s.begin_gate(&mut g, env)?;
-        mw.mark(obs_mw::stage_bucket(si));
-    }
+    let mut g = steps::plan_and_prune(env, mw, fop, idx, compressing);
+    mw.mark(obs_mw::PRUNE);
+    steps::functional_update(env, &g)?;
+    mw.mark(obs_mw::KERNEL);
+    steps::size_members(env, &mut g);
+    mw.mark(obs_mw::COMPRESS);
+
+    let task_bytes = g.plan.group_len() as u64 * (16u64 << env.chunk_bits);
+    let mut members = Vec::with_capacity(g.plan.group_len());
+    // Where the next task's entries start in `env.new_sizes`.
+    let mut cursor = 0;
     for rep in g.tasks {
-        let mut t = TaskCtx {
-            rep,
-            ..TaskCtx::default()
-        };
-        // Attribution samples tasks: a sampled task laps the clock after
-        // each hook, the rest run with no clock reads at all.
-        let sampled = mw.task_begin();
-        for si in stages::PER_TASK {
-            stages[si].on_task(&mut t, &mut g, env)?;
-            if sampled {
-                mw.task_lap(obs_mw::stage_bucket(si));
-            }
-        }
-        mw.task_done(t.gpu);
+        members.clear();
+        members.extend(g.plan.members(rep));
+        mw.task_begin();
+        let gpu = deal_gpu(env);
+        mw.task_lap(obs_mw::DEAL);
+        let (h2d_end, raw_up) = steps::upload(env, gpu, &members, g.pruning, compressing)?;
+        mw.task_lap(obs_mw::FETCH);
+        let ready = steps::decompress(env, gpu, h2d_end, raw_up);
+        mw.task_lap(obs_mw::DECOMPRESS);
+        let (kernel_end, kernel_s) =
+            steps::modeled_kernel(env, gpu, ready, task_bytes, g.fpa, fop.is_fused());
+        steps::note_kernel_service(env, gpu, kernel_s, task_bytes);
+        mw.task_lap(obs_mw::KERNEL);
+        let sizes_at = cursor;
+        let (d2h_ready, d2h_bytes) =
+            steps::compress_and_size_download(env, &g, gpu, &members, kernel_end, &mut cursor);
+        mw.task_lap(obs_mw::COMPRESS);
+        steps::download(env, &g, gpu, &members, d2h_ready, d2h_bytes, sizes_at)?;
+        mw.task_lap(obs_mw::WRITEBACK);
+        mw.task_done(gpu);
     }
     mw.tasks_end();
-    for (si, s) in stages.iter().enumerate() {
-        s.end_gate(&mut g, env)?;
-        mw.mark(obs_mw::stage_bucket(si));
-    }
+    steps::end_of_gate(env);
+    mw.mark(obs_mw::SYNC);
     mw.gate_done();
     env.tracker = g.tracker_after;
     Ok(())
@@ -794,13 +730,12 @@ mod tests {
         let spec = PipelineSpec::from_config(&cfg);
         let mut env = build_env(spec, &cfg, None, None, n, 0, &program, None);
         let mut mw = obs_mw::ObsMw::new(None, &cfg, env.num_gpus);
-        let stages = stages::stage_list();
 
         let (mut highest_live, mut fewest_chunks) = (0usize, usize::MAX);
         for (i, op) in program.iter().enumerate() {
             resize_chunks(&mut env);
             let fop = op.unitary().expect("no collapse in this circuit");
-            stream_gate(&mut env, &stages, &mut mw, fop, i + 1, true).expect("fault-free run");
+            stream_gate(&mut env, &mut mw, fop, i + 1, true).expect("fault-free run");
             highest_live = highest_live.max((env.tracker.mask() >> env.chunk_bits) as usize);
             fewest_chunks = fewest_chunks.min(1usize << (n as u32 - env.chunk_bits));
             assert!(env.compressed.slots.len() <= highest_live + 1);

@@ -1,23 +1,24 @@
 //! Per-stage wall-clock attribution middleware.
 //!
 //! `ObsMw` laps a single monotonic clock as the streaming driver moves
-//! between stage hook passes, crediting each elapsed slice to the stage
-//! (or driver bucket) that just ran. Per gate the accumulated slices
-//! flush into the recorder's labeled [`qgpu_obs::Registry`]:
+//! from one round-trip step to the next, crediting each elapsed slice to
+//! the named bucket ([`PLAN`] … [`SYNC`], or a driver bucket) of the step
+//! that just ran. Per gate the accumulated slices flush into the
+//! recorder's labeled [`qgpu_obs::Registry`]:
 //!
 //! * `stage.time_ns{stage=…,version=…}` — HDR histogram of per-gate time
 //!   attributed to each stage, plus the pseudo-stages `setup`,
-//!   `measure`, `sample` and `driver` (loop overhead between hook
-//!   passes). Histogram **sums** reconstruct the wall-clock breakdown;
+//!   `measure`, `sample` and `driver` (loop overhead between steps).
+//!   Histogram **sums** reconstruct the wall-clock breakdown;
 //!   percentiles expose tail gates.
 //! * `gate.ns{version=…}` — HDR histogram of whole-gate latency.
 //! * `tasks{device=…,version=…}` — chunk tasks executed per device.
 //!
-//! The per-task hook loop is lapped once per gate, not per task — at
-//! tens of nanoseconds a task, a clock read each would be the largest
-//! cost in the loop. Every [`TASK_SAMPLE`]-th task of a gate (the first
-//! included) instead laps after each hook, and the loop's wall clock is
-//! apportioned across the per-task stages by those samples' shares.
+//! The task loop is lapped once per gate, not per task — at tens of
+//! nanoseconds a task, a clock read each would be the largest cost in
+//! the loop. Every [`TASK_SAMPLE`]-th task of a gate (the first
+//! included) instead laps after each step, and the loop's wall clock is
+//! apportioned across the per-task buckets by those samples' shares.
 //!
 //! Attribution is exhaustive by construction — every nanosecond between
 //! construction and [`ObsMw::finish`] lands in exactly one bucket — so
@@ -31,9 +32,8 @@ use qgpu_obs::Recorder;
 
 use crate::config::SimConfig;
 
-/// Attribution buckets: `setup`, one per streaming stage (in
-/// `stages::stage_list()` order at `1 + stage_index`), then the
-/// driver-level pseudo-stages.
+/// Attribution bucket names, indexed by the constants below: `setup`,
+/// one per round-trip step, then the driver-level pseudo-stages.
 pub(crate) const BUCKETS: [&str; 13] = [
     "setup",
     "plan",
@@ -51,27 +51,35 @@ pub(crate) const BUCKETS: [&str; 13] = [
 ];
 
 pub(crate) const SETUP: usize = 0;
-/// Bucket for stage-list index `si` (Plan = 0 … Sync = 8).
-pub(crate) const fn stage_bucket(si: usize) -> usize {
-    1 + si
-}
+pub(crate) const PLAN: usize = 1;
+pub(crate) const PRUNE: usize = 2;
+pub(crate) const DEAL: usize = 3;
+pub(crate) const FETCH: usize = 4;
+pub(crate) const DECOMPRESS: usize = 5;
 pub(crate) const KERNEL: usize = 6;
+pub(crate) const COMPRESS: usize = 7;
+pub(crate) const WRITEBACK: usize = 8;
+/// End-of-gate work: window occupancy sampling and the per-gate sync.
+pub(crate) const SYNC: usize = 9;
 pub(crate) const MEASURE: usize = 10;
 pub(crate) const SAMPLE: usize = 11;
 pub(crate) const DRIVER: usize = 12;
 
-/// One task in this many has its hooks timed individually.
+/// One task in this many has its steps timed individually.
 const TASK_SAMPLE: u32 = 128;
 
 /// The per-stage wall-clock attribution middleware (see module docs).
 pub(crate) struct ObsMw<'a> {
     rec: Option<&'a Recorder>,
+    /// The run's `version` label; empty (and unread) without a recorder.
     vlabel: String,
     last: Instant,
     gate_start: Instant,
     acc: [u64; BUCKETS.len()],
     /// Tasks seen in the current gate's loop.
     gate_tasks: u32,
+    /// Whether the current task is a sampled one.
+    sampling: bool,
     sample_last: Instant,
     lap_ns: u64,
     /// Per-bucket time of this gate's sampled tasks.
@@ -86,15 +94,16 @@ impl<'a> ObsMw<'a> {
         let now = Instant::now();
         ObsMw {
             rec,
-            vlabel: cfg
-                .opts
-                .as_ref()
-                .map(|f| f.label())
-                .unwrap_or_else(|| cfg.version.label().to_string()),
+            vlabel: match (rec, &cfg.opts) {
+                (None, _) => String::new(),
+                (Some(_), Some(f)) => f.label(),
+                (Some(_), None) => cfg.version.label().to_string(),
+            },
             last: now,
             gate_start: now,
             acc: [0; BUCKETS.len()],
             gate_tasks: 0,
+            sampling: false,
             sample_last: now,
             lap_ns: 0,
             sampled: [0; BUCKETS.len()],
@@ -121,33 +130,37 @@ impl<'a> ObsMw<'a> {
         self.gate_start = self.last;
     }
 
-    /// Starts one task's hook loop; `true` when this task is sampled and
-    /// the caller should [`ObsMw::task_lap`] after each hook.
-    pub(crate) fn task_begin(&mut self) -> bool {
+    /// Starts one task's round trip, deciding whether it is sampled
+    /// (its [`ObsMw::task_lap`]s read the clock) or not (they no-op).
+    #[inline]
+    pub(crate) fn task_begin(&mut self) {
         if self.rec.is_none() {
-            return false;
+            return;
         }
-        let sampled = self.gate_tasks.is_multiple_of(TASK_SAMPLE);
+        self.sampling = self.gate_tasks.is_multiple_of(TASK_SAMPLE);
         self.gate_tasks += 1;
-        if sampled {
+        if self.sampling {
             // Two reads back to back: what a lap itself costs, which at
-            // this granularity rivals the hooks and is subtracted.
+            // this granularity rivals the steps and is subtracted.
             let t0 = Instant::now();
             self.sample_last = Instant::now();
             self.lap_ns = self.sample_last.duration_since(t0).as_nanos() as u64;
         }
-        sampled
     }
 
     /// Credits a sampled task's time since its previous lap to `bucket`.
+    #[inline]
     pub(crate) fn task_lap(&mut self, bucket: usize) {
+        if !self.sampling {
+            return;
+        }
         let now = Instant::now();
         let ns = now.duration_since(self.sample_last).as_nanos() as u64;
         self.sampled[bucket] += ns.saturating_sub(self.lap_ns);
         self.sample_last = now;
     }
 
-    /// Ends one task's hook loop: bumps the executing device's counter.
+    /// Ends one task's round trip: bumps the executing device's counter.
     #[inline]
     pub(crate) fn task_done(&mut self, gpu: usize) {
         if self.rec.is_some() {

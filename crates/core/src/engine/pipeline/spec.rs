@@ -19,7 +19,7 @@ pub(crate) enum ExecMode {
     /// reactive synchronous exchange for cross-boundary mixing.
     Static,
     /// Chunks stream through the GPU(s) per gate (paper §III-C …§IV),
-    /// with the optimization flags layered on the shared stage graph.
+    /// with the optimization flags layered on the shared round trip.
     Streaming,
 }
 

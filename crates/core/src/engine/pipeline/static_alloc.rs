@@ -131,9 +131,9 @@ pub(crate) fn run(
         if let Some(d) = lost {
             sr.on_loss(d)?;
         }
-        // Static mode has no per-chunk stage hooks; attribution is
-        // coarse — the whole update lands in `kernel`, collapses in
-        // `measure`.
+        // Static mode has no chunk round trip to lap step by step;
+        // attribution is coarse — the whole update lands in `kernel`,
+        // collapses in `measure`.
         match op {
             ProgramOp::Unitary(fop) => {
                 let mixing = fop.collapsed().mixing_qubits();

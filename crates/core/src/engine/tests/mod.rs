@@ -8,7 +8,8 @@
 //!   pruning, compression, batching, multi-GPU scaling).
 //! * [`resilience`] — fault injection, integrity checking, checkpoints.
 //! * [`orchestration`] — multi-device loss, stealing, budgets.
-//! * [`pipeline`] — the stage-graph spec and explicit `--opts` subsets.
+//! * [`pipeline`] — the pipeline spec, explicit `--opts` subsets, and
+//!   step attribution by bucket name.
 //! * [`cancel`] — cooperative cancellation at gate boundaries.
 
 mod baseline;

@@ -1,13 +1,19 @@
-//! The stage-graph pipeline's flag-subset contract: an explicit
-//! [`OptFlags`] subset runs the same composed stage list a named
-//! [`Version`] runs, so matching subsets are indistinguishable — in
-//! bits *and* in the modeled report.
+//! The pipeline's flag-subset contract: an explicit [`OptFlags`] subset
+//! runs the same round-trip steps a named [`Version`] runs, so matching
+//! subsets are indistinguishable — in bits *and* in the modeled report.
+//! Plus the steps' wall-clock attribution, by bucket name.
 
+use std::collections::BTreeSet;
+
+use qgpu_circuit::access::GateAction;
 use qgpu_circuit::generators::Benchmark;
+use qgpu_circuit::Circuit;
+use qgpu_sched::{GatePlan, InvolvementTracker};
 use qgpu_statevec::StateVector;
 
 use super::assert_bitwise_eq;
 use crate::config::{OptFlags, SimConfig, Version};
+use crate::engine::pipeline::obs_mw;
 use crate::engine::Simulator;
 
 #[test]
@@ -99,5 +105,89 @@ fn batching_composes_with_explicit_subsets() {
         .run(&c);
         let dev = r.state.expect("collected").max_deviation(&reference);
         assert!(dev < 1e-10, "{f}+batching: deviation {dev}");
+    }
+}
+
+/// The live tasks of `circuit` under `cfg`'s version: every gate planned
+/// at the chunk size the engine picks for it and pruned against the
+/// involvement so far.
+fn replayed_live_tasks(circuit: &Circuit, cfg: &SimConfig) -> u64 {
+    let flags = cfg.version.opt_flags();
+    let reordered;
+    let circuit = if flags.reorder {
+        reordered = cfg.reorder_strategy.reorder(circuit);
+        &reordered
+    } else {
+        circuit
+    };
+    let n = circuit.num_qubits();
+    let base_bits = cfg.chunk_bits_for(n);
+    let (link, gpu) = (cfg.platform.link(0), cfg.platform.gpu(0));
+    let overhead_bytes = (2.0 * link.latency + gpu.kernel_launch) * link.bw_per_direction;
+    let mut tracker = InvolvementTracker::new(n);
+    let mut live = 0;
+    for op in circuit.ops() {
+        let bits = if flags.pruning && cfg.dynamic_chunk_size {
+            tracker.optimal_chunk_bits(base_bits, overhead_bytes)
+        } else {
+            base_bits
+        };
+        let plan = GatePlan::new(
+            &GateAction::from_operation(op),
+            bits,
+            1 << (n as u32 - bits),
+        );
+        live += if flags.pruning {
+            plan.live_task_indices(&tracker).len()
+        } else {
+            plan.tasks().len()
+        } as u64;
+        tracker.involve(op);
+    }
+    live
+}
+
+#[test]
+fn traced_run_attributes_every_step_to_its_named_bucket() {
+    const STEPS: [(usize, &str); 9] = [
+        (obs_mw::PLAN, "plan"),
+        (obs_mw::PRUNE, "prune"),
+        (obs_mw::DEAL, "deal"),
+        (obs_mw::FETCH, "fetch"),
+        (obs_mw::DECOMPRESS, "decompress"),
+        (obs_mw::KERNEL, "kernel"),
+        (obs_mw::COMPRESS, "compress"),
+        (obs_mw::WRITEBACK, "writeback"),
+        (obs_mw::SYNC, "sync"),
+    ];
+    for (bucket, name) in STEPS {
+        assert_eq!(obs_mw::BUCKETS[bucket], name);
+    }
+    let c = Benchmark::Qft.generate(12);
+    // The full recipe exercises every step of the round trip; without
+    // overlap (Naive) each gate also ends in a sync.
+    for (v, expected) in [(Version::QGpu, &STEPS[..8]), (Version::Naive, &STEPS[8..])] {
+        let cfg = SimConfig::scaled_paper(12).with_version(v).with_obs_spans();
+        let r = Simulator::new(cfg.clone()).run(&c);
+        let reg = &r.obs.as_ref().expect("traced run").registry;
+        let stages: BTreeSet<&str> = reg
+            .histograms_named("stage.time_ns")
+            .map(|e| e.label("stage").expect("stage label"))
+            .collect();
+        for s in &stages {
+            assert!(obs_mw::BUCKETS.contains(s), "{v}: unknown bucket {s}");
+        }
+        for (_, name) in expected {
+            assert!(
+                stages.contains(name),
+                "{v}: no time under {name}: {stages:?}"
+            );
+        }
+        let tasks = reg.counters.iter().filter(|e| e.name == "tasks");
+        assert_eq!(
+            tasks.map(|e| e.value).sum::<u64>(),
+            replayed_live_tasks(&c, &cfg),
+            "{v}: tasks counted per device vs planned live tasks"
+        );
     }
 }
