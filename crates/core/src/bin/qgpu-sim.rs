@@ -623,7 +623,7 @@ fn main() -> ExitCode {
 
     if let Some(path) = &opts.save {
         let save_codec = opts.codec.unwrap_or_default();
-        match qgpu::checkpoint::save_with_codec(state, 0, save_codec, path) {
+        match qgpu::checkpoint::save_with_codec(state.amps(), 0, save_codec, path) {
             Ok(()) => eprintln!("[qgpu-sim] checkpoint written to {path}"),
             Err(e) => {
                 eprintln!("error: {e}");

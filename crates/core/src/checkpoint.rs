@@ -150,24 +150,29 @@ pub fn save_with_progress<P: AsRef<Path>>(
     gates_done: u64,
     path: P,
 ) -> Result<(), CheckpointError> {
-    save_with_codec(state, gates_done, CodecKind::Gfc, path)
+    save_with_codec(state.amps(), gates_done, CodecKind::Gfc, path)
 }
 
 /// Saves a mid-run snapshot encoded with the given codec — what the
-/// engine's checkpoint middleware calls so a `--codec cascade` run
-/// writes cascade-picked blocks.
+/// engine's checkpoint middleware calls, on the amplitudes it borrows
+/// from the running state, so a `--codec cascade` run writes
+/// cascade-picked blocks.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::Io`] on filesystem failure.
+///
+/// # Panics
+///
+/// Panics like [`write_checkpoint`].
 pub fn save_with_codec<P: AsRef<Path>>(
-    state: &StateVector,
+    amps: &[Complex64],
     gates_done: u64,
     codec: CodecKind,
     path: P,
 ) -> Result<(), CheckpointError> {
     let mut w = BufWriter::new(File::create(path)?);
-    write_checkpoint(state, gates_done, codec, &mut w)?;
+    write_checkpoint(amps, gates_done, codec, &mut w)?;
     w.flush()?;
     Ok(())
 }
@@ -193,7 +198,7 @@ pub fn write_to_with_progress<W: Write>(
     gates_done: u64,
     w: &mut W,
 ) -> Result<(), CheckpointError> {
-    write_checkpoint(state, gates_done, CodecKind::Gfc, w)
+    write_checkpoint(state.amps(), gates_done, CodecKind::Gfc, w)
 }
 
 /// Writes a v3 checkpoint: the state split into blocks, each encoded
@@ -203,17 +208,22 @@ pub fn write_to_with_progress<W: Write>(
 /// # Errors
 ///
 /// Returns [`CheckpointError::Io`] on write failure.
+///
+/// # Panics
+///
+/// Panics if `amps` is not a whole state (`2^n` amplitudes, `n ≥ 1`).
 pub fn write_checkpoint<W: Write>(
-    state: &StateVector,
+    amps: &[Complex64],
     gates_done: u64,
     codec: CodecKind,
     w: &mut W,
 ) -> Result<(), CheckpointError> {
-    let amps = state.amps();
+    assert!(amps.len().is_power_of_two() && amps.len() >= 2);
+    let num_qubits = amps.len().trailing_zeros() as usize;
     // Blocks small enough that one damaged block localizes, but never so
     // small that GFC degrades to history-less micro-chunks; the inner
     // codec runs with a single segment because the block IS the segment.
-    let block_len = amps.len().div_ceil(block_count_for(state.num_qubits()));
+    let block_len = amps.len().div_ceil(block_count_for(num_qubits));
     let enc = codec_for_kind(codec, 1);
     let blocks: Vec<&[Complex64]> = amps.chunks(block_len.max(1)).collect();
     let mut cw = CrcWriter {
@@ -222,7 +232,7 @@ pub fn write_checkpoint<W: Write>(
     };
     cw.write_all(MAGIC)?;
     cw.write_all(&VERSION.to_le_bytes())?;
-    cw.write_all(&(state.num_qubits() as u32).to_le_bytes())?;
+    cw.write_all(&(num_qubits as u32).to_le_bytes())?;
     cw.write_all(&gates_done.to_le_bytes())?;
     cw.write_all(&(blocks.len() as u32).to_le_bytes())?;
     for block in blocks {
@@ -494,7 +504,7 @@ mod tests {
         let state = benchmark_state(Benchmark::Iqp, 10);
         for kind in CodecKind::ALL {
             let mut buf = Vec::new();
-            write_checkpoint(&state, 7, kind, &mut buf).expect("write");
+            write_checkpoint(state.amps(), 7, kind, &mut buf).expect("write");
             let ckpt = read_checkpoint(&mut buf.as_slice()).expect("read");
             assert_eq!(ckpt.gates_done, 7);
             for (a, b) in state.amps().iter().zip(ckpt.state.amps().iter()) {
@@ -513,9 +523,9 @@ mod tests {
         let mut s = StateVector::new_zero(12);
         s.run(&c);
         let mut cascade_buf = Vec::new();
-        write_checkpoint(&s, 0, CodecKind::Cascade, &mut cascade_buf).expect("write");
+        write_checkpoint(s.amps(), 0, CodecKind::Cascade, &mut cascade_buf).expect("write");
         let mut gfc_buf = Vec::new();
-        write_checkpoint(&s, 0, CodecKind::Gfc, &mut gfc_buf).expect("write");
+        write_checkpoint(s.amps(), 0, CodecKind::Gfc, &mut gfc_buf).expect("write");
         assert!(
             cascade_buf.len() <= gfc_buf.len(),
             "cascade {} B vs gfc {} B",

@@ -304,7 +304,7 @@ impl CheckpointLayer {
             .as_deref()
             .filter(|_| self.due(idx, cfg))
         {
-            crate::checkpoint::save_with_codec(&state.to_flat(), idx as u64, cfg.codec(), path)
+            crate::checkpoint::save_with_codec(state.as_flat(), idx as u64, cfg.codec(), path)
                 .map_err(|e| SimError::Checkpoint(e.to_string()))?;
             self.last_ckpt = idx as u64;
             if let Some(r) = rec {

@@ -15,8 +15,9 @@
 //! * then window occupancy sampling and the per-gate sync.
 //!
 //! Host cost follows live chunks: the plan enumerates only surviving
-//! tasks and the per-chunk tables are dense stamped vectors
-//! (`ChunkTable`) — nothing hashes, or is sized by `num_chunks`.
+//! tasks, the per-chunk tables are paged stamped vectors (`ChunkTable`)
+//! and the state is one arena whose untouched pages were never mapped —
+//! nothing hashes, or is sized by `num_chunks`.
 //!
 //! Cross-cutting concerns (integrity + fault injection, orchestration,
 //! checkpoint barriers) are middleware (`middleware`) threaded through
@@ -68,36 +69,56 @@ pub(crate) struct Window {
     pub(crate) inflight: usize,
 }
 
-/// A chunk-indexed table without hashing: dense slots stamped with the
-/// generation that wrote them, so [`ChunkTable::clear`] — every
-/// repartition and collapse invalidates all chunks — is O(1). It grows
-/// to the highest chunk ever written, which under pruning is the highest
-/// *live* chunk, not `num_chunks`.
+/// Slots per [`ChunkTable`] page: 1 KiB of `(stamp, usize)`. Live chunk
+/// indices are the subsets of the involved index bits — dense runs when
+/// those are low bits, strided singletons when they are high ones — and
+/// a small page wastes less on the second kind.
+const PAGE_SLOTS: usize = 64;
+
+/// A chunk-indexed table without hashing: fixed-size pages of slots,
+/// allocated when a chunk of theirs is first written, so memory follows
+/// the *live* chunks — under pruning a few clusters of a huge index
+/// space — not the highest one (only the page directory, 8 bytes per
+/// `PAGE_SLOTS` chunks, reaches that far). A slot is stamped with the
+/// generation that wrote it, so [`ChunkTable::clear`] — every repartition
+/// and collapse invalidates all chunks — is O(1) and keeps the pages.
 #[derive(Default)]
 pub(crate) struct ChunkTable<T> {
     generation: u64,
-    /// `(generation + 1 at the write, value)`; stamp 0 is never live.
-    slots: Vec<(u64, T)>,
+    pages: Vec<Option<Box<Page<T>>>>,
 }
+
+/// Slots of `(generation + 1 at the write, value)`; stamp 0 is never live.
+type Page<T> = [(u64, T); PAGE_SLOTS];
 
 impl<T: Copy + Default> ChunkTable<T> {
     pub(crate) fn get(&self, chunk: usize) -> Option<T> {
-        match self.slots.get(chunk) {
-            Some(&(stamp, v)) if stamp == self.generation + 1 => Some(v),
-            _ => None,
-        }
+        let page = self.pages.get(chunk / PAGE_SLOTS)?.as_ref()?;
+        let (stamp, v) = page[chunk % PAGE_SLOTS];
+        (stamp == self.generation + 1).then_some(v)
     }
 
     pub(crate) fn insert(&mut self, chunk: usize, value: T) {
-        if chunk >= self.slots.len() {
-            self.slots.resize(chunk + 1, (0, T::default()));
+        let stamped = (self.generation + 1, value);
+        match self.pages.get_mut(chunk / PAGE_SLOTS) {
+            Some(Some(page)) => page[chunk % PAGE_SLOTS] = stamped,
+            _ => self.page_for(chunk)[chunk % PAGE_SLOTS] = stamped,
         }
-        self.slots[chunk] = (self.generation + 1, value);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn page_for(&mut self, chunk: usize) -> &mut Page<T> {
+        let p = chunk / PAGE_SLOTS;
+        if p >= self.pages.len() {
+            self.pages.resize_with(p + 1, || None);
+        }
+        self.pages[p].get_or_insert_with(|| Box::new([(0, T::default()); PAGE_SLOTS]))
     }
 
     pub(crate) fn remove(&mut self, chunk: usize) {
-        if let Some(slot) = self.slots.get_mut(chunk) {
-            slot.0 = 0;
+        if let Some(Some(page)) = self.pages.get_mut(chunk / PAGE_SLOTS) {
+            page[chunk % PAGE_SLOTS].0 = 0;
         }
     }
 
@@ -510,36 +531,36 @@ fn run_streaming(
         r.add("integrity.retags", rs.retags);
     }
     let ops = program.len();
-    let (state, tl, integ) = (&env.state, &mut env.tl, &mut env.integ);
-    finish_run(mw, circuit, cfg, rec, state, tl, integ, ops, noise_ops)
+    let (tl, integ) = (&mut env.tl, &mut env.integ);
+    finish_run(mw, circuit, cfg, rec, env.state, tl, integ, ops, noise_ops)
 }
 
 /// The tail both modes share: the whole-state norm gate (the last line
 /// of defense before samples leave the engine), the seeded readout, the
-/// result.
+/// result — whose state is the run's own arena, moved.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn finish_run(
     mw: &mut obs_mw::ObsMw,
     circuit: &Circuit,
     cfg: &SimConfig,
     rec: Option<&Recorder>,
-    state: &ChunkedState,
+    state: ChunkedState,
     tl: &mut Timeline,
     integ: &mut Option<IntegrityMw>,
     program_len: usize,
     noise_ops: u64,
 ) -> Result<RunResult, SimError> {
     if let Some(imw) = integ.as_mut() {
-        imw.check_whole_state(state, program_len, rec)?;
+        imw.check_whole_state(&state, program_len, rec)?;
     }
     mw.mark(obs_mw::DRIVER);
-    let samples = stochastic::sample_readout(state, cfg, tl, rec);
+    let samples = stochastic::sample_readout(&state, cfg, tl, rec);
     mw.mark(obs_mw::SAMPLE);
     tl.set_noise_ops(noise_ops);
     Ok(RunResult {
         version: cfg.version,
         circuit_name: circuit.name().to_string(),
-        state: cfg.collect_state.then(|| state.to_flat()),
+        state: cfg.collect_state.then(|| state.into_flat()),
         report: ExecutionReport::from_timeline(tl, cfg.platform.num_gpus()),
         trace: tl.trace().to_vec(),
         obs: None,
@@ -699,6 +720,10 @@ mod tests {
     use super::*;
     use crate::config::Version;
 
+    fn pages_of<T>(t: &ChunkTable<T>) -> usize {
+        t.pages.iter().flatten().count()
+    }
+
     #[test]
     fn chunk_table_clears_in_place_and_grows_only_on_insert() {
         let mut t: ChunkTable<usize> = ChunkTable::default();
@@ -706,7 +731,7 @@ mod tests {
         t.insert(5, 7);
         t.insert(2, 9);
         assert_eq!((t.get(5), t.get(2), t.get(3)), (Some(7), Some(9), None));
-        assert_eq!(t.slots.len(), 6);
+        assert_eq!(pages_of(&t), 1);
         t.remove(5);
         t.remove(1 << 40);
         assert_eq!(t.get(5), None);
@@ -714,38 +739,43 @@ mod tests {
         assert_eq!(t.get(2), None);
         t.insert(2, 1);
         assert_eq!(t.get(2), Some(1));
-        assert_eq!(t.slots.len(), 6);
+        assert_eq!(pages_of(&t), 1);
+        // A far chunk costs its own page, not the index space up to it.
+        t.insert(1 << 30, 4);
+        assert_eq!((t.get(1 << 30), t.get((1 << 30) - 1)), (Some(4), None));
+        assert_eq!(pages_of(&t), 2);
     }
 
-    /// A 20-qubit run that only ever involves five qubits: the per-chunk
-    /// tables must follow the highest *live* chunk index, never the
-    /// chunk count.
+    /// A 20-qubit run that only ever involves five qubits, one of them
+    /// high: the live chunks sit in two clusters a long way apart, and
+    /// the per-chunk tables must hold a page per cluster — not one per
+    /// `PAGE_SLOTS` chunks up to the highest live index.
     #[test]
     fn pruned_run_sizes_chunk_tables_by_its_highest_live_chunk() {
         let n = 20;
         let mut circuit = Circuit::new(n);
-        circuit.h(0).h(1).cx(1, 13).h(2).cx(0, 2).h(15).cx(15, 13);
+        circuit.h(0).h(1).cx(1, 19).h(2).cx(0, 2).h(15).cx(15, 19);
         let cfg = SimConfig::scaled_paper(n).with_version(Version::QGpu);
         let program = crate::engine::program_for(&circuit, &cfg);
         let spec = PipelineSpec::from_config(&cfg);
         let mut env = build_env(spec, &cfg, None, None, n, 0, &program, None);
         let mut mw = obs_mw::ObsMw::new(None, &cfg, env.num_gpus);
 
-        let (mut highest_live, mut fewest_chunks) = (0usize, usize::MAX);
+        let mut most_pages_spanned = 0usize;
         for (i, op) in program.iter().enumerate() {
             resize_chunks(&mut env);
             let fop = op.unitary().expect("no collapse in this circuit");
             stream_gate(&mut env, &mut mw, fop, i + 1, true).expect("fault-free run");
-            highest_live = highest_live.max((env.tracker.mask() >> env.chunk_bits) as usize);
-            fewest_chunks = fewest_chunks.min(1usize << (n as u32 - env.chunk_bits));
-            assert!(env.compressed.slots.len() <= highest_live + 1);
-            assert!(env.last_d2h.slots.len() <= highest_live + 1);
+            let highest_live = (env.tracker.mask() >> env.chunk_bits) as usize;
+            most_pages_spanned = most_pages_spanned.max(highest_live / PAGE_SLOTS + 1);
         }
-        // The tables were used, and stayed far below one slot per chunk.
-        assert!(!env.last_d2h.slots.is_empty() && !env.compressed.slots.is_empty());
-        assert!(
-            highest_live < fewest_chunks / 4,
-            "{highest_live} of {fewest_chunks}"
-        );
+        // The tables were used, and hold far fewer pages (kept across
+        // repartitions) than one dense up to the highest live chunk would.
+        for pages in [pages_of(&env.compressed), pages_of(&env.last_d2h)] {
+            assert!(
+                pages >= 1 && pages * 8 <= most_pages_spanned,
+                "{pages} pages for a span of {most_pages_spanned}"
+            );
+        }
     }
 }

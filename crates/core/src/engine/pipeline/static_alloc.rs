@@ -181,8 +181,8 @@ pub(crate) fn run(
 
     sr.flush(&program, mw)?;
     let ops = program.len();
-    let (state, tl, integ) = (&sr.state, &mut sr.tl, &mut sr.integ);
-    super::finish_run(mw, circuit, cfg, rec, state, tl, integ, ops, noise_ops)
+    let (tl, integ) = (&mut sr.tl, &mut sr.integ);
+    super::finish_run(mw, circuit, cfg, rec, sr.state, tl, integ, ops, noise_ops)
 }
 
 impl<'a> StaticRun<'a> {

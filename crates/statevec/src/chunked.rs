@@ -1,11 +1,19 @@
 //! The chunked state-vector layout of the paper's Figure 1.
 //!
-//! The `2^n` amplitudes are split into `2^(n - chunk_bits)` chunks of
-//! `2^chunk_bits` amplitudes; the high `n - chunk_bits` index bits select
-//! the chunk, the low bits the offset inside it. All-zero chunks are
-//! stored sparsely (`None`) — the storage-level counterpart of Q-GPU's
-//! zero-amplitude pruning: a chunk that has never been written is
-//! guaranteed zero because gate application is linear.
+//! The `2^n` amplitudes are one contiguous host array — the *arena* — and
+//! a chunk is an index range of it: the high `n - chunk_bits` index bits
+//! select the chunk, the low bits the offset inside it. A bitmap marks
+//! the *live* chunks; every other chunk is guaranteed all-zero — the
+//! storage-level counterpart of Q-GPU's zero-amplitude pruning: a chunk
+//! that has never been written is zero because gate application is
+//! linear.
+//!
+//! A non-live range holds `+0.0` bits, always: the arena comes zeroed
+//! from the allocator, which maps a page only when it is first touched
+//! (a chunk that stays non-live costs neither memory nor time), and
+//! whatever ends a chunk's life re-zeroes it (`-0.0` passes `is_zero()`).
+//! So the arena *is* the flat state — [`ChunkedState::into_flat`] moves
+//! it out — and re-partitioning only rebuilds the bitmap.
 //!
 //! Gates whose mixing qubits are all below the chunk boundary update each
 //! chunk independently (the paper's Case 1). A mixing qubit at or above
@@ -15,6 +23,8 @@
 //! [`crate::ChunkExecutor`]; [`ChunkedState::apply_action`] is its serial
 //! path over the whole state.
 
+use std::ops::Range;
+
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::Operation;
 use qgpu_math::Complex64;
@@ -22,16 +32,58 @@ use qgpu_math::Complex64;
 use crate::executor::ChunkExecutor;
 use crate::state::StateVector;
 
-/// A chunk checked out of a [`ChunkedState`] so an executor worker can
-/// own it (see [`ChunkedState::take_chunk`]).
-pub(crate) struct Member {
+/// A chunk borrowed out of a [`ChunkedState`] so an executor worker can
+/// own it (see [`ChunkedState::carve`]).
+pub(crate) struct Member<'a> {
     pub(crate) chunk: usize,
-    pub(crate) amps: Box<[Complex64]>,
-    was_sparse: bool,
+    pub(crate) amps: &'a mut [Complex64],
 }
 
-/// A state vector partitioned into power-of-two chunks with sparse
-/// all-zero chunks.
+/// `len` amplitudes of `+0.0`, straight from the allocator's zeroed
+/// pages: an optimized build folds "allocate, then fill all of it with
+/// zero bits" into a zeroed allocation — when `len` is known non-zero and
+/// the fill covers exactly `len` (`vec![ZERO; len]` fills `len - 1` and
+/// moves the last in). Out of line, so every caller gets the one body
+/// the fold reaches; `crates/core/tests/state_memory.rs` fails if it
+/// stops.
+#[inline(never)]
+fn zeroed(len: usize) -> Vec<Complex64> {
+    assert!(len > 0);
+    std::iter::repeat_n(Complex64::ZERO, len).collect()
+}
+
+/// Whether `part` is all zero — and if so leaves it holding `+0.0` bits,
+/// as a non-live range must. Writes only where a `-0.0` is, so a page
+/// nothing ever touched stays unmapped.
+fn settle_zero(part: &mut [Complex64]) -> bool {
+    if !part.iter().all(|a| a.is_zero()) {
+        return false;
+    }
+    if part
+        .iter()
+        .any(|a| a.re.is_sign_negative() || a.im.is_sign_negative())
+    {
+        part.fill(Complex64::ZERO);
+    }
+    true
+}
+
+/// The indices of the set bits of `words`, ascending.
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// A state vector partitioned into power-of-two chunks, all-zero chunks
+/// marked non-live.
 ///
 /// # Examples
 ///
@@ -41,7 +93,7 @@ pub(crate) struct Member {
 ///
 /// let mut s = ChunkedState::new_zero(6, 3); // 8 chunks of 8 amplitudes
 /// assert_eq!(s.num_chunks(), 8);
-/// assert_eq!(s.dense_chunk_count(), 1); // only chunk 0 is materialized
+/// assert_eq!(s.dense_chunk_count(), 1); // only chunk 0 is live
 ///
 /// s.apply_operation(&Operation::new(Gate::H, vec![0]));
 /// assert_eq!(s.dense_chunk_count(), 1); // still confined to chunk 0
@@ -49,76 +101,91 @@ pub(crate) struct Member {
 /// s.apply_operation(&Operation::new(Gate::H, vec![5]));
 /// assert_eq!(s.dense_chunk_count(), 2); // qubit 5 spans chunks
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ChunkedState {
     num_qubits: usize,
     chunk_bits: u32,
-    chunks: Vec<Option<Box<[Complex64]>>>,
+    /// All `2^n` amplitudes; `+0.0` bits wherever no live chunk is.
+    amps: Vec<Complex64>,
+    /// Bit `i` is set iff chunk `i` is live.
+    live: Vec<u64>,
+}
+
+/// Copies the live chunks into a fresh arena: the rest of `2^n`
+/// amplitudes is never read or written.
+impl Clone for ChunkedState {
+    fn clone(&self) -> Self {
+        let mut amps = zeroed(self.amps.len());
+        for c in set_bits(&self.live) {
+            let r = self.range(c);
+            amps[r.clone()].copy_from_slice(&self.amps[r]);
+        }
+        ChunkedState {
+            amps,
+            live: self.live.clone(),
+            ..*self
+        }
+    }
 }
 
 impl ChunkedState {
+    /// The all-zero vector: no chunk live.
+    fn null(num_qubits: usize, chunk_bits: u32) -> Self {
+        assert!(num_qubits > 0 && num_qubits < 48);
+        assert!(
+            chunk_bits >= 1 && (chunk_bits as usize) <= num_qubits,
+            "chunk_bits {chunk_bits} out of range for {num_qubits} qubits"
+        );
+        ChunkedState {
+            num_qubits,
+            chunk_bits,
+            amps: zeroed(1 << num_qubits),
+            live: vec![0; (1usize << (num_qubits as u32 - chunk_bits)).div_ceil(64)],
+        }
+    }
+
     /// The |0…0⟩ state with the given chunk size (in qubits).
     ///
     /// # Panics
     ///
     /// Panics if `chunk_bits` is 0 or exceeds `num_qubits`.
     pub fn new_zero(num_qubits: usize, chunk_bits: u32) -> Self {
-        assert!(num_qubits > 0 && num_qubits < 48);
-        assert!(
-            chunk_bits >= 1 && (chunk_bits as usize) <= num_qubits,
-            "chunk_bits {chunk_bits} out of range for {num_qubits} qubits"
-        );
-        let num_chunks = 1usize << (num_qubits as u32 - chunk_bits);
-        let mut chunks = vec![None; num_chunks];
-        let mut first = vec![Complex64::ZERO; 1 << chunk_bits].into_boxed_slice();
-        first[0] = Complex64::ONE;
-        chunks[0] = Some(first);
-        ChunkedState {
-            num_qubits,
-            chunk_bits,
-            chunks,
-        }
+        let mut state = ChunkedState::null(num_qubits, chunk_bits);
+        state.chunk_mut_or_alloc(0)[0] = Complex64::ONE;
+        state
     }
 
     /// Builds a chunked state from a flat one.
     ///
-    /// Chunks that are entirely zero are stored sparsely.
+    /// Chunks that are entirely zero are non-live.
     ///
     /// # Panics
     ///
     /// Panics if `chunk_bits` exceeds the state's qubit count or is 0.
     pub fn from_flat(state: &StateVector, chunk_bits: u32) -> Self {
-        let num_qubits = state.num_qubits();
-        assert!(chunk_bits >= 1 && (chunk_bits as usize) <= num_qubits);
-        let chunk_len = 1usize << chunk_bits;
-        let chunks = state
-            .amps()
-            .chunks(chunk_len)
-            .map(|c| {
-                if c.iter().all(|a| a.is_zero()) {
-                    None
-                } else {
-                    Some(c.to_vec().into_boxed_slice())
-                }
-            })
-            .collect();
-        ChunkedState {
-            num_qubits,
-            chunk_bits,
-            chunks,
-        }
-    }
-
-    /// Flattens back into a [`StateVector`].
-    pub fn to_flat(&self) -> StateVector {
-        let chunk_len = self.chunk_len();
-        let mut amps = vec![Complex64::ZERO; 1 << self.num_qubits];
-        for (i, chunk) in self.chunks.iter().enumerate() {
-            if let Some(c) = chunk {
-                amps[i * chunk_len..(i + 1) * chunk_len].copy_from_slice(c);
+        let mut chunked = ChunkedState::null(state.num_qubits(), chunk_bits);
+        for (i, c) in state.amps().chunks(1 << chunk_bits).enumerate() {
+            if !c.iter().all(|a| a.is_zero()) {
+                chunked.chunk_mut_or_alloc(i).copy_from_slice(c);
             }
         }
-        StateVector::from_amplitudes(amps)
+        chunked
+    }
+
+    /// The flat state: the arena itself, moved — nothing is allocated or
+    /// copied.
+    pub fn into_flat(self) -> StateVector {
+        StateVector::from_amplitudes(self.amps)
+    }
+
+    /// All `2^n` amplitudes in index order, borrowed.
+    pub fn as_flat(&self) -> &[Complex64] {
+        &self.amps
+    }
+
+    /// A flat copy of the state.
+    pub fn to_flat(&self) -> StateVector {
+        self.clone().into_flat()
     }
 
     /// Number of qubits.
@@ -138,7 +205,12 @@ impl ChunkedState {
 
     /// Number of chunks.
     pub fn num_chunks(&self) -> usize {
-        self.chunks.len()
+        self.amps.len() >> self.chunk_bits
+    }
+
+    /// The arena range of chunk `i`.
+    fn range(&self, i: usize) -> Range<usize> {
+        i << self.chunk_bits..(i + 1) << self.chunk_bits
     }
 
     /// The chunk's amplitudes, or `None` if it is (guaranteed) all-zero.
@@ -146,84 +218,156 @@ impl ChunkedState {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn chunk(&self, i: usize) -> Option<&[Complex64]> {
-        self.chunks[i].as_deref()
+        let part = &self.amps[self.range(i)];
+        self.is_live(i).then_some(part)
     }
 
-    /// Returns `true` if chunk `i` is stored sparsely (all-zero).
+    /// Returns `true` if chunk `i` is non-live (all-zero).
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
+    #[inline]
     pub fn is_zero_chunk(&self, i: usize) -> bool {
-        self.chunks[i].is_none()
+        self.chunk(i).is_none()
     }
 
-    /// Number of materialized (non-sparse) chunks.
+    #[inline]
+    fn is_live(&self, i: usize) -> bool {
+        self.live[i / 64] >> (i % 64) & 1 != 0
+    }
+
+    fn set_live(&mut self, i: usize, live: bool) {
+        let bit = 1u64 << (i % 64);
+        if live {
+            self.live[i / 64] |= bit;
+        } else {
+            self.live[i / 64] &= !bit;
+        }
+    }
+
+    /// Number of live chunks.
     pub fn dense_chunk_count(&self) -> usize {
-        self.chunks.iter().filter(|c| c.is_some()).count()
+        self.live.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Bytes of amplitude storage actually allocated — the memory-side
-    /// benefit of sparse zero chunks (a full vector would always take
-    /// `2^n × 16`).
+    /// Bytes of amplitude storage in live chunks — the memory-side
+    /// benefit of pruning (a full vector would always take `2^n × 16`).
     pub fn memory_bytes(&self) -> usize {
         self.dense_chunk_count() * self.chunk_len() * 16
     }
 
-    /// Materializes chunk `i` (zero-filled if sparse) and returns it.
+    /// Makes chunk `i` live (it reads all-zero if it was not) and returns
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn chunk_mut_or_alloc(&mut self, i: usize) -> &mut [Complex64] {
-        let len = self.chunk_len();
-        self.chunks[i].get_or_insert_with(|| vec![Complex64::ZERO; len].into_boxed_slice())
+        let r = self.range(i);
+        self.set_live(i, true);
+        &mut self.amps[r]
     }
 
-    /// Reverts chunk `i` to sparse storage if its contents are all zero
-    /// (a collapse zeroes whole chunks).
+    /// Ends chunk `i`'s life if its contents are all zero (a collapse
+    /// zeroes whole chunks).
     pub(crate) fn demote_if_zero(&mut self, i: usize) {
-        if let Some(c) = &self.chunks[i] {
-            if c.iter().all(|a| a.is_zero()) {
-                self.chunks[i] = None;
-            }
+        let r = self.range(i);
+        if self.is_live(i) && settle_zero(&mut self.amps[r]) {
+            self.set_live(i, false);
         }
     }
 
     /// The chunk's amplitudes for in-place update, or `None` if it is
-    /// stored sparsely.
+    /// not live.
+    #[inline]
     pub(crate) fn chunk_mut(&mut self, i: usize) -> Option<&mut [Complex64]> {
-        self.chunks[i].as_deref_mut()
+        let r = self.range(i);
+        let live = self.is_live(i);
+        live.then_some(&mut self.amps[r])
     }
 
-    /// Checks chunk `i` out of the state — materialized (zero-filled) if
-    /// it was sparse, so a worker can write it without allocating. Until
-    /// [`ChunkedState::put_chunk`] hands it back the slot reads as sparse.
-    pub(crate) fn take_chunk(&mut self, i: usize) -> Member {
-        let taken = self.chunks[i].take();
-        Member {
-            chunk: i,
-            was_sparse: taken.is_none(),
-            amps: taken
-                .unwrap_or_else(|| vec![Complex64::ZERO; self.chunk_len()].into_boxed_slice()),
-        }
+    /// Moves live chunk `from` onto chunk `to`: `to` is live with `from`'s
+    /// amplitudes, `from` is all-zero and not.
+    pub(crate) fn move_chunk(&mut self, from: usize, to: usize) {
+        let r = self.range(from);
+        self.amps.copy_within(r.clone(), to << self.chunk_bits);
+        self.set_live(to, true);
+        self.amps[r].fill(Complex64::ZERO);
+        self.set_live(from, false);
     }
 
-    /// Hands a checked-out chunk back. One that was sparse and is still
-    /// all zero goes back sparse, matching the sparsity a per-gate update
-    /// would have produced; one that was dense stays dense.
-    pub(crate) fn put_chunk(&mut self, m: Member) {
-        if !(m.was_sparse && m.amps.iter().all(|a| a.is_zero())) {
-            self.chunks[m.chunk] = Some(m.amps);
-        }
+    /// The (distinct) chunks' amplitudes, live or not: writing a non-live
+    /// one is speculative until [`ChunkedState::settle`] rules on it.
+    pub(crate) fn chunks_mut<const N: usize>(
+        &mut self,
+        chunks: [usize; N],
+    ) -> [&mut [Complex64]; N] {
+        let ranges = chunks.map(|c| self.range(c));
+        self.amps.get_disjoint_mut(ranges).expect("distinct chunks")
     }
 
-    /// Re-partitions the state with a new chunk size, preserving contents.
+    /// Borrows the listed chunks out of the arena all at once, in list
+    /// order, so that workers can own disjoint chunks with no `unsafe`:
+    /// one walk of the arena in chunk order, sorted back into list order
+    /// (O(listed) when the list ascends).
     ///
-    /// Growing merges `2^(new-old)` consecutive chunks (sparse only if all
-    /// parts were sparse); shrinking splits chunks (each part sparse if it
-    /// is all-zero). This implements the paper's *dynamic chunk size*
+    /// # Panics
+    ///
+    /// Panics if a chunk is out of range or listed twice.
+    pub(crate) fn carve(&mut self, chunks: &[usize]) -> Vec<Member<'_>> {
+        let mut order: Vec<usize> = (0..chunks.len()).collect();
+        order.sort_unstable_by_key(|&p| chunks[p]);
+        let (bits, mut rest, mut rest_at) = (self.chunk_bits, &mut self.amps[..], 0);
+        let carve_next = |p: usize| {
+            let skip = (chunks[p] << bits).checked_sub(rest_at);
+            let skip = skip.expect("a chunk is carved once");
+            let (amps, tail) = std::mem::take(&mut rest)[skip..].split_at_mut(1 << bits);
+            (rest, rest_at) = (tail, rest_at + skip + amps.len());
+            let chunk = chunks[p];
+            (p, Member { chunk, amps })
+        };
+        let mut carved: Vec<(usize, Member<'_>)> = order.into_iter().map(carve_next).collect();
+        carved.sort_unstable_by_key(|&(p, _)| p);
+        carved.into_iter().map(|(_, m)| m).collect()
+    }
+
+    /// Writes `+0.0` over the non-live ones among the listed chunks, ahead
+    /// of a group run that will read and then write them. A lazily zeroed
+    /// page whose first touch is a read is mapped twice — the shared zero
+    /// page, then its own — and the second mapping interrupts every other
+    /// running thread of the process to flush its TLB.
+    pub(crate) fn touch(&mut self, chunks: &[usize]) {
+        for &c in chunks {
+            let r = self.range(c);
+            if !self.is_live(c) {
+                self.amps[r].fill(Complex64::ZERO);
+            }
+        }
+    }
+
+    /// Rules on the listed chunks after a group run wrote through
+    /// [`ChunkedState::chunks_mut`] or [`ChunkedState::carve`]: a non-live
+    /// chunk the run left all zero stays non-live, matching the sparsity
+    /// a per-gate update would have produced; one it wrote becomes live;
+    /// one that was live stays live.
+    pub(crate) fn settle(&mut self, chunks: &[usize]) {
+        for &c in chunks {
+            let r = self.range(c);
+            if !self.is_live(c) && !settle_zero(&mut self.amps[r]) {
+                self.set_live(c, true);
+            }
+        }
+    }
+
+    /// Re-partitions the state with a new chunk size, preserving contents:
+    /// no amplitude moves, only the live bitmap is rebuilt.
+    ///
+    /// Growing merges `2^(new-old)` consecutive chunks (live if any part
+    /// was); shrinking splits chunks (each part live unless it is
+    /// all-zero). This implements the paper's *dynamic chunk size*
     /// (Algorithm 1's `getChunkSize`).
     ///
     /// # Panics
@@ -231,51 +375,24 @@ impl ChunkedState {
     /// Panics if `new_bits` is 0 or exceeds the qubit count.
     pub fn set_chunk_bits(&mut self, new_bits: u32) {
         assert!(new_bits >= 1 && (new_bits as usize) <= self.num_qubits);
-        if new_bits == self.chunk_bits {
-            return;
-        }
-        if new_bits > self.chunk_bits {
-            let factor = 1usize << (new_bits - self.chunk_bits);
-            let old_len = self.chunk_len();
-            let new_len = old_len * factor;
-            let mut merged: Vec<Option<Box<[Complex64]>>> =
-                Vec::with_capacity(self.chunks.len() / factor);
-            for group in self.chunks.chunks(factor) {
-                if group.iter().all(|c| c.is_none()) {
-                    merged.push(None);
-                } else {
-                    let mut buf = vec![Complex64::ZERO; new_len].into_boxed_slice();
-                    for (j, part) in group.iter().enumerate() {
-                        if let Some(p) = part {
-                            buf[j * old_len..(j + 1) * old_len].copy_from_slice(p);
-                        }
-                    }
-                    merged.push(Some(buf));
-                }
-            }
-            self.chunks = merged;
-        } else {
-            let factor = 1usize << (self.chunk_bits - new_bits);
-            let new_len = 1usize << new_bits;
-            let mut split: Vec<Option<Box<[Complex64]>>> =
-                Vec::with_capacity(self.chunks.len() * factor);
-            for chunk in &self.chunks {
-                match chunk {
-                    None => split.extend(std::iter::repeat_with(|| None).take(factor)),
-                    Some(c) => {
-                        for part in c.chunks(new_len) {
-                            if part.iter().all(|a| a.is_zero()) {
-                                split.push(None);
-                            } else {
-                                split.push(Some(part.to_vec().into_boxed_slice()));
-                            }
-                        }
+        let old = std::mem::replace(
+            &mut self.live,
+            vec![0; (self.amps.len() >> new_bits).div_ceil(64)],
+        );
+        let old_bits = std::mem::replace(&mut self.chunk_bits, new_bits);
+        for c in set_bits(&old) {
+            if new_bits >= old_bits {
+                self.set_live(c >> (new_bits - old_bits), true);
+            } else {
+                let factor = old_bits - new_bits;
+                for part in c << factor..(c + 1) << factor {
+                    let r = self.range(part);
+                    if !settle_zero(&mut self.amps[r]) {
+                        self.set_live(part, true);
                     }
                 }
             }
-            self.chunks = split;
         }
-        self.chunk_bits = new_bits;
     }
 
     /// The chunk group that must be co-processed with `chunk` for the

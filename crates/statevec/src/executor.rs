@@ -4,9 +4,10 @@
 //! path — the flat comparators, the chunked engines, and the reduction
 //! helpers in [`crate::measure`] / [`crate::observable`] — asks it to
 //! spread work over a crossbeam-scoped worker pool. Each worker owns a
-//! disjoint set of amplitudes (distinct chunks, checked out of the state
-//! for the dispatch, or distinct aligned blocks of a flat slice), so no
-//! synchronization — and no `unsafe` — is needed beyond the scope join.
+//! disjoint set of amplitudes (distinct chunks, borrowed out of the
+//! state's arena for the dispatch, or distinct aligned blocks of a flat
+//! slice), so no synchronization — and no `unsafe` — is needed beyond the
+//! scope join.
 //!
 //! # Determinism
 //!
@@ -373,14 +374,14 @@ impl ChunkExecutor {
             }
             return Ok(0);
         }
-        // Workers own their chunks for the dispatch: check the dense ones
-        // out of the state, hand them back whatever happens.
-        let mut work = Vec::with_capacity(dense);
-        for &c in chunks {
-            if !state.is_zero_chunk(c) {
-                work.push(state.take_chunk(c));
-            }
-        }
+        // Workers own their chunks for the dispatch: borrow the live ones
+        // out of the arena.
+        let live: Vec<usize> = chunks
+            .iter()
+            .copied()
+            .filter(|&c| !state.is_zero_chunk(c))
+            .collect();
+        let mut work = state.carve(&live);
         let per = work.len().div_ceil(self.threads);
         let restarts = self.run_dispatch(
             &mut work,
@@ -392,11 +393,10 @@ impl ChunkExecutor {
                     if poll().is_some() {
                         return;
                     }
-                    visit(m.chunk, &mut m.amps);
+                    visit(m.chunk, m.amps);
                 }
             },
         );
-        work.into_iter().for_each(|m| state.put_chunk(m));
         match poll() {
             Some(err) => Err(err),
             None => restarts,
@@ -450,37 +450,57 @@ impl ChunkExecutor {
     ) -> Result<u64, SimError> {
         let chunk_bits = state.chunk_bits();
         let group_len = 1usize << high_mixing.len();
-
-        // Check the surviving groups' members out of the state, sparse
-        // ones materialized so workers can write without allocation;
-        // `put_chunk` re-sparsifies those the run left zero.
-        let mut work: Vec<Member> = Vec::with_capacity(groups.len() * group_len);
-        for &group in groups {
+        for group in groups {
             assert_eq!(group.len(), group_len, "group size must be 2^high_mixing");
-            if group.iter().any(|&m| !state.is_zero_chunk(m)) {
-                work.extend(group.iter().map(|&m| state.take_chunk(m)));
-            }
         }
-
-        let run = |piece: &mut [Member]| {
-            for group in piece.chunks_exact_mut(group_len) {
-                for a in actions {
-                    apply_to_group(group, chunk_bits, high_mixing, a);
-                }
-            }
+        // A group with no live member stays all zero: skip it. The rest
+        // run with their non-live members as they are — all `+0.0` — and
+        // `settle` re-zeroes those the run left zero.
+        let survives =
+            |state: &ChunkedState, group: &[usize]| group.iter().any(|&m| !state.is_zero_chunk(m));
+        let num_groups = match self.threads {
+            1 => 0,
+            _ => groups.iter().filter(|g| survives(state, g)).count(),
         };
-        let num_groups = work.len() / group_len;
         // A seeded worker-death campaign counts dispatches, so it keeps
         // every one; otherwise small work stays on this thread.
-        let small = self.faults.is_none() && work.len() << chunk_bits < MIN_PARALLEL;
-        let restarts = if self.threads == 1 || num_groups <= 1 || small {
-            run(&mut work);
-            Ok(0)
-        } else {
-            let per = num_groups.div_ceil(self.threads) * group_len;
-            self.run_dispatch(&mut work, per, "apply_group_runs", "worker.group", &run)
-        };
-        work.into_iter().for_each(|m| state.put_chunk(m));
+        let small = self.faults.is_none() && (num_groups * group_len) << chunk_bits < MIN_PARALLEL;
+        if num_groups <= 1 || small {
+            for &group in groups {
+                if !survives(state, group) {
+                    continue;
+                }
+                state.touch(group);
+                for a in actions {
+                    apply_to_group(&mut InArena(state, group), chunk_bits, high_mixing, a);
+                }
+                state.settle(group);
+            }
+            return Ok(0);
+        }
+        let members: Vec<usize> = groups
+            .iter()
+            .filter(|g| survives(state, g))
+            .flat_map(|g| g.iter().copied())
+            .collect();
+        state.touch(&members);
+        let mut work = state.carve(&members);
+        let per = num_groups.div_ceil(self.threads) * group_len;
+        let restarts = self.run_dispatch(
+            &mut work,
+            per,
+            "apply_group_runs",
+            "worker.group",
+            &|piece| {
+                for group in piece.chunks_exact_mut(group_len) {
+                    for a in actions {
+                        apply_to_group(group, chunk_bits, high_mixing, a);
+                    }
+                }
+            },
+        );
+        drop(work);
+        state.settle(&members);
         restarts
     }
 
@@ -595,21 +615,50 @@ impl ChunkExecutor {
     }
 }
 
-/// Applies one member action of a run to a checked-out chunk group
-/// (`group[j]` is the member whose high-mixing bit pattern is `j`, rank
-/// `r` of `high_mixing` ↔ bit `r`). Diagonals and chunk-local dense
-/// actions visit each member with its own global base; a dense action
-/// mixing a high qubit pairs up the members that qubit tells apart.
-fn apply_to_group(
-    group: &mut [Member],
+/// A chunk group's members during a run, by member index: member `j`
+/// is the one whose high-mixing bit pattern is `j` (rank `r` of
+/// `high_mixing` ↔ bit `r`).
+trait Group {
+    /// The chunk index and the amplitudes of the (distinct) members `js`.
+    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N];
+}
+
+/// A group addressed straight in the state's arena — the serial path,
+/// which borrows nothing for longer than a kernel call.
+struct InArena<'a>(&'a mut ChunkedState, &'a [usize]);
+
+impl Group for InArena<'_> {
+    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N] {
+        let chunks = js.map(|j| self.1[j]);
+        let mut amps = self.0.chunks_mut(chunks).into_iter();
+        chunks.map(|c| (c, amps.next().expect("one slice per chunk")))
+    }
+}
+
+/// A group carved out of the arena for a worker.
+impl Group for [Member<'_>] {
+    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N] {
+        let members = self.get_disjoint_mut(js).expect("distinct members");
+        members.map(|m| (m.chunk, &mut *m.amps))
+    }
+}
+
+/// Applies one member action of a run to a chunk group. Diagonals and
+/// chunk-local dense actions visit each member with its own global base;
+/// a dense action mixing a high qubit pairs up the members that qubit
+/// tells apart.
+fn apply_to_group<G: Group + ?Sized>(
+    group: &mut G,
     chunk_bits: u32,
     high_mixing: &[usize],
     action: &GateAction,
 ) {
+    let group_len = 1usize << high_mixing.len();
     let (controls, mixing, matrix) = match action {
         GateAction::Diagonal { qubits, dvec } => {
-            for m in group {
-                kernels::apply_diagonal(&mut m.amps, m.chunk << chunk_bits, qubits, dvec);
+            for j in 0..group_len {
+                let [(chunk, amps)] = group.members([j]);
+                kernels::apply_diagonal(amps, chunk << chunk_bits, qubits, dvec);
             }
             return;
         }
@@ -635,33 +684,34 @@ fn apply_to_group(
             cmask |= 1 << c;
         }
     }
-    let enabled = |m: &Member| m.chunk & high_cmask == high_cmask;
+    let enabled = |chunk: usize| chunk & high_cmask == high_cmask;
     // The members a kernel call starts from: index 0 at every mixing bit.
-    let anchors = |bits: usize| (0..group.len()).filter(move |j| j & bits == 0);
+    let anchors = |bits: usize| (0..group_len).filter(move |j| j & bits == 0);
     match **mixing {
         _ if !mixing.iter().any(|&q| is_high(q)) => {
-            for m in group.iter_mut().filter(|m| enabled(m)) {
-                kernels::apply_dense(&mut m.amps, cmask, mixing, matrix);
+            for j in 0..group_len {
+                let [(chunk, amps)] = group.members([j]);
+                if enabled(chunk) {
+                    kernels::apply_dense(amps, cmask, mixing, matrix);
+                }
             }
         }
         [target] => {
             let bit = member_bit(target);
             for j in anchors(bit) {
-                let [lo, hi] = group.get_disjoint_mut([j, j | bit]).expect("distinct members");
-                if enabled(lo) {
-                    kernels::apply_1q_halves(&mut lo.amps, &mut hi.amps, cmask, matrix);
+                let [(chunk, lo), (_, hi)] = group.members([j, j | bit]);
+                if enabled(chunk) {
+                    kernels::apply_1q_halves(lo, hi, cmask, matrix);
                 }
             }
         }
         [q0, q1] if cmask == 0 && is_high(q0) && is_high(q1) => {
             let (b0, b1) = (member_bit(q0), member_bit(q1));
             for j in anchors(b0 | b1) {
-                let [s0, s1, s2, s3] = group
-                    .get_disjoint_mut([j, j | b0, j | b1, j | b0 | b1])
-                    .expect("distinct members");
-                if enabled(s0) {
-                    let quarters = [&mut *s0.amps, &mut *s1.amps, &mut *s2.amps, &mut *s3.amps];
-                    kernels::apply_2q_quarters(quarters, matrix);
+                let [(chunk, s0), (_, s1), (_, s2), (_, s3)] =
+                    group.members([j, j | b0, j | b1, j | b0 | b1]);
+                if enabled(chunk) {
+                    kernels::apply_2q_quarters([s0, s1, s2, s3], matrix);
                 }
             }
         }
@@ -669,9 +719,9 @@ fn apply_to_group(
             let (low, high) = if is_high(q0) { (q1, q0) } else { (q0, q1) };
             let bit = member_bit(high);
             for j in anchors(bit) {
-                let [h0, h1] = group.get_disjoint_mut([j, j | bit]).expect("distinct members");
-                if enabled(h0) {
-                    kernels::apply_2q_halves(&mut h0.amps, &mut h1.amps, low, low == q0, matrix);
+                let [(chunk, h0), (_, h1)] = group.members([j, j | bit]);
+                if enabled(chunk) {
+                    kernels::apply_2q_halves(h0, h1, low, low == q0, matrix);
                 }
             }
         }

@@ -8,9 +8,10 @@
 //!
 //! * [`StateVector`] — a flat amplitude vector with single-threaded and
 //!   multi-threaded gate application; the reference implementation.
-//! * [`ChunkedState`] — the paper's chunked layout (Figure 1): the state
-//!   split into `2^chunk_bits`-amplitude chunks, with all-zero chunks
-//!   stored sparsely (exactly what pruning exploits).
+//! * [`ChunkedState`] — the paper's chunked layout (Figure 1): one array
+//!   in which a chunk is a range of `2^chunk_bits` amplitudes, with
+//!   all-zero chunks marked non-live and never touched (exactly what
+//!   pruning exploits).
 //! * [`ChunkExecutor`] — the shared worker pool that applies gate
 //!   kernels (and fused runs) across disjoint chunks in parallel, with
 //!   bit-exact results at every thread count.

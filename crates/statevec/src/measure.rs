@@ -163,11 +163,10 @@ pub fn collapse_chunked(state: &mut ChunkedState, qubit: usize, outcome: bool, p
     let bit = 1usize << qubit;
     let chunk_bits = state.chunk_bits();
     for c in 0..state.num_chunks() {
-        if state.is_zero_chunk(c) {
-            continue;
-        }
         let base = c << chunk_bits;
-        let amps = state.chunk_mut_or_alloc(c);
+        let Some(amps) = state.chunk_mut(c) else {
+            continue;
+        };
         for (off, a) in amps.iter_mut().enumerate() {
             if (((base | off) & bit) != 0) == outcome {
                 *a = *a * scale;
@@ -199,10 +198,9 @@ pub fn reset_chunked(state: &mut ChunkedState, qubit: usize, outcome: bool, p_ou
         // The pair lives inside each chunk: move offset (o|bit) → o.
         let bit = 1usize << qubit;
         for c in 0..state.num_chunks() {
-            if state.is_zero_chunk(c) {
+            let Some(amps) = state.chunk_mut(c) else {
                 continue;
-            }
-            let amps = state.chunk_mut_or_alloc(c);
+            };
             for off in 0..amps.len() {
                 if off & bit != 0 {
                     amps[off & !bit] = amps[off];
@@ -214,14 +212,9 @@ pub fn reset_chunked(state: &mut ChunkedState, qubit: usize, outcome: bool, p_ou
         // The pair spans chunks: move chunk (c|bit) → chunk (c & !bit).
         let bit = 1usize << (qubit - chunk_bits);
         for c in 0..state.num_chunks() {
-            if c & bit == 0 || state.is_zero_chunk(c) {
-                continue;
+            if c & bit != 0 && !state.is_zero_chunk(c) {
+                state.move_chunk(c, c & !bit);
             }
-            let src: Vec<qgpu_math::Complex64> = state.chunk(c).expect("dense chunk").to_vec();
-            state.chunk_mut_or_alloc(c & !bit).copy_from_slice(&src);
-            let cleared = state.chunk_mut_or_alloc(c);
-            cleared.fill(qgpu_math::Complex64::ZERO);
-            state.demote_if_zero(c);
         }
     }
 }
