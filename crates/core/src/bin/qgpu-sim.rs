@@ -34,7 +34,7 @@
 //!   --report-json <path>  write the modeled execution report as JSON
 //!   --save <path>      write the final state as a compressed checkpoint
 //!   --trace-out <path> write a two-track Chrome/Perfetto trace JSON
-//!   --metrics-out <path>  write recorded counters/histograms as JSON
+//!   --metrics-out <path>  write the recorded metrics as JSON
 //!                      (with a `meta` run-provenance block and the
 //!                      labeled `registry` of per-stage histograms)
 //!   --flight-out <path>  always dump the flight-recorder event ring to
@@ -739,9 +739,6 @@ fn main() -> ExitCode {
 
     if let Some(path) = &opts.metrics_out {
         let obs = result.obs.as_ref().expect("obs enabled with --metrics-out");
-        // Provenance first, then the flat counters/histograms (their
-        // keys stay top-level for existing consumers), then the labeled
-        // registry.
         let label = opts
             .opts
             .map(|f| f.label())
@@ -752,13 +749,7 @@ fn main() -> ExitCode {
             &format!("{:?}", sim.config()),
             env!("CARGO_PKG_VERSION"),
         );
-        let mut doc = match obs.metrics.to_json() {
-            qgpu_obs::Json::Obj(pairs) => pairs,
-            other => vec![("metrics".to_string(), other)],
-        };
-        doc.insert(0, ("meta".to_string(), meta.to_json()));
-        doc.push(("registry".to_string(), obs.registry.to_json()));
-        if let Err(e) = fs::write(path, qgpu_obs::Json::Obj(doc).to_string()) {
+        if let Err(e) = fs::write(path, obs.registry.document(&meta).to_string()) {
             eprintln!("error: {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -152,7 +152,6 @@ impl Simulator {
             if self.config.obs_spans {
                 result.obs = Some(ObsData {
                     spans: rec.spans(),
-                    metrics: rec.metrics(),
                     wall_s: rec.elapsed_s(),
                     registry: rec.registry().snapshot(),
                     flight: rec.flight_events(),

@@ -10,6 +10,7 @@
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_device::timeline::{Engine, TaskKind};
+use qgpu_device::Counter;
 use qgpu_faults::SimError;
 use qgpu_obs::{span_opt, Stage as ObsStage, Track};
 use qgpu_sched::InvolvementTracker;
@@ -89,10 +90,7 @@ pub(crate) fn run_batch(
     let num_chunks = 1usize << (env.num_qubits as u32 - cb);
     for chunk in 0..num_chunks {
         if pruning && env.tracker.chunk_is_zero(chunk, cb) {
-            env.tl.count_pruned(batch.len() as u64);
-            if let Some(r) = env.rec {
-                r.add("chunks.pruned", batch.len() as u64);
-            }
+            env.tl.count(Counter::ChunksPruned, batch.len() as u64);
             if let Some(imw) = env.integ.as_mut() {
                 // Zero (unallocated) chunks trivially hold no amplitude.
                 if !env.state.is_zero_chunk(chunk) {
@@ -162,7 +160,7 @@ fn batch_chunk(
                     groups: &[],
                     high_mixing: &[],
                 };
-                let (ex, st, tl) = (&mut env.executor, &mut env.state, &mut env.tl);
+                let (ex, st, tl) = (&mut env.executor, &mut env.state, &mut *env.tl);
                 imw.checked_apply(ex, st, tl, env.rec, batch[i], base_idx + i, w)?;
             } else {
                 let restarts = env.executor.try_apply_local_run(
@@ -170,13 +168,13 @@ fn batch_chunk(
                     batch[i].actions(),
                     &[chunk],
                 )?;
-                middleware::note_restarts(&mut env.tl, env.rec, restarts);
+                middleware::note_restarts(env.tl, env.rec, restarts);
             }
         }
     }
-    env.tl.count_processed(applicable.len() as u64);
+    env.tl
+        .count(Counter::ChunksProcessed, applicable.len() as u64);
     if let Some(r) = env.rec {
-        r.add("chunks.processed", applicable.len() as u64);
         r.observe("chunk.bytes", chunk_bytes);
     }
     steps::note_kernel_service(env, gpu, kernel_service, chunk_bytes);
@@ -233,7 +231,8 @@ fn batch_download(
                 r.observe("compress.ratio.x100", ratio);
             }
             sealed_at_encode = true;
-            env.tl.record_compression(chunk_bytes, sz as u64);
+            env.tl.count(Counter::BytesBeforeCompress, chunk_bytes);
+            env.tl.count(Counter::BytesAfterCompress, sz as u64);
             env.compressed.insert(chunk, sz);
             d2h_bytes = sz as u64;
             let cspan = env.tl.schedule(

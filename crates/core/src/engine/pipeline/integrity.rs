@@ -186,7 +186,6 @@ impl IntegrityMw {
 
     fn count(rec: Option<&Recorder>, name: &'static str, kind: InvariantKind) {
         if let Some(r) = rec {
-            r.add(name, 1);
             r.registry().add(name, &[("kind", kind.label())], 1);
         }
     }
@@ -214,7 +213,6 @@ impl IntegrityMw {
             self.summary.quarantines += 1;
             self.pending_quarantine = Some(dev);
             if let Some(r) = rec {
-                r.add("integrity.quarantines", 1);
                 r.registry()
                     .add("integrity.quarantines", &[("state", "quarantined")], 1);
                 r.flight("quarantine", || {
@@ -521,7 +519,6 @@ impl IntegrityMw {
         self.summary.checks += swept;
         if let Some(r) = rec {
             if swept > 0 {
-                r.add("integrity.checks", swept);
                 r.registry().add(
                     "integrity.checks",
                     &[("kind", InvariantKind::ZeroBlock.label())],

@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use qgpu_circuit::fuse::FusedOp;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+use qgpu_device::Counter;
 use qgpu_faults::{FaultInjector, FaultSite, RetryPolicy, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
@@ -257,9 +258,8 @@ impl Orchestration {
                     // terminal rung just keeps doing that.
                     PressureAction::SpillOldest => {}
                 }
-                tl.count_pressure_downshift();
+                tl.count(Counter::PressureDownshifts, 1);
                 if let Some(r) = rec {
-                    r.add("orch.pressure_downshifts", 1);
                     r.flight("downshift", || format!("pressure governor: {action:?}"));
                 }
             }
@@ -408,11 +408,9 @@ pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), Sim
         return Err(SimError::AllDevicesLost { device });
     };
     let _g = span_opt(rec, Track::Main, ObsStage::Other, "orch.reshard");
-    tl.count_device_lost();
-    tl.count_chunks_migrated(replay.len() as u64);
+    tl.count(Counter::DevicesLost, 1);
+    tl.count(Counter::ChunksMigrated, replay.len() as u64);
     if let Some(r) = rec {
-        r.add("orch.devices_lost", 1);
-        r.add("orch.chunks_migrated", replay.len() as u64);
         r.flight("device_loss", || {
             format!("device {device} lost; replaying {} task(s)", replay.len())
         });
@@ -494,9 +492,8 @@ pub(crate) fn note_resume_discard(start: usize, rec: Option<&Recorder>) {
 /// Charges recovered worker deaths to the timeline and recorder.
 pub(crate) fn note_restarts(tl: &mut Timeline, rec: Option<&Recorder>, restarts: u64) {
     if restarts > 0 {
-        tl.count_worker_restarts(restarts);
+        tl.count(Counter::WorkerRestarts, restarts);
         if let Some(r) = rec {
-            r.add("worker.restarts", restarts);
             r.flight("worker_restart", || {
                 format!("{restarts} worker thread(s) died and were restarted")
             });

@@ -42,7 +42,7 @@ use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_circuit::Circuit;
 use qgpu_compress::{codec_for_kind, Codec, CodecKind};
 use qgpu_device::timeline::{Engine, Timeline};
-use qgpu_device::{CodecClass, ExecutionReport};
+use qgpu_device::{CodecClass, Counter, ExecutionReport};
 use qgpu_faults::SimError;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
@@ -142,7 +142,7 @@ pub(crate) struct Env<'a> {
     /// trip pays two transfer latencies and one kernel launch.
     pub(crate) overhead_bytes: f64,
     pub(crate) dynamic_chunks: bool,
-    pub(crate) tl: Timeline,
+    pub(crate) tl: &'a mut Timeline,
     pub(crate) state: ChunkedState,
     pub(crate) executor: ChunkExecutor,
     pub(crate) tracker: InvolvementTracker,
@@ -218,10 +218,7 @@ pub(crate) fn deal_gpu(env: &mut Env) -> usize {
             }
             let (g, stolen) = o.group.assign(env.task_counter, &env.backlog);
             if stolen {
-                env.tl.count_steal();
-                if let Some(r) = env.rec {
-                    r.add("orch.steals", 1);
-                }
+                env.tl.count(Counter::Steals, 1);
             }
             g
         }
@@ -257,7 +254,7 @@ pub(crate) fn admit_window(
                 env.chunk_bits,
                 chunk_bytes,
                 compressing,
-                &mut env.tl,
+                env.tl,
                 env.rec,
             ),
             None => base_cap,
@@ -286,7 +283,7 @@ pub(crate) fn admit_window(
                 env.chunk_bits,
                 chunk_bytes,
                 compressing,
-                &mut env.tl,
+                env.tl,
                 env.rec,
             );
             if o.governor.is_some() {
@@ -386,7 +383,8 @@ pub(crate) fn drain_quarantine(env: &mut Env) -> Result<(), SimError> {
 }
 
 /// Engine entry point: apply the seeded noise rewrite (if configured),
-/// resolve the spec, then dispatch to the static or streaming mode.
+/// resolve the spec, dispatch to the static or streaming mode, then
+/// publish the run's event counts.
 ///
 /// Noise is inserted *before* reordering and fusion, so every version
 /// and flag subset executes the identical noisy circuit — the rewrite is
@@ -409,16 +407,31 @@ pub(crate) fn run(
     let spec = PipelineSpec::from_config(cfg);
     let rec = recorder.map(Arc::as_ref);
     let mut mw = obs_mw::ObsMw::new(rec, cfg, cfg.platform.num_gpus());
+    // The timeline outlives the mode that fills it, so a run that fails
+    // or is cancelled still leaves its counts behind.
+    let mut tl = if cfg.trace_events > 0 {
+        Timeline::with_trace(cfg.trace_events)
+    } else {
+        Timeline::new()
+    };
+    tl.count(Counter::NoiseOps, noise_ops);
     let result = match spec.mode {
-        ExecMode::Static => static_alloc::run(circuit, cfg, recorder, resume, noise_ops, &mut mw),
+        ExecMode::Static => static_alloc::run(circuit, cfg, recorder, resume, &mut tl, &mut mw),
         ExecMode::Streaming => {
-            run_streaming(circuit, cfg, spec, recorder, resume, noise_ops, &mut mw)
+            run_streaming(circuit, cfg, spec, recorder, resume, &mut tl, &mut mw)
         }
     };
     // Whatever the mode still held is released by now: that, and an
     // aborted run's partial timings, are flushed with the rest.
     mw.mark(obs_mw::DRIVER);
     mw.finish();
+    // The one place `Counter` names reach the recorder: every exit —
+    // `Ok`, error, abort — passes here, with the counts the report reads.
+    if let Some(r) = rec {
+        for c in Counter::ALL.into_iter().filter(|&c| tl.counter(c) > 0) {
+            r.add(c.name(), tl.counter(c));
+        }
+    }
     result
 }
 
@@ -428,7 +441,7 @@ fn run_streaming(
     spec: PipelineSpec,
     recorder: Option<&Arc<Recorder>>,
     resume: Option<&Checkpoint>,
-    noise_ops: u64,
+    tl: &mut Timeline,
     mw: &mut obs_mw::ObsMw,
 ) -> Result<RunResult, SimError> {
     let rec = recorder.map(Arc::as_ref);
@@ -451,7 +464,7 @@ fn run_streaming(
     };
     let start = middleware::validate_resume(resume, n, program.len())?;
 
-    let mut env = build_env(spec, cfg, rec, recorder, n, start, &program, resume);
+    let mut env = build_env(spec, cfg, rec, recorder, tl, n, start, &program, resume);
     if start > 0 {
         middleware::note_resume_discard(start, rec);
         if let Some(mw) = env.integ.as_mut() {
@@ -530,9 +543,8 @@ fn run_streaming(
     if let (Some(rs), Some(r)) = (env.resil.as_ref(), rec) {
         r.add("integrity.retags", rs.retags);
     }
-    let ops = program.len();
-    let (tl, integ) = (&mut env.tl, &mut env.integ);
-    finish_run(mw, circuit, cfg, rec, env.state, tl, integ, ops, noise_ops)
+    let (ops, integ) = (program.len(), &mut env.integ);
+    finish_run(mw, circuit, cfg, rec, env.state, env.tl, integ, ops)
 }
 
 /// The tail both modes share: the whole-state norm gate (the last line
@@ -548,7 +560,6 @@ pub(crate) fn finish_run(
     tl: &mut Timeline,
     integ: &mut Option<IntegrityMw>,
     program_len: usize,
-    noise_ops: u64,
 ) -> Result<RunResult, SimError> {
     if let Some(imw) = integ.as_mut() {
         imw.check_whole_state(&state, program_len, rec)?;
@@ -556,7 +567,6 @@ pub(crate) fn finish_run(
     mw.mark(obs_mw::DRIVER);
     let samples = stochastic::sample_readout(&state, cfg, tl, rec);
     mw.mark(obs_mw::SAMPLE);
-    tl.set_noise_ops(noise_ops);
     Ok(RunResult {
         version: cfg.version,
         circuit_name: circuit.name().to_string(),
@@ -644,6 +654,7 @@ fn build_env<'a>(
     cfg: &'a SimConfig,
     rec: Option<&'a Recorder>,
     recorder: Option<&Arc<Recorder>>,
+    tl: &'a mut Timeline,
     n: usize,
     start: usize,
     program: &[ProgramOp],
@@ -670,12 +681,10 @@ fn build_env<'a>(
         Some(ck) => ChunkedState::from_flat(&ck.state, chunk_bits),
         None => ChunkedState::new_zero(n, chunk_bits),
     };
-    let mut tl = if cfg.trace_events > 0 {
-        Timeline::with_trace(cfg.trace_events)
-    } else {
-        Timeline::new()
-    };
-    tl.set_gates_fused(qgpu_circuit::fuse::program_gates_fused(program) as u64);
+    tl.count(
+        Counter::GatesFused,
+        qgpu_circuit::fuse::program_gates_fused(program) as u64,
+    );
 
     Env {
         cfg,
@@ -758,7 +767,8 @@ mod tests {
         let cfg = SimConfig::scaled_paper(n).with_version(Version::QGpu);
         let program = crate::engine::program_for(&circuit, &cfg);
         let spec = PipelineSpec::from_config(&cfg);
-        let mut env = build_env(spec, &cfg, None, None, n, 0, &program, None);
+        let mut tl = Timeline::new();
+        let mut env = build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None);
         let mut mw = obs_mw::ObsMw::new(None, &cfg, env.num_gpus);
 
         let mut most_pages_spanned = 0usize;

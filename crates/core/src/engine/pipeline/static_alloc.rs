@@ -35,6 +35,7 @@ use qgpu_circuit::access::GateAction;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_circuit::Circuit;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+use qgpu_device::Counter;
 use qgpu_faults::{CancelToken, FaultInjector, SimError};
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::devicegroup::DeviceGroup;
@@ -70,7 +71,7 @@ struct StaticRun<'a> {
     resident: usize,
     alive: Vec<bool>,
     state: ChunkedState,
-    tl: Timeline,
+    tl: &'a mut Timeline,
     executor: ChunkExecutor,
     gate_ready: f64,
     group: Option<DeviceGroup>,
@@ -92,7 +93,7 @@ pub(crate) fn run(
     cfg: &SimConfig,
     recorder: Option<&Arc<Recorder>>,
     resume: Option<&Checkpoint>,
-    noise_ops: u64,
+    tl: &mut Timeline,
     mw: &mut ObsMw,
 ) -> Result<RunResult, SimError> {
     let rec = recorder.map(Arc::as_ref);
@@ -102,7 +103,7 @@ pub(crate) fn run(
         crate::engine::program_for(circuit, cfg)
     };
     let start = middleware::validate_resume(resume, n, program.len())?;
-    let mut sr = StaticRun::new(cfg, rec, recorder, n, &program, resume);
+    let mut sr = StaticRun::new(cfg, rec, recorder, tl, n, &program, resume);
     if start > 0 {
         middleware::note_resume_discard(start, rec);
         if let Some(imw) = sr.integ.as_mut() {
@@ -181,8 +182,7 @@ pub(crate) fn run(
 
     sr.flush(&program, mw)?;
     let ops = program.len();
-    let (tl, integ) = (&mut sr.tl, &mut sr.integ);
-    super::finish_run(mw, circuit, cfg, rec, sr.state, tl, integ, ops, noise_ops)
+    super::finish_run(mw, circuit, cfg, rec, sr.state, sr.tl, &mut sr.integ, ops)
 }
 
 impl<'a> StaticRun<'a> {
@@ -190,6 +190,7 @@ impl<'a> StaticRun<'a> {
         cfg: &'a SimConfig,
         rec: Option<&'a Recorder>,
         recorder: Option<&Arc<Recorder>>,
+        tl: &'a mut Timeline,
         n: usize,
         program: &[ProgramOp],
         resume: Option<&Checkpoint>,
@@ -228,11 +229,6 @@ impl<'a> StaticRun<'a> {
             Some(ck) => ChunkedState::from_flat(&ck.state, chunk_bits),
             None => ChunkedState::new_zero(n, chunk_bits),
         };
-        let mut tl = if cfg.trace_events > 0 {
-            Timeline::with_trace(cfg.trace_events)
-        } else {
-            Timeline::new()
-        };
 
         // Orchestration bookkeeping: the device group tracks liveness and
         // barriers; the injector draws device-level faults.
@@ -245,18 +241,16 @@ impl<'a> StaticRun<'a> {
             g
         });
         if budget.is_some() {
-            for _ in 0..budget_capped {
-                tl.count_pressure_downshift();
-                if let Some(r) = rec {
-                    r.add("orch.pressure_downshifts", 1);
-                }
-            }
+            tl.count(Counter::PressureDownshifts, budget_capped);
             for g in 0..num_gpus {
                 let cnt = (0..resident).filter(|c| c % num_gpus == g).count() as u64;
                 tl.observe_resident_bytes(cnt * chunk_bytes);
             }
         }
-        tl.set_gates_fused(qgpu_circuit::fuse::program_gates_fused(program) as u64);
+        tl.count(
+            Counter::GatesFused,
+            qgpu_circuit::fuse::program_gates_fused(program) as u64,
+        );
 
         StaticRun {
             cfg,
@@ -317,7 +311,7 @@ impl<'a> StaticRun<'a> {
         mw.gate_done();
         match done {
             Ok(restarts) => {
-                middleware::note_restarts(&mut self.tl, self.rec, restarts);
+                middleware::note_restarts(self.tl, self.rec, restarts);
                 Ok(())
             }
             Err(err) if cancel.is_some_and(CancelToken::is_tripped) => {
@@ -358,11 +352,9 @@ impl<'a> StaticRun<'a> {
         let moved = (0..self.resident)
             .filter(|c| c % self.num_gpus == d)
             .count() as u64;
-        self.tl.count_device_lost();
-        self.tl.count_chunks_migrated(moved);
+        self.tl.count(Counter::DevicesLost, 1);
+        self.tl.count(Counter::ChunksMigrated, moved);
         if let Some(r) = self.rec {
-            r.add("orch.devices_lost", 1);
-            r.add("orch.chunks_migrated", moved);
             r.flight("device_loss", || {
                 format!("device {d} lost; {moved} resident chunk(s) re-homed to host")
             });
@@ -393,11 +385,10 @@ impl<'a> StaticRun<'a> {
             },
         );
         let bytes = self.state.memory_bytes() as u64;
-        self.gate_ready = stochastic::collapse_cost(&mut self.tl, self.cfg, self.gate_ready, bytes);
+        self.gate_ready = stochastic::collapse_cost(self.tl, self.cfg, self.gate_ready, bytes);
         let outcome = stochastic::collapse_state(&mut self.state, qubit, is_reset, u);
-        self.tl.count_collapse();
+        self.tl.count(Counter::Collapses, 1);
         if let Some(r) = self.rec {
-            r.add("stoch.collapses", 1);
             r.flight("collapse", || {
                 let kind = if is_reset { "reset" } else { "measure" };
                 format!("{kind} qubit {qubit} -> {}", u8::from(outcome))
@@ -428,9 +419,9 @@ impl<'a> StaticRun<'a> {
                 host_bytes += task_bytes;
             }
         }
-        self.tl.count_processed(plan.total_chunks() as u64);
+        self.tl
+            .count(Counter::ChunksProcessed, plan.total_chunks() as u64);
         if let Some(r) = self.rec {
-            r.add("chunks.processed", plan.total_chunks() as u64);
             r.observe_n("chunk.bytes", self.chunk_bytes, plan.tasks().len() as u64);
         }
 
@@ -466,7 +457,7 @@ impl<'a> StaticRun<'a> {
             );
             self.tl.add_flops((bytes as f64 / 16.0) * fpa);
             if fop.is_fused() {
-                self.tl.count_fused_kernel();
+                self.tl.count(Counter::FusedKernels, 1);
             }
             gate_end = gate_end.max(span.end);
         }
@@ -492,7 +483,7 @@ impl<'a> StaticRun<'a> {
             &mut self.integ,
             &mut self.executor,
             &mut self.state,
-            &mut self.tl,
+            self.tl,
             self.rec,
             fop,
             op_idx,
@@ -530,14 +521,7 @@ impl<'a> StaticRun<'a> {
                 * self.chunk_bytes;
             let up_stretch = self.next_link_stretch();
             let up = Dir::Up(primary);
-            let h2d = copy_with_dma(
-                &mut self.tl,
-                self.cfg,
-                up,
-                chain,
-                off_device_bytes,
-                up_stretch,
-            );
+            let h2d = copy_with_dma(self.tl, self.cfg, up, chain, off_device_bytes, up_stretch);
             let group_bytes = plan.group_len() as u64 * self.chunk_bytes;
             let kt = (group_bytes as f64 / self.cfg.platform.gpu(primary).update_bw()
                 + self.cfg.platform.gpu(primary).kernel_launch)
@@ -554,12 +538,12 @@ impl<'a> StaticRun<'a> {
             );
             self.tl.add_flops((group_bytes as f64 / 16.0) * fpa);
             if fop.is_fused() {
-                self.tl.count_fused_kernel();
+                self.tl.count(Counter::FusedKernels, 1);
             }
             let down_stretch = self.next_link_stretch();
             let down = Dir::Down(primary);
             let d2h = copy_with_dma(
-                &mut self.tl,
+                self.tl,
                 self.cfg,
                 down,
                 kernel.end,
@@ -580,9 +564,8 @@ impl<'a> StaticRun<'a> {
                 let s = i.link_stretch(self.transfer_ix);
                 self.transfer_ix += 1;
                 if s > 1.0 {
-                    self.tl.count_link_degradation();
+                    self.tl.count(Counter::LinkDegradations, 1);
                     if let Some(r) = self.rec {
-                        r.add("link.degradations", 1);
                         r.flight("link_degraded", || {
                             format!("transfer {} stretched {s:.2}x", self.transfer_ix - 1)
                         });

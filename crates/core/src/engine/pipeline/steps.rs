@@ -12,6 +12,7 @@
 
 use qgpu_circuit::fuse::FusedOp;
 use qgpu_device::timeline::{Engine, TaskKind};
+use qgpu_device::Counter;
 use qgpu_faults::SimError;
 use qgpu_obs::{span_opt, Stage as ObsStage, Track};
 use qgpu_sched::plan::{GatePlan, Tasks};
@@ -52,9 +53,8 @@ pub(crate) fn prune_allowed(env: &mut Env, idx: usize) -> bool {
     }
     let corrupt = env.resil.as_ref().is_some_and(|rs| rs.mask_corrupt(idx));
     if corrupt {
-        env.tl.count_prune_fallback();
+        env.tl.count(Counter::PruneFallbacks, 1);
         if let Some(r) = env.rec {
-            r.add("prune.fallbacks", 1);
             r.flight("prune_fallback", || {
                 format!("op {idx}: corrupt involvement mask, full-chunk execution")
             });
@@ -88,11 +88,10 @@ pub(crate) fn plan_and_prune<'p>(
         plan.tasks()
     };
     let (kept_chunks, total) = (tasks.len() * plan.group_len(), plan.total_chunks());
-    env.tl.count_pruned((total - kept_chunks) as u64);
-    env.tl.count_processed(kept_chunks as u64);
+    env.tl
+        .count(Counter::ChunksPruned, (total - kept_chunks) as u64);
+    env.tl.count(Counter::ChunksProcessed, kept_chunks as u64);
     if let Some(r) = env.rec {
-        r.add("chunks.pruned", (total - kept_chunks) as u64);
-        r.add("chunks.processed", kept_chunks as u64);
         r.observe_n("chunk.bytes", 16u64 << env.chunk_bits, kept_chunks as u64);
     }
     GateCtx {
@@ -118,7 +117,7 @@ pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimErr
         &mut env.integ,
         &mut env.executor,
         &mut env.state,
-        &mut env.tl,
+        env.tl,
         env.rec,
         g.fop,
         op_idx,
@@ -151,10 +150,9 @@ pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimErr
 /// Records an injected encode failure on `chunk`: the caller moves it
 /// raw (no compress kernel, nothing cached as compressed).
 pub(crate) fn note_codec_fallback(env: &mut Env, chunk: usize) {
-    env.tl.count_codec_fallback();
+    env.tl.count(Counter::CodecFallbacks, 1);
     if let Some(r) = env.rec {
         let cname = env.codec.kind().name();
-        r.add("codec.fallbacks", 1);
         r.flight("codec_fallback", || {
             format!("chunk {chunk}: {cname} encode failed, moving raw")
         });
@@ -244,7 +242,7 @@ pub(crate) fn upload(
         });
     }
     let h2d = transfer_with_integrity(
-        &mut env.tl,
+        env.tl,
         env.cfg,
         Dir::Up(gpu),
         ready,
@@ -298,7 +296,7 @@ pub(crate) fn modeled_kernel(
     );
     env.tl.add_flops((bytes as f64 / 16.0) * fpa);
     if fused {
-        env.tl.count_fused_kernel();
+        env.tl.count(Counter::FusedKernels, 1);
     }
     (kernel.end, kernel_s)
 }
@@ -342,7 +340,8 @@ pub(crate) fn compress_and_size_download(
             env.compressed.remove(m);
             d2h_bytes += chunk_bytes;
         } else {
-            env.tl.record_compression(chunk_bytes, sz as u64);
+            env.tl.count(Counter::BytesBeforeCompress, chunk_bytes);
+            env.tl.count(Counter::BytesAfterCompress, sz as u64);
             env.compressed.insert(m, sz);
             d2h_bytes += sz as u64;
             raw_down_compressed += chunk_bytes;
@@ -407,7 +406,7 @@ pub(crate) fn d2h_tail(
     d2h_bytes: u64,
 ) -> Result<(), SimError> {
     let d2h = transfer_with_integrity(
-        &mut env.tl,
+        env.tl,
         env.cfg,
         Dir::Down(gpu),
         d2h_ready,

@@ -21,6 +21,7 @@
 
 use qgpu_circuit::fuse::ProgramOp;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+use qgpu_device::Counter;
 use qgpu_math::rng::{unit_draw, SALT_COLLAPSE};
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_statevec::{measure, ChunkedState};
@@ -143,13 +144,12 @@ pub(crate) fn collapse_streaming(env: &mut Env, qubit: usize, is_reset: bool, u:
         w.inflight = 0;
     }
     let bytes = env.state.memory_bytes() as u64;
-    let end = collapse_cost(&mut env.tl, env.cfg, env.epoch_floor, bytes);
+    let end = collapse_cost(env.tl, env.cfg, env.epoch_floor, bytes);
     env.epoch_floor = env.epoch_floor.max(end);
     env.chain = env.chain.max(end);
     let outcome = collapse_state(&mut env.state, qubit, is_reset, u);
-    env.tl.count_collapse();
+    env.tl.count(Counter::Collapses, 1);
     if let Some(r) = env.rec {
-        r.add("stoch.collapses", 1);
         r.flight("collapse", || {
             let kind = if is_reset { "reset" } else { "measure" };
             format!("{kind} qubit {qubit} -> {}", u8::from(outcome))
@@ -181,10 +181,7 @@ pub(crate) fn sample_readout(
         TaskKind::HostUpdate,
         bytes,
     );
-    tl.set_shots(cfg.shots);
-    if let Some(r) = rec {
-        r.add("stoch.shots", cfg.shots);
-    }
+    tl.count(Counter::Shots, cfg.shots);
     Some(measure::seeded_counts_chunked(
         state,
         cfg.shots,

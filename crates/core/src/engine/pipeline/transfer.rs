@@ -9,6 +9,7 @@
 
 use qgpu_compress::Codec;
 use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+use qgpu_device::Counter;
 use qgpu_faults::{FaultSite, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::Recorder;
@@ -79,9 +80,8 @@ pub(crate) fn transfer_with_integrity(
     // every retry of the same transfer sees the same degraded link.
     let stretch = rs.inj.link_stretch(index);
     if stretch > 1.0 {
-        tl.count_link_degradation();
+        tl.count(Counter::LinkDegradations, 1);
         if let Some(r) = rec {
-            r.add("link.degradations", 1);
             r.flight("link_degraded", || {
                 format!("transfer {index} stretched {stretch:.2}x")
             });
@@ -115,9 +115,8 @@ pub(crate) fn transfer_with_integrity(
             TaskKind::Backoff,
             0,
         );
-        tl.count_chunk_retry();
+        tl.count(Counter::ChunkRetries, 1);
         if let Some(r) = rec {
-            r.add("chunk.retries", 1);
             r.flight("retry", || {
                 format!("transfer {index} CRC mismatch, attempt {}", attempt + 1)
             });

@@ -51,14 +51,11 @@ fn cancelled_run_releases_chunks_and_reports_partial_timings() {
 
     // Partial stage timings: the five completed gates flushed their
     // per-stage wall-clock attribution before the abort returned.
-    let counters = rec.metrics().counters;
-    assert!(
-        counters
-            .iter()
-            .any(|(n, v)| n == "cancel.aborts" && *v == 1),
-        "abort counter recorded: {counters:?}"
-    );
     let snap = rec.registry().snapshot();
+    assert_eq!(snap.counter_total("cancel.aborts"), 1);
+    // The five gates' event counts are published on the abort exit too.
+    assert!(snap.counter_total("chunks.processed") > 0);
+    assert!(snap.counter_total("chunks.pruned") > 0);
     let stage_samples: u64 = snap
         .histograms_named("stage.time_ns")
         .map(|e| e.value.count)
@@ -83,6 +80,8 @@ fn static_mode_honors_the_token_too() {
     assert!(matches!(err, SimError::JobAborted { op: 3 }));
     assert!(rec.flight_events().iter().any(|e| e.kind == "abort"));
     let snap = rec.registry().snapshot();
+    assert_eq!(snap.counter_total("cancel.aborts"), 1);
+    assert!(snap.counter_total("chunks.processed") > 0);
     let gates: u64 = snap
         .histograms_named("gate.ns")
         .map(|e| e.value.count)
@@ -148,9 +147,12 @@ fn cancel_during_a_deferred_run_lands_between_chunk_visits() {
     let watcher = {
         let (rec, finished) = (Arc::clone(&rec), Arc::clone(&finished));
         std::thread::spawn(move || {
-            while rec.metrics().histogram("update.local.ops").is_none()
-                && !finished.load(Ordering::Acquire)
-            {
+            let flushing = |rec: &Recorder| {
+                let snap = rec.registry().snapshot();
+                let seen = snap.histograms_named("update.local.ops").count();
+                seen > 0
+            };
+            while !flushing(&rec) && !finished.load(Ordering::Acquire) {
                 std::thread::yield_now();
             }
             token.cancel()

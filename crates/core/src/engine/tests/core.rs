@@ -4,6 +4,9 @@
 
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::generators::Benchmark;
+use qgpu_circuit::noise::NoiseConfig;
+use qgpu_device::{Counter, Platform};
+use qgpu_faults::FaultConfig;
 use qgpu_statevec::StateVector;
 
 use crate::config::{SimConfig, Version};
@@ -141,11 +144,11 @@ fn obs_recording_captures_spans_and_agrees_with_the_report() {
     // The measured counters must agree with the modeled report —
     // both now flow from the same engine loop.
     assert_eq!(
-        obs.metrics.counter("chunks.processed"),
+        obs.registry.counter("chunks.processed"),
         Some(r.report.chunks_processed)
     );
     assert_eq!(
-        obs.metrics.counter("chunks.pruned"),
+        obs.registry.counter("chunks.pruned"),
         Some(r.report.chunks_pruned)
     );
     // A drift report builds and renders from the collected data.
@@ -159,6 +162,60 @@ fn obs_recording_captures_spans_and_agrees_with_the_report() {
     // Without the flag the run carries no obs payload.
     let off = Simulator::new(SimConfig::scaled_paper(10).with_version(Version::QGpu)).run(&c);
     assert!(off.obs.is_none());
+}
+
+/// The report and the metrics are two views of one count array: for
+/// every [`Counter`], the report field equals the published metric —
+/// over a faulted, orchestrated, noisy four-device run in each execution
+/// mode, which between them move every counter off zero.
+#[test]
+fn report_and_metrics_agree_on_every_counter() {
+    let n = 12;
+    let c = Benchmark::Qft.generate(n);
+    let faults = FaultConfig {
+        seed: 7,
+        p_transfer_corrupt: 0.01,
+        p_codec_fail: 0.02,
+        p_mask_corrupt: 0.3,
+        p_worker_death: 0.05,
+        device_lost_at: 20,
+        device_lost_id: 2,
+        straggler_device: 1,
+        slowdown_factor: 8.0,
+        p_link_degraded: 0.05,
+        link_degrade_factor: 4.0,
+        ..FaultConfig::default()
+    };
+    let noise = NoiseConfig {
+        depolarizing: 0.02,
+        loss: 0.02,
+        ..NoiseConfig::default()
+    };
+    let mut moved = [false; Counter::ALL.len()];
+    for v in [Version::QGpu, Version::Baseline] {
+        let platform = Platform::scaled_paper_p100(n).with_devices(4);
+        let base = SimConfig::new(platform).with_version(v);
+        let budget = 4 * (16u64 << base.chunk_bits_for(n));
+        let cfg = base
+            .with_faults(faults)
+            .with_mem_budget(budget)
+            .with_noise(noise)
+            .with_stoch_seed(11)
+            .with_shots(64)
+            .with_gate_fusion()
+            .with_threads(2)
+            .with_obs_spans();
+        let r = Simulator::new(cfg).try_run(&c).expect("recoverable faults");
+        let registry = &r.obs.as_ref().expect("obs collected").registry;
+        for (seen, c) in moved.iter_mut().zip(Counter::ALL) {
+            let n = r.report.counter(c);
+            assert_eq!(n, registry.counter_total(c.name()), "{v}: {}", c.name());
+            *seen |= n > 0;
+        }
+    }
+    for (seen, c) in moved.iter().zip(Counter::ALL) {
+        assert!(seen, "no run moved {}", c.name());
+    }
 }
 
 #[test]

@@ -226,14 +226,8 @@ fn resumed_compressed_run_pays_no_arrival_retags() {
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let ckpt = dir.join("retag.ckpt");
     let retags = |r: &RunResult| -> u64 {
-        r.obs
-            .as_ref()
-            .expect("obs enabled")
-            .metrics
-            .counters
-            .iter()
-            .find(|(name, _)| name == "integrity.retags")
-            .map_or(0, |&(_, v)| v)
+        let obs = r.obs.as_ref().expect("obs enabled");
+        obs.registry.counter_total("integrity.retags")
     };
     let base = |v: Version| {
         SimConfig::scaled_paper(n)

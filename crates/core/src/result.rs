@@ -3,7 +3,7 @@
 use qgpu_device::timeline::TraceEvent;
 use qgpu_device::ExecutionReport;
 use qgpu_faults::IntegritySummary;
-use qgpu_obs::{FlightEvent, MetricsSnapshot, RegistrySnapshot, WallSpan};
+use qgpu_obs::{FlightEvent, RegistrySnapshot, WallSpan};
 use qgpu_statevec::StateVector;
 
 use crate::config::Version;
@@ -16,11 +16,10 @@ pub struct ObsData {
     /// Every recorded wall-clock span, in recording order — the measured
     /// track of the two-process Chrome trace.
     pub spans: Vec<WallSpan>,
-    /// Counters and log₂ histograms collected during the run.
-    pub metrics: MetricsSnapshot,
     /// Wall-clock seconds from recorder creation to run end.
     pub wall_s: f64,
-    /// Labeled metric registry: per-stage wall-time histograms keyed by
+    /// Every metric the run recorded: the report's event counts under
+    /// their published names, per-stage wall-time histograms keyed by
     /// stage × version, per-gate latency percentiles, per-device task
     /// counters.
     pub registry: RegistrySnapshot,

@@ -40,7 +40,7 @@ pub mod specs;
 pub mod timeline;
 pub mod topology;
 
-pub use report::ExecutionReport;
+pub use report::{Counter, ExecutionReport};
 pub use specs::{CodecClass, GpuSpec, HostSpec, LinkSpec};
 pub use timeline::{Engine, Span, TaskKind, Timeline};
 pub use topology::Platform;

@@ -4,6 +4,86 @@ use serde::{Deserialize, Serialize};
 
 use crate::timeline::{Engine, TaskKind, Timeline};
 
+/// The event counts of a run, one row each: the [`Counter`] variant (a
+/// slot of [`Timeline`]'s count array), the [`ExecutionReport`] field it
+/// becomes, and the metric name the engine publishes it under once per
+/// run. One table, so the report and the metrics cannot disagree.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $variant:ident, $field:ident, $name:literal;)*) => {
+        /// One event count of a run (see [`Timeline::count`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// All counters, in slot order.
+            pub const ALL: [Counter; [$($name),*].len()] = [$(Counter::$variant),*];
+
+            /// The metric name this count is published under.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => $name,)*
+                }
+            }
+        }
+
+        impl ExecutionReport {
+            /// The report field a counter lands in.
+            pub fn counter(&self, c: Counter) -> u64 {
+                match c {
+                    $(Counter::$variant => self.$field,)*
+                }
+            }
+
+            fn counter_mut(&mut self, c: Counter) -> &mut u64 {
+                match c {
+                    $(Counter::$variant => &mut self.$field,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Chunk updates skipped by zero-amplitude pruning.
+    ChunksPruned, chunks_pruned, "chunks.pruned";
+    /// Chunk updates performed.
+    ChunksProcessed, chunks_processed, "chunks.processed";
+    /// Bytes entering the compressor.
+    BytesBeforeCompress, bytes_before_compress, "compress.bytes_in";
+    /// Bytes leaving the compressor.
+    BytesAfterCompress, bytes_after_compress, "compress.bytes_out";
+    /// Kernel launches that executed a multi-gate fused run.
+    FusedKernels, fused_kernels, "fusion.kernels";
+    /// Source gates eliminated by the fusion pass.
+    GatesFused, gates_fused, "fusion.gates_fused";
+    /// Chunk transfers re-issued after an integrity failure.
+    ChunkRetries, chunk_retries, "chunk.retries";
+    /// Codec-failure fallbacks to raw transfer.
+    CodecFallbacks, codec_fallbacks, "codec.fallbacks";
+    /// Corrupted-mask fallbacks from pruning to full-chunk execution.
+    PruneFallbacks, prune_fallbacks, "prune.fallbacks";
+    /// Worker deaths recovered by serial re-execution.
+    WorkerRestarts, worker_restarts, "worker.restarts";
+    /// Devices lost from the fleet.
+    DevicesLost, devices_lost, "orch.devices_lost";
+    /// Chunk tasks migrated off lost devices onto survivors.
+    ChunksMigrated, chunks_migrated, "orch.chunks_migrated";
+    /// Chunk tasks stolen from straggling devices.
+    Steals, steals, "orch.steals";
+    /// Memory-pressure ladder escalations.
+    PressureDownshifts, pressure_downshifts, "orch.pressure_downshifts";
+    /// Transfers that ran over a degraded link.
+    LinkDegradations, link_degradations, "link.degradations";
+    /// End-of-circuit measurement shots sampled.
+    Shots, shots, "stoch.shots";
+    /// Mid-circuit measurement/reset collapse sync points.
+    Collapses, collapses, "stoch.collapses";
+    /// Error gates inserted by the noise rewrite.
+    NoiseOps, noise_ops, "stoch.noise_ops";
+}
+
 /// Aggregated metrics of one simulated execution — everything the paper's
 /// evaluation plots are built from.
 ///
@@ -113,8 +193,7 @@ impl ExecutionReport {
         for g in 0..num_gpus {
             transfer_time += tl.engine_busy(Engine::H2d(g)) + tl.engine_busy(Engine::D2h(g));
         }
-        let (bytes_before_compress, bytes_after_compress) = tl.compression_bytes();
-        ExecutionReport {
+        let mut report = ExecutionReport {
             total_time: tl.makespan(),
             host_time: tl.kind_busy(TaskKind::HostUpdate),
             gpu_time,
@@ -129,28 +208,15 @@ impl ExecutionReport {
             bytes_host: tl.kind_bytes(TaskKind::HostUpdate),
             bytes_gpu: tl.kind_bytes(TaskKind::Kernel),
             flops_gpu: tl.flops_gpu(),
-            chunks_pruned: tl.chunks_pruned(),
-            chunks_processed: tl.chunks_processed(),
-            bytes_before_compress,
-            bytes_after_compress,
-            fused_kernels: tl.fused_kernels(),
-            gates_fused: tl.gates_fused(),
-            chunk_retries: tl.chunk_retries(),
-            codec_fallbacks: tl.codec_fallbacks(),
-            prune_fallbacks: tl.prune_fallbacks(),
-            worker_restarts: tl.worker_restarts(),
             backoff_time: tl.kind_busy(TaskKind::Backoff),
-            devices_lost: tl.devices_lost(),
-            chunks_migrated: tl.chunks_migrated(),
-            steals: tl.steals(),
-            pressure_downshifts: tl.pressure_downshifts(),
-            link_degradations: tl.link_degradations(),
             peak_resident_bytes: tl.peak_resident_bytes(),
-            shots: tl.shots(),
-            collapses: tl.collapses(),
-            noise_ops: tl.noise_ops(),
             num_gpus,
+            ..ExecutionReport::default()
+        };
+        for c in Counter::ALL {
+            *report.counter_mut(c) = tl.counter(c);
         }
+        report
     }
 
     /// Total orchestration events: every time the device group reacted
@@ -334,62 +400,49 @@ mod tests {
     #[test]
     fn orchestration_counters_flow_into_the_report() {
         let mut tl = sample_timeline();
-        tl.count_device_lost();
-        tl.count_chunks_migrated(5);
-        tl.count_steal();
-        tl.count_steal();
-        tl.count_pressure_downshift();
-        tl.count_link_degradation();
+        tl.count(Counter::DevicesLost, 1);
+        tl.count(Counter::ChunksMigrated, 5);
+        tl.count(Counter::Steals, 2);
+        tl.count(Counter::PressureDownshifts, 1);
         tl.observe_resident_bytes(1024);
         tl.observe_resident_bytes(512); // peak keeps the max
         let r = ExecutionReport::from_timeline(&tl, 1);
-        assert_eq!(r.devices_lost, 1);
-        assert_eq!(r.chunks_migrated, 5);
-        assert_eq!(r.steals, 2);
-        assert_eq!(r.pressure_downshifts, 1);
-        assert_eq!(r.link_degradations, 1);
         assert_eq!(r.peak_resident_bytes, 1024);
         assert_eq!(r.orchestration_events(), 9);
     }
 
     #[test]
     fn timeline_counters_flow_into_the_report() {
+        // Every counter, counted twice, lands in its own report field.
         let mut tl = sample_timeline();
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            tl.count(c, i as u64 + 1);
+            tl.count(c, 100);
+        }
         tl.add_flops(1.5e9);
-        tl.count_pruned(12);
-        tl.count_processed(20);
-        tl.count_fused_kernel();
-        tl.count_fused_kernel();
-        tl.set_gates_fused(7);
-        tl.record_compression(4096, 1024);
-        tl.record_compression(4096, 2048);
         let r = ExecutionReport::from_timeline(&tl, 1);
+        for (i, c) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(r.counter(c), i as u64 + 101, "{}", c.name());
+            assert_eq!(tl.counter(c), r.counter(c));
+        }
+        assert_eq!((r.chunks_pruned, r.chunks_processed), (101, 102));
+        assert_eq!(r.noise_ops, 118);
         assert_eq!(r.flops_gpu, 1.5e9);
-        assert_eq!(r.chunks_pruned, 12);
-        assert_eq!(r.chunks_processed, 20);
-        assert_eq!(r.fused_kernels, 2);
-        assert_eq!(r.gates_fused, 7);
-        assert_eq!(r.bytes_before_compress, 8192);
-        assert_eq!(r.bytes_after_compress, 3072);
-        assert!((r.prune_fraction() - 12.0 / 32.0).abs() < 1e-12);
-        assert!((r.compression_ratio() - 8.0 / 3.0).abs() < 1e-12);
+        assert!((r.prune_fraction() - 101.0 / 203.0).abs() < 1e-12);
+        assert!((r.compression_ratio() - 103.0 / 104.0).abs() < 1e-12);
         assert!(r.achieved_gpu_flops() > 0.0);
     }
 
     #[test]
     fn stochastic_counters_flow_into_the_report() {
         let mut tl = sample_timeline();
-        tl.set_shots(256);
-        tl.count_collapse();
-        tl.count_collapse();
-        tl.set_noise_ops(17);
+        tl.count(Counter::Shots, 256);
+        tl.count(Counter::Collapses, 2);
+        tl.count(Counter::NoiseOps, 17);
         tl.add_measure_time(0.25);
         tl.add_measure_time(0.25);
         tl.add_sample_time(0.125);
         let r = ExecutionReport::from_timeline(&tl, 1);
-        assert_eq!(r.shots, 256);
-        assert_eq!(r.collapses, 2);
-        assert_eq!(r.noise_ops, 17);
         assert_eq!(r.measure_time, 0.5);
         assert_eq!(r.sample_time, 0.125);
         let json = r.to_json_string();
@@ -478,7 +531,7 @@ mod tests {
     fn json_string_is_deterministic_and_roundtrips_floats() {
         let mut tl = sample_timeline();
         tl.add_flops(1.5e9);
-        tl.record_compression(4096, 1024);
+        tl.count(Counter::BytesAfterCompress, 1024);
         let r = ExecutionReport::from_timeline(&tl, 1);
         let a = r.to_json_string();
         let b = r.clone().to_json_string();

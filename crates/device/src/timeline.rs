@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::report::Counter;
+
 /// An execution engine that serializes its own tasks but runs concurrently
 /// with every other engine — exactly the CUDA execution model the paper
 /// exploits (compute overlapping both copy directions, §IV-A).
@@ -147,26 +149,9 @@ pub struct Timeline {
     // Engine-level accounting that scheduling alone cannot express; the
     // engines feed these so `ExecutionReport::from_timeline` is complete
     // without caller-side patching.
+    counts: [u64; Counter::ALL.len()],
     flops_gpu: f64,
-    chunks_pruned: u64,
-    chunks_processed: u64,
-    fused_kernels: u64,
-    gates_fused: u64,
-    bytes_before_compress: u64,
-    bytes_after_compress: u64,
-    chunk_retries: u64,
-    codec_fallbacks: u64,
-    prune_fallbacks: u64,
-    worker_restarts: u64,
-    devices_lost: u64,
-    chunks_migrated: u64,
-    steals: u64,
-    pressure_downshifts: u64,
-    link_degradations: u64,
     peak_resident_bytes: u64,
-    shots: u64,
-    collapses: u64,
-    noise_ops: u64,
     measure_time: f64,
     sample_time: f64,
 }
@@ -259,82 +244,25 @@ impl Timeline {
         self.trace.as_deref().unwrap_or(&[])
     }
 
+    /// Adds `n` to an event count.
+    #[inline]
+    pub fn count(&mut self, c: Counter, n: u64) {
+        self.counts[c as usize] += n;
+    }
+
+    /// An event count so far.
+    pub fn counter(&self, c: Counter) -> u64 {
+        self.counts[c as usize]
+    }
+
     /// Credits floating-point operations to the GPUs.
     pub fn add_flops(&mut self, flops: f64) {
         self.flops_gpu += flops;
     }
 
-    /// Counts chunk updates skipped by zero-amplitude pruning.
-    pub fn count_pruned(&mut self, n: u64) {
-        self.chunks_pruned += n;
-    }
-
-    /// Counts chunk updates performed.
-    pub fn count_processed(&mut self, n: u64) {
-        self.chunks_processed += n;
-    }
-
-    /// Counts one kernel launch that executed a multi-gate fused run.
-    pub fn count_fused_kernel(&mut self) {
-        self.fused_kernels += 1;
-    }
-
-    /// Records how many source gates the fusion pass eliminated.
-    pub fn set_gates_fused(&mut self, n: u64) {
-        self.gates_fused = n;
-    }
-
-    /// Accounts one compressor invocation: `raw` bytes in, `compressed`
-    /// bytes out.
-    pub fn record_compression(&mut self, raw: u64, compressed: u64) {
-        self.bytes_before_compress += raw;
-        self.bytes_after_compress += compressed;
-    }
-
-    /// Counts one chunk-transfer retry after an integrity failure.
-    pub fn count_chunk_retry(&mut self) {
-        self.chunk_retries += 1;
-    }
-
-    /// Counts one codec-failure fallback to raw transfer.
-    pub fn count_codec_fallback(&mut self) {
-        self.codec_fallbacks += 1;
-    }
-
-    /// Counts one corrupted-mask fallback from pruning to full-chunk
-    /// execution (per gate).
-    pub fn count_prune_fallback(&mut self) {
-        self.prune_fallbacks += 1;
-    }
-
-    /// Counts one worker-death recovery (serial re-execution).
-    pub fn count_worker_restart(&mut self) {
-        self.worker_restarts += 1;
-    }
-
-    /// Counts one device dropping out of the fleet.
-    pub fn count_device_lost(&mut self) {
-        self.devices_lost += 1;
-    }
-
-    /// Counts `n` chunk tasks migrated off a lost device onto survivors.
-    pub fn count_chunks_migrated(&mut self, n: u64) {
-        self.chunks_migrated += n;
-    }
-
-    /// Counts one chunk task stolen from a straggling device.
-    pub fn count_steal(&mut self) {
-        self.steals += 1;
-    }
-
-    /// Counts one memory-pressure ladder escalation.
-    pub fn count_pressure_downshift(&mut self) {
-        self.pressure_downshifts += 1;
-    }
-
-    /// Counts one transfer that ran over a degraded link.
-    pub fn count_link_degradation(&mut self) {
-        self.link_degradations += 1;
+    /// GPU floating-point operations credited so far.
+    pub fn flops_gpu(&self) -> f64 {
+        self.flops_gpu
     }
 
     /// Records an observed per-device chunk residency; the report keeps
@@ -343,120 +271,9 @@ impl Timeline {
         self.peak_resident_bytes = self.peak_resident_bytes.max(bytes);
     }
 
-    /// Counts `n` worker-death recoveries at once (a dispatch reports its
-    /// total).
-    pub fn count_worker_restarts(&mut self, n: u64) {
-        self.worker_restarts += n;
-    }
-
-    /// GPU floating-point operations credited so far.
-    pub fn flops_gpu(&self) -> f64 {
-        self.flops_gpu
-    }
-
-    /// Chunk updates skipped by pruning.
-    pub fn chunks_pruned(&self) -> u64 {
-        self.chunks_pruned
-    }
-
-    /// Chunk updates performed.
-    pub fn chunks_processed(&self) -> u64 {
-        self.chunks_processed
-    }
-
-    /// Kernel launches that executed a fused run.
-    pub fn fused_kernels(&self) -> u64 {
-        self.fused_kernels
-    }
-
-    /// Source gates eliminated by fusion.
-    pub fn gates_fused(&self) -> u64 {
-        self.gates_fused
-    }
-
-    /// `(raw, compressed)` byte totals over all compressor invocations.
-    pub fn compression_bytes(&self) -> (u64, u64) {
-        (self.bytes_before_compress, self.bytes_after_compress)
-    }
-
-    /// Chunk-transfer retries performed after integrity failures.
-    pub fn chunk_retries(&self) -> u64 {
-        self.chunk_retries
-    }
-
-    /// Codec-failure fallbacks to raw transfer.
-    pub fn codec_fallbacks(&self) -> u64 {
-        self.codec_fallbacks
-    }
-
-    /// Corrupted-mask fallbacks from pruning to full-chunk execution.
-    pub fn prune_fallbacks(&self) -> u64 {
-        self.prune_fallbacks
-    }
-
-    /// Worker-death recoveries (serial re-execution of a dispatch).
-    pub fn worker_restarts(&self) -> u64 {
-        self.worker_restarts
-    }
-
-    /// Devices lost from the fleet.
-    pub fn devices_lost(&self) -> u64 {
-        self.devices_lost
-    }
-
-    /// Chunk tasks migrated off lost devices.
-    pub fn chunks_migrated(&self) -> u64 {
-        self.chunks_migrated
-    }
-
-    /// Chunk tasks stolen from stragglers.
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// Memory-pressure ladder escalations.
-    pub fn pressure_downshifts(&self) -> u64 {
-        self.pressure_downshifts
-    }
-
-    /// Transfers that ran over a degraded link.
-    pub fn link_degradations(&self) -> u64 {
-        self.link_degradations
-    }
-
     /// Peak observed per-device chunk residency in bytes.
     pub fn peak_resident_bytes(&self) -> u64 {
         self.peak_resident_bytes
-    }
-
-    /// Records the end-of-circuit shot count sampled from the final state.
-    pub fn set_shots(&mut self, n: u64) {
-        self.shots = n;
-    }
-
-    /// Counts one mid-circuit measurement/reset collapse sync point.
-    pub fn count_collapse(&mut self) {
-        self.collapses += 1;
-    }
-
-    /// Records how many error gates the noise rewrite inserted.
-    pub fn set_noise_ops(&mut self, n: u64) {
-        self.noise_ops = n;
-    }
-
-    /// End-of-circuit measurement shots sampled.
-    pub fn shots(&self) -> u64 {
-        self.shots
-    }
-
-    /// Mid-circuit collapse sync points executed.
-    pub fn collapses(&self) -> u64 {
-        self.collapses
-    }
-
-    /// Error gates inserted by the noise rewrite.
-    pub fn noise_ops(&self) -> u64 {
-        self.noise_ops
     }
 
     /// Attributes `s` seconds of already-scheduled host time to the

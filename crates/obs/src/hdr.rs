@@ -1,10 +1,9 @@
 //! HDR-style log-linear histogram for latency percentiles.
 //!
-//! The PR-2 [`crate::metrics::LogHistogram`] keeps one bucket per power
-//! of two — fine for order-of-magnitude shapes, useless for p99 of a
-//! latency distribution (a 2x-wide bucket means up to 100% rank error at
-//! the tail). This histogram subdivides every octave into
-//! 2^[`PRECISION`] linear sub-buckets, which bounds the *relative* error
+//! One bucket per power of two is fine for order-of-magnitude shapes and
+//! useless for p99 of a latency distribution (a 2x-wide bucket means up
+//! to 100% rank error at the tail). This histogram subdivides every
+//! octave into 2^[`PRECISION`] linear sub-buckets, which bounds the *relative* error
 //! of any reported quantile by `1/2^PRECISION` regardless of the value's
 //! magnitude — the same scheme as Gil Tene's HdrHistogram, sized here
 //! for `u64` nanosecond samples.

@@ -6,7 +6,7 @@
 //! actually do, in wall-clock time — and the glue that puts both in one
 //! picture:
 //!
-//! * [`Recorder`] — a lightweight span/counter/histogram sink. Every
+//! * [`Recorder`] — a lightweight span and metric sink. Every
 //!   operation takes `Option<&Recorder>`; passing `None` compiles to a
 //!   no-op (no clock reads, no locks), so instrumented hot paths cost
 //!   nothing when observability is off.
@@ -16,17 +16,15 @@
 //!   wall-clock spans (one thread per worker), so a single trace file
 //!   shows model and reality side by side. Open with
 //!   <https://ui.perfetto.dev> or `chrome://tracing`.
-//! * [`metrics::MetricsSnapshot`] — counters plus log₂-bucketed
-//!   histograms (chunk bytes, prune decisions, per-chunk compression
-//!   ratio, worker queue occupancy), serialized to JSON.
 //! * [`drift::DriftReport`] — aligns modeled per-phase totals against
 //!   measured wall-clock totals and flags phases where the device model
 //!   mispredicts the phase *share* by more than a configurable
 //!   tolerance.
-//! * [`registry::Registry`] — typed, labeled metrics (counters, gauges
-//!   and [`hdr::HdrHistogram`] percentile histograms keyed by
-//!   stage × version × device), mergeable across threads and devices,
-//!   frozen into a [`registry::RegistrySnapshot`].
+//! * [`registry::Registry`] — the one metric store: typed, optionally
+//!   labeled series (counters, gauges and [`hdr::HdrHistogram`]
+//!   percentile histograms), frozen into a
+//!   [`registry::RegistrySnapshot`], which also derives the flat
+//!   per-name counter view and the `--metrics-out` document.
 //! * [`flightrec::FlightRecorder`] — a bounded ring of structured
 //!   events (retries, fallbacks, device loss, downshifts, collapse
 //!   outcomes) dumped to JSON for post-mortems when a fault path fires.
@@ -52,7 +50,7 @@
 //! let spans = rec.spans();
 //! assert_eq!(spans.len(), 1);
 //! assert_eq!(spans[0].stage, Stage::Update);
-//! assert_eq!(rec.metrics().counter("chunks.processed"), Some(3));
+//! assert_eq!(rec.registry().snapshot().counter_total("chunks.processed"), 3);
 //! ```
 
 pub mod drift;
@@ -61,7 +59,6 @@ pub mod flightrec;
 pub mod hdr;
 pub mod json;
 pub mod meta;
-pub mod metrics;
 pub mod registry;
 pub mod span;
 
@@ -71,6 +68,5 @@ pub use flightrec::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_EVENTS, FLIGHT_S
 pub use hdr::{HdrHistogram, HdrSnapshot};
 pub use json::Json;
 pub use meta::RunMeta;
-pub use metrics::{LogHistogram, MetricsSnapshot};
 pub use registry::{MetricEntry, Registry, RegistrySnapshot};
 pub use span::{span_opt, Recorder, SpanGuard, Stage, Track, WallSpan};

@@ -1,23 +1,22 @@
-//! Typed, labeled metrics registry.
+//! The metrics store: typed, labeled series.
 //!
-//! The PR-2 [`crate::span::Recorder`] keeps flat `&'static str` counters
-//! and log2 histograms — enough for "how many retries", not for "p99
-//! kernel-stage latency on device 1 under the Overlap version". This
-//! registry adds the missing dimensions: every metric is a *name* plus
-//! an ordered list of *labels* (`stage`, `version`, `device`, ...), and
-//! histograms are percentile-accurate [`HdrHistogram`]s.
+//! Every metric a run or a server records lives here, once: a *name*
+//! plus an ordered list of *labels* (`stage`, `version`, `device`,
+//! `tenant`, ...; none for a plain count). [`crate::span::Recorder`]
+//! carries one registry and its `add`/`observe` calls write unlabeled
+//! series into it.
 //!
 //! Three metric kinds, mirroring the usual time-series vocabulary:
 //!
 //! * **counters** — monotone `u64` sums ([`Registry::add`]);
 //! * **gauges** — last-write-wins `f64` levels ([`Registry::set_gauge`]);
-//! * **histograms** — HDR latency distributions ([`Registry::observe`]).
+//! * **histograms** — percentile-accurate [`HdrHistogram`]s
+//!   ([`Registry::observe`]).
 //!
-//! Registries are [mergeable](Registry::merge) (counters add, gauges
-//! take the other side's writes, histograms merge element-wise), so
-//! per-thread or per-device shards combine into one fleet view. A
-//! [`RegistrySnapshot`] freezes everything into plain sorted data for
-//! run results and JSON.
+//! A [`RegistrySnapshot`] freezes everything into plain sorted data for
+//! run results and JSON. The flat per-name view (`.counters["serve.shed"]`
+//! in a `--metrics-out` document) is *derived* from it:
+//! [`RegistrySnapshot::counter_total`] sums a name over its label sets.
 
 use std::fmt::Write as _;
 
@@ -25,6 +24,7 @@ use parking_lot::Mutex;
 
 use crate::hdr::{HdrHistogram, HdrSnapshot};
 use crate::json::Json;
+use crate::meta::RunMeta;
 
 /// Metric identity: a static name plus ordered `(key, value)` labels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,30 +94,12 @@ impl Registry {
 
     /// Adds `n` to the counter `name{labels}`, creating it at zero first.
     pub fn add(&self, name: &'static str, labels: &[(&'static str, &str)], n: u64) {
-        let mut inner = self.inner.lock();
-        if let Some((_, v)) = inner
-            .counters
-            .iter_mut()
-            .find(|(k, _)| k.matches(name, labels))
-        {
-            *v += n;
-            return;
-        }
-        inner.counters.push((Key::owned(name, labels), n));
+        *slot(&mut self.inner.lock().counters, name, labels, || 0) += n;
     }
 
     /// Sets the gauge `name{labels}` to `v` (last write wins).
     pub fn set_gauge(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-        let mut inner = self.inner.lock();
-        if let Some((_, g)) = inner
-            .gauges
-            .iter_mut()
-            .find(|(k, _)| k.matches(name, labels))
-        {
-            *g = v;
-            return;
-        }
-        inner.gauges.push((Key::owned(name, labels), v));
+        *slot(&mut self.inner.lock().gauges, name, labels, || 0.0) = v;
     }
 
     /// Records one sample into the HDR histogram `name{labels}`.
@@ -125,7 +107,9 @@ impl Registry {
         self.observe_n(name, labels, value, 1);
     }
 
-    /// Records `n` identical samples into the histogram `name{labels}`.
+    /// Records `n` identical samples into the histogram `name{labels}` —
+    /// the bulk form for per-gate aggregates ("`k` chunks of
+    /// `chunk_bytes` each"), one touch per gate instead of one per chunk.
     pub fn observe_n(
         &self,
         name: &'static str,
@@ -133,109 +117,78 @@ impl Registry {
         value: u64,
         n: u64,
     ) {
-        let mut inner = self.inner.lock();
-        if let Some((_, h)) = inner
-            .hists
-            .iter_mut()
-            .find(|(k, _)| k.matches(name, labels))
-        {
-            h.record_n(value, n);
-            return;
-        }
-        let mut h = HdrHistogram::new();
-        h.record_n(value, n);
-        inner.hists.push((Key::owned(name, labels), h));
+        slot(
+            &mut self.inner.lock().hists,
+            name,
+            labels,
+            HdrHistogram::new,
+        )
+        .record_n(value, n);
     }
 
-    /// Merges another registry into this one: counters add, gauges take
-    /// `other`'s value, histograms merge element-wise. This is how
-    /// per-thread / per-device shards collapse into a fleet view.
-    pub fn merge(&self, other: &Registry) {
-        let other = other.inner.lock();
+    /// Records every value into the histogram `name{labels}` under one
+    /// lock — for per-chunk series, where a lock per value would
+    /// dominate. No values, no series.
+    pub fn observe_all(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        values: impl IntoIterator<Item = u64>,
+    ) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
         let mut inner = self.inner.lock();
-        for (k, n) in &other.counters {
-            if let Some((_, v)) = inner.counters.iter_mut().find(|(ik, _)| ik == &*k) {
-                *v += n;
-            } else {
-                inner.counters.push((k.clone(), *n));
-            }
-        }
-        for (k, g) in &other.gauges {
-            if let Some((_, v)) = inner.gauges.iter_mut().find(|(ik, _)| ik == &*k) {
-                *v = *g;
-            } else {
-                inner.gauges.push((k.clone(), *g));
-            }
-        }
-        for (k, h) in &other.hists {
-            if let Some((_, v)) = inner.hists.iter_mut().find(|(ik, _)| ik == &*k) {
-                v.merge(h);
-            } else {
-                inner.hists.push((k.clone(), h.clone()));
-            }
-        }
+        let h = slot(&mut inner.hists, name, labels, HdrHistogram::new);
+        values.for_each(|v| h.record(v));
     }
 
     /// Freezes the registry into plain sorted data.
     pub fn snapshot(&self) -> RegistrySnapshot {
         let inner = self.inner.lock();
-        let entry = |k: &Key| {
-            (
-                k.name.to_string(),
-                k.labels
-                    .iter()
-                    .map(|(lk, lv)| (lk.to_string(), lv.clone()))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let mut counters: Vec<MetricEntry<u64>> = inner
-            .counters
-            .iter()
-            .map(|(k, v)| {
-                let (name, labels) = entry(k);
-                MetricEntry {
-                    rendered: k.render(),
-                    name,
-                    labels,
-                    value: *v,
-                }
-            })
-            .collect();
-        let mut gauges: Vec<MetricEntry<f64>> = inner
-            .gauges
-            .iter()
-            .map(|(k, v)| {
-                let (name, labels) = entry(k);
-                MetricEntry {
-                    rendered: k.render(),
-                    name,
-                    labels,
-                    value: *v,
-                }
-            })
-            .collect();
-        let mut histograms: Vec<MetricEntry<HdrSnapshot>> = inner
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let (name, labels) = entry(k);
-                MetricEntry {
-                    rendered: k.render(),
-                    name,
-                    labels,
-                    value: h.snapshot(),
-                }
-            })
-            .collect();
-        counters.sort_by(|a, b| a.rendered.cmp(&b.rendered));
-        gauges.sort_by(|a, b| a.rendered.cmp(&b.rendered));
-        histograms.sort_by(|a, b| a.rendered.cmp(&b.rendered));
         RegistrySnapshot {
-            counters,
-            gauges,
-            histograms,
+            counters: freeze(&inner.counters, |v| *v),
+            gauges: freeze(&inner.gauges, |v| *v),
+            histograms: freeze(&inner.hists, HdrHistogram::snapshot),
         }
     }
+}
+
+/// The series `name{labels}` of one kind, created by `new` on first touch.
+fn slot<'a, T>(
+    series: &'a mut Vec<(Key, T)>,
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+    new: impl FnOnce() -> T,
+) -> &'a mut T {
+    let i = series
+        .iter()
+        .position(|(k, _)| k.matches(name, labels))
+        .unwrap_or_else(|| {
+            series.push((Key::owned(name, labels), new()));
+            series.len() - 1
+        });
+    &mut series[i].1
+}
+
+/// One kind's series as snapshot entries, sorted by rendered key.
+fn freeze<T, U>(series: &[(Key, T)], value: impl Fn(&T) -> U) -> Vec<MetricEntry<U>> {
+    let mut out: Vec<MetricEntry<U>> = series
+        .iter()
+        .map(|(k, v)| MetricEntry {
+            rendered: k.render(),
+            name: k.name.to_string(),
+            labels: k
+                .labels
+                .iter()
+                .map(|(lk, lv)| (lk.to_string(), lv.clone()))
+                .collect(),
+            value: value(v),
+        })
+        .collect();
+    out.sort_by(|a, b| a.rendered.cmp(&b.rendered));
+    out
 }
 
 /// One frozen metric series: its name, labels, the Prometheus-style
@@ -289,6 +242,32 @@ impl RegistrySnapshot {
             .iter()
             .find(|e| e.rendered == rendered)
             .map(|e| e.value)
+    }
+
+    /// The counter `name` summed over every label set it was recorded
+    /// with (0 when it never was) — the flat per-name view.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        let named = self.counters.iter().filter(|e| e.name == name);
+        named.map(|e| e.value).sum()
+    }
+
+    /// The `--metrics-out` document, the one shape `qgpu-sim` and
+    /// `qgpu-load` both write: provenance, the flat view
+    /// (`{name: counter_total(name)}`), then the labeled registry.
+    pub fn document(&self, meta: &RunMeta) -> Json {
+        let mut totals = std::collections::BTreeMap::<&str, u64>::new();
+        for e in &self.counters {
+            *totals.entry(&e.name).or_default() += e.value;
+        }
+        let flat = totals
+            .into_iter()
+            .map(|(name, v)| (name.to_string(), Json::Num(v as f64)))
+            .collect();
+        Json::Obj(vec![
+            ("meta".to_string(), meta.to_json()),
+            ("counters".to_string(), Json::Obj(flat)),
+            ("registry".to_string(), self.to_json()),
+        ])
     }
 
     /// JSON rendering:
@@ -375,22 +354,32 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_shards() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.add("n", &[("device", "0")], 1);
-        b.add("n", &[("device", "0")], 2);
-        b.add("n", &[("device", "1")], 8);
-        a.observe("lat", &[], 10);
-        b.observe("lat", &[], 30);
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.counter("n{device=0}"), Some(3));
-        assert_eq!(s.counter("n{device=1}"), Some(8));
-        let lat = s.histograms_named("lat").next().unwrap();
-        assert_eq!(lat.value.count, 2);
-        assert_eq!(lat.value.min, 10);
-        assert_eq!(lat.value.max, 30);
+    fn flat_view_sums_a_name_over_its_label_sets() {
+        let r = Registry::new();
+        r.add("serve.shed", &[("tenant", "a")], 2);
+        r.add("serve.shed", &[("tenant", "b")], 3);
+        r.add("serve.shedding", &[], 7);
+        r.observe_all("ratio", &[], [10, 30]);
+        r.observe_all("never", &[], []);
+        let s = r.snapshot();
+        assert_eq!(s.counter_total("serve.shed"), 5);
+        assert_eq!(s.counter_total("serve.shedding"), 7);
+        assert_eq!(s.counter_total("missing"), 0);
+        let ratio = s.histograms_named("ratio").next().expect("recorded");
+        assert_eq!((ratio.value.count, ratio.value.sum), (2, 40));
+        assert!(s.histograms_named("never").next().is_none());
+
+        let meta = RunMeta::collect("t", 1, "cfg", "0.0.0");
+        let doc = Json::parse(&s.document(&meta).to_string()).expect("valid JSON");
+        let flat = doc.get("counters").expect("flat view");
+        assert_eq!(flat.get("serve.shed"), Some(&Json::Num(5.0)));
+        assert_eq!(flat.get("serve.shedding"), Some(&Json::Num(7.0)));
+        assert!(doc.get("meta").and_then(|m| m.get("config_hash")).is_some());
+        let labeled = doc.get("registry").and_then(|r| r.get("counters"));
+        assert_eq!(
+            labeled.and_then(|c| c.get("serve.shed{tenant=a}")),
+            Some(&Json::Num(2.0))
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Wall-clock spans: the measured counterpart of the modeled timeline.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -8,7 +8,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::flightrec::{FlightEvent, FlightRecorder};
 use crate::json::Json;
-use crate::metrics::{LogHistogram, MetricsSnapshot};
 use crate::registry::Registry;
 
 /// Default bound on the number of retained spans (see
@@ -62,23 +61,6 @@ impl Stage {
             Stage::Other => "other",
         }
     }
-
-    /// Maps an engine pipeline-stage name (`plan`, `prune`, `deal`,
-    /// `fetch`, `decompress`, `kernel`, `compress`, `writeback`, `sync`,
-    /// `measure`, `sample`) to the measured span category its work is
-    /// charged under, so span attribution follows the stage graph instead
-    /// of ad-hoc literals.
-    pub fn for_pipeline(name: &str) -> Stage {
-        match name {
-            "plan" | "prune" | "deal" => Stage::Plan,
-            "kernel" => Stage::Update,
-            "compress" => Stage::Compress,
-            "decompress" => Stage::Decompress,
-            "measure" => Stage::Measure,
-            "sample" => Stage::Sample,
-            _ => Stage::Other,
-        }
-    }
 }
 
 /// Which measured thread a span belongs to: the engine's orchestrator
@@ -109,33 +91,33 @@ pub struct WallSpan {
     pub dur_us: f64,
 }
 
-/// A thread-safe span/counter/histogram sink.
+/// A thread-safe span and metric sink.
 ///
 /// A `Recorder` is created per observed run and handed down the stack as
 /// `Option<&Recorder>` (or `Option<Arc<Recorder>>` across the executor's
 /// worker threads). All methods are `&self`; recording takes one clock
-/// read per span edge and one short mutex hold.
+/// read per span edge and one short mutex hold. Metrics have one store,
+/// the [`Registry`]: [`Recorder::add`] and the `observe*` methods write
+/// its unlabeled series.
 ///
 /// The retained span list is bounded ([`DEFAULT_SPAN_CAP`] by default):
 /// past the cap, spans still flow into the exact per-stage totals
-/// ([`Recorder::stage_total_s`]) but are dropped from the list, and the
-/// drop count surfaces as the `spans.dropped` counter in
-/// [`Recorder::metrics`]. This keeps memory and trace size bounded on
-/// per-chunk hot paths without silently losing time accounting.
+/// ([`Recorder::stage_total_s`]) but are dropped from the list, each one
+/// counted into the `spans.dropped` counter. This keeps memory and trace
+/// size bounded on per-chunk hot paths without silently losing time
+/// accounting.
 pub struct Recorder {
     t0: Option<Instant>,
     span_cap: usize,
     /// When false (a flight-only recorder), [`span_opt`] short-circuits:
-    /// no clock reads and no span storage, only counters, the registry
-    /// and the flight ring stay live.
+    /// no clock reads and no span storage, only the registry and the
+    /// flight ring stay live.
     spans_enabled: bool,
     spans: Mutex<Vec<WallSpan>>,
-    dropped: AtomicU64,
+    warned_dropped: AtomicBool,
     /// Exact Main-track per-stage totals in µs, indexed by
     /// [`Stage::ALL`] order — kept even for spans the cap drops.
     main_totals_us: Mutex<[f64; 7]>,
-    counters: Mutex<Vec<(&'static str, u64)>>,
-    hists: Mutex<Vec<(&'static str, LogHistogram)>>,
     registry: Registry,
     flight: Option<FlightRecorder>,
 }
@@ -147,10 +129,8 @@ impl Default for Recorder {
             span_cap: DEFAULT_SPAN_CAP,
             spans_enabled: true,
             spans: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
+            warned_dropped: AtomicBool::new(false),
             main_totals_us: Mutex::new([0.0; 7]),
-            counters: Mutex::new(Vec::new()),
-            hists: Mutex::new(Vec::new()),
             registry: Registry::new(),
             flight: None,
         }
@@ -161,9 +141,7 @@ impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
             .field("spans", &self.spans.lock().len())
-            .field("counters", &self.counters.lock().len())
-            .field("hists", &self.hists.lock().len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -190,8 +168,8 @@ impl Recorder {
     }
 
     /// Disables span recording (used for flight-only runs, where the
-    /// per-span clock reads would be pure overhead). Counters, the
-    /// registry and the flight ring stay live.
+    /// per-span clock reads would be pure overhead). The registry and
+    /// the flight ring stay live.
     pub fn without_spans(mut self) -> Self {
         self.spans_enabled = false;
         self
@@ -202,7 +180,7 @@ impl Recorder {
         self.spans_enabled
     }
 
-    /// The labeled metrics registry this recorder carries.
+    /// The metric store this recorder carries.
     pub fn registry(&self) -> &Registry {
         &self.registry
     }
@@ -255,50 +233,24 @@ impl Recorder {
         }
     }
 
-    /// Adds `n` to the named counter.
+    /// Adds `n` to the unlabeled counter `name`.
     pub fn add(&self, name: &'static str, n: u64) {
-        let mut counters = self.counters.lock();
-        match counters.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, v)) => *v += n,
-            None => counters.push((name, n)),
-        }
+        self.registry.add(name, &[], n);
     }
 
-    /// Records one value into the named log₂-bucketed histogram.
+    /// Records one value into the unlabeled histogram `name`.
     pub fn observe(&self, name: &'static str, value: u64) {
-        self.observe_n(name, value, 1);
+        self.registry.observe(name, &[], value);
     }
 
-    /// Records the same value `n` times into the named histogram in one
-    /// touch (see [`LogHistogram::record_n`]).
+    /// [`Registry::observe_n`] on the unlabeled histogram `name`.
     pub fn observe_n(&self, name: &'static str, value: u64, n: u64) {
-        let mut hists = self.hists.lock();
-        match hists.iter_mut().find(|(k, _)| *k == name) {
-            Some((_, h)) => h.record_n(value, n),
-            None => {
-                let mut h = LogHistogram::new();
-                h.record_n(value, n);
-                hists.push((name, h));
-            }
-        }
+        self.registry.observe_n(name, &[], value, n);
     }
 
-    /// Records every value into the named histogram under one lock —
-    /// for per-chunk series, where a lock per value would dominate.
+    /// [`Registry::observe_all`] on the unlabeled histogram `name`.
     pub fn observe_all(&self, name: &'static str, values: impl IntoIterator<Item = u64>) {
-        let mut values = values.into_iter().peekable();
-        if values.peek().is_none() {
-            return;
-        }
-        let mut hists = self.hists.lock();
-        let i = hists
-            .iter()
-            .position(|(k, _)| *k == name)
-            .unwrap_or_else(|| {
-                hists.push((name, LogHistogram::new()));
-                hists.len() - 1
-            });
-        values.for_each(|v| hists[i].1.record(v));
+        self.registry.observe_all(name, &[], values);
     }
 
     fn push(&self, span: WallSpan) {
@@ -312,10 +264,13 @@ impl Recorder {
         let mut spans = self.spans.lock();
         if spans.len() < self.span_cap {
             spans.push(span);
-        } else if self.dropped.fetch_add(1, Ordering::Relaxed) == 0 {
+            return;
+        }
+        drop(spans);
+        self.add("spans.dropped", 1);
+        if !self.warned_dropped.swap(true, Ordering::Relaxed) {
             // Warn exactly once per recorder: the trace is truncated from
-            // here on (totals stay exact, and the final count surfaces as
-            // the `spans.dropped` counter).
+            // here on (totals stay exact).
             eprintln!(
                 "[qgpu-obs] span cap ({}) reached; further spans are dropped \
                  from the trace (stage totals stay exact, see the \
@@ -328,22 +283,6 @@ impl Recorder {
     /// A copy of every recorded span, in recording order.
     pub fn spans(&self) -> Vec<WallSpan> {
         self.spans.lock().clone()
-    }
-
-    /// A snapshot of every counter and histogram. Spans dropped by the
-    /// cap appear as the `spans.dropped` counter.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::collect(&self.counters.lock(), &self.hists.lock());
-        let dropped = self.dropped.load(Ordering::Relaxed);
-        if dropped > 0 {
-            snap.counters.push(("spans.dropped".to_string(), dropped));
-        }
-        snap
-    }
-
-    /// Number of spans the cap dropped from the retained list.
-    pub fn spans_dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Total `Main`-track time spent in a stage, in seconds — exact
@@ -412,21 +351,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pipeline_stage_names_map_to_span_categories() {
-        assert_eq!(Stage::for_pipeline("plan"), Stage::Plan);
-        assert_eq!(Stage::for_pipeline("prune"), Stage::Plan);
-        assert_eq!(Stage::for_pipeline("deal"), Stage::Plan);
-        assert_eq!(Stage::for_pipeline("kernel"), Stage::Update);
-        assert_eq!(Stage::for_pipeline("compress"), Stage::Compress);
-        assert_eq!(Stage::for_pipeline("decompress"), Stage::Decompress);
-        assert_eq!(Stage::for_pipeline("measure"), Stage::Measure);
-        assert_eq!(Stage::for_pipeline("sample"), Stage::Sample);
-        assert_eq!(Stage::for_pipeline("fetch"), Stage::Other);
-        assert_eq!(Stage::for_pipeline("writeback"), Stage::Other);
-        assert_eq!(Stage::for_pipeline("sync"), Stage::Other);
-    }
-
-    #[test]
     fn spans_record_on_drop_with_monotonic_times() {
         let rec = Recorder::new();
         {
@@ -449,7 +373,7 @@ mod tests {
         rec.add("a", 2);
         rec.add("a", 3);
         rec.add("b", 1);
-        let m = rec.metrics();
+        let m = rec.registry().snapshot();
         assert_eq!(m.counter("a"), Some(5));
         assert_eq!(m.counter("b"), Some(1));
         assert_eq!(m.counter("missing"), None);
@@ -472,8 +396,7 @@ mod tests {
             drop(rec.span(Track::Main, Stage::Update, "u"));
         }
         assert_eq!(rec.spans().len(), 3);
-        assert_eq!(rec.spans_dropped(), 2);
-        assert_eq!(rec.metrics().counter("spans.dropped"), Some(2));
+        assert_eq!(rec.registry().snapshot().counter("spans.dropped"), Some(2));
         // The stage total still covers all five spans.
         let listed: f64 = rec.spans().iter().map(|s| s.dur_us).sum();
         assert!(rec.stage_total_s(Stage::Update) * 1e6 >= listed);
@@ -484,12 +407,12 @@ mod tests {
         let rec = Recorder::new();
         rec.observe_n("bytes", 4096, 3);
         rec.observe("bytes", 16);
-        let m = rec.metrics();
-        let h = m.histogram("bytes").expect("recorded");
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 3 * 4096 + 16);
-        assert_eq!(h.max(), 4096);
-        assert_eq!(h.min(), 16);
+        let m = rec.registry().snapshot();
+        let h = &m.histograms_named("bytes").next().expect("recorded").value;
+        assert_eq!(h.count, 4);
+        assert_eq!(h.sum, 3 * 4096 + 16);
+        assert_eq!(h.max, 4096);
+        assert_eq!(h.min, 16);
     }
 
     #[test]

@@ -445,13 +445,8 @@ fn main() -> ExitCode {
     let metrics = server.metrics().clone();
     server.shutdown(ShutdownMode::Drain);
 
-    let flat = metrics.recorder().metrics();
-    let counter = |n: &str| {
-        flat.counters
-            .iter()
-            .find(|(k, _)| k == n)
-            .map_or(0, |(_, v)| *v)
-    };
+    let snap = metrics.recorder().registry().snapshot();
+    let counter = |n: &str| snap.counter_total(n);
     latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
     let completed = latencies_ms.len();
     let throughput = completed as f64 / wall_s.max(1e-9);
@@ -519,16 +514,7 @@ fn main() -> ExitCode {
     );
 
     if let Some(path) = &opts.metrics_out {
-        let mut doc = match flat.to_json() {
-            Json::Obj(pairs) => pairs,
-            other => vec![("metrics".to_string(), other)],
-        };
-        doc.insert(0, ("meta".to_string(), meta.to_json()));
-        doc.push((
-            "registry".to_string(),
-            metrics.recorder().registry().snapshot().to_json(),
-        ));
-        if let Err(e) = std::fs::write(path, Json::Obj(doc).to_string()) {
+        if let Err(e) = std::fs::write(path, snap.document(&meta).to_string()) {
             eprintln!("error: {path}: {e}");
             return ExitCode::FAILURE;
         }

@@ -2,18 +2,17 @@
 //! events from every admission, shed, retry, cancel, deadline, and
 //! shutdown decision.
 //!
-//! All counters also land as flat recorder counters (the same shape
-//! `qgpu-sim --metrics-out` emits), so `jq '.counters["serve.shed"]'`
-//! works on a `qgpu-load --metrics-out` document without unpacking
-//! label sets; the labeled registry versions carry the per-tenant
-//! breakdown.
+//! Each decision is counted once, with its labels (the per-tenant
+//! breakdown); the flat view of a `--metrics-out` document sums a name
+//! over its label sets, so `jq '.counters["serve.shed"]'` works without
+//! unpacking them (the same shape `qgpu-sim --metrics-out` emits).
 
 use std::sync::Arc;
 
 use qgpu_obs::Recorder;
 
-/// The server's shared recorder: counters, labeled registry metrics,
-/// per-tenant latency histograms, and the flight-event ring.
+/// The server's shared recorder: the metric registry (counters, gauges,
+/// per-tenant latency histograms) and the flight-event ring.
 #[derive(Clone)]
 pub struct ServeMetrics {
     rec: Arc<Recorder>,
@@ -27,13 +26,12 @@ impl ServeMetrics {
         }
     }
 
-    /// The underlying recorder (flight ring + registry + counters).
+    /// The underlying recorder (flight ring + registry).
     pub fn recorder(&self) -> &Arc<Recorder> {
         &self.rec
     }
 
     fn count(&self, name: &'static str, labels: &[(&'static str, &str)]) {
-        self.rec.add(name, 1);
         self.rec.registry().add(name, labels, 1);
     }
 
@@ -47,10 +45,7 @@ impl ServeMetrics {
     pub fn rejected(&self, tenant: &str, reason: &str, shed: bool) {
         self.count("serve.rejected", &[("tenant", tenant), ("reason", reason)]);
         if shed {
-            self.rec.add("serve.shed", 1);
-            self.rec
-                .registry()
-                .add("serve.shed", &[("tenant", tenant)], 1);
+            self.count("serve.shed", &[("tenant", tenant)]);
             self.rec
                 .flight("shed", || format!("tenant '{tenant}' load-shed: {reason}"));
         }
@@ -128,7 +123,6 @@ impl ServeMetrics {
     /// A completed job reported ABFT invariant violations that were
     /// detected and repaired on `device`.
     pub fn integrity_violations(&self, device: usize, count: u64) {
-        self.rec.add("serve.integrity_violations", count);
         let dev = device.to_string();
         self.rec
             .registry()
@@ -172,17 +166,17 @@ impl ServeMetrics {
 
     /// A placement probe was routed to a quarantined device.
     pub fn probe(&self, device: usize) {
-        let dev = device.to_string();
-        self.rec.add("serve.probes", 1);
-        self.rec
-            .registry()
-            .add("serve.probes", &[("device", &dev)], 1);
+        self.count("serve.probes", &[("device", &device.to_string())]);
     }
 
-    /// Shutdown decision and what it affected.
-    pub fn shutdown(&self, mode: &'static str, drained: usize, aborted: usize) {
+    /// Shutdown decision and what the server did up to it, read back
+    /// from the terminal counters.
+    pub fn shutdown(&self, mode: &'static str) {
         self.rec.add("serve.shutdowns", 1);
         self.rec.flight("shutdown", || {
+            let snap = self.rec.registry().snapshot();
+            let drained = snap.counter_total("serve.completed");
+            let aborted = snap.counter_total("serve.cancelled");
             format!("{mode} shutdown: {drained} job(s) drained, {aborted} aborted")
         });
     }
@@ -198,11 +192,12 @@ mod tests {
         m.admitted("acme");
         m.admitted("acme");
         m.rejected("acme", "queue_full", true);
-        let flat = m.recorder().metrics().counters;
-        assert!(flat.iter().any(|(n, v)| n == "serve.admitted" && *v == 2));
-        assert!(flat.iter().any(|(n, v)| n == "serve.shed" && *v == 1));
+        m.admitted("zenith");
         let snap = m.recorder().registry().snapshot();
+        assert_eq!(snap.counter_total("serve.admitted"), 3);
+        assert_eq!(snap.counter_total("serve.shed"), 1);
         assert_eq!(snap.counter("serve.admitted{tenant=acme}"), Some(2));
+        assert_eq!(snap.counter("serve.admitted"), None, "counted once");
         assert!(
             m.recorder().flight_triggered(),
             "a shed is a fault-class flight event"

@@ -15,7 +15,11 @@
 //! * **reaper** — ticks every `reaper_interval`, trips the token of any
 //!   job whose wall-clock deadline passed (queued jobs are discarded by
 //!   the scheduler when they surface; running jobs abort at the next
-//!   gate boundary), and prunes terminal jobs from the registry.
+//!   gate boundary).
+//!
+//! The server tracks a job only until its terminal transition (the
+//! caller's [`JobHandle`] keeps the record and result alive after that),
+//! so its memory and the reaper's tick are O(queued + running).
 //!
 //! Admission control consults the shared [`PressureGovernor`]: a job
 //! that would exceed the memory budget is shed (`Rejected`, never a
@@ -190,7 +194,8 @@ struct DeviceSlot {
 
 struct ServeState {
     sched: FairScheduler<PendingJob>,
-    jobs: Vec<Arc<JobRecord>>,
+    /// Admitted jobs that have not reached a terminal state.
+    jobs: std::collections::HashMap<JobId, Arc<JobRecord>>,
     devices: Vec<DeviceSlot>,
     /// Per-device fault scoreboard: jobs whose results carried repaired
     /// invariant violations (or that needed recoverable retries) raise
@@ -251,7 +256,7 @@ impl Server {
             metrics,
             state: Mutex::new(ServeState {
                 sched: FairScheduler::new(),
-                jobs: Vec::new(),
+                jobs: std::collections::HashMap::new(),
                 devices,
                 board: DeviceHealthBoard::new(cfg.devices),
                 governor,
@@ -286,9 +291,15 @@ impl Server {
         Server { inner, threads }
     }
 
-    /// The server's metrics hub (registry, counters, flight ring).
+    /// The server's metrics hub (registry, flight ring).
     pub fn metrics(&self) -> &ServeMetrics {
         &self.inner.metrics
+    }
+
+    /// How many jobs the server itself still tracks: those admitted and
+    /// not yet terminal.
+    pub fn tracked_jobs(&self) -> usize {
+        self.inner.state.lock().unwrap().jobs.len()
     }
 
     /// Health-board snapshot for a fleet device slot (EMA score, state,
@@ -393,7 +404,7 @@ impl Server {
             .or(inner.cfg.default_deadline)
             .map(|d| Instant::now() + d);
         let rec = Arc::new(JobRecord::new(id, spec.tenant.clone(), deadline_at));
-        st.jobs.push(Arc::clone(&rec));
+        st.jobs.insert(id, Arc::clone(&rec));
         let cost = spec.circuit.len().max(1) as f64;
         let prio = spec.priority.weight();
         let tenant = spec.tenant.clone();
@@ -425,7 +436,7 @@ impl Server {
             }
             st.devices[device].alive = false;
             let mut evicted = 0usize;
-            for job in &st.jobs {
+            for job in st.jobs.values() {
                 if job.running_device() == Some(device) {
                     job.with_token(|t| {
                         t.evict();
@@ -460,14 +471,11 @@ impl Server {
         self.inner.closed.store(true, Ordering::Release);
         if mode == ShutdownMode::Abort {
             self.inner.abort.store(true, Ordering::Release);
-            let jobs = self.inner.state.lock().unwrap().jobs.clone();
-            for j in jobs {
-                if !j.status().is_terminal() {
-                    j.cancel_requested.store(true, Ordering::Release);
-                    j.with_token(|t| {
-                        t.cancel();
-                    });
-                }
+            for j in self.inner.state.lock().unwrap().jobs.values() {
+                j.cancel_requested.store(true, Ordering::Release);
+                j.with_token(|t| {
+                    t.cancel();
+                });
             }
         }
         self.inner.wake.notify_all();
@@ -483,28 +491,10 @@ impl Server {
         if let Some(t) = reaper {
             let _ = t.join();
         }
-        let (drained, aborted) = {
-            let st = self.inner.state.lock().unwrap();
-            let done = st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.status(), JobStatus::Completed))
-                .count();
-            let gone = st
-                .jobs
-                .iter()
-                .filter(|j| matches!(j.status(), JobStatus::Cancelled))
-                .count();
-            (done, gone)
-        };
-        self.inner.metrics.shutdown(
-            match mode {
-                ShutdownMode::Drain => "drain",
-                ShutdownMode::Abort => "abort",
-            },
-            drained,
-            aborted,
-        );
+        self.inner.metrics.shutdown(match mode {
+            ShutdownMode::Drain => "drain",
+            ShutdownMode::Abort => "abort",
+        });
     }
 }
 
@@ -572,10 +562,13 @@ fn emit_health_transition(inner: &Inner, st: &ServeState, device: usize, tr: Hea
         .health_transition(device, name, state.label(), st.board.healthy_count());
 }
 
-/// Releases a job's admission charge and its tenant's queue-bound slot.
-fn release_job(st: &mut ServeState, tenant: &str, charged: u64) {
+/// The server's half of a terminal transition: stops tracking the job
+/// (its handle keeps the record) and releases its admission charge and
+/// its tenant's queue-bound slot.
+fn release_job(st: &mut ServeState, rec: &JobRecord, charged: u64) {
+    st.jobs.remove(&rec.id);
     st.committed_bytes = st.committed_bytes.saturating_sub(charged);
-    if let Some(n) = st.active.get_mut(tenant) {
+    if let Some(n) = st.active.get_mut(&rec.tenant) {
         *n = n.saturating_sub(1);
     }
 }
@@ -583,7 +576,7 @@ fn release_job(st: &mut ServeState, tenant: &str, charged: u64) {
 /// Terminal transition for a job that never ran (discarded while
 /// queued): release its charge and record the decision.
 fn finalize_queued(inner: &Inner, st: &mut ServeState, p: PendingJob, status: JobStatus) {
-    release_job(st, &p.rec.tenant, p.charged);
+    release_job(st, &p.rec, p.charged);
     let label = status.label();
     if p.rec.finish(status, None) {
         inner.metrics.terminal(&p.rec.tenant, label);
@@ -769,7 +762,7 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
     {
         let mut st = inner.state.lock().unwrap();
         st.devices[device].running -= 1;
-        release_job(&mut st, &rec.tenant, p.charged);
+        release_job(&mut st, rec, p.charged);
         // Feed the health board: repaired invariant violations inside a
         // completed result still indict the device that produced them
         // (the answer is bit-exact, the silicon is suspect); a clean
@@ -807,22 +800,10 @@ fn reaper_loop(inner: &Arc<Inner>) {
     while !inner.reaper_stop.load(Ordering::Acquire) {
         std::thread::sleep(inner.cfg.reaper_interval);
         let now = Instant::now();
-        let jobs: Vec<Arc<JobRecord>> = {
-            let mut st = inner.state.lock().unwrap();
-            // The registry only needs live jobs; terminal ones are
-            // reachable through their handles.
-            if st.sched.total_depth() == 0 {
-                st.jobs.retain(|j| !j.status().is_terminal());
-            }
-            st.jobs.clone()
-        };
         let mut tripped = false;
-        for job in jobs {
-            let Some(dl) = job.deadline_at else { continue };
-            if now < dl || job.status().is_terminal() {
-                continue;
-            }
-            if !job.deadline_hit.swap(true, Ordering::AcqRel) {
+        for job in inner.state.lock().unwrap().jobs.values() {
+            let overdue = job.deadline_at.is_some_and(|dl| now >= dl);
+            if overdue && !job.deadline_hit.swap(true, Ordering::AcqRel) {
                 job.with_token(|t| {
                     t.expire();
                 });

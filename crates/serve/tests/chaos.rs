@@ -149,8 +149,8 @@ fn chaos_soak_all_jobs_terminal_and_completions_bit_exact() {
 
     let metrics = server.metrics().clone();
     server.shutdown(ShutdownMode::Drain);
-    let flat = metrics.recorder().metrics().counters;
-    let get = |n: &str| flat.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
+    let flat = metrics.recorder().registry().snapshot();
+    let get = |n: &str| flat.counter_total(n);
     assert_eq!(get("serve.admitted"), 48);
     assert_eq!(get("serve.devices_lost"), 1);
     assert!(get("serve.deadline_exceeded") >= deadlined_ids.len() as u64);
@@ -225,8 +225,8 @@ fn kernel_flip_jobs_quarantine_their_device_and_stay_bit_exact() {
     );
     let metrics = server.metrics().clone();
     server.shutdown(ShutdownMode::Drain);
-    let flat = metrics.recorder().metrics().counters;
-    let get = |n: &str| flat.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
+    let flat = metrics.recorder().registry().snapshot();
+    let get = |n: &str| flat.counter_total(n);
     assert!(get("serve.quarantines") >= 1, "quarantine decision counted");
     assert!(
         get("serve.integrity_violations") >= handles.len() as u64,

@@ -105,8 +105,8 @@ fn sustained_memory_pressure_degrades_then_admits_bit_exactly() {
     );
     assert_eq!(admitted.wait_timeout(WAIT), Some(JobStatus::Completed));
 
-    let flat = server.metrics().recorder().metrics().counters;
-    let get = |n: &str| flat.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
+    let flat = server.metrics().recorder().registry().snapshot();
+    let get = |n: &str| flat.counter_total(n);
     assert_eq!(get("serve.shed"), sheds);
     assert!(get("serve.degraded") >= 1, "shrink rung must be recorded");
 
@@ -155,9 +155,9 @@ fn cancelling_a_running_job_stops_it_at_a_gate_boundary() {
     assert!(handle.result().is_none());
     let metrics = server.metrics().clone();
     server.shutdown(ShutdownMode::Drain);
-    let flat = metrics.recorder().metrics().counters;
+    let flat = metrics.recorder().registry().snapshot();
     assert!(
-        flat.iter().any(|(n, v)| n == "serve.cancelled" && *v == 1),
+        flat.counter_total("serve.cancelled") == 1,
         "cancel decision must land in metrics"
     );
 }
@@ -183,10 +183,9 @@ fn expired_deadline_is_a_terminal_state_not_a_hang() {
     assert_eq!(tight.wait_timeout(WAIT), Some(JobStatus::DeadlineExceeded));
     let metrics = server.metrics().clone();
     server.shutdown(ShutdownMode::Drain);
-    let flat = metrics.recorder().metrics().counters;
+    let flat = metrics.recorder().registry().snapshot();
     assert!(
-        flat.iter()
-            .any(|(n, v)| n == "serve.deadline_exceeded" && *v == 2),
+        flat.counter_total("serve.deadline_exceeded") == 2,
         "both deadline decisions must land in metrics"
     );
 }
@@ -210,8 +209,8 @@ fn recoverable_worker_deaths_retry_to_a_bit_exact_completion() {
     assert_eq!(handle.wait_timeout(WAIT), Some(JobStatus::Completed));
     assert_eq!(handle.attempts(), 3, "two deaths then a clean attempt");
 
-    let flat = server.metrics().recorder().metrics().counters;
-    let get = |n: &str| flat.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
+    let flat = server.metrics().recorder().registry().snapshot();
+    let get = |n: &str| flat.counter_total(n);
     assert_eq!(get("serve.retries"), 2);
     assert_eq!(get("serve.worker_panics"), 2);
     assert!(server.metrics().recorder().flight_triggered());
@@ -244,8 +243,8 @@ fn device_loss_evicts_and_the_job_completes_on_a_survivor() {
     server.kill_device(device);
     assert_eq!(handle.wait_timeout(WAIT), Some(JobStatus::Completed));
 
-    let flat = server.metrics().recorder().metrics().counters;
-    let get = |n: &str| flat.iter().find(|(k, _)| k == n).map_or(0, |(_, v)| *v);
+    let flat = server.metrics().recorder().registry().snapshot();
+    let get = |n: &str| flat.counter_total(n);
     assert_eq!(get("serve.devices_lost"), 1);
 
     let direct = Simulator::new(cfg(14))
@@ -300,14 +299,46 @@ fn abort_shutdown_cancels_everything_but_leaves_no_job_non_terminal() {
 }
 
 #[test]
+fn server_tracks_only_jobs_in_flight_under_sustained_load() {
+    // One worker and a client that keeps eight jobs outstanding: the
+    // queue never runs empty, so there is no idle moment to clean up in —
+    // a job must leave the server's table at its own terminal transition.
+    let server = Server::new(ServeConfig::default().with_workers(1));
+    let mut outstanding = std::collections::VecDeque::new();
+    let mut peak = 0;
+    for _ in 0..240 {
+        let spec = JobSpec::new(Benchmark::Qft.generate(10), cfg(10));
+        outstanding.push_back(server.submit(spec).expect("admitted"));
+        if outstanding.len() == 8 {
+            let oldest = outstanding.pop_front().expect("eight outstanding");
+            assert_eq!(oldest.wait_timeout(WAIT), Some(JobStatus::Completed));
+            assert!(oldest.result().is_some(), "the handle keeps the result");
+        }
+        // Every job the client has seen finish is gone from the table.
+        let tracked = server.tracked_jobs();
+        assert!(
+            tracked <= outstanding.len(),
+            "{tracked} jobs tracked with {} queued or running",
+            outstanding.len()
+        );
+        peak = peak.max(tracked);
+    }
+    assert!(peak >= 2, "the load kept jobs queued behind the worker");
+    server.shutdown(ShutdownMode::Drain);
+    for h in &outstanding {
+        assert_eq!(h.status(), JobStatus::Completed);
+    }
+}
+
+#[test]
 fn submit_after_close_is_rejected() {
     let server = Server::new(ServeConfig::default().with_workers(1));
     server.close();
     let refused = server.submit(JobSpec::new(Benchmark::Qft.generate(10), cfg(10)));
     assert_eq!(refused.err(), Some(RejectReason::ShuttingDown));
-    let flat = server.metrics().recorder().metrics().counters;
+    let flat = server.metrics().recorder().registry().snapshot();
     assert!(
-        flat.iter().any(|(n, v)| n == "serve.rejected" && *v == 1),
+        flat.counter_total("serve.rejected") == 1,
         "refusal must land in metrics"
     );
     server.shutdown(ShutdownMode::Drain);

@@ -774,11 +774,15 @@ mod tests {
             spans.iter().any(|s| matches!(s.track, Track::Worker(_))),
             "worker spans expected"
         );
-        let queue = rec.metrics();
-        let hist = queue.histogram("worker.queue").expect("occupancy");
+        let queue = rec.registry().snapshot();
+        let hist = &queue
+            .histograms_named("worker.queue")
+            .next()
+            .expect("occupancy")
+            .value;
         // 128 dense chunks over 4 workers: 32 items each.
-        assert_eq!(hist.count(), 4);
-        assert_eq!(hist.max(), 32);
+        assert_eq!(hist.count, 4);
+        assert_eq!(hist.max, 32);
     }
 
     #[test]
@@ -1211,10 +1215,11 @@ mod tests {
             let mut state = ChunkedState::from_flat(&flat, chunk_bits);
             ex.with_recorder(Arc::clone(&rec))
                 .apply_group_runs(&mut state, &run, &groups, &[7]);
-            let queued = rec
-                .metrics()
-                .histogram("worker.queue")
-                .map_or(0, |h| h.count());
+            let snap = rec.registry().snapshot();
+            let queued = snap
+                .histograms_named("worker.queue")
+                .next()
+                .map_or(0, |h| h.value.count);
             (state, queued)
         };
         let (serial, none) = dispatches(ChunkExecutor::with_exact_threads(4));

@@ -16,7 +16,7 @@
 //!   kernels (and fused runs) across disjoint chunks in parallel, with
 //!   bit-exact results at every thread count.
 //! * [`kernels`] — the low-level update routines shared by both layouts
-//!   ([`reference`] keeps the per-index loops they are checked against).
+//!   ([`mod@reference`] keeps the per-index loops they are checked against).
 //! * [`measure`] — probabilities and sampling.
 //!
 //! # Examples

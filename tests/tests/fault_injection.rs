@@ -192,7 +192,7 @@ fn injection_composes_with_batching_fusion_and_obs() {
     // The recovery counters flow into the metrics sink too.
     let obs = r.obs.as_ref().expect("obs collected");
     assert_eq!(
-        obs.metrics.counter("chunk.retries").unwrap_or(0),
+        obs.registry.counter_total("chunk.retries"),
         r.report.chunk_retries,
         "recorder and report disagree on retries"
     );
