@@ -23,7 +23,9 @@ use qgpu_math::Complex64;
 use qgpu_obs::Recorder;
 
 use crate::alp::AlpCodec;
-use crate::codec::{amps_as_f64, try_decode_any, Codec, CodecKind, DecodeError, Encoded};
+use crate::codec::{
+    amps_as_f64, chunks_of, saturating_u32, try_decode_any, Codec, CodecKind, DecodeError, Encoded,
+};
 use crate::gfc::GfcCodec;
 use crate::zero_run::ZeroRunCodec;
 
@@ -116,22 +118,25 @@ fn sample_of(data: &[f64]) -> Cow<'_, [f64]> {
     Cow::Owned(sample)
 }
 
-/// Publishes one cascade pick to the metrics registry: the total
-/// `codec.cascade.picks` counter plus a per-winner counter. Counter
-/// names must be `&'static str`, hence the match.
-fn record_cascade_pick(rec: &Recorder, winner: CodecKind) {
-    rec.add("codec.cascade.picks", 1);
-    rec.add(
-        match winner {
-            CodecKind::Gfc => "codec.cascade.pick.gfc",
-            CodecKind::ZeroRun => "codec.cascade.pick.zero-run",
-            CodecKind::Alp => "codec.cascade.pick.alp",
-            // Buffers carry the winning inner codec; a cascade tag would
-            // be a bug, but a metrics helper is no place to panic.
-            CodecKind::Cascade => "codec.cascade.pick.cascade",
-        },
-        1,
-    );
+/// Publishes a run's cascade picks to the metrics registry: the total
+/// `codec.cascade.picks` counter plus a per-winner counter, each added
+/// once per run. Counter names must be `&'static str`, hence the match.
+fn record_cascade_picks(rec: &Recorder, picks: &[(CodecKind, u64)]) {
+    for &(winner, n) in picks.iter().filter(|&&(_, n)| n > 0) {
+        rec.add("codec.cascade.picks", n);
+        rec.add(
+            match winner {
+                CodecKind::Gfc => "codec.cascade.pick.gfc",
+                CodecKind::ZeroRun => "codec.cascade.pick.zero-run",
+                CodecKind::Alp => "codec.cascade.pick.alp",
+                // Buffers carry the winning inner codec; a cascade tag
+                // would be a bug, but a metrics helper is no place to
+                // panic.
+                CodecKind::Cascade => "codec.cascade.pick.cascade",
+            },
+            n,
+        );
+    }
 }
 
 impl Codec for CascadeCodec {
@@ -151,16 +156,28 @@ impl Codec for CascadeCodec {
         try_decode_any(enc)
     }
 
-    /// Publishes the per-chunk pick on the way: bumps
+    /// Publishes the per-chunk picks on the way: bumps
     /// `codec.cascade.picks` plus a per-winner counter, so a run's metrics
     /// show which encodings it actually used.
-    fn encoded_len_amplitudes_observed(&self, amps: &[Complex64], rec: Option<&Recorder>) -> usize {
-        let data = amps_as_f64(amps);
-        let pick = self.pick(data);
-        if let Some(r) = rec {
-            record_cascade_pick(r, pick);
+    fn encoded_lens_observed(
+        &self,
+        amps: &[Complex64],
+        chunk_len: usize,
+        out: &mut [u32],
+        rec: Option<&Recorder>,
+    ) {
+        let mut picks = [CodecKind::Gfc, CodecKind::ZeroRun, CodecKind::Alp].map(|k| (k, 0));
+        for (chunk, len) in chunks_of(amps, chunk_len, out.len()).zip(out) {
+            let data = amps_as_f64(chunk);
+            let pick = self.pick(data);
+            if let Some(slot) = picks.iter_mut().find(|(k, _)| *k == pick) {
+                slot.1 += 1;
+            }
+            *len = saturating_u32(self.member(pick).encoded_len(data));
         }
-        self.member(pick).encoded_len(data)
+        if let Some(r) = rec {
+            record_cascade_picks(r, &picks);
+        }
     }
 }
 

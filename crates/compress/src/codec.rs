@@ -43,6 +43,26 @@ pub fn amplitude_crc32(amps: &[Complex64]) -> u32 {
     value_crc32(amps_as_f64(amps))
 }
 
+/// `n` consecutive `chunk_len`-amplitude chunks of `amps` (see
+/// [`Codec::encoded_lens`]).
+pub(crate) fn chunks_of(
+    amps: &[Complex64],
+    chunk_len: usize,
+    n: usize,
+) -> impl Iterator<Item = &[Complex64]> {
+    assert_eq!(
+        amps.len(),
+        n * chunk_len,
+        "{n} chunks of {chunk_len} amplitudes"
+    );
+    (0..n).map(move |i| &amps[i * chunk_len..(i + 1) * chunk_len])
+}
+
+/// An encoded length as [`Codec::encoded_lens`] reports it.
+pub(crate) fn saturating_u32(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
+}
+
 /// Reinterprets amplitudes as interleaved doubles (zero-copy).
 pub(crate) fn amps_as_f64(amps: &[Complex64]) -> &[f64] {
     // Safety: Complex64 is repr(C) with exactly two f64 fields.
@@ -305,16 +325,37 @@ pub trait Codec: fmt::Debug + Send + Sync {
         self.encoded_len(amps_as_f64(amps))
     }
 
-    /// [`Codec::encoded_len_amplitudes`] under observation — the engine's
-    /// sizing pass. A codec that makes a per-chunk decision publishes it
-    /// here (the cascade counts its picks); the Compress span and the
-    /// ratio histogram are the caller's, opened once per gate.
-    fn encoded_len_amplitudes_observed(
+    /// [`Codec::encoded_len_amplitudes`] of every `chunk_len`-amplitude
+    /// chunk of `amps`, into `out` (one per chunk, saturating at
+    /// `u32::MAX`): the engine sizes a run of consecutive live chunks in
+    /// one call. A codec with per-call setup overrides it to pay that
+    /// once per run; every result must equal the single call's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `amps.len() != out.len() * chunk_len`.
+    fn encoded_lens(&self, amps: &[Complex64], chunk_len: usize, out: &mut [u32]) {
+        for (chunk, len) in chunks_of(amps, chunk_len, out.len()).zip(out) {
+            *len = saturating_u32(self.encoded_len_amplitudes(chunk));
+        }
+    }
+
+    /// [`Codec::encoded_lens`] under observation — the engine's sizing
+    /// pass. A codec that makes a per-chunk decision publishes it here
+    /// (the cascade counts its picks); the Compress span and the ratio
+    /// histogram are the caller's, opened once per gate.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`Codec::encoded_lens`].
+    fn encoded_lens_observed(
         &self,
         amps: &[Complex64],
+        chunk_len: usize,
+        out: &mut [u32],
         _rec: Option<&Recorder>,
-    ) -> usize {
-        self.encoded_len_amplitudes(amps)
+    ) {
+        self.encoded_lens(amps, chunk_len, out);
     }
 
     /// Decodes into complex amplitudes, reporting corruption.

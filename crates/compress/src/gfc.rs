@@ -12,7 +12,8 @@ use qgpu_math::Complex64;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{
-    amplitude_crc32, amps_as_f64, value_crc32, Codec, CodecKind, DecodeError, Encoded,
+    amplitude_crc32, amps_as_f64, chunks_of, saturating_u32, value_crc32, Codec, CodecKind,
+    DecodeError, Encoded,
 };
 use crate::stats::CompressionStats;
 
@@ -265,6 +266,20 @@ impl GfcCodec {
     }
 }
 
+impl GfcCodec {
+    /// [`Codec::encoded_len`] through `walk`.
+    fn sized(&self, walk: SizeWalk, data: &[f64]) -> usize {
+        // One segment (every chunk under 512 doubles in the engine) is the
+        // whole slice: no segment length to divide out.
+        if self.num_segments == 1 || data.is_empty() {
+            return walk(data);
+        }
+        data.chunks(segment_len(data.len(), self.num_segments))
+            .map(walk)
+            .sum()
+    }
+}
+
 impl Default for GfcCodec {
     /// 32 segments — enough warps to saturate a small GPU.
     fn default() -> Self {
@@ -287,15 +302,15 @@ impl Codec for GfcCodec {
     }
 
     fn encoded_len(&self, data: &[f64]) -> usize {
+        self.sized(size_walk(), data)
+    }
+
+    /// One fetch of the size walk for the whole run.
+    fn encoded_lens(&self, amps: &[Complex64], chunk_len: usize, out: &mut [u32]) {
         let walk = size_walk();
-        // One segment (every chunk under 512 doubles in the engine) is the
-        // whole slice: no segment length to divide out.
-        if self.num_segments == 1 || data.is_empty() {
-            return walk(data);
+        for (chunk, len) in chunks_of(amps, chunk_len, out.len()).zip(out) {
+            *len = saturating_u32(self.sized(walk, amps_as_f64(chunk)));
         }
-        data.chunks(segment_len(data.len(), self.num_segments))
-            .map(walk)
-            .sum()
     }
 
     fn try_decode(&self, enc: &Encoded) -> Result<Vec<f64>, DecodeError> {

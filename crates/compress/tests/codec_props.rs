@@ -182,6 +182,7 @@ proptest! {
         run in 1usize..80,
         segs in 1usize..12,
         (short, micro_chunks, off, rot) in (0usize..=97, 1usize..24, 0usize..7, 0usize..35),
+        chunks in 1usize..6,
     ) {
         // Arbitrary bit patterns, amplitude-like values, and the same
         // values repeated in runs (the zero-run / pruned-chunk shape).
@@ -199,6 +200,26 @@ proptest! {
                     codec.encode(data).total_bytes(),
                     "codec {}", kind
                 );
+                // The same values as `chunks` amplitude chunks sized in one
+                // call: each length is the single call's, and an observed
+                // cascade publishes one pick per chunk.
+                let amps: Vec<Complex64> =
+                    data.chunks_exact(2).map(|p| Complex64::new(p[0], p[1])).collect();
+                let chunk_len = amps.len() / chunks;
+                let amps = &amps[..chunks * chunk_len];
+                let single: Vec<u32> = (0..chunks)
+                    .map(|i| &amps[i * chunk_len..(i + 1) * chunk_len])
+                    .map(|c| codec.encoded_len_amplitudes(c) as u32)
+                    .collect();
+                let mut lens = vec![0; chunks];
+                codec.encoded_lens(amps, chunk_len, &mut lens);
+                prop_assert_eq!(&lens, &single, "codec {}", kind);
+                let rec = qgpu_obs::Recorder::new();
+                codec.encoded_lens_observed(amps, chunk_len, &mut lens, Some(&rec));
+                prop_assert_eq!(&lens, &single, "codec {} observed", kind);
+                let picks = rec.registry().snapshot().counter_total("codec.cascade.picks");
+                let want = if kind == CodecKind::Cascade { chunks as u64 } else { 0 };
+                prop_assert_eq!(picks, want, "codec {}", kind);
             }
         }
     }

@@ -1,24 +1,26 @@
 //! The gate-batching extension: a run of chunk-local ops shares a single
 //! chunk round trip. Batching is a *pipeline shape* change (one upload /
 //! many kernels / one download per chunk), so it has its own driver —
-//! but the round trip is the same [`super::steps`] `stream_gate` calls,
-//! so every flag subset and fault site composes identically. Its own:
-//! batch formation, the per-op control masks, the kernel loop, and an
-//! inline per-chunk encode (whose injector draws interleave with the
-//! transfers', unlike the per-gate sizing pass).
+//! but the round trip is the same [`steps::Round`] steps and
+//! [`steps::Fetch`] rules `stream_gate` runs, so every flag subset and
+//! fault site composes identically. Its own: batch formation, the per-op
+//! control masks, the kernel loop, and an inline per-chunk encode (whose
+//! injector draws interleave with the transfers', unlike the per-gate
+//! sizing pass).
 
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
-use qgpu_device::timeline::{Engine, TaskKind};
 use qgpu_device::Counter;
 use qgpu_faults::SimError;
 use qgpu_obs::{span_opt, Stage as ObsStage, Track};
+use qgpu_sched::plan::Tasks;
 use qgpu_sched::InvolvementTracker;
 
 use crate::engine::flops_per_amp;
 
-use super::middleware::{self, Resilience, Touched};
-use super::{steps, Env};
+use super::middleware::{self, Touched};
+use super::steps::{self, Fetch};
+use super::{Env, Held, RAW_FALLBACK};
 
 /// Longest run of chunk-local gates merged into one chunk visit.
 ///
@@ -105,16 +107,8 @@ pub(crate) fn run_batch(
         if applicable.is_empty() {
             continue;
         }
-        batch_chunk(
-            env,
-            chunk,
-            &batch,
-            base_idx,
-            &applicable,
-            &tracker_end,
-            pruning,
-            compressing,
-        )?;
+        let ops = applicable.iter().map(|&i| (batch[i], base_idx + i));
+        batch_chunk(env, chunk, ops, &tracker_end, pruning, compressing)?;
     }
     steps::gate_sync(env);
     env.tracker = tracker_end;
@@ -122,138 +116,110 @@ pub(crate) fn run_batch(
 }
 
 /// One chunk's round trip through the batch: upload once, one kernel per
-/// applicable op, download once.
-#[allow(clippy::too_many_arguments)]
-fn batch_chunk(
+/// applicable op (with its program index), download once.
+fn batch_chunk<'f>(
     env: &mut Env,
     chunk: usize,
-    batch: &[&FusedOp],
-    base_idx: usize,
-    applicable: &[usize],
-    tracker_end: &InvolvementTracker,
-    pruning: bool,
-    compressing: bool,
-) -> Result<(), SimError> {
-    let chunk_bytes = 16u64 << env.chunk_bits;
-    let gpu = super::deal_gpu(env);
-    let (h2d_end, raw_up) = steps::upload(env, gpu, &[chunk], pruning, compressing)?;
-    let mut compute_ready = steps::decompress(env, gpu, h2d_end, raw_up);
-    // One kernel per applicable op over the resident chunk.
-    let mut kernel_service = 0.0f64;
-    {
-        let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.batch");
-        for &i in applicable {
-            let fpa = flops_per_amp(batch[i].collapsed());
-            let (end, kernel_s) = steps::modeled_kernel(
-                env,
-                gpu,
-                compute_ready,
-                chunk_bytes,
-                fpa,
-                batch[i].is_fused(),
-            );
-            kernel_service += kernel_s;
-            compute_ready = end;
-            if let Some(imw) = env.integ.as_mut() {
-                let w = Touched {
-                    singles: &[chunk],
-                    groups: &[],
-                    high_mixing: &[],
-                };
-                let (ex, st, tl) = (&mut env.executor, &mut env.state, &mut *env.tl);
-                imw.checked_apply(ex, st, tl, env.rec, batch[i], base_idx + i, w)?;
-            } else {
-                let restarts = env.executor.try_apply_local_run(
-                    &mut env.state,
-                    batch[i].actions(),
-                    &[chunk],
-                )?;
-                middleware::note_restarts(env.tl, env.rec, restarts);
-            }
-        }
-    }
-    env.tl
-        .count(Counter::ChunksProcessed, applicable.len() as u64);
-    if let Some(r) = env.rec {
-        r.observe("chunk.bytes", chunk_bytes);
-    }
-    steps::note_kernel_service(env, gpu, kernel_service, chunk_bytes);
-    batch_download(
-        env,
-        chunk,
-        gpu,
-        compute_ready,
-        tracker_end,
-        pruning,
-        compressing,
-    )
-}
-
-/// The batch's single download: pruned-to-zero chunks don't move,
-/// compressed chunks pay the encode pass and compress kernel, raw
-/// fallbacks (and uncompressed subsets) pay the arrival re-tag.
-fn batch_download(
-    env: &mut Env,
-    chunk: usize,
-    gpu: usize,
-    compute_ready: f64,
+    ops: impl ExactSizeIterator<Item = (&'f FusedOp, usize)>,
     tracker_end: &InvolvementTracker,
     pruning: bool,
     compressing: bool,
 ) -> Result<(), SimError> {
     let cb = env.chunk_bits;
-    let chunk_bytes = 16u64 << cb;
-    let gspec = env.cfg.platform.gpu(gpu);
-    let mut d2h_ready = compute_ready;
-    let mut d2h_bytes = 0u64;
-    let mut sealed_at_encode = false;
-    if pruning && tracker_end.chunk_is_zero(chunk, cb) {
-        env.compressed.remove(chunk);
-    } else if compressing {
-        // Injected encode failure: degrade to a raw transfer for this
-        // chunk (no compress kernel, full bytes).
-        if env.resil.as_mut().is_some_and(Resilience::codec_fails) {
-            steps::note_codec_fallback(env, chunk);
-            env.compressed.remove(chunk);
-            d2h_bytes = chunk_bytes;
-        } else {
-            let sz = {
-                let _g = span_opt(
-                    env.rec,
-                    Track::Main,
-                    ObsStage::Compress,
-                    env.codec.kind().compress_span(),
-                );
-                super::encode_member(env, chunk)
+    let held = env.held.get(chunk);
+    let (d2h_end, cached) = held.map_or((0.0, None), |h| (h.d2h_end, h.compressed));
+    let mut trip = steps::Trip::new(env.epoch_floor.max(d2h_end));
+    let trackers = [&env.tracker, tracker_end];
+    let mut f = Fetch::new(
+        &env.state,
+        env.resil.as_mut(),
+        trackers,
+        pruning,
+        compressing,
+        cb,
+    );
+    f.up(chunk, cached, &mut trip);
+    let (gpu, mut ready) = {
+        let mut round = steps::Round::new(env, 1, compressing);
+        let gpu = round.deal();
+        (gpu, round.upload(gpu, &trip)?)
+    };
+    env.tl.count(Counter::ChunksProcessed, ops.len() as u64);
+    // One kernel per applicable op over the resident chunk.
+    let mut kernel_service = 0.0f64;
+    {
+        let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.batch");
+        for (op, op_idx) in ops {
+            let mut round = steps::Round::new(env, 1, compressing);
+            let flops = (round.bytes as f64 / 16.0) * flops_per_amp(op.collapsed());
+            let (end, kernel_s) = round.kernel(gpu, ready, flops, op.is_fused());
+            kernel_service += kernel_s;
+            ready = end;
+            drop(round);
+            let w = Touched {
+                reps: Tasks::one(chunk),
+                high_mixing: &[],
             };
-            if let Some(r) = env.rec {
-                let ratio = super::transfer::ratio_x100(chunk_bytes, sz);
-                r.observe("compress.ratio.x100", ratio);
+            let (ex, st, tl) = (&mut env.executor, &mut env.state, &mut *env.tl);
+            match env.integ.as_mut() {
+                Some(imw) => imw.checked_apply(ex, st, tl, env.rec, op, op_idx, w)?,
+                None => middleware::apply_functional(ex, st, tl, env.rec, op, w)?,
             }
-            sealed_at_encode = true;
-            env.tl.count(Counter::BytesBeforeCompress, chunk_bytes);
-            env.tl.count(Counter::BytesAfterCompress, sz as u64);
-            env.compressed.insert(chunk, sz);
-            d2h_bytes = sz as u64;
-            let cspan = env.tl.schedule(
-                Engine::GpuCompute(gpu),
-                d2h_ready,
-                chunk_bytes as f64 / gspec.codec_bw(env.codec_class),
-                TaskKind::Compress,
-                chunk_bytes,
-            );
-            d2h_ready = cspan.end;
-        }
-    } else {
-        d2h_bytes = chunk_bytes;
-    }
-    // Only a chunk that actually crossed the link raw pays an arrival
-    // re-tag; encode-sealed chunks carried their tag and a
-    // pruned-to-zero chunk never moved at all.
-    if let Some(rs) = env.resil.as_mut() {
-        if !sealed_at_encode && d2h_bytes > 0 {
-            rs.verify_on_arrival(&env.state, std::iter::once(chunk), cb, |_| false);
         }
     }
-    steps::d2h_tail(env, gpu, &[chunk], d2h_ready, d2h_bytes)
+    if let Some(r) = env.rec {
+        r.observe("chunk.bytes", 16u64 << cb);
+    }
+    steps::Round::new(env, 1, compressing).note_service(gpu, kernel_service);
+    let size = batch_size(env, chunk, tracker_end, pruning, compressing);
+    let trackers = [&env.tracker, tracker_end];
+    let mut f = Fetch::new(
+        &env.state,
+        env.resil.as_mut(),
+        trackers,
+        pruning,
+        compressing,
+        cb,
+    );
+    let compressed = f.down(chunk, cached, size, &mut trip);
+    f.count(env.tl);
+    let d2h_end = steps::Round::new(env, 1, compressing).download(gpu, ready, &trip)?;
+    env.held.insert(
+        chunk,
+        Held {
+            d2h_end,
+            compressed,
+        },
+    );
+    Ok(())
+}
+
+/// The batch's inline encode: the chunk's codec size after its last
+/// kernel ([`RAW_FALLBACK`] on an injected failure), for a chunk that
+/// moves back compressed — unread otherwise.
+fn batch_size(
+    env: &mut Env,
+    chunk: usize,
+    tracker_end: &InvolvementTracker,
+    pruning: bool,
+    compressing: bool,
+) -> u32 {
+    if !compressing || (pruning && tracker_end.chunk_is_zero(chunk, env.chunk_bits)) {
+        return RAW_FALLBACK;
+    }
+    let mut size = [0];
+    {
+        let _g = span_opt(
+            env.rec,
+            Track::Main,
+            ObsStage::Compress,
+            env.codec.kind().compress_span(),
+        );
+        steps::size_into(env, std::iter::once((0, chunk)), &mut size);
+    }
+    if let (Some(r), false) = (env.rec, size[0] == RAW_FALLBACK) {
+        let ratio = super::transfer::ratio_x100(16u64 << env.chunk_bits, size[0]);
+        r.observe("compress.ratio.x100", ratio);
+    }
+    size[0]
 }

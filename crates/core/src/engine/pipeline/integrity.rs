@@ -64,20 +64,10 @@ const SALT_FLIP_TARGET: u64 = 0x7461_7267_6574_0000;
 const UNARMED_STRIDE: u64 = 4;
 
 /// One checked unit of kernel work: a chunk-local task or a mixing
-/// group, borrowing the caller's slices.
-#[derive(Clone, Copy)]
-enum Task<'t> {
-    Single(usize),
-    Group(&'t [usize]),
-}
-
-impl<'t> Task<'t> {
-    fn chunks(&self) -> &[usize] {
-        match self {
-            Task::Single(c) => std::slice::from_ref(c),
-            Task::Group(g) => g,
-        }
-    }
+/// group — its representative and its chunks.
+struct Task {
+    rep: usize,
+    chunks: Vec<usize>,
 }
 
 /// The integrity middleware state, owned by the streaming `Env` (and by
@@ -230,7 +220,7 @@ impl IntegrityMw {
     fn check_tasks(
         &mut self,
         state: &ChunkedState,
-        tasks: &[Task<'_>],
+        tasks: &[Task],
         which: &[usize],
         diag: bool,
         member_gates: usize,
@@ -242,8 +232,7 @@ impl IntegrityMw {
         let budget = member_gates + self.stale_gates as usize;
         let mut violated = Vec::new();
         for &ti in which {
-            let task = tasks[ti];
-            let chunks = task.chunks();
+            let chunks = &tasks[ti].chunks;
             let tol = Tolerance::per_gate(chunk_len * chunks.len(), budget);
             let fresh: Vec<(f64, f64)> = chunks
                 .iter()
@@ -252,9 +241,9 @@ impl IntegrityMw {
             let before: f64 = chunks.iter().map(|&c| self.norms[c]).sum();
             let after: f64 = fresh.iter().map(|&(n, _)| n).sum();
             self.summary.checks += 1;
-            let kind = match task {
-                Task::Single(_) => InvariantKind::ChunkNorm,
-                Task::Group(_) => InvariantKind::GroupNorm,
+            let kind = match chunks.len() {
+                1 => InvariantKind::ChunkNorm,
+                _ => InvariantKind::GroupNorm,
             };
             Self::count(rec, "integrity.checks", kind);
             // A NaN baseline means a stride-skipped mixing gate touched
@@ -329,11 +318,6 @@ impl IntegrityMw {
         op_idx: usize,
         w: Touched,
     ) -> Result<(), SimError> {
-        let Touched {
-            singles,
-            groups,
-            high_mixing,
-        } = w;
         let diag = fop.actions().iter().all(|a| a.is_diagonal());
         if !self.armed && diag {
             // Fault-free verify mode: a diagonal kernel provably
@@ -354,10 +338,12 @@ impl IntegrityMw {
                 // unitary preserves its chunk norm exactly, so single
                 // baselines survive the skip.
                 self.stale_gates += 1;
-                for g in groups {
-                    for &c in *g {
-                        self.norms[c] = f64::NAN;
-                        self.peaks[c] = f64::NAN;
+                if !w.high_mixing.is_empty() {
+                    for rep in w.reps {
+                        for c in state.chunk_group(rep, w.high_mixing) {
+                            self.norms[c] = f64::NAN;
+                            self.peaks[c] = f64::NAN;
+                        }
                     }
                 }
                 return middleware::apply_functional(executor, state, tl, rec, fop, w);
@@ -365,10 +351,15 @@ impl IntegrityMw {
             self.since_check = 0;
         }
 
-        let tasks: Vec<Task<'_>> = singles
-            .iter()
-            .map(|&c| Task::Single(c))
-            .chain(groups.iter().map(|g| Task::Group(g)))
+        let tasks: Vec<Task> = w
+            .reps
+            .map(|rep| Task {
+                rep,
+                chunks: match w.high_mixing {
+                    [] => vec![rep],
+                    hm => state.chunk_group(rep, hm),
+                },
+            })
             .collect();
         if tasks.is_empty() {
             return Ok(());
@@ -384,7 +375,7 @@ impl IntegrityMw {
             tasks
                 .iter()
                 .map(|t| {
-                    t.chunks()
+                    t.chunks
                         .iter()
                         .map(|&c| state.chunk(c).map(|s| s.to_vec()))
                         .collect()
@@ -399,7 +390,7 @@ impl IntegrityMw {
             // The flip lands in the first touched chunk (stable, so a
             // flip campaign indicts a stable device); the amplitude
             // offset within the chunk is seed-drawn.
-            self.inject_flip(state, tasks[0].chunks()[0], op_idx, 0, rec);
+            self.inject_flip(state, tasks[0].chunks[0], op_idx, 0, rec);
         }
 
         let all: Vec<usize> = (0..tasks.len()).collect();
@@ -410,7 +401,7 @@ impl IntegrityMw {
         };
         let mut attempt: u32 = 0;
         while !violated.is_empty() {
-            let first_chunk = tasks[violated[0]].chunks()[0];
+            let first_chunk = tasks[violated[0]].chunks[0];
             if !self.armed || attempt >= self.retry_budget {
                 return Err(SimError::InvariantViolation {
                     gate: op_idx,
@@ -436,31 +427,22 @@ impl IntegrityMw {
             }
             // Restore every violated task to its pre-gate bytes, then
             // re-run exactly those tasks.
-            let mut singles_v: Vec<usize> = Vec::new();
-            let mut groups_v: Vec<&[usize]> = Vec::new();
             for &ti in &violated {
-                for (&c, snap) in tasks[ti].chunks().iter().zip(&snapshots[ti]) {
+                for (&c, snap) in tasks[ti].chunks.iter().zip(&snapshots[ti]) {
                     match snap {
                         Some(bytes) => state.chunk_mut_or_alloc(c).copy_from_slice(bytes),
                         None => state.chunk_mut_or_alloc(c).fill(Complex64::ZERO),
                     }
                 }
-                match tasks[ti] {
-                    Task::Single(c) => singles_v.push(c),
-                    Task::Group(g) => groups_v.push(g),
-                }
             }
-            if !singles_v.is_empty() {
-                let restarts = executor.try_apply_local_run(state, fop.actions(), &singles_v)?;
-                middleware::note_restarts(tl, rec, restarts);
-            }
-            if !groups_v.is_empty() {
-                let restarts =
-                    executor.try_apply_group_runs(state, fop.actions(), &groups_v, high_mixing)?;
-                middleware::note_restarts(tl, rec, restarts);
-            }
+            let reps = violated.iter().map(|&ti| tasks[ti].rep);
+            let restarts = match w.high_mixing {
+                [] => executor.try_apply_local_run(state, fop.actions(), reps)?,
+                hm => executor.try_apply_group_runs(state, fop.actions(), reps, hm)?,
+            };
+            middleware::note_restarts(tl, rec, restarts);
             if self.inj.kernel_flip_fires(op_idx, attempt) {
-                self.inject_flip(state, tasks[violated[0]].chunks()[0], op_idx, attempt, rec);
+                self.inject_flip(state, tasks[violated[0]].chunks[0], op_idx, attempt, rec);
             }
             let before = violated.len();
             violated = self.check_tasks(
@@ -568,9 +550,8 @@ impl IntegrityMw {
 
 /// The functional update of `tasks` of `plan`, with integrity checking
 /// when armed: the entry point the streaming stages and the static mode
-/// route their kernel application through. Materializes the chunk lists
-/// the executor partitions across workers — O(tasks), so O(live) under
-/// pruning.
+/// route their kernel application through. The executor walks the
+/// tasks' closed form: nothing is materialized per task.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_tasks(
     integ: &mut Option<IntegrityMw>,
@@ -583,15 +564,8 @@ pub(crate) fn apply_tasks(
     plan: &GatePlan,
     tasks: Tasks,
 ) -> Result<(), SimError> {
-    let members: Vec<usize> = tasks.flat_map(|rep| plan.members(rep)).collect();
-    let groups: Vec<&[usize]> = if plan.needs_grouping() {
-        members.chunks_exact(plan.group_len()).collect()
-    } else {
-        Vec::new()
-    };
     let w = Touched {
-        singles: if plan.needs_grouping() { &[] } else { &members },
-        groups: &groups,
+        reps: tasks,
         high_mixing: plan.high_mixing(),
     };
     match integ.as_mut() {

@@ -16,20 +16,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use qgpu_circuit::fuse::FusedOp;
-use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
 use qgpu_device::Counter;
 use qgpu_faults::{FaultInjector, FaultSite, RetryPolicy, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::devicegroup::OrchestratorConfig;
 use qgpu_sched::devicegroup::{DeviceGroup, PressureAction, PressureGovernor};
+use qgpu_sched::plan::Tasks;
+use qgpu_sched::residency::ChunkTable;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
 
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 
 use super::transfer::{copy_with_dma, Dir};
-use super::{ChunkTable, Env};
+use super::Env;
 
 /// Upper bound on `chunk_bits`, sizing the flat all-zero-tag cache.
 pub(crate) const MAX_CHUNK_BITS: usize = 64;
@@ -106,60 +108,39 @@ impl Resilience {
         self.tags.insert(m, zero);
     }
 
-    /// Upload-side integrity: a departing chunk carries the tag computed
-    /// when it last arrived at the host — checksums travel with the data,
-    /// and in the machine being modeled host chunk buffers are written
-    /// only by D2H arrivals, so the arrival tag is still valid at the next
-    /// upload. Chunks never tagged before are sealed now (one real CRC
-    /// pass, mostly the cached all-zero tag early in a run). Members for
-    /// which `skip` returns true are pruned from the transfer and don't
-    /// move.
-    pub(crate) fn seal_for_upload(
-        &mut self,
-        state: &ChunkedState,
-        members: impl Iterator<Item = usize>,
-        chunk_bits: u32,
-        skip: impl Fn(usize) -> bool,
-    ) {
-        let zero = self.zero_tag(chunk_bits);
-        for m in members {
-            if skip(m) || self.tags.get(m).is_some() {
-                continue;
-            }
-            let tag = state
-                .chunk(m)
-                .map_or(zero, |a| qgpu_faults::fast_checksum(amp_bytes(a)));
+    /// Upload-side integrity: departing chunk `m` carries the tag
+    /// computed when it last arrived at the host — checksums travel with
+    /// the data, and in the machine being modeled host chunk buffers are
+    /// written only by D2H arrivals, so the arrival tag is still valid at
+    /// the next upload. A chunk never tagged before is sealed now (one
+    /// real CRC pass, mostly the cached all-zero tag early in a run).
+    pub(crate) fn seal_for_upload(&mut self, state: &ChunkedState, m: usize, chunk_bits: u32) {
+        if self.tags.get(m).is_none() {
+            let tag = self.tag_of(state, m, chunk_bits);
             self.tags.insert(m, tag);
         }
     }
 
-    /// Arrival-side integrity for chunks that move *without* an encode
+    /// Arrival-side integrity for a chunk that moved *without* an encode
     /// pass (uncompressed subsets, and raw codec-failure fallbacks):
-    /// re-tag each chunk that just crossed the link — one real CRC pass
+    /// re-tag chunk `m`, which just crossed the link — one real CRC pass
     /// per round trip, the honest cost the `fault_overhead` bench
     /// bounds. Compressed chunks skip this: their tag was sealed at
     /// encode time and travels with the data. Either way the functional
     /// bytes cannot actually rot in memory, so a *mismatch* is the
     /// injector's decision, made inside
     /// [`super::transfer::transfer_with_integrity`]'s retry loop.
-    /// Members for which `skip` returns true didn't move.
-    pub(crate) fn verify_on_arrival(
-        &mut self,
-        state: &ChunkedState,
-        members: impl Iterator<Item = usize>,
-        chunk_bits: u32,
-        mut skip: impl FnMut(usize) -> bool,
-    ) {
-        let zero = self.zero_tag(chunk_bits);
-        for m in members {
-            if skip(m) {
-                continue;
-            }
-            self.retags += 1;
-            let tag = state
-                .chunk(m)
-                .map_or(zero, |a| qgpu_faults::fast_checksum(amp_bytes(a)));
-            self.tags.insert(m, tag);
+    pub(crate) fn verify_on_arrival(&mut self, state: &ChunkedState, m: usize, chunk_bits: u32) {
+        self.retags += 1;
+        let tag = self.tag_of(state, m, chunk_bits);
+        self.tags.insert(m, tag);
+    }
+
+    /// Chunk `m`'s tag as the state holds it now.
+    fn tag_of(&mut self, state: &ChunkedState, m: usize, chunk_bits: u32) -> u32 {
+        match state.chunk(m) {
+            Some(a) => qgpu_faults::fast_checksum(amp_bytes(a)),
+            None => self.zero_tag(chunk_bits),
         }
     }
 
@@ -237,7 +218,7 @@ impl Orchestration {
         chunk_bits: u32,
         chunk_bytes: u64,
         compressing: bool,
-        tl: &mut Timeline,
+        tl: &mut Lanes,
         rec: Option<&Recorder>,
     ) -> usize {
         let Some(gov) = self.governor.as_mut() else {
@@ -390,9 +371,8 @@ pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), Sim
     let Env {
         orch: Some(o),
         tl,
-        windows,
+        dev,
         epoch_floor,
-        chain,
         cfg,
         rec,
         ..
@@ -416,14 +396,14 @@ pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), Sim
         });
     }
     // The dead device's double-buffer window died with it.
-    windows[device].slots.clear();
-    windows[device].inflight = 0;
+    dev.drain(Some(device));
     let floor = tl.makespan();
     let mut done = floor;
+    let mut lanes = tl.lanes();
     for (i, t) in replay.iter().enumerate() {
         let g = o.group.owner_of(i);
-        let h2d = copy_with_dma(tl, cfg, Dir::Up(g), floor, t.bytes, 1.0);
-        let k = tl.schedule(
+        let h2d = copy_with_dma(&mut lanes, cfg, Dir::Up(g), floor, t.bytes, 1.0);
+        let k = lanes.schedule(
             Engine::GpuCompute(g),
             h2d.end,
             t.duration,
@@ -435,7 +415,7 @@ pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), Sim
     // Recovery is a synchronization point: the pipeline restarts from the
     // re-shard horizon.
     *epoch_floor = done.max(*epoch_floor);
-    *chain = chain.max(*epoch_floor);
+    dev.chain = dev.chain.max(*epoch_floor);
     Ok(())
 }
 
@@ -501,18 +481,19 @@ pub(crate) fn note_restarts(tl: &mut Timeline, rec: Option<&Recorder>, restarts:
     }
 }
 
-/// The chunks one functional update touches: chunk-local tasks, or
-/// mixing groups together with the high qubits they mix.
+/// The chunks one functional update touches, by task representative:
+/// chunk-local tasks when `high_mixing` is empty, mixing groups (the
+/// representative's [`ChunkedState::chunk_group`]) otherwise.
 #[derive(Clone, Copy)]
 pub(crate) struct Touched<'a> {
-    pub(crate) singles: &'a [usize],
-    pub(crate) groups: &'a [&'a [usize]],
+    pub(crate) reps: Tasks,
     pub(crate) high_mixing: &'a [usize],
 }
 
 /// The functional update (identical across every mode and flag subset):
-/// the executor replays the op's member gates chunk by chunk, bitwise
-/// identical to per-gate application at every thread count.
+/// the executor replays the op's member gates over blocks of consecutive
+/// live chunks, bitwise identical to per-gate application at every
+/// thread count.
 pub(crate) fn apply_functional(
     executor: &mut ChunkExecutor,
     state: &mut ChunkedState,
@@ -521,17 +502,17 @@ pub(crate) fn apply_functional(
     fop: &FusedOp,
     w: Touched,
 ) -> Result<(), SimError> {
-    if !w.singles.is_empty() {
+    if w.reps.len() == 0 {
+        return Ok(());
+    }
+    let restarts = if w.high_mixing.is_empty() {
         let _g = span_opt(rec, Track::Main, ObsStage::Update, "update.local");
-        let restarts = executor.try_apply_local_run(state, fop.actions(), w.singles)?;
-        note_restarts(tl, rec, restarts);
-    }
-    if !w.groups.is_empty() {
+        executor.try_apply_local_run(state, fop.actions(), w.reps)?
+    } else {
         let _g = span_opt(rec, Track::Main, ObsStage::Update, "update.group");
-        let acts = fop.actions();
-        let restarts = executor.try_apply_group_runs(state, acts, w.groups, w.high_mixing)?;
-        note_restarts(tl, rec, restarts);
-    }
+        executor.try_apply_group_runs(state, fop.actions(), w.reps, w.high_mixing)?
+    };
+    note_restarts(tl, rec, restarts);
     Ok(())
 }
 

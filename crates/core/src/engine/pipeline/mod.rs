@@ -6,12 +6,15 @@
 //! the paper's fixed chunk round trip — *Plan → Prune → Deal → Fetch →
 //! Decompress → Kernel → Compress → Writeback → Sync* — as straight-line
 //! code (`stream_gate`) over the plain functions in `steps`, each
-//! consulting only the flags, never the version. Per gate:
+//! consulting only the flags, never the version. Per gate, two phases:
 //!
-//! * gate-level work first: the chunk plan, the pruning decision, the
-//!   functional update, and the compressed-size pass;
-//! * then each *live* chunk task, in plan order: deal to a device,
-//!   modeled H2D, decompress, kernel, compress, modeled D2H;
+//! * the functional phase: the chunk plan, the pruning decision, the
+//!   functional update and the compressed-size pass, each one pass over
+//!   runs of consecutive live chunks;
+//! * the timeline phase, a tile of `steps::TILE` *live* tasks at a
+//!   time in plan order: a column pass over the chunk tables, then each
+//!   task's deal, H2D, decompress, kernel, compress and D2H on the
+//!   timeline's lanes, then the tile's last-download times;
 //! * then window occupancy sampling and the per-gate sync.
 //!
 //! Host cost follows live chunks: the plan enumerates only surviving
@@ -35,18 +38,16 @@ pub(crate) mod steps;
 pub(crate) mod stochastic;
 pub(crate) mod transfer;
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_circuit::Circuit;
 use qgpu_compress::{codec_for_kind, Codec, CodecKind};
-use qgpu_device::timeline::{Engine, Timeline};
+use qgpu_device::timeline::Timeline;
 use qgpu_device::{CodecClass, Counter, ExecutionReport};
 use qgpu_faults::SimError;
-use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
-use qgpu_sched::residency::RoundRobin;
+use qgpu_sched::residency::ChunkTable;
 use qgpu_sched::InvolvementTracker;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
 
@@ -60,71 +61,15 @@ use spec::{ExecMode, PipelineSpec};
 
 /// Per-chunk compressed size recorded as "the codec failed, move raw"
 /// (see the codec-failure degradation path).
-pub(crate) const RAW_FALLBACK: usize = usize::MAX;
+pub(crate) const RAW_FALLBACK: u32 = u32::MAX;
 
-/// Per-GPU double-buffer window: chunks in flight on the device.
-#[derive(Default)]
-pub(crate) struct Window {
-    pub(crate) slots: VecDeque<(f64, usize)>, // (d2h end, chunks held)
-    pub(crate) inflight: usize,
-}
-
-/// Slots per [`ChunkTable`] page: 1 KiB of `(stamp, usize)`. Live chunk
-/// indices are the subsets of the involved index bits — dense runs when
-/// those are low bits, strided singletons when they are high ones — and
-/// a small page wastes less on the second kind.
-const PAGE_SLOTS: usize = 64;
-
-/// A chunk-indexed table without hashing: fixed-size pages of slots,
-/// allocated when a chunk of theirs is first written, so memory follows
-/// the *live* chunks — under pruning a few clusters of a huge index
-/// space — not the highest one (only the page directory, 8 bytes per
-/// `PAGE_SLOTS` chunks, reaches that far). A slot is stamped with the
-/// generation that wrote it, so [`ChunkTable::clear`] — every repartition
-/// and collapse invalidates all chunks — is O(1) and keeps the pages.
-#[derive(Default)]
-pub(crate) struct ChunkTable<T> {
-    generation: u64,
-    pages: Vec<Option<Box<Page<T>>>>,
-}
-
-/// Slots of `(generation + 1 at the write, value)`; stamp 0 is never live.
-type Page<T> = [(u64, T); PAGE_SLOTS];
-
-impl<T: Copy + Default> ChunkTable<T> {
-    pub(crate) fn get(&self, chunk: usize) -> Option<T> {
-        let page = self.pages.get(chunk / PAGE_SLOTS)?.as_ref()?;
-        let (stamp, v) = page[chunk % PAGE_SLOTS];
-        (stamp == self.generation + 1).then_some(v)
-    }
-
-    pub(crate) fn insert(&mut self, chunk: usize, value: T) {
-        let stamped = (self.generation + 1, value);
-        match self.pages.get_mut(chunk / PAGE_SLOTS) {
-            Some(Some(page)) => page[chunk % PAGE_SLOTS] = stamped,
-            _ => self.page_for(chunk)[chunk % PAGE_SLOTS] = stamped,
-        }
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn page_for(&mut self, chunk: usize) -> &mut Page<T> {
-        let p = chunk / PAGE_SLOTS;
-        if p >= self.pages.len() {
-            self.pages.resize_with(p + 1, || None);
-        }
-        self.pages[p].get_or_insert_with(|| Box::new([(0, T::default()); PAGE_SLOTS]))
-    }
-
-    pub(crate) fn remove(&mut self, chunk: usize) {
-        if let Some(Some(page)) = self.pages.get_mut(chunk / PAGE_SLOTS) {
-            page[chunk % PAGE_SLOTS].0 = 0;
-        }
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.generation += 1;
-    }
+/// What the host holds of a chunk between its visits to a device.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Held {
+    /// When its last download ended: its next upload waits for it.
+    pub(crate) d2h_end: f64,
+    /// Its size while the host holds it compressed.
+    pub(crate) compressed: Option<u32>,
 }
 
 /// The streaming pipeline's shared environment: configuration, the
@@ -158,24 +103,17 @@ pub(crate) struct Env<'a> {
     pub(crate) resil: Option<Resilience>,
     pub(crate) integ: Option<IntegrityMw>,
     pub(crate) orch: Option<Orchestration>,
-    /// Per-device modeled compute backlog, refilled at each assignment.
-    pub(crate) backlog: Vec<f64>,
-    /// Compressed representation held by the CPU, per chunk (bytes).
-    pub(crate) compressed: ChunkTable<usize>,
-    pub(crate) last_d2h: ChunkTable<f64>,
-    /// This gate's codec sizes, in the order [`steps::size_members`]
-    /// visits the members moving back ([`RAW_FALLBACK`] marks an
-    /// injected encode failure); the task loop reads them back in the
-    /// same order. Reused across gates.
-    pub(crate) new_sizes: Vec<usize>,
-    pub(crate) windows: Vec<Window>,
+    /// What the host holds of each chunk between device visits.
+    pub(crate) held: ChunkTable<Held>,
+    /// This gate's codec sizes, one slot per member of each task (see
+    /// [`steps::size_members`]). Reused across gates.
+    pub(crate) sizes: Vec<u32>,
+    /// The timeline phase's tile. Reused across gates.
+    pub(crate) tile: steps::Tile,
+    pub(crate) dev: steps::Devices,
     pub(crate) epoch_floor: f64,
-    /// Naive's single-stream chain.
-    pub(crate) chain: f64,
-    pub(crate) task_counter: usize,
     /// Compressed size of an all-zero chunk, per chunk_bits (cached).
-    pub(crate) zero_chunk_size: [Option<usize>; MAX_CHUNK_BITS],
-    pub(crate) rr: RoundRobin,
+    pub(crate) zero_chunk_size: [Option<u32>; MAX_CHUNK_BITS],
 }
 
 /// Most GFC segments a chunk is split into (warps in the paper's
@@ -204,120 +142,6 @@ pub(crate) fn codec_class_of(kind: CodecKind) -> CodecClass {
     }
 }
 
-/// Deals the next task to a device: the orchestrator's group (with
-/// work-stealing) when present, plain round-robin otherwise.
-pub(crate) fn deal_gpu(env: &mut Env) -> usize {
-    let gpu = match env.orch.as_mut() {
-        Some(o) => {
-            // Backlogs only matter for victim selection, so a
-            // healthy (un-armed) fleet skips gathering them.
-            if o.group.steal_armed() {
-                for (g, b) in env.backlog.iter_mut().enumerate() {
-                    *b = env.tl.engine_available(Engine::GpuCompute(g));
-                }
-            }
-            let (g, stolen) = o.group.assign(env.task_counter, &env.backlog);
-            if stolen {
-                env.tl.count(Counter::Steals, 1);
-            }
-            g
-        }
-        None => env.rr.gpu_for_task(env.task_counter),
-    };
-    env.task_counter += 1;
-    gpu
-}
-
-/// Admission control ahead of an upload of `incoming` chunks: under the
-/// overlap flag the per-GPU double-buffer window (half the device memory,
-/// paper §IV-A) drains oldest-first until the task fits; without it the
-/// single-stream chain serializes. Either way the governor's budget cap
-/// clamps on top and residency is sampled for the report.
-pub(crate) fn admit_window(
-    env: &mut Env,
-    gpu: usize,
-    incoming: usize,
-    compressing: bool,
-    chunk_bytes: u64,
-    ready: &mut f64,
-) {
-    if env.spec.flags.overlap {
-        let gspec = env.cfg.platform.gpu(gpu);
-        let base_cap = ((gspec.mem_bytes as f64 * env.cfg.buffer_split) as u64 / chunk_bytes)
-            .max(incoming as u64) as usize;
-        let inflight = env.windows[gpu].inflight;
-        let cap = match env.orch.as_mut() {
-            Some(o) => o.governed_cap(
-                base_cap,
-                inflight,
-                incoming,
-                env.chunk_bits,
-                chunk_bytes,
-                compressing,
-                env.tl,
-                env.rec,
-            ),
-            None => base_cap,
-        };
-        let w = &mut env.windows[gpu];
-        while w.inflight + incoming > cap {
-            match w.slots.pop_front() {
-                Some((end, held)) => {
-                    *ready = (*ready).max(end);
-                    w.inflight -= held;
-                }
-                None => break,
-            }
-        }
-        if env.orch.as_ref().is_some_and(|o| o.governor.is_some()) {
-            env.tl
-                .observe_resident_bytes((w.inflight + incoming) as u64 * chunk_bytes);
-        }
-    } else {
-        *ready = (*ready).max(env.chain);
-        if let Some(o) = env.orch.as_mut() {
-            o.governed_cap(
-                incoming,
-                0,
-                incoming,
-                env.chunk_bits,
-                chunk_bytes,
-                compressing,
-                env.tl,
-                env.rec,
-            );
-            if o.governor.is_some() {
-                env.tl.observe_resident_bytes(incoming as u64 * chunk_bytes);
-            }
-        }
-    }
-}
-
-/// Real compressed size of member `m` under the configured codec (the
-/// cached all-zero size for untouched chunks), sealing the integrity tag
-/// at encode time.
-pub(crate) fn encode_member(env: &mut Env, m: usize) -> usize {
-    let raw = 16usize << env.chunk_bits;
-    match env.state.chunk(m) {
-        Some(amps) => {
-            if let Some(rs) = env.resil.as_mut() {
-                rs.seal_at_encode(m, amps);
-            }
-            transfer::compressed_size(&*env.codec, amps, raw, env.rec)
-        }
-        None => {
-            if let Some(rs) = env.resil.as_mut() {
-                rs.seal_zero_at_encode(m, env.chunk_bits);
-            }
-            let cb = env.chunk_bits as usize;
-            *env.zero_chunk_size[cb].get_or_insert_with(|| {
-                let zeros = vec![Complex64::ZERO; 1usize << cb];
-                transfer::compressed_size(&*env.codec, &zeros, raw, env.rec)
-            })
-        }
-    }
-}
-
 /// Dynamic chunk sizing (Algorithm 1's getChunkSize), with the
 /// governor's ShrinkChunks ceiling applied on top. Re-partitioning is a
 /// synchronization point: the pipeline drains and chunk-indexed caches
@@ -341,9 +165,8 @@ pub(crate) fn resize_chunks(env: &mut Env) {
         env.state.set_chunk_bits(nb);
         env.codec = codec_for(env.cfg, nb);
         env.epoch_floor = env.tl.makespan();
-        env.chain = env.chain.max(env.epoch_floor);
-        env.last_d2h.clear();
-        env.compressed.clear();
+        env.dev.chain = env.dev.chain.max(env.epoch_floor);
+        env.held.clear();
         if let Some(rs) = env.resil.as_mut() {
             rs.on_repartition();
         }
@@ -352,10 +175,7 @@ pub(crate) fn resize_chunks(env: &mut Env) {
             // partition.
             mw.rebuild(&env.state);
         }
-        for w in &mut env.windows {
-            w.slots.clear();
-            w.inflight = 0;
-        }
+        env.dev.drain(None);
     }
 }
 
@@ -479,9 +299,7 @@ fn run_streaming(
 
     let mut idx = start;
     while idx < program.len() {
-        if let Some(err) = cfg.cancel.as_ref().and_then(|t| t.poll_abort(idx)) {
-            return Err(abort_run(err, env.state.dense_chunk_count(), rec));
-        }
+        poll_cancel(&env, idx)?;
         ckpt.before_op(idx, &env.state, cfg, rec)?;
         let orch = env.orch.as_mut();
         if let Some(d) = orch.and_then(|o| clock.poll(idx, cfg, &mut o.group, env.num_gpus)) {
@@ -579,11 +397,14 @@ pub(crate) fn finish_run(
     })
 }
 
-/// One unitary op through the chunk round trip: the gate-level steps,
-/// then each live task through deal → upload → decompress → kernel →
-/// compress → download, then the end-of-gate steps. `idx` is the program
-/// index *after* the op. Attribution samples tasks: a sampled task laps
-/// `mw`'s clock after each step, the rest run with no clock reads.
+/// One unitary op through the chunk round trip in two phases. The
+/// functional phase — plan, prune, the update, the sizing pass — runs
+/// once per gate; the timeline phase runs a tile of live tasks at a time:
+/// the column pass, each task's deal → upload → decompress → kernel →
+/// compress → download on the lanes, the last-download write-back. `idx`
+/// is the program index *after* the op. Cancellation is polled between
+/// the phases and between tiles, so a tripped token stops a large gate
+/// within a tile.
 fn stream_gate(
     env: &mut Env,
     mw: &mut obs_mw::ObsMw,
@@ -592,40 +413,31 @@ fn stream_gate(
     compressing: bool,
 ) -> Result<(), SimError> {
     mw.gate_begin();
-    let mut g = steps::plan_and_prune(env, mw, fop, idx, compressing);
+    let g = steps::plan_and_prune(env, mw, fop, idx, compressing);
     mw.mark(obs_mw::PRUNE);
     steps::functional_update(env, &g)?;
     mw.mark(obs_mw::KERNEL);
-    steps::size_members(env, &mut g);
+    steps::size_members(env, &g);
     mw.mark(obs_mw::COMPRESS);
 
-    let task_bytes = g.plan.group_len() as u64 * (16u64 << env.chunk_bits);
-    let mut members = Vec::with_capacity(g.plan.group_len());
-    // Where the next task's entries start in `env.new_sizes`.
-    let mut cursor = 0;
-    for rep in g.tasks {
-        members.clear();
-        members.extend(g.plan.members(rep));
-        mw.task_begin();
-        let gpu = deal_gpu(env);
-        mw.task_lap(obs_mw::DEAL);
-        let (h2d_end, raw_up) = steps::upload(env, gpu, &members, g.pruning, compressing)?;
-        mw.task_lap(obs_mw::FETCH);
-        let ready = steps::decompress(env, gpu, h2d_end, raw_up);
-        mw.task_lap(obs_mw::DECOMPRESS);
-        let (kernel_end, kernel_s) =
-            steps::modeled_kernel(env, gpu, ready, task_bytes, g.fpa, fop.is_fused());
-        steps::note_kernel_service(env, gpu, kernel_s, task_bytes);
-        mw.task_lap(obs_mw::KERNEL);
-        let sizes_at = cursor;
-        let (d2h_ready, d2h_bytes) =
-            steps::compress_and_size_download(env, &g, gpu, &members, kernel_end, &mut cursor);
-        mw.task_lap(obs_mw::COMPRESS);
-        steps::download(env, &g, gpu, &members, d2h_ready, d2h_bytes, sizes_at)?;
-        mw.task_lap(obs_mw::WRITEBACK);
-        mw.task_done(gpu);
+    let mut tile = std::mem::take(&mut env.tile);
+    let (mut tasks, mut first_task) = (g.tasks, 0);
+    loop {
+        poll_cancel(env, idx - 1)?;
+        tile.reps.clear();
+        tile.reps.extend(tasks.by_ref().take(steps::TILE));
+        if tile.reps.is_empty() {
+            break;
+        }
+        steps::fetch_tile(env, &g, &mut tile, first_task);
+        mw.mark(obs_mw::FETCH);
+        steps::run_tile(env, &g, &mut tile, mw)?;
+        mw.mark(obs_mw::DEAL);
+        steps::write_back(env, &g, &tile);
+        mw.mark(obs_mw::WRITEBACK);
+        first_task += tile.reps.len();
     }
-    mw.tasks_end();
+    env.tile = tile;
     steps::end_of_gate(env);
     mw.mark(obs_mw::SYNC);
     mw.gate_done();
@@ -633,8 +445,16 @@ fn stream_gate(
     Ok(())
 }
 
+/// The cancel poll inside op `op`: a tripped token aborts the run there.
+fn poll_cancel(env: &Env, op: usize) -> Result<(), SimError> {
+    match env.cfg.cancel.as_ref().and_then(|t| t.poll_abort(op)) {
+        Some(err) => Err(abort_run(err, env.state.dense_chunk_count(), env.rec)),
+        None => Ok(()),
+    }
+}
+
 /// The cooperative-cancellation exit, shared by both execution modes:
-/// stopping at a gate boundary means the functional state is consistent
+/// stopping at a poll point means the functional state is consistent
 /// and simply dropped — record what is released, then surface the abort
 /// error ([`run`] flushes the partial per-stage timings: the
 /// post-mortem's "where did the cancelled run spend its time").
@@ -711,16 +531,12 @@ fn build_env<'a>(
         orch: cfg
             .effective_orchestration()
             .map(|o| Orchestration::new(num_gpus, o, cfg)),
-        backlog: vec![0.0; num_gpus],
-        compressed: ChunkTable::default(),
-        last_d2h: ChunkTable::default(),
-        new_sizes: Vec::new(),
-        windows: (0..num_gpus).map(|_| Window::default()).collect(),
+        held: ChunkTable::default(),
+        sizes: Vec::new(),
+        tile: steps::Tile::default(),
+        dev: steps::Devices::new(num_gpus),
         epoch_floor: 0.0,
-        chain: 0.0,
-        task_counter: 0,
         zero_chunk_size: [None; MAX_CHUNK_BITS],
-        rr: RoundRobin::new(num_gpus),
     }
 }
 
@@ -728,32 +544,6 @@ fn build_env<'a>(
 mod tests {
     use super::*;
     use crate::config::Version;
-
-    fn pages_of<T>(t: &ChunkTable<T>) -> usize {
-        t.pages.iter().flatten().count()
-    }
-
-    #[test]
-    fn chunk_table_clears_in_place_and_grows_only_on_insert() {
-        let mut t: ChunkTable<usize> = ChunkTable::default();
-        assert_eq!(t.get(1 << 40), None);
-        t.insert(5, 7);
-        t.insert(2, 9);
-        assert_eq!((t.get(5), t.get(2), t.get(3)), (Some(7), Some(9), None));
-        assert_eq!(pages_of(&t), 1);
-        t.remove(5);
-        t.remove(1 << 40);
-        assert_eq!(t.get(5), None);
-        t.clear();
-        assert_eq!(t.get(2), None);
-        t.insert(2, 1);
-        assert_eq!(t.get(2), Some(1));
-        assert_eq!(pages_of(&t), 1);
-        // A far chunk costs its own page, not the index space up to it.
-        t.insert(1 << 30, 4);
-        assert_eq!((t.get(1 << 30), t.get((1 << 30) - 1)), (Some(4), None));
-        assert_eq!(pages_of(&t), 2);
-    }
 
     /// A 20-qubit run that only ever involves five qubits, one of them
     /// high: the live chunks sit in two clusters a long way apart, and
@@ -777,15 +567,15 @@ mod tests {
             let fop = op.unitary().expect("no collapse in this circuit");
             stream_gate(&mut env, &mut mw, fop, i + 1, true).expect("fault-free run");
             let highest_live = (env.tracker.mask() >> env.chunk_bits) as usize;
-            most_pages_spanned = most_pages_spanned.max(highest_live / PAGE_SLOTS + 1);
+            most_pages_spanned =
+                most_pages_spanned.max(highest_live / ChunkTable::<Held>::PAGE_SLOTS + 1);
         }
         // The tables were used, and hold far fewer pages (kept across
         // repartitions) than one dense up to the highest live chunk would.
-        for pages in [pages_of(&env.compressed), pages_of(&env.last_d2h)] {
-            assert!(
-                pages >= 1 && pages * 8 <= most_pages_spanned,
-                "{pages} pages for a span of {most_pages_spanned}"
-            );
-        }
+        let pages = env.held.pages();
+        assert!(
+            pages >= 1 && pages * 8 <= most_pages_spanned,
+            "{pages} pages for a span of {most_pages_spanned}"
+        );
     }
 }

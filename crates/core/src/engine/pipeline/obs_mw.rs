@@ -1,9 +1,13 @@
 //! Per-stage wall-clock attribution middleware.
 //!
 //! `ObsMw` laps a single monotonic clock as the streaming driver moves
-//! from one round-trip step to the next, crediting each elapsed slice to
-//! the named bucket ([`PLAN`] … [`SYNC`], or a driver bucket) of the step
-//! that just ran. Per gate the accumulated slices flush into the
+//! from one phase of a gate to the next, crediting each elapsed slice to
+//! the named bucket ([`PLAN`] … [`SYNC`], or a driver bucket) of the
+//! step that just ran: the functional phase's `plan`, `prune`, `kernel`
+//! (the update) and `compress` (the sizing pass), then per tile of the
+//! timeline phase `fetch` (the column pass), `deal` (the timeline loop:
+//! every task's deal and modeled spans) and `writeback` (the tile's
+//! last-download times). Per gate the accumulated slices flush into the
 //! recorder's labeled [`qgpu_obs::Registry`]:
 //!
 //! * `stage.time_ns{stage=…,version=…}` — HDR histogram of per-gate time
@@ -14,11 +18,8 @@
 //! * `gate.ns{version=…}` — HDR histogram of whole-gate latency.
 //! * `tasks{device=…,version=…}` — chunk tasks executed per device.
 //!
-//! The task loop is lapped once per gate, not per task — at tens of
-//! nanoseconds a task, a clock read each would be the largest cost in
-//! the loop. Every [`TASK_SAMPLE`]-th task of a gate (the first
-//! included) instead laps after each step, and the loop's wall clock is
-//! apportioned across the per-task buckets by those samples' shares.
+//! Nothing is lapped per task — at tens of nanoseconds a task, a clock
+//! read each would be the largest cost in the loop.
 //!
 //! Attribution is exhaustive by construction — every nanosecond between
 //! construction and [`ObsMw::finish`] lands in exactly one bucket — so
@@ -33,14 +34,13 @@ use qgpu_obs::Recorder;
 use crate::config::SimConfig;
 
 /// Attribution bucket names, indexed by the constants below: `setup`,
-/// one per round-trip step, then the driver-level pseudo-stages.
-pub(crate) const BUCKETS: [&str; 13] = [
+/// one per lapped step of a gate, then the driver-level pseudo-stages.
+pub(crate) const BUCKETS: [&str; 12] = [
     "setup",
     "plan",
     "prune",
     "deal",
     "fetch",
-    "decompress",
     "kernel",
     "compress",
     "writeback",
@@ -53,20 +53,19 @@ pub(crate) const BUCKETS: [&str; 13] = [
 pub(crate) const SETUP: usize = 0;
 pub(crate) const PLAN: usize = 1;
 pub(crate) const PRUNE: usize = 2;
+/// The timeline loop of a tile.
 pub(crate) const DEAL: usize = 3;
+/// The column pass of a tile.
 pub(crate) const FETCH: usize = 4;
-pub(crate) const DECOMPRESS: usize = 5;
-pub(crate) const KERNEL: usize = 6;
-pub(crate) const COMPRESS: usize = 7;
-pub(crate) const WRITEBACK: usize = 8;
+pub(crate) const KERNEL: usize = 5;
+pub(crate) const COMPRESS: usize = 6;
+/// A tile's last-download write-back.
+pub(crate) const WRITEBACK: usize = 7;
 /// End-of-gate work: window occupancy sampling and the per-gate sync.
-pub(crate) const SYNC: usize = 9;
-pub(crate) const MEASURE: usize = 10;
-pub(crate) const SAMPLE: usize = 11;
-pub(crate) const DRIVER: usize = 12;
-
-/// One task in this many has its steps timed individually.
-const TASK_SAMPLE: u32 = 128;
+pub(crate) const SYNC: usize = 8;
+pub(crate) const MEASURE: usize = 9;
+pub(crate) const SAMPLE: usize = 10;
+pub(crate) const DRIVER: usize = 11;
 
 /// The per-stage wall-clock attribution middleware (see module docs).
 pub(crate) struct ObsMw<'a> {
@@ -76,14 +75,6 @@ pub(crate) struct ObsMw<'a> {
     last: Instant,
     gate_start: Instant,
     acc: [u64; BUCKETS.len()],
-    /// Tasks seen in the current gate's loop.
-    gate_tasks: u32,
-    /// Whether the current task is a sampled one.
-    sampling: bool,
-    sample_last: Instant,
-    lap_ns: u64,
-    /// Per-bucket time of this gate's sampled tasks.
-    sampled: [u64; BUCKETS.len()],
     device_tasks: Vec<u64>,
 }
 
@@ -102,11 +93,6 @@ impl<'a> ObsMw<'a> {
             last: now,
             gate_start: now,
             acc: [0; BUCKETS.len()],
-            gate_tasks: 0,
-            sampling: false,
-            sample_last: now,
-            lap_ns: 0,
-            sampled: [0; BUCKETS.len()],
             device_tasks: vec![0; num_gpus],
         }
     }
@@ -130,65 +116,12 @@ impl<'a> ObsMw<'a> {
         self.gate_start = self.last;
     }
 
-    /// Starts one task's round trip, deciding whether it is sampled
-    /// (its [`ObsMw::task_lap`]s read the clock) or not (they no-op).
-    #[inline]
-    pub(crate) fn task_begin(&mut self) {
-        if self.rec.is_none() {
-            return;
-        }
-        self.sampling = self.gate_tasks.is_multiple_of(TASK_SAMPLE);
-        self.gate_tasks += 1;
-        if self.sampling {
-            // Two reads back to back: what a lap itself costs, which at
-            // this granularity rivals the steps and is subtracted.
-            let t0 = Instant::now();
-            self.sample_last = Instant::now();
-            self.lap_ns = self.sample_last.duration_since(t0).as_nanos() as u64;
-        }
-    }
-
-    /// Credits a sampled task's time since its previous lap to `bucket`.
-    #[inline]
-    pub(crate) fn task_lap(&mut self, bucket: usize) {
-        if !self.sampling {
-            return;
-        }
-        let now = Instant::now();
-        let ns = now.duration_since(self.sample_last).as_nanos() as u64;
-        self.sampled[bucket] += ns.saturating_sub(self.lap_ns);
-        self.sample_last = now;
-    }
-
     /// Ends one task's round trip: bumps the executing device's counter.
     #[inline]
     pub(crate) fn task_done(&mut self, gpu: usize) {
         if self.rec.is_some() {
             self.device_tasks[gpu] += 1;
         }
-    }
-
-    /// Ends a gate's task loop: its wall clock since the previous mark
-    /// is split across the per-task stages in proportion to the sampled
-    /// tasks' time (the rounding remainder, and a loop that ran no task,
-    /// go to `driver`).
-    pub(crate) fn tasks_end(&mut self) {
-        if self.rec.is_none() {
-            return;
-        }
-        let now = Instant::now();
-        let mut left = now.duration_since(self.last).as_nanos() as u64;
-        self.last = now;
-        let total: u128 = self.sampled.iter().map(|&ns| u128::from(ns)).sum();
-        let wall = u128::from(left);
-        for (acc, ns) in self.acc.iter_mut().zip(&mut self.sampled) {
-            let share = (wall * u128::from(*ns)).checked_div(total).unwrap_or(0) as u64;
-            *acc += share;
-            left -= share;
-            *ns = 0;
-        }
-        self.acc[DRIVER] += left;
-        self.gate_tasks = 0;
     }
 
     /// Ends a gate: flushes the accumulated per-stage slices into the

@@ -295,7 +295,7 @@ impl<'a> StaticRun<'a> {
             .filter_map(ProgramOp::unitary)
             .flat_map(|fop| fop.actions().iter().cloned())
             .collect();
-        let chunks: Vec<usize> = (0..self.num_chunks).collect();
+        let chunks = 0..self.num_chunks;
         let cancel = self.cfg.cancel.as_ref();
         mw.gate_begin();
         if let Some(r) = self.rec {
@@ -305,7 +305,7 @@ impl<'a> StaticRun<'a> {
             let _g = span_opt(self.rec, Track::Main, ObsStage::Update, "update.local");
             let poll = || cancel.and_then(|t| t.poll_abort(first));
             self.executor
-                .try_apply_local_run_polled(&mut self.state, &actions, &chunks, &poll)
+                .try_apply_local_run_polled(&mut self.state, &actions, chunks, &poll)
         };
         mw.mark(obs_mw::KERNEL);
         mw.gate_done();
@@ -514,14 +514,13 @@ impl<'a> StaticRun<'a> {
                     Loc::Host => None,
                 })
                 .unwrap_or_else(|| self.alive.iter().position(|&a| a).unwrap_or(0));
-            let off_device_bytes: u64 = plan
+            let off_device = plan
                 .members(rep)
-                .filter(|&c| self.loc(c) != Loc::Gpu(primary))
-                .count() as u64
-                * self.chunk_bytes;
+                .filter(|&c| self.loc(c) != Loc::Gpu(primary));
+            let moved = off_device.count() as u64 * self.chunk_bytes;
+            let (cfg, up, down) = (self.cfg, Dir::Up(primary), Dir::Down(primary));
             let up_stretch = self.next_link_stretch();
-            let up = Dir::Up(primary);
-            let h2d = copy_with_dma(self.tl, self.cfg, up, chain, off_device_bytes, up_stretch);
+            let h2d = copy_with_dma(&mut self.tl.lanes(), cfg, up, chain, moved, up_stretch);
             let group_bytes = plan.group_len() as u64 * self.chunk_bytes;
             let kt = (group_bytes as f64 / self.cfg.platform.gpu(primary).update_bw()
                 + self.cfg.platform.gpu(primary).kernel_launch)
@@ -541,13 +540,12 @@ impl<'a> StaticRun<'a> {
                 self.tl.count(Counter::FusedKernels, 1);
             }
             let down_stretch = self.next_link_stretch();
-            let down = Dir::Down(primary);
             let d2h = copy_with_dma(
-                self.tl,
-                self.cfg,
+                &mut self.tl.lanes(),
+                cfg,
                 down,
                 kernel.end,
-                off_device_bytes,
+                moved,
                 down_stretch,
             );
             chain = d2h.end;

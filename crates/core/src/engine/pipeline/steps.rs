@@ -1,29 +1,51 @@
-//! The chunk round trip as plain functions over [`Env`]: gate-level
-//! steps ([`plan_and_prune`], [`functional_update`], [`size_members`],
-//! [`end_of_gate`]) and task-level steps ([`upload`], [`decompress`],
-//! [`modeled_kernel`], [`compress_and_size_download`], [`download`]).
-//! `stream_gate` calls them once per gate and live task; the
-//! gate-batching shape (`batch`) calls the same task-level steps around
-//! its own kernel loop.
+//! The chunk round trip as plain functions over [`Env`], in the two
+//! phases `stream_gate` runs per gate:
+//!
+//! * the **functional phase**, once per gate: [`plan_and_prune`], then
+//!   [`functional_update`] (one executor pass over runs of consecutive
+//!   live chunks) and [`size_members`] (one codec call per such run);
+//! * the **timeline phase**, a tile of tasks at a time: [`fetch_tile`]
+//!   fills the tile's [`Trip`]s from the chunk table, [`run_tile`]
+//!   issues each task's deal → admission → H2D → decompress → kernel →
+//!   compress → D2H through a [`Round`] — the timeline's lanes plus what
+//!   dealing and admission touch — and [`write_back`] records the tasks'
+//!   last downloads.
+//!
+//! The timeline phase issues exactly the scheduling calls a task-by-task
+//! loop issues, with the same arguments, in the same order: only table
+//! reads and writes that no scheduling call depends on move into the
+//! column pass. The gate-batching shape (`batch`) calls the same
+//! [`Round`] steps and [`Fetch`] rules around its own kernel loop.
 //!
 //! Steps consult only [`Env::spec`]'s flags — never the configured
 //! version — so any flag subset composes; integrity checking and fault
 //! injection arrive through the middleware in [`Env`].
 
+use std::collections::VecDeque;
+use std::ops::Range;
+
 use qgpu_circuit::fuse::FusedOp;
-use qgpu_device::timeline::{Engine, TaskKind};
+use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
 use qgpu_device::Counter;
 use qgpu_faults::SimError;
-use qgpu_obs::{span_opt, Stage as ObsStage, Track};
+use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::plan::{GatePlan, Tasks};
+use qgpu_sched::residency::RoundRobin;
 use qgpu_sched::InvolvementTracker;
+use qgpu_statevec::ChunkedState;
 
+use crate::config::SimConfig;
 use crate::engine::flops_per_amp;
 
-use super::middleware::Resilience;
+use super::middleware::{Orchestration, Resilience};
 use super::obs_mw::{self, ObsMw};
 use super::transfer::{self, transfer_with_integrity, Dir};
-use super::{Env, RAW_FALLBACK};
+use super::{Env, Held, RAW_FALLBACK};
+
+/// Tasks per tile of the timeline phase: the columns are sized by it and
+/// reused across tiles and gates, so host memory does not follow a
+/// gate's task count — and cancellation is polled between tiles.
+pub(crate) const TILE: usize = 4096;
 
 /// One gate resolved against the current chunk layout: what
 /// [`plan_and_prune`] decides and the later steps read.
@@ -40,8 +62,6 @@ pub(crate) struct GateCtx<'p> {
     pub(crate) compressing: bool,
     /// The tasks surviving pruning, by representative chunk.
     pub(crate) tasks: Tasks,
-    /// Members marked [`RAW_FALLBACK`] this gate.
-    pub(crate) raw_members: usize,
 }
 
 /// Whether this op (or batch) may prune. An injected involvement-mask
@@ -103,7 +123,6 @@ pub(crate) fn plan_and_prune<'p>(
         pruning,
         compressing,
         tasks,
-        raw_members: 0,
     }
 }
 
@@ -159,12 +178,12 @@ pub(crate) fn note_codec_fallback(env: &mut Env, chunk: usize) {
     }
 }
 
-/// The real-codec sizing pass for every member moving back, into
-/// [`Env::new_sizes`] in task-then-member order. One pass per gate, so
-/// the measured Compress span has per-gate — not per-chunk —
-/// granularity; tasks touch disjoint chunks, so the sizes are identical
-/// to compressing inside the task loop.
-pub(crate) fn size_members(env: &mut Env, g: &mut GateCtx) {
+/// The real-codec sizing pass over every member moving back, into
+/// [`Env::sizes`]: member `j` of the gate's `t`-th task at `t ·
+/// group_len + j` ([`RAW_FALLBACK`] marks an injected encode failure; a
+/// member that does not move reads 0, a size no codec reports). Tasks
+/// touch disjoint chunks, so the sizes are those of the task loop.
+pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
     if !g.compressing {
         return;
     }
@@ -174,282 +193,603 @@ pub(crate) fn size_members(env: &mut Env, g: &mut GateCtx) {
         ObsStage::Compress,
         env.codec.kind().compress_span(),
     );
-    env.new_sizes.clear();
-    for m in g.tasks.flat_map(|rep| g.plan.members(rep)) {
-        if g.pruning && g.tracker_after.chunk_is_zero(m, env.chunk_bits) {
-            continue;
-        }
+    let cb = env.chunk_bits;
+    let members = g.tasks.flat_map(|rep| g.plan.members(rep)).enumerate();
+    let moving = members.filter(|&(_, m)| !(g.pruning && g.tracker_after.chunk_is_zero(m, cb)));
+    let mut sizes = std::mem::take(&mut env.sizes);
+    sizes.clear();
+    sizes.resize(g.tasks.len() * g.plan.group_len(), 0);
+    size_into(env, moving, &mut sizes);
+    if let Some(r) = env.rec {
+        // A member that moves has a size; the others kept their zero.
+        let chunk_bytes = 16u64 << cb;
+        let sized = sizes.iter().filter(|&&sz| sz != 0 && sz != RAW_FALLBACK);
+        r.observe_all(
+            "compress.ratio.x100",
+            sized.map(|&sz| transfer::ratio_x100(chunk_bytes, sz)),
+        );
+    }
+    env.sizes = sizes;
+}
+
+/// Sizes each `(slot, member)` into `out[slot]`, in order: an injected
+/// encode failure is [`RAW_FALLBACK`], an all-zero member the cached
+/// zero-chunk size, and live members in consecutive slots and chunks go
+/// to the codec as one run. Members are sealed at encode time.
+pub(crate) fn size_into(
+    env: &mut Env,
+    members: impl Iterator<Item = (usize, usize)>,
+    out: &mut [u32],
+) {
+    let cb = env.chunk_bits;
+    // Live members not sized yet: their chunks and the first one's slot.
+    let mut run: Option<(Range<usize>, usize)> = None;
+    let flush = |env: &Env, (chunks, at): (Range<usize>, usize), out: &mut [u32]| {
+        let amps = &env.state.as_flat()[chunks.start << cb..chunks.end << cb];
+        sized(env, amps, &mut out[at..at + chunks.len()]);
+    };
+    for (slot, m) in members {
         if env.resil.as_mut().is_some_and(Resilience::codec_fails) {
             note_codec_fallback(env, m);
-            env.new_sizes.push(RAW_FALLBACK);
-            g.raw_members += 1;
+            out[slot] = RAW_FALLBACK;
             continue;
         }
-        let sz = super::encode_member(env, m);
-        env.new_sizes.push(sz);
+        let Some(amps) = env.state.chunk(m) else {
+            if let Some(rs) = env.resil.as_mut() {
+                rs.seal_zero_at_encode(m, cb);
+            }
+            out[slot] = zero_chunk_size(env);
+            continue;
+        };
+        if let Some(rs) = env.resil.as_mut() {
+            rs.seal_at_encode(m, amps);
+        }
+        match &mut run {
+            Some((chunks, at)) if chunks.end == m && *at + chunks.len() == slot => chunks.end += 1,
+            pending => {
+                if let Some(done) = pending.replace((m..m + 1, slot)) {
+                    flush(env, done, out);
+                }
+            }
+        }
     }
-    if let Some(r) = env.rec {
-        let chunk_bytes = 16u64 << env.chunk_bits;
-        let sized = env.new_sizes.iter().filter(|&&sz| sz != RAW_FALLBACK);
-        let ratios = sized.map(|&sz| transfer::ratio_x100(chunk_bytes, sz));
-        r.observe_all("compress.ratio.x100", ratios);
+    if let Some(done) = run {
+        flush(env, done, out);
     }
 }
 
-/// A task's upload: its bytes (pruned members don't move; cached
-/// compressed representations move small), readiness behind the members'
-/// last downloads, window admission, departing integrity tags, and the
-/// H2D copy. Returns the copy's end and the raw bytes that arrived
-/// compressed.
-pub(crate) fn upload(
-    env: &mut Env,
-    gpu: usize,
-    members: &[usize],
+/// [`qgpu_compress::Codec::encoded_lens_observed`] of chunks of the
+/// current width, capped at raw (the scheme moves a chunk raw rather
+/// than expand it) and below the fallback mark. The sizing pass is where
+/// the cascade runs in the engine, so its observed entry point publishes
+/// which inner codec won each chunk.
+fn sized(env: &Env, amps: &[qgpu_math::Complex64], out: &mut [u32]) {
+    let raw = u32::try_from(16usize << env.chunk_bits).unwrap_or(u32::MAX);
+    env.codec
+        .encoded_lens_observed(amps, 1 << env.chunk_bits, out, env.rec);
+    for len in out {
+        *len = (*len).min(raw).min(RAW_FALLBACK - 1);
+    }
+}
+
+/// The compressed size of an all-zero chunk at the current width
+/// (cached).
+fn zero_chunk_size(env: &mut Env) -> u32 {
+    let cb = env.chunk_bits as usize;
+    if let Some(size) = env.zero_chunk_size[cb] {
+        return size;
+    }
+    let mut len = [0];
+    sized(env, &vec![qgpu_math::Complex64::ZERO; 1 << cb], &mut len);
+    *env.zero_chunk_size[cb].insert(len[0])
+}
+
+/// What a member's round trip adds to its task's [`Trip`], and to the
+/// chunk table — everything about a task that no scheduling call reads
+/// back, so the column pass can settle it ahead of the timeline loop.
+pub(crate) struct Fetch<'e> {
+    state: &'e ChunkedState,
+    resil: Option<&'e mut Resilience>,
+    /// Involvement before the op (what moves up) and after it (what
+    /// moves back).
+    before: &'e InvolvementTracker,
+    after: &'e InvolvementTracker,
     pruning: bool,
     compressing: bool,
-) -> Result<(f64, u64), SimError> {
-    let cb = env.chunk_bits;
-    let chunk_bytes = 16u64 << cb;
-    let (mut h2d_bytes, mut raw_up_compressed) = (0u64, 0u64);
-    let mut ready = env.epoch_floor;
-    for &m in members {
-        if let Some(x) = env.last_d2h.get(m) {
-            ready = ready.max(x);
-        }
-        // Pruning skips provably-zero members; otherwise all move.
-        if pruning && env.tracker.chunk_is_zero(m, cb) {
-            continue;
-        }
-        match (compressing, env.compressed.get(m)) {
-            (true, Some(sz)) => {
-                h2d_bytes += sz as u64;
-                raw_up_compressed += chunk_bytes;
-            }
-            _ => h2d_bytes += chunk_bytes,
+    chunk_bits: u32,
+    /// Raw and compressed bytes of the chunks that moved compressed.
+    raw: u64,
+    packed: u64,
+}
+
+impl<'e> Fetch<'e> {
+    pub(crate) fn new(
+        state: &'e ChunkedState,
+        resil: Option<&'e mut Resilience>,
+        [before, after]: [&'e InvolvementTracker; 2],
+        pruning: bool,
+        compressing: bool,
+        chunk_bits: u32,
+    ) -> Self {
+        let (raw, packed) = (0, 0);
+        Fetch {
+            state,
+            resil,
+            before,
+            after,
+            pruning,
+            compressing,
+            chunk_bits,
+            raw,
+            packed,
         }
     }
-    super::admit_window(
-        env,
-        gpu,
-        members.len(),
-        compressing,
-        chunk_bytes,
-        &mut ready,
+
+    /// Member `m`'s upload: none if provably zero, its cached size when
+    /// compressing (then decompressed), raw otherwise — tagged.
+    #[inline]
+    pub(crate) fn up(&mut self, m: usize, cached: Option<u32>, trip: &mut Trip) {
+        if self.pruning && self.before.chunk_is_zero(m, self.chunk_bits) {
+            return;
+        }
+        if let Some(rs) = self.resil.as_deref_mut() {
+            rs.seal_for_upload(self.state, m, self.chunk_bits);
+        }
+        let chunk_bytes = 16u64 << self.chunk_bits;
+        match (self.compressing, cached) {
+            (true, Some(sz)) => {
+                (trip.h2d, trip.raw_up) = (trip.h2d + u64::from(sz), trip.raw_up + chunk_bytes)
+            }
+            _ => trip.h2d += chunk_bytes,
+        }
+    }
+
+    /// Member `m`'s download given its size this gate (read only when
+    /// compressing): none if provably zero after the op; raw and
+    /// re-tagged on arrival without compression or after a failed encode;
+    /// else compressed. Returns the member's cached size after the gate.
+    #[inline]
+    pub(crate) fn down(
+        &mut self,
+        m: usize,
+        cached: Option<u32>,
+        size: u32,
+        trip: &mut Trip,
+    ) -> Option<u32> {
+        if self.pruning && self.after.chunk_is_zero(m, self.chunk_bits) {
+            return None;
+        }
+        let chunk_bytes = 16u64 << self.chunk_bits;
+        if !self.compressing || size == RAW_FALLBACK {
+            trip.d2h += chunk_bytes;
+            if let Some(rs) = self.resil.as_deref_mut() {
+                rs.verify_on_arrival(self.state, m, self.chunk_bits);
+            }
+            return cached.filter(|_| !self.compressing);
+        }
+        (self.raw, self.packed) = (self.raw + chunk_bytes, self.packed + u64::from(size));
+        (trip.d2h, trip.raw_down) = (trip.d2h + u64::from(size), trip.raw_down + chunk_bytes);
+        Some(size)
+    }
+
+    /// Counts the bytes that moved compressed.
+    pub(crate) fn count(self, tl: &mut Timeline) {
+        tl.count(Counter::BytesBeforeCompress, self.raw);
+        tl.count(Counter::BytesAfterCompress, self.packed);
+    }
+}
+
+/// One task's round trip as the timeline loop reads it — filled by the
+/// column pass — and when its download ends.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Trip {
+    /// The members' last downloads (and the epoch floor): when the
+    /// upload may start.
+    ready: f64,
+    h2d: u64,
+    /// Raw bytes that arrive compressed.
+    raw_up: u64,
+    d2h: u64,
+    /// Raw bytes that leave compressed.
+    raw_down: u64,
+    done: f64,
+}
+
+impl Trip {
+    /// A trip whose upload may start at `ready`, nothing moved yet.
+    pub(crate) fn new(ready: f64) -> Self {
+        Trip {
+            ready,
+            ..Trip::default()
+        }
+    }
+}
+
+/// The tile the timeline phase works on: up to [`TILE`] tasks, by
+/// representative, and their trips. Reused across tiles and gates.
+#[derive(Default)]
+pub(crate) struct Tile {
+    pub(crate) reps: Vec<usize>,
+    trips: Vec<Trip>,
+}
+
+/// The column pass of the tile, whose first task is the gate's
+/// `first_task`-th: member by member in chunk order (a table page looked
+/// up once per run on it), each trip from [`Env::held`] and
+/// [`Env::sizes`]; what the host holds after the gate; upload tags and
+/// arrival re-tags; the tile's compressed-byte counts.
+pub(crate) fn fetch_tile(env: &mut Env, g: &GateCtx, tile: &mut Tile, first_task: usize) {
+    let Tile { reps, trips } = tile;
+    trips.clear();
+    trips.resize(reps.len(), Trip::new(env.epoch_floor));
+    let Env {
+        state,
+        resil,
+        tracker,
+        held,
+        sizes,
+        chunk_bits,
+        tl,
+        ..
+    } = env;
+    let (trackers, cb) = ([&*tracker, &g.tracker_after], *chunk_bits);
+    let mut fetch = Fetch::new(
+        state,
+        resil.as_mut(),
+        trackers,
+        g.pruning,
+        g.compressing,
+        cb,
     );
-    if let Some(rs) = env.resil.as_mut() {
-        rs.seal_for_upload(&env.state, members.iter().copied(), cb, |m| {
-            pruning && env.tracker.chunk_is_zero(m, cb)
+    let group_len = g.plan.group_len();
+    for (j, offset) in g.plan.members(0).enumerate() {
+        held.update_each(reps.iter().map(|rep| rep + offset), |t, old| {
+            let (m, trip) = (reps[t] + offset, &mut trips[t]);
+            // Never downloaded: 0 waits for nothing past the floor.
+            let (d2h_end, cached) = old.map_or((0.0, None), |h| (h.d2h_end, h.compressed));
+            trip.ready = trip.ready.max(d2h_end);
+            fetch.up(m, cached, trip);
+            let size = match g.compressing {
+                true => sizes[(first_task + t) * group_len + j],
+                false => RAW_FALLBACK,
+            };
+            let compressed = fetch.down(m, cached, size, trip);
+            Some(Held {
+                d2h_end,
+                compressed,
+            })
         });
     }
-    let h2d = transfer_with_integrity(
-        env.tl,
-        env.cfg,
-        Dir::Up(gpu),
-        ready,
-        h2d_bytes,
-        env.resil.as_mut(),
-        env.rec,
-    )?;
-    Ok((h2d.end, raw_up_compressed))
+    fetch.count(tl);
 }
 
-/// Bytes that arrived compressed pay the decompress kernel before the
-/// update can run. Returns when the update may start.
-pub(crate) fn decompress(env: &mut Env, gpu: usize, ready: f64, raw_up_compressed: u64) -> f64 {
-    if raw_up_compressed == 0 {
-        return ready;
-    }
-    let gspec = env.cfg.platform.gpu(gpu);
-    let d = env.tl.schedule(
-        Engine::GpuCompute(gpu),
-        ready,
-        raw_up_compressed as f64 / gspec.codec_bw(env.codec_class),
-        TaskKind::Decompress,
-        raw_up_compressed,
-    );
-    d.end
+/// Per-GPU double-buffer window: chunks in flight on the device.
+#[derive(Default)]
+pub(crate) struct Window {
+    slots: VecDeque<(f64, usize)>, // (d2h end, chunks held)
+    inflight: usize,
 }
 
-/// One modeled update kernel over `bytes` resident on `gpu`, stretched
-/// by the injected stage slowdown and the device's straggler factor.
-/// Returns the kernel's end and its service time (for
-/// [`note_kernel_service`]).
-pub(crate) fn modeled_kernel(
-    env: &mut Env,
-    gpu: usize,
-    ready: f64,
-    bytes: u64,
-    fpa: f64,
-    fused: bool,
-) -> (f64, f64) {
-    let stretch = env.resil.as_mut().map_or(1.0, |rs| {
-        rs.kernel_stretch() * rs.inj.straggler_stretch(gpu)
-    });
-    let gspec = env.cfg.platform.gpu(gpu);
-    let kernel_s = (bytes as f64 / gspec.update_bw() + gspec.kernel_launch) * stretch;
-    let kernel = env.tl.schedule(
-        Engine::GpuCompute(gpu),
-        ready,
-        kernel_s,
-        TaskKind::Kernel,
-        bytes,
-    );
-    env.tl.add_flops((bytes as f64 / 16.0) * fpa);
-    if fused {
-        env.tl.count(Counter::FusedKernels, 1);
-    }
-    (kernel.end, kernel_s)
+/// The modeled devices between tasks: each GPU's window, Naive's
+/// single-stream chain, and the dealer.
+pub(crate) struct Devices {
+    windows: Vec<Window>,
+    pub(crate) chain: f64,
+    rr: RoundRobin,
+    /// Tasks dealt so far (the orchestrator's rotation reads it).
+    dealt: usize,
+    /// Per-device modeled compute backlog, refilled at each assignment.
+    backlog: Vec<f64>,
+    /// What a task costs on each device (see [`Round::new`]).
+    costs: Vec<GpuCosts>,
 }
 
-/// Feeds the orchestrator's pace estimate one round trip's pure kernel
-/// service time: queueing and codec spans would let backlog leak into it.
-pub(crate) fn note_kernel_service(env: &mut Env, gpu: usize, kernel_s: f64, bytes: u64) {
-    if let Some(o) = env.orch.as_mut() {
-        o.group.record_task(gpu, kernel_s, bytes);
-    }
+struct GpuCosts {
+    /// The window in chunks (half the device memory, paper §IV-A),
+    /// before the governor's cap.
+    window: usize,
+    codec_bw: f64,
+    /// One task's unstretched kernel service time.
+    kernel_s: f64,
 }
 
-/// A task's download bytes, read back from the sizing pass (`cursor`
-/// walks [`Env::new_sizes`] in the order [`size_members`] wrote it), and
-/// the modeled compress kernel. Returns when the D2H copy may start and
-/// its byte count.
-pub(crate) fn compress_and_size_download(
-    env: &mut Env,
-    g: &GateCtx,
-    gpu: usize,
-    members: &[usize],
-    kernel_end: f64,
-    cursor: &mut usize,
-) -> (f64, u64) {
-    let chunk_bytes = 16u64 << env.chunk_bits;
-    let (mut d2h_bytes, mut raw_down_compressed) = (0u64, 0u64);
-    for &m in members {
-        if g.pruning && g.tracker_after.chunk_is_zero(m, env.chunk_bits) {
-            env.compressed.remove(m);
-            continue;
-        }
-        if !g.compressing {
-            d2h_bytes += chunk_bytes;
-            continue;
-        }
-        let sz = env.new_sizes[*cursor];
-        *cursor += 1;
-        if sz == RAW_FALLBACK {
-            // Encode failed for this member: raw download, no compress
-            // kernel time, nothing cached as compressed.
-            env.compressed.remove(m);
-            d2h_bytes += chunk_bytes;
-        } else {
-            env.tl.count(Counter::BytesBeforeCompress, chunk_bytes);
-            env.tl.count(Counter::BytesAfterCompress, sz as u64);
-            env.compressed.insert(m, sz);
-            d2h_bytes += sz as u64;
-            raw_down_compressed += chunk_bytes;
+impl Devices {
+    pub(crate) fn new(num_gpus: usize) -> Self {
+        Devices {
+            windows: (0..num_gpus).map(|_| Window::default()).collect(),
+            chain: 0.0,
+            rr: RoundRobin::new(num_gpus),
+            dealt: 0,
+            backlog: vec![0.0; num_gpus],
+            costs: Vec::new(),
         }
     }
-    if raw_down_compressed == 0 {
-        return (kernel_end, d2h_bytes);
-    }
-    let gspec = env.cfg.platform.gpu(gpu);
-    let cspan = env.tl.schedule(
-        Engine::GpuCompute(gpu),
-        kernel_end,
-        raw_down_compressed as f64 / gspec.codec_bw(env.codec_class),
-        TaskKind::Compress,
-        raw_down_compressed,
-    );
-    (cspan.end, d2h_bytes)
-}
 
-/// A task's download: arrival integrity re-tags for the members that
-/// moved raw, then [`d2h_tail`]. `sizes_at` is where the task's entries
-/// start in [`Env::new_sizes`].
-pub(crate) fn download(
-    env: &mut Env,
-    g: &GateCtx,
-    gpu: usize,
-    members: &[usize],
-    d2h_ready: f64,
-    d2h_bytes: u64,
-    sizes_at: usize,
-) -> Result<(), SimError> {
-    let cb = env.chunk_bits;
-    let pruned = |m| g.pruning && g.tracker_after.chunk_is_zero(m, cb);
-    // A fully-pruned task (`d2h_bytes == 0`) and a fully-sealed
-    // compressed task skip the pass entirely.
-    if d2h_bytes > 0 {
-        if let Some(rs) = env.resil.as_mut() {
-            if !g.compressing {
-                rs.verify_on_arrival(&env.state, members.iter().copied(), cb, pruned);
-            } else if g.raw_members > 0 {
-                // Compressed members were sealed at encode time; only
-                // raw codec-failure fallbacks need an arrival pass. The
-                // task's sizes follow its moving members in order.
-                let mut sizes = env.new_sizes[sizes_at..].iter();
-                rs.verify_on_arrival(&env.state, members.iter().copied(), cb, |m| {
-                    pruned(m) || sizes.next() != Some(&RAW_FALLBACK)
-                });
+    /// Empties `gpu`'s window, or every window: the device died, or the
+    /// pipeline drained.
+    pub(crate) fn drain(&mut self, gpu: Option<usize>) {
+        for (g, w) in self.windows.iter_mut().enumerate() {
+            if gpu.is_none_or(|d| d == g) {
+                *w = Window::default();
             }
         }
     }
-    d2h_tail(env, gpu, members, d2h_ready, d2h_bytes)
 }
 
-/// The modeled D2H copy and the accounting that feeds the next task's
-/// admission: the members' last-download times, and the window slot
-/// (or, without overlap, the single-stream chain).
-pub(crate) fn d2h_tail(
-    env: &mut Env,
-    gpu: usize,
-    members: &[usize],
-    d2h_ready: f64,
-    d2h_bytes: u64,
-) -> Result<(), SimError> {
-    let d2h = transfer_with_integrity(
-        env.tl,
-        env.cfg,
-        Dir::Down(gpu),
-        d2h_ready,
-        d2h_bytes,
-        env.resil.as_mut(),
-        env.rec,
-    )?;
-    for &m in members {
-        env.last_d2h.insert(m, d2h.end);
+/// The timeline phase's hold on the engine: the timeline's lanes, the
+/// devices, and the middleware a round trip consults.
+pub(crate) struct Round<'e> {
+    lanes: Lanes<'e>,
+    dev: &'e mut Devices,
+    cfg: &'e SimConfig,
+    rec: Option<&'e Recorder>,
+    resil: Option<&'e mut Resilience>,
+    orch: Option<&'e mut Orchestration>,
+    overlap: bool,
+    chunk_bits: u32,
+    /// Chunks per task (a task's share of a window), and the bytes its
+    /// kernel updates.
+    chunks: usize,
+    pub(crate) bytes: u64,
+    compressing: bool,
+}
+
+impl<'e> Round<'e> {
+    /// A hold for tasks of `chunks` chunks each, resolving what one
+    /// costs on each device once rather than per task.
+    pub(crate) fn new(env: &'e mut Env<'_>, chunks: usize, compressing: bool) -> Self {
+        let Env {
+            tl,
+            dev,
+            cfg,
+            rec,
+            spec,
+            chunk_bits,
+            codec_class,
+            resil,
+            orch,
+            ..
+        } = env;
+        let chunk_bytes = 16u64 << *chunk_bits;
+        let bytes = chunks as u64 * chunk_bytes;
+        let costs = (0..cfg.platform.num_gpus()).map(|gpu| {
+            let gspec = cfg.platform.gpu(gpu);
+            let window = (gspec.mem_bytes as f64 * cfg.buffer_split) as u64 / chunk_bytes;
+            GpuCosts {
+                window: window.max(chunks as u64) as usize,
+                codec_bw: gspec.codec_bw(*codec_class),
+                kernel_s: bytes as f64 / gspec.update_bw() + gspec.kernel_launch,
+            }
+        });
+        dev.costs.clear();
+        dev.costs.extend(costs);
+        Round {
+            lanes: tl.lanes(),
+            dev,
+            cfg,
+            rec: *rec,
+            resil: resil.as_mut(),
+            orch: orch.as_mut(),
+            overlap: spec.flags.overlap,
+            chunk_bits: *chunk_bits,
+            chunks,
+            bytes,
+            compressing,
+        }
     }
-    if env.spec.flags.overlap {
-        env.windows[gpu].slots.push_back((d2h.end, members.len()));
-        env.windows[gpu].inflight += members.len();
-    } else {
-        env.chain = d2h.end;
+
+    /// Deals the next task to a device: the orchestrator's group (with
+    /// work-stealing) when present, plain round-robin otherwise.
+    #[inline]
+    pub(crate) fn deal(&mut self) -> usize {
+        let Some(o) = self.orch.as_deref_mut() else {
+            return self.dev.rr.next_gpu();
+        };
+        // Backlogs only matter for victim selection, so a healthy
+        // (un-armed) fleet skips gathering them.
+        if o.group.steal_armed() {
+            for (g, b) in self.dev.backlog.iter_mut().enumerate() {
+                *b = self.lanes.engine_available(Engine::GpuCompute(g));
+            }
+        }
+        let (g, stolen) = o.group.assign(self.dev.dealt, &self.dev.backlog);
+        self.dev.dealt += 1;
+        if stolen {
+            self.lanes.count(Counter::Steals, 1);
+        }
+        g
+    }
+
+    /// A task's upload: admission, the H2D copy, then the decompress
+    /// kernel over the bytes that arrived compressed. Returns when the
+    /// update may start.
+    #[inline]
+    pub(crate) fn upload(&mut self, gpu: usize, trip: &Trip) -> Result<f64, SimError> {
+        let ready = self.admit(gpu, trip.ready);
+        let copied = self.copy(Dir::Up(gpu), ready, trip.h2d)?;
+        Ok(self.codec(gpu, copied, trip.raw_up, TaskKind::Decompress))
+    }
+
+    /// Admission ahead of an upload: with overlap the per-GPU window
+    /// drains oldest-first until the task fits; without, the single
+    /// stream serializes (its window stays empty). The governor's budget
+    /// clamps on top, and residency is sampled for the report.
+    #[inline]
+    fn admit(&mut self, gpu: usize, mut ready: f64) -> f64 {
+        let (incoming, chunk_bytes) = (self.chunks, 16u64 << self.chunk_bits);
+        let w = &mut self.dev.windows[gpu];
+        let base = match self.overlap {
+            true => self.dev.costs[gpu].window,
+            false => {
+                ready = ready.max(self.dev.chain);
+                incoming
+            }
+        };
+        let (cb, compressing, lanes, rec) =
+            (self.chunk_bits, self.compressing, &mut self.lanes, self.rec);
+        let cap = match self.orch.as_deref_mut() {
+            Some(o) => o.governed_cap(
+                base,
+                w.inflight,
+                incoming,
+                cb,
+                chunk_bytes,
+                compressing,
+                lanes,
+                rec,
+            ),
+            None => base,
+        };
+        while w.inflight + incoming > cap {
+            let Some((end, held)) = w.slots.pop_front() else {
+                break;
+            };
+            ready = ready.max(end);
+            w.inflight -= held;
+        }
+        if self.orch.as_ref().is_some_and(|o| o.governor.is_some()) {
+            lanes.observe_resident_bytes((w.inflight + incoming) as u64 * chunk_bytes);
+        }
+        ready
+    }
+
+    /// One modeled update kernel over the task's bytes resident on
+    /// `gpu`, stretched by the injected stage slowdown and the device's
+    /// straggler factor. Returns the kernel's end and its service time
+    /// (for [`Round::note_service`]).
+    #[inline]
+    pub(crate) fn kernel(&mut self, gpu: usize, ready: f64, flops: f64, fused: bool) -> (f64, f64) {
+        let stretch = self.resil.as_deref_mut().map_or(1.0, |rs| {
+            rs.kernel_stretch() * rs.inj.straggler_stretch(gpu)
+        });
+        let kernel_s = self.dev.costs[gpu].kernel_s * stretch;
+        let (gc, bytes) = (Engine::GpuCompute(gpu), self.bytes);
+        let kernel = self
+            .lanes
+            .schedule(gc, ready, kernel_s, TaskKind::Kernel, bytes);
+        self.lanes.add_flops(flops);
+        if fused {
+            self.lanes.count(Counter::FusedKernels, 1);
+        }
+        (kernel.end, kernel_s)
+    }
+
+    /// Feeds the orchestrator's pace estimate one round trip's pure
+    /// kernel service time: queueing and codec spans would let backlog
+    /// leak into it.
+    #[inline]
+    pub(crate) fn note_service(&mut self, gpu: usize, kernel_s: f64) {
+        if let Some(o) = self.orch.as_deref_mut() {
+            o.group.record_task(gpu, kernel_s, self.bytes);
+        }
+    }
+
+    /// A task's download from `ready` (its kernel's end): the compress
+    /// kernel over the bytes leaving compressed, the D2H copy, and what
+    /// the next admission reads — the window slot, or the single-stream
+    /// chain. Returns the copy's end.
+    #[inline]
+    pub(crate) fn download(
+        &mut self,
+        gpu: usize,
+        ready: f64,
+        trip: &Trip,
+    ) -> Result<f64, SimError> {
+        let ready = self.codec(gpu, ready, trip.raw_down, TaskKind::Compress);
+        let end = self.copy(Dir::Down(gpu), ready, trip.d2h)?;
+        if self.overlap {
+            let w = &mut self.dev.windows[gpu];
+            w.slots.push_back((end, self.chunks));
+            w.inflight += self.chunks;
+        } else {
+            self.dev.chain = end;
+        }
+        Ok(end)
+    }
+
+    /// A codec kernel over `raw` bytes (none when no byte moves
+    /// compressed). Returns when it ends.
+    #[inline]
+    fn codec(&mut self, gpu: usize, ready: f64, raw: u64, kind: TaskKind) -> f64 {
+        if raw == 0 {
+            return ready;
+        }
+        let s = raw as f64 / self.dev.costs[gpu].codec_bw;
+        self.lanes
+            .schedule(Engine::GpuCompute(gpu), ready, s, kind, raw)
+            .end
+    }
+
+    #[inline]
+    fn copy(&mut self, dir: Dir, ready: f64, bytes: u64) -> Result<f64, SimError> {
+        let resil = self.resil.as_deref_mut();
+        let span = transfer_with_integrity(
+            &mut self.lanes,
+            self.cfg,
+            dir,
+            ready,
+            bytes,
+            resil,
+            self.rec,
+        )?;
+        Ok(span.end)
+    }
+}
+
+/// The timeline loop over one tile: each task's round trip, in order, on
+/// one hold of the lanes.
+pub(crate) fn run_tile(
+    env: &mut Env,
+    g: &GateCtx,
+    tile: &mut Tile,
+    mw: &mut ObsMw,
+) -> Result<(), SimError> {
+    let mut round = Round::new(env, g.plan.group_len(), g.compressing);
+    let (flops, fused) = ((round.bytes as f64 / 16.0) * g.fpa, g.fop.is_fused());
+    for trip in &mut tile.trips {
+        let gpu = round.deal();
+        let ready = round.upload(gpu, trip)?;
+        let (end, kernel_s) = round.kernel(gpu, ready, flops, fused);
+        round.note_service(gpu, kernel_s);
+        trip.done = round.download(gpu, end, trip)?;
+        mw.task_done(gpu);
     }
     Ok(())
 }
 
-/// Without the overlap flag, a full synchronization after every gate
-/// (Naive's behavior).
-pub(crate) fn gate_sync(env: &mut Env) {
-    if !env.spec.flags.overlap {
-        let s = env.tl.schedule(
-            Engine::Host,
-            env.chain,
-            env.cfg.platform.host.sync_latency,
-            TaskKind::Sync,
-            0,
-        );
-        env.chain = s.end;
+/// Each task's download end as its members' last download, which the
+/// next gate's uploads wait for.
+pub(crate) fn write_back(env: &mut Env, g: &GateCtx, tile: &Tile) {
+    for offset in g.plan.members(0) {
+        env.held
+            .update_each(tile.reps.iter().map(|rep| rep + offset), |t, old| {
+                let compressed = old.and_then(|h| h.compressed);
+                Some(Held {
+                    d2h_end: tile.trips[t].done,
+                    compressed,
+                })
+            });
     }
 }
 
 /// After the last task: window occupancy, sampled once per gate per
 /// device, and the per-gate sync.
 pub(crate) fn end_of_gate(env: &mut Env) {
-    if env.spec.flags.overlap {
-        if let Some(r) = env.rec {
-            for w in &env.windows {
-                r.observe("window.inflight", w.inflight as u64);
-            }
-        }
+    if let (true, Some(r)) = (env.spec.flags.overlap, env.rec) {
+        let occupancy = env.dev.windows.iter().map(|w| w.inflight as u64);
+        r.observe_all("window.inflight", occupancy);
     }
     gate_sync(env);
+}
+
+/// Without the overlap flag, a full synchronization after every gate
+/// (Naive's behavior).
+pub(crate) fn gate_sync(env: &mut Env) {
+    if !env.spec.flags.overlap {
+        let sync = env.cfg.platform.host.sync_latency;
+        let s = env
+            .tl
+            .schedule(Engine::Host, env.dev.chain, sync, TaskKind::Sync, 0);
+        env.dev.chain = s.end;
+    }
 }

@@ -134,19 +134,15 @@ pub(crate) fn collapse_streaming(env: &mut Env, qubit: usize, is_reset: bool, u:
     );
     let floor = env.tl.makespan();
     env.epoch_floor = env.epoch_floor.max(floor);
-    env.last_d2h.clear();
-    env.compressed.clear();
+    env.held.clear();
     if let Some(rs) = env.resil.as_mut() {
         rs.on_repartition();
     }
-    for w in &mut env.windows {
-        w.slots.clear();
-        w.inflight = 0;
-    }
+    env.dev.drain(None);
     let bytes = env.state.memory_bytes() as u64;
     let end = collapse_cost(env.tl, env.cfg, env.epoch_floor, bytes);
     env.epoch_floor = env.epoch_floor.max(end);
-    env.chain = env.chain.max(end);
+    env.dev.chain = env.dev.chain.max(end);
     let outcome = collapse_state(&mut env.state, qubit, is_reset, u);
     env.tl.count(Counter::Collapses, 1);
     if let Some(r) = env.rec {

@@ -1,17 +1,15 @@
-//! Shared host↔device transfer modeling: the DMA-staged copy primitive,
-//! its integrity-checked (retrying) variant, and the real-codec
-//! compressed-size probe.
+//! Shared host↔device transfer modeling: the DMA-staged copy primitive
+//! and its integrity-checked (retrying) variant, both on a timeline's
+//! [`Lanes`].
 //!
 //! Every engine path — streaming stages, the gate-batching extension,
 //! the static-allocation mode, and device-loss replay — routes its
 //! copies through [`copy_with_dma`], so the §V-E host-DMA bottleneck is
 //! modeled once.
 
-use qgpu_compress::Codec;
-use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+use qgpu_device::timeline::{Engine, Lanes, TaskKind};
 use qgpu_device::Counter;
 use qgpu_faults::{FaultSite, SimError};
-use qgpu_math::Complex64;
 use qgpu_obs::Recorder;
 
 use crate::config::SimConfig;
@@ -41,8 +39,9 @@ impl Dir {
 /// `bytes/copy_bw`, so aggregate traffic across all GPUs never exceeds
 /// what host memory can stage (the paper's §V-E observation that CPU↔GPU
 /// movement, not GPU↔GPU links, bounds multi-GPU scaling).
+#[inline]
 pub(crate) fn copy_with_dma(
-    tl: &mut Timeline,
+    tl: &mut Lanes,
     cfg: &SimConfig,
     dir: Dir,
     ready: f64,
@@ -62,18 +61,33 @@ pub(crate) fn copy_with_dma(
 /// full retransmit; after `max_retries` consumed attempts the transfer is
 /// abandoned with [`SimError::ChunkCorrupt`]. With `resil == None` this
 /// is exactly `copy_with_dma`.
+#[inline]
 pub(crate) fn transfer_with_integrity(
-    tl: &mut Timeline,
+    tl: &mut Lanes,
     cfg: &SimConfig,
     dir: Dir,
-    mut ready: f64,
+    ready: f64,
     bytes: u64,
     resil: Option<&mut Resilience>,
     rec: Option<&Recorder>,
 ) -> Result<qgpu_device::Span, SimError> {
-    let Some(rs) = resil else {
-        return Ok(copy_with_dma(tl, cfg, dir, ready, bytes, 1.0));
-    };
+    match resil {
+        None => Ok(copy_with_dma(tl, cfg, dir, ready, bytes, 1.0)),
+        Some(rs) => retrying_transfer(tl, cfg, dir, ready, bytes, rs, rec),
+    }
+}
+
+/// [`transfer_with_integrity`] with the injector armed.
+#[inline(never)]
+fn retrying_transfer(
+    tl: &mut Lanes,
+    cfg: &SimConfig,
+    dir: Dir,
+    mut ready: f64,
+    bytes: u64,
+    rs: &mut Resilience,
+    rec: Option<&Recorder>,
+) -> Result<qgpu_device::Span, SimError> {
     let index = rs.transfers;
     rs.transfers += 1;
     // An injected link degradation stretches this transfer's link time —
@@ -126,28 +140,8 @@ pub(crate) fn transfer_with_integrity(
     }
 }
 
-/// Real compressed size of a chunk under the configured codec, capped at
-/// raw size (the scheme falls back to the raw representation if
-/// compression would expand the data). The caller records the ratio
-/// histogram ([`ratio_x100`]) and opens the wall-clock Compress span, both
-/// at per-gate granularity: a lock or a span per chunk would swamp the
-/// recorder on million-chunk runs.
-pub(crate) fn compressed_size(
-    codec: &dyn Codec,
-    amps: &[Complex64],
-    raw_bytes: usize,
-    rec: Option<&Recorder>,
-) -> usize {
-    // Size only: no codec builds a buffer here, traced or not. The sizing
-    // pass is where the cascade runs in the engine, so its observed entry
-    // point is what publishes which inner codec won this chunk.
-    codec
-        .encoded_len_amplitudes_observed(amps, rec)
-        .min(raw_bytes)
-}
-
 /// A chunk's compression ratio ×100, as the `compress.ratio.x100`
 /// histogram records it.
-pub(crate) fn ratio_x100(raw_bytes: u64, compressed: usize) -> u64 {
-    raw_bytes * 100 / compressed.max(1) as u64
+pub(crate) fn ratio_x100(raw_bytes: u64, compressed: u32) -> u64 {
+    raw_bytes * 100 / u64::from(compressed.max(1))
 }

@@ -1,6 +1,7 @@
 //! Cooperative cancellation: a tripped token stops the run at the next
-//! gate boundary, releases its resident chunks, and still reports the
-//! partial per-stage timings gathered before the abort.
+//! gate boundary — or, inside a streaming gate, between its phases and
+//! between tiles of its tasks — releases its resident chunks, and still
+//! reports the partial per-stage timings gathered before the abort.
 
 use std::sync::Arc;
 
@@ -179,5 +180,83 @@ fn cancel_during_a_deferred_run_lands_between_chunk_visits() {
         gates,
         c.len() as u64 + 1,
         "every op was modeled, then one flush"
+    );
+}
+
+/// A tripped token stops a large gate within a tile of its tasks. The
+/// last op of a layer of Hadamards on 2-amplitude chunks deals tens of
+/// tiles of live tasks; a watcher trips the token once that gate has
+/// been planned (its chunks join the `chunk.bytes` histogram), and the
+/// run aborts inside it: the gate counted as planned, fewer tasks dealt
+/// than the uncancelled run deals, that gate never completed.
+#[test]
+fn cancel_lands_within_a_tile_of_a_large_gate() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let n = 20;
+    let mut c = qgpu_circuit::Circuit::new(n);
+    for q in 0..n {
+        c.h(q);
+    }
+    let cfg = SimConfig::scaled_paper(n)
+        .with_version(Version::QGpu)
+        .fixed_chunk_size()
+        .with_chunk_count_log2(n as u32 - 1);
+    let tasks = |rec: &Recorder| -> u64 {
+        let snap = rec.registry().snapshot();
+        snap.counters
+            .iter()
+            .filter(|e| e.name == "tasks")
+            .map(|e| e.value)
+            .sum()
+    };
+    let planned = |rec: &Recorder| -> u64 {
+        let snap = rec.registry().snapshot();
+        let hists = snap.histograms_named("chunk.bytes");
+        hists.map(|e| e.value.count).sum()
+    };
+    let full = Arc::new(Recorder::new());
+    pipeline::run(&c, &cfg, Some(&full), None).expect("uncancelled run");
+    let (all_planned, all_tasks) = (planned(&full), tasks(&full));
+
+    let token = CancelToken::new();
+    let rec = Arc::new(Recorder::new().with_flight(256));
+    let finished = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (rec, finished, token) = (Arc::clone(&rec), Arc::clone(&finished), token.clone());
+        std::thread::spawn(move || {
+            while planned(&rec) < all_planned && !finished.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            token.cancel()
+        })
+    };
+    let outcome = pipeline::run(&c, &cfg.with_cancel(token), Some(&rec), None);
+    finished.store(true, Ordering::Release);
+    assert!(
+        watcher.join().expect("watcher"),
+        "the watcher tripped the token"
+    );
+    let err = outcome.expect_err("the last gate's tiles outlast the watcher's reaction");
+    assert!(
+        matches!(err, SimError::JobAborted { op } if op == n - 1),
+        "aborted inside the last op: {err}"
+    );
+    let snap = rec.registry().snapshot();
+    assert_eq!(snap.counter_total("cancel.aborts"), 1);
+    assert_eq!(planned(&rec), all_planned, "the last gate was planned");
+    let dealt = tasks(&rec);
+    assert!(
+        dealt < all_tasks,
+        "the abort cut the last gate short: {dealt} of {all_tasks} tasks dealt"
+    );
+    let gates: u64 = snap
+        .histograms_named("gate.ns")
+        .map(|e| e.value.count)
+        .sum();
+    assert_eq!(
+        gates,
+        n as u64 - 1,
+        "every gate but the cancelled one completed"
     );
 }

@@ -149,12 +149,14 @@ fn replayed_live_tasks(circuit: &Circuit, cfg: &SimConfig) -> u64 {
 
 #[test]
 fn traced_run_attributes_every_step_to_its_named_bucket() {
-    const STEPS: [(usize, &str); 9] = [
+    // The phases a gate laps: plan, prune, the update (`kernel`) and the
+    // sizing pass (`compress`), then per tile the column pass (`fetch`),
+    // the timeline loop (`deal`) and the write-back.
+    const STEPS: [(usize, &str); 8] = [
         (obs_mw::PLAN, "plan"),
         (obs_mw::PRUNE, "prune"),
         (obs_mw::DEAL, "deal"),
         (obs_mw::FETCH, "fetch"),
-        (obs_mw::DECOMPRESS, "decompress"),
         (obs_mw::KERNEL, "kernel"),
         (obs_mw::COMPRESS, "compress"),
         (obs_mw::WRITEBACK, "writeback"),
@@ -166,7 +168,7 @@ fn traced_run_attributes_every_step_to_its_named_bucket() {
     let c = Benchmark::Qft.generate(12);
     // The full recipe exercises every step of the round trip; without
     // overlap (Naive) each gate also ends in a sync.
-    for (v, expected) in [(Version::QGpu, &STEPS[..8]), (Version::Naive, &STEPS[8..])] {
+    for (v, expected) in [(Version::QGpu, &STEPS[..7]), (Version::Naive, &STEPS[7..])] {
         let cfg = SimConfig::scaled_paper(12).with_version(v).with_obs_spans();
         let r = Simulator::new(cfg.clone()).run(&c);
         let reg = &r.obs.as_ref().expect("traced run").registry;

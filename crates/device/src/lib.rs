@@ -42,5 +42,5 @@ pub mod topology;
 
 pub use report::{Counter, ExecutionReport};
 pub use specs::{CodecClass, GpuSpec, HostSpec, LinkSpec};
-pub use timeline::{Engine, Span, TaskKind, Timeline};
+pub use timeline::{Engine, Lanes, Span, TaskKind, Timeline};
 pub use topology::Platform;

@@ -117,6 +117,85 @@ struct EngineState {
     busy: f64,
 }
 
+/// Everything a scheduling call reads or writes: the engines, the
+/// per-kind sums and the trace. A [`Timeline`] holds it; [`Lanes`] take
+/// it by value for a run of calls.
+#[derive(Debug, Clone, Default)]
+struct Sched {
+    /// Indexed by [`Engine::slot`], grown on demand.
+    engines: Vec<EngineState>,
+    /// Indexed by `TaskKind as usize`.
+    kind_busy: [f64; TaskKind::ALL.len()],
+    kind_bytes: [u64; TaskKind::ALL.len()],
+    trace: Option<Vec<TraceEvent>>,
+    trace_cap: usize,
+}
+
+impl Sched {
+    /// The one scheduling body ([`Timeline::schedule`], [`Lanes::schedule`]).
+    #[inline]
+    fn schedule(
+        &mut self,
+        engine: Engine,
+        ready: f64,
+        duration: f64,
+        kind: TaskKind,
+        bytes: u64,
+    ) -> Span {
+        assert!(
+            duration.is_finite() && duration >= 0.0,
+            "bad task duration {duration}"
+        );
+        let slot = engine.slot();
+        if slot >= self.engines.len() {
+            self.grow(slot);
+        }
+        let state = &mut self.engines[slot];
+        let start = state.available.max(ready);
+        let end = start + duration;
+        state.available = end;
+        state.busy += duration;
+        self.kind_busy[kind as usize] += duration;
+        self.kind_bytes[kind as usize] += bytes;
+        let span = Span { start, end };
+        if self.trace.is_some() {
+            self.record(engine, kind, span, bytes);
+        }
+        span
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, slot: usize) {
+        self.engines.resize(slot + 1, EngineState::default());
+    }
+
+    /// Appends the event to the trace, up to its cap.
+    #[inline(never)]
+    fn record(&mut self, engine: Engine, kind: TaskKind, span: Span, bytes: u64) {
+        if let Some(trace) = self.trace.as_mut().filter(|t| t.len() < self.trace_cap) {
+            trace.push(TraceEvent {
+                engine,
+                kind,
+                span,
+                bytes,
+            });
+        }
+    }
+
+    #[inline]
+    fn engine_available(&self, engine: Engine) -> f64 {
+        self.engines.get(engine.slot()).map_or(0.0, |s| s.available)
+    }
+
+    /// The end of the last task: an engine's tasks end in order, so the
+    /// latest end is the latest engine's `available` — the same value a
+    /// running maximum over every end would hold.
+    fn makespan(&self) -> f64 {
+        self.engines.iter().fold(0.0, |m, s| m.max(s.available))
+    }
+}
+
 /// A deterministic discrete-event timeline.
 ///
 /// Tasks are scheduled in program order: each engine starts a task at
@@ -138,14 +217,7 @@ struct EngineState {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {
-    /// Indexed by [`Engine::slot`], grown on demand.
-    engines: Vec<EngineState>,
-    /// Indexed by `TaskKind as usize`.
-    kind_busy: [f64; TaskKind::ALL.len()],
-    kind_bytes: [u64; TaskKind::ALL.len()],
-    makespan: f64,
-    trace: Option<Vec<TraceEvent>>,
-    trace_cap: usize,
+    sched: Sched,
     // Engine-level accounting that scheduling alone cannot express; the
     // engines feed these so `ExecutionReport::from_timeline` is complete
     // without caller-side patching.
@@ -166,8 +238,11 @@ impl Timeline {
     /// (for the paper's Figure 6 timeline plots).
     pub fn with_trace(cap: usize) -> Self {
         Timeline {
-            trace: Some(Vec::new()),
-            trace_cap: cap,
+            sched: Sched {
+                trace: Some(Vec::new()),
+                trace_cap: cap,
+                ..Sched::default()
+            },
             ..Timeline::default()
         }
     }
@@ -185,63 +260,48 @@ impl Timeline {
         kind: TaskKind,
         bytes: u64,
     ) -> Span {
-        assert!(
-            duration.is_finite() && duration >= 0.0,
-            "bad task duration {duration}"
-        );
-        let slot = engine.slot();
-        if slot >= self.engines.len() {
-            self.engines.resize(slot + 1, EngineState::default());
+        self.sched.schedule(engine, ready, duration, kind, bytes)
+    }
+
+    /// Borrows the timeline for a run of scheduling calls (see [`Lanes`]).
+    pub fn lanes(&mut self) -> Lanes<'_> {
+        Lanes {
+            sched: std::mem::take(&mut self.sched),
+            tl: self,
         }
-        let state = &mut self.engines[slot];
-        let start = state.available.max(ready);
-        let end = start + duration;
-        state.available = end;
-        state.busy += duration;
-        self.kind_busy[kind as usize] += duration;
-        self.kind_bytes[kind as usize] += bytes;
-        self.makespan = self.makespan.max(end);
-        if let Some(trace) = &mut self.trace {
-            if trace.len() < self.trace_cap {
-                trace.push(TraceEvent {
-                    engine,
-                    kind,
-                    span: Span { start, end },
-                    bytes,
-                });
-            }
-        }
-        Span { start, end }
     }
 
     /// The time the engine becomes free (0 if never used).
     pub fn engine_available(&self, engine: Engine) -> f64 {
-        self.engines.get(engine.slot()).map_or(0.0, |s| s.available)
+        self.sched.engine_available(engine)
     }
 
     /// Total busy time of an engine.
     pub fn engine_busy(&self, engine: Engine) -> f64 {
-        self.engines.get(engine.slot()).map_or(0.0, |s| s.busy)
+        self.sched
+            .engines
+            .get(engine.slot())
+            .map_or(0.0, |s| s.busy)
     }
 
     /// Total busy time across all engines of one task category.
     pub fn kind_busy(&self, kind: TaskKind) -> f64 {
-        self.kind_busy[kind as usize]
+        self.sched.kind_busy[kind as usize]
     }
 
     /// Total bytes accounted to one task category.
     pub fn kind_bytes(&self, kind: TaskKind) -> u64 {
-        self.kind_bytes[kind as usize]
+        self.sched.kind_bytes[kind as usize]
     }
 
     /// End of the last scheduled task — the modeled wall-clock time.
     pub fn makespan(&self) -> f64 {
-        self.makespan
+        self.sched.makespan()
     }
 
     /// Recorded events (empty when tracing is disabled).
     pub fn trace(&self) -> &[TraceEvent] {
-        self.trace.as_deref().unwrap_or(&[])
+        self.sched.trace.as_deref().unwrap_or(&[])
     }
 
     /// Adds `n` to an event count.
@@ -298,6 +358,86 @@ impl Timeline {
     /// Host seconds attributed to readout sampling.
     pub fn sample_time(&self) -> f64 {
         self.sample_time
+    }
+}
+
+/// A [`Timeline`] borrowed for a run of scheduling calls — the streaming
+/// pipeline holds one per tile of chunk tasks.
+///
+/// The engines, the per-kind sums and the trace move into the lanes, so a loop of [`Lanes::schedule`] calls works on state it
+/// owns rather than on state behind the timeline's pointer; dropping the
+/// lanes moves it back. A call does exactly what [`Timeline::schedule`]
+/// does — the same arithmetic on the same values in the same order — so
+/// a run is bit for bit the same through either. Counts, flops and
+/// residency go straight to the timeline.
+///
+/// # Examples
+///
+/// ```
+/// use qgpu_device::timeline::{Engine, TaskKind, Timeline};
+///
+/// let (mut a, mut b) = (Timeline::new(), Timeline::new());
+/// let copy = a.schedule(Engine::H2d(0), 0.0, 1.0, TaskKind::H2dCopy, 64);
+/// a.schedule(Engine::GpuCompute(0), copy.end, 0.5, TaskKind::Kernel, 64);
+/// {
+///     let mut lanes = b.lanes();
+///     let copy = lanes.schedule(Engine::H2d(0), 0.0, 1.0, TaskKind::H2dCopy, 64);
+///     lanes.schedule(Engine::GpuCompute(0), copy.end, 0.5, TaskKind::Kernel, 64);
+/// }
+/// assert_eq!(a.makespan(), b.makespan());
+/// assert_eq!(a.kind_bytes(TaskKind::Kernel), b.kind_bytes(TaskKind::Kernel));
+/// ```
+pub struct Lanes<'t> {
+    sched: Sched,
+    tl: &'t mut Timeline,
+}
+
+impl Lanes<'_> {
+    /// [`Timeline::schedule`] on the lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration` is negative or not finite.
+    #[inline]
+    pub fn schedule(
+        &mut self,
+        engine: Engine,
+        ready: f64,
+        duration: f64,
+        kind: TaskKind,
+        bytes: u64,
+    ) -> Span {
+        self.sched.schedule(engine, ready, duration, kind, bytes)
+    }
+
+    /// [`Timeline::engine_available`] on the lanes.
+    #[inline]
+    pub fn engine_available(&self, engine: Engine) -> f64 {
+        self.sched.engine_available(engine)
+    }
+
+    /// [`Timeline::count`].
+    #[inline]
+    pub fn count(&mut self, c: Counter, n: u64) {
+        self.tl.count(c, n);
+    }
+
+    /// [`Timeline::add_flops`].
+    #[inline]
+    pub fn add_flops(&mut self, flops: f64) {
+        self.tl.add_flops(flops);
+    }
+
+    /// [`Timeline::observe_resident_bytes`].
+    #[inline]
+    pub fn observe_resident_bytes(&mut self, bytes: u64) {
+        self.tl.observe_resident_bytes(bytes);
+    }
+}
+
+impl Drop for Lanes<'_> {
+    fn drop(&mut self) {
+        self.tl.sched = std::mem::take(&mut self.sched);
     }
 }
 
@@ -437,8 +577,9 @@ mod tests {
         }
     }
 
-    fn engine_of(code: u32) -> Engine {
-        let g = (code / 6 % 3) as usize;
+    /// Engine `code` on a fleet of `num_gpus` devices.
+    fn engine_of(code: u32, num_gpus: usize) -> Engine {
+        let g = (code / 6) as usize % num_gpus;
         match code % 6 {
             0 => Engine::Host,
             1 => Engine::GpuCompute(g),
@@ -452,39 +593,81 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
+        /// One sequence three ways: `Timeline::schedule`, the ordered-map
+        /// model, and lanes taken a tile at a time (tiles of any length,
+        /// the last one cut mid-sequence), with engine reads and retry
+        /// backoffs between tasks and the trace on (its cap hit anywhere,
+        /// mid-tile included) or off.
         #[test]
         fn slot_tables_match_the_ordered_map_model(
             tasks in proptest::collection::vec(
                 (any::<u32>(), any::<u32>(), 0.0f64..3.0, 0.0f64..2.0, any::<u32>()),
                 0..200,
             ),
+            num_gpus in 1usize..4,
+            tile in 1usize..48,
+            trace in 0usize..600,
         ) {
-            let num_gpus = 3;
-            let (mut tl, mut model) = (Timeline::new(), MapTimeline::default());
-            let mut last_end = 0.0;
-            for &(e, k, ready, d, bytes) in &tasks {
-                let engine = engine_of(e);
-                let kind = TaskKind::ALL[k as usize % TaskKind::ALL.len()];
-                // Half the tasks chain on the previous one, like the
-                // pipeline's dependent copies and kernels.
-                let ready = if e & 64 == 0 { ready } else { last_end };
-                let got = tl.schedule(engine, ready, d, kind, u64::from(bytes));
-                let want = model.schedule(engine, ready, d, kind, u64::from(bytes));
-                prop_assert_eq!(got.start.to_bits(), want.start.to_bits());
-                prop_assert_eq!(got.end.to_bits(), want.end.to_bits());
-                last_end = got.end;
+            // Trace off above 400, else capped at `trace` events.
+            let new = || if trace < 400 { Timeline::with_trace(trace) } else { Timeline::new() };
+            let (mut tl, mut model, mut laned) = (new(), MapTimeline::default(), new());
+            let (mut last_end, mut scheduled) = (0.0, 0usize);
+            for tile in tasks.chunks(tile) {
+                let mut lanes = laned.lanes();
+                for &(e, k, ready, d, bytes) in tile {
+                    let engine = engine_of(e, num_gpus);
+                    let kind = TaskKind::ALL[k as usize % TaskKind::ALL.len()];
+                    prop_assert_eq!(
+                        lanes.engine_available(engine).to_bits(),
+                        tl.engine_available(engine).to_bits()
+                    );
+                    // Half the tasks chain on the previous one, like the
+                    // pipeline's dependent copies and kernels.
+                    let ready = if e & 64 == 0 { ready } else { last_end };
+                    let got = tl.schedule(engine, ready, d, kind, u64::from(bytes));
+                    let want = model.schedule(engine, ready, d, kind, u64::from(bytes));
+                    let laned_span = lanes.schedule(engine, ready, d, kind, u64::from(bytes));
+                    prop_assert_eq!(got.start.to_bits(), want.start.to_bits());
+                    prop_assert_eq!(got.end.to_bits(), want.end.to_bits());
+                    prop_assert_eq!(laned_span.start.to_bits(), got.start.to_bits());
+                    prop_assert_eq!(laned_span.end.to_bits(), got.end.to_bits());
+                    last_end = got.end;
+                    scheduled += 1;
+                    if bytes % 4 == 0 {
+                        // A failed transfer's retry wait on the same engine.
+                        let b = d / 3.0;
+                        let got = tl.schedule(engine, last_end, b, TaskKind::Backoff, 0);
+                        model.schedule(engine, last_end, b, TaskKind::Backoff, 0);
+                        let laned_span = lanes.schedule(engine, last_end, b, TaskKind::Backoff, 0);
+                        prop_assert_eq!(laned_span.end.to_bits(), got.end.to_bits());
+                        last_end = got.end;
+                        scheduled += 1;
+                    }
+                }
             }
             prop_assert_eq!(tl.makespan().to_bits(), model.makespan.to_bits());
+            prop_assert_eq!(laned.makespan().to_bits(), tl.makespan().to_bits());
             for code in 0..18 {
-                let e = engine_of(code);
+                let e = engine_of(code, num_gpus);
                 prop_assert_eq!(tl.engine_busy(e).to_bits(), model.busy(e).to_bits());
                 let avail = model.engines.get(&e).map_or(0.0, |s| s.0);
                 prop_assert_eq!(tl.engine_available(e).to_bits(), avail.to_bits());
+                prop_assert_eq!(laned.engine_busy(e).to_bits(), tl.engine_busy(e).to_bits());
+                prop_assert_eq!(laned.engine_available(e).to_bits(), avail.to_bits());
             }
             for k in TaskKind::ALL {
                 prop_assert_eq!(tl.kind_busy(k).to_bits(), model.kind_busy(k).to_bits());
                 prop_assert_eq!(tl.kind_bytes(k), model.kind_bytes(k));
+                prop_assert_eq!(laned.kind_busy(k).to_bits(), tl.kind_busy(k).to_bits());
+                prop_assert_eq!(laned.kind_bytes(k), tl.kind_bytes(k));
             }
+            let traced = if trace < 400 { trace.min(scheduled) } else { 0 };
+            prop_assert_eq!(laned.trace().len(), traced);
+            prop_assert_eq!(format!("{:?}", laned.trace()), format!("{:?}", tl.trace()));
+            prop_assert_eq!(
+                ExecutionReport::from_timeline(&laned, num_gpus).to_json_string(),
+                ExecutionReport::from_timeline(&tl, num_gpus).to_json_string()
+            );
             // The report, field by field from the model, then as JSON.
             let got = ExecutionReport::from_timeline(&tl, num_gpus);
             let want = ExecutionReport {

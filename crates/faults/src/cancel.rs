@@ -2,9 +2,11 @@
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle shared between a
 //! caller (or a serving layer's reaper) and the pipeline. The pipeline
-//! polls it at every gate boundary — the only point where stopping is
-//! clean: no chunk is mid-transfer, the functional state is consistent,
-//! and partial stage timings can still be flushed. Tripping is
+//! polls it at every gate boundary, and inside a streaming gate between
+//! its functional and timeline phases and between tiles of tasks — the
+//! points where stopping is clean: no chunk is mid-transfer, the
+//! functional state (about to be dropped) is consistent, and partial
+//! stage timings can still be flushed. Tripping is
 //! one-shot: the *first* reason wins, so a deadline that fires while a
 //! user cancellation is in flight reports exactly one terminal cause.
 //!
@@ -105,7 +107,8 @@ impl CancelToken {
         self.reason().is_some()
     }
 
-    /// The pipeline's gate-boundary poll: returns the error to abort
+    /// The pipeline's poll inside op `op` (at its boundary, or between
+    /// a streaming gate's phases and tiles): returns the error to abort
     /// with, or `None` to keep running. A token armed via
     /// [`CancelToken::cancelled_at`] trips itself here once `op`
     /// reaches its threshold.

@@ -35,6 +35,11 @@ pub struct Tasks {
 }
 
 impl Tasks {
+    /// The one task represented by `rep`.
+    pub fn one(rep: usize) -> Self {
+        Tasks::over(rep, 0)
+    }
+
     fn over(fixed: usize, free: usize) -> Self {
         Tasks {
             fixed,

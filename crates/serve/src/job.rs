@@ -354,7 +354,8 @@ impl JobHandle {
     }
 
     /// Requests cancellation: trips the in-flight attempt's token (the
-    /// engine stops at its next gate boundary) and marks the request
+    /// engine stops at its next poll: a gate boundary, or a tile of a
+    /// gate's tasks) and marks the request
     /// sticky so a pending retry cannot resurrect the job. Queued jobs
     /// are discarded by the scheduler when they surface.
     pub fn cancel(&self) {

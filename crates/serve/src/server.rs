@@ -15,7 +15,7 @@
 //! * **reaper** — ticks every `reaper_interval`, trips the token of any
 //!   job whose wall-clock deadline passed (queued jobs are discarded by
 //!   the scheduler when they surface; running jobs abort at the next
-//!   gate boundary).
+//!   gate boundary or tile of tasks).
 //!
 //! The server tracks a job only until its terminal transition (the
 //! caller's [`JobHandle`] keeps the record and result alive after that),

@@ -172,11 +172,11 @@ fn expired_deadline_is_a_terminal_state_not_a_hang() {
     assert_eq!(dead.wait_timeout(WAIT), Some(JobStatus::DeadlineExceeded));
     assert_eq!(dead.attempts(), 0);
 
-    // Deadline shorter than the run: the reaper trips the token and the
-    // engine aborts at a gate boundary mid-run.
+    // Deadline shorter than the run (≈ 0.2 s optimized): the reaper
+    // trips the token and the engine aborts mid-run.
     let tight = server
         .submit(
-            JobSpec::new(Benchmark::Qft.generate(14), cfg(14))
+            JobSpec::new(Benchmark::Qft.generate(18), cfg(18))
                 .with_deadline(Duration::from_millis(10)),
         )
         .expect("admitted");

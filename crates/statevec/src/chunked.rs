@@ -32,8 +32,9 @@ use qgpu_math::Complex64;
 use crate::executor::ChunkExecutor;
 use crate::state::StateVector;
 
-/// A chunk borrowed out of a [`ChunkedState`] so an executor worker can
-/// own it (see [`ChunkedState::carve`]).
+/// A run of consecutive chunks borrowed out of a [`ChunkedState`] so an
+/// executor worker can own it (see [`ChunkedState::carve`]): `chunk` is
+/// its first chunk.
 pub(crate) struct Member<'a> {
     pub(crate) chunk: usize,
     pub(crate) amps: &'a mut [Complex64],
@@ -210,7 +211,12 @@ impl ChunkedState {
 
     /// The arena range of chunk `i`.
     fn range(&self, i: usize) -> Range<usize> {
-        i << self.chunk_bits..(i + 1) << self.chunk_bits
+        self.span(&(i..i + 1))
+    }
+
+    /// The arena range of the consecutive chunks `run`.
+    fn span(&self, run: &Range<usize>) -> Range<usize> {
+        run.start << self.chunk_bits..run.end << self.chunk_bits
     }
 
     /// The chunk's amplitudes, or `None` if it is (guaranteed) all-zero.
@@ -231,7 +237,8 @@ impl ChunkedState {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn is_zero_chunk(&self, i: usize) -> bool {
-        self.chunk(i).is_none()
+        assert!(i < self.num_chunks(), "chunk {i} out of range");
+        !self.is_live(i)
     }
 
     #[inline]
@@ -289,6 +296,13 @@ impl ChunkedState {
         live.then_some(&mut self.amps[r])
     }
 
+    /// The amplitudes of the consecutive chunks `run`, one slice, live or
+    /// not.
+    pub(crate) fn run_mut(&mut self, run: &Range<usize>) -> &mut [Complex64] {
+        let r = self.span(run);
+        &mut self.amps[r]
+    }
+
     /// Moves live chunk `from` onto chunk `to`: `to` is live with `from`'s
     /// amplitudes, `from` is all-zero and not.
     pub(crate) fn move_chunk(&mut self, from: usize, to: usize) {
@@ -299,48 +313,55 @@ impl ChunkedState {
         self.set_live(from, false);
     }
 
-    /// The (distinct) chunks' amplitudes, live or not: writing a non-live
-    /// one is speculative until [`ChunkedState::settle`] rules on it.
-    pub(crate) fn chunks_mut<const N: usize>(
+    /// The (disjoint) runs' amplitudes, live or not: writing a non-live
+    /// chunk is speculative until [`ChunkedState::settle`] rules on it.
+    pub(crate) fn runs_mut<const N: usize>(
         &mut self,
-        chunks: [usize; N],
+        runs: [Range<usize>; N],
     ) -> [&mut [Complex64]; N] {
-        let ranges = chunks.map(|c| self.range(c));
-        self.amps.get_disjoint_mut(ranges).expect("distinct chunks")
+        let spans = runs.map(|r| self.span(&r));
+        self.amps.get_disjoint_mut(spans).expect("disjoint runs")
     }
 
-    /// Borrows the listed chunks out of the arena all at once, in list
-    /// order, so that workers can own disjoint chunks with no `unsafe`:
-    /// one walk of the arena in chunk order, sorted back into list order
-    /// (O(listed) when the list ascends).
+    /// Borrows the listed runs of chunks out of the arena all at once, in
+    /// list order, so that workers can own disjoint amplitudes with no
+    /// `unsafe`: one walk of the arena in chunk order, sorted back into
+    /// list order (O(listed) when the list ascends).
     ///
     /// # Panics
     ///
-    /// Panics if a chunk is out of range or listed twice.
-    pub(crate) fn carve(&mut self, chunks: &[usize]) -> Vec<Member<'_>> {
-        let mut order: Vec<usize> = (0..chunks.len()).collect();
-        order.sort_unstable_by_key(|&p| chunks[p]);
+    /// Panics if a run is out of range or overlaps another.
+    pub(crate) fn carve(&mut self, runs: &[Range<usize>]) -> Vec<Member<'_>> {
+        let mut order: Vec<usize> = (0..runs.len()).collect();
+        order.sort_unstable_by_key(|&p| runs[p].start);
         let (bits, mut rest, mut rest_at) = (self.chunk_bits, &mut self.amps[..], 0);
         let carve_next = |p: usize| {
-            let skip = (chunks[p] << bits).checked_sub(rest_at);
+            let run = &runs[p];
+            let skip = (run.start << bits).checked_sub(rest_at);
             let skip = skip.expect("a chunk is carved once");
-            let (amps, tail) = std::mem::take(&mut rest)[skip..].split_at_mut(1 << bits);
-            (rest, rest_at) = (tail, rest_at + skip + amps.len());
-            let chunk = chunks[p];
-            (p, Member { chunk, amps })
+            let len = run.len() << bits;
+            let (amps, tail) = std::mem::take(&mut rest)[skip..].split_at_mut(len);
+            (rest, rest_at) = (tail, rest_at + skip + len);
+            (
+                p,
+                Member {
+                    chunk: run.start,
+                    amps,
+                },
+            )
         };
         let mut carved: Vec<(usize, Member<'_>)> = order.into_iter().map(carve_next).collect();
         carved.sort_unstable_by_key(|&(p, _)| p);
         carved.into_iter().map(|(_, m)| m).collect()
     }
 
-    /// Writes `+0.0` over the non-live ones among the listed chunks, ahead
-    /// of a group run that will read and then write them. A lazily zeroed
-    /// page whose first touch is a read is mapped twice — the shared zero
-    /// page, then its own — and the second mapping interrupts every other
-    /// running thread of the process to flush its TLB.
-    pub(crate) fn touch(&mut self, chunks: &[usize]) {
-        for &c in chunks {
+    /// Writes `+0.0` over the non-live chunks of `run`, ahead of a group
+    /// run that will read and then write them. A lazily zeroed page whose
+    /// first touch is a read is mapped twice — the shared zero page, then
+    /// its own — and the second mapping interrupts every other running
+    /// thread of the process to flush its TLB.
+    pub(crate) fn touch(&mut self, run: Range<usize>) {
+        for c in run {
             let r = self.range(c);
             if !self.is_live(c) {
                 self.amps[r].fill(Complex64::ZERO);
@@ -348,13 +369,13 @@ impl ChunkedState {
         }
     }
 
-    /// Rules on the listed chunks after a group run wrote through
-    /// [`ChunkedState::chunks_mut`] or [`ChunkedState::carve`]: a non-live
+    /// Rules on the chunks of `run` after a group run wrote through
+    /// [`ChunkedState::runs_mut`] or [`ChunkedState::carve`]: a non-live
     /// chunk the run left all zero stays non-live, matching the sparsity
     /// a per-gate update would have produced; one it wrote becomes live;
     /// one that was live stays live.
-    pub(crate) fn settle(&mut self, chunks: &[usize]) {
-        for &c in chunks {
+    pub(crate) fn settle(&mut self, run: Range<usize>) {
+        for c in run {
             let r = self.range(c);
             if !self.is_live(c) && !settle_zero(&mut self.amps[r]) {
                 self.set_live(c, true);
@@ -437,8 +458,7 @@ impl ChunkedState {
             .filter(|&q| (q as u32) >= self.chunk_bits)
             .collect();
         if high_mixing.is_empty() {
-            let chunks: Vec<usize> = (0..self.num_chunks()).collect();
-            return ex.apply_local_run(self, actions, &chunks);
+            return ex.apply_local_run(self, actions, 0..self.num_chunks());
         }
         // Canonical groups start at chunks whose high-mixing index bits
         // are all zero.
@@ -446,12 +466,8 @@ impl ChunkedState {
             .iter()
             .map(|&q| 1usize << (q as u32 - self.chunk_bits))
             .sum();
-        let groups: Vec<Vec<usize>> = (0..self.num_chunks())
-            .filter(|chunk| chunk & group_mask == 0)
-            .map(|chunk| self.chunk_group(chunk, &high_mixing))
-            .collect();
-        let groups: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-        ex.apply_group_runs(self, actions, &groups, &high_mixing);
+        let reps = (0..self.num_chunks()).filter(|chunk| chunk & group_mask == 0);
+        ex.apply_group_runs(self, actions, reps, &high_mixing);
     }
 
     /// Applies one operation (convenience wrapper over

@@ -287,24 +287,27 @@ impl ChunkExecutor {
     }
 
     /// Applies a fused run to the listed chunks (Case 1: every dense
-    /// mixing qubit below the chunk boundary), visiting each dense chunk
-    /// once and replaying the member actions inside the visit. Sparse
-    /// chunks are skipped — linear maps preserve all-zero blocks.
+    /// mixing qubit below the chunk boundary). Live chunks are visited in
+    /// *blocks* — consecutive listed live chunks as one arena slice: an
+    /// aligned power of two of them, at most 2^13 amplitudes (one chunk
+    /// when chunks are larger) and never across a high control bit —
+    /// each replaying the member actions while it is cache-resident;
+    /// non-live chunks are skipped, and never written: linear maps
+    /// preserve all-zero blocks.
     ///
-    /// Chunks are distributed over the workers; results are bitwise
-    /// identical at every thread count.
+    /// Blocks are distributed over the workers; results are bitwise
+    /// identical at every thread count, and to visiting chunk by chunk.
     ///
     /// # Panics
     ///
     /// Panics if an action has a mixing qubit at or above the boundary,
     /// or if a worker thread panics (see
     /// [`ChunkExecutor::try_apply_local_run`] for the non-panicking form).
-    pub fn apply_local_run(
-        &self,
-        state: &mut ChunkedState,
-        actions: &[GateAction],
-        chunks: &[usize],
-    ) {
+    pub fn apply_local_run<I>(&self, state: &mut ChunkedState, actions: &[GateAction], chunks: I)
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
         self.try_apply_local_run(state, actions, chunks)
             .expect("worker thread panicked");
     }
@@ -321,31 +324,57 @@ impl ChunkExecutor {
     ///
     /// Panics if an action has a mixing qubit at or above the boundary
     /// (a caller contract violation, not a runtime fault).
-    pub fn try_apply_local_run(
+    pub fn try_apply_local_run<I>(
         &self,
         state: &mut ChunkedState,
         actions: &[GateAction],
-        chunks: &[usize],
-    ) -> Result<u64, SimError> {
-        self.try_apply_local_run_polled(state, actions, chunks, &|| None)
+        chunks: I,
+    ) -> Result<u64, SimError>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
+        let cap = block_cap(
+            state.chunk_bits(),
+            high_controls(actions, state.chunk_bits()),
+        );
+        self.local_blocks(state, actions, chunks.into_iter(), cap, || None)
     }
 
     /// [`ChunkExecutor::try_apply_local_run`] for long runs that must stay
-    /// interruptible: `poll` is asked before every chunk visit, and its
-    /// first `Some(err)` ends the run with that error — chunks visited so
-    /// far hold the whole run, the rest none of it, so the state is only
-    /// fit to be dropped. `poll` must keep answering `Some` once it has
-    /// (a tripped [`qgpu_faults::CancelToken`] does).
+    /// interruptible: the chunks are visited one at a time and `poll` is
+    /// asked before every visit; its first `Some(err)` ends the run with
+    /// that error — chunks visited so far hold the whole run, the rest
+    /// none of it, so the state is only fit to be dropped. `poll` must
+    /// keep answering `Some` once it has (a tripped
+    /// [`qgpu_faults::CancelToken`] does).
     ///
     /// # Panics
     ///
     /// Panics like [`ChunkExecutor::try_apply_local_run`].
-    pub fn try_apply_local_run_polled(
+    pub fn try_apply_local_run_polled<I>(
         &self,
         state: &mut ChunkedState,
         actions: &[GateAction],
-        chunks: &[usize],
+        chunks: I,
         poll: &(dyn Fn() -> Option<SimError> + Sync),
+    ) -> Result<u64, SimError>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
+        self.local_blocks(state, actions, chunks.into_iter(), 1, poll)
+    }
+
+    /// The local-run dispatch: blocks of at most `cap` chunks, `poll`
+    /// asked before each.
+    fn local_blocks(
+        &self,
+        state: &mut ChunkedState,
+        actions: &[GateAction],
+        chunks: impl Iterator<Item = usize> + Clone,
+        cap: usize,
+        poll: impl Fn() -> Option<SimError> + Sync,
     ) -> Result<u64, SimError> {
         let chunk_bits = state.chunk_bits();
         for a in actions {
@@ -354,38 +383,34 @@ impl ChunkExecutor {
                 "apply_local_run called with a high mixing qubit"
             );
         }
-        let visit = |chunk: usize, amps: &mut [Complex64]| {
-            for a in actions {
-                kernels::apply_action(amps, chunk << chunk_bits, a);
-            }
-        };
+        let live = |state: &ChunkedState, c: usize| !state.is_zero_chunk(c);
         let dense = match self.threads {
             1 => 0,
-            _ => chunks.iter().filter(|&&c| !state.is_zero_chunk(c)).count(),
+            _ => chunks.clone().filter(|&c| live(state, c)).count(),
+        };
+        let visit = |first: usize, amps: &mut [Complex64]| {
+            for a in actions {
+                kernels::apply_action(amps, first << chunk_bits, a);
+            }
         };
         if dense <= 1 || dense << chunk_bits < MIN_PARALLEL {
-            for &c in chunks {
+            let mut blocks = Blocks::new(chunks, cap, usize::MAX);
+            while let Some((block, _)) = blocks.next(|c| live(state, c)) {
                 if let Some(err) = poll() {
                     return Err(err);
                 }
-                if let Some(amps) = state.chunk_mut(c) {
-                    visit(c, amps);
-                }
+                visit(block.start, state.run_mut(&block));
             }
             return Ok(0);
         }
-        // Workers own their chunks for the dispatch: borrow the live ones
-        // out of the arena.
-        let live: Vec<usize> = chunks
-            .iter()
-            .copied()
-            .filter(|&c| !state.is_zero_chunk(c))
-            .collect();
-        let mut work = state.carve(&live);
-        let per = work.len().div_ceil(self.threads);
+        let per = dense.div_ceil(self.threads);
+        let (blocks, ends) = Blocks::new(chunks, cap, per).collect(|c| live(state, c));
+        // Workers own their blocks for the dispatch: borrow them out of
+        // the arena.
+        let mut work = state.carve(&blocks);
         let restarts = self.run_dispatch(
-            &mut work,
-            per,
+            &mut pieces(&mut work, &ends),
+            chunk_bits,
             "apply_local_run",
             "worker.local",
             &|piece| {
@@ -404,9 +429,15 @@ impl ChunkExecutor {
     }
 
     /// Applies a fused run to chunk groups (Case 2: a mixing qubit at or
-    /// above the boundary). Every member action is applied straight to the
-    /// group's member chunks: a high mixing qubit selects *which* members
-    /// a kernel pairs up, so nothing is gathered or scattered.
+    /// above the boundary). `reps` lists the groups by *representative*
+    /// — a chunk index with every high-mixing bit clear; the group of
+    /// `rep` is [`ChunkedState::chunk_group`]`(rep, high_mixing)`. Every
+    /// member action is applied straight to the group's member chunks: a
+    /// high mixing qubit selects *which* members a kernel pairs up, so
+    /// nothing is gathered or scattered. Groups of consecutive listed
+    /// representatives go as one block (sized as for
+    /// [`ChunkExecutor::apply_local_run`], never across a high-mixing
+    /// bit): member `j` of each is one arena slice.
     ///
     /// Groups are distributed over the workers; results are bitwise
     /// identical at every thread count. Sparse members that remain
@@ -414,20 +445,23 @@ impl ChunkExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if a group's size is not `2^high_mixing.len()`, if a dense
+    /// Panics if a representative has a high-mixing bit set, if a dense
     /// member mixes a high qubit not listed in `high_mixing`, if a dense
     /// member spanning chunks has more than two mixing qubits (or two
     /// and a local control — no gate does), or if a worker thread panics
     /// (see [`ChunkExecutor::try_apply_group_runs`] for the
     /// non-panicking form).
-    pub fn apply_group_runs(
+    pub fn apply_group_runs<I>(
         &self,
         state: &mut ChunkedState,
         actions: &[GateAction],
-        groups: &[&[usize]],
+        reps: I,
         high_mixing: &[usize],
-    ) {
-        self.try_apply_group_runs(state, actions, groups, high_mixing)
+    ) where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
+        self.try_apply_group_runs(state, actions, reps, high_mixing)
             .expect("worker thread panicked");
     }
 
@@ -441,54 +475,79 @@ impl ChunkExecutor {
     ///
     /// Panics on the caller contract violations listed for
     /// [`ChunkExecutor::apply_group_runs`] (not runtime faults).
-    pub fn try_apply_group_runs(
+    pub fn try_apply_group_runs<I>(
         &self,
         state: &mut ChunkedState,
         actions: &[GateAction],
-        groups: &[&[usize]],
+        reps: I,
         high_mixing: &[usize],
-    ) -> Result<u64, SimError> {
+    ) -> Result<u64, SimError>
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
+        let reps = reps.into_iter();
         let chunk_bits = state.chunk_bits();
-        let group_len = 1usize << high_mixing.len();
-        for group in groups {
-            assert_eq!(group.len(), group_len, "group size must be 2^high_mixing");
-        }
+        // Member offsets by high-mixing bit pattern (pattern bit `b` ↔
+        // `high_mixing[b]`); the last one is every high-mixing bit.
+        let offsets: Vec<usize> = (0..1usize << high_mixing.len())
+            .map(|pattern| {
+                let bits = high_mixing.iter().enumerate();
+                bits.filter(|&(b, _)| pattern >> b & 1 == 1)
+                    .map(|(_, &q)| 1usize << (q as u32 - chunk_bits))
+                    .sum()
+            })
+            .collect();
+        let (group_len, group_mask) = (offsets.len(), offsets[offsets.len() - 1]);
         // A group with no live member stays all zero: skip it. The rest
         // run with their non-live members as they are — all `+0.0` — and
         // `settle` re-zeroes those the run left zero.
-        let survives =
-            |state: &ChunkedState, group: &[usize]| group.iter().any(|&m| !state.is_zero_chunk(m));
+        let survives = |state: &ChunkedState, rep: usize| {
+            offsets.iter().any(|&o| !state.is_zero_chunk(rep | o))
+        };
         let num_groups = match self.threads {
             1 => 0,
-            _ => groups.iter().filter(|g| survives(state, g)).count(),
+            _ => reps.clone().filter(|&r| survives(state, r)).count(),
         };
         // A seeded worker-death campaign counts dispatches, so it keeps
         // every one; otherwise small work stays on this thread.
         let small = self.faults.is_none() && (num_groups * group_len) << chunk_bits < MIN_PARALLEL;
+        let cap = block_cap(chunk_bits, high_controls(actions, chunk_bits) | group_mask);
+        // A block never spans a high-mixing bit, so its first
+        // representative speaks for all of them.
+        let members = |b: &Range<usize>| {
+            assert_eq!(
+                b.start & group_mask,
+                0,
+                "representative {} has a high-mixing bit set",
+                b.start
+            );
+            let (first, end) = (b.start, b.end);
+            offsets.iter().map(move |&o| first + o..end + o)
+        };
         if num_groups <= 1 || small {
-            for &group in groups {
-                if !survives(state, group) {
-                    continue;
-                }
-                state.touch(group);
+            let mut blocks = Blocks::new(reps, cap, usize::MAX);
+            while let Some((block, _)) = blocks.next(|r| survives(state, r)) {
+                members(&block).for_each(|m| state.touch(m));
                 for a in actions {
-                    apply_to_group(&mut InArena(state, group), chunk_bits, high_mixing, a);
+                    let mut group = InArena(state, &block, &offsets);
+                    apply_to_group(&mut group, chunk_bits, high_mixing, a);
                 }
-                state.settle(group);
+                members(&block).for_each(|m| state.settle(m));
             }
             return Ok(0);
         }
-        let members: Vec<usize> = groups
-            .iter()
-            .filter(|g| survives(state, g))
-            .flat_map(|g| g.iter().copied())
-            .collect();
-        state.touch(&members);
-        let mut work = state.carve(&members);
-        let per = num_groups.div_ceil(self.threads) * group_len;
+        let per = num_groups.div_ceil(self.threads);
+        let (blocks, ends) = Blocks::new(reps, cap, per).collect(|r| survives(state, r));
+        let runs: Vec<Range<usize>> = blocks.iter().flat_map(members).collect();
+        for run in &runs {
+            state.touch(run.clone());
+        }
+        let mut work = state.carve(&runs);
+        let ends: Vec<usize> = ends.iter().map(|&e| e * group_len).collect();
         let restarts = self.run_dispatch(
-            &mut work,
-            per,
+            &mut pieces(&mut work, &ends),
+            chunk_bits,
             "apply_group_runs",
             "worker.group",
             &|piece| {
@@ -500,44 +559,45 @@ impl ChunkExecutor {
             },
         );
         drop(work);
-        state.settle(&members);
+        for run in runs {
+            state.settle(run);
+        }
         restarts
     }
 
-    /// Shared parallel dispatch with fault awareness: splits `work` into
-    /// `per`-sized pieces, one worker each. An injected worker death (a
-    /// pure decision of the injector keyed on the dispatch counter and
-    /// worker index) makes that worker exit *before touching its piece*;
-    /// after the scope joins, any piece not flagged done is re-executed
-    /// serially — identical result, since the dead worker mutated
-    /// nothing. A genuine worker panic cannot guarantee that, so it maps
-    /// to [`SimError::WorkerLost`] and is not retried. Returns the
-    /// number of recovered workers.
-    fn run_dispatch<T: Send>(
+    /// Shared parallel dispatch with fault awareness: one worker per
+    /// piece. An injected worker death (a pure decision of the injector
+    /// keyed on the dispatch counter and worker index) makes that worker
+    /// exit *before touching its piece*; after the scope joins, any piece
+    /// not flagged done is re-executed serially — identical result, since
+    /// the dead worker mutated nothing. A genuine worker panic cannot
+    /// guarantee that, so it maps to [`SimError::WorkerLost`] and is not
+    /// retried. Returns the number of recovered workers.
+    fn run_dispatch<'m>(
         &self,
-        work: &mut [T],
-        per: usize,
+        pieces: &mut [&mut [Member<'m>]],
+        chunk_bits: u32,
         dispatch_name: &'static str,
         span_name: &'static str,
-        run_piece: &(dyn Fn(&mut [T]) + Sync),
+        run_piece: &(dyn Fn(&mut [Member<'m>]) + Sync),
     ) -> Result<u64, SimError> {
         let rec = self.recorder.as_deref();
         let dispatch = self.dispatches.fetch_add(1, Ordering::Relaxed);
-        let n_pieces = work.len().div_ceil(per);
-        let killed: Vec<bool> = (0..n_pieces)
+        let killed: Vec<bool> = (0..pieces.len())
             .map(|t| {
                 self.faults
                     .as_deref()
                     .is_some_and(|f| f.fires_attempt(FaultSite::WorkerDeath, dispatch, t as u32))
             })
             .collect();
-        let done: Vec<AtomicBool> = (0..n_pieces).map(|_| AtomicBool::new(false)).collect();
+        let done: Vec<AtomicBool> = (0..pieces.len()).map(|_| AtomicBool::new(false)).collect();
         let killed = &killed;
         let done = &done;
         crossbeam::scope(|scope| {
-            for (t, piece) in work.chunks_mut(per).enumerate() {
+            for (t, piece) in pieces.iter_mut().enumerate() {
                 if let Some(r) = rec {
-                    r.observe("worker.queue", piece.len() as u64);
+                    let chunks: usize = piece.iter().map(|m| m.amps.len() >> chunk_bits).sum();
+                    r.observe("worker.queue", chunks as u64);
                 }
                 scope.spawn(move |_| {
                     if killed[t] {
@@ -553,7 +613,7 @@ impl ChunkExecutor {
             dispatch: dispatch_name,
         })?;
         let mut restarts = 0u64;
-        for (t, piece) in work.chunks_mut(per).enumerate() {
+        for (t, piece) in pieces.iter_mut().enumerate() {
             if !done[t].load(Ordering::Acquire) {
                 run_piece(piece);
                 restarts += 1;
@@ -615,27 +675,150 @@ impl ChunkExecutor {
     }
 }
 
-/// A chunk group's members during a run, by member index: member `j`
-/// is the one whose high-mixing bit pattern is `j` (rank `r` of
-/// `high_mixing` ↔ bit `r`).
-trait Group {
-    /// The chunk index and the amplitudes of the (distinct) members `js`.
-    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N];
-}
-
-/// A group addressed straight in the state's arena — the serial path,
-/// which borrows nothing for longer than a kernel call.
-struct InArena<'a>(&'a mut ChunkedState, &'a [usize]);
-
-impl Group for InArena<'_> {
-    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N] {
-        let chunks = js.map(|j| self.1[j]);
-        let mut amps = self.0.chunks_mut(chunks).into_iter();
-        chunks.map(|c| (c, amps.next().expect("one slice per chunk")))
+/// The most chunks one block holds, a power of two: 2^13 amplitudes —
+/// the block stays in L2 while a fused run makes its passes over it (one
+/// chunk when chunks are larger) — and never so many that a bit of
+/// `fixed` varies inside an aligned block. `fixed` holds the chunk-index
+/// bits every chunk of a block must agree on: the high controls (a
+/// kernel reads them off the block's base) and, for groups, the
+/// high-mixing bits.
+fn block_cap(chunk_bits: u32, fixed: usize) -> usize {
+    let cache = 1usize << FLAT_BLOCK_BITS.saturating_sub(chunk_bits);
+    match fixed {
+        0 => cache,
+        f => cache.min(f & f.wrapping_neg()),
     }
 }
 
-/// A group carved out of the arena for a worker.
+/// The chunk-index bits of the controls of `actions` at or above the
+/// boundary.
+fn high_controls(actions: &[GateAction], chunk_bits: u32) -> usize {
+    let controls = actions.iter().flat_map(GateAction::control_qubits);
+    controls
+        .filter(|&&c| c as u32 >= chunk_bits)
+        .fold(0, |mask, &c| mask | 1 << (c as u32 - chunk_bits))
+}
+
+/// A walk over listed chunk indices a block at a time: the consecutive
+/// listed chunks that `keep` admits, cut into aligned runs of a power of
+/// two chunks, at most `cap` (a power of two). Admitted chunks are also
+/// dealt into pieces of `per` (the last may be short) that no block
+/// straddles.
+struct Blocks<I> {
+    chunks: I,
+    /// Admitted chunks not handed out yet.
+    run: Range<usize>,
+    /// A listed chunk read past the end of `run`.
+    ahead: Option<usize>,
+    cap: usize,
+    per: usize,
+    /// Admitted chunks in the current piece.
+    dealt: usize,
+}
+
+impl<I: Iterator<Item = usize>> Blocks<I> {
+    fn new(chunks: I, cap: usize, per: usize) -> Self {
+        Blocks {
+            chunks,
+            run: 0..0,
+            ahead: None,
+            cap,
+            per,
+            dealt: 0,
+        }
+    }
+
+    /// The next block, and whether it ends a piece.
+    #[inline]
+    fn next(&mut self, keep: impl Fn(usize) -> bool) -> Option<(Range<usize>, bool)> {
+        if self.run.is_empty() {
+            let start = loop {
+                let c = self.ahead.take().or_else(|| self.chunks.next())?;
+                if keep(c) {
+                    break c;
+                }
+            };
+            let mut end = start + 1;
+            while end - start < self.per - self.dealt {
+                match self.chunks.next() {
+                    Some(c) if c == end && keep(c) => end += 1,
+                    other => {
+                        self.ahead = other;
+                        break;
+                    }
+                }
+            }
+            self.dealt += end - start;
+            self.run = start..end;
+        }
+        let c = self.run.start;
+        let fit = 1usize << (usize::BITS - 1 - self.run.len().leading_zeros());
+        let align = match c {
+            0 => usize::MAX,
+            c => c & c.wrapping_neg(),
+        };
+        self.run.start += fit.min(self.cap).min(align);
+        let ends_piece = self.run.is_empty() && self.dealt == self.per;
+        if ends_piece {
+            self.dealt = 0;
+        }
+        Some((c..self.run.start, ends_piece))
+    }
+
+    /// Every block, and per piece the index one past its last block.
+    fn collect(mut self, keep: impl Fn(usize) -> bool) -> (Vec<Range<usize>>, Vec<usize>) {
+        let (mut blocks, mut ends) = (Vec::new(), Vec::new());
+        while let Some((block, ends_piece)) = self.next(&keep) {
+            blocks.push(block);
+            if ends_piece {
+                ends.push(blocks.len());
+            }
+        }
+        if ends.last() != Some(&blocks.len()) {
+            ends.push(blocks.len());
+        }
+        (blocks, ends)
+    }
+}
+
+/// `work` cut into consecutive pieces, each ending where `ends` says.
+fn pieces<'w, T>(mut work: &'w mut [T], ends: &[usize]) -> Vec<&'w mut [T]> {
+    let mut at = 0;
+    ends.iter()
+        .map(|&end| {
+            let (piece, rest) = std::mem::take(&mut work).split_at_mut(end - at);
+            (work, at) = (rest, end);
+            piece
+        })
+        .collect()
+}
+
+/// A block of consecutive chunk groups during a run, by member index:
+/// member `j` — one slice holding member `j` of every group of the block
+/// — is the one whose high-mixing bit pattern is `j` (rank `r` of
+/// `high_mixing` ↔ bit `r`).
+trait Group {
+    /// The first chunk index and the amplitudes of the (distinct)
+    /// members `js`.
+    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N];
+}
+
+/// A block of groups addressed straight in the state's arena — the
+/// serial path, which borrows nothing for longer than a kernel call:
+/// the block's representatives and the member offsets.
+struct InArena<'a>(&'a mut ChunkedState, &'a Range<usize>, &'a [usize]);
+
+impl Group for InArena<'_> {
+    fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N] {
+        let InArena(state, block, offsets) = self;
+        let runs = js.map(|j| block.start + offsets[j]..block.end + offsets[j]);
+        let firsts = runs.clone().map(|r| r.start);
+        let mut amps = state.runs_mut(runs).into_iter();
+        firsts.map(|c| (c, amps.next().expect("one slice per member")))
+    }
+}
+
+/// A block of groups carved out of the arena for a worker.
 impl Group for [Member<'_>] {
     fn members<const N: usize>(&mut self, js: [usize; N]) -> [(usize, &mut [Complex64]); N] {
         let members = self.get_disjoint_mut(js).expect("distinct members");
@@ -643,10 +826,11 @@ impl Group for [Member<'_>] {
     }
 }
 
-/// Applies one member action of a run to a chunk group. Diagonals and
-/// chunk-local dense actions visit each member with its own global base;
-/// a dense action mixing a high qubit pairs up the members that qubit
-/// tells apart.
+/// Applies one member action of a run to a block of chunk groups.
+/// Diagonals and chunk-local dense actions visit each member with its own
+/// global base; a dense action mixing a high qubit pairs up the members
+/// that qubit tells apart. (A block never spans a high control bit, so
+/// its first chunk speaks for all of them.)
 fn apply_to_group<G: Group + ?Sized>(
     group: &mut G,
     chunk_bits: u32,
@@ -764,11 +948,11 @@ mod tests {
         let mut flat = StateVector::new_zero(n);
         flat.run(&c);
         let mut state = ChunkedState::from_flat(&flat, chunk_bits);
-        let chunks: Vec<usize> = (0..state.num_chunks()).collect();
+        let chunks = 0..state.num_chunks();
         let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
         ChunkExecutor::with_exact_threads(4)
             .with_recorder(Arc::clone(&rec))
-            .apply_local_run(&mut state, &run, &chunks);
+            .apply_local_run(&mut state, &run, chunks.clone());
         let spans = rec.spans();
         assert!(
             spans.iter().any(|s| matches!(s.track, Track::Worker(_))),
@@ -848,8 +1032,12 @@ mod tests {
         }
         for threads in [1usize, 2, 4] {
             let mut state = chunked.clone();
-            let chunks: Vec<usize> = (0..state.num_chunks()).collect();
-            ChunkExecutor::with_exact_threads(threads).apply_local_run(&mut state, &run, &chunks);
+            let chunks = 0..state.num_chunks();
+            ChunkExecutor::with_exact_threads(threads).apply_local_run(
+                &mut state,
+                &run,
+                chunks.clone(),
+            );
             assert!(bits_equal(&state.to_flat(), &flat), "threads = {threads}");
         }
     }
@@ -879,15 +1067,11 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let mut state = chunked.clone();
             let group_bit = 1usize << (target as u32 - chunk_bits);
-            let groups_owned: Vec<Vec<usize>> = (0..state.num_chunks())
-                .filter(|c| c & group_bit == 0)
-                .map(|c| state.chunk_group(c, &high_mixing))
-                .collect();
-            let groups: Vec<&[usize]> = groups_owned.iter().map(|g| g.as_slice()).collect();
+            let reps = (0..state.num_chunks()).filter(|c| c & group_bit == 0);
             ChunkExecutor::with_exact_threads(threads).apply_group_runs(
                 &mut state,
                 &run,
-                &groups,
+                reps.clone(),
                 &high_mixing,
             );
             assert!(bits_equal(&state.to_flat(), &flat), "threads = {threads}");
@@ -907,9 +1091,13 @@ mod tests {
         let mut state = ChunkedState::new_zero(n, chunk_bits);
         let top = n - 1;
         let run = actions_of(&[(Gate::X, vec![top]), (Gate::X, vec![top])]);
-        let groups_owned: Vec<Vec<usize>> = vec![state.chunk_group(0, &[top])];
-        let groups: Vec<&[usize]> = groups_owned.iter().map(|g| g.as_slice()).collect();
-        ChunkExecutor::with_exact_threads(2).apply_group_runs(&mut state, &run, &groups, &[top]);
+        let groups = 0..1;
+        ChunkExecutor::with_exact_threads(2).apply_group_runs(
+            &mut state,
+            &run,
+            groups.clone(),
+            &[top],
+        );
         assert_eq!(state.dense_chunk_count(), 1);
         assert!(
             state.is_zero_chunk(state.num_chunks() - 1),
@@ -923,7 +1111,12 @@ mod tests {
         // before the run and is not demoted.
         let mut state = ChunkedState::new_zero(n, chunk_bits);
         let run = actions_of(&[(Gate::X, vec![top])]);
-        ChunkExecutor::with_exact_threads(2).apply_group_runs(&mut state, &run, &groups, &[top]);
+        ChunkExecutor::with_exact_threads(2).apply_group_runs(
+            &mut state,
+            &run,
+            groups.clone(),
+            &[top],
+        );
         assert_eq!(state.dense_chunk_count(), 2);
         assert!(!state.is_zero_chunk(0));
         let flat = state.to_flat();
@@ -948,15 +1141,11 @@ mod tests {
         let mut state = ChunkedState::from_flat(&flat, chunk_bits);
         let high_mixing = [8usize];
         let group_bit = 1usize << (8 - chunk_bits);
-        let groups_owned: Vec<Vec<usize>> = (0..state.num_chunks())
-            .filter(|c| c & group_bit == 0)
-            .map(|c| state.chunk_group(c, &high_mixing))
-            .collect();
-        let groups: Vec<&[usize]> = groups_owned.iter().map(|g| g.as_slice()).collect();
+        let reps = (0..state.num_chunks()).filter(|c| c & group_bit == 0);
         ChunkExecutor::with_exact_threads(3).apply_group_runs(
             &mut state,
             &[action],
-            &groups,
+            reps.clone(),
             &high_mixing,
         );
         assert!(bits_equal(&state.to_flat(), &expected.to_flat()));
@@ -1074,10 +1263,10 @@ mod tests {
         let mut flat = StateVector::new_zero(n);
         flat.run(&c);
         let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2]), (Gate::X, vec![0])]);
-        let chunks: Vec<usize> = (0..1usize << (n as u32 - chunk_bits)).collect();
+        let chunks = 0..1usize << (n as u32 - chunk_bits);
 
         let mut healthy = ChunkedState::from_flat(&flat, chunk_bits);
-        ChunkExecutor::with_exact_threads(4).apply_local_run(&mut healthy, &run, &chunks);
+        ChunkExecutor::with_exact_threads(4).apply_local_run(&mut healthy, &run, chunks.clone());
 
         // Every worker of every dispatch dies; recovery re-runs all pieces
         // serially and the result must still be bit-identical.
@@ -1088,7 +1277,7 @@ mod tests {
         let mut faulty = ChunkedState::from_flat(&flat, chunk_bits);
         let restarts = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::new(injector))
-            .try_apply_local_run(&mut faulty, &run, &chunks)
+            .try_apply_local_run(&mut faulty, &run, chunks.clone())
             .expect("injected deaths are recoverable");
         assert!(restarts > 0, "all workers were killed, none restarted?");
         assert!(bits_equal(&healthy.to_flat(), &faulty.to_flat()));
@@ -1104,15 +1293,14 @@ mod tests {
         flat.run(&c);
         // One high mixing qubit: groups pair chunk k with chunk k + 8.
         let run = actions_of(&[(Gate::H, vec![(chunk_bits + 3) as usize])]);
-        let groups_owned: Vec<Vec<usize>> = (0..8).map(|k| vec![k, k + 8]).collect();
-        let groups: Vec<&[usize]> = groups_owned.iter().map(Vec::as_slice).collect();
+        let groups = 0..8;
         let high_mixing = vec![(chunk_bits + 3) as usize];
 
         let mut healthy = ChunkedState::from_flat(&flat, chunk_bits);
         ChunkExecutor::with_exact_threads(4).apply_group_runs(
             &mut healthy,
             &run,
-            &groups,
+            groups.clone(),
             &high_mixing,
         );
 
@@ -1123,7 +1311,7 @@ mod tests {
         let mut faulty = ChunkedState::from_flat(&flat, chunk_bits);
         let restarts = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::new(injector))
-            .try_apply_group_runs(&mut faulty, &run, &groups, &high_mixing)
+            .try_apply_group_runs(&mut faulty, &run, groups.clone(), &high_mixing)
             .expect("injected deaths are recoverable");
         assert!(restarts > 0);
         assert!(bits_equal(&healthy.to_flat(), &faulty.to_flat()));
@@ -1138,7 +1326,7 @@ mod tests {
         let mut flat = StateVector::new_zero(n);
         flat.run(&c);
         let run = actions_of(&[(Gate::H, vec![0]), (Gate::S, vec![3])]);
-        let chunks: Vec<usize> = (0..1usize << (n as u32 - chunk_bits)).collect();
+        let chunks = 0..1usize << (n as u32 - chunk_bits);
         let injector = Arc::new(FaultInjector::new(FaultConfig {
             seed: 7,
             p_worker_death: 0.5,
@@ -1148,12 +1336,12 @@ mod tests {
         let mut first = ChunkedState::from_flat(&flat, chunk_bits);
         let r1 = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::clone(&injector))
-            .try_apply_local_run(&mut first, &run, &chunks)
+            .try_apply_local_run(&mut first, &run, chunks.clone())
             .unwrap();
         let mut second = ChunkedState::from_flat(&flat, chunk_bits);
         let r2 = ChunkExecutor::with_exact_threads(4)
             .with_faults(injector)
-            .try_apply_local_run(&mut second, &run, &chunks)
+            .try_apply_local_run(&mut second, &run, chunks.clone())
             .unwrap();
         assert_eq!(r1, r2, "same seed, same dispatch → same deaths");
         assert!(bits_equal(&first.to_flat(), &second.to_flat()));
@@ -1168,9 +1356,9 @@ mod tests {
         flat.run(&Benchmark::Qft.generate(n));
         let before = ChunkedState::from_flat(&flat, chunk_bits);
         let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
-        let chunks: Vec<usize> = (0..before.num_chunks()).collect();
+        let chunks = 0..before.num_chunks();
         let mut done = before.clone();
-        ChunkExecutor::with_exact_threads(1).apply_local_run(&mut done, &run, &chunks);
+        ChunkExecutor::with_exact_threads(1).apply_local_run(&mut done, &run, chunks.clone());
 
         // Serial: the poll answers `Some` from its 6th call on, so exactly
         // five chunks carry the run and the rest are untouched.
@@ -1180,10 +1368,10 @@ mod tests {
         };
         let mut state = before.clone();
         let err = ChunkExecutor::with_exact_threads(1)
-            .try_apply_local_run_polled(&mut state, &run, &chunks, &poll)
+            .try_apply_local_run_polled(&mut state, &run, chunks.clone(), &poll)
             .expect_err("the poll ends the run");
         assert!(matches!(err, SimError::JobAborted { op: 7 }));
-        for &c in &chunks {
+        for c in 0..before.num_chunks() {
             let want = if c < 5 { &done } else { &before };
             assert_eq!(state.chunk(c), want.chunk(c), "chunk {c}");
         }
@@ -1192,7 +1380,7 @@ mod tests {
         // out for the dispatch is back in place.
         let mut state = before.clone();
         ChunkExecutor::with_exact_threads(4)
-            .try_apply_local_run_polled(&mut state, &run, &chunks, &|| {
+            .try_apply_local_run_polled(&mut state, &run, chunks.clone(), &|| {
                 Some(SimError::JobAborted { op: 7 })
             })
             .expect_err("the poll ends the run");
@@ -1208,13 +1396,16 @@ mod tests {
         let mut flat = StateVector::new_zero(n);
         flat.run(&Benchmark::Rqc.generate(n));
         let run = actions_of(&[(Gate::H, vec![7])]);
-        let groups_owned: Vec<Vec<usize>> = (0..16).map(|k| vec![k, k + 16]).collect();
-        let groups: Vec<&[usize]> = groups_owned.iter().map(Vec::as_slice).collect();
+        let groups = 0..16;
         let dispatches = |ex: ChunkExecutor| {
             let rec = Arc::new(Recorder::new());
             let mut state = ChunkedState::from_flat(&flat, chunk_bits);
-            ex.with_recorder(Arc::clone(&rec))
-                .apply_group_runs(&mut state, &run, &groups, &[7]);
+            ex.with_recorder(Arc::clone(&rec)).apply_group_runs(
+                &mut state,
+                &run,
+                groups.clone(),
+                &[7],
+            );
             let snap = rec.registry().snapshot();
             let queued = snap
                 .histograms_named("worker.queue")
@@ -1235,13 +1426,20 @@ mod tests {
     #[test]
     fn genuine_worker_panic_surfaces_as_worker_lost() {
         let ex = ChunkExecutor::with_exact_threads(2);
-        let mut work: Vec<usize> = (0..4).collect();
+        let mut state = ChunkedState::new_zero(3, 1);
+        let mut work = state.carve(&[0..1, 1..2, 2..3, 3..4]);
         let err = ex
-            .run_dispatch(&mut work, 2, "test_dispatch", "worker.test", &|piece| {
-                if piece[0] == 2 {
-                    panic!("injected genuine panic");
-                }
-            })
+            .run_dispatch(
+                &mut pieces(&mut work, &[2, 4]),
+                1,
+                "test_dispatch",
+                "worker.test",
+                &|piece| {
+                    if piece[0].chunk == 2 {
+                        panic!("injected genuine panic");
+                    }
+                },
+            )
             .expect_err("a real panic must not be swallowed");
         match err {
             SimError::WorkerLost { dispatch } => assert_eq!(dispatch, "test_dispatch"),

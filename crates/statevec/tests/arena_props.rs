@@ -3,9 +3,11 @@
 //! here, test-only, as the oracle: random gate runs (chunk-local and
 //! cross-chunk, on 1, 2 and 4 workers) interleaved with repartitions,
 //! collapses, resets and flat round trips must leave the same live set
-//! and the same bits in every amplitude. Inputs carry `-0.0`,
-//! subnormals, infinities and NaN: a chunk of `-0.0` is all-zero, and an
-//! all-zero chunk reads back as `+0.0`.
+//! and the same bits in every amplitude. The executor visits consecutive
+//! listed live chunks (or groups) as one slice, so the runs here span
+//! non-live gaps that must stay unwritten. Inputs carry `-0.0`, subnormals,
+//! infinities and NaN: a chunk of `-0.0` is all-zero, and an all-zero
+//! chunk reads back as `+0.0`.
 
 use proptest::prelude::*;
 use qgpu_circuit::access::GateAction;
@@ -222,7 +224,7 @@ fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
                 let chunks: Vec<usize> = (0..state.num_chunks())
                     .filter(|_| keep != 0 || rng.below(2) == 0)
                     .collect();
-                ex.apply_local_run(&mut state, &run, &chunks);
+                ex.apply_local_run(&mut state, &run, chunks.iter().copied());
                 let tasks: Vec<Vec<usize>> = chunks.iter().map(|&c| vec![c]).collect();
                 oracle.apply(&run, &tasks);
                 format!("local run {run:?} on {chunks:?}")
@@ -245,12 +247,12 @@ fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
                 run.truncate(1 + rng.below(run.len()));
                 let mask: usize = high.iter().map(|&q| 1usize << (q - cb)).sum();
                 let keep = rng.below(4);
-                let groups: Vec<Vec<usize>> = (0..state.num_chunks())
+                let reps: Vec<usize> = (0..state.num_chunks())
                     .filter(|c| c & mask == 0 && (keep != 0 || rng.below(2) == 0))
-                    .map(|c| state.chunk_group(c, &high))
                     .collect();
-                let lists: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
-                ex.apply_group_runs(&mut state, &run, &lists, &high);
+                let groups: Vec<Vec<usize>> =
+                    reps.iter().map(|&c| state.chunk_group(c, &high)).collect();
+                ex.apply_group_runs(&mut state, &run, reps.iter().copied(), &high);
                 oracle.apply(&run, &groups);
                 format!("group run {run:?} mixing {high:?} on {groups:?}")
             }
@@ -323,16 +325,11 @@ fn a_sparse_member_left_all_negative_zero_reads_back_positive() {
         // Chunks 0 and 1 live: two surviving groups, {0, 4} and {1, 5}.
         let mut state = ChunkedState::new_zero(n, bits);
         state.apply_operation(&Operation::new(Gate::X, vec![3]));
-        let groups = [
-            state.chunk_group(0, &[n - 1]),
-            state.chunk_group(1, &[n - 1]),
-        ];
-        let lists: Vec<&[usize]> = groups.iter().map(Vec::as_slice).collect();
         ChunkExecutor::with_exact_threads(threads)
             .with_faults(std::sync::Arc::new(FaultInjector::new(
                 FaultConfig::default(),
             )))
-            .apply_group_runs(&mut state, std::slice::from_ref(&minus), &lists, &[n - 1]);
+            .apply_group_runs(&mut state, std::slice::from_ref(&minus), 0..2, &[n - 1]);
         assert_eq!(state.dense_chunk_count(), 2);
         assert_eq!(state.as_flat()[1 << 3], -Complex64::ONE);
         for a in &state.as_flat()[2 << 3..] {

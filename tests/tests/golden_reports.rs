@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::PathBuf;
 
-use qgpu::{FaultConfig, NoiseConfig, SimConfig, Simulator, Version};
+use qgpu::{CodecKind, FaultConfig, NoiseConfig, SimConfig, Simulator, Version};
 use qgpu_circuit::generators::Benchmark;
 use qgpu_circuit::Circuit;
 use qgpu_device::timeline::TraceEvent;
@@ -251,6 +251,51 @@ fn scenarios() -> Vec<Scenario> {
             config,
         });
     }
+    // Gates with more live tasks than one tile (4096) of the streaming
+    // timeline phase — 57, 25 and 12 of them — so the column pass, the
+    // lanes' write-back and the cancel poll between tiles all run inside
+    // a gate (the 16-qubit runs get 2^14 chunks for that). Recorded with
+    // the engine of the commit before the columnar loop landed.
+    out.push(Scenario {
+        label: "qft18/qgpu".into(),
+        benchmark: Benchmark::Qft,
+        qubits: 18,
+        prep: None,
+        config: SimConfig::scaled_paper(18).with_version(Version::QGpu),
+    });
+    out.push(Scenario {
+        label: "rqc16/qgpu+noise+devices2+threads2".into(),
+        benchmark: Benchmark::Rqc,
+        qubits: 16,
+        prep: None,
+        config: SimConfig::new(Platform::scaled_paper_p100(16).with_devices(2))
+            .with_version(Version::QGpu)
+            .with_chunk_count_log2(14)
+            .with_threads(2)
+            .with_noise(NoiseConfig {
+                depolarizing: 0.01,
+                loss: 0.02,
+                ..NoiseConfig::default()
+            })
+            .with_stoch_seed(42)
+            .with_shots(512),
+    });
+    out.push(Scenario {
+        label: "iqp16/qgpu+cascade+faults9".into(),
+        benchmark: Benchmark::Iqp,
+        qubits: 16,
+        prep: None,
+        config: SimConfig::scaled_paper(16)
+            .with_version(Version::QGpu)
+            .with_chunk_count_log2(14)
+            .with_codec(CodecKind::Cascade)
+            .with_faults(FaultConfig {
+                seed: 9,
+                p_transfer_corrupt: 0.01,
+                p_codec_fail: 0.02,
+                ..FaultConfig::default()
+            }),
+    });
     out
 }
 
