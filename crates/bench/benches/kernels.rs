@@ -53,6 +53,35 @@ fn bench_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The same kernels on one 2^13-amplitude (128 KiB) chunk, the size a
+/// 21-qubit run at the default chunk count replays gates on. It stays in
+/// L2, so these measure the kernels' compute, where the 2^18 cases
+/// above (and the benchmark's 64 MiB `statevec.kernel_*_gbps`) measure
+/// memory.
+fn bench_cache_resident(c: &mut Criterion) {
+    const CHUNK: usize = 13;
+    let mut group = c.benchmark_group("kernels/chunk13");
+    group.throughput(Throughput::Bytes((1u64 << CHUNK) * 16));
+    let cases = [
+        // A periodic table: both qubits inside one 16-amplitude period.
+        ("cp_q2_q3", action(Gate::Cp(0.4), &[2, 3])),
+        // One factor per 32-amplitude segment.
+        ("cp_q5_q8", action(Gate::Cp(0.4), &[5, 8])),
+        // One factor per 2048-amplitude segment.
+        ("cp_q11_q12", action(Gate::Cp(0.4), &[11, 12])),
+        ("h_q0", action(Gate::H, &[0])),
+        // The two halves of the chunk trade amplitudes.
+        ("swap_q0_q12", action(Gate::Swap, &[0, CHUNK - 1])),
+    ];
+    for (name, act) in &cases {
+        group.bench_function(*name, |b| {
+            let mut amps = noise_amplitudes(1 << CHUNK, 42);
+            b.iter(|| kernels::apply_action(&mut amps, 0, act));
+        });
+    }
+    group.finish();
+}
+
 /// Whole-circuit execution: unfused gate-by-gate vs the fusion pass —
 /// exact replay, collapsed kernels, and collapsed + 4 worker threads — on
 /// the two most fusion-friendly paper benchmarks at 20 qubits. The
@@ -106,6 +135,6 @@ criterion_group!(
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2))
         .sample_size(20);
-    targets = bench_kernels, bench_fused
+    targets = bench_kernels, bench_cache_resident, bench_fused
 );
 criterion_main!(benches);

@@ -6,7 +6,6 @@
 //! sign/length prefix plus its non-zero low-order bytes.
 
 use std::fmt;
-use std::sync::OnceLock;
 
 use qgpu_math::Complex64;
 use serde::{Deserialize, Serialize};
@@ -418,21 +417,17 @@ fn segment_encoded_len_wide(values: &[f64]) -> usize {
 /// The wide instantiation, where this CPU can run it.
 fn wide_size_walk() -> Option<SizeWalk> {
     #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::is_x86_feature_detected as has;
-        if has!("avx512f") && has!("avx512cd") && has!("avx512vl") && has!("lzcnt") {
-            // SAFETY: every feature `segment_encoded_len_wide` enables
-            // was just detected on the running CPU.
-            return Some(|values| unsafe { segment_encoded_len_wide(values) });
-        }
+    if qgpu_math::isa::wide() {
+        // SAFETY: `isa::wide` detected every feature
+        // `segment_encoded_len_wide` enables on the running CPU.
+        return Some(|values| unsafe { segment_encoded_len_wide(values) });
     }
     None
 }
 
-/// The widest size walk available, resolved once per process.
+/// The widest size walk available (the probe decides once per process).
 fn size_walk() -> SizeWalk {
-    static WALK: OnceLock<SizeWalk> = OnceLock::new();
-    *WALK.get_or_init(|| wide_size_walk().unwrap_or(segment_encoded_len_portable))
+    wide_size_walk().unwrap_or(segment_encoded_len_portable)
 }
 
 fn compress_segment(values: &[f64]) -> Vec<u8> {

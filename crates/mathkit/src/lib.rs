@@ -7,6 +7,8 @@
 //!   by state-vector simulation (no external `num` dependency),
 //! * [`bits`] — bit-manipulation helpers used by gate kernels and chunk
 //!   indexing (inserting zero bits, masks, log2 helpers),
+//! * [`isa`] — the CPU-feature probe that picks, once per process, which
+//!   instantiation of a twice-compiled hot loop runs,
 //! * [`rng`] — the pure splitmix64 keyed-draw primitive behind every
 //!   stochastic decision in the workspace (faults, noise, collapse,
 //!   sampling),
@@ -25,6 +27,7 @@
 
 pub mod bits;
 pub mod complex;
+pub mod isa;
 pub mod reduce;
 pub mod rng;
 pub mod stats;

@@ -19,6 +19,15 @@
 //! evaluates the same expressions in the same order as the per-index
 //! loop in [`crate::reference`] — only the visit order differs — so
 //! results agree with it bit for bit.
+//!
+//! Each body is compiled twice, portable and with AVX-512 F/VL, and the
+//! entry points run the instantiation [`Kernels::detected`] picks once
+//! per process. Rust never contracts `a * b + c` into a fused
+//! multiply-add and never reassociates float arithmetic, so a wider
+//! instruction set changes how many amplitudes one instruction covers,
+//! not what is computed for any of them: the instantiations agree bit
+//! for bit (up to the sign and payload of NaN results, which IEEE 754
+//! leaves open).
 
 use std::ops::Range;
 
@@ -26,13 +35,226 @@ use qgpu_circuit::access::GateAction;
 use qgpu_circuit::Matrix;
 use qgpu_math::Complex64;
 
-/// Amplitudes per cache line: blocks shorter than this get fixed-size
-/// scalar loops instead of slice zips.
-const LINE: usize = 4;
+/// Amplitudes per diagonal period: a qubit below it varies inside every
+/// period, one at or above it is constant over a whole segment.
+const PERIOD: usize = 16;
+
+/// The kernel bodies compiled for one instruction set.
+///
+/// Every instantiation runs the same `#[inline(always)]` bodies, leaf
+/// loops included, so they compute the same bits; the module's free
+/// functions call [`Kernels::detected`]. Tests run each instantiation
+/// against the per-index oracle.
+pub struct Kernels {
+    name: &'static str,
+    diagonal: fn(&mut [Complex64], usize, &[usize], &[Complex64]),
+    dense_1q: fn(&mut [Complex64], usize, usize, &M2),
+    dense_2q: fn(&mut [Complex64], usize, usize, &M4),
+    halves_1q: fn(&mut [Complex64], &mut [Complex64], usize, &M2),
+    halves_2q: fn(&mut [Complex64], &mut [Complex64], usize, bool, &M4),
+    quarters_2q: fn([&mut [Complex64]; 4], &M4),
+}
+
+/// Defines one function per kernel body in the enclosing module, each
+/// carrying the given attributes (an instruction set's target features).
+macro_rules! instantiate {
+    ($(#[$isa:meta])*) => {
+        use super::{Complex64, M2, M4};
+
+        $(#[$isa])*
+        pub(super) fn diagonal(amps: &mut [Complex64], base: usize, qubits: &[usize], dvec: &[Complex64]) {
+            super::diagonal(amps, base, qubits, dvec)
+        }
+
+        $(#[$isa])*
+        pub(super) fn dense_1q(amps: &mut [Complex64], cmask: usize, target: usize, m: &M2) {
+            super::dense_1q(amps, cmask, target, m)
+        }
+
+        $(#[$isa])*
+        pub(super) fn dense_2q(amps: &mut [Complex64], q0: usize, q1: usize, m: &M4) {
+            super::dense_2q(amps, q0, q1, m)
+        }
+
+        $(#[$isa])*
+        pub(super) fn halves_1q(lo: &mut [Complex64], hi: &mut [Complex64], cmask: usize, m: &M2) {
+            super::halves_1q(lo, hi, cmask, m)
+        }
+
+        $(#[$isa])*
+        pub(super) fn halves_2q(h0: &mut [Complex64], h1: &mut [Complex64], lbit: usize, low_first: bool, m: &M4) {
+            super::halves_2q(h0, h1, lbit, low_first, m)
+        }
+
+        $(#[$isa])*
+        pub(super) fn quarters_2q(quarters: [&mut [Complex64]; 4], m: &M4) {
+            super::quarters_2q(quarters, m)
+        }
+    };
+}
+
+mod portable {
+    instantiate!();
+}
+
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    instantiate!(#[target_feature(enable = "avx512f,avx512vl")]);
+}
+
+static PORTABLE: Kernels = Kernels {
+    name: "portable",
+    diagonal: portable::diagonal,
+    dense_1q: portable::dense_1q,
+    dense_2q: portable::dense_2q,
+    halves_1q: portable::halves_1q,
+    halves_2q: portable::halves_2q,
+    quarters_2q: portable::quarters_2q,
+};
+
+/// The dispatch table of the wide instantiation: every `unsafe` the
+/// kernels have. [`Kernels::wide`] hands it out only after
+/// [`qgpu_math::isa::wide`] detected AVX-512 F and VL — the features
+/// every `wide::` function enables — on the running CPU.
+#[cfg(target_arch = "x86_64")]
+static WIDE: Kernels = Kernels {
+    name: "avx512",
+    // SAFETY: reached only through `Kernels::wide`, after detection.
+    diagonal: |amps, base, qubits, dvec| unsafe { wide::diagonal(amps, base, qubits, dvec) },
+    // SAFETY: reached only through `Kernels::wide`, after detection.
+    dense_1q: |amps, cmask, target, m| unsafe { wide::dense_1q(amps, cmask, target, m) },
+    // SAFETY: reached only through `Kernels::wide`, after detection.
+    dense_2q: |amps, q0, q1, m| unsafe { wide::dense_2q(amps, q0, q1, m) },
+    // SAFETY: reached only through `Kernels::wide`, after detection.
+    halves_1q: |lo, hi, cmask, m| unsafe { wide::halves_1q(lo, hi, cmask, m) },
+    // SAFETY: reached only through `Kernels::wide`, after detection.
+    halves_2q: |h0, h1, lbit, first, m| unsafe { wide::halves_2q(h0, h1, lbit, first, m) },
+    // SAFETY: reached only through `Kernels::wide`, after detection.
+    quarters_2q: |quarters, m| unsafe { wide::quarters_2q(quarters, m) },
+};
+
+impl Kernels {
+    /// The instantiation every CPU of the target runs.
+    pub fn portable() -> &'static Kernels {
+        &PORTABLE
+    }
+
+    /// The AVX-512 instantiation, when the running CPU has its features.
+    pub fn wide() -> Option<&'static Kernels> {
+        #[cfg(target_arch = "x86_64")]
+        if qgpu_math::isa::wide() {
+            return Some(&WIDE);
+        }
+        None
+    }
+
+    /// The widest instantiation the running CPU has.
+    pub fn detected() -> &'static Kernels {
+        Kernels::wide().unwrap_or(&PORTABLE)
+    }
+
+    /// `"portable"` or `"avx512"`.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// [`apply_diagonal`] through this instantiation.
+    pub fn apply_diagonal(
+        &self,
+        amps: &mut [Complex64],
+        base: usize,
+        qubits: &[usize],
+        dvec: &[Complex64],
+    ) {
+        assert_eq!(dvec.len(), 1 << qubits.len());
+        (self.diagonal)(amps, base, qubits, dvec)
+    }
+
+    /// [`apply_1q_halves`] through this instantiation.
+    pub fn apply_1q_halves(
+        &self,
+        lo: &mut [Complex64],
+        hi: &mut [Complex64],
+        cmask: usize,
+        m: &Matrix,
+    ) {
+        check_halves(lo, hi, cmask);
+        (self.halves_1q)(lo, hi, cmask, &m2(m))
+    }
+
+    /// [`apply_2q_quarters`] through this instantiation.
+    pub fn apply_2q_quarters(&self, quarters: [&mut [Complex64]; 4], m: &Matrix) {
+        assert!(
+            quarters.iter().all(|q| q.len() == quarters[0].len()),
+            "quarters must be equal slices"
+        );
+        (self.quarters_2q)(quarters, &m4(m))
+    }
+
+    /// [`apply_2q_halves`] through this instantiation.
+    pub fn apply_2q_halves(
+        &self,
+        h0: &mut [Complex64],
+        h1: &mut [Complex64],
+        low: usize,
+        low_first: bool,
+        m: &Matrix,
+    ) {
+        check_halves(h0, h1, 1 << low);
+        (self.halves_2q)(h0, h1, 1 << low, low_first, &m4(m))
+    }
+
+    /// [`apply_dense`] through this instantiation.
+    pub fn apply_dense(&self, amps: &mut [Complex64], cmask: usize, mixing: &[usize], m: &Matrix) {
+        assert_eq!(m.dim(), 1 << mixing.len(), "matrix dimension mismatch");
+        assert!(amps.len().is_power_of_two());
+        assert!(
+            mixing.iter().all(|&q| 1usize << q < amps.len()),
+            "every mixing target must be local"
+        );
+        assert!(cmask < amps.len(), "controls must be local");
+        match *mixing {
+            [target] => (self.dense_1q)(amps, cmask, target, &m2(m)),
+            [q0, q1] if cmask == 0 => (self.dense_2q)(amps, q0, q1, &m4(m)),
+            // Shapes no gate has (three or more mixing qubits, a controlled
+            // two-qubit matrix) keep the per-index loop.
+            _ => {
+                let controls: Vec<usize> = (0..usize::BITS as usize)
+                    .filter(|c| cmask >> c & 1 == 1)
+                    .collect();
+                crate::reference::apply_dense_per_index(amps, &controls, mixing, m);
+            }
+        }
+    }
+
+    /// [`apply_action`] through this instantiation.
+    pub fn apply_action(&self, amps: &mut [Complex64], base: usize, action: &GateAction) {
+        match action {
+            GateAction::Diagonal { qubits, dvec } => self.apply_diagonal(amps, base, qubits, dvec),
+            GateAction::ControlledDense {
+                controls,
+                mixing,
+                matrix,
+            } => {
+                let local_bits = amps.len().trailing_zeros() as usize;
+                let mut cmask = 0usize;
+                for &c in controls {
+                    if c < local_bits {
+                        cmask |= 1 << c;
+                    } else if (base >> c) & 1 == 0 {
+                        return; // control bit is 0 for this whole slice
+                    }
+                }
+                self.apply_dense(amps, cmask, mixing, matrix);
+            }
+        }
+    }
+}
 
 /// The aligned runs of `0..len` whose indices have every `mask` bit set
 /// (all of `0..len` for an empty mask), in ascending order. `len` must
 /// be a power of two above `mask`.
+#[inline(always)]
 fn selected_runs(len: usize, mask: usize) -> impl Iterator<Item = Range<usize>> {
     let run = if mask == 0 {
         len
@@ -57,52 +279,71 @@ fn selected_runs(len: usize, mask: usize) -> impl Iterator<Item = Range<usize>> 
 ///
 /// Works for any qubit positions, including those above the slice's local
 /// range — that is exactly why diagonal gates never force chunk exchange —
-/// and for any `base` and slice length. Indices that agree above the
-/// lowest listed qubit share one factor, so a line-aligned slice is
-/// walked in runs as long as the lowest qubit outside a cache line
-/// allows, with the index bits read once per run, not per amplitude.
+/// and for any `base` and slice length. Indices that agree at every
+/// listed qubit from 4 up share one run of factors that repeats every 16
+/// amplitudes, so a slice whose base and length are multiples of 16 is
+/// walked in segments as long as the lowest such qubit allows: one
+/// factor per segment when no listed qubit lies below 4, else a table of
+/// one period's 16 factors built once per segment. Other slices read the
+/// index bits per amplitude.
 ///
 /// # Panics
 ///
 /// Panics if `dvec.len() != 2^qubits.len()`.
 pub fn apply_diagonal(amps: &mut [Complex64], base: usize, qubits: &[usize], dvec: &[Complex64]) {
-    assert_eq!(dvec.len(), 1 << qubits.len());
-    let factor = |g: usize| {
-        let s = qubits
+    Kernels::detected().apply_diagonal(amps, base, qubits, dvec)
+}
+
+#[inline(always)]
+fn diagonal(amps: &mut [Complex64], base: usize, qubits: &[usize], dvec: &[Complex64]) {
+    let index = |g: usize| {
+        qubits
             .iter()
             .enumerate()
-            .fold(0, |s, (bit, &q)| s | ((g >> q) & 1) << bit);
-        dvec[s]
+            .fold(0, |s, (bit, &q)| s | ((g >> q) & 1) << bit)
     };
-    if !(base | amps.len()).is_multiple_of(LINE) {
+    if !(base | amps.len()).is_multiple_of(PERIOD) {
         for (off, amp) in amps.iter_mut().enumerate() {
-            *amp *= factor(base + off);
+            *amp *= dvec[index(base + off)];
         }
         return;
     }
-    // Within a run only the index bits inside a line vary: one line of
-    // factors serves the whole run.
-    let run = qubits
+    let segment = qubits
         .iter()
-        .filter(|&&q| 1 << q >= LINE)
+        .filter(|&&q| 1 << q >= PERIOD)
         .min()
         .map_or(usize::MAX / 2 + 1, |&q| 1usize << q);
+    // A segment starts at a multiple of the period, so its offsets' bits
+    // are disjoint from its start's: `index(g + i) == index(g) | index(i)`.
+    let within = qubits
+        .iter()
+        .any(|&q| 1 << q < PERIOD)
+        .then(|| std::array::from_fn::<usize, PERIOD, _>(index));
     let (mut rest, mut g) = (amps, base);
     while !rest.is_empty() {
-        let n = (run - (g & (run - 1))).min(rest.len());
+        let n = (segment - (g & (segment - 1))).min(rest.len());
         let (head, tail) = rest.split_at_mut(n);
-        let factors: [Complex64; LINE] = std::array::from_fn(|i| factor(g + i));
-        scale_lines(head, &factors);
-        (rest, g) = (tail, g + n);
-    }
-}
-
-/// `line[i] *= factors[i]` over every cache line of `amps`.
-fn scale_lines(amps: &mut [Complex64], factors: &[Complex64; LINE]) {
-    for line in amps.chunks_exact_mut(LINE) {
-        for (amp, &d) in line.iter_mut().zip(factors) {
-            *amp *= d;
+        let s = index(g);
+        match within {
+            Some(within) => {
+                // Whole `[Complex64; 4]` lines, so the wide instantiation
+                // spends one vector per line: a loop over periods was
+                // vectorized across periods, with gathers and scatters.
+                let table: [[Complex64; 4]; PERIOD / 4] =
+                    std::array::from_fn(|l| std::array::from_fn(|j| dvec[s | within[4 * l + j]]));
+                for (i, line) in head.as_chunks_mut::<4>().0.iter_mut().enumerate() {
+                    let factors = &table[i % (PERIOD / 4)];
+                    *line = std::array::from_fn(|j| line[j] * factors[j]);
+                }
+            }
+            None => {
+                let d = dvec[s];
+                for amp in head {
+                    *amp *= d;
+                }
+            }
         }
+        (rest, g) = (tail, g + n);
     }
 }
 
@@ -187,8 +428,13 @@ fn diagonal_strided_rec(
 
 /// A 2×2 operand, row-major.
 type M2 = [Complex64; 4];
-/// A 4×4 operand by rows.
-type M4 = [[Complex64; 4]; 4];
+/// A 4×4 operand by rows, and — when every row is an exact `1+0i` among
+/// exact `+0` entries, as in the `Swap` matrix — the column each row
+/// selects.
+struct M4 {
+    rows: [[Complex64; 4]; 4],
+    moves: Option<[usize; 4]>,
+}
 
 fn m2(m: &Matrix) -> M2 {
     let entries = m.as_slice().try_into();
@@ -197,7 +443,24 @@ fn m2(m: &Matrix) -> M2 {
 
 fn m4(m: &Matrix) -> M4 {
     assert_eq!(m.dim(), 4, "matrix dimension mismatch");
-    std::array::from_fn(|r| std::array::from_fn(|c| m.as_slice()[4 * r + c]))
+    let rows: [[Complex64; 4]; 4] =
+        std::array::from_fn(|r| std::array::from_fn(|c| m.as_slice()[4 * r + c]));
+    let is = |z: &Complex64, w: Complex64| {
+        z.re.to_bits() == w.re.to_bits() && z.im.to_bits() == w.im.to_bits()
+    };
+    let selected = |row: &[Complex64; 4]| {
+        let col = row.iter().position(|z| is(z, Complex64::ONE))?;
+        let rest_zero = row
+            .iter()
+            .enumerate()
+            .all(|(c, z)| c == col || is(z, Complex64::ZERO));
+        rest_zero.then_some(col)
+    };
+    let moves = match rows.each_ref().map(selected) {
+        [Some(c0), Some(c1), Some(c2), Some(c3)] => Some([c0, c1, c2, c3]),
+        _ => None,
+    };
+    M4 { rows, moves }
 }
 
 #[inline(always)]
@@ -228,25 +491,24 @@ fn check_halves(lo: &[Complex64], hi: &[Complex64], cmask: usize) {
 /// Panics if the matrix is not 2×2, the slices are not equal powers of
 /// two, or `cmask` has a bit outside them.
 pub fn apply_1q_halves(lo: &mut [Complex64], hi: &mut [Complex64], cmask: usize, m: &Matrix) {
-    check_halves(lo, hi, cmask);
-    halves_1q(lo, hi, cmask, &m2(m));
+    Kernels::detected().apply_1q_halves(lo, hi, cmask, m)
 }
 
-// Out of line on purpose: inlined into the run walk this loop measured
-// 15 GB/s, on its own 26 (H on a high qubit, 64 MiB state).
-#[inline(never)]
+#[inline(always)]
 fn zip_1q(lo: &mut [Complex64], hi: &mut [Complex64], m: &M2) {
     for (a0, a1) in lo.iter_mut().zip(hi) {
         butterfly(m, a0, a1);
     }
 }
 
+#[inline(always)]
 fn halves_1q(lo: &mut [Complex64], hi: &mut [Complex64], cmask: usize, m: &M2) {
     for run in selected_runs(lo.len(), cmask) {
         zip_1q(&mut lo[run.clone()], &mut hi[run], m);
     }
 }
 
+#[inline(always)]
 fn dense_1q(amps: &mut [Complex64], cmask: usize, target: usize, m: &M2) {
     let tbit = 1usize << target;
     let (below, above) = (cmask & (tbit - 1), cmask & !(2 * tbit - 1));
@@ -255,20 +517,16 @@ fn dense_1q(amps: &mut [Complex64], cmask: usize, target: usize, m: &M2) {
         match tbit {
             // Blocks below a cache line: fixed-size scalar loops.
             1 => {
-                for block in region.chunks_exact_mut(2) {
-                    if let [a0, a1] = block {
-                        butterfly(m, a0, a1);
-                    }
+                for [a0, a1] in region.as_chunks_mut().0 {
+                    butterfly(m, a0, a1);
                 }
             }
             2 => {
-                for block in region.chunks_exact_mut(4) {
-                    if let [a0, b0, a1, b1] = block {
-                        if below == 0 {
-                            butterfly(m, a0, a1);
-                        }
-                        butterfly(m, b0, b1);
+                for [a0, b0, a1, b1] in region.as_chunks_mut().0 {
+                    if below == 0 {
+                        butterfly(m, a0, a1);
                     }
+                    butterfly(m, b0, b1);
                 }
             }
             _ => {
@@ -283,10 +541,27 @@ fn dense_1q(amps: &mut [Complex64], cmask: usize, target: usize, m: &M2) {
 
 /// Rewrites one amplitude group as `m · group`, each row a dot product
 /// accumulated from zero in column order.
+///
+/// When `m` selects one column per row, that dot product is `+0·x` for
+/// every column but one, and `1·x` there. With every component of the
+/// group finite, each `+0·x` term adds a signed zero to an accumulator
+/// that is never `-0.0` (it starts at `+0.0`), which leaves it as it
+/// was; so the row is exactly the selected amplitude plus `+0.0` (which
+/// turns `-0.0` into `0.0` and changes nothing else): a move. A
+/// non-finite component makes `0·∞` a NaN, so such a group takes the
+/// dot products.
 #[inline(always)]
 fn mix4(m: &M4, group: [&mut Complex64; 4]) {
     let g = [*group[0], *group[1], *group[2], *group[3]];
-    for (out, row) in group.into_iter().zip(m) {
+    if let Some(cols) = m.moves {
+        if g.iter().all(|z| z.re.is_finite() && z.im.is_finite()) {
+            for (out, c) in group.into_iter().zip(cols) {
+                *out = g[c] + Complex64::ZERO;
+            }
+            return;
+        }
+    }
+    for (out, row) in group.into_iter().zip(&m.rows) {
         let mut acc = Complex64::ZERO;
         for (&w, &x) in row.iter().zip(&g) {
             acc = w.mul_add(x, acc);
@@ -303,14 +578,10 @@ fn mix4(m: &M4, group: [&mut Complex64; 4]) {
 ///
 /// Panics if the matrix is not 4×4 or the slices differ in length.
 pub fn apply_2q_quarters(quarters: [&mut [Complex64]; 4], m: &Matrix) {
-    assert!(
-        quarters.iter().all(|q| q.len() == quarters[0].len()),
-        "quarters must be equal slices"
-    );
-    quarters_2q(quarters, &m4(m));
+    Kernels::detected().apply_2q_quarters(quarters, m)
 }
 
-#[inline(never)] // as `zip_1q`
+#[inline(always)]
 fn quarters_2q(quarters: [&mut [Complex64]; 4], m: &M4) {
     let [s0, s1, s2, s3] = quarters;
     for (((a, b), c), d) in s0.iter_mut().zip(s1).zip(s2).zip(s3) {
@@ -334,8 +605,7 @@ pub fn apply_2q_halves(
     low_first: bool,
     m: &Matrix,
 ) {
-    check_halves(h0, h1, 1 << low);
-    halves_2q(h0, h1, 1 << low, low_first, &m4(m));
+    Kernels::detected().apply_2q_halves(h0, h1, low, low_first, m)
 }
 
 /// A group's operands `[g(high, low)]` in matrix basis order (bit 0 ↔ the
@@ -348,6 +618,7 @@ fn basis_order<T>(low_first: bool, [g00, g01, g10, g11]: [T; 4]) -> [T; 4] {
     }
 }
 
+#[inline(always)]
 fn halves_2q(h0: &mut [Complex64], h1: &mut [Complex64], lbit: usize, low_first: bool, m: &M4) {
     for (b0, b1) in h0
         .chunks_exact_mut(2 * lbit)
@@ -378,30 +649,15 @@ fn halves_2q(h0: &mut [Complex64], h1: &mut [Complex64], lbit: usize, low_first:
 /// `amps.len()` is not a power of two, or if any qubit is not local to
 /// the slice.
 pub fn apply_dense(amps: &mut [Complex64], cmask: usize, mixing: &[usize], m: &Matrix) {
-    assert_eq!(m.dim(), 1 << mixing.len(), "matrix dimension mismatch");
-    assert!(amps.len().is_power_of_two());
-    assert!(
-        mixing.iter().all(|&q| 1usize << q < amps.len()),
-        "every mixing target must be local"
-    );
-    assert!(cmask < amps.len(), "controls must be local");
-    match *mixing {
-        [target] => dense_1q(amps, cmask, target, &m2(m)),
-        [q0, q1] if cmask == 0 => {
-            let hbit = 1usize << q0.max(q1);
-            for block in amps.chunks_exact_mut(2 * hbit) {
-                let (h0, h1) = block.split_at_mut(hbit);
-                halves_2q(h0, h1, 1 << q0.min(q1), q0 < q1, &m4(m));
-            }
-        }
-        // Shapes no gate has (three or more mixing qubits, a controlled
-        // two-qubit matrix) keep the per-index loop.
-        _ => {
-            let controls: Vec<usize> = (0..usize::BITS as usize)
-                .filter(|c| cmask >> c & 1 == 1)
-                .collect();
-            crate::reference::apply_dense_per_index(amps, &controls, mixing, m);
-        }
+    Kernels::detected().apply_dense(amps, cmask, mixing, m)
+}
+
+#[inline(always)]
+fn dense_2q(amps: &mut [Complex64], q0: usize, q1: usize, m: &M4) {
+    let hbit = 1usize << q0.max(q1);
+    for block in amps.chunks_exact_mut(2 * hbit) {
+        let (h0, h1) = block.split_at_mut(hbit);
+        halves_2q(h0, h1, 1 << q0.min(q1), q0 < q1, m);
     }
 }
 
@@ -415,25 +671,7 @@ pub fn apply_dense(amps: &mut [Complex64], cmask: usize, mixing: &[usize], m: &M
 ///
 /// Panics if a mixing action references a non-local mixing qubit.
 pub fn apply_action(amps: &mut [Complex64], base: usize, action: &GateAction) {
-    match action {
-        GateAction::Diagonal { qubits, dvec } => apply_diagonal(amps, base, qubits, dvec),
-        GateAction::ControlledDense {
-            controls,
-            mixing,
-            matrix,
-        } => {
-            let local_bits = amps.len().trailing_zeros() as usize;
-            let mut cmask = 0usize;
-            for &c in controls {
-                if c < local_bits {
-                    cmask |= 1 << c;
-                } else if (base >> c) & 1 == 0 {
-                    return; // control bit is 0 for this whole slice
-                }
-            }
-            apply_dense(amps, cmask, mixing, matrix);
-        }
-    }
+    Kernels::detected().apply_action(amps, base, action)
 }
 
 /// Number of floating-point operations a gate action performs per

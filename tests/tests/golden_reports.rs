@@ -296,6 +296,20 @@ fn scenarios() -> Vec<Scenario> {
                 ..FaultConfig::default()
             }),
     });
+    // Static mode on 2^10-amplitude chunks: deferred flushes replay long
+    // runs of gates per chunk, and the closing swaps cross chunks, so the
+    // vector-width kernels and the swap move path are pinned past the
+    // sub-line sizes of the 10-qubit grid. Recorded before those kernels
+    // landed.
+    out.push(Scenario {
+        label: "qft16/baseline".into(),
+        benchmark: Benchmark::Qft,
+        qubits: 16,
+        prep: None,
+        config: SimConfig::scaled_paper(16)
+            .with_version(Version::Baseline)
+            .with_chunk_count_log2(6),
+    });
     out
 }
 
