@@ -9,6 +9,8 @@
 //!   indexing (inserting zero bits, masks, log2 helpers),
 //! * [`isa`] — the CPU-feature probe that picks, once per process, which
 //!   instantiation of a twice-compiled hot loop runs,
+//! * [`mem`] — page sizes and the huge-page advice for lazily zeroed
+//!   state memory,
 //! * [`rng`] — the pure splitmix64 keyed-draw primitive behind every
 //!   stochastic decision in the workspace (faults, noise, collapse,
 //!   sampling),
@@ -28,6 +30,7 @@
 pub mod bits;
 pub mod complex;
 pub mod isa;
+pub mod mem;
 pub mod reduce;
 pub mod rng;
 pub mod stats;

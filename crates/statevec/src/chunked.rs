@@ -13,7 +13,10 @@
 //! (a chunk that stays non-live costs neither memory nor time), and
 //! whatever ends a chunk's life re-zeroes it (`-0.0` passes `is_zero()`).
 //! So the arena *is* the flat state — [`ChunkedState::into_flat`] moves
-//! it out — and re-partitioning only rebuilds the bitmap.
+//! it out — and re-partitioning only rebuilds the bitmap. Above a *fresh
+//! mark* nothing has been written yet: a group dispatch about to write
+//! 2 MiB of that whole first advises it onto a huge page
+//! (`huge_regions`).
 //!
 //! Gates whose mixing qubits are all below the chunk boundary update each
 //! chunk independently (the paper's Case 1). A mixing qubit at or above
@@ -27,6 +30,7 @@ use std::ops::Range;
 
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::Operation;
+use qgpu_math::mem::{advise_huge, HUGE_PAGE, PAGE};
 use qgpu_math::Complex64;
 
 use crate::executor::ChunkExecutor;
@@ -51,6 +55,79 @@ pub(crate) struct Member<'a> {
 fn zeroed(len: usize) -> Vec<Complex64> {
     assert!(len > 0);
     std::iter::repeat_n(Complex64::ZERO, len).collect()
+}
+
+/// Amplitudes per base page.
+const PAGE_AMPS: usize = PAGE / size_of::<Complex64>();
+
+/// Amplitudes per huge page.
+const HUGE_AMPS: usize = HUGE_PAGE / size_of::<Complex64>();
+
+/// Writes `+0.0` once into every page `part` reaches — at a page's
+/// stride from its start, and at its end, whose page the stride may
+/// skip. Only for ranges that hold `+0.0` bits already: the point is the
+/// first touch, which must be a write (see [`ChunkedState::touch`]).
+fn first_write(part: &mut [Complex64]) {
+    for a in part.iter_mut().step_by(PAGE_AMPS) {
+        *a = Complex64::ZERO;
+    }
+    if let Some(last) = part.last_mut() {
+        *last = Complex64::ZERO;
+    }
+}
+
+/// The huge-page regions a dispatch may advise, as arena index ranges:
+/// every 2 MiB-*address*-aligned range of an arena at address `base`
+/// whose chunks (of `2^chunk_bits` amplitudes, the two it straddles
+/// included) all start at or above the fresh mark `fresh` and all belong
+/// to one of `runs`, the chunk runs the dispatch writes (any order,
+/// disjoint). Each region is checked once against the merged runs, not
+/// once per chunk.
+fn huge_regions(
+    base: usize,
+    chunk_bits: u32,
+    fresh: usize,
+    runs: impl IntoIterator<Item = Range<usize>>,
+) -> Vec<Range<usize>> {
+    // The index of an amplitude that starts a huge page (modulo
+    // HUGE_AMPS); none does if the boundaries fall inside amplitudes.
+    let lead = base.wrapping_neg() % HUGE_PAGE;
+    if !lead.is_multiple_of(size_of::<Complex64>()) {
+        return Vec::new();
+    }
+    let phase = lead / size_of::<Complex64>();
+    let first_fresh = fresh.div_ceil(1 << chunk_bits);
+    let mut spans: Vec<Range<usize>> = runs
+        .into_iter()
+        .map(|r| r.start.max(first_fresh)..r.end)
+        .filter(|r| !r.is_empty())
+        .collect();
+    spans.sort_unstable_by_key(|r| r.start);
+    let mut spans = spans.into_iter().peekable();
+    let mut regions = Vec::new();
+    while let Some(mut span) = spans.next() {
+        while let Some(next) = spans.next_if(|n| n.start == span.end) {
+            span.end = next.end;
+        }
+        let (lo, hi) = (span.start << chunk_bits, span.end << chunk_bits);
+        let mut at = lo + phase.wrapping_sub(lo) % HUGE_AMPS;
+        while at + HUGE_AMPS <= hi {
+            regions.push(at..at + HUGE_AMPS);
+            at += HUGE_AMPS;
+        }
+    }
+    regions
+}
+
+/// `len` amplitudes of `+0.0`, resident: [`zeroed`], with huge pages
+/// advised over its aligned interior and every page written once.
+pub(crate) fn resident_zeroed(len: usize) -> Vec<Complex64> {
+    let mut amps = zeroed(len);
+    for r in huge_regions(amps.as_ptr() as usize, 0, 0, std::iter::once(0..len)) {
+        advise_huge(&mut amps[r]);
+    }
+    first_write(&mut amps);
+    amps
 }
 
 /// Whether `part` is all zero — and if so leaves it holding `+0.0` bits,
@@ -110,6 +187,9 @@ pub struct ChunkedState {
     amps: Vec<Complex64>,
     /// Bit `i` is set iff chunk `i` is live.
     live: Vec<u64>,
+    /// The *fresh mark*: no amplitude from this index on has been
+    /// written since the arena was allocated.
+    fresh: usize,
 }
 
 /// Copies the live chunks into a fresh arena: the rest of `2^n`
@@ -142,6 +222,7 @@ impl ChunkedState {
             chunk_bits,
             amps: zeroed(1 << num_qubits),
             live: vec![0; (1usize << (num_qubits as u32 - chunk_bits)).div_ceil(64)],
+            fresh: 0,
         }
     }
 
@@ -275,6 +356,7 @@ impl ChunkedState {
     pub fn chunk_mut_or_alloc(&mut self, i: usize) -> &mut [Complex64] {
         let r = self.range(i);
         self.set_live(i, true);
+        self.fresh = self.fresh.max(r.end);
         &mut self.amps[r]
     }
 
@@ -309,6 +391,7 @@ impl ChunkedState {
         let r = self.range(from);
         self.amps.copy_within(r.clone(), to << self.chunk_bits);
         self.set_live(to, true);
+        self.fresh = self.fresh.max(self.range(to).end);
         self.amps[r].fill(Complex64::ZERO);
         self.set_live(from, false);
     }
@@ -355,17 +438,45 @@ impl ChunkedState {
         carved.into_iter().map(|(_, m)| m).collect()
     }
 
-    /// Writes `+0.0` over the non-live chunks of `run`, ahead of a group
-    /// run that will read and then write them. A lazily zeroed page whose
-    /// first touch is a read is mapped twice — the shared zero page, then
-    /// its own — and the second mapping interrupts every other running
-    /// thread of the process to flush its TLB.
+    /// Writes the non-live chunks of `run` first, ahead of a group run
+    /// that will read and then write them: one `+0.0` per page, over the
+    /// `+0.0` they hold. A lazily zeroed page whose first touch is a read
+    /// is mapped twice — the shared zero page, then its own — and the
+    /// second mapping interrupts every other running thread of the
+    /// process to flush its TLB; in a huge-page region the write maps all
+    /// 2 MiB at once, where a read would map the huge zero page and leave
+    /// the write to fault 512 times.
     pub(crate) fn touch(&mut self, run: Range<usize>) {
+        self.fresh = self.fresh.max(self.span(&run).end);
         for c in run {
             let r = self.range(c);
             if !self.is_live(c) {
-                self.amps[r].fill(Complex64::ZERO);
+                first_write(&mut self.amps[r]);
             }
+        }
+    }
+
+    /// The huge-page regions of the arena a dispatch about to write the
+    /// chunk runs `runs` whole may advise (see [`huge_regions`]): fresh
+    /// arena only, so an advised region would have become resident
+    /// whole anyway. `runs` is not walked when fewer than 2 MiB of the
+    /// arena is fresh.
+    pub(crate) fn fresh_regions(
+        &self,
+        runs: impl IntoIterator<Item = Range<usize>>,
+    ) -> Vec<Range<usize>> {
+        if self.amps.len() - self.fresh < HUGE_AMPS {
+            return Vec::new();
+        }
+        let base = self.amps.as_ptr() as usize;
+        huge_regions(base, self.chunk_bits, self.fresh, runs)
+    }
+
+    /// Advises huge pages over the arena `regions` that
+    /// [`ChunkedState::fresh_regions`] returned.
+    pub(crate) fn advise_huge(&mut self, regions: &[Range<usize>]) {
+        for r in regions {
+            advise_huge(&mut self.amps[r.clone()]);
         }
     }
 
@@ -606,6 +717,157 @@ mod tests {
             s.apply_operation(&Operation::new(Gate::H, vec![q]));
         }
         assert_eq!(s.memory_bytes(), (1 << 10) * 16);
+    }
+
+    /// An arena address as the allocator hands out a large one: 16 bytes
+    /// past a page boundary, at no particular 2 MiB phase.
+    const BASE: usize = 0x7f3a_5c61_3010;
+
+    /// [`huge_regions`] decided chunk by chunk: every aligned region of a
+    /// `len`-amplitude arena at `BASE` all of whose chunks are fresh and
+    /// listed.
+    fn regions_by_chunk(
+        chunk_bits: u32,
+        fresh: usize,
+        runs: &[Range<usize>],
+        len: usize,
+    ) -> Vec<Range<usize>> {
+        let phase = BASE.wrapping_neg() % HUGE_PAGE / 16;
+        let mut listed = vec![false; len >> chunk_bits];
+        runs.iter()
+            .flat_map(Range::clone)
+            .for_each(|c| listed[c] = true);
+        let fresh_listed = |c: usize| c << chunk_bits >= fresh && listed[c];
+        (phase..len)
+            .step_by(HUGE_AMPS)
+            .map(|at| at..at + HUGE_AMPS)
+            .filter(|r| r.end <= len)
+            .filter(|r| (r.start >> chunk_bits..=(r.end - 1) >> chunk_bits).all(fresh_listed))
+            .collect()
+    }
+
+    /// The member runs of the groups `reps` with `offsets`, a chunk each.
+    fn member_runs(reps: impl Iterator<Item = usize>, offsets: &[usize]) -> Vec<Range<usize>> {
+        reps.flat_map(|r| offsets.iter().map(move |&o| r + o..r + o + 1))
+            .collect()
+    }
+
+    #[test]
+    fn a_doubling_walk_advises_every_fresh_interior_region() {
+        // IQP's Hadamard layer: each high qubit doubles the live prefix,
+        // writing a fresh upper half as big as everything before it.
+        let len = 1usize << 21;
+        for chunk_bits in [4u32, 11, 18] {
+            let num_chunks = len >> chunk_bits;
+            let (mut live, mut fresh, mut advised) = (1usize, 1usize << chunk_bits, 0);
+            while live < num_chunks {
+                let runs = member_runs(0..live, &[0, live]);
+                let regions = huge_regions(BASE, chunk_bits, fresh, runs.iter().cloned());
+                assert_eq!(regions, regions_by_chunk(chunk_bits, fresh, &runs, len));
+                assert!(regions.iter().all(|r| r.start >= live << chunk_bits));
+                advised += regions.len();
+                (live, fresh) = (2 * live, (2 * live) << chunk_bits);
+            }
+            // The halves of 4, 8 and 16 MiB hold 1, 3 and 7 whole regions
+            // (the 2 MiB half starts off the boundary).
+            assert_eq!(advised, 11, "chunk_bits {chunk_bits}");
+        }
+    }
+
+    #[test]
+    fn a_sparse_walk_advises_nothing() {
+        // Bernstein–Vazirani on a pruned state: a handful of live chunks
+        // paired with fresh partners far away, never 2 MiB in a row.
+        let (len, chunk_bits) = (1usize << 22, 1);
+        let (mut live, mut fresh) = (vec![0usize], 1 << chunk_bits);
+        for k in 0..21 {
+            let runs = member_runs(live.iter().copied(), &[0, 1 << k]);
+            assert_eq!(
+                huge_regions(BASE, chunk_bits, fresh, runs.iter().cloned()),
+                []
+            );
+            assert_eq!(regions_by_chunk(chunk_bits, fresh, &runs, len), []);
+            fresh = fresh.max(runs.iter().map(|r| r.end << chunk_bits).max().unwrap());
+            if k % 5 == 0 {
+                live.push(live[0] | 1 << k);
+            }
+        }
+    }
+
+    #[test]
+    fn after_a_collapse_regions_below_the_mark_are_not_advised() {
+        // The state grows dense (advising the fresh halves it writes), a
+        // collapse zeroes its upper half, and a Hadamard on the top qubit
+        // brings that half back: written before, so not fresh, so not
+        // advised.
+        let (n, chunk_bits) = (19, 11);
+        let rec = std::sync::Arc::new(qgpu_obs::Recorder::new());
+        let ex = ChunkExecutor::with_exact_threads(1).with_recorder(rec.clone());
+        let advised = || {
+            rec.registry()
+                .snapshot()
+                .counter_total("arena.huge_regions")
+        };
+        let mut state = ChunkedState::new_zero(n, chunk_bits);
+        let h = |q| GateAction::from_operation(&Operation::new(Gate::H, vec![q]));
+        let num_chunks = state.num_chunks();
+        for q in chunk_bits as usize..n {
+            let bit = 1 << (q - chunk_bits as usize);
+            ex.apply_group_runs(
+                &mut state,
+                &[h(q)],
+                (0..num_chunks).filter(|c| c & bit == 0),
+                &[q],
+            );
+        }
+        let grown = advised();
+        assert!(grown > 0);
+        assert_eq!(state.fresh, 1 << n);
+        crate::measure::collapse_chunked(&mut state, n - 1, false, 0.5);
+        assert_eq!(state.dense_chunk_count(), num_chunks / 2);
+        let top = num_chunks / 2;
+        ex.apply_group_runs(&mut state, &[h(n - 1)], 0..top, &[n - 1]);
+        assert_eq!(state.dense_chunk_count(), num_chunks);
+        assert_eq!(advised(), grown);
+        // The same dispatch over a state only half ever written would
+        // advise the upper half's 7 interior regions of a 2^21 arena, and
+        // nothing below the mark.
+        let (len, runs) = (1usize << 21, member_runs(0..1 << 9, &[0, 1 << 9]));
+        assert_eq!(
+            huge_regions(BASE, chunk_bits, len, runs.iter().cloned()),
+            []
+        );
+        let regions = huge_regions(BASE, chunk_bits, len / 2, runs.iter().cloned());
+        assert_eq!(regions, regions_by_chunk(chunk_bits, len / 2, &runs, len));
+        assert_eq!(regions.len(), 7);
+        assert!(regions.iter().all(|r| r.start >= len / 2));
+    }
+
+    #[test]
+    fn a_high_control_inside_a_region_advises_nothing() {
+        // CX from chunk-index bit 5 (8 KiB of 256 B chunks) onto the top
+        // qubit: only groups with the control set are listed, so every
+        // 2 MiB region keeps unlisted chunks.
+        let (len, chunk_bits) = (1usize << 21, 4);
+        let half = (len >> chunk_bits) / 2;
+        let fresh = len / 2;
+        let controlled = member_runs((0..half).filter(|r| r & 1 << 5 != 0), &[0, half]);
+        assert_eq!(
+            huge_regions(BASE, chunk_bits, fresh, controlled.iter().cloned()),
+            []
+        );
+        assert_eq!(regions_by_chunk(chunk_bits, fresh, &controlled, len), []);
+        let plain = member_runs(0..half, &[0, half]);
+        assert_eq!(huge_regions(BASE, chunk_bits, fresh, plain).len(), 7);
+    }
+
+    #[test]
+    fn touch_writes_the_first_and_last_amplitude_of_every_page() {
+        let mut part = vec![Complex64::ONE; 3 * PAGE_AMPS + 5];
+        first_write(&mut part);
+        let written: Vec<usize> = (0..part.len()).filter(|&i| part[i].is_zero()).collect();
+        let last = part.len() - 1;
+        assert_eq!(written, [0, PAGE_AMPS, 2 * PAGE_AMPS, 3 * PAGE_AMPS, last]);
     }
 
     #[test]

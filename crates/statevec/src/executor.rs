@@ -441,7 +441,10 @@ impl ChunkExecutor {
     ///
     /// Groups are distributed over the workers; results are bitwise
     /// identical at every thread count. Sparse members that remain
-    /// all-zero after the run stay sparse.
+    /// all-zero after the run stay sparse. Before any member is touched,
+    /// every 2 MiB region of never-written arena the dispatch writes whole
+    /// is advised onto a huge page ([`ChunkedState`]'s fresh regions),
+    /// and counted in the recorder's `arena.huge_regions`.
     ///
     /// # Panics
     ///
@@ -525,6 +528,17 @@ impl ChunkExecutor {
             let (first, end) = (b.start, b.end);
             offsets.iter().map(move |&o| first + o..end + o)
         };
+        // Fresh arena this dispatch writes whole goes on huge pages before
+        // the first touch (the walk happens only while 2 MiB are fresh).
+        let mut walk = Blocks::new(reps.clone(), cap, usize::MAX);
+        let listed = std::iter::from_fn(|| walk.next(|r| survives(state, r)));
+        let regions = state.fresh_regions(listed.flat_map(|(b, _)| members(&b)));
+        if !regions.is_empty() {
+            if let Some(r) = self.recorder.as_deref() {
+                r.add("arena.huge_regions", regions.len() as u64);
+            }
+            state.advise_huge(&regions);
+        }
         if num_groups <= 1 || small {
             let mut blocks = Blocks::new(reps, cap, usize::MAX);
             while let Some((block, _)) = blocks.next(|r| survives(state, r)) {

@@ -31,6 +31,10 @@ pub struct StateVector {
 impl StateVector {
     /// The all-zeros computational basis state |0…0⟩.
     ///
+    /// The vector is resident whole, like any dense state, but its pages
+    /// are mapped by one write each (on huge pages where the host allows)
+    /// rather than by a fill.
+    ///
     /// # Panics
     ///
     /// Panics if `num_qubits` is 0 or large enough to overflow memory
@@ -38,7 +42,7 @@ impl StateVector {
     pub fn new_zero(num_qubits: usize) -> Self {
         assert!(num_qubits > 0, "need at least one qubit");
         assert!(num_qubits < 48, "state vector would not fit in memory");
-        let mut amps = vec![Complex64::ZERO; 1usize << num_qubits];
+        let mut amps = crate::chunked::resident_zeroed(1usize << num_qubits);
         amps[0] = Complex64::ONE;
         StateVector { num_qubits, amps }
     }
