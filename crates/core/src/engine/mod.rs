@@ -2,13 +2,13 @@
 //! timing model.
 //!
 //! [`Simulator`] hands every run to the chunk pipeline in
-//! [`pipeline`]. A `PipelineSpec` — derived from the
-//! configured [`crate::Version`] or an explicit [`crate::OptFlags`]
-//! subset — selects:
+//! [`pipeline`], whose one op loop serves both execution modes. A
+//! `PipelineSpec` — derived from the configured [`crate::Version`] or an
+//! explicit [`crate::OptFlags`] subset — selects what a gate models:
 //!
-//! * the **static** mode (`pipeline::static_alloc`): static chunk
-//!   allocation, CPU updates host chunks, reactive synchronous exchange
-//!   (the paper's baseline);
+//! * the **static** mode (`pipeline::static_alloc` supplies its gate
+//!   model): static chunk allocation, CPU updates host chunks, reactive
+//!   synchronous exchange (the paper's baseline);
 //! * the **streaming** mode: chunks stream through the GPU(s) along the
 //!   *Plan → Prune → Deal → Fetch → Decompress → Kernel → Compress →
 //!   Writeback → Sync* round trip, with overlap / pruning / reordering /

@@ -18,7 +18,7 @@ use qgpu_sched::InvolvementTracker;
 
 use crate::engine::flops_per_amp;
 
-use super::middleware::{self, Touched};
+use super::obs_mw::ObsMw;
 use super::steps::{self, Fetch};
 use super::{Env, Held, RAW_FALLBACK};
 
@@ -40,6 +40,7 @@ pub(crate) const MAX_BATCH: usize = 64;
 /// [`MAX_BATCH`] ops, pruned once per batch.
 pub(crate) fn run_batch(
     env: &mut Env,
+    mw: &mut ObsMw,
     program: &[ProgramOp],
     mut idx: usize,
     compressing: bool,
@@ -108,7 +109,8 @@ pub(crate) fn run_batch(
             continue;
         }
         let ops = applicable.iter().map(|&i| (batch[i], base_idx + i));
-        batch_chunk(env, chunk, ops, &tracker_end, pruning, compressing)?;
+        let gpu = batch_chunk(env, chunk, ops, &tracker_end, pruning, compressing)?;
+        mw.task_done(gpu);
     }
     steps::gate_sync(env);
     env.tracker = tracker_end;
@@ -116,7 +118,8 @@ pub(crate) fn run_batch(
 }
 
 /// One chunk's round trip through the batch: upload once, one kernel per
-/// applicable op (with its program index), download once.
+/// applicable op (with its program index), download once. Returns the
+/// device it ran on.
 fn batch_chunk<'f>(
     env: &mut Env,
     chunk: usize,
@@ -124,7 +127,7 @@ fn batch_chunk<'f>(
     tracker_end: &InvolvementTracker,
     pruning: bool,
     compressing: bool,
-) -> Result<(), SimError> {
+) -> Result<usize, SimError> {
     let cb = env.chunk_bits;
     let held = env.held.get(chunk);
     let (d2h_end, cached) = held.map_or((0.0, None), |h| (h.d2h_end, h.compressed));
@@ -156,15 +159,7 @@ fn batch_chunk<'f>(
             kernel_service += kernel_s;
             ready = end;
             drop(round);
-            let w = Touched {
-                reps: Tasks::one(chunk),
-                high_mixing: &[],
-            };
-            let (ex, st, tl) = (&mut env.executor, &mut env.state, &mut *env.tl);
-            match env.integ.as_mut() {
-                Some(imw) => imw.checked_apply(ex, st, tl, env.rec, op, op_idx, w)?,
-                None => middleware::apply_functional(ex, st, tl, env.rec, op, w)?,
-            }
+            super::integrity::apply_tasks(env, op, op_idx, Tasks::one(chunk), &[])?;
         }
     }
     if let Some(r) = env.rec {
@@ -191,7 +186,7 @@ fn batch_chunk<'f>(
             compressed,
         },
     );
-    Ok(())
+    Ok(gpu)
 }
 
 /// The batch's inline encode: the chunk's codec size after its last

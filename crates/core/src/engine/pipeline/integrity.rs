@@ -21,9 +21,8 @@
 //! second violation escalates to re-execution attributed to a
 //! *different* device (a dual-run vote — host state is authoritative,
 //! so the vote is modeled by the attempt ladder), and every violation
-//! feeds the per-device [`DeviceHealthBoard`]. A device the board
-//! quarantines is drained through the orchestrator's existing
-//! `lose_device` re-shard path by the streaming driver.
+//! feeds the per-device [`DeviceHealthBoard`]. The driver drains a
+//! device the board quarantines through its device-loss path.
 //!
 //! Cost model: in fault-free `--verify-invariants` runs diagonal
 //! kernels pass through without a norm recompute (a diagonal gate
@@ -47,12 +46,13 @@ use qgpu_math::rng::unit_draw;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::health::{DeviceHealthBoard, HealthTransition};
-use qgpu_sched::plan::{GatePlan, Tasks};
+use qgpu_sched::plan::Tasks;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
 
 use crate::config::SimConfig;
 
 use super::middleware::{self, Touched};
+use super::Env;
 
 /// Salt for the flip's amplitude-offset draw — its own stream, distinct
 /// from the fire/no-fire decision ("target" in ASCII).
@@ -70,8 +70,8 @@ struct Task {
     chunks: Vec<usize>,
 }
 
-/// The integrity middleware state, owned by the streaming `Env` (and by
-/// the static runner) when [`SimConfig::integrity_active`] holds.
+/// The integrity middleware state, owned by the driver's `Env` when
+/// [`SimConfig::integrity_active`] holds.
 pub(crate) struct IntegrityMw {
     inj: FaultInjector,
     /// Kernel-flip injection configured: snapshot before every kernel so
@@ -548,28 +548,22 @@ impl IntegrityMw {
     }
 }
 
-/// The functional update of `tasks` of `plan`, with integrity checking
-/// when armed: the entry point the streaming stages and the static mode
-/// route their kernel application through. The executor walks the
-/// tasks' closed form: nothing is materialized per task.
-#[allow(clippy::too_many_arguments)]
+/// The functional update of `reps` (tasks, or mixing groups when
+/// `high_mixing` is not empty), with integrity checking when armed: the
+/// entry point every gate shape routes its kernel application through.
+/// The executor walks the tasks' closed form: nothing is materialized per
+/// task.
 pub(crate) fn apply_tasks(
-    integ: &mut Option<IntegrityMw>,
-    executor: &mut ChunkExecutor,
-    state: &mut ChunkedState,
-    tl: &mut Timeline,
-    rec: Option<&Recorder>,
+    env: &mut Env,
     fop: &FusedOp,
     op_idx: usize,
-    plan: &GatePlan,
-    tasks: Tasks,
+    reps: Tasks,
+    high_mixing: &[usize],
 ) -> Result<(), SimError> {
-    let w = Touched {
-        reps: tasks,
-        high_mixing: plan.high_mixing(),
-    };
-    match integ.as_mut() {
-        Some(mw) => mw.checked_apply(executor, state, tl, rec, fop, op_idx, w),
-        None => middleware::apply_functional(executor, state, tl, rec, fop, w),
+    let w = Touched { reps, high_mixing };
+    let (ex, st, tl, rec) = (&mut env.executor, &mut env.state, &mut *env.tl, env.rec);
+    match env.integ.as_mut() {
+        Some(mw) => mw.checked_apply(ex, st, tl, rec, fop, op_idx, w),
+        None => middleware::apply_functional(ex, st, tl, rec, fop, w),
     }
 }

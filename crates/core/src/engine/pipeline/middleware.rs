@@ -8,7 +8,8 @@
 //! * [`BarrierClock`] — checkpoint barriers and device-loss draws;
 //! * [`CheckpointLayer`] — periodic state checkpoints and the injected
 //!   fatal fault, in resume-safe order;
-//! * [`handle_device_loss`] — re-shard + replay recovery;
+//! * [`lose_device`] — a device leaves the group, and the mode models
+//!   its recovery;
 //! * [`apply_functional`] — the bit-exact functional update shared by
 //!   every execution mode.
 
@@ -22,7 +23,7 @@ use qgpu_faults::{FaultInjector, FaultSite, RetryPolicy, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::devicegroup::OrchestratorConfig;
-use qgpu_sched::devicegroup::{DeviceGroup, PressureAction, PressureGovernor};
+use qgpu_sched::devicegroup::{DeviceGroup, PressureAction, PressureGovernor, ReplayTask};
 use qgpu_sched::plan::Tasks;
 use qgpu_sched::residency::ChunkTable;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
@@ -30,6 +31,8 @@ use qgpu_statevec::{ChunkExecutor, ChunkedState};
 use crate::checkpoint::Checkpoint;
 use crate::config::SimConfig;
 
+use super::spec::ExecMode;
+use super::static_alloc;
 use super::transfer::{copy_with_dma, Dir};
 use super::Env;
 
@@ -361,48 +364,53 @@ impl BarrierClock {
     }
 }
 
-/// A device dropped out: re-shard onto the survivors and replay its
-/// since-barrier log. Host state is authoritative (the functional update
-/// already ran there), so recovery is purely modeled time — each migrated
-/// task re-uploads its bytes and re-runs its kernel on the survivor the
-/// post-loss epoch rotation deals it to — and the recovered result is
-/// bit-identical to an undisturbed run.
-pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), SimError> {
-    let Env {
-        orch: Some(o),
-        tl,
-        dev,
-        epoch_floor,
-        cfg,
-        rec,
-        ..
-    } = env
-    else {
+/// A device dropped out — the injected loss, a barrier draw, or a
+/// quarantine drain — and leaves the group. Host state is authoritative
+/// (the functional update already ran there), so recovery is purely
+/// modeled time and the recovered result is bit-identical to an
+/// undisturbed run. What it costs is the mode's: static mode re-homes the
+/// device's stripe to the host ([`static_alloc::restore_stripe`]);
+/// streaming re-shards onto the survivors and replays the device's
+/// since-barrier log.
+pub(crate) fn lose_device(env: &mut Env, device: usize) -> Result<(), SimError> {
+    let Some(o) = env.orch.as_mut() else {
         return Ok(());
     };
-    let rec = *rec;
     if !o.group.is_alive(device) {
         return Ok(());
     }
     let Some(replay) = o.group.lose_device(device) else {
         return Err(SimError::AllDevicesLost { device });
     };
+    match env.spec.mode {
+        ExecMode::Static => static_alloc::restore_stripe(env, device),
+        ExecMode::Streaming => replay_on_survivors(env, device, &replay),
+    }
+    Ok(())
+}
+
+/// Each task of the lost device's log re-uploads its bytes and re-runs
+/// its kernel on the survivor the post-loss epoch rotation deals it to.
+fn replay_on_survivors(env: &mut Env, device: usize, replay: &[ReplayTask]) {
+    let (Some(o), rec) = (env.orch.as_ref(), env.rec) else {
+        return;
+    };
     let _g = span_opt(rec, Track::Main, ObsStage::Other, "orch.reshard");
-    tl.count(Counter::DevicesLost, 1);
-    tl.count(Counter::ChunksMigrated, replay.len() as u64);
+    env.tl.count(Counter::DevicesLost, 1);
+    env.tl.count(Counter::ChunksMigrated, replay.len() as u64);
     if let Some(r) = rec {
         r.flight("device_loss", || {
             format!("device {device} lost; replaying {} task(s)", replay.len())
         });
     }
     // The dead device's double-buffer window died with it.
-    dev.drain(Some(device));
-    let floor = tl.makespan();
+    env.dev.drain(Some(device));
+    let floor = env.tl.makespan();
     let mut done = floor;
-    let mut lanes = tl.lanes();
+    let mut lanes = env.tl.lanes();
     for (i, t) in replay.iter().enumerate() {
         let g = o.group.owner_of(i);
-        let h2d = copy_with_dma(&mut lanes, cfg, Dir::Up(g), floor, t.bytes, 1.0);
+        let h2d = copy_with_dma(&mut lanes, env.cfg, Dir::Up(g), floor, t.bytes, 1.0);
         let k = lanes.schedule(
             Engine::GpuCompute(g),
             h2d.end,
@@ -414,9 +422,8 @@ pub(crate) fn handle_device_loss(env: &mut Env, device: usize) -> Result<(), Sim
     }
     // Recovery is a synchronization point: the pipeline restarts from the
     // re-shard horizon.
-    *epoch_floor = done.max(*epoch_floor);
-    dev.chain = dev.chain.max(*epoch_floor);
-    Ok(())
+    env.epoch_floor = done.max(env.epoch_floor);
+    env.dev.chain = env.dev.chain.max(env.epoch_floor);
 }
 
 /// Validates a resume checkpoint against this run's circuit and program,

@@ -2,11 +2,18 @@
 //!
 //! A `PipelineSpec` (see `spec`) reduces the configured
 //! [`crate::Version`] (or an explicit [`crate::OptFlags`] subset) to an
-//! execution mode plus optimization flags; the streaming driver then runs
-//! the paper's fixed chunk round trip — *Plan → Prune → Deal → Fetch →
-//! Decompress → Kernel → Compress → Writeback → Sync* — as straight-line
-//! code (`stream_gate`) over the plain functions in `steps`, each
-//! consulting only the flags, never the version. Per gate, two phases:
+//! execution mode plus optimization flags. One op loop (`run`) serves
+//! both modes over the shared `Env`: cancellation, checkpoints, barriers,
+//! collapses, the quarantine drain and the readout. A `match` on the mode
+//! picks what differs, at three seams: what a unitary op models
+//! (`unitary_op`), when a collapse may start (`stochastic::collapse`), and
+//! what losing a device costs (`middleware::lose_device`).
+//!
+//! The streaming mode runs the paper's fixed chunk round trip — *Plan →
+//! Prune → Deal → Fetch → Decompress → Kernel → Compress → Writeback →
+//! Sync* — as straight-line code (`stream_gate`) over the plain
+//! functions in `steps`, each consulting only the flags, never the
+//! version. Per gate, two phases:
 //!
 //! * the functional phase: the chunk plan, the pruning decision, the
 //!   functional update and the compressed-size pass, each one pass over
@@ -17,16 +24,16 @@
 //!   timeline's lanes, then the tile's last-download times;
 //! * then window occupancy sampling and the per-gate sync.
 //!
+//! The static mode (`static_alloc`) models placement, reactive exchange
+//! and the per-gate sync, then applies the update — or, under the
+//! driver's deferral rule (`Env::defer`), only notes it until `flush`.
+//!
 //! Host cost follows live chunks: the plan enumerates only surviving
 //! tasks, the per-chunk tables are paged stamped vectors (`ChunkTable`)
 //! and the state is one arena whose untouched pages were never mapped —
-//! nothing hashes, or is sized by `num_chunks`.
-//!
-//! Cross-cutting concerns (integrity + fault injection, orchestration,
-//! checkpoint barriers) are middleware (`middleware`) threaded through
-//! the shared `Env`, not engine forks. The static-allocation baseline
-//! is the one genuinely different execution mode and lives in
-//! `static_alloc`, on the same middleware.
+//! nothing hashes, or is sized by `num_chunks`. Cross-cutting concerns
+//! (integrity + fault injection, orchestration, checkpoint barriers) are
+//! middleware (`middleware`) threaded through the `Env`, not engine forks.
 
 pub(crate) mod batch;
 pub(crate) mod integrity;
@@ -40,6 +47,7 @@ pub(crate) mod transfer;
 
 use std::sync::Arc;
 
+use qgpu_circuit::access::GateAction;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_circuit::Circuit;
 use qgpu_compress::{codec_for_kind, Codec, CodecKind};
@@ -57,7 +65,9 @@ use crate::result::RunResult;
 
 use integrity::IntegrityMw;
 use middleware::{BarrierClock, CheckpointLayer, Orchestration, Resilience, MAX_CHUNK_BITS};
+use obs_mw::ObsMw;
 use spec::{ExecMode, PipelineSpec};
+use static_alloc::Placement;
 
 /// Per-chunk compressed size recorded as "the codec failed, move raw"
 /// (see the codec-failure degradation path).
@@ -72,10 +82,10 @@ pub(crate) struct Held {
     pub(crate) compressed: Option<u32>,
 }
 
-/// The streaming pipeline's shared environment: configuration, the
+/// The driver's shared environment, for both modes: configuration, the
 /// modeled timeline, functional state, and every piece of cross-gate
-/// bookkeeping the round-trip steps read and write. Steps receive
-/// `&mut Env` and borrow disjoint fields.
+/// bookkeeping the steps read and write. Steps receive `&mut Env` and
+/// borrow disjoint fields.
 pub(crate) struct Env<'a> {
     pub(crate) cfg: &'a SimConfig,
     pub(crate) rec: Option<&'a Recorder>,
@@ -103,6 +113,16 @@ pub(crate) struct Env<'a> {
     pub(crate) resil: Option<Resilience>,
     pub(crate) integ: Option<IntegrityMw>,
     pub(crate) orch: Option<Orchestration>,
+    /// Static mode's allocation. Streaming keeps the default, which pins
+    /// nothing.
+    pub(crate) placement: Placement,
+    /// The deferral rule: nothing modeled reads amplitudes in static mode
+    /// and a chunk-local op touches no other chunk, so its update may wait
+    /// for [`flush`] — unless something observes the state per op
+    /// (integrity checks, a worker-death campaign keyed on dispatches).
+    pub(crate) defer: bool,
+    /// The first op of the run of chunk-local ops whose updates wait.
+    pub(crate) pending: Option<usize>,
     /// What the host holds of each chunk between device visits.
     pub(crate) held: ChunkTable<Held>,
     /// This gate's codec sizes, one slot per member of each task (see
@@ -179,14 +199,13 @@ pub(crate) fn resize_chunks(env: &mut Env) {
     }
 }
 
-/// Drains a device the health board quarantined through the
-/// orchestrator's existing device-loss re-shard path. Without
-/// orchestration — or when the quarantined device is the last one
-/// standing — the quarantine is recorded (board state, counters, flight
-/// event) but the device keeps its shard: correctness is already
+/// Drains a device the health board quarantined through the device-loss
+/// path. Without orchestration — or when the quarantined device is the
+/// last one standing — the quarantine is recorded (board state, counters,
+/// flight event) but the device keeps its work: correctness is already
 /// guaranteed by repair-by-re-execution, so draining is an availability
 /// optimization, never worth killing the run over.
-pub(crate) fn drain_quarantine(env: &mut Env) -> Result<(), SimError> {
+fn drain_quarantine(env: &mut Env) -> Result<(), SimError> {
     let Some(dev) = env
         .integ
         .as_mut()
@@ -195,16 +214,14 @@ pub(crate) fn drain_quarantine(env: &mut Env) -> Result<(), SimError> {
         return Ok(());
     };
     match env.orch.as_ref() {
-        Some(o) if o.group.alive_devices() > 1 && o.group.is_alive(dev) => {
-            middleware::handle_device_loss(env, dev)
-        }
+        Some(o) if o.group.alive_devices() > 1 => middleware::lose_device(env, dev),
         _ => Ok(()),
     }
 }
 
 /// Engine entry point: apply the seeded noise rewrite (if configured),
-/// resolve the spec, dispatch to the static or streaming mode, then
-/// publish the run's event counts.
+/// resolve the spec, [`drive`] the program, then publish the run's event
+/// counts.
 ///
 /// Noise is inserted *before* reordering and fusion, so every version
 /// and flag subset executes the identical noisy circuit — the rewrite is
@@ -226,7 +243,7 @@ pub(crate) fn run(
     };
     let spec = PipelineSpec::from_config(cfg);
     let rec = recorder.map(Arc::as_ref);
-    let mut mw = obs_mw::ObsMw::new(rec, cfg, cfg.platform.num_gpus());
+    let mut mw = ObsMw::new(rec, cfg, cfg.platform.num_gpus());
     // The timeline outlives the mode that fills it, so a run that fails
     // or is cancelled still leaves its counts behind.
     let mut tl = if cfg.trace_events > 0 {
@@ -235,13 +252,8 @@ pub(crate) fn run(
         Timeline::new()
     };
     tl.count(Counter::NoiseOps, noise_ops);
-    let result = match spec.mode {
-        ExecMode::Static => static_alloc::run(circuit, cfg, recorder, resume, &mut tl, &mut mw),
-        ExecMode::Streaming => {
-            run_streaming(circuit, cfg, spec, recorder, resume, &mut tl, &mut mw)
-        }
-    };
-    // Whatever the mode still held is released by now: that, and an
+    let result = drive(circuit, cfg, spec, recorder, resume, &mut tl, &mut mw);
+    // Whatever the run still held is released by now: that, and an
     // aborted run's partial timings, are flushed with the rest.
     mw.mark(obs_mw::DRIVER);
     mw.finish();
@@ -255,14 +267,18 @@ pub(crate) fn run(
     result
 }
 
-fn run_streaming(
+/// The op loop, for both modes: a unitary op through the mode's gate
+/// model ([`unitary_op`]), a collapse at its barrier, and around each op
+/// cancellation, checkpoints, barriers, device loss and the quarantine
+/// drain.
+fn drive(
     circuit: &Circuit,
     cfg: &SimConfig,
     spec: PipelineSpec,
     recorder: Option<&Arc<Recorder>>,
     resume: Option<&Checkpoint>,
     tl: &mut Timeline,
-    mw: &mut obs_mw::ObsMw,
+    mw: &mut ObsMw,
 ) -> Result<RunResult, SimError> {
     let rec = recorder.map(Arc::as_ref);
     let circuit_owned;
@@ -300,100 +316,164 @@ fn run_streaming(
     let mut idx = start;
     while idx < program.len() {
         poll_cancel(&env, idx)?;
+        if ckpt.due(idx, cfg) {
+            flush(&mut env, &program[..idx], mw)?;
+        }
         ckpt.before_op(idx, &env.state, cfg, rec)?;
         let orch = env.orch.as_mut();
         if let Some(d) = orch.and_then(|o| clock.poll(idx, cfg, &mut o.group, env.num_gpus)) {
-            middleware::handle_device_loss(&mut env, d)?;
+            middleware::lose_device(&mut env, d)?;
         }
         resize_chunks(&mut env);
-
-        // Whether chunks move compressed this op: the flag subset's own
-        // choice, or the governor's ForceCompress rung.
-        let compressing =
-            spec.flags.compression || env.orch.as_ref().is_some_and(|o| o.force_compress);
-        let fop = match &program[idx] {
-            ProgramOp::Unitary(f) => f,
-            // A collapse barrier: drain the pipeline, draw, project.
-            // (The measured qubit joins the involvement mask so live
-            // and resume-replayed trackers agree; that is conservative
-            // — collapse never creates amplitude — so pruning stays
-            // sound.)
+        idx = match &program[idx] {
+            ProgramOp::Unitary(fop) => unitary_op(&mut env, mw, &program, idx, fop)?,
+            // A collapse barrier: the state lands, then draw and project.
+            // (The measured qubit joins the involvement mask so live and
+            // resume-replayed trackers agree; that is conservative —
+            // collapse never creates amplitude — so pruning stays sound.)
             &ProgramOp::Measure { qubit } | &ProgramOp::Reset { qubit } => {
-                let is_reset = matches!(program[idx], ProgramOp::Reset { .. });
+                flush(&mut env, &program[..idx], mw)?;
                 // The whole-state norm gate: the state must still be
                 // normalized before a collapse consumes it.
                 if let Some(imw) = env.integ.as_mut() {
                     imw.check_whole_state(&env.state, idx, rec)?;
                 }
-                idx += 1;
                 mw.mark(obs_mw::DRIVER);
-                let u = crng.draw(qubit);
-                stochastic::collapse_streaming(&mut env, qubit, is_reset, u);
+                let is_reset = matches!(program[idx], ProgramOp::Reset { .. });
+                stochastic::collapse(&mut env, qubit, is_reset, crng.draw(qubit));
                 env.tracker.involve_mask(1u64 << qubit);
                 if let Some(imw) = env.integ.as_mut() {
                     // Projection + renormalization reset every norm.
                     imw.rebuild(&env.state);
                 }
                 mw.mark(obs_mw::MEASURE);
-                continue;
+                idx + 1
             }
         };
-        let cb = env.chunk_bits;
-        let local = fop
-            .collapsed()
-            .mixing_qubits()
-            .iter()
-            .all(|&q| (q as u32) < cb);
-        if spec.batching && local {
-            mw.gate_begin();
-            idx = batch::run_batch(&mut env, &program, idx, compressing)?;
-            mw.mark(obs_mw::KERNEL);
-            mw.gate_done();
-            drain_quarantine(&mut env)?;
-            continue;
-        }
-        idx += 1;
-
-        stream_gate(&mut env, mw, fop, idx, compressing)?;
         drain_quarantine(&mut env)?;
     }
+    flush(&mut env, &program, mw)?;
+    finish_run(env, mw, circuit, program.len())
+}
 
+/// One unitary op at `idx` through the mode's gate model, with its
+/// functional update applied or, under the deferral rule, noted. Returns
+/// the index of the next op: a batch of chunk-local ops takes several.
+fn unitary_op(
+    env: &mut Env,
+    mw: &mut ObsMw,
+    program: &[ProgramOp],
+    idx: usize,
+    fop: &FusedOp,
+) -> Result<usize, SimError> {
+    let cb = env.chunk_bits;
+    let mixing = fop.collapsed().mixing_qubits();
+    let local = mixing.iter().all(|&q| (q as u32) < cb);
+    let deferred = env.defer && local;
+    if !deferred {
+        flush(env, &program[..idx], mw)?;
+    }
+    match env.spec.mode {
+        ExecMode::Streaming => {
+            // Whether chunks move compressed this op: the flag subset's
+            // own choice, or the governor's ForceCompress rung.
+            let force = env.orch.as_ref().is_some_and(|o| o.force_compress);
+            let compressing = env.spec.flags.compression || force;
+            if env.spec.batching && local {
+                mw.gate_begin();
+                let next = batch::run_batch(env, mw, program, idx, compressing)?;
+                mw.mark(obs_mw::KERNEL);
+                mw.gate_done();
+                return Ok(next);
+            }
+            stream_gate(env, mw, fop, idx + 1, compressing)?;
+        }
+        // No round trip to lap step by step: the whole gate lands in
+        // `kernel`.
+        ExecMode::Static => {
+            mw.gate_begin();
+            let plan = static_alloc::model_gate(env, fop);
+            if deferred {
+                env.pending.get_or_insert(idx);
+            } else {
+                integrity::apply_tasks(env, fop, idx, plan.tasks(), plan.high_mixing())?;
+            }
+            mw.mark(obs_mw::KERNEL);
+            mw.gate_done();
+        }
+    }
+    Ok(idx + 1)
+}
+
+/// Applies the pending chunk-local ops — the tail of `modeled`, the
+/// program so far — to the state: one pass over the dense chunks, each
+/// replaying the whole run while resident. Same arithmetic per amplitude
+/// in the same order as per-op updates, so the state is bit-identical.
+/// The flush is its own entry in `gate.ns`, charged to `kernel`, and
+/// stays cancellable between chunk visits: an abort names the first op
+/// whose update had not landed everywhere.
+fn flush(env: &mut Env, modeled: &[ProgramOp], mw: &mut ObsMw) -> Result<(), SimError> {
+    let Some(first) = env.pending.take() else {
+        return Ok(());
+    };
+    let ops = &modeled[first..];
+    let actions: Vec<GateAction> = ops
+        .iter()
+        .filter_map(ProgramOp::unitary)
+        .flat_map(|fop| fop.actions().iter().cloned())
+        .collect();
+    let (chunks, cfg) = (0..env.state.num_chunks(), env.cfg);
+    mw.gate_begin();
+    if let Some(r) = env.rec {
+        r.observe("update.local.ops", ops.len() as u64);
+    }
+    let done = {
+        let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.local");
+        let poll = || cancelled(cfg, first);
+        env.executor
+            .try_apply_local_run_polled(&mut env.state, &actions, chunks, &poll)
+    };
+    mw.mark(obs_mw::KERNEL);
+    mw.gate_done();
+    match done {
+        Ok(restarts) => {
+            middleware::note_restarts(env.tl, env.rec, restarts);
+            Ok(())
+        }
+        // The token tripped between chunk visits: the same abort as at a
+        // poll point. Any other failure surfaces as it is.
+        Err(err) => poll_cancel(env, first).and(Err(err)),
+    }
+}
+
+/// The run's tail: the whole-state norm gate (the last line of defense
+/// before samples leave the engine), the seeded readout, the result —
+/// whose state is the run's own arena, moved.
+fn finish_run(
+    mut env: Env,
+    mw: &mut ObsMw,
+    circuit: &Circuit,
+    program_len: usize,
+) -> Result<RunResult, SimError> {
+    let (cfg, rec) = (env.cfg, env.rec);
     if let (Some(rs), Some(r)) = (env.resil.as_ref(), rec) {
         r.add("integrity.retags", rs.retags);
     }
-    let (ops, integ) = (program.len(), &mut env.integ);
-    finish_run(mw, circuit, cfg, rec, env.state, env.tl, integ, ops)
-}
-
-/// The tail both modes share: the whole-state norm gate (the last line
-/// of defense before samples leave the engine), the seeded readout, the
-/// result — whose state is the run's own arena, moved.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_run(
-    mw: &mut obs_mw::ObsMw,
-    circuit: &Circuit,
-    cfg: &SimConfig,
-    rec: Option<&Recorder>,
-    state: ChunkedState,
-    tl: &mut Timeline,
-    integ: &mut Option<IntegrityMw>,
-    program_len: usize,
-) -> Result<RunResult, SimError> {
-    if let Some(imw) = integ.as_mut() {
-        imw.check_whole_state(&state, program_len, rec)?;
+    if let Some(imw) = env.integ.as_mut() {
+        imw.check_whole_state(&env.state, program_len, rec)?;
     }
     mw.mark(obs_mw::DRIVER);
-    let samples = stochastic::sample_readout(&state, cfg, tl, rec);
+    let samples = stochastic::sample_readout(&env.state, cfg, env.tl, rec);
     mw.mark(obs_mw::SAMPLE);
     Ok(RunResult {
         version: cfg.version,
         circuit_name: circuit.name().to_string(),
-        state: cfg.collect_state.then(|| state.into_flat()),
-        report: ExecutionReport::from_timeline(tl, cfg.platform.num_gpus()),
-        trace: tl.trace().to_vec(),
+        state: cfg.collect_state.then(|| env.state.into_flat()),
+        report: ExecutionReport::from_timeline(env.tl, cfg.platform.num_gpus()),
+        trace: env.tl.trace().to_vec(),
         obs: None,
         samples,
-        integrity: integ.as_ref().map(|m| m.summary),
+        integrity: env.integ.map(|m| m.summary),
     })
 }
 
@@ -407,7 +487,7 @@ pub(crate) fn finish_run(
 /// within a tile.
 fn stream_gate(
     env: &mut Env,
-    mw: &mut obs_mw::ObsMw,
+    mw: &mut ObsMw,
     fop: &FusedOp,
     idx: usize,
     compressing: bool,
@@ -445,27 +525,29 @@ fn stream_gate(
     Ok(())
 }
 
-/// The cancel poll inside op `op`: a tripped token aborts the run there.
-fn poll_cancel(env: &Env, op: usize) -> Result<(), SimError> {
-    match env.cfg.cancel.as_ref().and_then(|t| t.poll_abort(op)) {
-        Some(err) => Err(abort_run(err, env.state.dense_chunk_count(), env.rec)),
-        None => Ok(()),
-    }
+/// The run's cancel token polled inside op `op`: the abort error once it
+/// has tripped. Every poll of the token goes through here.
+fn cancelled(cfg: &SimConfig, op: usize) -> Option<SimError> {
+    cfg.cancel.as_ref().and_then(|t| t.poll_abort(op))
 }
 
-/// The cooperative-cancellation exit, shared by both execution modes:
-/// stopping at a poll point means the functional state is consistent
-/// and simply dropped — record what is released, then surface the abort
-/// error ([`run`] flushes the partial per-stage timings: the
-/// post-mortem's "where did the cancelled run spend its time").
-pub(crate) fn abort_run(err: SimError, released_chunks: usize, rec: Option<&Recorder>) -> SimError {
-    if let Some(r) = rec {
+/// The cancel poll inside op `op`: a tripped token stops the run there.
+/// The functional state is consistent at every poll point and simply
+/// dropped — record what is released, then surface the abort error
+/// ([`run`] flushes the partial per-stage timings: the post-mortem's
+/// "where did the cancelled run spend its time").
+fn poll_cancel(env: &Env, op: usize) -> Result<(), SimError> {
+    let Some(err) = cancelled(env.cfg, op) else {
+        return Ok(());
+    };
+    if let Some(r) = env.rec {
+        let released = env.state.dense_chunk_count();
         r.add("cancel.aborts", 1);
         r.flight("abort", || {
-            format!("{err}; releasing {released_chunks} resident chunk(s)")
+            format!("{err}; releasing {released} resident chunk(s)")
         });
     }
-    err
+    Err(err)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -505,6 +587,15 @@ fn build_env<'a>(
         Counter::GatesFused,
         qgpu_circuit::fuse::program_gates_fused(program) as u64,
     );
+    // Static mode pins chunks and models no per-transfer faults.
+    let (placement, resil) = match spec.mode {
+        ExecMode::Static => (Placement::new(cfg, tl, n, chunk_bits), None),
+        ExecMode::Streaming => {
+            let resil = cfg.resilience_active().then(|| Resilience::new(cfg));
+            (Placement::default(), resil)
+        }
+    };
+    let observed = cfg.integrity_active() || cfg.faults.p_worker_death > 0.0;
 
     Env {
         cfg,
@@ -522,7 +613,7 @@ fn build_env<'a>(
         chunk_bits,
         codec: codec_for(cfg, chunk_bits),
         codec_class: codec_class_of(cfg.codec()),
-        resil: cfg.resilience_active().then(|| Resilience::new(cfg)),
+        resil,
         integ: cfg
             .integrity_active()
             .then(|| IntegrityMw::new(cfg, n, chunk_bits)),
@@ -531,6 +622,9 @@ fn build_env<'a>(
         orch: cfg
             .effective_orchestration()
             .map(|o| Orchestration::new(num_gpus, o, cfg)),
+        placement,
+        defer: spec.mode == ExecMode::Static && !observed,
+        pending: None,
         held: ChunkTable::default(),
         sizes: Vec::new(),
         tile: steps::Tile::default(),
@@ -559,7 +653,7 @@ mod tests {
         let spec = PipelineSpec::from_config(&cfg);
         let mut tl = Timeline::new();
         let mut env = build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None);
-        let mut mw = obs_mw::ObsMw::new(None, &cfg, env.num_gpus);
+        let mut mw = ObsMw::new(None, &cfg, env.num_gpus);
 
         let mut most_pages_spanned = 0usize;
         for (i, op) in program.iter().enumerate() {

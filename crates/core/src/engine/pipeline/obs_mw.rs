@@ -1,14 +1,15 @@
 //! Per-stage wall-clock attribution middleware.
 //!
-//! `ObsMw` laps a single monotonic clock as the streaming driver moves
+//! `ObsMw` laps a single monotonic clock as the driver moves
 //! from one phase of a gate to the next, crediting each elapsed slice to
 //! the named bucket ([`PLAN`] … [`SYNC`], or a driver bucket) of the
 //! step that just ran: the functional phase's `plan`, `prune`, `kernel`
 //! (the update) and `compress` (the sizing pass), then per tile of the
 //! timeline phase `fetch` (the column pass), `deal` (the timeline loop:
 //! every task's deal and modeled spans) and `writeback` (the tile's
-//! last-download times). Per gate the accumulated slices flush into the
-//! recorder's labeled [`qgpu_obs::Registry`]:
+//! last-download times). Static mode laps coarsely: a gate's whole time
+//! is `kernel`, a collapse's `measure`. Per gate the accumulated slices
+//! flush into the recorder's labeled [`qgpu_obs::Registry`]:
 //!
 //! * `stage.time_ns{stage=…,version=…}` — HDR histogram of per-gate time
 //!   attributed to each stage, plus the pseudo-stages `setup`,
@@ -16,7 +17,8 @@
 //!   Histogram **sums** reconstruct the wall-clock breakdown;
 //!   percentiles expose tail gates.
 //! * `gate.ns{version=…}` — HDR histogram of whole-gate latency.
-//! * `tasks{device=…,version=…}` — chunk tasks executed per device.
+//! * `tasks{device=…,version=…}` — chunk round trips per device: a
+//!   streaming gate's tasks and batched chunk visits.
 //!
 //! Nothing is lapped per task — at tens of nanoseconds a task, a clock
 //! read each would be the largest cost in the loop.

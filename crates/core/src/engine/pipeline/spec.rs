@@ -30,7 +30,8 @@ pub(crate) struct PipelineSpec {
     pub(crate) mode: ExecMode,
     pub(crate) flags: OptFlags,
     /// Merge runs of chunk-local gates into one chunk round trip
-    /// (the [`SimConfig::batch_local_gates`] extension).
+    /// (the [`SimConfig::batch_local_gates`] extension). Streaming only:
+    /// static mode has no round trip to share.
     pub(crate) batching: bool,
 }
 
@@ -48,7 +49,7 @@ impl PipelineSpec {
         PipelineSpec {
             mode,
             flags,
-            batching: cfg.batch_local_gates,
+            batching: mode == ExecMode::Streaming && cfg.batch_local_gates,
         }
     }
 }
@@ -87,5 +88,11 @@ mod tests {
         let cfg = SimConfig::scaled_paper(10).with_gate_batching();
         assert!(PipelineSpec::from_config(&cfg).batching);
         assert!(!PipelineSpec::from_config(&SimConfig::scaled_paper(10)).batching);
+        // The baseline's static mode never batches, flag or not; an
+        // explicit subset under it streams and does.
+        let baseline = cfg.with_version(Version::Baseline);
+        assert!(!PipelineSpec::from_config(&baseline).batching);
+        let subset = baseline.with_opts(OptFlags::default());
+        assert!(PipelineSpec::from_config(&subset).batching);
     }
 }

@@ -132,17 +132,7 @@ pub(crate) fn plan_and_prune<'p>(
 /// the task loop.
 pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimError> {
     let op_idx = g.idx.saturating_sub(1);
-    super::integrity::apply_tasks(
-        &mut env.integ,
-        &mut env.executor,
-        &mut env.state,
-        env.tl,
-        env.rec,
-        g.fop,
-        op_idx,
-        &g.plan,
-        g.tasks,
-    )?;
+    super::integrity::apply_tasks(env, g.fop, op_idx, g.tasks, g.plan.high_mixing())?;
     // Zero-block invariant over the chunks pruning skipped. Zero
     // (unallocated) chunks trivially satisfy it, so the sweep hands the
     // checker only the dense pruned chunks — the ones that could

@@ -28,6 +28,7 @@ use qgpu_statevec::{measure, ChunkedState};
 
 use crate::config::SimConfig;
 
+use super::spec::ExecMode;
 use super::Env;
 
 /// The seeded source of collapse draws for one run.
@@ -84,70 +85,56 @@ pub(crate) fn collapse_state(
     outcome
 }
 
-/// Models the collapse's host-side cost starting at `ready`: a reduce
-/// pass (read every resident amplitude for the probability), a scale
-/// pass (renormalize in place), and the host↔device sync. Returns the
-/// sync's end.
-pub(crate) fn collapse_cost(tl: &mut Timeline, cfg: &SimConfig, ready: f64, bytes: u64) -> f64 {
-    let bw = cfg.platform.host.chunked_update_bw();
+/// A collapse op with seeded draw `u`: the modeled host cost — a reduce
+/// pass (read every resident amplitude for the probability), a scale pass
+/// (renormalize in place), and the host↔device sync — then the functional
+/// projection of the authoritative state. The cost starts once the state
+/// is whole on the host. In static mode it always is, so it starts when
+/// the last op ended. Streaming first drains every in-flight chunk (the
+/// re-partition discipline: chunk-indexed caches reset, the epoch floor
+/// advances).
+pub(crate) fn collapse(env: &mut Env, qubit: usize, is_reset: bool, u: f64) {
+    let kind = if is_reset { "reset" } else { "measure" };
+    let span = if is_reset {
+        "collapse.reset"
+    } else {
+        "collapse.measure"
+    };
+    let _g = span_opt(env.rec, Track::Main, ObsStage::Measure, span);
+    let ready = match env.spec.mode {
+        ExecMode::Static => env.placement.gate_ready,
+        ExecMode::Streaming => {
+            env.epoch_floor = env.epoch_floor.max(env.tl.makespan());
+            env.held.clear();
+            if let Some(rs) = env.resil.as_mut() {
+                rs.on_repartition();
+            }
+            env.dev.drain(None);
+            env.epoch_floor
+        }
+    };
+    let (bytes, host) = (env.state.memory_bytes() as u64, &env.cfg.platform.host);
+    let (bw, sync) = (host.chunked_update_bw(), host.sync_latency);
+    let (tl, pass) = (&mut *env.tl, bytes as f64 / bw);
     // The reduce + scale passes are collapse work, not generic host
     // update: credit them to the Measure drift phase.
     tl.add_measure_time(2.0 * bytes as f64 / bw);
-    let reduce = tl.schedule(
-        Engine::Host,
-        ready,
-        bytes as f64 / bw,
-        TaskKind::HostUpdate,
-        bytes,
-    );
-    let scale = tl.schedule(
-        Engine::Host,
-        reduce.end,
-        bytes as f64 / bw,
-        TaskKind::HostUpdate,
-        bytes,
-    );
-    let sync = tl.schedule(
-        Engine::Host,
-        scale.end,
-        cfg.platform.host.sync_latency,
-        TaskKind::Sync,
-        0,
-    );
-    sync.end
-}
-
-/// A collapse op in the streaming pipeline: drain every in-flight chunk
-/// (same discipline as a re-partition — chunk-indexed caches reset, the
-/// epoch floor advances), pay the modeled host cost, then collapse the
-/// authoritative state.
-pub(crate) fn collapse_streaming(env: &mut Env, qubit: usize, is_reset: bool, u: f64) {
-    let _g = span_opt(
-        env.rec,
-        Track::Main,
-        ObsStage::Measure,
-        if is_reset {
-            "collapse.reset"
-        } else {
-            "collapse.measure"
-        },
-    );
-    let floor = env.tl.makespan();
-    env.epoch_floor = env.epoch_floor.max(floor);
-    env.held.clear();
-    if let Some(rs) = env.resil.as_mut() {
-        rs.on_repartition();
+    let reduce = tl.schedule(Engine::Host, ready, pass, TaskKind::HostUpdate, bytes);
+    let scale = tl.schedule(Engine::Host, reduce.end, pass, TaskKind::HostUpdate, bytes);
+    let end = tl
+        .schedule(Engine::Host, scale.end, sync, TaskKind::Sync, 0)
+        .end;
+    match env.spec.mode {
+        ExecMode::Static => env.placement.gate_ready = end,
+        ExecMode::Streaming => {
+            env.epoch_floor = env.epoch_floor.max(end);
+            env.dev.chain = env.dev.chain.max(end);
+        }
     }
-    env.dev.drain(None);
-    let bytes = env.state.memory_bytes() as u64;
-    let end = collapse_cost(env.tl, env.cfg, env.epoch_floor, bytes);
-    env.epoch_floor = env.epoch_floor.max(end);
-    env.dev.chain = env.dev.chain.max(end);
     let outcome = collapse_state(&mut env.state, qubit, is_reset, u);
     env.tl.count(Counter::Collapses, 1);
     if let Some(r) = env.rec {
         r.flight("collapse", || {
-            let kind = if is_reset { "reset" } else { "measure" };
             format!("{kind} qubit {qubit} -> {}", u8::from(outcome))
         });
     }

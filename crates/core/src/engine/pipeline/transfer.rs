@@ -9,7 +9,7 @@
 
 use qgpu_device::timeline::{Engine, Lanes, TaskKind};
 use qgpu_device::Counter;
-use qgpu_faults::{FaultSite, SimError};
+use qgpu_faults::{FaultInjector, FaultSite, SimError};
 use qgpu_obs::Recorder;
 
 use crate::config::SimConfig;
@@ -90,17 +90,8 @@ fn retrying_transfer(
 ) -> Result<qgpu_device::Span, SimError> {
     let index = rs.transfers;
     rs.transfers += 1;
-    // An injected link degradation stretches this transfer's link time —
-    // every retry of the same transfer sees the same degraded link.
-    let stretch = rs.inj.link_stretch(index);
-    if stretch > 1.0 {
-        tl.count(Counter::LinkDegradations, 1);
-        if let Some(r) = rec {
-            r.flight("link_degraded", || {
-                format!("transfer {index} stretched {stretch:.2}x")
-            });
-        }
-    }
+    // Every retry of the same transfer sees the same degraded link.
+    let stretch = link_stretch(&rs.inj, index, tl, rec);
     let mut attempt: u32 = 0;
     loop {
         let span = copy_with_dma(tl, cfg, dir, ready, bytes, stretch);
@@ -138,6 +129,26 @@ fn retrying_transfer(
         ready = b.end;
         attempt += 1;
     }
+}
+
+/// The injected link stretch of transfer `index` (a mode's own count of
+/// its transfers), counted and logged when the link degrades.
+pub(crate) fn link_stretch(
+    inj: &FaultInjector,
+    index: u64,
+    tl: &mut Lanes,
+    rec: Option<&Recorder>,
+) -> f64 {
+    let stretch = inj.link_stretch(index);
+    if stretch > 1.0 {
+        tl.count(Counter::LinkDegradations, 1);
+        if let Some(r) = rec {
+            r.flight("link_degraded", || {
+                format!("transfer {index} stretched {stretch:.2}x")
+            });
+        }
+    }
+    stretch
 }
 
 /// A chunk's compression ratio ×100, as the `compress.ratio.x100`

@@ -8,6 +8,7 @@ use std::collections::BTreeSet;
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::generators::Benchmark;
 use qgpu_circuit::Circuit;
+use qgpu_device::timeline::TaskKind;
 use qgpu_sched::{GatePlan, InvolvementTracker};
 use qgpu_statevec::StateVector;
 
@@ -191,5 +192,32 @@ fn traced_run_attributes_every_step_to_its_named_bucket() {
             replayed_live_tasks(&c, &cfg),
             "{v}: tasks counted per device vs planned live tasks"
         );
+    }
+}
+
+/// Every round trip a device runs — a gate's task, or a batched chunk
+/// visit — uploads once and counts once under `tasks{device}`.
+#[test]
+fn device_task_counts_match_uploads_with_and_without_batching() {
+    let c = Benchmark::Qft.generate(10);
+    for batching in [false, true] {
+        let mut cfg = SimConfig::scaled_paper(10)
+            .with_version(Version::QGpu)
+            .with_obs_spans()
+            .with_trace(1 << 20);
+        if batching {
+            cfg = cfg.with_gate_batching();
+        }
+        let r = Simulator::new(cfg).run(&c);
+        let reg = &r.obs.as_ref().expect("traced run").registry;
+        let tasks: u64 = reg
+            .counters
+            .iter()
+            .filter(|e| e.name == "tasks")
+            .map(|e| e.value)
+            .sum();
+        let uploads = r.trace.iter().filter(|e| e.kind == TaskKind::H2dCopy);
+        assert!(tasks > 0, "batching {batching}: no tasks counted");
+        assert_eq!(tasks, uploads.count() as u64, "batching {batching}");
     }
 }

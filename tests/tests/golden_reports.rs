@@ -119,7 +119,8 @@ fn scenarios() -> Vec<Scenario> {
             });
         }
     }
-    // Gate batching (qgpu + baseline take different batch paths).
+    // Gate batching. Only the streaming mode batches: the baseline row
+    // must stay equal to the plain `qft/Baseline` one.
     for v in [Version::Baseline, Version::QGpu] {
         out.push(Scenario {
             label: format!("qft/{}+batching", v.label()),
@@ -310,15 +311,65 @@ fn scenarios() -> Vec<Scenario> {
             .with_version(Version::Baseline)
             .with_chunk_count_log2(6),
     });
+    // Static mode's fault and pressure paths: a device lost mid-run with
+    // a straggler and degraded links (its stripe re-homes to the host),
+    // a residency budget below one GPU's capacity, and sticky kernel
+    // flips that quarantine a device and drain it through the same loss
+    // path. `static_paths_fire` checks each path ran.
+    out.push(Scenario {
+        label: "qft12/baseline+devloss".into(),
+        benchmark: Benchmark::Qft,
+        qubits: 12,
+        prep: None,
+        config: SimConfig::new(Platform::scaled_paper_p100(12).with_devices(4))
+            .with_version(Version::Baseline)
+            .with_faults(FaultConfig {
+                seed: 7,
+                device_lost_id: 2,
+                device_lost_at: 40,
+                straggler_device: 1,
+                slowdown_factor: 8.0,
+                p_link_degraded: 0.05,
+                ..FaultConfig::default()
+            }),
+    });
+    out.push(Scenario {
+        label: "qft/baseline+membudget".into(),
+        benchmark: Benchmark::Qft,
+        qubits: n,
+        prep: None,
+        config: SimConfig::scaled_paper(n)
+            .with_version(Version::Baseline)
+            .with_mem_budget(1024),
+    });
+    out.push(Scenario {
+        label: "qft12/baseline+flip".into(),
+        benchmark: Benchmark::Qft,
+        qubits: 12,
+        prep: None,
+        config: SimConfig::new(Platform::scaled_paper_p100(12).with_devices(4))
+            .with_version(Version::Baseline)
+            .with_faults(FaultConfig {
+                seed: 2,
+                kernel_flip_at: 5,
+                kernel_flip_count: 3,
+                kernel_flip_attempts: 2,
+                ..FaultConfig::default()
+            }),
+    });
     out
 }
 
-fn run_fingerprints(s: &Scenario) -> String {
+fn run_scenario(s: &Scenario) -> qgpu::RunResult {
     let mut circuit = s.benchmark.generate(s.qubits);
     if let Some(prep) = s.prep {
         prep(&mut circuit);
     }
-    let r = Simulator::new(s.config.clone().with_trace(200_000)).run(&circuit);
+    Simulator::new(s.config.clone().with_trace(200_000)).run(&circuit)
+}
+
+fn run_fingerprints(s: &Scenario) -> String {
+    let r = run_scenario(s);
     let state = r.state.as_ref().expect("state collected");
     format!(
         "{} state={:016x} report={:016x} trace={:016x} samples={:016x}",
@@ -375,5 +426,29 @@ fn engine_matches_golden_fingerprints() {
         "engine behavior diverged from golden fixtures \
          (deliberate? regenerate with QGPU_GOLDEN_REGEN=1):\n{}",
         mismatches.join("\n")
+    );
+}
+
+/// The static-mode scenarios pin the paths they are named for: a
+/// fingerprint of a run where the path never fired would pin nothing.
+#[test]
+fn static_paths_fire() {
+    let run = |label: &str| {
+        let all = scenarios();
+        let s = all.iter().find(|s| s.label == label).expect(label);
+        run_scenario(s)
+    };
+    let loss = run("qft12/baseline+devloss").report;
+    assert_eq!(loss.devices_lost, 1);
+    assert!(loss.chunks_migrated > 0);
+    assert!(loss.link_degradations > 0);
+    let budget = run("qft/baseline+membudget").report;
+    assert!(budget.pressure_downshifts > 0);
+    let flip = run("qft12/baseline+flip");
+    let integrity = flip.integrity.expect("flips arm the integrity checks");
+    assert!(integrity.quarantines >= 1);
+    assert_eq!(
+        flip.report.devices_lost, 1,
+        "the quarantine drains one device"
     );
 }
