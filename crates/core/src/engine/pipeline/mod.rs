@@ -13,20 +13,23 @@
 //! Prune → Deal → Fetch → Decompress → Kernel → Compress → Writeback →
 //! Sync* — as straight-line code (`stream_gate`) over the plain
 //! functions in `steps`, each consulting only the flags, never the
-//! version. Per gate, two phases:
+//! version. A gate is one op or, with gate batching, a batch of up to
+//! `MAX_BATCH` consecutive chunk-local ops whose tasks chain one kernel
+//! per op (`steps::GateCtx`). Per gate, two phases:
 //!
-//! * the functional phase: the chunk plan, the pruning decision, the
-//!   functional update and the compressed-size pass, each one pass over
-//!   runs of consecutive live chunks;
+//! * the functional phase: the chunk plans, the pruning decision (once),
+//!   the functional update and the compressed-size pass, each one pass
+//!   over runs of consecutive live chunks;
 //! * the timeline phase, a tile of `steps::TILE` *live* tasks at a
 //!   time in plan order: a column pass over the chunk tables, then each
-//!   task's deal, H2D, decompress, kernel, compress and D2H on the
+//!   task's deal, H2D, decompress, kernels, compress and D2H on the
 //!   timeline's lanes, then the tile's last-download times;
 //! * then window occupancy sampling and the per-gate sync.
 //!
 //! The static mode (`static_alloc`) models placement, reactive exchange
 //! and the per-gate sync, then applies the update — or, under the
 //! driver's deferral rule (`Env::defer`), only notes it until `flush`.
+//! Under the same rule a batch's update is one `replay` of its ops.
 //!
 //! Host cost follows live chunks: the plan enumerates only surviving
 //! tasks, the per-chunk tables are paged stamped vectors (`ChunkTable`)
@@ -35,7 +38,6 @@
 //! (integrity + fault injection, orchestration, checkpoint barriers) are
 //! middleware (`middleware`) threaded through the `Env`, not engine forks.
 
-pub(crate) mod batch;
 pub(crate) mod integrity;
 pub(crate) mod middleware;
 pub(crate) mod obs_mw;
@@ -116,10 +118,11 @@ pub(crate) struct Env<'a> {
     /// Static mode's allocation. Streaming keeps the default, which pins
     /// nothing.
     pub(crate) placement: Placement,
-    /// The deferral rule: nothing modeled reads amplitudes in static mode
-    /// and a chunk-local op touches no other chunk, so its update may wait
-    /// for [`flush`] — unless something observes the state per op
-    /// (integrity checks, a worker-death campaign keyed on dispatches).
+    /// The deferral rule: nothing observes the state op by op (no
+    /// integrity checks, no worker-death campaign keyed on dispatches).
+    /// A chunk-local op touches no other chunk, so its update may then
+    /// wait: in static mode, where nothing modeled reads amplitudes, for
+    /// [`flush`]; in a streaming batch, for one [`replay`] of the batch.
     pub(crate) defer: bool,
     /// The first op of the run of chunk-local ops whose updates wait.
     pub(crate) pending: Option<usize>,
@@ -356,6 +359,29 @@ fn drive(
     finish_run(env, mw, circuit, program.len())
 }
 
+/// Longest run of chunk-local ops batched into one gate. A batch decides
+/// pruning once, against the involvement before its first op: exact,
+/// since chunk-local ops move no amplitude across chunks, so a chunk zero
+/// before the batch stays zero through it. The cap bounds how many
+/// kernels one chunk visit chains.
+const MAX_BATCH: usize = 64;
+
+/// Whether `fop` mixes only qubits inside a chunk of `cb` bits.
+fn is_local(fop: &FusedOp, cb: u32) -> bool {
+    let mixing = fop.collapsed().mixing_qubits();
+    mixing.iter().all(|&q| (q as u32) < cb)
+}
+
+/// The end of the batch that starts at the chunk-local op `idx`: at most
+/// [`MAX_BATCH`] consecutive chunk-local unitary ops. A non-local op ends
+/// it, and so does a measurement or reset: a collapse must see every
+/// kernel before it landed.
+fn batch_end(program: &[ProgramOp], idx: usize, cb: u32) -> usize {
+    let cap = program.len().min(idx + MAX_BATCH);
+    let local = |op: &ProgramOp| op.unitary().is_some_and(|f| is_local(f, cb));
+    (idx + 1..cap).find(|&i| !local(&program[i])).unwrap_or(cap)
+}
+
 /// One unitary op at `idx` through the mode's gate model, with its
 /// functional update applied or, under the deferral rule, noted. Returns
 /// the index of the next op: a batch of chunk-local ops takes several.
@@ -366,27 +392,23 @@ fn unitary_op(
     idx: usize,
     fop: &FusedOp,
 ) -> Result<usize, SimError> {
-    let cb = env.chunk_bits;
-    let mixing = fop.collapsed().mixing_qubits();
-    let local = mixing.iter().all(|&q| (q as u32) < cb);
-    let deferred = env.defer && local;
+    let local = is_local(fop, env.chunk_bits);
+    let deferred = env.defer && local && env.spec.mode == ExecMode::Static;
     if !deferred {
         flush(env, &program[..idx], mw)?;
     }
+    let mut end = idx + 1;
     match env.spec.mode {
         ExecMode::Streaming => {
             // Whether chunks move compressed this op: the flag subset's
             // own choice, or the governor's ForceCompress rung.
             let force = env.orch.as_ref().is_some_and(|o| o.force_compress);
             let compressing = env.spec.flags.compression || force;
-            if env.spec.batching && local {
-                mw.gate_begin();
-                let next = batch::run_batch(env, mw, program, idx, compressing)?;
-                mw.mark(obs_mw::KERNEL);
-                mw.gate_done();
-                return Ok(next);
+            let batched = env.spec.batching && local;
+            if batched {
+                end = batch_end(program, idx, env.chunk_bits);
             }
-            stream_gate(env, mw, fop, idx + 1, compressing)?;
+            stream_gate(env, mw, &program[idx..end], idx, batched, compressing)?;
         }
         // No round trip to lap step by step: the whole gate lands in
         // `kernel`.
@@ -402,39 +424,50 @@ fn unitary_op(
             mw.gate_done();
         }
     }
-    Ok(idx + 1)
+    Ok(end)
 }
 
 /// Applies the pending chunk-local ops — the tail of `modeled`, the
-/// program so far — to the state: one pass over the dense chunks, each
-/// replaying the whole run while resident. Same arithmetic per amplitude
-/// in the same order as per-op updates, so the state is bit-identical.
-/// The flush is its own entry in `gate.ns`, charged to `kernel`, and
-/// stays cancellable between chunk visits: an abort names the first op
-/// whose update had not landed everywhere.
+/// program so far — to the state in one [`replay`] over every chunk. The
+/// flush is its own entry in `gate.ns`, charged to `kernel`.
 fn flush(env: &mut Env, modeled: &[ProgramOp], mw: &mut ObsMw) -> Result<(), SimError> {
     let Some(first) = env.pending.take() else {
         return Ok(());
     };
     let ops = &modeled[first..];
+    mw.gate_begin();
+    if let Some(r) = env.rec {
+        r.observe("update.local.ops", ops.len() as u64);
+    }
+    let done = replay(env, ops, first, 0..env.state.num_chunks());
+    mw.mark(obs_mw::KERNEL);
+    mw.gate_done();
+    done
+}
+
+/// Applies the chunk-local `ops`, from program index `first` on, in one
+/// visit per listed chunk that replays them all while it is resident.
+/// Same arithmetic per amplitude in the same order as per-op updates, so
+/// the state is bit-identical. Cancellable between chunk visits: an abort
+/// names `first`, the first op whose update had not landed everywhere.
+fn replay(
+    env: &mut Env,
+    ops: &[ProgramOp],
+    first: usize,
+    chunks: impl Iterator<Item = usize> + Clone,
+) -> Result<(), SimError> {
     let actions: Vec<GateAction> = ops
         .iter()
         .filter_map(ProgramOp::unitary)
         .flat_map(|fop| fop.actions().iter().cloned())
         .collect();
-    let (chunks, cfg) = (0..env.state.num_chunks(), env.cfg);
-    mw.gate_begin();
-    if let Some(r) = env.rec {
-        r.observe("update.local.ops", ops.len() as u64);
-    }
+    let cfg = env.cfg;
     let done = {
         let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.local");
         let poll = || cancelled(cfg, first);
         env.executor
             .try_apply_local_run_polled(&mut env.state, &actions, chunks, &poll)
     };
-    mw.mark(obs_mw::KERNEL);
-    mw.gate_done();
     match done {
         Ok(restarts) => {
             middleware::note_restarts(env.tl, env.rec, restarts);
@@ -477,33 +510,39 @@ fn finish_run(
     })
 }
 
-/// One unitary op through the chunk round trip in two phases. The
-/// functional phase — plan, prune, the update, the sizing pass — runs
-/// once per gate; the timeline phase runs a tile of live tasks at a time:
-/// the column pass, each task's deal → upload → decompress → kernel →
-/// compress → download on the lanes, the last-download write-back. `idx`
-/// is the program index *after* the op. Cancellation is polled between
-/// the phases and between tiles, so a tripped token stops a large gate
-/// within a tile.
+/// One gate — a unitary op, or a `batched` run of chunk-local `ops`
+/// from program index `first` — through the chunk round trip in two
+/// phases. The functional phase — plan, prune, the update, the sizing
+/// pass — runs once per gate; the timeline phase runs a tile of live
+/// tasks at a time: the column pass, each task's deal → upload →
+/// decompress → a kernel per op → compress → download on the lanes, the
+/// last-download write-back. Cancellation is polled between the phases
+/// and between tiles, so a tripped token stops a large gate within a
+/// tile; an abort names the gate's first op.
 fn stream_gate(
     env: &mut Env,
     mw: &mut ObsMw,
-    fop: &FusedOp,
-    idx: usize,
+    ops: &[ProgramOp],
+    first: usize,
+    batched: bool,
     compressing: bool,
 ) -> Result<(), SimError> {
     mw.gate_begin();
-    let g = steps::plan_and_prune(env, mw, fop, idx, compressing);
+    let g = steps::plan_and_prune(env, mw, ops, first, batched, compressing);
     mw.mark(obs_mw::PRUNE);
-    steps::functional_update(env, &g)?;
+    if batched && env.defer {
+        replay(env, ops, first, g.tasks())?;
+    } else {
+        steps::functional_update(env, &g)?;
+    }
     mw.mark(obs_mw::KERNEL);
     steps::size_members(env, &g);
     mw.mark(obs_mw::COMPRESS);
 
     let mut tile = std::mem::take(&mut env.tile);
-    let (mut tasks, mut first_task) = (g.tasks, 0);
+    let (mut tasks, mut first_task) = (g.tasks(), 0);
     loop {
-        poll_cancel(env, idx - 1)?;
+        poll_cancel(env, first)?;
         tile.reps.clear();
         tile.reps.extend(tasks.by_ref().take(steps::TILE));
         if tile.reps.is_empty() {
@@ -623,7 +662,7 @@ fn build_env<'a>(
             .effective_orchestration()
             .map(|o| Orchestration::new(num_gpus, o, cfg)),
         placement,
-        defer: spec.mode == ExecMode::Static && !observed,
+        defer: !observed,
         pending: None,
         held: ChunkTable::default(),
         sizes: Vec::new(),
@@ -658,8 +697,8 @@ mod tests {
         let mut most_pages_spanned = 0usize;
         for (i, op) in program.iter().enumerate() {
             resize_chunks(&mut env);
-            let fop = op.unitary().expect("no collapse in this circuit");
-            stream_gate(&mut env, &mut mw, fop, i + 1, true).expect("fault-free run");
+            let ops = std::slice::from_ref(op);
+            stream_gate(&mut env, &mut mw, ops, i, false, true).expect("fault-free run");
             let highest_live = (env.tracker.mask() >> env.chunk_bits) as usize;
             most_pages_spanned =
                 most_pages_spanned.max(highest_live / ChunkTable::<Held>::PAGE_SLOTS + 1);

@@ -18,7 +18,7 @@
 //!   percentiles expose tail gates.
 //! * `gate.ns{version=…}` — HDR histogram of whole-gate latency.
 //! * `tasks{device=…,version=…}` — chunk round trips per device: a
-//!   streaming gate's tasks and batched chunk visits.
+//!   streaming gate's tasks (a batch's included).
 //!
 //! Nothing is lapped per task — at tens of nanoseconds a task, a clock
 //! read each would be the largest cost in the loop.

@@ -1,21 +1,22 @@
 //! The chunk round trip as plain functions over [`Env`], in the two
-//! phases `stream_gate` runs per gate:
+//! phases `stream_gate` runs per gate — one op, or a batch of chunk-local
+//! ops whose [`GateCtx`] carries one [`Kernel`] per op:
 //!
-//! * the **functional phase**, once per gate: [`plan_and_prune`], then
-//!   [`functional_update`] (one executor pass over runs of consecutive
-//!   live chunks) and [`size_members`] (one codec call per such run);
+//! * the **functional phase**, once per gate: [`plan_and_prune`] (a plan
+//!   per op, one prune decision), then [`functional_update`] (per op, one
+//!   executor pass over runs of consecutive live chunks) and
+//!   [`size_members`] (one codec call per such run);
 //! * the **timeline phase**, a tile of tasks at a time: [`fetch_tile`]
 //!   fills the tile's [`Trip`]s from the chunk table, [`run_tile`]
-//!   issues each task's deal → admission → H2D → decompress → kernel →
-//!   compress → D2H through a [`Round`] — the timeline's lanes plus what
-//!   dealing and admission touch — and [`write_back`] records the tasks'
-//!   last downloads.
+//!   issues each task's deal → admission → H2D → decompress → a kernel
+//!   per op that runs on it → compress → D2H through a [`Round`] — the
+//!   timeline's lanes plus what dealing and admission touch — and
+//!   [`write_back`] records the tasks' last downloads.
 //!
 //! The timeline phase issues exactly the scheduling calls a task-by-task
 //! loop issues, with the same arguments, in the same order: only table
 //! reads and writes that no scheduling call depends on move into the
-//! column pass. The gate-batching shape (`batch`) calls the same
-//! [`Round`] steps and [`Fetch`] rules around its own kernel loop.
+//! column pass.
 //!
 //! Steps consult only [`Env::spec`]'s flags — never the configured
 //! version — so any flag subset composes; integrity checking and fault
@@ -24,7 +25,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 
-use qgpu_circuit::fuse::FusedOp;
+use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
 use qgpu_device::Counter;
 use qgpu_faults::SimError;
@@ -39,7 +40,7 @@ use crate::engine::flops_per_amp;
 
 use super::middleware::{Orchestration, Resilience};
 use super::obs_mw::{self, ObsMw};
-use super::transfer::{self, transfer_with_integrity, Dir};
+use super::transfer::{transfer_with_integrity, Dir};
 use super::{Env, Held, RAW_FALLBACK};
 
 /// Tasks per tile of the timeline phase: the columns are sized by it and
@@ -47,110 +48,163 @@ use super::{Env, Held, RAW_FALLBACK};
 /// gate's task count — and cancellation is polled between tiles.
 pub(crate) const TILE: usize = 4096;
 
-/// One gate resolved against the current chunk layout: what
-/// [`plan_and_prune`] decides and the later steps read.
-pub(crate) struct GateCtx<'p> {
-    pub(crate) fop: &'p FusedOp,
-    /// Program index *after* this op (the injector's mask-corruption
-    /// draw is keyed on it); the op itself is one back.
-    pub(crate) idx: usize,
-    pub(crate) plan: GatePlan,
-    pub(crate) fpa: f64,
-    /// Involvement after this op: decides which members move back.
-    pub(crate) tracker_after: InvolvementTracker,
-    pub(crate) pruning: bool,
-    pub(crate) compressing: bool,
-    /// The tasks surviving pruning, by representative chunk.
-    pub(crate) tasks: Tasks,
+/// One op's kernel in a gate's tasks: the gate's own op, or one op of a
+/// batch.
+pub(crate) struct Kernel<'p> {
+    fop: &'p FusedOp,
+    /// Its program index.
+    op: usize,
+    plan: GatePlan,
+    /// Its own tasks surviving pruning, by representative.
+    tasks: Tasks,
+    fpa: f64,
 }
 
-/// Whether this op (or batch) may prune. An injected involvement-mask
-/// corruption, decided once per `idx`, means no chunk is provably zero:
-/// fall back to full-chunk execution.
-pub(crate) fn prune_allowed(env: &mut Env, idx: usize) -> bool {
-    if !env.spec.flags.pruning {
-        return false;
+/// One gate resolved against the current chunk layout — a single op, or
+/// a batch of chunk-local ops sharing one round trip per chunk: what
+/// [`plan_and_prune`] decides and the later steps read.
+pub(crate) struct GateCtx<'p> {
+    /// The op's kernel, or the batch's in program order.
+    kernels: Vec<Kernel<'p>>,
+    /// Involvement after the gate: decides which members move back.
+    pub(crate) tracker_after: InvolvementTracker,
+    pruning: bool,
+    compressing: bool,
+    /// The gate's tasks by representative, in chunk order: those of
+    /// `span`, then those listed (see [`plan_and_prune`]).
+    span: Tasks,
+    listed: Vec<usize>,
+}
+
+impl GateCtx<'_> {
+    /// The task shape: the first op's plan. A batch's ops are all
+    /// chunk-local, one chunk per task.
+    pub(crate) fn plan(&self) -> &GatePlan {
+        &self.kernels[0].plan
     }
-    let corrupt = env.resil.as_ref().is_some_and(|rs| rs.mask_corrupt(idx));
+
+    /// The gate's tasks by representative, in chunk order: the union of
+    /// its kernels' tasks.
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = usize> + Clone + '_ {
+        self.span.chain(self.listed.iter().copied())
+    }
+
+    fn len(&self) -> usize {
+        self.span.len() + self.listed.len()
+    }
+}
+
+/// The chunk plan, flops density and post-gate involvement of each op of
+/// the gate (`ops`, from program index `first`), then the prune decision
+/// (paper §IV-B), made once against the involvement before the gate:
+/// tasks whose chunks are provably zero are dropped, and each op counts
+/// its chunks as its own plan does. `mw` is lapped between the two so
+/// each keeps its own attribution bucket.
+pub(crate) fn plan_and_prune<'p>(
+    env: &mut Env,
+    mw: &mut ObsMw,
+    ops: &'p [ProgramOp],
+    first: usize,
+    batched: bool,
+    compressing: bool,
+) -> GateCtx<'p> {
+    let (cb, mut tracker_after) = (env.chunk_bits, env.tracker);
+    let num_chunks = 1usize << (env.num_qubits as u32 - cb);
+    let mut kernels = Vec::with_capacity(ops.len());
+    for (op, fop) in (first..).zip(ops.iter().filter_map(ProgramOp::unitary)) {
+        let action = fop.collapsed();
+        let plan = GatePlan::new_observed(action, cb, num_chunks, env.rec);
+        tracker_after.involve_mask(fop.qubit_mask());
+        let (tasks, fpa) = (Tasks::default(), flops_per_amp(action));
+        kernels.push(Kernel {
+            fop,
+            op,
+            plan,
+            tasks,
+            fpa,
+        });
+    }
+    mw.mark(obs_mw::PLAN);
+
+    // An injected involvement-mask corruption means no chunk is provably
+    // zero: the gate falls back to full-chunk execution. A batch keys the
+    // draw on its first op, a single op on the index after it.
+    let key = if batched { first } else { first + 1 };
+    let flag = env.spec.flags.pruning;
+    let corrupt = flag && env.resil.as_ref().is_some_and(|rs| rs.mask_corrupt(key));
     if corrupt {
         env.tl.count(Counter::PruneFallbacks, 1);
         if let Some(r) = env.rec {
             r.flight("prune_fallback", || {
-                format!("op {idx}: corrupt involvement mask, full-chunk execution")
+                format!("op {key}: corrupt involvement mask, full-chunk execution")
             });
         }
     }
-    !corrupt
-}
-
-/// The gate's chunk plan, flops density and post-op involvement, then
-/// the prune decision (paper §IV-B): tasks whose chunks are provably
-/// zero under the involvement mask are dropped. `mw` is lapped between
-/// the two so each keeps its own attribution bucket.
-pub(crate) fn plan_and_prune<'p>(
-    env: &mut Env,
-    mw: &mut ObsMw,
-    fop: &'p FusedOp,
-    idx: usize,
-    compressing: bool,
-) -> GateCtx<'p> {
-    let action = fop.collapsed();
-    let num_chunks = 1usize << (env.num_qubits as u32 - env.chunk_bits);
-    let plan = GatePlan::new_observed(action, env.chunk_bits, num_chunks, env.rec);
-    let mut tracker_after = env.tracker;
-    tracker_after.involve_mask(fop.qubit_mask());
-    mw.mark(obs_mw::PLAN);
-
-    let pruning = prune_allowed(env, idx);
-    let tasks = if pruning {
-        plan.live_task_indices(&env.tracker)
-    } else {
-        plan.tasks()
-    };
-    let (kept_chunks, total) = (tasks.len() * plan.group_len(), plan.total_chunks());
-    env.tl
-        .count(Counter::ChunksPruned, (total - kept_chunks) as u64);
-    env.tl.count(Counter::ChunksProcessed, kept_chunks as u64);
-    if let Some(r) = env.rec {
-        r.observe_n("chunk.bytes", 16u64 << env.chunk_bits, kept_chunks as u64);
+    let (pruning, mut fixed) = (flag && !corrupt, usize::MAX);
+    for k in &mut kernels {
+        k.tasks = match pruning {
+            true => k.plan.live_task_indices(&env.tracker),
+            false => k.plan.tasks(),
+        };
+        let (kept, total) = (k.tasks.len() * k.plan.group_len(), k.plan.total_chunks());
+        env.tl.count(Counter::ChunksPruned, (total - kept) as u64);
+        env.tl.count(Counter::ChunksProcessed, kept as u64);
+        fixed &= k.plan.high_controls();
     }
-    GateCtx {
-        fop,
-        idx,
-        plan,
-        fpa: flops_per_amp(action),
+    // The union of the ops' tasks: those holding the high controls all
+    // ops share, when one op needs no more; else the ones among them that
+    // hold some op's, listed. A kernel runs on a task whose chunk index
+    // holds its op's high controls (a single op's on all its tasks).
+    let mut span = match kernels.as_slice() {
+        [k] => k.tasks,
+        ks => Tasks::within(fixed, ks[0].plan.scope(pruning.then_some(&env.tracker))),
+    };
+    let mut listed = Vec::new();
+    if kernels.iter().all(|k| k.plan.high_controls() != fixed) {
+        let runs = |rep: usize, h: usize| rep & h == h;
+        let any_runs = |rep: &usize| kernels.iter().any(|k| runs(*rep, k.plan.high_controls()));
+        listed = std::mem::take(&mut span).filter(any_runs).collect();
+    }
+    let g = GateCtx {
+        kernels,
         tracker_after,
         pruning,
         compressing,
-        tasks,
+        span,
+        listed,
+    };
+    if let Some(r) = env.rec {
+        let chunks = g.len() * g.plan().group_len();
+        r.observe_n("chunk.bytes", 16u64 << cb, chunks as u64);
     }
+    g
 }
 
-/// The functional update, at gate level before any modeled task:
-/// surviving tasks touch disjoint chunks, so applying them all up front
-/// leaves every per-chunk compressed size identical to updating inside
-/// the task loop.
+/// The functional update, at gate level before any modeled task: each op
+/// over its own surviving tasks, which touch disjoint chunks, so applying
+/// them all up front leaves every per-chunk compressed size identical to
+/// updating inside the task loop.
 pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimError> {
-    let op_idx = g.idx.saturating_sub(1);
-    super::integrity::apply_tasks(env, g.fop, op_idx, g.tasks, g.plan.high_mixing())?;
-    // Zero-block invariant over the chunks pruning skipped. Zero
-    // (unallocated) chunks trivially satisfy it, so the sweep hands the
-    // checker only the dense pruned chunks — the ones that could
-    // actually hold stray amplitude.
-    if g.pruning {
-        if let Some(imw) = env.integ.as_mut() {
-            if imw.zero_sweep_due() {
-                // A task was pruned iff its representative (its lowest
-                // member) is provably zero.
-                let (state, tracker, cb) = (&env.state, &env.tracker, env.chunk_bits);
-                let pruned = g
-                    .plan
-                    .tasks()
-                    .filter(|&rep| tracker.chunk_is_zero(rep, cb))
-                    .flat_map(|rep| g.plan.members(rep))
-                    .filter(|&c| !state.is_zero_chunk(c));
-                imw.check_zero_blocks(state, pruned, op_idx, env.rec)?;
-            }
+    for k in &g.kernels {
+        super::integrity::apply_tasks(env, k.fop, k.op, k.tasks, k.plan.high_mixing())?;
+        // Zero-block invariant over the chunks pruning skipped. Zero
+        // (unallocated) chunks trivially satisfy it, so the sweep hands
+        // the checker only the dense pruned chunks — the ones that could
+        // actually hold stray amplitude.
+        let Some(imw) = env.integ.as_mut().filter(|_| g.pruning) else {
+            continue;
+        };
+        if imw.zero_sweep_due() {
+            // A task was pruned iff its representative (its lowest
+            // member) is provably zero.
+            let (state, tracker, cb) = (&env.state, &env.tracker, env.chunk_bits);
+            let pruned = k
+                .plan
+                .tasks()
+                .filter(|&rep| tracker.chunk_is_zero(rep, cb))
+                .flat_map(|rep| k.plan.members(rep))
+                .filter(|&c| !state.is_zero_chunk(c));
+            imw.check_zero_blocks(state, pruned, k.op, env.rec)?;
         }
     }
     Ok(())
@@ -158,7 +212,7 @@ pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimErr
 
 /// Records an injected encode failure on `chunk`: the caller moves it
 /// raw (no compress kernel, nothing cached as compressed).
-pub(crate) fn note_codec_fallback(env: &mut Env, chunk: usize) {
+fn note_codec_fallback(env: &mut Env, chunk: usize) {
     env.tl.count(Counter::CodecFallbacks, 1);
     if let Some(r) = env.rec {
         let cname = env.codec.kind().name();
@@ -183,12 +237,12 @@ pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
         ObsStage::Compress,
         env.codec.kind().compress_span(),
     );
-    let cb = env.chunk_bits;
-    let members = g.tasks.flat_map(|rep| g.plan.members(rep)).enumerate();
+    let (cb, plan) = (env.chunk_bits, g.plan());
+    let members = g.tasks().flat_map(|rep| plan.members(rep)).enumerate();
     let moving = members.filter(|&(_, m)| !(g.pruning && g.tracker_after.chunk_is_zero(m, cb)));
     let mut sizes = std::mem::take(&mut env.sizes);
     sizes.clear();
-    sizes.resize(g.tasks.len() * g.plan.group_len(), 0);
+    sizes.resize(g.len() * plan.group_len(), 0);
     size_into(env, moving, &mut sizes);
     if let Some(r) = env.rec {
         // A member that moves has a size; the others kept their zero.
@@ -196,7 +250,7 @@ pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
         let sized = sizes.iter().filter(|&&sz| sz != 0 && sz != RAW_FALLBACK);
         r.observe_all(
             "compress.ratio.x100",
-            sized.map(|&sz| transfer::ratio_x100(chunk_bytes, sz)),
+            sized.map(|&sz| chunk_bytes * 100 / u64::from(sz)),
         );
     }
     env.sizes = sizes;
@@ -206,11 +260,7 @@ pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
 /// encode failure is [`RAW_FALLBACK`], an all-zero member the cached
 /// zero-chunk size, and live members in consecutive slots and chunks go
 /// to the codec as one run. Members are sealed at encode time.
-pub(crate) fn size_into(
-    env: &mut Env,
-    members: impl Iterator<Item = (usize, usize)>,
-    out: &mut [u32],
-) {
+fn size_into(env: &mut Env, members: impl Iterator<Item = (usize, usize)>, out: &mut [u32]) {
     let cb = env.chunk_bits;
     // Live members not sized yet: their chunks and the first one's slot.
     let mut run: Option<(Range<usize>, usize)> = None;
@@ -218,18 +268,20 @@ pub(crate) fn size_into(
         let amps = &env.state.as_flat()[chunks.start << cb..chunks.end << cb];
         sized(env, amps, &mut out[at..at + chunks.len()]);
     };
-    for (slot, m) in members {
+    // Walked by `for_each`: a gate's tasks chain two sequences, and the
+    // chain's internal walk checks which one is next once, not per member.
+    members.for_each(|(slot, m)| {
         if env.resil.as_mut().is_some_and(Resilience::codec_fails) {
             note_codec_fallback(env, m);
             out[slot] = RAW_FALLBACK;
-            continue;
+            return;
         }
         let Some(amps) = env.state.chunk(m) else {
             if let Some(rs) = env.resil.as_mut() {
                 rs.seal_zero_at_encode(m, cb);
             }
             out[slot] = zero_chunk_size(env);
-            continue;
+            return;
         };
         if let Some(rs) = env.resil.as_mut() {
             rs.seal_at_encode(m, amps);
@@ -242,7 +294,7 @@ pub(crate) fn size_into(
                 }
             }
         }
-    }
+    });
     if let Some(done) = run {
         flush(env, done, out);
     }
@@ -277,7 +329,7 @@ fn zero_chunk_size(env: &mut Env) -> u32 {
 /// What a member's round trip adds to its task's [`Trip`], and to the
 /// chunk table — everything about a task that no scheduling call reads
 /// back, so the column pass can settle it ahead of the timeline loop.
-pub(crate) struct Fetch<'e> {
+struct Fetch<'e> {
     state: &'e ChunkedState,
     resil: Option<&'e mut Resilience>,
     /// Involvement before the op (what moves up) and after it (what
@@ -292,33 +344,11 @@ pub(crate) struct Fetch<'e> {
     packed: u64,
 }
 
-impl<'e> Fetch<'e> {
-    pub(crate) fn new(
-        state: &'e ChunkedState,
-        resil: Option<&'e mut Resilience>,
-        [before, after]: [&'e InvolvementTracker; 2],
-        pruning: bool,
-        compressing: bool,
-        chunk_bits: u32,
-    ) -> Self {
-        let (raw, packed) = (0, 0);
-        Fetch {
-            state,
-            resil,
-            before,
-            after,
-            pruning,
-            compressing,
-            chunk_bits,
-            raw,
-            packed,
-        }
-    }
-
+impl Fetch<'_> {
     /// Member `m`'s upload: none if provably zero, its cached size when
     /// compressing (then decompressed), raw otherwise — tagged.
     #[inline]
-    pub(crate) fn up(&mut self, m: usize, cached: Option<u32>, trip: &mut Trip) {
+    fn up(&mut self, m: usize, cached: Option<u32>, trip: &mut Trip) {
         if self.pruning && self.before.chunk_is_zero(m, self.chunk_bits) {
             return;
         }
@@ -339,13 +369,7 @@ impl<'e> Fetch<'e> {
     /// re-tagged on arrival without compression or after a failed encode;
     /// else compressed. Returns the member's cached size after the gate.
     #[inline]
-    pub(crate) fn down(
-        &mut self,
-        m: usize,
-        cached: Option<u32>,
-        size: u32,
-        trip: &mut Trip,
-    ) -> Option<u32> {
+    fn down(&mut self, m: usize, cached: Option<u32>, size: u32, trip: &mut Trip) -> Option<u32> {
         if self.pruning && self.after.chunk_is_zero(m, self.chunk_bits) {
             return None;
         }
@@ -363,7 +387,7 @@ impl<'e> Fetch<'e> {
     }
 
     /// Counts the bytes that moved compressed.
-    pub(crate) fn count(self, tl: &mut Timeline) {
+    fn count(self, tl: &mut Timeline) {
         tl.count(Counter::BytesBeforeCompress, self.raw);
         tl.count(Counter::BytesAfterCompress, self.packed);
     }
@@ -385,16 +409,6 @@ pub(crate) struct Trip {
     done: f64,
 }
 
-impl Trip {
-    /// A trip whose upload may start at `ready`, nothing moved yet.
-    pub(crate) fn new(ready: f64) -> Self {
-        Trip {
-            ready,
-            ..Trip::default()
-        }
-    }
-}
-
 /// The tile the timeline phase works on: up to [`TILE`] tasks, by
 /// representative, and their trips. Reused across tiles and gates.
 #[derive(Default)]
@@ -411,7 +425,14 @@ pub(crate) struct Tile {
 pub(crate) fn fetch_tile(env: &mut Env, g: &GateCtx, tile: &mut Tile, first_task: usize) {
     let Tile { reps, trips } = tile;
     trips.clear();
-    trips.resize(reps.len(), Trip::new(env.epoch_floor));
+    let ready = env.epoch_floor;
+    trips.resize(
+        reps.len(),
+        Trip {
+            ready,
+            ..Trip::default()
+        },
+    );
     let Env {
         state,
         resil,
@@ -422,17 +443,20 @@ pub(crate) fn fetch_tile(env: &mut Env, g: &GateCtx, tile: &mut Tile, first_task
         tl,
         ..
     } = env;
-    let (trackers, cb) = ([&*tracker, &g.tracker_after], *chunk_bits);
-    let mut fetch = Fetch::new(
+    let cb = *chunk_bits;
+    let mut fetch = Fetch {
         state,
-        resil.as_mut(),
-        trackers,
-        g.pruning,
-        g.compressing,
-        cb,
-    );
-    let group_len = g.plan.group_len();
-    for (j, offset) in g.plan.members(0).enumerate() {
+        resil: resil.as_mut(),
+        before: tracker,
+        after: &g.tracker_after,
+        pruning: g.pruning,
+        compressing: g.compressing,
+        chunk_bits: cb,
+        raw: 0,
+        packed: 0,
+    };
+    let group_len = g.plan().group_len();
+    for (j, offset) in g.plan().members(0).enumerate() {
         held.update_each(reps.iter().map(|rep| rep + offset), |t, old| {
             let (m, trip) = (reps[t] + offset, &mut trips[t]);
             // Never downloaded: 0 waits for nothing past the floor.
@@ -727,21 +751,38 @@ impl<'e> Round<'e> {
 }
 
 /// The timeline loop over one tile: each task's round trip, in order, on
-/// one hold of the lanes.
+/// one hold of the lanes — one upload, a kernel per op that runs on the
+/// task (chained on the resident chunks), one download.
 pub(crate) fn run_tile(
     env: &mut Env,
     g: &GateCtx,
     tile: &mut Tile,
     mw: &mut ObsMw,
 ) -> Result<(), SimError> {
-    let mut round = Round::new(env, g.plan.group_len(), g.compressing);
-    let (flops, fused) = ((round.bytes as f64 / 16.0) * g.fpa, g.fop.is_fused());
-    for trip in &mut tile.trips {
+    let mut round = Round::new(env, g.plan().group_len(), g.compressing);
+    let amps = round.bytes as f64 / 16.0;
+    let kernels: Vec<_> = g
+        .kernels
+        .iter()
+        .map(|k| (k.plan.high_controls(), amps * k.fpa, k.fop.is_fused()))
+        .collect();
+    for (trip, &rep) in tile.trips.iter_mut().zip(&tile.reps) {
         let gpu = round.deal();
         let ready = round.upload(gpu, trip)?;
-        let (end, kernel_s) = round.kernel(gpu, ready, flops, fused);
-        round.note_service(gpu, kernel_s);
-        trip.done = round.download(gpu, end, trip)?;
+        // A single op runs on every task, straight: the chain's loop would
+        // cost it ≈ 10 % of the timeline phase.
+        let (ready, service) = match kernels[..] {
+            [(_, flops, fused)] => round.kernel(gpu, ready, flops, fused),
+            _ => kernels.iter().filter(|k| rep & k.0 == k.0).fold(
+                (ready, 0.0),
+                |(ready, service), &(_, flops, fused)| {
+                    let (end, kernel_s) = round.kernel(gpu, ready, flops, fused);
+                    (end, service + kernel_s)
+                },
+            ),
+        };
+        round.note_service(gpu, service);
+        trip.done = round.download(gpu, ready, trip)?;
         mw.task_done(gpu);
     }
     Ok(())
@@ -750,7 +791,7 @@ pub(crate) fn run_tile(
 /// Each task's download end as its members' last download, which the
 /// next gate's uploads wait for.
 pub(crate) fn write_back(env: &mut Env, g: &GateCtx, tile: &Tile) {
-    for offset in g.plan.members(0) {
+    for offset in g.plan().members(0) {
         env.held
             .update_each(tile.reps.iter().map(|rep| rep + offset), |t, old| {
                 let compressed = old.and_then(|h| h.compressed);
@@ -762,24 +803,18 @@ pub(crate) fn write_back(env: &mut Env, g: &GateCtx, tile: &Tile) {
     }
 }
 
-/// After the last task: window occupancy, sampled once per gate per
-/// device, and the per-gate sync.
-pub(crate) fn end_of_gate(env: &mut Env) {
-    if let (true, Some(r)) = (env.spec.flags.overlap, env.rec) {
-        let occupancy = env.dev.windows.iter().map(|w| w.inflight as u64);
-        r.observe_all("window.inflight", occupancy);
-    }
-    gate_sync(env);
-}
-
-/// Without the overlap flag, a full synchronization after every gate
+/// After the last task: with overlap, window occupancy, sampled once per
+/// gate per device; without, a full synchronization after every gate
 /// (Naive's behavior).
-pub(crate) fn gate_sync(env: &mut Env) {
+pub(crate) fn end_of_gate(env: &mut Env) {
     if !env.spec.flags.overlap {
         let sync = env.cfg.platform.host.sync_latency;
         let s = env
             .tl
             .schedule(Engine::Host, env.dev.chain, sync, TaskKind::Sync, 0);
         env.dev.chain = s.end;
+    } else if let Some(r) = env.rec {
+        let occupancy = env.dev.windows.iter().map(|w| w.inflight as u64);
+        r.observe_all("window.inflight", occupancy);
     }
 }

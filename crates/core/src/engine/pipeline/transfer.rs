@@ -2,8 +2,8 @@
 //! and its integrity-checked (retrying) variant, both on a timeline's
 //! [`Lanes`].
 //!
-//! Every engine path — streaming stages, the gate-batching extension,
-//! the static-allocation mode, and device-loss replay — routes its
+//! Every engine path — streaming stages (batches included), the
+//! static-allocation mode, and device-loss replay — routes its
 //! copies through [`copy_with_dma`], so the §V-E host-DMA bottleneck is
 //! modeled once.
 
@@ -149,10 +149,4 @@ pub(crate) fn link_stretch(
         }
     }
     stretch
-}
-
-/// A chunk's compression ratio ×100, as the `compress.ratio.x100`
-/// histogram records it.
-pub(crate) fn ratio_x100(raw_bytes: u64, compressed: u32) -> u64 {
-    raw_bytes * 100 / u64::from(compressed.max(1))
 }

@@ -260,3 +260,79 @@ fn cancel_lands_within_a_tile_of_a_large_gate() {
         "every gate but the cancelled one completed"
     );
 }
+
+/// A batch of chunk-local ops is a gate like any other: a token tripped
+/// once the batch is planned stops it between its phases, between chunk
+/// visits of its update or between tiles, and the abort names the batch's
+/// first op. The batch here is the run's last four ops (no reorder pass
+/// moves them), over 2^19 live chunks: 128 tiles.
+#[test]
+fn cancel_lands_inside_a_batch() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let n = 20;
+    let mut c = qgpu_circuit::Circuit::new(n);
+    for q in 1..n {
+        c.h(q);
+    }
+    c.h(0).t(0).h(0).t(0);
+    let cfg = SimConfig::scaled_paper(n)
+        .with_version(Version::Pruning)
+        .fixed_chunk_size()
+        .with_chunk_count_log2(n as u32 - 1)
+        .with_gate_batching();
+    let tasks = |rec: &Recorder| -> u64 {
+        let snap = rec.registry().snapshot();
+        snap.counters
+            .iter()
+            .filter(|e| e.name == "tasks")
+            .map(|e| e.value)
+            .sum()
+    };
+    let planned = |rec: &Recorder| -> u64 {
+        let snap = rec.registry().snapshot();
+        let hists = snap.histograms_named("chunk.bytes");
+        hists.map(|e| e.value.count).sum()
+    };
+    let full = Arc::new(Recorder::new());
+    pipeline::run(&c, &cfg, Some(&full), None).expect("uncancelled run");
+    let (all_planned, all_tasks) = (planned(&full), tasks(&full));
+
+    let token = CancelToken::new();
+    let rec = Arc::new(Recorder::new().with_flight(256));
+    let finished = Arc::new(AtomicBool::new(false));
+    let watcher = {
+        let (rec, finished, token) = (Arc::clone(&rec), Arc::clone(&finished), token.clone());
+        std::thread::spawn(move || {
+            while planned(&rec) < all_planned && !finished.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            token.cancel()
+        })
+    };
+    let outcome = pipeline::run(&c, &cfg.with_cancel(token), Some(&rec), None);
+    finished.store(true, Ordering::Release);
+    assert!(
+        watcher.join().expect("watcher"),
+        "the watcher tripped the token"
+    );
+    let err = outcome.expect_err("the batch's update and tiles outlast the watcher's reaction");
+    let first = n - 1;
+    assert!(
+        matches!(err, SimError::JobAborted { op } if op == first),
+        "aborted inside the batch, at its first op {first}: {err}"
+    );
+    let snap = rec.registry().snapshot();
+    assert_eq!(snap.counter_total("cancel.aborts"), 1);
+    assert_eq!(planned(&rec), all_planned, "the batch was planned");
+    let dealt = tasks(&rec);
+    assert!(
+        dealt < all_tasks,
+        "the abort cut the batch short: {dealt} of {all_tasks} tasks dealt"
+    );
+    let gates: u64 = snap
+        .histograms_named("gate.ns")
+        .map(|e| e.value.count)
+        .sum();
+    assert_eq!(gates, first as u64, "every gate before the batch completed");
+}

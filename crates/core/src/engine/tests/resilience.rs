@@ -264,3 +264,35 @@ fn resumed_compressed_run_pays_no_arrival_retags() {
     assert!(retags(&control) > 0, "raw transfers must re-tag");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A kernel-flip campaign fires once per op, batched or not: a batch
+/// applies each member op over its own live tasks, as a single gate does,
+/// so the integrity middleware sees the same checked updates.
+#[test]
+fn batched_flip_campaign_matches_the_unbatched_one() {
+    let n = 12;
+    let c = Benchmark::Qft.generate(n);
+    // Both flip ops are chunk-local, so under batching they land inside a
+    // batch.
+    for at in [40, 60] {
+        let cfg = SimConfig::new(qgpu_device::Platform::scaled_paper_p100(n).with_devices(4))
+            .with_version(Version::QGpu)
+            .with_faults(FaultConfig {
+                kernel_flip_at: at,
+                kernel_flip_count: 1,
+                ..FaultConfig::default()
+            });
+        let plain = Simulator::new(cfg.clone()).run(&c);
+        let batched = Simulator::new(cfg.with_gate_batching()).run(&c);
+        let counts = |r: &RunResult| {
+            let s = r.integrity.expect("flips arm the integrity checks");
+            (s.flips_injected, s.violations, s.repairs, s.quarantines)
+        };
+        assert_eq!(counts(&plain).0, 1, "op {at}: one flip unbatched");
+        assert_eq!(counts(&batched), counts(&plain), "op {at}");
+        assert_bitwise_eq(
+            batched.state.as_ref().expect("collected"),
+            plain.state.as_ref().expect("collected"),
+        );
+    }
+}

@@ -194,3 +194,40 @@ fn trace_events_recorded() {
     assert!(!r.trace.is_empty());
     assert!(r.trace.len() <= 500);
 }
+
+/// A batch counts its chunks as each member op's plan does: processed
+/// plus pruned is the sum of the members' planned chunks, batched or not,
+/// also for a high-controlled op whose target is chunk-local — and for a
+/// batch whose ops all have such controls, which runs only on the chunks
+/// that hold some op's.
+#[test]
+fn batch_counters_follow_each_member_plan() {
+    use qgpu_circuit::access::GateAction;
+    use qgpu_sched::GatePlan;
+
+    let n = 10;
+    let mut c = qgpu_circuit::Circuit::new(n);
+    c.h(0).h(1).cx(1, 8).h(2).cx(8, 0).t(1).cx(9, 2).h(0);
+    c.h(9).cx(8, 1).cx(9, 2).h(7);
+    let cfg = SimConfig::scaled_paper(n)
+        .with_version(Version::QGpu)
+        .fixed_chunk_size()
+        .with_chunk_count_log2(4);
+    let bits = n as u32 - 4;
+    let planned: u64 = c
+        .ops()
+        .iter()
+        .map(|op| GatePlan::new(&GateAction::from_operation(op), bits, 16).total_chunks() as u64)
+        .sum();
+    let plain = Simulator::new(cfg.clone()).run(&c);
+    let batched = Simulator::new(cfg.with_gate_batching()).run(&c);
+    for (label, r) in [("unbatched", &plain), ("batched", &batched)] {
+        let counted = r.report.chunks_processed + r.report.chunks_pruned;
+        assert_eq!(counted, planned, "{label}");
+    }
+    assert!(batched.report.chunks_pruned > 0, "the batch pruned chunks");
+    super::assert_bitwise_eq(
+        batched.state.as_ref().expect("collected"),
+        plain.state.as_ref().expect("collected"),
+    );
+}

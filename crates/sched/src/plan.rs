@@ -35,12 +35,13 @@ pub struct Tasks {
 }
 
 impl Tasks {
-    /// The one task represented by `rep`.
-    pub fn one(rep: usize) -> Self {
-        Tasks::over(rep, 0)
-    }
-
-    fn over(fixed: usize, free: usize) -> Self {
+    /// Every `rep` with `fixed ⊆ rep ⊆ within`, ascending: none unless
+    /// `fixed ⊆ within`.
+    pub fn within(fixed: usize, within: usize) -> Self {
+        if fixed & !within != 0 {
+            return Tasks::default();
+        }
+        let free = within & !fixed;
         Tasks {
             fixed,
             free,
@@ -176,8 +177,18 @@ impl GatePlan {
     /// Every planned task's representative, in chunk order:
     /// `num_chunks >> (|H| + |G|)` of them.
     pub fn tasks(&self) -> Tasks {
-        let fixed = self.high_controls | self.group_mask();
-        Tasks::over(self.high_controls, (self.num_chunks - 1) & !fixed)
+        self.tasks_within(self.num_chunks - 1)
+    }
+
+    /// The tasks whose representatives set only chunk-index bits of
+    /// `scope`, in chunk order.
+    fn tasks_within(&self, scope: usize) -> Tasks {
+        Tasks::within(self.high_controls, scope & !self.group_mask())
+    }
+
+    /// `H`: the chunk-index bits a task's chunks must all have set.
+    pub fn high_controls(&self) -> usize {
+        self.high_controls
     }
 
     /// The chunks of the task represented by `rep`, ordered by
@@ -211,12 +222,14 @@ impl GatePlan {
     /// (Dropping such tasks is exact: a linear map keeps an all-zero
     /// subspace zero, per the paper's §IV-C correctness argument.)
     pub fn live_task_indices(&self, tracker: &InvolvementTracker) -> Tasks {
-        let involved = (tracker.mask() >> self.chunk_bits) as usize & (self.num_chunks - 1);
-        if self.high_controls & !involved != 0 {
-            return Tasks::default();
-        }
-        let fixed = self.high_controls | self.group_mask();
-        Tasks::over(self.high_controls, involved & !fixed)
+        self.tasks_within(self.scope(Some(tracker)))
+    }
+
+    /// The chunk-index bits a surviving task may set: those of the qubits
+    /// involved under `tracker` when pruning, every bit otherwise.
+    pub fn scope(&self, tracker: Option<&InvolvementTracker>) -> usize {
+        let all = self.num_chunks - 1;
+        tracker.map_or(all, |t| (t.mask() >> self.chunk_bits) as usize & all)
     }
 
     /// Number of tasks dropped by pruning under `tracker`.

@@ -357,6 +357,54 @@ fn scenarios() -> Vec<Scenario> {
                 ..FaultConfig::default()
             }),
     });
+    // Gate batching under transfer, codec and mask faults, under device
+    // loss with a straggler and degraded links, and under a residency
+    // budget tight enough to pull a rung (`qft/qgpu+membudget`'s pulls
+    // none). `batching_paths_fire` checks each path ran.
+    out.push(Scenario {
+        label: "qft12/qgpu+batching+faults".into(),
+        benchmark: Benchmark::Qft,
+        qubits: 12,
+        prep: None,
+        config: SimConfig::scaled_paper(12)
+            .with_version(Version::QGpu)
+            .with_gate_batching()
+            .with_faults(FaultConfig {
+                seed: 42,
+                p_transfer_corrupt: 0.02,
+                p_codec_fail: 0.05,
+                p_mask_corrupt: 0.15,
+                ..FaultConfig::default()
+            }),
+    });
+    out.push(Scenario {
+        label: "qft12/qgpu+batching+devloss".into(),
+        benchmark: Benchmark::Qft,
+        qubits: 12,
+        prep: None,
+        config: SimConfig::new(Platform::scaled_paper_p100(12).with_devices(4))
+            .with_version(Version::QGpu)
+            .with_gate_batching()
+            .with_faults(FaultConfig {
+                seed: 7,
+                device_lost_id: 2,
+                device_lost_at: 40,
+                straggler_device: 1,
+                slowdown_factor: 8.0,
+                p_link_degraded: 0.05,
+                ..FaultConfig::default()
+            }),
+    });
+    out.push(Scenario {
+        label: "qft/qgpu+batching+membudget".into(),
+        benchmark: Benchmark::Qft,
+        qubits: n,
+        prep: None,
+        config: SimConfig::scaled_paper(n)
+            .with_version(Version::QGpu)
+            .with_gate_batching()
+            .with_mem_budget(2 * 1024),
+    });
     out
 }
 
@@ -451,4 +499,24 @@ fn static_paths_fire() {
         flip.report.devices_lost, 1,
         "the quarantine drains one device"
     );
+}
+
+/// The batching scenarios pin the paths they are named for, as
+/// `static_paths_fire` does for static mode.
+#[test]
+fn batching_paths_fire() {
+    let run = |label: &str| {
+        let all = scenarios();
+        let s = all.iter().find(|s| s.label == label).expect(label);
+        run_scenario(s).report
+    };
+    let faults = run("qft12/qgpu+batching+faults");
+    assert!(faults.chunk_retries > 0);
+    assert!(faults.codec_fallbacks > 0);
+    assert!(faults.prune_fallbacks > 0);
+    let loss = run("qft12/qgpu+batching+devloss");
+    assert_eq!(loss.devices_lost, 1);
+    assert!(loss.link_degradations > 0);
+    let budget = run("qft/qgpu+batching+membudget");
+    assert!(budget.pressure_downshifts > 0);
 }
