@@ -1,98 +1,89 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
-//! ```text
-//! repro <experiment> [--qubits N] [--json]
-//! repro all [--qubits N] [--json]
-//! repro perf [--qubits N[,N…]] [--out path] [--label name]
-//!            [--compare OLD.json [--current NEW.json]] [--tol F] [--floor-ms F]
-//! repro list
-//! ```
-//!
-//! `--json` emits each table as a JSON object (title/headers/rows) instead
-//! of markdown — for downstream plotting scripts.
-//!
-//! `repro perf` runs the pinned perf-trajectory matrix and writes a
-//! schema-versioned `BENCH_<label>.json`; with `--compare` it exits
-//! nonzero when any scenario regresses beyond the noise tolerance (see
-//! [`qgpu_bench::perf`]).
-//!
-//! Experiments: fig2 fig3 fig4 fig6 fig7 fig8 fig9 fig10 fig12 fig13
-//! fig14 fig15 fig16 fig17 fig19 tab2 tab3. Default sizes are chosen so
-//! `repro all` finishes in minutes on a laptop while preserving the
-//! paper's shapes; pass `--qubits` to push larger.
+//! `repro <experiment>` prints an experiment's tables as markdown, or
+//! with `--json` as JSON objects (title/headers/rows) for plotting
+//! scripts; `repro all` runs every experiment and `repro list` names
+//! them. Default sizes are chosen so `repro all` finishes in minutes on a
+//! laptop while preserving the paper's shapes; pass `--qubits` to push
+//! larger. `repro perf` runs the pinned perf-trajectory matrix and its
+//! regression gate (see [`qgpu_bench::perf`]). `repro --help` and `repro
+//! perf --help` list the flags; a usage error exits 2, a run failure 1.
 
-use std::env;
 use std::process::ExitCode;
 
+use qgpu::cli::{self, Cli, Error};
 use qgpu::experiments;
 use qgpu_circuit::generators::Benchmark;
 
+#[derive(Default)]
 struct Args {
-    experiment: String,
     qubits: Option<usize>,
     json: bool,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = env::args().skip(1);
-    let experiment = args.next().ok_or_else(usage)?;
-    let mut qubits = None;
-    let mut json = false;
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--qubits" | "-q" => {
-                let v = args.next().ok_or("missing value after --qubits")?;
-                qubits = Some(
-                    v.parse::<usize>()
-                        .map_err(|_| format!("bad qubit count '{v}'"))?,
-                );
-            }
-            "--json" => json = true,
-            other => return Err(format!("unknown argument '{other}'\n{}", usage())),
-        }
+const CLI: Cli<Args> = Cli {
+    usage: "usage: repro <experiment|all|list> [flags]\n       repro perf [flags]",
+    flags: qgpu::flags! { Args;
+        "--qubits", "-q" <"N"> "simulated width (each experiment has its default)" => |o, v| o.qubits = Some(v.parse()?);
+        "--json" "print each table as a JSON object instead of markdown" => |o, _| o.json = true;
+    },
+};
+
+/// The experiment named in `args`, and its options; a width below the
+/// smallest its circuits are built at is refused.
+fn parse(args: &[String]) -> Result<(String, Args), Error> {
+    let (o, rest) = CLI.parse(args)?;
+    let [name] = <[String; 1]>::try_from(rest).map_err(|_| "give one experiment, all or list")?;
+    let min = match name.as_str() {
+        "all" => EXPERIMENTS.iter().map(|e| e.1).max(),
+        name => EXPERIMENTS.iter().find(|e| e.0 == name).map(|e| e.1),
+    };
+    if let (Some(q), Some(min)) = (o.qubits, min) {
+        cli::qubits(q, min).map_err(|e| e.on("--qubits"))?;
     }
-    Ok(Args {
-        experiment,
-        qubits,
-        json,
-    })
+    Ok((name, o))
 }
 
-fn usage() -> String {
-    "usage: repro <experiment|all|list> [--qubits N] [--json]".to_string()
-}
-
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig2", "baseline execution time breakdown"),
-    ("fig3", "naive version normalized time"),
-    ("fig4", "naive execution breakdown"),
-    ("fig6", "timeline of each optimization"),
-    ("fig7", "hchain amplitude distribution"),
-    ("fig8", "gs_5 reordering walk-through"),
-    ("fig9", "involvement under three gate orders"),
-    ("fig10", "residual distributions / compressibility"),
+/// Each experiment: its name, its smallest `--qubits` (4 where its
+/// circuits include `qf`, 0 where it builds none at a small width) and
+/// what it reproduces.
+const EXPERIMENTS: &[(&str, usize, &str)] = &[
+    ("fig2", 4, "baseline execution time breakdown"),
+    ("fig3", 4, "naive version normalized time"),
+    ("fig4", 4, "naive execution breakdown"),
+    ("fig6", 2, "timeline of each optimization"),
+    ("fig7", 2, "hchain amplitude distribution"),
+    ("fig8", 0, "gs_5 reordering walk-through"),
+    ("fig9", 2, "involvement under three gate orders"),
+    ("fig10", 2, "residual distributions / compressibility"),
     (
         "fig12",
+        4,
         "normalized execution time, all versions (headline)",
     ),
-    ("fig13", "normalized data transfer time"),
-    ("fig14", "compression/decompression overheads"),
-    ("fig15", "roofline analysis"),
-    ("fig16", "comparison with Qsim-Cirq and QDK"),
-    ("fig17", "V100 and A100 platforms"),
-    ("fig19", "multi-GPU platforms"),
-    ("tab2", "operations before full involvement (34 qubits)"),
-    ("tab3", "deep circuits"),
-    ("scaling", "figure 12 geomeans across qubit counts"),
-    ("abl-chunks", "ablation: chunk count"),
-    ("abl-dynamic", "ablation: dynamic vs fixed chunk size"),
+    ("fig13", 4, "normalized data transfer time"),
+    ("fig14", 4, "compression/decompression overheads"),
+    ("fig15", 2, "roofline analysis"),
+    ("fig16", 2, "comparison with Qsim-Cirq and QDK"),
+    ("fig17", 4, "V100 and A100 platforms"),
+    ("fig19", 4, "multi-GPU platforms"),
+    ("tab2", 4, "operations before full involvement (34 qubits)"),
+    ("tab3", 2, "deep circuits"),
+    ("scaling", 0, "figure 12 geomeans across qubit counts"),
+    ("abl-chunks", 4, "ablation: chunk count"),
+    ("abl-dynamic", 4, "ablation: dynamic vs fixed chunk size"),
     (
         "abl-reorder",
+        4,
         "ablation: greedy vs forward-looking, end to end",
     ),
-    ("abl-buffer", "ablation: double-buffer split fraction"),
-    ("abl-grid", "ablation: the full 2^4 optimization-flag grid"),
-    ("ext-batching", "extension: gate batching over Q-GPU"),
+    ("abl-buffer", 4, "ablation: double-buffer split fraction"),
+    (
+        "abl-grid",
+        4,
+        "ablation: the full 2^4 optimization-flag grid",
+    ),
+    ("ext-batching", 4, "extension: gate batching over Q-GPU"),
 ];
 
 fn collect(
@@ -162,49 +153,96 @@ fn run_one(name: &str, qubits: Option<usize>, json: bool) -> Result<(), String> 
 }
 
 fn main() -> ExitCode {
-    // `repro perf` has its own argument grammar — intercept before the
-    // table-experiment parser.
-    let raw: Vec<String> = env::args().skip(1).collect();
+    let raw = cli::argv();
     if raw.first().map(String::as_str) == Some("perf") {
-        return match qgpu_bench::perf::cli(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
-            }
-        };
+        return qgpu_bench::perf::cli(&raw[1..]);
     }
-    let args = match parse_args() {
+    let (name, args) = match parse(&raw) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return CLI.exit(e),
     };
-    match args.experiment.as_str() {
+    let names: Vec<&str> = match name.as_str() {
         "list" => {
-            for (name, desc) in EXPERIMENTS {
+            for (name, _, desc) in EXPERIMENTS {
                 println!("{name:8} {desc}");
             }
-            ExitCode::SUCCESS
+            vec![]
         }
-        "all" => {
-            for (name, _) in EXPERIMENTS {
-                eprintln!("[repro] running {name} …");
-                if let Err(e) = run_one(name, args.qubits, args.json) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            ExitCode::SUCCESS
+        "all" => EXPERIMENTS.iter().map(|e| e.0).collect(),
+        name => vec![name],
+    };
+    for name in &names {
+        if names.len() > 1 {
+            eprintln!("[repro] running {name} …");
         }
-        name => match run_one(name, args.qubits, args.json) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("{e}");
-                ExitCode::FAILURE
+        if let Err(e) = run_one(name, args.qubits, args.json) {
+            return CLI.exit(Error::Usage(e));
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn every_row_is_in_the_help() {
+        let help = CLI.help();
+        for f in CLI.flags {
+            assert!(help.contains(f.long), "{}", f.long);
+        }
+        assert!(help.contains("-q, --qubits <N>") && help.contains("--help"));
+    }
+
+    #[test]
+    fn spellings_parse() {
+        for line in [
+            "list",
+            "fig8 --json",
+            "tab2",
+            "fig2 -q 12",
+            "all --qubits 4 --json",
+            "--json fig7 -q 2",
+        ] {
+            assert!(parse(&argv(line)).is_ok(), "{line}");
+        }
+        assert_eq!(parse(&argv("--help")).err(), Some(Error::Help));
+    }
+
+    #[test]
+    fn each_experiment_runs_at_its_smallest_width_and_not_below() {
+        for &(name, min, _) in EXPERIMENTS {
+            assert!(collect(name, Some(min)).is_ok(), "{name} at {min} qubits");
+            if min > 0 {
+                let below = std::panic::catch_unwind(|| collect(name, Some(min - 1)));
+                assert!(below.is_err(), "{name} runs at {} qubits", min - 1);
             }
-        },
+        }
+    }
+
+    #[test]
+    fn hostile_lines_are_usage_errors() {
+        let bad = [
+            "",
+            "fig2 fig3",
+            "fig2 -q 1",
+            "fig2 -q 3",
+            "all -q 2",
+            "tab2 -q 70",
+            "fig7 -q 65",
+            "fig2 --nope",
+            "fig2 -q",
+        ];
+        for line in bad {
+            assert!(
+                matches!(parse(&argv(line)), Err(Error::Usage(_))),
+                "{line:?} accepted"
+            );
+        }
     }
 }

@@ -34,8 +34,10 @@
 //! gates nothing codec-side, so old BENCH files keep working.
 
 use std::fmt::Write as _;
+use std::process::ExitCode;
 use std::time::Instant;
 
+use qgpu::cli::{self, require, Cli, Error};
 use qgpu::{FlightConfig, SimConfig, Simulator, Version};
 use qgpu_circuit::generators::Benchmark;
 use qgpu_circuit::NoiseConfig;
@@ -66,7 +68,7 @@ pub const DEFAULT_FLOOR_MS: f64 = 5.0;
 
 /// Parsed `repro perf` arguments.
 pub struct PerfArgs {
-    /// Qubit sizes to run.
+    /// Qubit sizes to run (empty: [`DEFAULT_QUBITS`]).
     pub qubits: Vec<usize>,
     /// Output path (default `BENCH_<label>.json`).
     pub out: Option<String>,
@@ -82,63 +84,59 @@ pub struct PerfArgs {
     pub floor_ms: f64,
 }
 
+impl Default for PerfArgs {
+    fn default() -> Self {
+        PerfArgs {
+            qubits: Vec::new(),
+            out: None,
+            label: "local".to_string(),
+            compare: None,
+            current: None,
+            tol: DEFAULT_TOL,
+            floor_ms: DEFAULT_FLOOR_MS,
+        }
+    }
+}
+
+const CLI: Cli<PerfArgs> = Cli {
+    usage: "usage: repro perf [flags]",
+    flags: qgpu::flags! { PerfArgs;
+        "--qubits", "-q" <"N[,N…]"> "qubit sizes, 2..=64 (default 10,12)" => |o, v| for q in v.split(',') { o.qubits.push(cli::qubits(q.parse()?, min_qubits())?) };
+        "--out" <"PATH"> "where to write the BENCH file (default BENCH_<label>.json)" => |o, v| o.out = Some(v.into());
+        "--label" <"NAME"> "run label for the file name and meta block (default local)" => |o, v| o.label = v.into();
+        "--compare" <"OLD.json"> "gate against this BENCH file: exit 1 on a regression" => |o, v| o.compare = Some(v.into());
+        "--current" <"NEW.json"> "compare this BENCH file instead of running (needs --compare)" => |o, v| o.current = Some(v.into());
+        "--tol" <"F"> "relative noise tolerance (default 0.5)" => |o, v| o.tol = v.parse()?;
+        "--floor-ms" <"F"> "absolute regression floor in milliseconds (default 5)" => |o, v| o.floor_ms = v.parse()?;
+    },
+};
+
+/// The smallest width every circuit of the matrix builds at.
+fn min_qubits() -> usize {
+    CIRCUITS
+        .iter()
+        .map(|b| b.min_qubits())
+        .max()
+        .unwrap_or_default()
+}
+
 /// Parses everything after `repro perf`.
 ///
 /// # Errors
 ///
-/// Returns a usage message on unknown flags or malformed values.
-pub fn parse_args(args: &[String]) -> Result<PerfArgs, String> {
-    let mut p = PerfArgs {
-        qubits: Vec::new(),
-        out: None,
-        label: "local".to_string(),
-        compare: None,
-        current: None,
-        tol: DEFAULT_TOL,
-        floor_ms: DEFAULT_FLOOR_MS,
-    };
-    let mut it = args.iter();
-    let take = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
-        it.next()
-            .cloned()
-            .ok_or(format!("missing value after {flag}"))
-    };
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--qubits" | "-q" => {
-                for part in take(&mut it, "--qubits")?.split(',') {
-                    p.qubits
-                        .push(part.parse().map_err(|_| format!("bad qubit count '{part}'"))?);
-                }
-            }
-            "--out" => p.out = Some(take(&mut it, "--out")?),
-            "--label" => p.label = take(&mut it, "--label")?,
-            "--compare" => p.compare = Some(take(&mut it, "--compare")?),
-            "--current" => p.current = Some(take(&mut it, "--current")?),
-            "--tol" => {
-                p.tol = take(&mut it, "--tol")?
-                    .parse()
-                    .map_err(|_| "bad tolerance")?
-            }
-            "--floor-ms" => {
-                p.floor_ms = take(&mut it, "--floor-ms")?
-                    .parse()
-                    .map_err(|_| "bad floor")?
-            }
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}'\nusage: repro perf [--qubits N[,N…]] [--out path] \
-                     [--label name] [--compare OLD.json [--current NEW.json]] [--tol F] [--floor-ms F]"
-                ))
-            }
-        }
+/// [`Error::Help`] on `--help`, else a usage error.
+pub fn parse_args(args: &[String]) -> Result<PerfArgs, Error> {
+    let (mut p, rest) = CLI.parse(args)?;
+    if let Some(extra) = rest.first() {
+        return Err(format!("unexpected argument '{extra}'").into());
     }
     if p.qubits.is_empty() {
         p.qubits = DEFAULT_QUBITS.to_vec();
     }
-    if p.current.is_some() && p.compare.is_none() {
-        return Err("--current only makes sense with --compare".into());
-    }
+    require(
+        p.current.is_none() || p.compare.is_some(),
+        "--current only makes sense with --compare",
+    )?;
     Ok(p)
 }
 
@@ -415,14 +413,24 @@ fn load(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
-/// The `repro perf` entry point. Returns `Ok(true)` when the regression
-/// gate (if requested) passed, `Ok(false)` when it caught a regression.
-///
-/// # Errors
-///
-/// Returns a message on argument, I/O, or JSON errors.
-pub fn cli(args: &[String]) -> Result<bool, String> {
-    let p = parse_args(args)?;
+/// The `repro perf` entry point: exit code 0 when the regression gate
+/// (if requested) passed, 1 when it caught a regression or the run
+/// failed, 2 on a usage error.
+pub fn cli(args: &[String]) -> ExitCode {
+    match parse_args(args).map(|p| gate(&p)) {
+        Err(e) => CLI.exit(e),
+        Ok(Ok(true)) => ExitCode::SUCCESS,
+        Ok(Ok(false)) => ExitCode::FAILURE,
+        Ok(Err(e)) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Runs (or loads) the current BENCH document and gates it against
+/// `--compare`: `Ok(false)` when a regression was caught.
+fn gate(p: &PerfArgs) -> Result<bool, String> {
     let current = match &p.current {
         Some(path) => load(path)?,
         None => {
@@ -449,4 +457,53 @@ pub fn cli(args: &[String]) -> Result<bool, String> {
         eprintln!("[repro perf] REGRESSION {r}");
     }
     Ok(false)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn ci_spellings_parse() {
+        let ci = include_str!("../../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let lines: Vec<&str> = ci
+            .lines()
+            .filter_map(|l| l.split_once("./target/release/repro perf "))
+            .map(|(_, rest)| rest.split(';').next().unwrap_or_default())
+            .collect();
+        assert_eq!(lines.len(), 3);
+        for line in lines {
+            let p = parse_args(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert!(p.label == "ci" || p.floor_ms == 0.0, "{line}");
+        }
+        let p = parse_args(&argv("-q 10,12 --qubits 14 --tol 0.2")).unwrap();
+        assert_eq!((p.qubits, p.tol), (vec![10, 12, 14], 0.2));
+        assert_eq!(parse_args(&[]).unwrap().qubits, DEFAULT_QUBITS);
+        for f in CLI.flags {
+            assert!(CLI.help().contains(f.long), "{}", f.long);
+        }
+    }
+
+    #[test]
+    fn hostile_lines_are_usage_errors() {
+        for line in [
+            "--qubits 1",
+            "--qubits 10,70",
+            "--qubits 10,",
+            "--current b.json",
+            "--tol x",
+            "stray",
+            "--out",
+        ] {
+            assert!(
+                matches!(parse_args(&argv(line)), Err(Error::Usage(_))),
+                "{line:?} accepted"
+            );
+        }
+        assert_eq!(parse_args(&argv("--help")).err(), Some(Error::Help));
+    }
 }

@@ -30,16 +30,19 @@ pub struct Circuit {
 }
 
 impl Circuit {
+    /// The widest circuit: the involvement machinery uses `u64` masks,
+    /// matching the paper's scope.
+    pub const MAX_QUBITS: usize = 64;
+
     /// Creates an empty circuit over `num_qubits` qubits.
     ///
     /// # Panics
     ///
-    /// Panics if `num_qubits` is 0 or greater than 64 (the involvement
-    /// machinery uses `u64` masks, matching the paper's scope).
+    /// Panics if `num_qubits` is 0 or greater than [`Circuit::MAX_QUBITS`].
     pub fn new(num_qubits: usize) -> Self {
         assert!(num_qubits > 0, "circuit needs at least one qubit");
         assert!(
-            num_qubits <= 64,
+            num_qubits <= Self::MAX_QUBITS,
             "circuits beyond 64 qubits are unsupported"
         );
         Circuit {

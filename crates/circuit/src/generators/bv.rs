@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// The Bernstein–Vazirani circuit for a random secret string.
@@ -24,7 +25,7 @@ use crate::circuit::Circuit;
 /// assert_eq!(c.num_qubits(), 8);
 /// ```
 pub fn bernstein_vazirani(n: usize, seed: u64) -> Circuit {
-    assert!(n >= 2, "bv needs at least 2 qubits");
+    Benchmark::Bv.check_size(n);
     let mut rng = StdRng::seed_from_u64(seed);
     let anc = n - 1;
     let mut c = Circuit::with_name(n, format!("bv_{n}"));

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// Prepares a graph state: a Hadamard on every qubit followed by an
@@ -30,7 +31,7 @@ use crate::circuit::Circuit;
 /// assert!(c.len() >= 9);
 /// ```
 pub fn graph_state(n: usize, seed: u64) -> Circuit {
-    assert!(n >= 2, "graph state needs at least 2 qubits");
+    Benchmark::Gs.check_size(n);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::with_name(n, format!("gs_{n}"));
     for q in 0..n {

@@ -2,6 +2,7 @@
 
 use std::f64::consts::PI;
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// A Trotterized time-evolution circuit for a linear chain of hydrogen
@@ -31,7 +32,7 @@ use crate::circuit::Circuit;
 /// assert!(c.depth() > 20, "hchain is deep");
 /// ```
 pub fn hydrogen_chain(n: usize, trotter_steps: usize) -> Circuit {
-    assert!(n >= 2, "hchain needs at least 2 qubits");
+    Benchmark::Hchain.check_size(n);
     assert!(trotter_steps >= 1, "need at least one Trotter step");
     let mut c = Circuit::with_name(n, format!("hchain_{n}"));
 

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// The 2D hidden linear function circuit: `H^{⊗n} · U_q · H^{⊗n}` where
@@ -26,7 +27,7 @@ use crate::circuit::Circuit;
 /// assert_eq!(c.num_qubits(), 9);
 /// ```
 pub fn hidden_linear_function(n: usize, seed: u64) -> Circuit {
-    assert!(n >= 2, "hlf needs at least 2 qubits");
+    Benchmark::Hlf.check_size(n);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::with_name(n, format!("hlf_{n}"));
 

@@ -5,6 +5,7 @@ use std::f64::consts::PI;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// An IQP circuit: `H^{⊗n} · D · H^{⊗n}` with `D` a random diagonal
@@ -32,7 +33,7 @@ use crate::circuit::Circuit;
 /// assert!(s.percentage > 60.0, "iqp involves qubits late");
 /// ```
 pub fn instantaneous_quantum_polynomial(n: usize, seed: u64) -> Circuit {
-    assert!(n >= 2, "iqp needs at least 2 qubits");
+    Benchmark::Iqp.check_size(n);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::with_name(n, format!("iqp_{n}"));
     for i in 0..n {

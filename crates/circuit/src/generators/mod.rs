@@ -106,13 +106,28 @@ impl Benchmark {
         Benchmark::ALL.into_iter().find(|b| b.abbrev() == s)
     }
 
+    /// The smallest qubit count the family's generator builds: 2, except
+    /// `qf`, whose input and result registers need 4.
+    pub fn min_qubits(self) -> usize {
+        match self {
+            Benchmark::Qf => 4,
+            _ => 2,
+        }
+    }
+
+    /// Panics unless `n` is at least [`Benchmark::min_qubits`].
+    fn check_size(self, n: usize) {
+        let min = self.min_qubits();
+        assert!(n >= min, "{self} needs at least {min} qubits");
+    }
+
     /// Generates the benchmark circuit on `n` qubits with default
     /// parameters and a deterministic seed.
     ///
     /// # Panics
     ///
-    /// Panics if `n` is smaller than the circuit family's minimum (2 for
-    /// most, 3 for `qf` and `bv`).
+    /// Panics if `n` is smaller than [`Benchmark::min_qubits`] or larger
+    /// than [`Circuit::MAX_QUBITS`].
     pub fn generate(self, n: usize) -> Circuit {
         self.generate_seeded(n, default_seed(self, n))
     }
@@ -163,6 +178,18 @@ fn default_seed(b: Benchmark, n: usize) -> u64 {
 mod tests {
     use super::*;
     use crate::involvement::summarize;
+
+    #[test]
+    fn min_qubits_is_each_generators_floor() {
+        for b in Benchmark::ALL {
+            let n = b.min_qubits();
+            assert_eq!(b.generate(n).num_qubits(), n, "{b}");
+            assert!(
+                std::panic::catch_unwind(|| b.generate(n - 1)).is_err(),
+                "{b}"
+            );
+        }
+    }
 
     #[test]
     fn all_benchmarks_generate() {

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// A `rounds`-level QAOA ansatz for MaxCut on a random 3-regular-ish
@@ -28,7 +29,7 @@ use crate::circuit::Circuit;
 /// assert_eq!(c.num_qubits(), 10);
 /// ```
 pub fn qaoa_maxcut(n: usize, rounds: usize, seed: u64) -> Circuit {
-    assert!(n >= 2, "qaoa needs at least 2 qubits");
+    Benchmark::Qaoa.check_size(n);
     assert!(rounds >= 1, "qaoa needs at least one round");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::with_name(n, format!("qaoa_{n}"));

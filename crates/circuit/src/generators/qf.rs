@@ -5,6 +5,7 @@ use std::f64::consts::PI;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// A quadratic-form circuit: computes `Q(x) = x^T A x + b^T x` over binary
@@ -32,7 +33,7 @@ use crate::circuit::Circuit;
 /// assert_eq!(c.num_qubits(), 10);
 /// ```
 pub fn quadratic_form(n: usize, seed: u64) -> Circuit {
-    assert!(n >= 4, "qf needs at least 4 qubits");
+    Benchmark::Qf.check_size(n);
     let mut rng = StdRng::seed_from_u64(seed);
     let m = (n / 4).max(3); // result register width
     let k = n - m; // input register width

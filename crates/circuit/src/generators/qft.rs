@@ -2,6 +2,7 @@
 
 use std::f64::consts::PI;
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// The full `n`-qubit quantum Fourier transform.
@@ -42,7 +43,7 @@ pub fn quantum_fourier_transform(n: usize) -> Circuit {
 ///
 /// Panics if `n < 2` or `degree == 0`.
 pub fn quantum_fourier_transform_approx(n: usize, degree: usize) -> Circuit {
-    assert!(n >= 2, "qft needs at least 2 qubits");
+    Benchmark::Qft.check_size(n);
     assert!(degree >= 1, "approximation degree must be at least 1");
     let mut c = Circuit::with_name(n, format!("qft_{n}"));
     for target in (0..n).rev() {

@@ -3,6 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use super::Benchmark;
 use crate::circuit::Circuit;
 
 /// A random quantum circuit in the style of Boixo et al., mapped onto a
@@ -28,7 +29,7 @@ use crate::circuit::Circuit;
 /// assert_eq!(c.num_qubits(), 12);
 /// ```
 pub fn random_quantum_circuit(n: usize, cycles: usize, seed: u64) -> Circuit {
-    assert!(n >= 2, "rqc needs at least 2 qubits");
+    Benchmark::Rqc.check_size(n);
     assert!(cycles >= 1, "rqc needs at least one cycle");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut c = Circuit::with_name(n, format!("rqc_{n}"));

@@ -1,85 +1,18 @@
 //! `qgpu-sim` — simulate an OpenQASM 2.0 circuit (or a built-in
 //! benchmark) through the Q-GPU pipeline.
 //!
-//! ```text
-//! qgpu-sim circuit.qasm [options]
-//! qgpu-sim --benchmark qft --qubits 16 [options]
-//!
-//! options:
-//!   --version <baseline|naive|overlap|pruning|reorder|qgpu>   (default qgpu)
-//!   --opts <list>      run an explicit optimization subset instead of a
-//!                      named version: a +-separated list drawn from
-//!                      {overlap, pruning, reorder, compression}, or
-//!                      "none"/"all" (e.g. --opts pruning+compression)
-//!   --codec <gfc|zero-run|alp|cascade>   compression codec for chunks
-//!                      moving over the link (default gfc; cascade
-//!                      samples each chunk and picks the best codec)
-//!   --shots <N>        draw N seeded end-of-circuit shots (default 0)
-//!   --sample           print the sampled counts (with --shots)
-//!   --seed <N>         stochastic seed: noise sites, mid-circuit
-//!                      collapse, and shot sampling (default 1)
-//!   --noise <spec>     per-gate noise channels, e.g.
-//!                      "depolarizing:0.01,loss:0.001" (channels:
-//!                      depolarizing, bit_flip, phase_flip, loss)
-//!   --chunks <log2>    chunk-count exponent (default 8)
-//!   --platform <p100|v100|a100|4xp4|4xv100>   modeled platform (default p100)
-//!   --devices <N>      replicate device 0 into an N-GPU fleet
-//!   --top <N>          print the N most likely basis states (default 8)
-//!   --batching         enable the gate-batching extension
-//!   --fuse             enable the gate-fusion pass
-//!   --threads <N>      functional worker threads (default 1)
-//!   --peephole         run the peephole optimizer before simulating
-//!   --cx-basis         transpile to the {1-qubit, CX} basis first
-//!   --report           print the modeled execution report
-//!   --report-json <path>  write the modeled execution report as JSON
-//!   --save <path>      write the final state as a compressed checkpoint
-//!   --trace-out <path> write a two-track Chrome/Perfetto trace JSON
-//!   --metrics-out <path>  write the recorded metrics as JSON
-//!                      (with a `meta` run-provenance block and the
-//!                      labeled `registry` of per-stage histograms)
-//!   --flight-out <path>  always dump the flight-recorder event ring to
-//!                      JSON at <path> after the run. Any fault-injection
-//!                      run arms the recorder automatically and dumps to
-//!                      `qgpu-flight.json` when a retry/fallback/loss
-//!                      trigger fires, even without this flag.
-//!   --drift            print the modeled-vs-measured drift report
-//!   --drift-tol <pp>   drift flagging tolerance in percentage points
-//!   --gantt            print the modeled timeline as an ASCII Gantt chart
-//!
-//! fault injection & resilience:
-//!   --inject-seed <N>      fault injector seed (default 0)
-//!   --inject-transfer <P>  per-transfer corruption probability
-//!   --inject-codec <P>     per-encode codec failure probability
-//!   --inject-mask <P>      per-op involvement-mask corruption probability
-//!   --inject-worker <P>    per-worker death probability
-//!   --inject-fail-at <N>   abort with a fatal fault at program op N
-//!   --verify-invariants    run the ABFT invariant checks (per-chunk
-//!                          norms, diagonal magnitudes, zero blocks, and
-//!                          the whole-state norm gate before readout)
-//!   --inject-kernel-flip <OP[:COUNT[:ATTEMPTS[:BIT]]]>
-//!                          XOR one amplitude bit inside kernel output at
-//!                          program op OP (and the COUNT-1 following ops);
-//!                          ATTEMPTS > 1 makes the fault sticky across
-//!                          that many re-executions, BIT picks the flipped
-//!                          bit (default 62, the exponent MSB). Arms the
-//!                          invariant checks and repair automatically.
-//!   --inject-device-loss <D:OP>  lose device D at program op OP
-//!   --inject-link-degrade <P>    per-transfer link degradation probability
-//!   --inject-straggler <D[:F]>   pin device D as a persistent straggler,
-//!                                optionally stretched by factor F (default 4)
-//!   --mem-budget <BYTES>   per-device chunk-residency budget (enables the
-//!                          memory-pressure governor)
-//!   --checkpoint-every <N> write a checkpoint every N program ops
-//!   --checkpoint-out <p>   checkpoint path (with --checkpoint-every)
-//!   --resume <path>        resume from a checkpoint written by --checkpoint-out
-//!   --compare <path>       after the run, compare the final state against a
-//!                          checkpoint; exit nonzero beyond 1e-12 deviation
-//! ```
+//! It runs one execution version (or an explicit optimization subset) on
+//! a modeled platform, prints the most likely basis states and, on
+//! request, the modeled report, sampled shots, traces, metrics and
+//! checkpoints; seeded fault injection exercises the resilience layers.
+//! `qgpu-sim --help` lists the flags. Exit code 0 is success, 1 a failed
+//! run (or a `--compare` beyond 1e-12), 2 a usage error.
 
-use std::env;
 use std::fs;
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
+use qgpu::cli::{self, require, Cli, Error};
 use qgpu::{
     CodecKind, FaultConfig, FlightConfig, OptFlags, SimConfig, SimError, Simulator, Version,
 };
@@ -88,7 +21,9 @@ use qgpu_circuit::{qasm, Circuit, NoiseConfig};
 use qgpu_device::Platform;
 
 struct Options {
-    source: Source,
+    file: Option<String>,
+    benchmark: Option<Benchmark>,
+    qubits: Option<usize>,
     version: Version,
     opts: Option<OptFlags>,
     codec: Option<CodecKind>,
@@ -104,7 +39,7 @@ struct Options {
     report: bool,
     report_json: Option<String>,
     save: Option<String>,
-    platform: String,
+    platform: PlatformAt,
     devices: usize,
     mem_budget: Option<u64>,
     peephole: bool,
@@ -123,327 +58,182 @@ struct Options {
     compare: Option<String>,
 }
 
-enum Source {
-    File(String),
-    Benchmark { name: String, qubits: usize },
-}
-
-fn parse_version(s: &str) -> Result<Version, String> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "baseline" => Version::Baseline,
-        "naive" => Version::Naive,
-        "overlap" => Version::Overlap,
-        "pruning" => Version::Pruning,
-        "reorder" => Version::Reorder,
-        "qgpu" | "q-gpu" => Version::QGpu,
-        other => return Err(format!("unknown version '{other}'")),
-    })
-}
-
-fn parse_args() -> Result<Options, String> {
-    let mut args = env::args().skip(1).peekable();
-    let mut file = None;
-    let mut benchmark = None;
-    let mut qubits = None;
-    let mut version = Version::QGpu;
-    let mut opts = None;
-    let mut codec = None;
-    let mut shots = 0u64;
-    let mut sample = false;
-    let mut noise = None;
-    let mut seed = 1u64;
-    let mut chunks_log2 = 8u32;
-    let mut top = 8usize;
-    let mut batching = false;
-    let mut fuse = false;
-    let mut threads = 1usize;
-    let mut report = false;
-    let mut report_json = None;
-    let mut save = None;
-    let mut platform = "p100".to_string();
-    let mut devices = 1usize;
-    let mut mem_budget = None;
-    let mut peephole = false;
-    let mut cx_basis = false;
-    let mut trace_out = None;
-    let mut metrics_out = None;
-    let mut flight_out = None;
-    let mut drift = false;
-    let mut drift_tol = qgpu_obs::drift::DEFAULT_TOLERANCE_PP;
-    let mut gantt = false;
-    let mut faults = FaultConfig::default();
-    let mut verify_invariants = false;
-    let mut checkpoint_every = 0u64;
-    let mut checkpoint_out = None;
-    let mut resume = None;
-    let mut compare = None;
-
-    let take = |args: &mut std::iter::Peekable<std::iter::Skip<env::Args>>,
-                flag: &str|
-     -> Result<String, String> {
-        args.next().ok_or(format!("missing value after {flag}"))
-    };
-
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--benchmark" | "-b" => benchmark = Some(take(&mut args, "--benchmark")?),
-            "--qubits" | "-q" => {
-                qubits = Some(
-                    take(&mut args, "--qubits")?
-                        .parse()
-                        .map_err(|_| "bad qubit count")?,
-                )
-            }
-            "--version" | "-v" => version = parse_version(&take(&mut args, "--version")?)?,
-            "--opts" => opts = Some(OptFlags::parse(&take(&mut args, "--opts")?)?),
-            "--codec" => codec = Some(take(&mut args, "--codec")?.parse::<CodecKind>()?),
-            "--shots" => {
-                shots = take(&mut args, "--shots")?
-                    .parse()
-                    .map_err(|_| "bad shots")?
-            }
-            "--sample" => sample = true,
-            "--noise" => noise = Some(take(&mut args, "--noise")?.parse::<NoiseConfig>()?),
-            "--seed" => seed = take(&mut args, "--seed")?.parse().map_err(|_| "bad seed")?,
-            "--chunks" => {
-                chunks_log2 = take(&mut args, "--chunks")?
-                    .parse()
-                    .map_err(|_| "bad chunks")?
-            }
-            "--top" => top = take(&mut args, "--top")?.parse().map_err(|_| "bad top")?,
-            "--batching" => batching = true,
-            "--fuse" => fuse = true,
-            "--threads" => {
-                threads = take(&mut args, "--threads")?
-                    .parse()
-                    .map_err(|_| "bad thread count")?;
-                if threads == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-            }
-            "--report" | "-r" => report = true,
-            "--report-json" => report_json = Some(take(&mut args, "--report-json")?),
-            "--save" => save = Some(take(&mut args, "--save")?),
-            "--platform" | "-p" => platform = take(&mut args, "--platform")?,
-            "--devices" => {
-                devices = take(&mut args, "--devices")?
-                    .parse()
-                    .map_err(|_| "bad device count")?;
-                if devices == 0 {
-                    return Err("--devices must be at least 1".into());
-                }
-            }
-            "--mem-budget" => {
-                mem_budget = Some(
-                    take(&mut args, "--mem-budget")?
-                        .parse()
-                        .map_err(|_| "bad memory budget")?,
-                )
-            }
-            "--peephole" => peephole = true,
-            "--cx-basis" => cx_basis = true,
-            "--trace-out" => trace_out = Some(take(&mut args, "--trace-out")?),
-            "--metrics-out" => metrics_out = Some(take(&mut args, "--metrics-out")?),
-            "--flight-out" => flight_out = Some(take(&mut args, "--flight-out")?),
-            "--drift" => drift = true,
-            "--drift-tol" => {
-                drift_tol = take(&mut args, "--drift-tol")?
-                    .parse()
-                    .map_err(|_| "bad drift tolerance")?
-            }
-            "--gantt" => gantt = true,
-            "--inject-seed" => {
-                faults.seed = take(&mut args, "--inject-seed")?
-                    .parse()
-                    .map_err(|_| "bad injection seed")?
-            }
-            "--inject-transfer" => {
-                faults.p_transfer_corrupt = take(&mut args, "--inject-transfer")?
-                    .parse()
-                    .map_err(|_| "bad transfer corruption probability")?
-            }
-            "--inject-codec" => {
-                faults.p_codec_fail = take(&mut args, "--inject-codec")?
-                    .parse()
-                    .map_err(|_| "bad codec failure probability")?
-            }
-            "--inject-mask" => {
-                faults.p_mask_corrupt = take(&mut args, "--inject-mask")?
-                    .parse()
-                    .map_err(|_| "bad mask corruption probability")?
-            }
-            "--inject-worker" => {
-                faults.p_worker_death = take(&mut args, "--inject-worker")?
-                    .parse()
-                    .map_err(|_| "bad worker death probability")?
-            }
-            "--inject-fail-at" => {
-                faults.fail_at_gate = take(&mut args, "--inject-fail-at")?
-                    .parse()
-                    .map_err(|_| "bad fatal fault op index")?
-            }
-            "--inject-device-loss" => {
-                let spec = take(&mut args, "--inject-device-loss")?;
-                let (d, op) = spec
-                    .split_once(':')
-                    .ok_or("--inject-device-loss wants D:OP (device:program-op)")?;
-                faults.device_lost_id = d.parse().map_err(|_| "bad device id")?;
-                faults.device_lost_at = op.parse().map_err(|_| "bad device-loss op index")?;
-            }
-            "--verify-invariants" => verify_invariants = true,
-            "--inject-kernel-flip" => {
-                let spec = take(&mut args, "--inject-kernel-flip")?;
-                let mut parts = spec.split(':');
-                faults.kernel_flip_at = parts
-                    .next()
-                    .unwrap_or_default()
-                    .parse()
-                    .map_err(|_| "bad kernel-flip op index")?;
-                if let Some(c) = parts.next() {
-                    faults.kernel_flip_count = c.parse().map_err(|_| "bad kernel-flip op count")?;
-                }
-                if let Some(a) = parts.next() {
-                    faults.kernel_flip_attempts =
-                        a.parse().map_err(|_| "bad kernel-flip attempt count")?;
-                }
-                if let Some(b) = parts.next() {
-                    faults.kernel_flip_bit = b.parse().map_err(|_| "bad kernel-flip bit")?;
-                    if faults.kernel_flip_bit > 63 {
-                        return Err("kernel-flip bit must be 0..=63".into());
-                    }
-                }
-                if parts.next().is_some() {
-                    return Err("--inject-kernel-flip wants OP[:COUNT[:ATTEMPTS[:BIT]]]".into());
-                }
-            }
-            "--inject-link-degrade" => {
-                faults.p_link_degraded = take(&mut args, "--inject-link-degrade")?
-                    .parse()
-                    .map_err(|_| "bad link degradation probability")?
-            }
-            "--inject-straggler" => {
-                let spec = take(&mut args, "--inject-straggler")?;
-                let (dev, factor) = match spec.split_once(':') {
-                    Some((d, f)) => (d.to_string(), Some(f.to_string())),
-                    None => (spec, None),
-                };
-                faults.straggler_device = dev.parse().map_err(|_| "bad straggler device id")?;
-                if let Some(f) = factor {
-                    faults.slowdown_factor =
-                        f.parse().map_err(|_| "bad straggler slowdown factor")?;
-                    if faults.slowdown_factor <= 1.0 {
-                        return Err("straggler slowdown factor must exceed 1".into());
-                    }
-                }
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = take(&mut args, "--checkpoint-every")?
-                    .parse()
-                    .map_err(|_| "bad checkpoint interval")?;
-                if checkpoint_every == 0 {
-                    return Err("--checkpoint-every must be at least 1".into());
-                }
-            }
-            "--checkpoint-out" => checkpoint_out = Some(take(&mut args, "--checkpoint-out")?),
-            "--resume" => resume = Some(take(&mut args, "--resume")?),
-            "--compare" => compare = Some(take(&mut args, "--compare")?),
-            "--help" | "-h" => return Err(HELP.to_string()),
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => return Err(format!("unknown argument '{other}'\n{HELP}")),
+impl Default for Options {
+    fn default() -> Self {
+        Options {
+            file: None,
+            benchmark: None,
+            qubits: None,
+            version: Version::QGpu,
+            opts: None,
+            codec: None,
+            shots: 0,
+            sample: false,
+            noise: None,
+            seed: 1,
+            chunks_log2: 8,
+            top: 8,
+            batching: false,
+            fuse: false,
+            threads: 1,
+            report: false,
+            report_json: None,
+            save: None,
+            platform: Platform::scaled_paper_p100,
+            devices: 1,
+            mem_budget: None,
+            peephole: false,
+            cx_basis: false,
+            trace_out: None,
+            metrics_out: None,
+            flight_out: None,
+            drift: false,
+            drift_tol: qgpu_obs::drift::DEFAULT_TOLERANCE_PP,
+            gantt: false,
+            faults: FaultConfig::default(),
+            verify_invariants: false,
+            checkpoint_every: 0,
+            checkpoint_out: None,
+            resume: None,
+            compare: None,
         }
     }
-    let source = match (file, benchmark) {
-        (Some(f), None) => Source::File(f),
-        (None, Some(name)) => Source::Benchmark {
-            name,
-            qubits: qubits.ok_or("--benchmark requires --qubits")?,
-        },
-        (Some(_), Some(_)) => return Err("give either a file or --benchmark, not both".into()),
-        (None, None) => return Err(HELP.to_string()),
-    };
-    if sample && shots == 0 {
-        return Err("--sample requires --shots".into());
+}
+
+/// GPU memory as a fraction of the state: the paper's 34-qubit ratio.
+const PAPER_RATIO: f64 = 496.0 / 8192.0;
+
+/// A modeled platform, miniaturized to a circuit width.
+type PlatformAt = fn(usize) -> Platform;
+
+/// The modeled platforms by name.
+const PLATFORMS: [(&str, PlatformAt); 5] = [
+    ("p100", Platform::scaled_paper_p100),
+    ("v100", |q| Platform::paper_v100().miniaturize(q, 0.10)),
+    ("a100", |q| Platform::paper_a100().miniaturize(q, 0.45)),
+    ("4xp4", |q| {
+        Platform::quad_p4_pcie().miniaturize(q, PAPER_RATIO / 4.0)
+    }),
+    ("4xv100", |q| {
+        Platform::quad_v100_nvlink().miniaturize(q, PAPER_RATIO / 4.0)
+    }),
+];
+
+const CLI: Cli<Options> = Cli {
+    usage: "usage: qgpu-sim <file.qasm> [flags]\n       qgpu-sim --benchmark <NAME> --qubits <N> [flags]",
+    flags: qgpu::flags! { Options;
+        "--benchmark", "-b" <"NAME"> "built-in circuit: qft iqp gs rqc qaoa hchain bv hlf qf" => |o, v| o.benchmark = Some(Benchmark::from_abbrev(v).ok_or("unknown benchmark")?);
+        "--qubits", "-q" <"N"> "the benchmark's width: 2..=64 (qf: 4..=64)" => |o, v| o.qubits = Some(v.parse()?);
+        "--version", "-v" <"NAME"> "baseline|naive|overlap|pruning|reorder|qgpu (default qgpu)" => |o, v| o.version = v.parse()?;
+        "--opts" <"LIST"> "an optimization subset instead of a version: +-joined overlap, pruning, reorder, compression; none; all" => |o, v| o.opts = Some(OptFlags::parse(v)?);
+        "--codec" <"NAME"> "chunk codec: gfc|zero-run|alp|cascade (default gfc; cascade picks per chunk)" => |o, v| o.codec = Some(v.parse()?);
+        "--shots" <"N"> "draw N seeded end-of-circuit shots (default 0)" => |o, v| o.shots = v.parse()?;
+        "--sample" "print the sampled counts (needs --shots)" => |o, _| o.sample = true;
+        "--seed" <"N"> "stochastic seed: noise sites, mid-circuit collapse, shots (default 1)" => |o, v| o.seed = v.parse()?;
+        "--noise" <"SPEC"> "per-gate noise, e.g. depolarizing:0.01,loss:0.001 (also bit_flip, phase_flip)" => |o, v| o.noise = Some(v.parse()?);
+        "--chunks" <"LOG2"> "chunk-count exponent (default 8)" => |o, v| o.chunks_log2 = v.parse()?;
+        "--platform", "-p" <"NAME"> "modeled platform: p100|v100|a100|4xp4|4xv100 (default p100)" => |o, v| o.platform = PLATFORMS.iter().find(|p| p.0 == v).ok_or("unknown platform")?.1;
+        "--devices" <"N"> "replicate device 0 into an N-GPU fleet" => |o, v| o.devices = v.parse::<NonZeroUsize>()?.get();
+        "--top" <"N"> "print the N most likely basis states (default 8)" => |o, v| o.top = v.parse()?;
+        "--batching" "enable the gate-batching extension" => |o, _| o.batching = true;
+        "--fuse" "enable the gate-fusion pass" => |o, _| o.fuse = true;
+        "--threads" <"N"> "functional worker threads (default 1)" => |o, v| o.threads = v.parse::<NonZeroUsize>()?.get();
+        "--peephole" "run the peephole optimizer before simulating" => |o, _| o.peephole = true;
+        "--cx-basis" "transpile to the {1-qubit, CX} basis first" => |o, _| o.cx_basis = true;
+        "--report", "-r" "print the modeled execution report" => |o, _| o.report = true;
+        "--report-json" <"PATH"> "write the modeled execution report as JSON" => |o, v| o.report_json = Some(v.into());
+        "--save" <"PATH"> "write the final state as a compressed checkpoint" => |o, v| o.save = Some(v.into());
+        "--trace-out" <"PATH"> "write a two-track Chrome/Perfetto trace JSON" => |o, v| o.trace_out = Some(v.into());
+        "--metrics-out" <"PATH"> "write the metrics document (meta, counters, labeled registry)" => |o, v| o.metrics_out = Some(v.into());
+        "--flight-out" <"PATH"> "always dump the flight recorder here (a fault run dumps qgpu-flight.json on a trigger)" => |o, v| o.flight_out = Some(v.into());
+        "--drift" "print the modeled-vs-measured drift report" => |o, _| o.drift = true;
+        "--drift-tol" <"PP"> "drift flagging tolerance in percentage points" => |o, v| o.drift_tol = v.parse()?;
+        "--gantt" "print the modeled timeline as an ASCII Gantt chart" => |o, _| o.gantt = true;
+        "--inject-seed" <"N"> "fault injector seed (default 0)" => |o, v| o.faults.seed = v.parse()?;
+        "--inject-transfer" <"P"> "per-transfer corruption probability" => |o, v| o.faults.p_transfer_corrupt = cli::prob(v)?;
+        "--inject-codec" <"P"> "per-encode codec failure probability" => |o, v| o.faults.p_codec_fail = cli::prob(v)?;
+        "--inject-mask" <"P"> "per-op involvement-mask corruption probability" => |o, v| o.faults.p_mask_corrupt = cli::prob(v)?;
+        "--inject-worker" <"P"> "per-worker death probability" => |o, v| o.faults.p_worker_death = cli::prob(v)?;
+        "--inject-fail-at" <"OP"> "abort with a fatal fault at program op OP" => |o, v| o.faults.fail_at_gate = v.parse()?;
+        "--inject-device-loss" <"D:OP"> "lose device D at program op OP" => |o, v| (o.faults.device_lost_id, o.faults.device_lost_at) = cli::pair(v)?;
+        "--inject-link-degrade" <"P"> "per-transfer link degradation probability" => |o, v| o.faults.p_link_degraded = cli::prob(v)?;
+        "--inject-straggler" <"D[:F]"> "pin device D as a straggler, stretched by F > 1 (default 4)" => |o, v| cli::straggler(&mut o.faults, v)?;
+        "--inject-kernel-flip" <"OP[:COUNT[:ATTEMPTS[:BIT]]]"> "flip BIT (default 62) of an amplitude in COUNT kernels from op OP, sticky for ATTEMPTS re-executions; arms the invariant checks" => |o, v| cli::kernel_flip(&mut o.faults, v)?;
+        "--verify-invariants" "run the ABFT invariant checks (chunk norms, magnitudes, zero blocks, state norm)" => |o, _| o.verify_invariants = true;
+        "--mem-budget" <"BYTES"> "per-device residency budget (enables the memory-pressure governor)" => |o, v| o.mem_budget = Some(v.parse::<std::num::NonZeroU64>()?.get());
+        "--checkpoint-every" <"N"> "write a checkpoint every N program ops (needs --checkpoint-out)" => |o, v| o.checkpoint_every = v.parse::<std::num::NonZeroU64>()?.get();
+        "--checkpoint-out" <"PATH"> "where --checkpoint-every writes" => |o, v| o.checkpoint_out = Some(v.into());
+        "--resume" <"PATH"> "resume from a checkpoint written by --checkpoint-out" => |o, v| o.resume = Some(v.into());
+        "--compare" <"PATH"> "compare the final state with a checkpoint; fail beyond 1e-12 deviation" => |o, v| o.compare = Some(v.into());
+    },
+};
+
+/// The options of `args`, with the rules that tie flags together.
+fn parse(args: &[String]) -> Result<Options, Error> {
+    let (mut o, rest) = CLI.parse(args)?;
+    if let [_, extra, ..] = rest.as_slice() {
+        return Err(format!("unexpected argument '{extra}'").into());
     }
-    Ok(Options {
-        source,
-        version,
-        opts,
-        codec,
-        shots,
-        sample,
-        noise,
-        seed,
-        chunks_log2,
-        top,
-        batching,
-        fuse,
-        threads,
-        report,
-        report_json,
-        save,
-        platform,
-        devices,
-        mem_budget,
-        peephole,
-        cx_basis,
-        trace_out,
-        metrics_out,
-        flight_out,
-        drift,
-        drift_tol,
-        gantt,
-        faults,
-        verify_invariants,
-        checkpoint_every,
-        checkpoint_out,
-        resume,
-        compare,
-    })
+    o.file = rest.into_iter().next();
+    match (&o.file, o.benchmark) {
+        (Some(_), Some(_)) => return Err("give either a file or --benchmark, not both".into()),
+        (None, None) => return Err("give a QASM file or --benchmark".into()),
+        (None, Some(b)) => {
+            let q = o.qubits.ok_or("--benchmark requires --qubits")?;
+            cli::qubits(q, b.min_qubits()).map_err(|e| e.on("--qubits"))?;
+        }
+        (Some(_), None) => {}
+    }
+    require(!o.sample || o.shots > 0, "--sample requires --shots")?;
+    let ckpt = o.checkpoint_every == 0 || o.checkpoint_out.is_some();
+    require(ckpt, "--checkpoint-every requires --checkpoint-out")?;
+    // The fleet: --devices, or the platform's own (its size does not
+    // depend on the circuit's width).
+    let devices = match o.devices {
+        1 => (o.platform)(Benchmark::Qft.min_qubits()).num_gpus(),
+        n => n,
+    };
+    let f = o.faults;
+    let lost = (f.device_lost_at != usize::MAX).then_some(f.device_lost_id);
+    let straggler = (f.straggler_device != usize::MAX).then_some(f.straggler_device);
+    for (flag, d) in [
+        ("--inject-device-loss", lost),
+        ("--inject-straggler", straggler),
+    ] {
+        if let Some(d) = d.filter(|&d| d >= devices) {
+            return Err(format!("{flag}: device {d} is not below the run's {devices}").into());
+        }
+    }
+    Ok(o)
 }
 
-const HELP: &str = "usage: qgpu-sim <file.qasm> | --benchmark <name> --qubits <N>\n  [--version baseline|naive|overlap|pruning|reorder|qgpu] [--opts list]\n  [--codec gfc|zero-run|alp|cascade] [--shots N]\n  [--sample] [--noise spec] [--seed N] [--chunks log2] [--top N] [--batching] [--fuse] [--threads N]\n  [--report] [--report-json path] [--save path] [--trace-out path] [--metrics-out path]\n  [--flight-out path]\n  [--drift] [--drift-tol pp] [--gantt] [--devices N] [--mem-budget BYTES]\n  [--inject-seed N] [--inject-transfer P] [--inject-codec P]\n  [--inject-mask P] [--inject-worker P] [--inject-fail-at N]\n  [--inject-device-loss D:OP] [--inject-link-degrade P]\n  [--inject-straggler D[:FACTOR]]\n  [--verify-invariants] [--inject-kernel-flip OP[:COUNT[:ATTEMPTS[:BIT]]]]\n  [--checkpoint-every N] [--checkpoint-out path] [--resume path]\n  [--compare path]";
-
-fn platform_for(name: &str, qubits: usize) -> Result<Platform, String> {
-    let ratio = 496.0 / 8192.0;
-    Ok(match name {
-        "p100" => Platform::scaled_paper_p100(qubits),
-        "v100" => Platform::paper_v100().miniaturize(qubits, 0.10),
-        "a100" => Platform::paper_a100().miniaturize(qubits, 0.45),
-        "4xp4" => Platform::quad_p4_pcie().miniaturize(qubits, ratio / 4.0),
-        "4xv100" => Platform::quad_v100_nvlink().miniaturize(qubits, ratio / 4.0),
-        other => return Err(format!("unknown platform '{other}'")),
-    })
-}
-
-fn load_circuit(source: &Source) -> Result<Circuit, String> {
-    match source {
-        Source::File(path) => {
+fn load_circuit(o: &Options) -> Result<Circuit, String> {
+    match (&o.file, o.benchmark, o.qubits) {
+        (Some(path), _, _) => {
             let text = fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             qasm::parse(&text).map_err(|e| e.to_string())
         }
-        Source::Benchmark { name, qubits } => {
-            let b = Benchmark::from_abbrev(name)
-                .ok_or(format!("unknown benchmark '{name}' (try qft, iqp, gs, …)"))?;
-            Ok(b.generate(*qubits))
-        }
+        (None, Some(b), Some(q)) => Ok(b.generate(q)),
+        _ => Err("no circuit".into()),
     }
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse(&cli::argv()) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return CLI.exit(e),
     };
-    let mut circuit = match load_circuit(&opts.source) {
-        Ok(c) => c,
+    match run(&opts) {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn run(opts: &Options) -> Result<(), String> {
+    let mut circuit = load_circuit(opts)?;
     if opts.cx_basis {
         let before = circuit.len();
         circuit = qgpu_circuit::transpile::to_cx_basis(&circuit);
@@ -455,23 +245,13 @@ fn main() -> ExitCode {
         eprintln!("[qgpu-sim] peephole: {before} -> {} ops", circuit.len());
     }
     let n = circuit.num_qubits();
+    let ops = circuit.len();
     match opts.opts {
-        Some(f) => eprintln!("[qgpu-sim] {} qubits, {} ops, opts {}", n, circuit.len(), f),
-        None => eprintln!(
-            "[qgpu-sim] {} qubits, {} ops, version {}",
-            n,
-            circuit.len(),
-            opts.version
-        ),
+        Some(f) => eprintln!("[qgpu-sim] {n} qubits, {ops} ops, opts {f}"),
+        None => eprintln!("[qgpu-sim] {n} qubits, {ops} ops, version {}", opts.version),
     }
 
-    let mut platform = match platform_for(&opts.platform, n) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut platform = (opts.platform)(n);
     if opts.devices > 1 {
         platform = platform.with_devices(opts.devices);
         eprintln!(
@@ -522,23 +302,17 @@ fn main() -> ExitCode {
         // Perfetto loads comfortably; million-chunk runs truncate.
         config = config.with_trace(200_000);
     }
-    if opts.faults.any_enabled() {
-        config = config.with_faults(opts.faults);
+    let f = &opts.faults;
+    if f.any_enabled() {
+        config = config.with_faults(*f);
         eprintln!(
             "[qgpu-sim] fault injection on (seed {}): transfer {}, codec {}, mask {}, worker {}",
-            opts.faults.seed,
-            opts.faults.p_transfer_corrupt,
-            opts.faults.p_codec_fail,
-            opts.faults.p_mask_corrupt,
-            opts.faults.p_worker_death,
+            f.seed, f.p_transfer_corrupt, f.p_codec_fail, f.p_mask_corrupt, f.p_worker_death
         );
-        if opts.faults.kernel_faults_enabled() {
+        if f.kernel_faults_enabled() {
             eprintln!(
                 "[qgpu-sim] kernel-flip injection: op {} x{}, {} attempt(s), bit {}",
-                opts.faults.kernel_flip_at,
-                opts.faults.kernel_flip_count,
-                opts.faults.kernel_flip_attempts,
-                opts.faults.kernel_flip_bit,
+                f.kernel_flip_at, f.kernel_flip_count, f.kernel_flip_attempts, f.kernel_flip_bit
             );
         }
     }
@@ -562,42 +336,30 @@ fn main() -> ExitCode {
         }
         None => {}
     }
-    if opts.checkpoint_every > 0 {
-        let Some(path) = &opts.checkpoint_out else {
-            eprintln!("error: --checkpoint-every requires --checkpoint-out");
-            return ExitCode::FAILURE;
-        };
+    if let (Some(path), true) = (&opts.checkpoint_out, opts.checkpoint_every > 0) {
         config = config.with_checkpointing(opts.checkpoint_every, path);
     }
     let resume_ckpt = match &opts.resume {
-        Some(path) => match qgpu::checkpoint::load_with_progress(path) {
-            Ok(ck) => {
-                eprintln!(
-                    "[qgpu-sim] resuming from {path} ({} ops done)",
-                    ck.gates_done
-                );
-                Some(ck)
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => {
+            let ck =
+                qgpu::checkpoint::load_with_progress(path).map_err(|e| format!("{path}: {e}"))?;
+            eprintln!(
+                "[qgpu-sim] resuming from {path} ({} ops done)",
+                ck.gates_done
+            );
+            Some(ck)
+        }
         None => None,
     };
     let sim = Simulator::new(config);
-    let result = match sim.try_run_from(&circuit, resume_ckpt.as_ref()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: simulation failed: {e}");
-            if matches!(e, SimError::Fatal { .. }) {
-                if let Some(path) = &opts.checkpoint_out {
-                    eprintln!("[qgpu-sim] recover with --resume {path}");
-                }
+    let result = sim
+        .try_run_from(&circuit, resume_ckpt.as_ref())
+        .map_err(|e| match (&e, &opts.checkpoint_out) {
+            (SimError::Fatal { .. }, Some(path)) => {
+                format!("simulation failed: {e}\n[qgpu-sim] recover with --resume {path}")
             }
-            return ExitCode::FAILURE;
-        }
-    };
+            _ => format!("simulation failed: {e}"),
+        })?;
     let state = result.state.as_ref().expect("state collected");
 
     // Most likely outcomes.
@@ -623,35 +385,23 @@ fn main() -> ExitCode {
 
     if let Some(path) = &opts.save {
         let save_codec = opts.codec.unwrap_or_default();
-        match qgpu::checkpoint::save_with_codec(state.amps(), 0, save_codec, path) {
-            Ok(()) => eprintln!("[qgpu-sim] checkpoint written to {path}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        qgpu::checkpoint::save_with_codec(state.amps(), 0, save_codec, path)
+            .map_err(|e| e.to_string())?;
+        eprintln!("[qgpu-sim] checkpoint written to {path}");
     }
 
     if let Some(path) = &opts.compare {
-        let reference = match qgpu::checkpoint::load(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let reference = qgpu::checkpoint::load(path).map_err(|e| format!("{path}: {e}"))?;
         if reference.num_qubits() != n {
-            eprintln!(
-                "error: --compare: checkpoint has {} qubits but the run has {n}",
+            return Err(format!(
+                "--compare: checkpoint has {} qubits but the run has {n}",
                 reference.num_qubits()
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         let dev = state.max_deviation(&reference);
         eprintln!("[qgpu-sim] compare: max deviation {dev:.3e} vs {path}");
         if dev >= 1e-12 {
-            eprintln!("error: --compare: deviation {dev:.3e} exceeds 1e-12");
-            return ExitCode::FAILURE;
+            return Err(format!("--compare: deviation {dev:.3e} exceeds 1e-12"));
         }
     }
 
@@ -707,10 +457,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &opts.report_json {
-        if let Err(e) = fs::write(path, result.report.to_json_string()) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        fs::write(path, result.report.to_json_string()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("[qgpu-sim] report written to {path}");
     }
 
@@ -730,10 +477,7 @@ fn main() -> ExitCode {
             .map(|o| o.spans.as_slice())
             .unwrap_or(&[]);
         let trace = qgpu_obs::ChromeTrace::two_track(&result.trace, spans);
-        if let Err(e) = fs::write(path, trace.to_json_string()) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        fs::write(path, trace.to_json_string()).map_err(|e| format!("{path}: {e}"))?;
         eprintln!("[qgpu-sim] trace written to {path}");
     }
 
@@ -749,10 +493,8 @@ fn main() -> ExitCode {
             &format!("{:?}", sim.config()),
             env!("CARGO_PKG_VERSION"),
         );
-        if let Err(e) = fs::write(path, obs.registry.document(&meta).to_string()) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+        fs::write(path, obs.registry.document(&meta).to_string())
+            .map_err(|e| format!("{path}: {e}"))?;
         eprintln!("[qgpu-sim] metrics written to {path}");
     }
 
@@ -762,5 +504,131 @@ fn main() -> ExitCode {
             qgpu_obs::DriftReport::new(&result.report, &obs.spans, obs.wall_s, opts.drift_tol);
         println!("\n{}", drift.render());
     }
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    /// Every `qgpu-sim` command line of CI's workflow, loop variables
+    /// bound to one of their values.
+    fn ci_lines() -> Vec<Vec<String>> {
+        let ci = include_str!("../../../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let lines: Vec<Vec<String>> = ci
+            .lines()
+            .filter_map(|l| l.split_once("./target/release/qgpu-sim "))
+            .map(|(_, rest)| {
+                let cmd = rest.split(['|', ';']).next().unwrap_or_default();
+                let cmd = cmd.replace("2>&1", "").replace('"', "");
+                argv(
+                    &cmd.replace("$b", "qft")
+                        .replace("$v", "qgpu")
+                        .replace("$c", "gfc"),
+                )
+            })
+            .collect();
+        assert!(lines.len() >= 25, "found {} CI lines", lines.len());
+        lines
+    }
+
+    #[test]
+    fn every_ci_line_parses() {
+        for line in ci_lines() {
+            if let Err(e) = parse(&line) {
+                panic!("{line:?}: {e:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_row_is_in_the_help() {
+        let help = CLI.help();
+        for f in CLI.flags {
+            assert!(help.contains(f.long), "{}", f.long);
+            assert!(f
+                .short
+                .is_none_or(|s| help.contains(&format!("{s}, {}", f.long))));
+        }
+        assert!(help.contains("--help"));
+    }
+
+    #[test]
+    fn spellings_keep_their_meaning() {
+        let o = parse(&argv("-b qft -q 12 -v baseline -r -p 4xp4 --threads 2")).unwrap();
+        assert_eq!(
+            (o.benchmark, o.qubits, o.version),
+            (Some(Benchmark::Qft), Some(12), Version::Baseline)
+        );
+        assert_eq!(
+            (o.report, o.threads, (o.platform)(12).num_gpus()),
+            (true, 2, 4)
+        );
+        let o = parse(&argv("circuit.qasm --version Q-GPU")).unwrap();
+        assert_eq!(
+            (o.file.as_deref(), o.version, o.seed, o.top),
+            (Some("circuit.qasm"), Version::QGpu, 1, 8)
+        );
+        assert_eq!(parse(&argv("-h")).err(), Some(Error::Help));
+    }
+
+    #[test]
+    fn hostile_lines_are_usage_errors() {
+        let bad = [
+            "",
+            "a.qasm b.qasm",
+            "a.qasm -b qft -q 8",
+            "-b qft",
+            "-b nope -q 8",
+            "-b qft -q 1",
+            "-b qf -q 3",
+            "-b qft -q 70",
+            "-b qft -q 8 --mem-budget 0",
+            "-b qft -q 8 --threads 0",
+            "-b qft -q 8 --devices 0",
+            "-b qft -q 8 --checkpoint-every 0",
+            "-b qft -q 8 --checkpoint-every 4",
+            "-b qft -q 8 --sample",
+            "-b qft -q 8 --platform h100",
+            "-b qft -q 8 --inject-transfer -1",
+            "-b qft -q 8 --inject-transfer 1.5",
+            "-b qft -q 8 --inject-codec 2",
+            "-b qft -q 8 --inject-mask -0.5",
+            "-b qft -q 8 --inject-worker 7",
+            "-b qft -q 8 --inject-link-degrade 1.01",
+            "-b qft -q 8 --inject-straggler 9:8",
+            "-b qft -q 8 --inject-straggler 1:8",
+            "-b qft -q 8 --devices 2 --inject-device-loss 7:3",
+            "-b qft -q 8 --platform 4xp4 --inject-device-loss 4:3",
+            "-b qft -q 8 --inject-kernel-flip 5:1:1:64",
+            "-b qft -q 8 --nope",
+        ];
+        for line in bad {
+            assert!(
+                matches!(parse(&argv(line)), Err(Error::Usage(_))),
+                "{line:?} accepted"
+            );
+        }
+        // The device bound follows the run's fleet.
+        assert!(parse(&argv("-b qft -q 8 --devices 4 --inject-device-loss 3:3")).is_ok());
+        assert!(parse(&argv("-b qft -q 8 -p 4xv100 --inject-straggler 3:2")).is_ok());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(500))]
+
+        /// Byte soup over this table's flags never panics the parser.
+        #[test]
+        fn byte_soup_never_panics(picks in proptest::collection::vec((0usize..200, proptest::collection::vec(proptest::prelude::any::<u8>(), 0..6)), 0..10)) {
+            let argv: Vec<String> = picks.iter().map(|(i, bytes)| match CLI.flags.get(*i) {
+                Some(f) => f.long.to_string(),
+                None => String::from_utf8_lossy(bytes).into_owned(),
+            }).collect();
+            let _ = parse(&argv);
+        }
+    }
 }

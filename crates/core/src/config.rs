@@ -105,6 +105,24 @@ impl std::fmt::Display for Version {
     }
 }
 
+/// Parses a version name, case-insensitively: `baseline`, `naive`,
+/// `overlap`, `pruning`, `reorder`, or `qgpu` (also `q-gpu`).
+impl std::str::FromStr for Version {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        Ok(match s.to_ascii_lowercase().as_str() {
+            "baseline" => Version::Baseline,
+            "naive" => Version::Naive,
+            "overlap" => Version::Overlap,
+            "pruning" => Version::Pruning,
+            "reorder" => Version::Reorder,
+            "qgpu" | "q-gpu" => Version::QGpu,
+            other => return Err(format!("unknown version '{other}'")),
+        })
+    }
+}
+
 /// An arbitrary subset of the paper's four composable optimizations
 /// (§IV-A–D), decoupled from the six named [`Version`]s.
 ///

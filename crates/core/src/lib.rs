@@ -34,6 +34,7 @@
 //! ```
 
 pub mod checkpoint;
+pub mod cli;
 pub mod comparators;
 pub mod config;
 pub mod engine;

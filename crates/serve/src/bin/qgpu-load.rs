@@ -11,25 +11,16 @@
 //! * decisions are visible: shed/retry/cancel/deadline counters match
 //!   what the run provoked.
 //!
-//! Exit code 0 = contract held; 1 = violation; 2 = bad usage.
-//!
-//! ```text
-//! usage: qgpu-load [--jobs N] [--tenants N] [--workers N] [--devices N]
-//!   [--qubits N] [--shots N] [--seed N] [--queue-cap N] [--mem-budget BYTES]
-//!   [--retries N] [--deadline-ms MS] [--tight-frac F] [--cancel-frac F]
-//!   [--inject-transfer P] [--inject-codec P] [--inject-worker P]
-//!   [--chaos-worker-panic P] [--chaos-fail-first N] [--chaos-device-loss D:MS]
-//!   [--timeout-s S] [--label NAME] [--metrics-out PATH] [--bench-out PATH]
-//! ```
-//!
-//! `--metrics-out` writes the same `{meta, counters, histograms,
-//! registry}` document shape as `qgpu-sim --metrics-out`; `--bench-out`
-//! writes a `qgpu-bench/v1` document with one scenario carrying the
-//! serving percentiles (p50/p90/p99/p999 latency) and throughput.
+//! `qgpu-load --help` lists the flags. Exit code 0 = contract held;
+//! 1 = violation; 2 = bad usage. `--metrics-out` writes the same
+//! document shape as `qgpu-sim --metrics-out`; `--bench-out` writes a
+//! `qgpu-bench/v1` document with one scenario carrying the serving
+//! percentiles (p50/p90/p99/p999 latency) and throughput.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use qgpu::cli::{self, require, Cli, Error};
 use qgpu::{SimConfig, Simulator, Version};
 use qgpu_circuit::generators::Benchmark;
 use qgpu_obs::{Json, RunMeta};
@@ -54,7 +45,7 @@ struct Opts {
     inject_worker: f64,
     chaos_worker_panic: f64,
     chaos_fail_first: u32,
-    chaos_device_loss: Option<(usize, u64)>,
+    chaos_device_loss: Option<(usize, usize)>,
     chaos_kernel_flip: f64,
     timeout_s: u64,
     label: String,
@@ -93,139 +84,47 @@ impl Default for Opts {
     }
 }
 
-const USAGE: &str = "usage: qgpu-load [--jobs N] [--tenants N] [--workers N] [--devices N]\n  [--qubits N] [--shots N] [--seed N] [--queue-cap N] [--mem-budget BYTES]\n  [--retries N] [--deadline-ms MS] [--tight-frac F] [--cancel-frac F]\n  [--inject-transfer P] [--inject-codec P] [--inject-worker P]\n  [--chaos-worker-panic P] [--chaos-fail-first N] [--chaos-device-loss D:MS]\n  [--chaos-kernel-flip P] [--timeout-s S] [--label NAME]\n  [--metrics-out PATH] [--bench-out PATH]";
+const CLI: Cli<Opts> = Cli {
+    usage: "usage: qgpu-load [flags]",
+    flags: qgpu::flags! { Opts;
+        "--jobs" <"N"> "jobs to submit (default 200)" => |o, v| o.jobs = v.parse()?;
+        "--tenants" <"N"> "tenants the jobs round-robin over, quota i+1 (default 4)" => |o, v| o.tenants = v.parse()?;
+        "--workers" <"N"> "server worker threads (default 4)" => |o, v| o.workers = v.parse()?;
+        "--devices" <"N"> "server device slots (default 2)" => |o, v| o.devices = v.parse()?;
+        "--qubits" <"N"> "width of every job's qft circuit, 2..=64 (default 10)" => |o, v| o.qubits = cli::qubits(v.parse()?, Benchmark::Qft.min_qubits())?;
+        "--shots" <"N"> "shots per job (default 16)" => |o, v| o.shots = v.parse()?;
+        "--seed" <"N"> "chaos and fault seed (default 1)" => |o, v| o.seed = v.parse()?;
+        "--queue-cap" <"N"> "per-tenant queue bound (default none)" => |o, v| o.queue_cap = v.parse()?;
+        "--mem-budget" <"BYTES"> "server memory admission budget" => |o, v| o.mem_budget = Some(v.parse()?);
+        "--retries" <"N"> "job-level retries" => |o, v| o.retries = Some(v.parse()?);
+        "--deadline-ms" <"MS"> "default job deadline" => |o, v| o.deadline_ms = Some(v.parse()?);
+        "--tight-frac" <"F"> "fraction of jobs given an unmeetable 50 us deadline" => |o, v| o.tight_frac = cli::prob(v)?;
+        "--cancel-frac" <"F"> "fraction of jobs the client cancels" => |o, v| o.cancel_frac = cli::prob(v)?;
+        "--inject-transfer" <"P"> "engine per-transfer corruption probability" => |o, v| o.inject_transfer = cli::prob(v)?;
+        "--inject-codec" <"P"> "engine per-encode codec failure probability" => |o, v| o.inject_codec = cli::prob(v)?;
+        "--inject-worker" <"P"> "engine per-worker death probability" => |o, v| o.inject_worker = cli::prob(v)?;
+        "--chaos-worker-panic" <"P"> "serve worker panic probability per attempt" => |o, v| o.chaos_worker_panic = cli::prob(v)?;
+        "--chaos-fail-first" <"N"> "kill the first N attempts of every job" => |o, v| o.chaos_fail_first = v.parse()?;
+        "--chaos-device-loss" <"D:MS"> "kill device D MS milliseconds into the run" => |o, v| o.chaos_device_loss = Some(cli::pair(v)?);
+        "--chaos-kernel-flip" <"P"> "kernel bit-flip probability (arms the invariant checks)" => |o, v| o.chaos_kernel_flip = cli::prob(v)?;
+        "--timeout-s" <"S"> "seconds to wait for each job (default 600)" => |o, v| o.timeout_s = v.parse()?;
+        "--label" <"NAME"> "run label in the documents (default serve_load)" => |o, v| o.label = v.into();
+        "--metrics-out" <"PATH"> "write the serve metrics document" => |o, v| o.metrics_out = Some(v.into());
+        "--bench-out" <"PATH"> "write a qgpu-bench/v1 document of latency percentiles and throughput" => |o, v| o.bench_out = Some(v.into());
+    },
+};
 
-fn parse_args() -> Result<Opts, String> {
-    let mut o = Opts::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |flag: &str| -> Result<String, String> {
-            args.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--jobs" => {
-                o.jobs = take("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--tenants" => {
-                o.tenants = take("--tenants")?
-                    .parse()
-                    .map_err(|e| format!("--tenants: {e}"))?;
-            }
-            "--workers" => {
-                o.workers = take("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--devices" => {
-                o.devices = take("--devices")?
-                    .parse()
-                    .map_err(|e| format!("--devices: {e}"))?;
-            }
-            "--qubits" => {
-                o.qubits = take("--qubits")?
-                    .parse()
-                    .map_err(|e| format!("--qubits: {e}"))?;
-            }
-            "--shots" => {
-                o.shots = take("--shots")?
-                    .parse()
-                    .map_err(|e| format!("--shots: {e}"))?;
-            }
-            "--seed" => {
-                o.seed = take("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--queue-cap" => {
-                o.queue_cap = take("--queue-cap")?
-                    .parse()
-                    .map_err(|e| format!("--queue-cap: {e}"))?;
-            }
-            "--mem-budget" => {
-                o.mem_budget = Some(
-                    take("--mem-budget")?
-                        .parse()
-                        .map_err(|e| format!("--mem-budget: {e}"))?,
-                );
-            }
-            "--retries" => {
-                o.retries = Some(
-                    take("--retries")?
-                        .parse()
-                        .map_err(|e| format!("--retries: {e}"))?,
-                );
-            }
-            "--deadline-ms" => {
-                o.deadline_ms = Some(
-                    take("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                );
-            }
-            "--tight-frac" => {
-                o.tight_frac = take("--tight-frac")?
-                    .parse()
-                    .map_err(|e| format!("--tight-frac: {e}"))?;
-            }
-            "--cancel-frac" => {
-                o.cancel_frac = take("--cancel-frac")?
-                    .parse()
-                    .map_err(|e| format!("--cancel-frac: {e}"))?;
-            }
-            "--inject-transfer" => {
-                o.inject_transfer = take("--inject-transfer")?
-                    .parse()
-                    .map_err(|e| format!("--inject-transfer: {e}"))?;
-            }
-            "--inject-codec" => {
-                o.inject_codec = take("--inject-codec")?
-                    .parse()
-                    .map_err(|e| format!("--inject-codec: {e}"))?;
-            }
-            "--inject-worker" => {
-                o.inject_worker = take("--inject-worker")?
-                    .parse()
-                    .map_err(|e| format!("--inject-worker: {e}"))?;
-            }
-            "--chaos-worker-panic" => {
-                o.chaos_worker_panic = take("--chaos-worker-panic")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-worker-panic: {e}"))?;
-            }
-            "--chaos-fail-first" => {
-                o.chaos_fail_first = take("--chaos-fail-first")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-fail-first: {e}"))?;
-            }
-            "--chaos-device-loss" => {
-                let v = take("--chaos-device-loss")?;
-                let (d, ms) = v
-                    .split_once(':')
-                    .ok_or_else(|| format!("--chaos-device-loss wants D:MS, got {v}"))?;
-                o.chaos_device_loss = Some((
-                    d.parse().map_err(|e| format!("--chaos-device-loss: {e}"))?,
-                    ms.parse()
-                        .map_err(|e| format!("--chaos-device-loss: {e}"))?,
-                ));
-            }
-            "--chaos-kernel-flip" => {
-                o.chaos_kernel_flip = take("--chaos-kernel-flip")?
-                    .parse()
-                    .map_err(|e| format!("--chaos-kernel-flip: {e}"))?;
-            }
-            "--timeout-s" => {
-                o.timeout_s = take("--timeout-s")?
-                    .parse()
-                    .map_err(|e| format!("--timeout-s: {e}"))?;
-            }
-            "--label" => o.label = take("--label")?,
-            "--metrics-out" => o.metrics_out = Some(take("--metrics-out")?),
-            "--bench-out" => o.bench_out = Some(take("--bench-out")?),
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag {other}\n{USAGE}")),
-        }
+/// The options of `args`: the table, and a device loss inside the fleet.
+fn parse(args: &[String]) -> Result<Opts, Error> {
+    let (o, rest) = CLI.parse(args)?;
+    if let Some(extra) = rest.first() {
+        return Err(format!("unexpected argument '{extra}'").into());
+    }
+    if let Some((d, _)) = o.chaos_device_loss {
+        // The server clamps its fleet to at least one device.
+        let devices = o.devices.max(1);
+        let msg = format!("--chaos-device-loss: device {d} is not below the run's {devices}");
+        require(d < devices, &msg)?;
     }
     Ok(o)
 }
@@ -258,12 +157,9 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse(&cli::argv()) {
         Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return CLI.exit(e),
     };
     quiet_chaos_panics();
 
@@ -367,7 +263,7 @@ fn main() -> ExitCode {
         // Fire the timed device kill once its moment arrives
         // (kill_device is idempotent, so re-hitting it is harmless).
         if let Some((device, ms)) = opts.chaos_device_loss {
-            if start.elapsed() >= Duration::from_millis(ms) {
+            if start.elapsed() >= Duration::from_millis(ms as u64) {
                 server.kill_device(device);
             }
         }
@@ -375,7 +271,7 @@ fn main() -> ExitCode {
     // If submission outran the kill timer, wait for it and fire while
     // jobs are still in flight.
     if let Some((device, ms)) = opts.chaos_device_loss {
-        let at = Duration::from_millis(ms);
+        let at = Duration::from_millis(ms as u64);
         if start.elapsed() < at {
             std::thread::sleep(at - start.elapsed());
         }
@@ -486,10 +382,7 @@ fn main() -> ExitCode {
         "  completed: {completed} ({throughput:.1} jobs/s), latency ms \
          p50={p50:.1} p90={p90:.1} p99={p99:.1} p999={p999:.1}"
     );
-    println!(
-        "  bit-identity: {} checked, {} mismatched",
-        completed, bit_mismatches
-    );
+    println!("  bit-identity: {completed} checked, {bit_mismatches} mismatched");
 
     let meta = RunMeta::collect(
         &opts.label,
@@ -577,4 +470,67 @@ fn main() -> ExitCode {
     }
     println!("[qgpu-load] OK: all jobs terminal, completions bit-identical");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn every_ci_line_parses() {
+        let ci = include_str!("../../../../.github/workflows/ci.yml").replace("\\\n", " ");
+        let lines: Vec<&str> = ci
+            .lines()
+            .filter_map(|l| l.split_once("./target/release/qgpu-load "))
+            .map(|(_, rest)| rest)
+            .collect();
+        assert!(!lines.is_empty());
+        for line in lines {
+            let o = parse(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e:?}"));
+            assert_eq!(
+                (o.jobs, o.devices, o.chaos_device_loss),
+                (120, 4, Some((1, 10)))
+            );
+        }
+    }
+
+    #[test]
+    fn every_row_is_in_the_help() {
+        let help = CLI.help();
+        for f in CLI.flags {
+            assert!(help.contains(f.long), "{}", f.long);
+        }
+        assert!(help.contains("--help"));
+        assert_eq!(parse(&argv("-h")).err(), Some(Error::Help));
+    }
+
+    #[test]
+    fn hostile_lines_are_usage_errors() {
+        let bad = [
+            "--qubits 1",
+            "--qubits 70",
+            "--devices 2 --chaos-device-loss 9:1",
+            "--chaos-device-loss 2:10",
+            "--tight-frac 2",
+            "--cancel-frac -0.1",
+            "--inject-transfer 1.5",
+            "--inject-codec -1",
+            "--inject-worker 2",
+            "--chaos-worker-panic 1.1",
+            "--chaos-kernel-flip 3",
+            "--jobs",
+            "--nope",
+            "stray",
+        ];
+        for line in bad {
+            assert!(
+                matches!(parse(&argv(line)), Err(Error::Usage(_))),
+                "{line:?} accepted"
+            );
+        }
+    }
 }
