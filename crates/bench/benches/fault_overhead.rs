@@ -7,27 +7,14 @@
 //! is the encode-time CRC sealing (fused with the codec's own amplitude
 //! walk, zstd-style) plus per-transfer retry plumbing, and that must stay
 //! under 3% of wall-clock on qft_20 (the experiment plan's budget,
-//! recorded in EXPERIMENTS.md).
-//!
-//! Invocation follows the workspace's criterion convention:
-//!
-//! - `cargo bench` (cargo passes `--bench`): interleaved A/B runs of
-//!   qft_20, median per side, **asserts** the checked median stays
-//!   within 3% of the plain median;
-//! - `cargo test` (no `--bench`): one small smoke run of each side so
-//!   the guard stays compiled without burning CI minutes.
+//! recorded in EXPERIMENTS.md). `cargo bench` measures paired rounds,
+//! `cargo test --benches` smoke-runs qft_12 (see [`qgpu_bench::guard`]).
 
 use std::time::Instant;
 
 use qgpu::{SimConfig, Simulator, Version};
+use qgpu_bench::guard::Guard;
 use qgpu_circuit::generators::Benchmark;
-
-/// Maximum tolerated slowdown of the integrity-checked run (fractional).
-const MAX_OVERHEAD: f64 = 0.03;
-
-/// Interleaved samples per side under `cargo bench`; interleaving keeps
-/// slow drift (thermal, cache state) out of the A/B difference.
-const SAMPLES: usize = 3;
 
 fn run_once(qubits: usize, checked: bool) -> f64 {
     let mut cfg = SimConfig::scaled_paper(qubits)
@@ -48,58 +35,12 @@ fn run_once(qubits: usize, checked: bool) -> f64 {
     elapsed
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let mut measure = false;
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--bench" => measure = true,
-            "--test" => measure = false,
-            s if !s.starts_with('-') && filter.is_none() => filter = Some(s.to_string()),
-            _ => {}
-        }
-    }
-    if let Some(f) = &filter {
-        if !"fault_overhead/qft".contains(f.as_str()) {
-            return;
-        }
-    }
-
-    if !measure {
-        // Smoke: exercise both sides on a small circuit.
-        run_once(12, false);
-        run_once(12, true);
-        println!("{:<40} ok (smoke run)", "fault_overhead/qft_12");
-        return;
-    }
-
-    let qubits = 20;
-    // Warm-up pair so first-touch allocation lands outside the samples.
-    run_once(qubits, false);
-    run_once(qubits, true);
-    let mut plain = Vec::with_capacity(SAMPLES);
-    let mut checked = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        plain.push(run_once(qubits, false));
-        checked.push(run_once(qubits, true));
-    }
-    let plain_median = median(&mut plain);
-    let checked_median = median(&mut checked);
-    let overhead = checked_median / plain_median - 1.0;
-    println!(
-        "fault_overhead/qft_{qubits}: plain {plain_median:.3} s, checked {checked_median:.3} s, \
-         overhead {:.2}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < MAX_OVERHEAD,
-        "integrity checking costs {:.2}% (> {:.0}% budget) on qft_{qubits}",
-        overhead * 100.0,
-        MAX_OVERHEAD * 100.0
-    );
+    let guard = Guard {
+        label: "fault_overhead/qft",
+        smoke: 12,
+        size: 20,
+        budget: 0.03,
+    };
+    guard.main(run_once);
 }

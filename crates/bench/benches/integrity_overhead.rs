@@ -8,33 +8,15 @@
 //! reduction per touched chunk per non-diagonal gate (diagonal runs
 //! pass through and widen later tolerances instead), and that must
 //! stay under 3% of wall-clock on qft_20 (the experiment plan's
-//! budget, recorded in EXPERIMENTS.md).
-//!
-//! Invocation follows the workspace's criterion convention:
-//!
-//! - `cargo bench` (cargo passes `--bench`): paired A/B rounds of
-//!   qft_20. Each round runs both sides back-to-back (order
-//!   alternating per round, so monotone drift cancels instead of
-//!   crediting whichever side runs first) and yields one
-//!   verified/plain ratio; the **median ratio** across rounds is
-//!   asserted within 3%. Wall-clock on a shared container swings by
-//!   more than 10% between rounds, but the swing hits both sides of
-//!   a pair equally — pairing is what makes a 3% assert stable where
-//!   independent per-side statistics are not;
-//! - `cargo test` (no `--bench`): one small smoke run of each side so
-//!   the guard stays compiled without burning CI minutes.
+//! budget, recorded in EXPERIMENTS.md). `cargo bench` measures paired
+//! rounds, `cargo test --benches` smoke-runs qft_12 (see
+//! [`qgpu_bench::guard`]).
 
 use std::time::Instant;
 
 use qgpu::{SimConfig, Simulator, Version};
+use qgpu_bench::guard::Guard;
 use qgpu_circuit::generators::Benchmark;
-
-/// Maximum tolerated slowdown of the invariant-verified run (fractional).
-const MAX_OVERHEAD: f64 = 0.03;
-
-/// Paired A/B rounds under `cargo bench`; each round contributes one
-/// verified/plain ratio measured back-to-back.
-const ROUNDS: usize = 5;
 
 fn run_once(qubits: usize, verified: bool) -> f64 {
     let mut cfg = SimConfig::scaled_paper(qubits)
@@ -59,63 +41,12 @@ fn run_once(qubits: usize, verified: bool) -> f64 {
     elapsed
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let mut measure = false;
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--bench" => measure = true,
-            "--test" => measure = false,
-            s if !s.starts_with('-') && filter.is_none() => filter = Some(s.to_string()),
-            _ => {}
-        }
-    }
-    if let Some(f) = &filter {
-        if !"integrity_overhead/qft".contains(f.as_str()) {
-            return;
-        }
-    }
-
-    if !measure {
-        // Smoke: exercise both sides on a small circuit.
-        run_once(12, false);
-        run_once(12, true);
-        println!("{:<40} ok (smoke run)", "integrity_overhead/qft_12");
-        return;
-    }
-
-    let qubits = 20;
-    // Warm-up pair so first-touch allocation lands outside the samples.
-    run_once(qubits, false);
-    run_once(qubits, true);
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let (plain_s, verified_s) = if round % 2 == 0 {
-            let p = run_once(qubits, false);
-            let v = run_once(qubits, true);
-            (p, v)
-        } else {
-            let v = run_once(qubits, true);
-            let p = run_once(qubits, false);
-            (p, v)
-        };
-        ratios.push(verified_s / plain_s);
-    }
-    let overhead = median(&mut ratios) - 1.0;
-    println!(
-        "integrity_overhead/qft_{qubits}: median verified/plain ratio over \
-         {ROUNDS} paired rounds, overhead {:.2}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < MAX_OVERHEAD,
-        "invariant verification costs {:.2}% (> {:.0}% budget) on qft_{qubits}",
-        overhead * 100.0,
-        MAX_OVERHEAD * 100.0
-    );
+    let guard = Guard {
+        label: "integrity_overhead/qft",
+        smoke: 12,
+        size: 20,
+        budget: 0.03,
+    };
+    guard.main(run_once);
 }

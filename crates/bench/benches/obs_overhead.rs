@@ -6,28 +6,15 @@
 //! instrumentation records spans per *gate* (not per chunk) plus O(1)
 //! counter/histogram touches. This bench enforces the enabled side —
 //! with the full telemetry stack on: spans, the per-stage attribution
-//! registry, and the flight-recorder event ring.
-//!
-//! Invocation follows the workspace's criterion convention:
-//!
-//! - `cargo bench` (cargo passes `--bench`): interleaved A/B runs of
-//!   qft_20, median per side, **asserts** the enabled median stays
-//!   within 2% of the disabled median;
-//! - `cargo test` (no `--bench`): one small smoke run of each side so
-//!   the guard stays compiled and the obs plumbing stays exercised
-//!   without burning CI minutes on wall-clock comparisons.
+//! registry, and the flight-recorder event ring — within 2% on qft_20.
+//! `cargo bench` measures paired rounds, `cargo test --benches`
+//! smoke-runs qft_12 (see [`qgpu_bench::guard`]).
 
 use std::time::Instant;
 
 use qgpu::{FlightConfig, SimConfig, Simulator, Version};
+use qgpu_bench::guard::Guard;
 use qgpu_circuit::generators::Benchmark;
-
-/// Maximum tolerated slowdown of the instrumented run (fractional).
-const MAX_OVERHEAD: f64 = 0.02;
-
-/// Interleaved samples per side under `cargo bench`; interleaving keeps
-/// slow drift (thermal, cache state) out of the A/B difference.
-const SAMPLES: usize = 3;
 
 fn run_once(qubits: usize, obs: bool) -> f64 {
     let mut cfg = SimConfig::scaled_paper(qubits)
@@ -48,58 +35,12 @@ fn run_once(qubits: usize, obs: bool) -> f64 {
     elapsed
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let mut measure = false;
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--bench" => measure = true,
-            "--test" => measure = false,
-            s if !s.starts_with('-') && filter.is_none() => filter = Some(s.to_string()),
-            _ => {}
-        }
-    }
-    if let Some(f) = &filter {
-        if !"obs_overhead/qft".contains(f.as_str()) {
-            return;
-        }
-    }
-
-    if !measure {
-        // Smoke: exercise both sides on a small circuit.
-        run_once(12, false);
-        run_once(12, true);
-        println!("{:<40} ok (smoke run)", "obs_overhead/qft_12");
-        return;
-    }
-
-    let qubits = 20;
-    // Warm-up pair so first-touch allocation lands outside the samples.
-    run_once(qubits, false);
-    run_once(qubits, true);
-    let mut off = Vec::with_capacity(SAMPLES);
-    let mut on = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        off.push(run_once(qubits, false));
-        on.push(run_once(qubits, true));
-    }
-    let off_median = median(&mut off);
-    let on_median = median(&mut on);
-    let overhead = on_median / off_median - 1.0;
-    println!(
-        "obs_overhead/qft_{qubits}: disabled {off_median:.3} s, enabled {on_median:.3} s, \
-         overhead {:.2}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < MAX_OVERHEAD,
-        "span recording costs {:.2}% (> {:.0}% budget) on qft_{qubits}",
-        overhead * 100.0,
-        MAX_OVERHEAD * 100.0
-    );
+    let guard = Guard {
+        label: "obs_overhead/qft",
+        smoke: 12,
+        size: 20,
+        budget: 0.02,
+    };
+    guard.main(run_once);
 }

@@ -5,40 +5,22 @@
 //! The orchestrator's contract is "pay only when disrupted": with no
 //! device loss, no straggler, and no memory budget, it must deal tasks
 //! exactly like `RoundRobin` (epoch 0 is the identity rotation), never
-//! steal (every device runs at the same pace), and add under 3% of
-//! wall-clock on a 4-device qft_20 — the bookkeeping is one EMA update
-//! and one pace comparison per chunk task.
-//!
-//! Invocation follows the workspace's criterion convention:
-//!
-//! - `cargo bench` (cargo passes `--bench`): paired A/B rounds of
-//!   qft_20 on a 4-device fleet. Each round runs both sides
-//!   back-to-back (order alternating per round, so monotone drift
-//!   cancels instead of crediting whichever side runs first) and
-//!   yields one orchestrated/plain ratio; the **median ratio** across
-//!   rounds is asserted within 3%. Wall-clock on a shared 1-CPU
-//!   container swings by >10% between rounds, but the swing hits both
-//!   sides of a pair equally — pairing is what makes a 3% assert
-//!   stable where independent per-side statistics are not;
-//! - `cargo test` (no `--bench`): one small smoke run of each side so
-//!   the guard stays compiled without burning CI minutes.
+//! steal (every device runs at the same pace), leave the modeled
+//! timeline untouched, and add under 3% of wall-clock on a 4-device
+//! qft_20 — the bookkeeping is one EMA update and one pace comparison
+//! per chunk task. `cargo bench` measures paired rounds, `cargo test
+//! --benches` smoke-runs qft_12 (see [`qgpu_bench::guard`]).
 
 use std::time::Instant;
 
 use qgpu::{SimConfig, Simulator, Version};
+use qgpu_bench::guard::Guard;
 use qgpu_circuit::generators::Benchmark;
 use qgpu_device::Platform;
 use qgpu_sched::devicegroup::OrchestratorConfig;
 
-/// Maximum tolerated slowdown of the orchestrated run (fractional).
-const MAX_OVERHEAD: f64 = 0.03;
-
 /// Devices in the modeled fleet.
 const DEVICES: usize = 4;
-
-/// Paired A/B rounds under `cargo bench`; each round contributes one
-/// orchestrated/plain ratio measured back-to-back.
-const ROUNDS: usize = 5;
 
 fn run_once(qubits: usize, orchestrated: bool) -> (f64, f64) {
     let platform = Platform::scaled_paper_p100(qubits).with_devices(DEVICES);
@@ -61,72 +43,22 @@ fn run_once(qubits: usize, orchestrated: bool) -> (f64, f64) {
     (elapsed, result.report.total_time)
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let mut measure = false;
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--bench" => measure = true,
-            "--test" => measure = false,
-            s if !s.starts_with('-') && filter.is_none() => filter = Some(s.to_string()),
-            _ => {}
-        }
-    }
-    if let Some(f) = &filter {
-        if !"orchestration_overhead/qft".contains(f.as_str()) {
-            return;
-        }
-    }
-
-    if !measure {
-        // Smoke: exercise both sides on a small circuit and check the
-        // modeled timeline is untouched by orchestration.
-        let (_, plain_model) = run_once(12, false);
-        let (_, orch_model) = run_once(12, true);
+    let guard = Guard {
+        label: "orchestration_overhead/qft",
+        smoke: 12,
+        size: 20,
+        budget: 0.03,
+    };
+    // Every run (one width per invocation) models the first run's timeline.
+    let mut first = None;
+    guard.main(|qubits, orchestrated| {
+        let (elapsed, model) = run_once(qubits, orchestrated);
         assert_eq!(
-            plain_model, orch_model,
+            *first.get_or_insert(model),
+            model,
             "fault-free orchestration must not change the modeled timeline"
         );
-        println!("{:<40} ok (smoke run)", "orchestration_overhead/qft_12");
-        return;
-    }
-
-    let qubits = 20;
-    // Warm-up pair so first-touch allocation lands outside the samples.
-    let (_, plain_model) = run_once(qubits, false);
-    let (_, orch_model) = run_once(qubits, true);
-    assert_eq!(
-        plain_model, orch_model,
-        "fault-free orchestration must not change the modeled timeline"
-    );
-    let mut ratios = Vec::with_capacity(ROUNDS);
-    for round in 0..ROUNDS {
-        let (plain_s, orch_s) = if round % 2 == 0 {
-            let p = run_once(qubits, false).0;
-            let o = run_once(qubits, true).0;
-            (p, o)
-        } else {
-            let o = run_once(qubits, true).0;
-            let p = run_once(qubits, false).0;
-            (p, o)
-        };
-        ratios.push(orch_s / plain_s);
-    }
-    let overhead = median(&mut ratios) - 1.0;
-    println!(
-        "orchestration_overhead/qft_{qubits} ({DEVICES} devices): median paired \
-         orchestrated/plain ratio over {ROUNDS} rounds, overhead {:.2}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < MAX_OVERHEAD,
-        "orchestration costs {:.2}% (> {:.0}% budget) on qft_{qubits}",
-        overhead * 100.0,
-        MAX_OVERHEAD * 100.0
-    );
+        elapsed
+    });
 }

@@ -5,27 +5,17 @@
 //!
 //! The server's contract is "the machinery around the engine is free
 //! when nothing goes wrong": per-job serving cost is a queue hop and a
-//! token poll per gate boundary, and the batch of J jobs must complete
-//! within 3% of J back-to-back direct engine invocations.
-//!
-//! Invocation follows the workspace's criterion convention:
-//!
-//! - `cargo bench` (cargo passes `--bench`): interleaved A/B samples of
-//!   a J-job batch on qft_16, median per side, **asserts** the served
-//!   median stays within 3% of the direct median;
-//! - `cargo test` (no `--bench`): one small smoke batch of each side.
+//! token poll per gate boundary, and the batch of J jobs on qft_16 must
+//! complete within 3% of J back-to-back direct engine invocations.
+//! `cargo bench` measures paired rounds, `cargo test --benches`
+//! smoke-runs qft_10 (see [`qgpu_bench::guard`]).
 
 use std::time::Instant;
 
 use qgpu::{SimConfig, Simulator, Version};
+use qgpu_bench::guard::Guard;
 use qgpu_circuit::generators::Benchmark;
 use qgpu_serve::{JobSpec, JobStatus, ServeConfig, Server, ShutdownMode};
-
-/// Maximum tolerated slowdown of the served batch (fractional).
-const MAX_OVERHEAD: f64 = 0.03;
-
-/// Interleaved samples per side under `cargo bench`.
-const SAMPLES: usize = 3;
 
 /// Jobs per batch: enough to amortize server startup into noise while
 /// keeping a sample affordable.
@@ -39,10 +29,10 @@ fn cfg(qubits: usize) -> SimConfig {
 
 /// J sequential direct engine invocations (the floor being compared
 /// against: same circuit, same config, no serving machinery).
-fn run_direct(qubits: usize, jobs: usize) -> f64 {
+fn run_direct(qubits: usize) -> f64 {
     let circuit = Benchmark::Qft.generate(qubits);
     let start = Instant::now();
-    for _ in 0..jobs {
+    for _ in 0..JOBS {
         let sim = Simulator::new(cfg(qubits));
         let result = sim.run(&circuit);
         assert_eq!(result.report.chunk_retries, 0);
@@ -53,11 +43,11 @@ fn run_direct(qubits: usize, jobs: usize) -> f64 {
 /// The same J jobs through a 1-worker/1-device server: identical
 /// sequential engine work, so any wall-clock delta is pure serving
 /// overhead (submit, WFQ, channel hop, token polls, reaper).
-fn run_served(qubits: usize, jobs: usize) -> f64 {
+fn run_served(qubits: usize) -> f64 {
     let circuit = Benchmark::Qft.generate(qubits);
     let server = Server::new(ServeConfig::default().with_workers(1).with_devices(1));
     let start = Instant::now();
-    let handles: Vec<_> = (0..jobs)
+    let handles: Vec<_> = (0..JOBS)
         .map(|_| {
             server
                 .submit(JobSpec::new(circuit.clone(), cfg(qubits)))
@@ -73,59 +63,18 @@ fn run_served(qubits: usize, jobs: usize) -> f64 {
     elapsed
 }
 
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let mut measure = false;
-    let mut filter: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--bench" => measure = true,
-            "--test" => measure = false,
-            s if !s.starts_with('-') && filter.is_none() => filter = Some(s.to_string()),
-            _ => {}
+    let guard = Guard {
+        label: "serve_overhead/qft",
+        smoke: 10,
+        size: 16,
+        budget: 0.03,
+    };
+    guard.main(|qubits, served| {
+        if served {
+            run_served(qubits)
+        } else {
+            run_direct(qubits)
         }
-    }
-    if let Some(f) = &filter {
-        if !"serve_overhead/qft".contains(f.as_str()) {
-            return;
-        }
-    }
-
-    if !measure {
-        // Smoke: exercise both sides on a small batch.
-        run_direct(10, 2);
-        run_served(10, 2);
-        println!("{:<40} ok (smoke run)", "serve_overhead/qft_10");
-        return;
-    }
-
-    let qubits = 16;
-    // Warm-up pair so first-touch allocation and thread spawn land
-    // outside the samples.
-    run_direct(qubits, JOBS);
-    run_served(qubits, JOBS);
-    let mut direct = Vec::with_capacity(SAMPLES);
-    let mut served = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        direct.push(run_direct(qubits, JOBS));
-        served.push(run_served(qubits, JOBS));
-    }
-    let direct_median = median(&mut direct);
-    let served_median = median(&mut served);
-    let overhead = served_median / direct_median - 1.0;
-    println!(
-        "serve_overhead/qft_{qubits}: direct {direct_median:.3} s, served {served_median:.3} s \
-         ({JOBS} jobs), overhead {:.2}%",
-        overhead * 100.0
-    );
-    assert!(
-        overhead < MAX_OVERHEAD,
-        "fault-free serving costs {:.2}% (> {:.0}% budget) on qft_{qubits} x{JOBS}",
-        overhead * 100.0,
-        MAX_OVERHEAD * 100.0
-    );
+    });
 }

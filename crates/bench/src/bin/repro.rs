@@ -5,9 +5,9 @@
 //! scripts; `repro all` runs every experiment and `repro list` names
 //! them. Default sizes are chosen so `repro all` finishes in minutes on a
 //! laptop while preserving the paper's shapes; pass `--qubits` to push
-//! larger. `repro perf` runs the pinned perf-trajectory matrix and its
-//! regression gate (see [`qgpu_bench::perf`]). `repro --help` and `repro
-//! perf --help` list the flags; a usage error exits 2, a run failure 1.
+//! larger. End-to-end performance is measured by the `benchmark/`
+//! harness, not here (see `benchmark/README.md`). `repro --help` lists
+//! the flags; a usage error exits 2, a run failure 1.
 
 use std::process::ExitCode;
 
@@ -22,21 +22,25 @@ struct Args {
 }
 
 const CLI: Cli<Args> = Cli {
-    usage: "usage: repro <experiment|all|list> [flags]\n       repro perf [flags]",
+    usage: "usage: repro <experiment|all|list> [flags]",
     flags: qgpu::flags! { Args;
         "--qubits", "-q" <"N"> "simulated width (each experiment has its default)" => |o, v| o.qubits = Some(v.parse()?);
         "--json" "print each table as a JSON object instead of markdown" => |o, _| o.json = true;
     },
 };
 
-/// The experiment named in `args`, and its options; a width below the
-/// smallest its circuits are built at is refused.
+/// The experiment named in `args`, and its options; an unknown name, or
+/// a width below the smallest its circuits are built at, is refused.
 fn parse(args: &[String]) -> Result<(String, Args), Error> {
     let (o, rest) = CLI.parse(args)?;
     let [name] = <[String; 1]>::try_from(rest).map_err(|_| "give one experiment, all or list")?;
     let min = match name.as_str() {
+        "list" => None,
         "all" => EXPERIMENTS.iter().map(|e| e.1).max(),
-        name => EXPERIMENTS.iter().find(|e| e.0 == name).map(|e| e.1),
+        name => match EXPERIMENTS.iter().find(|e| e.0 == name) {
+            Some(e) => Some(e.1),
+            None => return Err(format!("unknown experiment '{name}' — try 'repro list'").into()),
+        },
     };
     if let (Some(q), Some(min)) = (o.qubits, min) {
         cli::qubits(q, min).map_err(|e| e.on("--qubits"))?;
@@ -153,11 +157,7 @@ fn run_one(name: &str, qubits: Option<usize>, json: bool) -> Result<(), String> 
 }
 
 fn main() -> ExitCode {
-    let raw = cli::argv();
-    if raw.first().map(String::as_str) == Some("perf") {
-        return qgpu_bench::perf::cli(&raw[1..]);
-    }
-    let (name, args) = match parse(&raw) {
+    let (name, args) = match parse(&cli::argv()) {
         Ok(a) => a,
         Err(e) => return CLI.exit(e),
     };
@@ -237,6 +237,7 @@ mod tests {
             "fig7 -q 65",
             "fig2 --nope",
             "fig2 -q",
+            "perf",
         ];
         for line in bad {
             assert!(

@@ -6,12 +6,15 @@
 //!   paper's evaluation (`cargo run -p qgpu-bench --bin repro -- list`);
 //! * **Criterion microbenchmarks** — gate kernels, GFC compression,
 //!   reorder passes, and end-to-end version comparisons
-//!   (`cargo bench -p qgpu-bench`).
+//!   (`cargo bench -p qgpu-bench`);
+//! * **overhead guards** — `*_overhead` benches that hold a feature's
+//!   zero-fault cost to a budget, all through one A/B runner ([`guard`]).
 //!
-//! The library portion hosts shared helpers for the benches and the
-//! `repro perf` BENCH-file runner (see [`perf`]).
+//! End-to-end performance is measured by the `benchmark/` harness alone
+//! (see `benchmark/README.md`). The library portion hosts shared helpers
+//! for the benches.
 
-pub mod perf;
+pub mod guard;
 
 use qgpu_circuit::generators::Benchmark;
 use qgpu_circuit::Circuit;

@@ -4,9 +4,11 @@
 //! Plus the steps' wall-clock attribution, by bucket name.
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::generators::Benchmark;
+use qgpu_circuit::noise::NoiseConfig;
 use qgpu_circuit::Circuit;
 use qgpu_device::timeline::TaskKind;
 use qgpu_sched::{GatePlan, InvolvementTracker};
@@ -192,6 +194,45 @@ fn traced_run_attributes_every_step_to_its_named_bucket() {
             replayed_live_tasks(&c, &cfg),
             "{v}: tasks counted per device vs planned live tasks"
         );
+    }
+}
+
+/// The attribution is exhaustive: the `stage.time_ns` sums reconstruct
+/// the run's wall clock, ideal and noisy, in every version.
+#[test]
+fn stage_times_sum_to_the_run_wall_clock() {
+    let noise: NoiseConfig = "depolarizing:0.01,loss:0.02".parse().expect("spec parses");
+    for b in [Benchmark::Qft, Benchmark::Bv] {
+        let c = b.generate(10);
+        for v in Version::ALL {
+            for noisy in [false, true] {
+                let mut cfg = SimConfig::scaled_paper(10)
+                    .with_version(v)
+                    .timing_only()
+                    .with_obs_spans();
+                if noisy {
+                    cfg = cfg
+                        .with_noise(noise.clone())
+                        .with_shots(64)
+                        .with_stoch_seed(42);
+                }
+                let start = Instant::now();
+                let r = Simulator::new(cfg).run(&c);
+                let wall_ns = start.elapsed().as_nanos() as f64;
+                let reg = &r.obs.as_ref().expect("traced run").registry;
+                let sum_ns: u64 = reg
+                    .histograms_named("stage.time_ns")
+                    .map(|e| e.value.sum)
+                    .sum();
+                // Sub-millisecond runs leave the clock reads around the
+                // run a visible share; 0.8 holds them in release.
+                let ratio = sum_ns as f64 / wall_ns;
+                assert!(
+                    (0.8..=1.2).contains(&ratio),
+                    "{b:?} {v} noisy {noisy}: stage sum / wall = {ratio}"
+                );
+            }
+        }
     }
 }
 

@@ -1,11 +1,11 @@
 //! Self-describing run metadata.
 //!
 //! Every telemetry artifact this workspace writes — `--metrics-out`
-//! snapshots, flight-recorder dumps, `BENCH_*.json` perf trajectories —
-//! should identify *what produced it* without out-of-band context: the
-//! git revision, the execution version / `OptFlags` label, the
-//! stochastic seed, a hash of the full config, the crate version and
-//! the host. [`RunMeta`] collects exactly that block once and renders
+//! snapshots and flight-recorder dumps; perf trajectories belong to the
+//! `benchmark/` harness (see `benchmark/README.md`) — should identify
+//! *what produced it* without out-of-band context: the git revision,
+//! the execution version / `OptFlags` label, the stochastic seed, a
+//! hash of the full config, the crate version and the host. [`RunMeta`] collects exactly that block once and renders
 //! it the same way everywhere.
 
 use std::process::Command;

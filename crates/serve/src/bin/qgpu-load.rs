@@ -13,9 +13,9 @@
 //!
 //! `qgpu-load --help` lists the flags. Exit code 0 = contract held;
 //! 1 = violation; 2 = bad usage. `--metrics-out` writes the same
-//! document shape as `qgpu-sim --metrics-out`; `--bench-out` writes a
-//! `qgpu-bench/v1` document with one scenario carrying the serving
-//! percentiles (p50/p90/p99/p999 latency) and throughput.
+//! document shape as `qgpu-sim --metrics-out`. Serving throughput and
+//! latency are measured by the `benchmark/` harness's `serve_mix`
+//! workload (see `benchmark/README.md`).
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use qgpu::cli::{self, require, Cli, Error};
 use qgpu::{SimConfig, Simulator, Version};
 use qgpu_circuit::generators::Benchmark;
-use qgpu_obs::{Json, RunMeta};
+use qgpu_obs::RunMeta;
 use qgpu_serve::{ChaosConfig, JobSpec, JobStatus, Priority, ServeConfig, Server, ShutdownMode};
 
 struct Opts {
@@ -50,7 +50,6 @@ struct Opts {
     timeout_s: u64,
     label: String,
     metrics_out: Option<String>,
-    bench_out: Option<String>,
 }
 
 impl Default for Opts {
@@ -79,7 +78,6 @@ impl Default for Opts {
             timeout_s: 600,
             label: "serve_load".to_string(),
             metrics_out: None,
-            bench_out: None,
         }
     }
 }
@@ -108,9 +106,8 @@ const CLI: Cli<Opts> = Cli {
         "--chaos-device-loss" <"D:MS"> "kill device D MS milliseconds into the run" => |o, v| o.chaos_device_loss = Some(cli::pair(v)?);
         "--chaos-kernel-flip" <"P"> "kernel bit-flip probability (arms the invariant checks)" => |o, v| o.chaos_kernel_flip = cli::prob(v)?;
         "--timeout-s" <"S"> "seconds to wait for each job (default 600)" => |o, v| o.timeout_s = v.parse()?;
-        "--label" <"NAME"> "run label in the documents (default serve_load)" => |o, v| o.label = v.into();
+        "--label" <"NAME"> "run label in the metrics document (default serve_load)" => |o, v| o.label = v.into();
         "--metrics-out" <"PATH"> "write the serve metrics document" => |o, v| o.metrics_out = Some(v.into());
-        "--bench-out" <"PATH"> "write a qgpu-bench/v1 document of latency percentiles and throughput" => |o, v| o.bench_out = Some(v.into());
     },
 };
 
@@ -414,56 +411,6 @@ fn main() -> ExitCode {
         eprintln!("[qgpu-load] metrics written to {path}");
     }
 
-    if let Some(path) = &opts.bench_out {
-        let pctl = |v: f64| Json::Num(v);
-        let scenario = Json::Obj(vec![
-            ("id".into(), Json::Str(opts.label.clone())),
-            ("circuit".into(), Json::Str(format!("qft_{}", opts.qubits))),
-            ("qubits".into(), Json::Num(opts.qubits as f64)),
-            ("jobs".into(), Json::Num(opts.jobs as f64)),
-            ("completed".into(), Json::Num(completed as f64)),
-            ("wall_s".into(), Json::Num(wall_s)),
-            ("throughput_jobs_per_s".into(), Json::Num(throughput)),
-            (
-                "percentiles".into(),
-                Json::Obj(vec![(
-                    "latency_ms".into(),
-                    Json::Obj(vec![
-                        ("p50".into(), pctl(p50)),
-                        ("p90".into(), pctl(p90)),
-                        ("p99".into(), pctl(p99)),
-                        ("p999".into(), pctl(p999)),
-                    ]),
-                )]),
-            ),
-            (
-                "counters".into(),
-                Json::Obj(vec![
-                    ("retries".into(), Json::Num(counter("serve.retries") as f64)),
-                    ("shed".into(), Json::Num(counter("serve.shed") as f64)),
-                    (
-                        "cancelled".into(),
-                        Json::Num(counter("serve.cancelled") as f64),
-                    ),
-                    (
-                        "deadline_exceeded".into(),
-                        Json::Num(counter("serve.deadline_exceeded") as f64),
-                    ),
-                ]),
-            ),
-        ]);
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("qgpu-bench/v1".into())),
-            ("meta".into(), meta.to_json()),
-            ("scenarios".into(), Json::Arr(vec![scenario])),
-        ]);
-        if let Err(e) = std::fs::write(path, doc.to_string()) {
-            eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("[qgpu-load] bench document written to {path}");
-    }
-
     if violations > 0 {
         eprintln!("[qgpu-load] FAILED: {violations} contract violation(s)");
         return ExitCode::FAILURE;
@@ -525,6 +472,7 @@ mod tests {
             "--jobs",
             "--nope",
             "stray",
+            "--bench-out x",
         ];
         for line in bad {
             assert!(
