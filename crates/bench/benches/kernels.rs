@@ -82,11 +82,10 @@ fn bench_cache_resident(c: &mut Criterion) {
     group.finish();
 }
 
-/// Whole-circuit execution: unfused gate-by-gate vs the fusion pass —
-/// exact replay, collapsed kernels, and collapsed + 4 worker threads — on
-/// the two most fusion-friendly paper benchmarks at 20 qubits. The
-/// acceptance target is fused+parallel ≥ 2× over the unfused seed path on
-/// `qft_20` (see EXPERIMENTS.md for recorded numbers).
+/// Whole-circuit execution: unfused gate-by-gate vs the fusion pass's
+/// exact replay (one cache-blocked pass per fused run) on the two most
+/// fusion-friendly paper benchmarks at 20 qubits (see EXPERIMENTS.md
+/// for recorded numbers).
 fn bench_fused(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernels/fused");
     group.sample_size(10);
@@ -107,24 +106,6 @@ fn bench_fused(c: &mut Criterion) {
                 s.amp(0)
             })
         });
-        group.bench_with_input(BenchmarkId::new("fused", name), &circ, |bch, circ| {
-            bch.iter(|| {
-                let mut s = StateVector::new_zero(N);
-                s.run_fused_collapsed(circ, 1);
-                s.amp(0)
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("fused_parallel4", name),
-            &circ,
-            |bch, circ| {
-                bch.iter(|| {
-                    let mut s = StateVector::new_zero(N);
-                    s.run_fused_collapsed(circ, 4);
-                    s.amp(0)
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -18,16 +18,16 @@
 //! (e.g. the forward-looking pass) therefore run before fusion; clustering
 //! same-qubit gates first makes runs longer and fusion stronger.
 //!
-//! Each [`FusedOp`] carries two executable forms:
+//! Each [`FusedOp`] carries two forms:
 //!
 //! * [`actions`](FusedOp::actions) — the member gates in source order, for
 //!   *exact replay*: applying them one after another inside a single visit
 //!   to each chunk performs bit-for-bit the same floating-point operations
 //!   as the unfused circuit, so fusion cannot change the state at all;
-//! * [`collapsed`](FusedOp::collapsed) — the single merged kernel, used by
-//!   the device timing model (one kernel launch per chunk visit) and by
-//!   the collapsed fast path, whose different rounding stays within normal
-//!   f64 tolerance of the exact result.
+//! * [`collapsed`](FusedOp::collapsed) — the single merged kernel, the
+//!   device timing model's view of the run (one kernel launch per chunk
+//!   visit). Nothing executes it: multiplying the members together first
+//!   rounds differently from replaying them.
 
 use qgpu_math::Complex64;
 
@@ -39,8 +39,8 @@ use crate::gate::{Gate, Matrix};
 /// table has `2^n` entries, and 64 × 16 B = 1 KiB stays comfortably in L1.
 pub const MAX_FUSED_DIAG_QUBITS: usize = 6;
 
-/// A maximal run of adjacent fusible gates, executable either exactly
-/// (member by member) or as one collapsed kernel.
+/// A maximal run of adjacent fusible gates: executed exactly (member by
+/// member), modeled as one collapsed kernel.
 ///
 /// # Examples
 ///
@@ -76,7 +76,9 @@ impl FusedOp {
     }
 
     /// The single kernel equivalent to the run (2×2 matrix product or
-    /// merged diagonal). For unfused singletons this is the plain action.
+    /// merged diagonal), which the timing model charges for the run; no
+    /// execution path applies it. For unfused singletons this is the
+    /// plain action.
     pub fn collapsed(&self) -> &GateAction {
         &self.collapsed
     }

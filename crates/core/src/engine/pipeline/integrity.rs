@@ -436,10 +436,8 @@ impl IntegrityMw {
                 }
             }
             let reps = violated.iter().map(|&ti| tasks[ti].rep);
-            let restarts = match w.high_mixing {
-                [] => executor.try_apply_local_run(state, fop.actions(), reps)?,
-                hm => executor.try_apply_group_runs(state, fop.actions(), reps, hm)?,
-            };
+            let restarts =
+                executor.try_apply_group_runs(state, fop.actions(), reps, w.high_mixing, None)?;
             middleware::note_restarts(tl, rec, restarts);
             if self.inj.kernel_flip_fires(op_idx, attempt) {
                 self.inject_flip(state, tasks[violated[0]].chunks[0], op_idx, attempt, rec);

@@ -512,12 +512,13 @@ pub(crate) fn apply_functional(
     if w.reps.len() == 0 {
         return Ok(());
     }
-    let restarts = if w.high_mixing.is_empty() {
-        let _g = span_opt(rec, Track::Main, ObsStage::Update, "update.local");
-        executor.try_apply_local_run(state, fop.actions(), w.reps)?
-    } else {
-        let _g = span_opt(rec, Track::Main, ObsStage::Update, "update.group");
-        executor.try_apply_group_runs(state, fop.actions(), w.reps, w.high_mixing)?
+    let span = match w.high_mixing {
+        [] => "update.local",
+        _ => "update.group",
+    };
+    let restarts = {
+        let _g = span_opt(rec, Track::Main, ObsStage::Update, span);
+        executor.try_apply_group_runs(state, fop.actions(), w.reps, w.high_mixing, None)?
     };
     note_restarts(tl, rec, restarts);
     Ok(())

@@ -466,7 +466,7 @@ fn replay(
         let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.local");
         let poll = || cancelled(cfg, first);
         env.executor
-            .try_apply_local_run_polled(&mut env.state, &actions, chunks, &poll)
+            .try_apply_group_runs(&mut env.state, &actions, chunks, &[], Some(&poll))
     };
     match done {
         Ok(restarts) => {

@@ -25,9 +25,12 @@ pub enum SimError {
         /// The codec's diagnosis.
         reason: String,
     },
-    /// A worker thread died (panicked) while applying a dispatch.
+    /// A worker thread died (panicked) inside one of the executor's
+    /// fan-outs. (An *injected* worker death never surfaces: the fan-out
+    /// re-runs the untouched piece.)
     WorkerLost {
-        /// What the pool was doing (e.g. `"apply_local_run"`).
+        /// The fan-out the worker belonged to: `"try_apply_group_runs"`
+        /// (a chunked update), `"apply_flat_run"` or `"reduce"`.
         dispatch: &'static str,
     },
     /// A pipeline stage exceeded its modeled deadline.
@@ -170,9 +173,9 @@ mod tests {
         };
         assert!(!e.to_string().contains("chunk"), "{e}");
         let e = SimError::WorkerLost {
-            dispatch: "apply_local_run",
+            dispatch: "try_apply_group_runs",
         };
-        assert!(e.to_string().contains("apply_local_run"));
+        assert!(e.to_string().contains("try_apply_group_runs"));
     }
 
     #[test]

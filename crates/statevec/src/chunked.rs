@@ -22,9 +22,9 @@
 //! chunk independently (the paper's Case 1). A mixing qubit at or above
 //! the boundary forces chunks to be processed in groups of
 //! `2^high_mixing` (Case 2) — the functional analogue of the CPU→GPU
-//! chunk exchange the paper optimizes. Both cases are executed by
-//! [`crate::ChunkExecutor`]; [`ChunkedState::apply_action`] is its serial
-//! path over the whole state.
+//! chunk exchange the paper optimizes. Both cases are one dispatch of
+//! [`crate::ChunkExecutor`] — Case 1 over groups of one chunk — and
+//! [`ChunkedState::apply_action`] is its serial path over the whole state.
 
 use std::ops::Range;
 
@@ -560,17 +560,12 @@ impl ChunkedState {
     /// mixing qubit is below the boundary (Case 1), by canonical chunk
     /// groups otherwise (Case 2) — the executor's serial path.
     pub fn apply_action(&mut self, action: &GateAction) {
-        let ex = ChunkExecutor::with_exact_threads(1);
-        let actions = std::slice::from_ref(action);
         let high_mixing: Vec<usize> = action
             .mixing_qubits()
             .iter()
             .copied()
             .filter(|&q| (q as u32) >= self.chunk_bits)
             .collect();
-        if high_mixing.is_empty() {
-            return ex.apply_local_run(self, actions, 0..self.num_chunks());
-        }
         // Canonical groups start at chunks whose high-mixing index bits
         // are all zero.
         let group_mask: usize = high_mixing
@@ -578,7 +573,10 @@ impl ChunkedState {
             .map(|&q| 1usize << (q as u32 - self.chunk_bits))
             .sum();
         let reps = (0..self.num_chunks()).filter(|chunk| chunk & group_mask == 0);
-        ex.apply_group_runs(self, actions, reps, &high_mixing);
+        let actions = std::slice::from_ref(action);
+        ChunkExecutor::with_exact_threads(1)
+            .try_apply_group_runs(self, actions, reps, &high_mixing, None)
+            .expect("the serial path runs no worker");
     }
 
     /// Applies one operation (convenience wrapper over
@@ -813,12 +811,9 @@ mod tests {
         let num_chunks = state.num_chunks();
         for q in chunk_bits as usize..n {
             let bit = 1 << (q - chunk_bits as usize);
-            ex.apply_group_runs(
-                &mut state,
-                &[h(q)],
-                (0..num_chunks).filter(|c| c & bit == 0),
-                &[q],
-            );
+            let reps = (0..num_chunks).filter(|c| c & bit == 0);
+            ex.try_apply_group_runs(&mut state, &[h(q)], reps, &[q], None)
+                .unwrap();
         }
         let grown = advised();
         assert!(grown > 0);
@@ -826,7 +821,8 @@ mod tests {
         crate::measure::collapse_chunked(&mut state, n - 1, false, 0.5);
         assert_eq!(state.dense_chunk_count(), num_chunks / 2);
         let top = num_chunks / 2;
-        ex.apply_group_runs(&mut state, &[h(n - 1)], 0..top, &[n - 1]);
+        ex.try_apply_group_runs(&mut state, &[h(n - 1)], 0..top, &[n - 1], None)
+            .unwrap();
         assert_eq!(state.dense_chunk_count(), num_chunks);
         assert_eq!(advised(), grown);
         // The same dispatch over a state only half ever written would

@@ -2,12 +2,18 @@
 //!
 //! [`ChunkExecutor`] is the one place threading lives: every functional
 //! path — the flat comparators, the chunked engines, and the reduction
-//! helpers in [`crate::measure`] / [`crate::observable`] — asks it to
-//! spread work over a crossbeam-scoped worker pool. Each worker owns a
-//! disjoint set of amplitudes (distinct chunks, borrowed out of the
-//! state's arena for the dispatch, or distinct aligned blocks of a flat
-//! slice), so no synchronization — and no `unsafe` — is needed beyond the
-//! scope join.
+//! helpers in [`crate::measure`] / [`crate::observable`] — cuts its work
+//! into disjoint pieces, and one fan-out spreads them over a
+//! crossbeam-scoped worker pool. Each worker owns its piece (distinct
+//! chunks, borrowed out of the state's arena for the dispatch, distinct
+//! aligned blocks of a flat slice, or distinct block partials), so no
+//! synchronization — and no `unsafe` — is needed beyond the scope join.
+//!
+//! A chunked update is one dispatch,
+//! [`ChunkExecutor::try_apply_group_runs`]: a run whose mixing qubits
+//! all lie below the chunk boundary (the paper's Case 1) goes over
+//! groups of one chunk, a run mixing a higher qubit (Case 2) over groups
+//! of `2^k` chunks.
 //!
 //! # Determinism
 //!
@@ -121,13 +127,13 @@ impl ChunkExecutor {
         self
     }
 
-    /// Attaches a fault injector: chunk dispatches
-    /// ([`ChunkExecutor::try_apply_local_run`],
-    /// [`ChunkExecutor::try_apply_group_runs`]) consult it at worker
-    /// spawn time and may lose workers to injected deaths — which the
-    /// dispatch then recovers from by re-executing the dead workers'
-    /// (untouched) pieces serially. Without an injector the consult is a
-    /// branch on `None`.
+    /// Attaches a fault injector: every dispatch that fans out consults
+    /// it at worker spawn time and may lose workers to injected deaths —
+    /// which the dispatch then recovers from by re-executing the dead
+    /// workers' (untouched) pieces serially. A chunked dispatch under an
+    /// injector always fans out, however small, so the seeded draws see
+    /// every dispatch. Without an injector the consult is a branch on
+    /// `None`.
     pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
         self
@@ -148,81 +154,15 @@ impl ChunkExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if the action references a qubit outside the state.
+    /// Panics if the action names a qubit outside the state, whichever
+    /// path it would take.
     pub fn apply_flat(&self, amps: &mut [Complex64], action: &GateAction) {
-        assert!(amps.len().is_power_of_two());
+        let run = std::slice::from_ref(action);
         if self.threads == 1 || amps.len() < MIN_PARALLEL {
+            assert_inside(amps.len(), run);
             return kernels::apply_action(amps, 0, action);
         }
-        let local_bits = amps.len().trailing_zeros() as usize;
-        for &q in action.control_qubits().iter().chain(action.mixing_qubits()) {
-            assert!(q < local_bits, "qubit {q} outside state");
-        }
-        self.apply_flat_run(amps, std::slice::from_ref(action));
-    }
-
-    /// Applies a (merged) diagonal over a flat state with the strided
-    /// skip-identity kernel ([`kernels::apply_diagonal_strided`]): the
-    /// collapsed-execution fast path, one constant multiply per touched
-    /// amplitude and no memory traffic for exact-identity runs.
-    ///
-    /// Workers split on aligned whole-block boundaries (a block spans the
-    /// highest qubit), so per-amplitude arithmetic — and therefore the
-    /// result, bit for bit — is independent of the thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `qubits` is empty, contains duplicates, references a
-    /// qubit outside the state, or `dvec.len() != 2^qubits.len()`.
-    pub fn apply_flat_diagonal(
-        &self,
-        amps: &mut [Complex64],
-        qubits: &[usize],
-        dvec: &[Complex64],
-    ) {
-        assert!(amps.len().is_power_of_two());
-        assert!(!qubits.is_empty(), "strided diagonal needs qubits");
-        // Gate actions list qubits in gate order (a controlled phase may
-        // put the control above the target); the strided kernel wants
-        // ascending positions, so sort and permute the table to match —
-        // a diagonal is invariant under qubit relabeling done this way.
-        let sorted_qubits: Vec<usize>;
-        let sorted_dvec: Vec<Complex64>;
-        let (qubits, dvec) = if qubits.windows(2).all(|w| w[0] < w[1]) {
-            (qubits, dvec)
-        } else {
-            let mut order: Vec<usize> = (0..qubits.len()).collect();
-            order.sort_unstable_by_key(|&i| qubits[i]);
-            sorted_qubits = order.iter().map(|&i| qubits[i]).collect();
-            sorted_dvec = (0..dvec.len())
-                .map(|s| {
-                    let mut old = 0usize;
-                    for (j, &i) in order.iter().enumerate() {
-                        old |= ((s >> j) & 1) << i;
-                    }
-                    dvec[old]
-                })
-                .collect();
-            (sorted_qubits.as_slice(), sorted_dvec.as_slice())
-        };
-        let top = *qubits.last().expect("strided diagonal needs qubits");
-        assert!(1usize << top < amps.len(), "qubit {top} outside state");
-        let block = 2usize << top;
-        let nblocks = amps.len() / block;
-        if self.threads == 1 || nblocks < 2 || amps.len() < MIN_PARALLEL {
-            return kernels::apply_diagonal_strided(amps, qubits, dvec);
-        }
-        let per = nblocks.div_ceil(self.threads) * block;
-        let rec = self.recorder.as_deref();
-        crossbeam::scope(|scope| {
-            for (t, piece) in amps.chunks_mut(per).enumerate() {
-                scope.spawn(move |_| {
-                    let _g = span_opt(rec, Track::Worker(t), Stage::Update, "worker.diag");
-                    kernels::apply_diagonal_strided(piece, qubits, dvec);
-                });
-            }
-        })
-        .expect("worker thread panicked");
+        self.apply_flat_run(amps, run);
     }
 
     /// Replays a fused run over a flat state in cache-sized blocks: each
@@ -236,9 +176,9 @@ impl ChunkExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if an action references a qubit outside the state.
+    /// Panics if an action names a qubit outside the state.
     pub fn apply_flat_run(&self, amps: &mut [Complex64], actions: &[GateAction]) {
-        assert!(amps.len().is_power_of_two());
+        assert_inside(amps.len(), actions);
         if actions.is_empty() {
             return;
         }
@@ -255,235 +195,81 @@ impl ChunkExecutor {
         let block_bits = block_bits.min(n_bits);
         let block_len = 1usize << block_bits;
         let num_blocks = amps.len() >> block_bits;
-
-        fn run_blocks(
-            piece: &mut [Complex64],
-            base: usize,
-            block_len: usize,
-            actions: &[GateAction],
-        ) {
+        let run_blocks = |piece: &mut [Complex64], base: usize| {
             for (i, block) in piece.chunks_mut(block_len).enumerate() {
-                let bbase = base + i * block_len;
                 for a in actions {
-                    kernels::apply_action(block, bbase, a);
+                    kernels::apply_action(block, base + i * block_len, a);
                 }
             }
-        }
-
+        };
         if self.threads == 1 || num_blocks <= 1 || amps.len() < MIN_PARALLEL {
-            return run_blocks(amps, 0, block_len, actions);
+            return run_blocks(amps, 0);
         }
         let per = num_blocks.div_ceil(self.threads) << block_bits;
-        let rec = self.recorder.as_deref();
-        crossbeam::scope(|scope| {
-            for (t, piece) in amps.chunks_mut(per).enumerate() {
-                scope.spawn(move |_| {
-                    let _g = span_opt(rec, Track::Worker(t), Stage::Update, "worker.run");
-                    run_blocks(piece, t * per, block_len, actions)
-                });
-            }
-        })
+        let mut pieces: Vec<&mut [Complex64]> = amps.chunks_mut(per).collect();
+        self.run_dispatch(
+            &mut pieces,
+            "apply_flat_run",
+            "worker.run",
+            |piece| piece.len() >> block_bits,
+            &|t, piece| run_blocks(piece, t * per),
+        )
         .expect("worker thread panicked");
     }
 
-    /// Applies a fused run to the listed chunks (Case 1: every dense
-    /// mixing qubit below the chunk boundary). Live chunks are visited in
-    /// *blocks* — consecutive listed live chunks as one arena slice: an
-    /// aligned power of two of them, at most 2^13 amplitudes (one chunk
-    /// when chunks are larger) and never across a high control bit —
-    /// each replaying the member actions while it is cache-resident;
-    /// non-live chunks are skipped, and never written: linear maps
-    /// preserve all-zero blocks.
+    /// Applies a fused run to chunk groups: the one chunked update.
+    /// `reps` lists the groups by *representative* — a chunk index with
+    /// every `high_mixing` bit clear; the group of `rep` is
+    /// [`ChunkedState::chunk_group`]`(rep, high_mixing)`. With
+    /// `high_mixing` empty (every mixing qubit below the chunk boundary,
+    /// the paper's Case 1) a group is its one chunk; otherwise (Case 2) a
+    /// high mixing qubit selects *which* members a kernel pairs up, so
+    /// nothing is gathered or scattered. Groups of consecutive listed
+    /// representatives go as one *block* — an aligned power of two of
+    /// them, at most 2^13 amplitudes a member (one chunk when chunks are
+    /// larger), never across a high control or high-mixing bit — whose
+    /// member `j` is one arena slice; every action is replayed on a block
+    /// while it is cache-resident.
     ///
-    /// Blocks are distributed over the workers; results are bitwise
-    /// identical at every thread count, and to visiting chunk by chunk.
+    /// A group with no live member is skipped: linear maps keep it zero.
+    /// Sparse members that remain all-zero after the run stay sparse.
+    /// Before any member is touched, every 2 MiB region of never-written
+    /// arena the dispatch writes whole is advised onto a huge page
+    /// ([`ChunkedState`]'s fresh regions), and counted in the recorder's
+    /// `arena.huge_regions`. (A one-member group is a live chunk: none of
+    /// this concerns it.)
     ///
-    /// # Panics
+    /// Blocks are dealt to the workers; results are bitwise identical at
+    /// every thread count, and to visiting group by group. Below 2^14
+    /// amplitudes the run stays on the calling thread, unless a fault
+    /// injector is attached ([`ChunkExecutor::with_faults`]). Injected
+    /// worker deaths are recovered by re-executing the dead workers'
+    /// untouched pieces serially — bit-exactly, since a group is
+    /// processed entirely by one worker; a genuine worker panic surfaces
+    /// as [`SimError::WorkerLost`]. Returns the number of workers
+    /// recovered this dispatch.
     ///
-    /// Panics if an action has a mixing qubit at or above the boundary,
-    /// or if a worker thread panics (see
-    /// [`ChunkExecutor::try_apply_local_run`] for the non-panicking form).
-    pub fn apply_local_run<I>(&self, state: &mut ChunkedState, actions: &[GateAction], chunks: I)
-    where
-        I: IntoIterator<Item = usize>,
-        I::IntoIter: Clone,
-    {
-        self.try_apply_local_run(state, actions, chunks)
-            .expect("worker thread panicked");
-    }
-
-    /// Fallible form of [`ChunkExecutor::apply_local_run`]: a genuine
-    /// worker panic surfaces as [`SimError::WorkerLost`] instead of
-    /// aborting the caller, and injected worker deaths (see
-    /// [`ChunkExecutor::with_faults`]) are recovered by re-executing the
-    /// dead workers' untouched pieces serially — bit-exactly, since a
-    /// killed worker exits before mutating anything. Returns the number
-    /// of workers recovered this dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an action has a mixing qubit at or above the boundary
-    /// (a caller contract violation, not a runtime fault).
-    pub fn try_apply_local_run<I>(
-        &self,
-        state: &mut ChunkedState,
-        actions: &[GateAction],
-        chunks: I,
-    ) -> Result<u64, SimError>
-    where
-        I: IntoIterator<Item = usize>,
-        I::IntoIter: Clone,
-    {
-        let cap = block_cap(
-            state.chunk_bits(),
-            high_controls(actions, state.chunk_bits()),
-        );
-        self.local_blocks(state, actions, chunks.into_iter(), cap, || None)
-    }
-
-    /// [`ChunkExecutor::try_apply_local_run`] for long runs that must stay
-    /// interruptible: the chunks are visited one at a time and `poll` is
-    /// asked before every visit; its first `Some(err)` ends the run with
-    /// that error — chunks visited so far hold the whole run, the rest
-    /// none of it, so the state is only fit to be dropped. `poll` must
-    /// keep answering `Some` once it has (a tripped
+    /// With a `poll` the run stays interruptible: a block is one group,
+    /// and `poll` is asked before every visit; its first `Some(err)` ends
+    /// the run with that error — groups visited so far hold the whole
+    /// run, the rest none of it, so the state is only fit to be dropped.
+    /// `poll` must keep answering `Some` once it has (a tripped
     /// [`qgpu_faults::CancelToken`] does).
     ///
     /// # Panics
     ///
-    /// Panics like [`ChunkExecutor::try_apply_local_run`].
-    pub fn try_apply_local_run_polled<I>(
-        &self,
-        state: &mut ChunkedState,
-        actions: &[GateAction],
-        chunks: I,
-        poll: &(dyn Fn() -> Option<SimError> + Sync),
-    ) -> Result<u64, SimError>
-    where
-        I: IntoIterator<Item = usize>,
-        I::IntoIter: Clone,
-    {
-        self.local_blocks(state, actions, chunks.into_iter(), 1, poll)
-    }
-
-    /// The local-run dispatch: blocks of at most `cap` chunks, `poll`
-    /// asked before each.
-    fn local_blocks(
-        &self,
-        state: &mut ChunkedState,
-        actions: &[GateAction],
-        chunks: impl Iterator<Item = usize> + Clone,
-        cap: usize,
-        poll: impl Fn() -> Option<SimError> + Sync,
-    ) -> Result<u64, SimError> {
-        let chunk_bits = state.chunk_bits();
-        for a in actions {
-            assert!(
-                a.mixing_qubits().iter().all(|&q| (q as u32) < chunk_bits),
-                "apply_local_run called with a high mixing qubit"
-            );
-        }
-        let live = |state: &ChunkedState, c: usize| !state.is_zero_chunk(c);
-        let dense = match self.threads {
-            1 => 0,
-            _ => chunks.clone().filter(|&c| live(state, c)).count(),
-        };
-        let visit = |first: usize, amps: &mut [Complex64]| {
-            for a in actions {
-                kernels::apply_action(amps, first << chunk_bits, a);
-            }
-        };
-        if dense <= 1 || dense << chunk_bits < MIN_PARALLEL {
-            let mut blocks = Blocks::new(chunks, cap, usize::MAX);
-            while let Some((block, _)) = blocks.next(|c| live(state, c)) {
-                if let Some(err) = poll() {
-                    return Err(err);
-                }
-                visit(block.start, state.run_mut(&block));
-            }
-            return Ok(0);
-        }
-        let per = dense.div_ceil(self.threads);
-        let (blocks, ends) = Blocks::new(chunks, cap, per).collect(|c| live(state, c));
-        // Workers own their blocks for the dispatch: borrow them out of
-        // the arena.
-        let mut work = state.carve(&blocks);
-        let restarts = self.run_dispatch(
-            &mut pieces(&mut work, &ends),
-            chunk_bits,
-            "apply_local_run",
-            "worker.local",
-            &|piece| {
-                for m in piece {
-                    if poll().is_some() {
-                        return;
-                    }
-                    visit(m.chunk, m.amps);
-                }
-            },
-        );
-        match poll() {
-            Some(err) => Err(err),
-            None => restarts,
-        }
-    }
-
-    /// Applies a fused run to chunk groups (Case 2: a mixing qubit at or
-    /// above the boundary). `reps` lists the groups by *representative*
-    /// — a chunk index with every high-mixing bit clear; the group of
-    /// `rep` is [`ChunkedState::chunk_group`]`(rep, high_mixing)`. Every
-    /// member action is applied straight to the group's member chunks: a
-    /// high mixing qubit selects *which* members a kernel pairs up, so
-    /// nothing is gathered or scattered. Groups of consecutive listed
-    /// representatives go as one block (sized as for
-    /// [`ChunkExecutor::apply_local_run`], never across a high-mixing
-    /// bit): member `j` of each is one arena slice.
-    ///
-    /// Groups are distributed over the workers; results are bitwise
-    /// identical at every thread count. Sparse members that remain
-    /// all-zero after the run stay sparse. Before any member is touched,
-    /// every 2 MiB region of never-written arena the dispatch writes whole
-    /// is advised onto a huge page ([`ChunkedState`]'s fresh regions),
-    /// and counted in the recorder's `arena.huge_regions`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a representative has a high-mixing bit set, if a dense
-    /// member mixes a high qubit not listed in `high_mixing`, if a dense
-    /// member spanning chunks has more than two mixing qubits (or two
-    /// and a local control — no gate does), or if a worker thread panics
-    /// (see [`ChunkExecutor::try_apply_group_runs`] for the
-    /// non-panicking form).
-    pub fn apply_group_runs<I>(
-        &self,
-        state: &mut ChunkedState,
-        actions: &[GateAction],
-        reps: I,
-        high_mixing: &[usize],
-    ) where
-        I: IntoIterator<Item = usize>,
-        I::IntoIter: Clone,
-    {
-        self.try_apply_group_runs(state, actions, reps, high_mixing)
-            .expect("worker thread panicked");
-    }
-
-    /// Fallible form of [`ChunkExecutor::apply_group_runs`]: worker
-    /// panics surface as [`SimError::WorkerLost`], injected worker
-    /// deaths are recovered serially (a group is processed entirely by
-    /// one worker, so a killed worker leaves its groups untouched).
-    /// Returns the number of workers recovered this dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the caller contract violations listed for
-    /// [`ChunkExecutor::apply_group_runs`] (not runtime faults).
+    /// Panics on caller contract violations, not runtime faults: a
+    /// representative with a high-mixing bit set, a dense member mixing a
+    /// high qubit not listed in `high_mixing`, a dense member spanning
+    /// chunks with more than two mixing qubits (or two and a local
+    /// control — no gate does).
     pub fn try_apply_group_runs<I>(
         &self,
         state: &mut ChunkedState,
         actions: &[GateAction],
         reps: I,
         high_mixing: &[usize],
+        poll: Option<&(dyn Fn() -> Option<SimError> + Sync)>,
     ) -> Result<u64, SimError>
     where
         I: IntoIterator<Item = usize>,
@@ -491,6 +277,10 @@ impl ChunkExecutor {
     {
         let reps = reps.into_iter();
         let chunk_bits = state.chunk_bits();
+        for &q in actions.iter().flat_map(GateAction::mixing_qubits) {
+            let listed = (q as u32) < chunk_bits || high_mixing.contains(&q);
+            assert!(listed, "high mixing qubit {q} not in high_mixing");
+        }
         // Member offsets by high-mixing bit pattern (pattern bit `b` ↔
         // `high_mixing[b]`); the last one is every high-mixing bit.
         let offsets: Vec<usize> = (0..1usize << high_mixing.len())
@@ -502,11 +292,16 @@ impl ChunkExecutor {
             })
             .collect();
         let (group_len, group_mask) = (offsets.len(), offsets[offsets.len() - 1]);
+        let single = group_len == 1;
         // A group with no live member stays all zero: skip it. The rest
         // run with their non-live members as they are — all `+0.0` — and
-        // `settle` re-zeroes those the run left zero.
+        // `settle` re-zeroes those the run left zero. (Member 0, the
+        // representative itself, is checked first: walking `offsets` for
+        // every listed chunk slowed one-member runs over 2-amplitude
+        // chunks by up to 30 %.)
         let survives = |state: &ChunkedState, rep: usize| {
-            offsets.iter().any(|&o| !state.is_zero_chunk(rep | o))
+            let rest = &offsets[1..];
+            !state.is_zero_chunk(rep) || rest.iter().any(|&o| !state.is_zero_chunk(rep | o))
         };
         let num_groups = match self.threads {
             1 => 0,
@@ -515,7 +310,11 @@ impl ChunkExecutor {
         // A seeded worker-death campaign counts dispatches, so it keeps
         // every one; otherwise small work stays on this thread.
         let small = self.faults.is_none() && (num_groups * group_len) << chunk_bits < MIN_PARALLEL;
-        let cap = block_cap(chunk_bits, high_controls(actions, chunk_bits) | group_mask);
+        let cap = match poll {
+            Some(_) => 1,
+            None => block_cap(chunk_bits, high_controls(actions, chunk_bits) | group_mask),
+        };
+        let stop = || poll.and_then(|p| p());
         // A block never spans a high-mixing bit, so its first
         // representative speaks for all of them.
         let members = |b: &Range<usize>| {
@@ -530,18 +329,27 @@ impl ChunkExecutor {
         };
         // Fresh arena this dispatch writes whole goes on huge pages before
         // the first touch (the walk happens only while 2 MiB are fresh).
-        let mut walk = Blocks::new(reps.clone(), cap, usize::MAX);
-        let listed = std::iter::from_fn(|| walk.next(|r| survives(state, r)));
-        let regions = state.fresh_regions(listed.flat_map(|(b, _)| members(&b)));
-        if !regions.is_empty() {
-            if let Some(r) = self.recorder.as_deref() {
-                r.add("arena.huge_regions", regions.len() as u64);
+        if !single {
+            let mut walk = Blocks::new(reps.clone(), cap, usize::MAX);
+            let listed = std::iter::from_fn(|| walk.next(|r| survives(state, r)));
+            let regions = state.fresh_regions(listed.flat_map(|(b, _)| members(&b)));
+            if !regions.is_empty() {
+                if let Some(r) = self.recorder.as_deref() {
+                    r.add("arena.huge_regions", regions.len() as u64);
+                }
+                state.advise_huge(&regions);
             }
-            state.advise_huge(&regions);
         }
         if num_groups <= 1 || small {
             let mut blocks = Blocks::new(reps, cap, usize::MAX);
             while let Some((block, _)) = blocks.next(|r| survives(state, r)) {
+                if let Some(err) = stop() {
+                    return Err(err);
+                }
+                if single {
+                    visit_block(state.run_mut(&block), block.start << chunk_bits, actions);
+                    continue;
+                }
                 members(&block).for_each(|m| state.touch(m));
                 for a in actions {
                     let mut group = InArena(state, &block, &offsets);
@@ -554,18 +362,23 @@ impl ChunkExecutor {
         let per = num_groups.div_ceil(self.threads);
         let (blocks, ends) = Blocks::new(reps, cap, per).collect(|r| survives(state, r));
         let runs: Vec<Range<usize>> = blocks.iter().flat_map(members).collect();
-        for run in &runs {
-            state.touch(run.clone());
+        if !single {
+            runs.iter().for_each(|run| state.touch(run.clone()));
         }
+        // Workers own their blocks for the dispatch: borrow them out of
+        // the arena.
         let mut work = state.carve(&runs);
         let ends: Vec<usize> = ends.iter().map(|&e| e * group_len).collect();
         let restarts = self.run_dispatch(
             &mut pieces(&mut work, &ends),
-            chunk_bits,
-            "apply_group_runs",
+            "try_apply_group_runs",
             "worker.group",
-            &|piece| {
+            |piece| piece.iter().map(|m| m.amps.len() >> chunk_bits).sum(),
+            &|_, piece| {
                 for group in piece.chunks_exact_mut(group_len) {
+                    if stop().is_some() {
+                        return;
+                    }
                     for a in actions {
                         apply_to_group(group, chunk_bits, high_mixing, a);
                     }
@@ -573,27 +386,33 @@ impl ChunkExecutor {
             },
         );
         drop(work);
-        for run in runs {
-            state.settle(run);
+        if !single {
+            runs.into_iter().for_each(|run| state.settle(run));
         }
-        restarts
+        match stop() {
+            Some(err) => Err(err),
+            None => restarts,
+        }
     }
 
-    /// Shared parallel dispatch with fault awareness: one worker per
-    /// piece. An injected worker death (a pure decision of the injector
-    /// keyed on the dispatch counter and worker index) makes that worker
-    /// exit *before touching its piece*; after the scope joins, any piece
-    /// not flagged done is re-executed serially — identical result, since
-    /// the dead worker mutated nothing. A genuine worker panic cannot
-    /// guarantee that, so it maps to [`SimError::WorkerLost`] and is not
-    /// retried. Returns the number of recovered workers.
-    fn run_dispatch<'m>(
+    /// The executor's one fan-out: one worker per piece, in one crossbeam
+    /// scope, `run_piece` given each piece with its index. It counts the
+    /// dispatch and, with a recorder, each worker's span and the
+    /// `queue` (work items) of its piece in `worker.queue`. An injected
+    /// worker death (a pure decision of the injector keyed on the
+    /// dispatch counter and worker index) makes that worker exit *before
+    /// touching its piece*; after the scope joins, any piece not flagged
+    /// done is re-executed serially — identical result, since the dead
+    /// worker mutated nothing. A genuine worker panic cannot guarantee
+    /// that, so it maps to [`SimError::WorkerLost`] and is not retried.
+    /// Returns the number of recovered workers.
+    fn run_dispatch<P: Send>(
         &self,
-        pieces: &mut [&mut [Member<'m>]],
-        chunk_bits: u32,
+        pieces: &mut [P],
         dispatch_name: &'static str,
         span_name: &'static str,
-        run_piece: &(dyn Fn(&mut [Member<'m>]) + Sync),
+        queue: impl Fn(&P) -> usize,
+        run_piece: &(dyn Fn(usize, &mut P) + Sync),
     ) -> Result<u64, SimError> {
         let rec = self.recorder.as_deref();
         let dispatch = self.dispatches.fetch_add(1, Ordering::Relaxed);
@@ -605,20 +424,18 @@ impl ChunkExecutor {
             })
             .collect();
         let done: Vec<AtomicBool> = (0..pieces.len()).map(|_| AtomicBool::new(false)).collect();
-        let killed = &killed;
-        let done = &done;
+        let (killed, done) = (&killed, &done);
         crossbeam::scope(|scope| {
             for (t, piece) in pieces.iter_mut().enumerate() {
                 if let Some(r) = rec {
-                    let chunks: usize = piece.iter().map(|m| m.amps.len() >> chunk_bits).sum();
-                    r.observe("worker.queue", chunks as u64);
+                    r.observe("worker.queue", queue(piece) as u64);
                 }
                 scope.spawn(move |_| {
                     if killed[t] {
                         return;
                     }
                     let _g = span_opt(rec, Track::Worker(t), Stage::Update, span_name);
-                    run_piece(piece);
+                    run_piece(t, piece);
                     done[t].store(true, Ordering::Release);
                 });
             }
@@ -629,7 +446,7 @@ impl ChunkExecutor {
         let mut restarts = 0u64;
         for (t, piece) in pieces.iter_mut().enumerate() {
             if !done[t].load(Ordering::Acquire) {
-                run_piece(piece);
+                run_piece(t, piece);
                 restarts += 1;
             }
         }
@@ -667,25 +484,54 @@ impl ChunkExecutor {
         block_sum: &(dyn Fn(Range<usize>) -> T + Sync),
     ) {
         let nb = partials.len();
-        if self.threads == 1 || len < MIN_PARALLEL || nb <= 1 {
-            for (b, p) in partials.iter_mut().enumerate() {
-                *p = block_sum(reduce::block_range(b, len));
+        let fill = |first: usize, piece: &mut [T]| {
+            for (i, p) in piece.iter_mut().enumerate() {
+                *p = block_sum(reduce::block_range(first + i, len));
             }
-            return;
+        };
+        if self.threads == 1 || len < MIN_PARALLEL || nb <= 1 {
+            return fill(0, partials);
         }
         let per = nb.div_ceil(self.threads);
-        let rec = self.recorder.as_deref();
-        crossbeam::scope(|scope| {
-            for (t, piece) in partials.chunks_mut(per).enumerate() {
-                scope.spawn(move |_| {
-                    let _g = span_opt(rec, Track::Worker(t), Stage::Update, "worker.reduce");
-                    for (i, p) in piece.iter_mut().enumerate() {
-                        *p = block_sum(reduce::block_range(t * per + i, len));
-                    }
-                });
-            }
-        })
+        let mut pieces: Vec<&mut [T]> = partials.chunks_mut(per).collect();
+        self.run_dispatch(
+            &mut pieces,
+            "reduce",
+            "worker.reduce",
+            |piece| piece.len(),
+            &|t, piece| fill(t * per, piece),
+        )
         .expect("worker thread panicked");
+    }
+}
+
+/// Asserts that `len` is a power of two and that every qubit `actions`
+/// name — diagonal, control or mixing — lies below its top.
+fn assert_inside(len: usize, actions: &[GateAction]) {
+    assert!(len.is_power_of_two());
+    let bits = len.trailing_zeros() as usize;
+    for a in actions {
+        let diagonal = match a {
+            GateAction::Diagonal { qubits, .. } => qubits.as_slice(),
+            GateAction::ControlledDense { .. } => &[],
+        };
+        let named = diagonal.iter().chain(a.control_qubits());
+        for &q in named.chain(a.mixing_qubits()) {
+            assert!(q < bits, "qubit {q} outside state");
+        }
+    }
+}
+
+/// Replays `actions` on a block of live chunks whose first amplitude has
+/// global index `base`: a one-member group's serial visit, with the
+/// kernels and operands [`apply_to_group`] would use for it. Not through
+/// [`apply_to_group`], whose per-block cost shows where every block is
+/// one 2-amplitude chunk; and out of line, because inlined into the
+/// dispatch it slows the block walk around it.
+#[inline(never)]
+fn visit_block(amps: &mut [Complex64], base: usize, actions: &[GateAction]) {
+    for a in actions {
+        kernels::apply_action(amps, base, a);
     }
 }
 
@@ -818,7 +664,8 @@ trait Group {
 }
 
 /// A block of groups addressed straight in the state's arena — the
-/// serial path, which borrows nothing for longer than a kernel call:
+/// serial path of groups of two members or more, which borrows nothing
+/// for longer than a kernel call:
 /// the block's representatives and the member offsets.
 struct InArena<'a>(&'a mut ChunkedState, &'a Range<usize>, &'a [usize]);
 
@@ -966,7 +813,8 @@ mod tests {
         let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
         ChunkExecutor::with_exact_threads(4)
             .with_recorder(Arc::clone(&rec))
-            .apply_local_run(&mut state, &run, chunks.clone());
+            .try_apply_group_runs(&mut state, &run, chunks, &[], None)
+            .unwrap();
         let spans = rec.spans();
         assert!(
             spans.iter().any(|s| matches!(s.track, Track::Worker(_))),
@@ -981,6 +829,26 @@ mod tests {
         // 128 dense chunks over 4 workers: 32 items each.
         assert_eq!(hist.count, 4);
         assert_eq!(hist.max, 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "high mixing qubit 5 not in high_mixing")]
+    fn unlisted_high_mixing_qubit_panics_on_the_serial_path() {
+        // A dense state: its 128 chunks of 2^3 amplitudes are one block,
+        // to which qubit 5 is local, so only the contract check stops the
+        // run.
+        let mut flat = StateVector::new_zero(10);
+        flat.run(&Benchmark::Rqc.generate(10));
+        let mut state = ChunkedState::from_flat(&flat, 3);
+        assert_eq!(state.dense_chunk_count(), 128);
+        let run = actions_of(&[(Gate::H, vec![5])]);
+        let _ = ChunkExecutor::with_exact_threads(1).try_apply_group_runs(
+            &mut state,
+            &run,
+            0..128,
+            &[],
+            None,
+        );
     }
 
     #[test]
@@ -1047,11 +915,9 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let mut state = chunked.clone();
             let chunks = 0..state.num_chunks();
-            ChunkExecutor::with_exact_threads(threads).apply_local_run(
-                &mut state,
-                &run,
-                chunks.clone(),
-            );
+            ChunkExecutor::with_exact_threads(threads)
+                .try_apply_group_runs(&mut state, &run, chunks, &[], None)
+                .unwrap();
             assert!(bits_equal(&state.to_flat(), &flat), "threads = {threads}");
         }
     }
@@ -1082,12 +948,9 @@ mod tests {
             let mut state = chunked.clone();
             let group_bit = 1usize << (target as u32 - chunk_bits);
             let reps = (0..state.num_chunks()).filter(|c| c & group_bit == 0);
-            ChunkExecutor::with_exact_threads(threads).apply_group_runs(
-                &mut state,
-                &run,
-                reps.clone(),
-                &high_mixing,
-            );
+            ChunkExecutor::with_exact_threads(threads)
+                .try_apply_group_runs(&mut state, &run, reps, &high_mixing, None)
+                .unwrap();
             assert!(bits_equal(&state.to_flat(), &flat), "threads = {threads}");
         }
     }
@@ -1106,12 +969,9 @@ mod tests {
         let top = n - 1;
         let run = actions_of(&[(Gate::X, vec![top]), (Gate::X, vec![top])]);
         let groups = 0..1;
-        ChunkExecutor::with_exact_threads(2).apply_group_runs(
-            &mut state,
-            &run,
-            groups.clone(),
-            &[top],
-        );
+        ChunkExecutor::with_exact_threads(2)
+            .try_apply_group_runs(&mut state, &run, groups.clone(), &[top], None)
+            .unwrap();
         assert_eq!(state.dense_chunk_count(), 1);
         assert!(
             state.is_zero_chunk(state.num_chunks() - 1),
@@ -1125,12 +985,9 @@ mod tests {
         // before the run and is not demoted.
         let mut state = ChunkedState::new_zero(n, chunk_bits);
         let run = actions_of(&[(Gate::X, vec![top])]);
-        ChunkExecutor::with_exact_threads(2).apply_group_runs(
-            &mut state,
-            &run,
-            groups.clone(),
-            &[top],
-        );
+        ChunkExecutor::with_exact_threads(2)
+            .try_apply_group_runs(&mut state, &run, groups.clone(), &[top], None)
+            .unwrap();
         assert_eq!(state.dense_chunk_count(), 2);
         assert!(!state.is_zero_chunk(0));
         let flat = state.to_flat();
@@ -1156,21 +1013,17 @@ mod tests {
         let high_mixing = [8usize];
         let group_bit = 1usize << (8 - chunk_bits);
         let reps = (0..state.num_chunks()).filter(|c| c & group_bit == 0);
-        ChunkExecutor::with_exact_threads(3).apply_group_runs(
-            &mut state,
-            &[action],
-            reps.clone(),
-            &high_mixing,
-        );
+        ChunkExecutor::with_exact_threads(3)
+            .try_apply_group_runs(&mut state, &[action], reps, &high_mixing, None)
+            .unwrap();
         assert!(bits_equal(&state.to_flat(), &expected.to_flat()));
     }
 
     #[test]
     fn flat_diagonal_is_bitwise_identical_across_worker_counts() {
         // Large enough to clear MIN_PARALLEL so the aligned-block split
-        // actually runs; compare every worker count against the serial
-        // strided kernel and the gather kernel, bit for bit (the state
-        // has no zero components, so zero-sign differences cannot arise).
+        // actually runs; compare every worker count against the kernel
+        // over the whole slice, bit for bit.
         let n = 15;
         let amps0: Vec<Complex64> = (0..1usize << n)
             .map(|i| Complex64::new(0.4 + 1e-5 * i as f64, -0.3 + 7e-6 * i as f64))
@@ -1185,10 +1038,13 @@ mod tests {
             .collect();
         let mut reference = amps0.clone();
         kernels::apply_diagonal(&mut reference, 0, &qubits, &dvec);
+        let diagonal = GateAction::Diagonal {
+            qubits: qubits.to_vec(),
+            dvec,
+        };
         for threads in [1usize, 2, 3, 4, 8] {
             let mut amps = amps0.clone();
-            ChunkExecutor::with_exact_threads(threads)
-                .apply_flat_diagonal(&mut amps, &qubits, &dvec);
+            ChunkExecutor::with_exact_threads(threads).apply_flat(&mut amps, &diagonal);
             for (i, (x, y)) in amps.iter().zip(reference.iter()).enumerate() {
                 assert!(
                     x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
@@ -1201,8 +1057,8 @@ mod tests {
     #[test]
     fn flat_diagonal_accepts_gate_ordered_qubits() {
         // A controlled phase listed control-first puts the higher qubit
-        // position at table bit 0; the executor must sort and permute the
-        // table, matching the gather kernel on the original order bitwise.
+        // position at table bit 0: every worker's blocks must read the
+        // table in that order, matching the whole-slice kernel bitwise.
         let n = 15;
         let amps0: Vec<Complex64> = (0..1usize << n)
             .map(|i| Complex64::new(0.5 + 3e-6 * i as f64, 0.1 - 2e-6 * i as f64))
@@ -1216,10 +1072,13 @@ mod tests {
         ];
         let mut reference = amps0.clone();
         kernels::apply_diagonal(&mut reference, 0, &qubits, &dvec);
+        let diagonal = GateAction::Diagonal {
+            qubits: qubits.to_vec(),
+            dvec,
+        };
         for threads in [1usize, 4] {
             let mut amps = amps0.clone();
-            ChunkExecutor::with_exact_threads(threads)
-                .apply_flat_diagonal(&mut amps, &qubits, &dvec);
+            ChunkExecutor::with_exact_threads(threads).apply_flat(&mut amps, &diagonal);
             for (i, (x, y)) in amps.iter().zip(reference.iter()).enumerate() {
                 assert!(
                     x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
@@ -1280,7 +1139,9 @@ mod tests {
         let chunks = 0..1usize << (n as u32 - chunk_bits);
 
         let mut healthy = ChunkedState::from_flat(&flat, chunk_bits);
-        ChunkExecutor::with_exact_threads(4).apply_local_run(&mut healthy, &run, chunks.clone());
+        ChunkExecutor::with_exact_threads(4)
+            .try_apply_group_runs(&mut healthy, &run, chunks.clone(), &[], None)
+            .unwrap();
 
         // Every worker of every dispatch dies; recovery re-runs all pieces
         // serially and the result must still be bit-identical.
@@ -1291,7 +1152,7 @@ mod tests {
         let mut faulty = ChunkedState::from_flat(&flat, chunk_bits);
         let restarts = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::new(injector))
-            .try_apply_local_run(&mut faulty, &run, chunks.clone())
+            .try_apply_group_runs(&mut faulty, &run, chunks.clone(), &[], None)
             .expect("injected deaths are recoverable");
         assert!(restarts > 0, "all workers were killed, none restarted?");
         assert!(bits_equal(&healthy.to_flat(), &faulty.to_flat()));
@@ -1311,12 +1172,9 @@ mod tests {
         let high_mixing = vec![(chunk_bits + 3) as usize];
 
         let mut healthy = ChunkedState::from_flat(&flat, chunk_bits);
-        ChunkExecutor::with_exact_threads(4).apply_group_runs(
-            &mut healthy,
-            &run,
-            groups.clone(),
-            &high_mixing,
-        );
+        ChunkExecutor::with_exact_threads(4)
+            .try_apply_group_runs(&mut healthy, &run, groups.clone(), &high_mixing, None)
+            .unwrap();
 
         let injector = FaultInjector::new(FaultConfig {
             p_worker_death: 1.0,
@@ -1325,7 +1183,7 @@ mod tests {
         let mut faulty = ChunkedState::from_flat(&flat, chunk_bits);
         let restarts = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::new(injector))
-            .try_apply_group_runs(&mut faulty, &run, groups.clone(), &high_mixing)
+            .try_apply_group_runs(&mut faulty, &run, groups.clone(), &high_mixing, None)
             .expect("injected deaths are recoverable");
         assert!(restarts > 0);
         assert!(bits_equal(&healthy.to_flat(), &faulty.to_flat()));
@@ -1350,12 +1208,12 @@ mod tests {
         let mut first = ChunkedState::from_flat(&flat, chunk_bits);
         let r1 = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::clone(&injector))
-            .try_apply_local_run(&mut first, &run, chunks.clone())
+            .try_apply_group_runs(&mut first, &run, chunks.clone(), &[], None)
             .unwrap();
         let mut second = ChunkedState::from_flat(&flat, chunk_bits);
         let r2 = ChunkExecutor::with_exact_threads(4)
             .with_faults(injector)
-            .try_apply_local_run(&mut second, &run, chunks.clone())
+            .try_apply_group_runs(&mut second, &run, chunks.clone(), &[], None)
             .unwrap();
         assert_eq!(r1, r2, "same seed, same dispatch → same deaths");
         assert!(bits_equal(&first.to_flat(), &second.to_flat()));
@@ -1372,7 +1230,9 @@ mod tests {
         let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
         let chunks = 0..before.num_chunks();
         let mut done = before.clone();
-        ChunkExecutor::with_exact_threads(1).apply_local_run(&mut done, &run, chunks.clone());
+        ChunkExecutor::with_exact_threads(1)
+            .try_apply_group_runs(&mut done, &run, chunks.clone(), &[], None)
+            .unwrap();
 
         // Serial: the poll answers `Some` from its 6th call on, so exactly
         // five chunks carry the run and the rest are untouched.
@@ -1382,7 +1242,7 @@ mod tests {
         };
         let mut state = before.clone();
         let err = ChunkExecutor::with_exact_threads(1)
-            .try_apply_local_run_polled(&mut state, &run, chunks.clone(), &poll)
+            .try_apply_group_runs(&mut state, &run, chunks.clone(), &[], Some(&poll))
             .expect_err("the poll ends the run");
         assert!(matches!(err, SimError::JobAborted { op: 7 }));
         for c in 0..before.num_chunks() {
@@ -1394,9 +1254,13 @@ mod tests {
         // out for the dispatch is back in place.
         let mut state = before.clone();
         ChunkExecutor::with_exact_threads(4)
-            .try_apply_local_run_polled(&mut state, &run, chunks.clone(), &|| {
-                Some(SimError::JobAborted { op: 7 })
-            })
+            .try_apply_group_runs(
+                &mut state,
+                &run,
+                chunks.clone(),
+                &[],
+                Some(&|| Some(SimError::JobAborted { op: 7 })),
+            )
             .expect_err("the poll ends the run");
         assert_eq!(state, before);
     }
@@ -1404,37 +1268,87 @@ mod tests {
     #[test]
     fn small_group_dispatch_stays_on_the_calling_thread() {
         use qgpu_faults::FaultConfig;
-        // 16 groups of two 8-amplitude chunks: far below MIN_PARALLEL.
+        // 32 chunks of 8 amplitudes: far below MIN_PARALLEL, whether a
+        // run pairs them into 16 groups on the top qubit or leaves them
+        // groups of one.
         let n = 8;
         let chunk_bits: u32 = 3;
         let mut flat = StateVector::new_zero(n);
         flat.run(&Benchmark::Rqc.generate(n));
-        let run = actions_of(&[(Gate::H, vec![7])]);
-        let groups = 0..16;
-        let dispatches = |ex: ChunkExecutor| {
-            let rec = Arc::new(Recorder::new());
-            let mut state = ChunkedState::from_flat(&flat, chunk_bits);
-            ex.with_recorder(Arc::clone(&rec)).apply_group_runs(
-                &mut state,
-                &run,
-                groups.clone(),
-                &[7],
-            );
-            let snap = rec.registry().snapshot();
-            let queued = snap
-                .histograms_named("worker.queue")
-                .next()
-                .map_or(0, |h| h.value.count);
-            (state, queued)
+        let cases = [(Gate::H, 7usize, 0..16), (Gate::H, 0, 0..32)];
+        for (gate, q, reps) in cases {
+            let run = actions_of(&[(gate, vec![q])]);
+            let high_mixing: &[usize] = if q >= chunk_bits as usize { &[7] } else { &[] };
+            let dispatches = |ex: ChunkExecutor| {
+                let rec = Arc::new(Recorder::new());
+                let mut state = ChunkedState::from_flat(&flat, chunk_bits);
+                ex.with_recorder(Arc::clone(&rec))
+                    .try_apply_group_runs(&mut state, &run, reps.clone(), high_mixing, None)
+                    .unwrap();
+                let snap = rec.registry().snapshot();
+                let queued = snap
+                    .histograms_named("worker.queue")
+                    .next()
+                    .map_or(0, |h| h.value.count);
+                (state, queued)
+            };
+            let (serial, none) = dispatches(ChunkExecutor::with_exact_threads(4));
+            assert_eq!(none, 0, "no worker was spawned for 256 amplitudes (q{q})");
+            // A seeded worker-death campaign counts dispatches: it keeps
+            // them, chunk-local ones included.
+            let injector = Arc::new(FaultInjector::new(FaultConfig::default()));
+            let (dispatched, four) =
+                dispatches(ChunkExecutor::with_exact_threads(4).with_faults(injector));
+            assert_eq!(four, 4, "q{q}");
+            assert_eq!(serial, dispatched, "q{q}");
+        }
+    }
+
+    #[test]
+    fn flat_paths_reject_a_qubit_outside_the_state_alike() {
+        let n = 15;
+        let high_control = GateAction::from_operation(&Operation::new(Gate::Cx, vec![n, 0]));
+        let high_diagonal = GateAction::Diagonal {
+            qubits: vec![2, n + 1],
+            dvec: vec![Complex64::ONE; 4],
         };
-        let (serial, none) = dispatches(ChunkExecutor::with_exact_threads(4));
-        assert_eq!(none, 0, "no worker was spawned for 256 amplitudes");
-        // A seeded worker-death campaign counts dispatches: it keeps them.
-        let injector = Arc::new(FaultInjector::new(FaultConfig::default()));
-        let (dispatched, four) =
-            dispatches(ChunkExecutor::with_exact_threads(4).with_faults(injector));
-        assert_eq!(four, 4);
-        assert_eq!(serial, dispatched);
+        for action in [high_control, high_diagonal] {
+            for threads in [1usize, 4] {
+                let mut s = StateVector::new_zero(n);
+                let ex = ChunkExecutor::with_exact_threads(threads);
+                let apply = std::panic::AssertUnwindSafe(|| ex.apply_flat(s.amps_mut(), &action));
+                let err = std::panic::catch_unwind(apply).expect_err("must panic");
+                let msg = err.downcast_ref::<String>().expect("formatted message");
+                assert!(
+                    msg.contains("outside state"),
+                    "{action:?}, threads {threads}: {msg}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn flat_and_reduce_fan_outs_recover_injected_deaths() {
+        use qgpu_faults::FaultConfig;
+        let n = 15;
+        let c = Benchmark::Qft.generate(n);
+        let mut reference = StateVector::new_zero(n);
+        reference.run(&c);
+        let ex = ChunkExecutor::with_exact_threads(4).with_faults(Arc::new(FaultInjector::new(
+            FaultConfig {
+                p_worker_death: 1.0,
+                ..FaultConfig::default()
+            },
+        )));
+        let mut s = StateVector::new_zero(n);
+        for fop in &fuse::fuse(&c) {
+            ex.apply_flat_run(s.amps_mut(), fop.actions());
+        }
+        assert!(bits_equal(&s, &reference));
+        let amps = s.amps();
+        let norm = |r: Range<usize>| amps[r].iter().map(|a| a.norm_sqr()).sum::<f64>();
+        let serial = ChunkExecutor::with_exact_threads(1).reduce_f64(amps.len(), norm);
+        assert_eq!(ex.reduce_f64(amps.len(), norm).to_bits(), serial.to_bits());
     }
 
     #[test]
@@ -1445,10 +1359,10 @@ mod tests {
         let err = ex
             .run_dispatch(
                 &mut pieces(&mut work, &[2, 4]),
-                1,
                 "test_dispatch",
                 "worker.test",
-                &|piece| {
+                |piece| piece.len(),
+                &|_, piece| {
                     if piece[0].chunk == 2 {
                         panic!("injected genuine panic");
                     }

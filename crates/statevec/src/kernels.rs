@@ -347,85 +347,6 @@ fn diagonal(amps: &mut [Complex64], base: usize, qubits: &[usize], dvec: &[Compl
     }
 }
 
-/// Applies a diagonal action by strided recursion instead of per-amplitude
-/// bit gathering: the phase index is carried down a split over the qubit
-/// positions (highest first), so each leaf is a contiguous run multiplied
-/// by one constant — and leaves whose factor is *exactly* 1 are skipped
-/// without touching their memory. This is the fast path for *merged*
-/// diagonal kernels (gate fusion), where most table entries of a
-/// controlled-phase product are exactly 1.
-///
-/// Every amplitude the kernel does touch is multiplied by the same factor
-/// [`apply_diagonal`] would use, so results agree to the last bit except
-/// for the sign of zeros on skipped identity runs (a multiply by `1+0i`
-/// can flip `-0.0` to `0.0`). Callers that promise bit-equality with
-/// per-gate execution must use [`apply_diagonal`]; the collapsed-kernel
-/// path only promises tolerance-level agreement and thread-count
-/// determinism, which this kernel preserves (per-amplitude work is
-/// independent of how the slice is partitioned).
-///
-/// # Panics
-///
-/// Panics if `dvec.len() != 2^qubits.len()`, if `qubits` is empty or not
-/// strictly ascending, or if `amps.len()` is not a multiple of
-/// `2^(max qubit + 1)` (the slice must consist of whole aligned blocks —
-/// callers split on block boundaries).
-pub fn apply_diagonal_strided(amps: &mut [Complex64], qubits: &[usize], dvec: &[Complex64]) {
-    assert_eq!(dvec.len(), 1 << qubits.len());
-    assert!(!qubits.is_empty(), "strided diagonal needs qubits");
-    assert!(
-        qubits.windows(2).all(|w| w[0] < w[1]),
-        "qubits must be strictly ascending"
-    );
-    let top_block = 2usize << qubits[qubits.len() - 1];
-    assert_eq!(
-        amps.len() % top_block,
-        0,
-        "slice must hold whole aligned blocks"
-    );
-    diagonal_strided_rec(amps, qubits, qubits.len(), 0, dvec);
-}
-
-fn diagonal_strided_rec(
-    amps: &mut [Complex64],
-    qubits: &[usize],
-    k: usize,
-    s: usize,
-    dvec: &[Complex64],
-) {
-    if k == 0 {
-        let d = dvec[s];
-        if d.re == 1.0 && d.im == 0.0 {
-            return; // exact identity: leave the run untouched
-        }
-        for a in amps {
-            *a *= d;
-        }
-        return;
-    }
-    // The remaining qubits sit at the bottom of the index space: the low
-    // `k` offset bits *are* the low `k` phase-index bits — one table
-    // lookup per amplitude, no recursion.
-    if qubits[k - 1] == k - 1 {
-        let m = 1usize << k;
-        for chunk in amps.chunks_mut(m) {
-            for (j, a) in chunk.iter_mut().enumerate() {
-                let d = dvec[s | j];
-                if d.re != 1.0 || d.im != 0.0 {
-                    *a *= d;
-                }
-            }
-        }
-        return;
-    }
-    let half = 1usize << qubits[k - 1];
-    for chunk in amps.chunks_mut(half << 1) {
-        let (lo, hi) = chunk.split_at_mut(half);
-        diagonal_strided_rec(lo, qubits, k - 1, s, dvec);
-        diagonal_strided_rec(hi, qubits, k - 1, s | (1 << (k - 1)), dvec);
-    }
-}
-
 /// A 2×2 operand, row-major.
 type M2 = [Complex64; 4];
 /// A 4×4 operand by rows, and — when every row is an exact `1+0i` among
@@ -835,87 +756,5 @@ mod tests {
     fn mixing_high_qubit_panics() {
         let mut amps = zero_state(2);
         apply_action(&mut amps, 0, &action(Gate::H, &[5]));
-    }
-
-    /// Dense synthetic amplitudes with no zero components, so the
-    /// strided and gather diagonal kernels must agree to the last bit
-    /// (zero signs are the only place they may differ).
-    fn dense_amps(n: usize) -> Vec<Complex64> {
-        (0..1usize << n)
-            .map(|i| Complex64::new(0.3 + 0.001 * i as f64, -0.2 + 0.0007 * i as f64))
-            .collect()
-    }
-
-    /// A merged-style phase table: CP-like (mostly exact 1s) when `k > 1`,
-    /// with a couple of genuine phases mixed in.
-    fn mixed_dvec(k: usize) -> Vec<Complex64> {
-        (0..1usize << k)
-            .map(|s| {
-                if s == (1 << k) - 1 {
-                    Complex64::cis(0.37)
-                } else if s == 1 {
-                    Complex64::new(-1.0, 0.0)
-                } else {
-                    Complex64::ONE
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn strided_diagonal_matches_gather_kernel_bitwise() {
-        let n = 8;
-        for qubits in [
-            vec![0usize],
-            vec![5],
-            vec![0, 1, 2],
-            vec![2, 5],
-            vec![1, 3, 6],
-            vec![0, 4, 7],
-            vec![0, 1, 2, 3, 4],
-        ] {
-            let dvec = mixed_dvec(qubits.len());
-            let mut a = dense_amps(n);
-            let mut b = dense_amps(n);
-            apply_diagonal(&mut a, 0, &qubits, &dvec);
-            apply_diagonal_strided(&mut b, &qubits, &dvec);
-            for (i, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-                assert!(
-                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
-                    "qubits {qubits:?}, amp {i}: {x:?} vs {y:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn strided_diagonal_skips_identity_runs_untouched() {
-        // An all-ones table must leave every amplitude bit-identical —
-        // including the sign of zeros, because skipped runs are never
-        // multiplied at all.
-        let mut amps = dense_amps(6);
-        amps[17] = Complex64::new(-0.0, 0.0);
-        let before = amps.clone();
-        let dvec = vec![Complex64::ONE; 8];
-        apply_diagonal_strided(&mut amps, &[1, 3, 5], &dvec);
-        for (x, y) in amps.iter().zip(before.iter()) {
-            assert_eq!(x.re.to_bits(), y.re.to_bits());
-            assert_eq!(x.im.to_bits(), y.im.to_bits());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly ascending")]
-    fn strided_diagonal_rejects_unsorted_qubits() {
-        let mut amps = dense_amps(4);
-        apply_diagonal_strided(&mut amps, &[3, 1], &[Complex64::ONE; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "whole aligned blocks")]
-    fn strided_diagonal_rejects_misaligned_slice() {
-        // 8 amplitudes cannot hold a whole block spanning qubit 3.
-        let mut amps = dense_amps(3);
-        apply_diagonal_strided(&mut amps, &[3], &[Complex64::ONE; 2]);
     }
 }

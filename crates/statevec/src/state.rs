@@ -157,34 +157,6 @@ impl StateVector {
         }
     }
 
-    /// Runs a whole circuit with fused runs *collapsed* to a single
-    /// kernel each (one 2×2 product per single-qubit run, one merged
-    /// phase table per diagonal run): the fastest path, one full pass and
-    /// one complex multiply per amplitude per run. The collapsed
-    /// arithmetic rounds differently from the gate-by-gate path, so the
-    /// result agrees with [`StateVector::run`] to normal f64 tolerance
-    /// rather than bitwise (it is still deterministic at every thread
-    /// count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has more qubits than the state or
-    /// `threads == 0`.
-    pub fn run_fused_collapsed(&mut self, circuit: &Circuit, threads: usize) {
-        assert!(circuit.num_qubits() <= self.num_qubits);
-        let ex = crate::executor::ChunkExecutor::new(threads);
-        for fop in qgpu_circuit::fuse::fuse(circuit) {
-            match fop.collapsed() {
-                // Merged phase tables are mostly exact 1s: the strided
-                // kernel skips those runs without touching their memory.
-                GateAction::Diagonal { qubits, dvec } => {
-                    ex.apply_flat_diagonal(&mut self.amps, qubits, dvec)
-                }
-                other => ex.apply_flat(&mut self.amps, other),
-            }
-        }
-    }
-
     /// The 2-norm of the state (1.0 for any valid quantum state).
     pub fn norm(&self) -> f64 {
         // Fixed-order tree reduction (not a running serial sum) so the

@@ -224,7 +224,8 @@ fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
                 let chunks: Vec<usize> = (0..state.num_chunks())
                     .filter(|_| keep != 0 || rng.below(2) == 0)
                     .collect();
-                ex.apply_local_run(&mut state, &run, chunks.iter().copied());
+                ex.try_apply_group_runs(&mut state, &run, chunks.iter().copied(), &[], None)
+                    .unwrap();
                 let tasks: Vec<Vec<usize>> = chunks.iter().map(|&c| vec![c]).collect();
                 oracle.apply(&run, &tasks);
                 format!("local run {run:?} on {chunks:?}")
@@ -252,7 +253,8 @@ fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
                     .collect();
                 let groups: Vec<Vec<usize>> =
                     reps.iter().map(|&c| state.chunk_group(c, &high)).collect();
-                ex.apply_group_runs(&mut state, &run, reps.iter().copied(), &high);
+                ex.try_apply_group_runs(&mut state, &run, reps.iter().copied(), &high, None)
+                    .unwrap();
                 oracle.apply(&run, &groups);
                 format!("group run {run:?} mixing {high:?} on {groups:?}")
             }
@@ -329,7 +331,14 @@ fn a_sparse_member_left_all_negative_zero_reads_back_positive() {
             .with_faults(std::sync::Arc::new(FaultInjector::new(
                 FaultConfig::default(),
             )))
-            .apply_group_runs(&mut state, std::slice::from_ref(&minus), 0..2, &[n - 1]);
+            .try_apply_group_runs(
+                &mut state,
+                std::slice::from_ref(&minus),
+                0..2,
+                &[n - 1],
+                None,
+            )
+            .unwrap();
         assert_eq!(state.dense_chunk_count(), 2);
         assert_eq!(state.as_flat()[1 << 3], -Complex64::ONE);
         for a in &state.as_flat()[2 << 3..] {

@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use qgpu_circuit::fuse::{fuse, gates_fused, lower};
 use qgpu_circuit::{Circuit, Gate};
-use qgpu_statevec::{reference, StateVector};
+use qgpu_statevec::{reference, ChunkExecutor, StateVector};
 
 /// Strategy: a random operation on `n` qubits, mixing dense and diagonal
 /// gates so runs of both kinds form.
@@ -110,23 +110,6 @@ proptest! {
     }
 
     #[test]
-    fn collapsed_kernels_match_oracle_to_tolerance(c in arb_circuit(7, 40)) {
-        // The collapsed path multiplies matrices before applying them, so
-        // it rounds differently from gate-by-gate execution — but it must
-        // stay within normal f64 tolerance of the oracle, and must itself
-        // be deterministic across thread counts.
-        let oracle = reference::run_dense(&c);
-        let mut one = StateVector::new_zero(7);
-        one.run_fused_collapsed(&c, 1);
-        prop_assert!(one.max_deviation(&oracle) < 1e-9);
-        for threads in [2usize, 4] {
-            let mut many = StateVector::new_zero(7);
-            many.run_fused_collapsed(&c, threads);
-            assert_bitwise_eq(&one, &many, &format!("collapsed, threads {threads}"));
-        }
-    }
-
-    #[test]
     fn fusion_never_reorders_across_incompatible_gates(c in arb_circuit(6, 30)) {
         // Structural invariants of the pass: every source gate lands in
         // exactly one fused op, in order, and the op count plus the fused
@@ -137,6 +120,44 @@ proptest! {
         prop_assert_eq!(gates_fused(&program), c.len() - program.len());
         let lowered = lower(&c);
         prop_assert_eq!(lowered.len(), c.len());
+    }
+}
+
+/// Replays `fuse(c)` through the flat fan-out with exactly `threads`
+/// workers (no clamp to the host's cores).
+fn run_fused_exact(c: &Circuit, threads: usize) -> StateVector {
+    let ex = ChunkExecutor::with_exact_threads(threads);
+    let mut s = StateVector::new_zero(c.num_qubits());
+    for fop in fuse(c) {
+        ex.apply_flat_run(s.amps_mut(), fop.actions());
+    }
+    s
+}
+
+proptest! {
+    // 15 qubits clear the executor's 2^14-amplitude floor, so 2 and 4
+    // workers really split the state (the 7-qubit sweeps above stay on
+    // the calling thread).
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    #[test]
+    fn fused_runs_match_unfused_bitwise_across_workers(c in arb_circuit(15, 40)) {
+        let mut unfused = StateVector::new_zero(15);
+        unfused.run(&c);
+        for threads in [2usize, 4] {
+            let fused = run_fused_exact(&c, threads);
+            assert_bitwise_eq(&unfused, &fused, &format!("threads {threads}"));
+        }
+    }
+
+    #[test]
+    fn diagonal_runs_match_unfused_bitwise_across_workers(c in arb_diagonal_circuit(15, 50)) {
+        let mut unfused = StateVector::new_zero(15);
+        unfused.run(&c);
+        for threads in [2usize, 4] {
+            let fused = run_fused_exact(&c, threads);
+            assert_bitwise_eq(&unfused, &fused, &format!("threads {threads}"));
+        }
     }
 }
 
