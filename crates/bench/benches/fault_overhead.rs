@@ -4,8 +4,9 @@
 //!
 //! The resilient pipeline's contract is "pay only for what you enable":
 //! with fault injection off and integrity checks on, the real work added
-//! is the encode-time CRC sealing (fused with the codec's own amplitude
-//! walk, zstd-style) plus per-transfer retry plumbing, and that must stay
+//! is the encode-time CRC sealing (taken by the executor's sizing sink
+//! while each block is in cache, beside the codec's size walk) plus
+//! per-transfer retry plumbing, and that must stay
 //! under 3% of wall-clock on qft_20 (the experiment plan's budget,
 //! recorded in EXPERIMENTS.md). `cargo bench` measures paired rounds,
 //! `cargo test --benches` smoke-runs qft_12 (see [`qgpu_bench::guard`]).

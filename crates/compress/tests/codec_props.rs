@@ -224,3 +224,54 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Runs of tiny chunks — 1 to 16 amplitudes, at most one GFC
+    /// micro-chunk of values, which GFC sizes in closed form — sized in
+    /// one call equal each chunk sized alone, for every codec. Components
+    /// are drawn from ±0.0, subnormals, NaNs with payloads and ±∞ as
+    /// often as from ordinary values.
+    #[test]
+    fn tiny_chunk_runs_size_like_single_chunks(
+        picks in proptest::collection::vec((0usize..16, -1.0f64..1.0), 2..64),
+        segs in 1usize..12,
+    ) {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            5e-324,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -1.0e300,
+        ];
+        let nan_payload = f64::from_bits(0xfff0_0000_dead_beef);
+        let values: Vec<f64> = picks
+            .iter()
+            .map(|&(k, v)| match k {
+                0..=7 => SPECIAL[k],
+                8 => nan_payload,
+                _ => v,
+            })
+            .collect();
+        for kind in CodecKind::ALL {
+            let codec = codec_for_kind(kind, segs);
+            for chunk_len in 1usize..=16 {
+                // Three chunks' worth, cycling through the drawn values.
+                let amps: Vec<Complex64> = (0..3 * chunk_len)
+                    .map(|i| Complex64::new(values[2 * i % values.len()], values[(2 * i + 1) % values.len()]))
+                    .collect();
+                let single: Vec<u32> = amps
+                    .chunks_exact(chunk_len)
+                    .map(|c| codec.encoded_len_amplitudes(c) as u32)
+                    .collect();
+                let mut run = vec![0; 3];
+                codec.encoded_lens(&amps, chunk_len, &mut run);
+                prop_assert_eq!(&run, &single, "codec {}, chunk_len {}", kind, chunk_len);
+            }
+        }
+    }
+}

@@ -325,7 +325,7 @@ impl IntegrityMw {
             // without a recompute. The whole-state gate still audits
             // the final answer; staleness widens later tolerances.
             self.stale_gates += 1;
-            return middleware::apply_functional(executor, state, tl, rec, fop, w);
+            return middleware::apply_functional(executor, state, tl, rec, fop, w, None);
         }
 
         if !self.armed {
@@ -346,7 +346,7 @@ impl IntegrityMw {
                         }
                     }
                 }
-                return middleware::apply_functional(executor, state, tl, rec, fop, w);
+                return middleware::apply_functional(executor, state, tl, rec, fop, w, None);
             }
             self.since_check = 0;
         }
@@ -385,7 +385,7 @@ impl IntegrityMw {
             Vec::new()
         };
 
-        middleware::apply_functional(executor, state, tl, rec, fop, w)?;
+        middleware::apply_functional(executor, state, tl, rec, fop, w, None)?;
         if self.armed && self.inj.kernel_flip_fires(op_idx, 0) {
             // The flip lands in the first touched chunk (stable, so a
             // flip campaign indicts a stable device); the amplitude
@@ -436,8 +436,14 @@ impl IntegrityMw {
                 }
             }
             let reps = violated.iter().map(|&ti| tasks[ti].rep);
-            let restarts =
-                executor.try_apply_group_runs(state, fop.actions(), reps, w.high_mixing, None)?;
+            let restarts = executor.try_apply_group_runs(
+                state,
+                fop.actions(),
+                reps,
+                w.high_mixing,
+                None,
+                None,
+            )?;
             middleware::note_restarts(tl, rec, restarts);
             if self.inj.kernel_flip_fires(op_idx, attempt) {
                 self.inject_flip(state, tasks[violated[0]].chunks[0], op_idx, attempt, rec);
@@ -562,6 +568,6 @@ pub(crate) fn apply_tasks(
     let (ex, st, tl, rec) = (&mut env.executor, &mut env.state, &mut *env.tl, env.rec);
     match env.integ.as_mut() {
         Some(mw) => mw.checked_apply(ex, st, tl, rec, fop, op_idx, w),
-        None => middleware::apply_functional(ex, st, tl, rec, fop, w),
+        None => middleware::apply_functional(ex, st, tl, rec, fop, w, None),
     }
 }

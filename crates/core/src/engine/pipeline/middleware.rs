@@ -26,6 +26,7 @@ use qgpu_sched::devicegroup::OrchestratorConfig;
 use qgpu_sched::devicegroup::{DeviceGroup, PressureAction, PressureGovernor, ReplayTask};
 use qgpu_sched::plan::Tasks;
 use qgpu_sched::residency::ChunkTable;
+use qgpu_statevec::executor::Sink;
 use qgpu_statevec::{ChunkExecutor, ChunkedState};
 
 use crate::checkpoint::Checkpoint;
@@ -44,6 +45,11 @@ fn amp_bytes(amps: &[Complex64]) -> &[u8] {
     // SAFETY: `Complex64` is two `f64`s with no padding; an initialized
     // amplitude slice is readable as plain bytes.
     unsafe { std::slice::from_raw_parts(amps.as_ptr().cast::<u8>(), std::mem::size_of_val(amps)) }
+}
+
+/// A chunk's integrity tag: the checksum of its amplitude bytes.
+pub(crate) fn tag(amps: &[Complex64]) -> u32 {
+    qgpu_faults::fast_checksum(amp_bytes(amps))
 }
 
 /// The resilient pipeline's working state: the seeded injector, the retry
@@ -94,15 +100,15 @@ impl Resilience {
         })
     }
 
-    /// Encode-time sealing: the GFC encoder computes the chunk's tag in
-    /// the same pass that sizes the compressed stream — the amplitudes
-    /// are cache-hot from the codec walk, so the checksum is nearly free
-    /// (the same fusion zstd uses for its content checksum). The tag
-    /// then travels with the compressed chunk; no separate arrival pass
-    /// is needed.
-    pub(crate) fn seal_at_encode(&mut self, m: usize, amps: &[Complex64]) {
-        self.tags
-            .insert(m, qgpu_faults::fast_checksum(amp_bytes(amps)));
+    /// Encode-time sealing with `tag`, chunk `m`'s [`tag`] taken in the
+    /// visit that sized it: by the executor's sink right after the
+    /// gate's kernel, while the chunk is still in cache, or by the slot
+    /// walk beside its codec call. (The checksum is a call of its own
+    /// over the same hot bytes, not fused into the codec's loop.) The
+    /// tag then travels with the compressed chunk; no separate arrival
+    /// pass is needed.
+    pub(crate) fn seal_at_encode(&mut self, m: usize, tag: u32) {
+        self.tags.insert(m, tag);
     }
 
     /// Encode-time sealing of an all-zero chunk (cached per chunk size).
@@ -142,9 +148,15 @@ impl Resilience {
     /// Chunk `m`'s tag as the state holds it now.
     fn tag_of(&mut self, state: &ChunkedState, m: usize, chunk_bits: u32) -> u32 {
         match state.chunk(m) {
-            Some(a) => qgpu_faults::fast_checksum(amp_bytes(a)),
+            Some(a) => tag(a),
             None => self.zero_tag(chunk_bits),
         }
+    }
+
+    /// Chunk `m`'s tag as last sealed or verified, if any.
+    #[cfg(test)]
+    pub(crate) fn sealed(&self, m: usize) -> Option<u32> {
+        self.tags.get(m)
     }
 
     /// Chunk-size re-partitioning renumbers chunks: every cached tag is
@@ -500,7 +512,7 @@ pub(crate) struct Touched<'a> {
 /// The functional update (identical across every mode and flag subset):
 /// the executor replays the op's member gates over blocks of consecutive
 /// live chunks, bitwise identical to per-gate application at every
-/// thread count.
+/// thread count, and hands each block to `sink` while it is in cache.
 pub(crate) fn apply_functional(
     executor: &mut ChunkExecutor,
     state: &mut ChunkedState,
@@ -508,6 +520,7 @@ pub(crate) fn apply_functional(
     rec: Option<&Recorder>,
     fop: &FusedOp,
     w: Touched,
+    sink: Option<&mut dyn Sink>,
 ) -> Result<(), SimError> {
     if w.reps.len() == 0 {
         return Ok(());
@@ -518,7 +531,7 @@ pub(crate) fn apply_functional(
     };
     let restarts = {
         let _g = span_opt(rec, Track::Main, ObsStage::Update, span);
-        executor.try_apply_group_runs(state, fop.actions(), w.reps, w.high_mixing, None)?
+        executor.try_apply_group_runs(state, fop.actions(), w.reps, w.high_mixing, None, sink)?
     };
     note_restarts(tl, rec, restarts);
     Ok(())

@@ -18,8 +18,9 @@
 //! per op (`steps::GateCtx`). Per gate, two phases:
 //!
 //! * the functional phase: the chunk plans, the pruning decision (once),
-//!   the functional update and the compressed-size pass, each one pass
-//!   over runs of consecutive live chunks;
+//!   the functional update — one pass over blocks of consecutive live
+//!   chunks, which sizes each block while it is in cache — and a walk
+//!   over the gate's size slots;
 //! * the timeline phase, a tile of `steps::TILE` *live* tasks at a
 //!   time in plan order: a column pass over the chunk tables, then each
 //!   task's deal, H2D, decompress, kernels, compress and D2H on the
@@ -131,6 +132,9 @@ pub(crate) struct Env<'a> {
     /// This gate's codec sizes, one slot per member of each task (see
     /// [`steps::size_members`]). Reused across gates.
     pub(crate) sizes: Vec<u32>,
+    /// The tags the sizing sink took beside the sizes it wrote, by the
+    /// same slots (only while resilience is armed). Reused across gates.
+    pub(crate) tags: Vec<u32>,
     /// The timeline phase's tile. Reused across gates.
     pub(crate) tile: steps::Tile,
     pub(crate) dev: steps::Devices,
@@ -466,7 +470,7 @@ fn replay(
         let _g = span_opt(env.rec, Track::Main, ObsStage::Update, "update.local");
         let poll = || cancelled(cfg, first);
         env.executor
-            .try_apply_group_runs(&mut env.state, &actions, chunks, &[], Some(&poll))
+            .try_apply_group_runs(&mut env.state, &actions, chunks, &[], Some(&poll), None)
     };
     match done {
         Ok(restarts) => {
@@ -512,8 +516,8 @@ fn finish_run(
 
 /// One gate — a unitary op, or a `batched` run of chunk-local `ops`
 /// from program index `first` — through the chunk round trip in two
-/// phases. The functional phase — plan, prune, the update, the sizing
-/// pass — runs once per gate; the timeline phase runs a tile of live
+/// phases. The functional phase — plan, prune, the update (sizing the
+/// blocks it leaves in cache), the slot walk — runs once per gate; the timeline phase runs a tile of live
 /// tasks at a time: the column pass, each task's deal → upload →
 /// decompress → a kernel per op → compress → download on the lanes, the
 /// last-download write-back. Cancellation is polled between the phases
@@ -530,6 +534,7 @@ fn stream_gate(
     mw.gate_begin();
     let g = steps::plan_and_prune(env, mw, ops, first, batched, compressing);
     mw.mark(obs_mw::PRUNE);
+    steps::clear_sizes(env, &g);
     if batched && env.defer {
         replay(env, ops, first, g.tasks())?;
     } else {
@@ -666,6 +671,7 @@ fn build_env<'a>(
         pending: None,
         held: ChunkTable::default(),
         sizes: Vec::new(),
+        tags: Vec::new(),
         tile: steps::Tile::default(),
         dev: steps::Devices::new(num_gpus),
         epoch_floor: 0.0,
@@ -710,5 +716,53 @@ mod tests {
             pages >= 1 && pages * 8 <= most_pages_spanned,
             "{pages} pages for a span of {most_pages_spanned}"
         );
+    }
+
+    /// The sizing sink under injected encode failures, on one worker and
+    /// on two (a dense 15-qubit state clears the fan-out floor): every
+    /// gate's size slots, the fallback count and the final tags agree.
+    #[test]
+    fn sized_slots_and_tags_agree_across_worker_counts_under_codec_faults() {
+        use qgpu_circuit::generators::Benchmark;
+        use qgpu_faults::FaultConfig;
+        let n = 15;
+        let circuit = Benchmark::Iqp.generate(n);
+        let faults = FaultConfig {
+            seed: 42,
+            p_codec_fail: 0.02,
+            ..FaultConfig::default()
+        };
+        let cfg = SimConfig::scaled_paper(n)
+            .with_version(Version::QGpu)
+            .with_faults(faults);
+        let program = crate::engine::program_for(&circuit, &cfg);
+        let run = |threads| {
+            let spec = PipelineSpec::from_config(&cfg);
+            let mut tl = Timeline::new();
+            let mut env = build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None);
+            let rec = Arc::new(Recorder::new());
+            env.executor = ChunkExecutor::with_exact_threads(threads).with_recorder(rec.clone());
+            let mut mw = ObsMw::new(None, &cfg, env.num_gpus);
+            let mut sizes = Vec::new();
+            for (i, op) in program.iter().enumerate() {
+                resize_chunks(&mut env);
+                let ops = std::slice::from_ref(op);
+                stream_gate(&mut env, &mut mw, ops, i, false, true).expect("absorbed");
+                sizes.push(env.sizes.clone());
+            }
+            let resil = env.resil.as_ref().expect("armed");
+            let tags: Vec<Option<u32>> = (0..env.state.num_chunks())
+                .map(|c| resil.sealed(c))
+                .collect();
+            drop(env);
+            let snap = rec.registry().snapshot();
+            let fanned = snap.histograms_named("worker.queue").next().is_some();
+            assert_eq!(fanned, threads > 1, "{threads} worker(s)");
+            (sizes, tags, tl.counter(Counter::CodecFallbacks))
+        };
+        let one = run(1);
+        assert!(one.2 > 0, "no encode failure fired");
+        assert!(one.1.iter().any(Option::is_some), "nothing sealed");
+        assert!(one == run(2), "1 and 2 workers disagree");
     }
 }

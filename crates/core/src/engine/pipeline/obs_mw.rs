@@ -4,7 +4,8 @@
 //! from one phase of a gate to the next, crediting each elapsed slice to
 //! the named bucket ([`PLAN`] … [`SYNC`], or a driver bucket) of the
 //! step that just ran: the functional phase's `plan`, `prune`, `kernel`
-//! (the update) and `compress` (the sizing pass), then per tile of the
+//! (the update, with the sizing its sink does in cache) and `compress`
+//! (the walk over the size slots), then per tile of the
 //! timeline phase `fetch` (the column pass), `deal` (the timeline loop:
 //! every task's deal and modeled spans) and `writeback` (the tile's
 //! last-download times). Static mode laps coarsely: a gate's whole time

@@ -4,8 +4,11 @@
 //!
 //! * the **functional phase**, once per gate: [`plan_and_prune`] (a plan
 //!   per op, one prune decision), then [`functional_update`] (per op, one
-//!   executor pass over runs of consecutive live chunks) and
-//!   [`size_members`] (one codec call per such run);
+//!   executor pass over blocks of consecutive live chunks; the gate's
+//!   last kernel hands each block, still in cache, to a [`SizeSink`],
+//!   which sizes it with one codec call per member run into the gate's
+//!   slots) and [`size_members`] (one walk over the slots: the injected
+//!   encode failures, and the sizes the sink left unwritten);
 //! * the **timeline phase**, a tile of tasks at a time: [`fetch_tile`]
 //!   fills the tile's [`Trip`]s from the chunk table, [`run_tile`]
 //!   issues each task's deal → admission → H2D → decompress → a kernel
@@ -26,19 +29,22 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
+use qgpu_compress::Codec;
 use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
 use qgpu_device::Counter;
 use qgpu_faults::SimError;
+use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::plan::{GatePlan, Tasks};
 use qgpu_sched::residency::RoundRobin;
 use qgpu_sched::InvolvementTracker;
+use qgpu_statevec::executor::Sink;
 use qgpu_statevec::ChunkedState;
 
 use crate::config::SimConfig;
 use crate::engine::flops_per_amp;
 
-use super::middleware::{Orchestration, Resilience};
+use super::middleware::{self, Orchestration, Resilience, Touched};
 use super::obs_mw::{self, ObsMw};
 use super::transfer::{transfer_with_integrity, Dir};
 use super::{Env, Held, RAW_FALLBACK};
@@ -180,12 +186,29 @@ pub(crate) fn plan_and_prune<'p>(
     g
 }
 
+/// Empties the gate's size slots, one per member of each task, ahead of
+/// the update whose sink fills some of them (see [`size_members`]).
+pub(crate) fn clear_sizes(env: &mut Env, g: &GateCtx) {
+    if g.compressing {
+        env.sizes.clear();
+        env.sizes.resize(g.len() * g.plan().group_len(), 0);
+    }
+}
+
 /// The functional update, at gate level before any modeled task: each op
 /// over its own surviving tasks, which touch disjoint chunks, so applying
 /// them all up front leaves every per-chunk compressed size identical to
-/// updating inside the task loop.
+/// updating inside the task loop. The gate's last kernel sizes what it
+/// visits while it is in cache ([`SizeSink`]) — unless integrity checks
+/// may re-run blocks, or its tasks are not the gate's (a batch whose
+/// last op runs on fewer chunks).
 pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimError> {
-    for k in &g.kernels {
+    let last = g.kernels.len() - 1;
+    for (i, k) in g.kernels.iter().enumerate() {
+        let gate_tasks = g.listed.is_empty() && k.tasks == g.span;
+        if i == last && g.compressing && env.integ.is_none() && gate_tasks {
+            return update_sized(env, k);
+        }
         super::integrity::apply_tasks(env, k.fop, k.op, k.tasks, k.plan.high_mixing())?;
         // Zero-block invariant over the chunks pruning skipped. Zero
         // (unallocated) chunks trivially satisfy it, so the sweep hands
@@ -210,6 +233,144 @@ pub(crate) fn functional_update(env: &mut Env, g: &GateCtx) -> Result<(), SimErr
     Ok(())
 }
 
+/// Kernel `k`'s update with the sizing sink over the gate's slots (and,
+/// while resilience is armed, their tags).
+fn update_sized(env: &mut Env, k: &Kernel) -> Result<(), SimError> {
+    let Env {
+        executor,
+        state,
+        tl,
+        rec,
+        codec,
+        chunk_bits,
+        sizes,
+        tags,
+        resil,
+        ..
+    } = env;
+    let tags = match resil {
+        Some(_) => {
+            tags.resize(sizes.len(), 0);
+            &mut tags[..]
+        }
+        None => &mut [],
+    };
+    let mut sink = SizeSink {
+        sizer: Sizer {
+            codec: &**codec,
+            rec: *rec,
+            chunk_bits: *chunk_bits,
+        },
+        base: 0,
+        sizes,
+        tags,
+        scratch: Vec::new(),
+    };
+    let w = Touched {
+        reps: k.tasks,
+        high_mixing: k.plan.high_mixing(),
+    };
+    middleware::apply_functional(executor, state, tl, *rec, k.fop, w, Some(&mut sink))
+}
+
+/// Sizes chunks of the current width with the configured codec.
+#[derive(Clone, Copy)]
+struct Sizer<'e> {
+    codec: &'e dyn Codec,
+    rec: Option<&'e Recorder>,
+    chunk_bits: u32,
+}
+
+impl Sizer<'_> {
+    fn of<'e>(env: &'e Env) -> Sizer<'e> {
+        Sizer {
+            codec: &*env.codec,
+            rec: env.rec,
+            chunk_bits: env.chunk_bits,
+        }
+    }
+
+    /// [`qgpu_compress::Codec::encoded_lens_observed`] of the chunks of
+    /// `amps`, capped at raw (the scheme moves a chunk raw rather than
+    /// expand it) and below the fallback mark. The sizing is where the
+    /// cascade runs in the engine, so its observed entry point publishes
+    /// which inner codec won each chunk.
+    fn sized(self, amps: &[Complex64], out: &mut [u32]) {
+        let raw = u32::try_from(16usize << self.chunk_bits).unwrap_or(u32::MAX);
+        let chunk_len = 1 << self.chunk_bits;
+        self.codec
+            .encoded_lens_observed(amps, chunk_len, out, self.rec);
+        for len in out {
+            *len = (*len).min(raw).min(RAW_FALLBACK - 1);
+        }
+    }
+}
+
+/// The executor's sink for a gate's last kernel: one codec call per run
+/// it hands over, into the gate's slots — member `j` of the task at rank
+/// `t` at `t · group_len + j`, the executor's slots and the ones
+/// [`size_members`] reads — with each chunk's tag beside its size while
+/// resilience is armed. A part of it covers the slots from `base` on.
+struct SizeSink<'e> {
+    sizer: Sizer<'e>,
+    base: usize,
+    sizes: &'e mut [u32],
+    /// The same slots' tags; empty when nothing is sealed.
+    tags: &'e mut [u32],
+    /// A strided run's sizes on their way to its slots.
+    scratch: Vec<u32>,
+}
+
+impl Sink for SizeSink<'_> {
+    fn run(&mut self, slot: usize, stride: usize, _first: usize, amps: &[Complex64]) {
+        let cb = self.sizer.chunk_bits;
+        let (at, n) = (slot - self.base, amps.len() >> cb);
+        let chunks = || amps.chunks_exact(1 << cb);
+        if stride == 1 || n == 1 {
+            self.sizer.sized(amps, &mut self.sizes[at..at + n]);
+            if !self.tags.is_empty() {
+                let tags = &mut self.tags[at..at + n];
+                tags.iter_mut()
+                    .zip(chunks())
+                    .for_each(|(t, c)| *t = middleware::tag(c));
+            }
+            return;
+        }
+        self.scratch.clear();
+        self.scratch.resize(n, 0);
+        self.sizer.sized(amps, &mut self.scratch);
+        let slots = (at..).step_by(stride);
+        for ((slot, &len), chunk) in slots.zip(&self.scratch).zip(chunks()) {
+            self.sizes[slot] = len;
+            if !self.tags.is_empty() {
+                self.tags[slot] = middleware::tag(chunk);
+            }
+        }
+    }
+
+    fn split(&mut self, at: &[usize]) -> Vec<Box<dyn Sink + '_>> {
+        let (mut sizes, mut tags) = (&mut self.sizes[..], &mut self.tags[..]);
+        let mut base = self.base;
+        let mut parts: Vec<Box<dyn Sink + '_>> = Vec::with_capacity(at.len() + 1);
+        let ends = at.iter().copied().chain(std::iter::once(usize::MAX));
+        for end in ends {
+            let cut = end.saturating_sub(base).min(sizes.len());
+            let tag_cut = cut.min(tags.len());
+            let (part, rest) = std::mem::take(&mut sizes).split_at_mut(cut);
+            let (part_tags, rest_tags) = std::mem::take(&mut tags).split_at_mut(tag_cut);
+            parts.push(Box::new(SizeSink {
+                sizer: self.sizer,
+                base,
+                sizes: part,
+                tags: part_tags,
+                scratch: Vec::new(),
+            }));
+            (sizes, tags, base) = (rest, rest_tags, end);
+        }
+        parts
+    }
+}
+
 /// Records an injected encode failure on `chunk`: the caller moves it
 /// raw (no compress kernel, nothing cached as compressed).
 fn note_codec_fallback(env: &mut Env, chunk: usize) {
@@ -222,11 +383,15 @@ fn note_codec_fallback(env: &mut Env, chunk: usize) {
     }
 }
 
-/// The real-codec sizing pass over every member moving back, into
-/// [`Env::sizes`]: member `j` of the gate's `t`-th task at `t ·
-/// group_len + j` ([`RAW_FALLBACK`] marks an injected encode failure; a
-/// member that does not move reads 0, a size no codec reports). Tasks
-/// touch disjoint chunks, so the sizes are those of the task loop.
+/// The slot walk over every member of the gate's tasks, in slot order —
+/// member `j` of the gate's `t`-th task at `t · group_len + j` of
+/// [`Env::sizes`]: a member that does not move reads 0 (a size no codec
+/// reports); one whose injected encode failure fires, [`RAW_FALLBACK`];
+/// one the last kernel's sink sized keeps that size (sealed with the
+/// sink's tag); any other is sized here as [`size_into`] says. The draws
+/// of encode failures are made in slot order, one per moving member,
+/// whoever sized it. Tasks touch disjoint chunks, so the sizes are those
+/// of the task loop.
 pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
     if !g.compressing {
         return;
@@ -239,11 +404,10 @@ pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
     );
     let (cb, plan) = (env.chunk_bits, g.plan());
     let members = g.tasks().flat_map(|rep| plan.members(rep)).enumerate();
-    let moving = members.filter(|&(_, m)| !(g.pruning && g.tracker_after.chunk_is_zero(m, cb)));
     let mut sizes = std::mem::take(&mut env.sizes);
-    sizes.clear();
-    sizes.resize(g.len() * plan.group_len(), 0);
-    size_into(env, moving, &mut sizes);
+    let tags = std::mem::take(&mut env.tags);
+    let moves = |m: usize| !(g.pruning && g.tracker_after.chunk_is_zero(m, cb));
+    size_into(env, members, moves, &mut sizes, &tags);
     if let Some(r) = env.rec {
         // A member that moves has a size; the others kept their zero.
         let chunk_bytes = 16u64 << cb;
@@ -253,27 +417,45 @@ pub(crate) fn size_members(env: &mut Env, g: &GateCtx) {
             sized.map(|&sz| chunk_bytes * 100 / u64::from(sz)),
         );
     }
-    env.sizes = sizes;
+    (env.sizes, env.tags) = (sizes, tags);
 }
 
-/// Sizes each `(slot, member)` into `out[slot]`, in order: an injected
-/// encode failure is [`RAW_FALLBACK`], an all-zero member the cached
-/// zero-chunk size, and live members in consecutive slots and chunks go
-/// to the codec as one run. Members are sealed at encode time.
-fn size_into(env: &mut Env, members: impl Iterator<Item = (usize, usize)>, out: &mut [u32]) {
+/// Walks each `(slot, member)` into `out[slot]`, in order: 0 for a member
+/// that does not `moves`, [`RAW_FALLBACK`] for an injected encode
+/// failure, and the sink's size (sealed with its `tags[slot]`) where it
+/// left one; else an all-zero member gets the cached zero-chunk size, and
+/// live members in consecutive slots and chunks go to the codec as one
+/// run. Members are sealed at encode time.
+fn size_into(
+    env: &mut Env,
+    members: impl Iterator<Item = (usize, usize)>,
+    moves: impl Fn(usize) -> bool,
+    out: &mut [u32],
+    tags: &[u32],
+) {
     let cb = env.chunk_bits;
     // Live members not sized yet: their chunks and the first one's slot.
     let mut run: Option<(Range<usize>, usize)> = None;
     let flush = |env: &Env, (chunks, at): (Range<usize>, usize), out: &mut [u32]| {
         let amps = &env.state.as_flat()[chunks.start << cb..chunks.end << cb];
-        sized(env, amps, &mut out[at..at + chunks.len()]);
+        Sizer::of(env).sized(amps, &mut out[at..at + chunks.len()]);
     };
     // Walked by `for_each`: a gate's tasks chain two sequences, and the
     // chain's internal walk checks which one is next once, not per member.
     members.for_each(|(slot, m)| {
+        if !moves(m) {
+            out[slot] = 0;
+            return;
+        }
         if env.resil.as_mut().is_some_and(Resilience::codec_fails) {
             note_codec_fallback(env, m);
             out[slot] = RAW_FALLBACK;
+            return;
+        }
+        if out[slot] != 0 {
+            if let Some(rs) = env.resil.as_mut() {
+                rs.seal_at_encode(m, tags[slot]);
+            }
             return;
         }
         let Some(amps) = env.state.chunk(m) else {
@@ -284,7 +466,7 @@ fn size_into(env: &mut Env, members: impl Iterator<Item = (usize, usize)>, out: 
             return;
         };
         if let Some(rs) = env.resil.as_mut() {
-            rs.seal_at_encode(m, amps);
+            rs.seal_at_encode(m, middleware::tag(amps));
         }
         match &mut run {
             Some((chunks, at)) if chunks.end == m && *at + chunks.len() == slot => chunks.end += 1,
@@ -300,20 +482,6 @@ fn size_into(env: &mut Env, members: impl Iterator<Item = (usize, usize)>, out: 
     }
 }
 
-/// [`qgpu_compress::Codec::encoded_lens_observed`] of chunks of the
-/// current width, capped at raw (the scheme moves a chunk raw rather
-/// than expand it) and below the fallback mark. The sizing pass is where
-/// the cascade runs in the engine, so its observed entry point publishes
-/// which inner codec won each chunk.
-fn sized(env: &Env, amps: &[qgpu_math::Complex64], out: &mut [u32]) {
-    let raw = u32::try_from(16usize << env.chunk_bits).unwrap_or(u32::MAX);
-    env.codec
-        .encoded_lens_observed(amps, 1 << env.chunk_bits, out, env.rec);
-    for len in out {
-        *len = (*len).min(raw).min(RAW_FALLBACK - 1);
-    }
-}
-
 /// The compressed size of an all-zero chunk at the current width
 /// (cached).
 fn zero_chunk_size(env: &mut Env) -> u32 {
@@ -322,7 +490,7 @@ fn zero_chunk_size(env: &mut Env) -> u32 {
         return size;
     }
     let mut len = [0];
-    sized(env, &vec![qgpu_math::Complex64::ZERO; 1 << cb], &mut len);
+    Sizer::of(env).sized(&vec![Complex64::ZERO; 1 << cb], &mut len);
     *env.zero_chunk_size[cb].insert(len[0])
 }
 

@@ -322,6 +322,29 @@ impl ChunkedState {
         !self.is_live(i)
     }
 
+    /// The stretches of live chunks in `run`, in order.
+    pub(crate) fn live_runs(&self, run: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        // The first chunk at or after `c`, before `run.end`, whose live
+        // bit is `bit` (or `run.end`).
+        let next = move |mut c: usize, bit: bool| {
+            while c < run.end {
+                let word = self.live[c / 64] ^ if bit { 0 } else { u64::MAX };
+                let ahead = word >> (c % 64);
+                if ahead != 0 {
+                    return (c + ahead.trailing_zeros() as usize).min(run.end);
+                }
+                c = (c / 64 + 1) * 64;
+            }
+            run.end
+        };
+        let mut at = run.start;
+        std::iter::from_fn(move || {
+            let start = next(at, true);
+            at = next(start, false);
+            (start < at).then_some(start..at)
+        })
+    }
+
     #[inline]
     fn is_live(&self, i: usize) -> bool {
         self.live[i / 64] >> (i % 64) & 1 != 0
@@ -575,7 +598,7 @@ impl ChunkedState {
         let reps = (0..self.num_chunks()).filter(|chunk| chunk & group_mask == 0);
         let actions = std::slice::from_ref(action);
         ChunkExecutor::with_exact_threads(1)
-            .try_apply_group_runs(self, actions, reps, &high_mixing, None)
+            .try_apply_group_runs(self, actions, reps, &high_mixing, None, None)
             .expect("the serial path runs no worker");
     }
 
@@ -812,7 +835,7 @@ mod tests {
         for q in chunk_bits as usize..n {
             let bit = 1 << (q - chunk_bits as usize);
             let reps = (0..num_chunks).filter(|c| c & bit == 0);
-            ex.try_apply_group_runs(&mut state, &[h(q)], reps, &[q], None)
+            ex.try_apply_group_runs(&mut state, &[h(q)], reps, &[q], None, None)
                 .unwrap();
         }
         let grown = advised();
@@ -821,7 +844,7 @@ mod tests {
         crate::measure::collapse_chunked(&mut state, n - 1, false, 0.5);
         assert_eq!(state.dense_chunk_count(), num_chunks / 2);
         let top = num_chunks / 2;
-        ex.try_apply_group_runs(&mut state, &[h(n - 1)], 0..top, &[n - 1], None)
+        ex.try_apply_group_runs(&mut state, &[h(n - 1)], 0..top, &[n - 1], None, None)
             .unwrap();
         assert_eq!(state.dense_chunk_count(), num_chunks);
         assert_eq!(advised(), grown);

@@ -13,7 +13,8 @@
 //! [`ChunkExecutor::try_apply_group_runs`]: a run whose mixing qubits
 //! all lie below the chunk boundary (the paper's Case 1) goes over
 //! groups of one chunk, a run mixing a higher qubit (Case 2) over groups
-//! of `2^k` chunks.
+//! of `2^k` chunks. An optional [`Sink`] sees each block's members once
+//! its actions have run, while they are still in cache.
 //!
 //! # Determinism
 //!
@@ -52,6 +53,23 @@ const MIN_PARALLEL: usize = 1 << 14;
 /// amplitudes = 128 KiB, sized to sit in L2 while a fused run makes
 /// several passes over the block.
 const FLAT_BLOCK_BITS: u32 = 13;
+
+/// What a chunked run hands each block to once the block's actions have
+/// run, while its amplitudes are still in cache (see
+/// [`ChunkExecutor::try_apply_group_runs`]). A chunk is addressed by its
+/// *slot*: member `j` of the group at rank `t` among the listed
+/// representatives has slot `t · 2^high_mixing.len() + j`.
+pub trait Sink: Send {
+    /// Consecutive chunks from `first`, every one live before the run,
+    /// with their amplitudes after it: chunk `first + i` has slot
+    /// `slot + i · stride`.
+    fn run(&mut self, slot: usize, stride: usize, first: usize, amps: &[Complex64]);
+
+    /// Cuts the sink at the slots `at` (ascending): one part for the
+    /// slots below `at[0]`, one from each `at[i]` to the next, one from
+    /// the last on. A fan-out hands each worker one part.
+    fn split(&mut self, at: &[usize]) -> Vec<Box<dyn Sink + '_>>;
+}
 
 /// A worker pool applying gate kernels across disjoint chunks in
 /// parallel.
@@ -256,6 +274,17 @@ impl ChunkExecutor {
     /// `poll` must keep answering `Some` once it has (a tripped
     /// [`qgpu_faults::CancelToken`] does).
     ///
+    /// With a `sink`, each block's members go to [`Sink::run`] right
+    /// after the block's actions ran, on the thread that ran them — on
+    /// the serial path after [`ChunkedState`]'s ruling on the block's
+    /// non-live members, a group member's run joined to the one before
+    /// when it continues it in chunks and slots (up to 2^13 amplitudes,
+    /// so still in cache). Only chunks that were live before the run are handed
+    /// over: a non-live member the run leaves all zero may hold `-0.0`
+    /// until that ruling rewrites it. A fan-out cuts the sink at its
+    /// pieces' first slots ([`Sink::split`]), so each worker feeds its
+    /// own part.
+    ///
     /// # Panics
     ///
     /// Panics on caller contract violations, not runtime faults: a
@@ -270,6 +299,7 @@ impl ChunkExecutor {
         reps: I,
         high_mixing: &[usize],
         poll: Option<&(dyn Fn() -> Option<SimError> + Sync)>,
+        mut sink: Option<&mut dyn Sink>,
     ) -> Result<u64, SimError>
     where
         I: IntoIterator<Item = usize>,
@@ -327,12 +357,18 @@ impl ChunkExecutor {
             let (first, end) = (b.start, b.end);
             offsets.iter().map(move |&o| first + o..end + o)
         };
+        // The stretches of member chunks that were live before the run,
+        // each with its member's index, for a sink that sees groups of
+        // several members. (Every chunk of a block of one-member groups is
+        // live.)
+        let sinks_groups = sink.is_some() && !single;
+        let mut was_live: Vec<(usize, Range<usize>)> = Vec::new();
         // Fresh arena this dispatch writes whole goes on huge pages before
         // the first touch (the walk happens only while 2 MiB are fresh).
         if !single {
             let mut walk = Blocks::new(reps.clone(), cap, usize::MAX);
             let listed = std::iter::from_fn(|| walk.next(|r| survives(state, r)));
-            let regions = state.fresh_regions(listed.flat_map(|(b, _)| members(&b)));
+            let regions = state.fresh_regions(listed.flat_map(|(b, ..)| members(&b)));
             if !regions.is_empty() {
                 if let Some(r) = self.recorder.as_deref() {
                     r.add("arena.huge_regions", regions.len() as u64);
@@ -342,13 +378,23 @@ impl ChunkExecutor {
         }
         if num_groups <= 1 || small {
             let mut blocks = Blocks::new(reps, cap, usize::MAX);
-            while let Some((block, _)) = blocks.next(|r| survives(state, r)) {
+            let mut held = Held::default();
+            while let Some((block, rank, _)) = blocks.next(|r| survives(state, r)) {
                 if let Some(err) = stop() {
                     return Err(err);
                 }
                 if single {
-                    visit_block(state.run_mut(&block), block.start << chunk_bits, actions);
+                    let amps = state.run_mut(&block);
+                    visit_block(amps, block.start << chunk_bits, actions);
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sink.run(rank, 1, block.start, amps);
+                    }
                     continue;
+                }
+                if sinks_groups {
+                    was_live.clear();
+                    let stretches = |(j, m)| state.live_runs(m).map(move |s| (j, s));
+                    was_live.extend(members(&block).enumerate().flat_map(stretches));
                 }
                 members(&block).for_each(|m| state.touch(m));
                 for a in actions {
@@ -356,35 +402,106 @@ impl ChunkExecutor {
                     apply_to_group(&mut group, chunk_bits, high_mixing, a);
                 }
                 members(&block).for_each(|m| state.settle(m));
+                if let Some(sink) = sink.as_deref_mut() {
+                    for (j, s) in was_live.drain(..) {
+                        let slot = (rank + s.start - block.start - offsets[j]) * group_len + j;
+                        held.add(sink, state.as_flat(), chunk_bits, slot, group_len, s);
+                    }
+                }
+            }
+            if let Some(sink) = sink {
+                held.flush(sink, state.as_flat(), chunk_bits);
             }
             return Ok(0);
         }
         let per = num_groups.div_ceil(self.threads);
         let (blocks, ends) = Blocks::new(reps, cap, per).collect(|r| survives(state, r));
-        let runs: Vec<Range<usize>> = blocks.iter().flat_map(members).collect();
+        let runs: Vec<Range<usize>> = blocks.iter().flat_map(|(b, _)| members(b)).collect();
+        if sinks_groups {
+            let stretches =
+                |(r, m): (usize, &Range<usize>)| state.live_runs(m.clone()).map(move |s| (r, s));
+            was_live.extend(runs.iter().enumerate().flat_map(stretches));
+        }
         if !single {
             runs.iter().for_each(|run| state.touch(run.clone()));
         }
+        // Each piece is a contiguous range of ranks: its part of the sink
+        // starts at its first block's first slot.
+        let firsts: Vec<usize> = ends[..ends.len() - 1]
+            .iter()
+            .map(|&e| blocks[e].1 * group_len)
+            .collect();
+        let parts: Vec<Option<Box<dyn Sink + '_>>> = match sink {
+            Some(sink) => sink.split(&firsts).into_iter().map(Some).collect(),
+            None => ends.iter().map(|_| None).collect(),
+        };
+        let ranks: Vec<usize> = blocks.iter().map(|&(_, rank)| rank).collect();
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        let piece_ranks = starts.zip(&ends).map(|(start, &end)| &ranks[start..end]);
         // Workers own their blocks for the dispatch: borrow them out of
         // the arena.
+        let member_ends: Vec<usize> = ends.iter().map(|&e| e * group_len).collect();
+        // A piece's stretches: those of its runs, `was_live` cut where the
+        // run index reaches the piece's end.
+        let mut rest = was_live.as_slice();
+        let piece_lives: Vec<_> = std::iter::once(0)
+            .chain(member_ends.iter().copied())
+            .zip(&member_ends)
+            .map(|(start, &end)| {
+                let (here, next) = rest.split_at(rest.partition_point(|(r, _)| *r < end));
+                rest = next;
+                (start, here)
+            })
+            .collect();
         let mut work = state.carve(&runs);
-        let ends: Vec<usize> = ends.iter().map(|&e| e * group_len).collect();
+        let mut pieces: Vec<_> = pieces(&mut work, &member_ends)
+            .into_iter()
+            .zip(piece_ranks)
+            .zip(parts)
+            .zip(piece_lives)
+            .map(|(((groups, ranks), part), live)| (groups, ranks, part, live))
+            .collect();
         let restarts = self.run_dispatch(
-            &mut pieces(&mut work, &ends),
+            &mut pieces,
             "try_apply_group_runs",
             "worker.group",
-            |piece| piece.iter().map(|m| m.amps.len() >> chunk_bits).sum(),
-            &|_, piece| {
-                for group in piece.chunks_exact_mut(group_len) {
+            |(groups, ..)| groups.iter().map(|m| m.amps.len() >> chunk_bits).sum(),
+            &|_, (groups, ranks, part, (first_run, live))| {
+                let mut live = *live;
+                let runs = groups.chunks_exact_mut(group_len).zip(ranks.iter());
+                for (b, (group, &rank)) in runs.enumerate() {
                     if stop().is_some() {
                         return;
                     }
                     for a in actions {
                         apply_to_group(group, chunk_bits, high_mixing, a);
                     }
+                    let Some(sink) = part.as_deref_mut() else {
+                        continue;
+                    };
+                    for (j, m) in group.iter().enumerate() {
+                        let (len, r) = (m.amps.len() >> chunk_bits, *first_run + b * group_len + j);
+                        // One-member groups are live throughout.
+                        let whole = [(r, m.chunk..m.chunk + len)];
+                        let stretches = match sinks_groups {
+                            true => {
+                                let mine;
+                                (mine, live) = live.split_at(live.partition_point(|s| s.0 == r));
+                                mine
+                            }
+                            false => &whole[..],
+                        };
+                        for (_, s) in stretches {
+                            let slot = (rank + s.start - m.chunk) * group_len + j;
+                            let amps = &m.amps[(s.start - m.chunk) << chunk_bits
+                                ..(s.end - m.chunk) << chunk_bits];
+                            sink.run(slot, group_len, s.start, amps);
+                        }
+                    }
                 }
             },
         );
+        drop(pieces);
         drop(work);
         if !single {
             runs.into_iter().for_each(|run| state.settle(run));
@@ -535,6 +652,57 @@ fn visit_block(amps: &mut [Complex64], base: usize, actions: &[GateAction]) {
     }
 }
 
+/// The serial path's hand-over of group members to a sink: a run of
+/// chunks that continues the one held in both chunks and slots joins it,
+/// up to 2^13 amplitudes (still in cache when handed over). Groups whose
+/// members are adjacent chunks — a high-mixing qubit just above the chunk
+/// boundary — then reach the sink as one run per cache-sized stretch, not
+/// one call per member. (A block of one-member groups is already the
+/// longest such run its listing allows, and goes straight to the sink.)
+#[derive(Default)]
+struct Held {
+    slot: usize,
+    chunks: Range<usize>,
+}
+
+impl Held {
+    /// Adds `chunks`, the first at `slot` and each next `stride` slots on,
+    /// handing what can no longer grow to `sink`.
+    fn add(
+        &mut self,
+        sink: &mut dyn Sink,
+        flat: &[Complex64],
+        chunk_bits: u32,
+        slot: usize,
+        stride: usize,
+        chunks: Range<usize>,
+    ) {
+        let unit = stride == 1 || chunks.len() == 1;
+        let fits = (self.chunks.len() + chunks.len()) << chunk_bits <= 1 << FLAT_BLOCK_BITS;
+        let continues = self.slot + self.chunks.len() == slot && self.chunks.end == chunks.start;
+        if unit && fits && continues && !self.chunks.is_empty() {
+            self.chunks.end = chunks.end;
+            return;
+        }
+        self.flush(sink, flat, chunk_bits);
+        if unit {
+            *self = Held { slot, chunks };
+        } else {
+            let amps = &flat[chunks.start << chunk_bits..chunks.end << chunk_bits];
+            sink.run(slot, stride, chunks.start, amps);
+        }
+    }
+
+    /// Hands the held run to `sink`.
+    fn flush(&mut self, sink: &mut dyn Sink, flat: &[Complex64], chunk_bits: u32) {
+        let chunks = std::mem::take(&mut self.chunks);
+        if !chunks.is_empty() {
+            let amps = &flat[chunks.start << chunk_bits..chunks.end << chunk_bits];
+            sink.run(self.slot, 1, chunks.start, amps);
+        }
+    }
+}
+
 /// The most chunks one block holds, a power of two: 2^13 amplitudes —
 /// the block stays in L2 while a fused run makes its passes over it (one
 /// chunk when chunks are larger) — and never so many that a bit of
@@ -561,13 +729,16 @@ fn high_controls(actions: &[GateAction], chunk_bits: u32) -> usize {
 
 /// A walk over listed chunk indices a block at a time: the consecutive
 /// listed chunks that `keep` admits, cut into aligned runs of a power of
-/// two chunks, at most `cap` (a power of two). Admitted chunks are also
-/// dealt into pieces of `per` (the last may be short) that no block
-/// straddles.
+/// two chunks, at most `cap` (a power of two), each with the rank of its
+/// first chunk in the listing. Admitted chunks are also dealt into
+/// pieces of `per` (the last may be short) that no block straddles.
 struct Blocks<I> {
     chunks: I,
-    /// Admitted chunks not handed out yet.
+    /// Listed chunks read so far.
+    read: usize,
+    /// Admitted chunks not handed out yet, and the rank of the first.
     run: Range<usize>,
+    rank: usize,
     /// A listed chunk read past the end of `run`.
     ahead: Option<usize>,
     cap: usize,
@@ -580,7 +751,9 @@ impl<I: Iterator<Item = usize>> Blocks<I> {
     fn new(chunks: I, cap: usize, per: usize) -> Self {
         Blocks {
             chunks,
+            read: 0,
             run: 0..0,
+            rank: 0,
             ahead: None,
             cap,
             per,
@@ -588,19 +761,29 @@ impl<I: Iterator<Item = usize>> Blocks<I> {
         }
     }
 
-    /// The next block, and whether it ends a piece.
+    /// The next listed chunk, counted.
     #[inline]
-    fn next(&mut self, keep: impl Fn(usize) -> bool) -> Option<(Range<usize>, bool)> {
+    fn read_next(&mut self) -> Option<usize> {
+        let c = self.chunks.next();
+        self.read += usize::from(c.is_some());
+        c
+    }
+
+    /// The next block, its rank, and whether it ends a piece.
+    #[inline]
+    fn next(&mut self, keep: impl Fn(usize) -> bool) -> Option<(Range<usize>, usize, bool)> {
         if self.run.is_empty() {
             let start = loop {
-                let c = self.ahead.take().or_else(|| self.chunks.next())?;
+                let c = self.ahead.take().or_else(|| self.read_next())?;
                 if keep(c) {
                     break c;
                 }
             };
+            // `start` is the last chunk read, whether just now or ahead.
+            self.rank = self.read - 1;
             let mut end = start + 1;
             while end - start < self.per - self.dealt {
-                match self.chunks.next() {
+                match self.read_next() {
                     Some(c) if c == end && keep(c) => end += 1,
                     other => {
                         self.ahead = other;
@@ -611,25 +794,27 @@ impl<I: Iterator<Item = usize>> Blocks<I> {
             self.dealt += end - start;
             self.run = start..end;
         }
-        let c = self.run.start;
+        let (c, rank) = (self.run.start, self.rank);
         let fit = 1usize << (usize::BITS - 1 - self.run.len().leading_zeros());
         let align = match c {
             0 => usize::MAX,
             c => c & c.wrapping_neg(),
         };
         self.run.start += fit.min(self.cap).min(align);
+        self.rank += self.run.start - c;
         let ends_piece = self.run.is_empty() && self.dealt == self.per;
         if ends_piece {
             self.dealt = 0;
         }
-        Some((c..self.run.start, ends_piece))
+        Some((c..self.run.start, rank, ends_piece))
     }
 
-    /// Every block, and per piece the index one past its last block.
-    fn collect(mut self, keep: impl Fn(usize) -> bool) -> (Vec<Range<usize>>, Vec<usize>) {
+    /// Every block with its rank, and per piece the index one past its
+    /// last block.
+    fn collect(mut self, keep: impl Fn(usize) -> bool) -> (Vec<(Range<usize>, usize)>, Vec<usize>) {
         let (mut blocks, mut ends) = (Vec::new(), Vec::new());
-        while let Some((block, ends_piece)) = self.next(&keep) {
-            blocks.push(block);
+        while let Some((block, rank, ends_piece)) = self.next(&keep) {
+            blocks.push((block, rank));
             if ends_piece {
                 ends.push(blocks.len());
             }
@@ -813,7 +998,7 @@ mod tests {
         let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
         ChunkExecutor::with_exact_threads(4)
             .with_recorder(Arc::clone(&rec))
-            .try_apply_group_runs(&mut state, &run, chunks, &[], None)
+            .try_apply_group_runs(&mut state, &run, chunks, &[], None, None)
             .unwrap();
         let spans = rec.spans();
         assert!(
@@ -847,6 +1032,7 @@ mod tests {
             &run,
             0..128,
             &[],
+            None,
             None,
         );
     }
@@ -916,7 +1102,7 @@ mod tests {
             let mut state = chunked.clone();
             let chunks = 0..state.num_chunks();
             ChunkExecutor::with_exact_threads(threads)
-                .try_apply_group_runs(&mut state, &run, chunks, &[], None)
+                .try_apply_group_runs(&mut state, &run, chunks, &[], None, None)
                 .unwrap();
             assert!(bits_equal(&state.to_flat(), &flat), "threads = {threads}");
         }
@@ -949,7 +1135,7 @@ mod tests {
             let group_bit = 1usize << (target as u32 - chunk_bits);
             let reps = (0..state.num_chunks()).filter(|c| c & group_bit == 0);
             ChunkExecutor::with_exact_threads(threads)
-                .try_apply_group_runs(&mut state, &run, reps, &high_mixing, None)
+                .try_apply_group_runs(&mut state, &run, reps, &high_mixing, None, None)
                 .unwrap();
             assert!(bits_equal(&state.to_flat(), &flat), "threads = {threads}");
         }
@@ -970,7 +1156,7 @@ mod tests {
         let run = actions_of(&[(Gate::X, vec![top]), (Gate::X, vec![top])]);
         let groups = 0..1;
         ChunkExecutor::with_exact_threads(2)
-            .try_apply_group_runs(&mut state, &run, groups.clone(), &[top], None)
+            .try_apply_group_runs(&mut state, &run, groups.clone(), &[top], None, None)
             .unwrap();
         assert_eq!(state.dense_chunk_count(), 1);
         assert!(
@@ -986,7 +1172,7 @@ mod tests {
         let mut state = ChunkedState::new_zero(n, chunk_bits);
         let run = actions_of(&[(Gate::X, vec![top])]);
         ChunkExecutor::with_exact_threads(2)
-            .try_apply_group_runs(&mut state, &run, groups.clone(), &[top], None)
+            .try_apply_group_runs(&mut state, &run, groups.clone(), &[top], None, None)
             .unwrap();
         assert_eq!(state.dense_chunk_count(), 2);
         assert!(!state.is_zero_chunk(0));
@@ -1014,7 +1200,7 @@ mod tests {
         let group_bit = 1usize << (8 - chunk_bits);
         let reps = (0..state.num_chunks()).filter(|c| c & group_bit == 0);
         ChunkExecutor::with_exact_threads(3)
-            .try_apply_group_runs(&mut state, &[action], reps, &high_mixing, None)
+            .try_apply_group_runs(&mut state, &[action], reps, &high_mixing, None, None)
             .unwrap();
         assert!(bits_equal(&state.to_flat(), &expected.to_flat()));
     }
@@ -1140,7 +1326,7 @@ mod tests {
 
         let mut healthy = ChunkedState::from_flat(&flat, chunk_bits);
         ChunkExecutor::with_exact_threads(4)
-            .try_apply_group_runs(&mut healthy, &run, chunks.clone(), &[], None)
+            .try_apply_group_runs(&mut healthy, &run, chunks.clone(), &[], None, None)
             .unwrap();
 
         // Every worker of every dispatch dies; recovery re-runs all pieces
@@ -1152,7 +1338,7 @@ mod tests {
         let mut faulty = ChunkedState::from_flat(&flat, chunk_bits);
         let restarts = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::new(injector))
-            .try_apply_group_runs(&mut faulty, &run, chunks.clone(), &[], None)
+            .try_apply_group_runs(&mut faulty, &run, chunks.clone(), &[], None, None)
             .expect("injected deaths are recoverable");
         assert!(restarts > 0, "all workers were killed, none restarted?");
         assert!(bits_equal(&healthy.to_flat(), &faulty.to_flat()));
@@ -1173,7 +1359,7 @@ mod tests {
 
         let mut healthy = ChunkedState::from_flat(&flat, chunk_bits);
         ChunkExecutor::with_exact_threads(4)
-            .try_apply_group_runs(&mut healthy, &run, groups.clone(), &high_mixing, None)
+            .try_apply_group_runs(&mut healthy, &run, groups.clone(), &high_mixing, None, None)
             .unwrap();
 
         let injector = FaultInjector::new(FaultConfig {
@@ -1183,7 +1369,7 @@ mod tests {
         let mut faulty = ChunkedState::from_flat(&flat, chunk_bits);
         let restarts = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::new(injector))
-            .try_apply_group_runs(&mut faulty, &run, groups.clone(), &high_mixing, None)
+            .try_apply_group_runs(&mut faulty, &run, groups.clone(), &high_mixing, None, None)
             .expect("injected deaths are recoverable");
         assert!(restarts > 0);
         assert!(bits_equal(&healthy.to_flat(), &faulty.to_flat()));
@@ -1208,12 +1394,12 @@ mod tests {
         let mut first = ChunkedState::from_flat(&flat, chunk_bits);
         let r1 = ChunkExecutor::with_exact_threads(4)
             .with_faults(Arc::clone(&injector))
-            .try_apply_group_runs(&mut first, &run, chunks.clone(), &[], None)
+            .try_apply_group_runs(&mut first, &run, chunks.clone(), &[], None, None)
             .unwrap();
         let mut second = ChunkedState::from_flat(&flat, chunk_bits);
         let r2 = ChunkExecutor::with_exact_threads(4)
             .with_faults(injector)
-            .try_apply_group_runs(&mut second, &run, chunks.clone(), &[], None)
+            .try_apply_group_runs(&mut second, &run, chunks.clone(), &[], None, None)
             .unwrap();
         assert_eq!(r1, r2, "same seed, same dispatch → same deaths");
         assert!(bits_equal(&first.to_flat(), &second.to_flat()));
@@ -1231,7 +1417,7 @@ mod tests {
         let chunks = 0..before.num_chunks();
         let mut done = before.clone();
         ChunkExecutor::with_exact_threads(1)
-            .try_apply_group_runs(&mut done, &run, chunks.clone(), &[], None)
+            .try_apply_group_runs(&mut done, &run, chunks.clone(), &[], None, None)
             .unwrap();
 
         // Serial: the poll answers `Some` from its 6th call on, so exactly
@@ -1242,7 +1428,7 @@ mod tests {
         };
         let mut state = before.clone();
         let err = ChunkExecutor::with_exact_threads(1)
-            .try_apply_group_runs(&mut state, &run, chunks.clone(), &[], Some(&poll))
+            .try_apply_group_runs(&mut state, &run, chunks.clone(), &[], Some(&poll), None)
             .expect_err("the poll ends the run");
         assert!(matches!(err, SimError::JobAborted { op: 7 }));
         for c in 0..before.num_chunks() {
@@ -1260,6 +1446,7 @@ mod tests {
                 chunks.clone(),
                 &[],
                 Some(&|| Some(SimError::JobAborted { op: 7 })),
+                None,
             )
             .expect_err("the poll ends the run");
         assert_eq!(state, before);
@@ -1283,7 +1470,7 @@ mod tests {
                 let rec = Arc::new(Recorder::new());
                 let mut state = ChunkedState::from_flat(&flat, chunk_bits);
                 ex.with_recorder(Arc::clone(&rec))
-                    .try_apply_group_runs(&mut state, &run, reps.clone(), high_mixing, None)
+                    .try_apply_group_runs(&mut state, &run, reps.clone(), high_mixing, None, None)
                     .unwrap();
                 let snap = rec.registry().snapshot();
                 let queued = snap

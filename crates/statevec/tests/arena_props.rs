@@ -9,12 +9,17 @@
 //! infinities and NaN: a chunk of `-0.0` is all-zero, and an all-zero
 //! chunk reads back as `+0.0`.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::{Gate, Operation};
+use qgpu_faults::{FaultConfig, FaultInjector};
 use qgpu_math::Complex64;
 use qgpu_statevec::reference::apply_action_per_index;
 use qgpu_statevec::{measure, ChunkExecutor, ChunkedState, StateVector};
+
+mod support;
 
 /// The boxed representation, with the sparsity rules of the old
 /// `ChunkedState` and gates applied by the per-index loop.
@@ -192,10 +197,25 @@ fn assert_same(state: &ChunkedState, oracle: &Boxed, step: &str) {
 }
 
 /// One seeded walk: `steps` random operations on both representations,
-/// compared after each.
-fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
+/// compared after each. With `sinks`, every run hands its blocks to a
+/// recording sink whose contract is checked too, and a run on more than
+/// one worker always fans out (an injector that kills none keeps every
+/// dispatch).
+fn walk(seed: u64, n: usize, threads: usize, steps: usize, sinks: bool) {
     let mut rng = Rng(seed | 1);
-    let ex = ChunkExecutor::with_exact_threads(threads);
+    let mut ex = ChunkExecutor::with_exact_threads(threads);
+    if sinks && threads > 1 {
+        ex = ex.with_faults(Arc::new(FaultInjector::new(FaultConfig::default())));
+    }
+    let run_on = |state: &mut ChunkedState, run: &[GateAction], reps: &[usize], high: &[usize]| {
+        if sinks {
+            support::run_with_sink(&ex, state, run, reps, high);
+        } else {
+            let reps = reps.iter().copied();
+            ex.try_apply_group_runs(state, run, reps, high, None, None)
+                .unwrap();
+        }
+    };
     let mut bits = 1 + rng.below(n - 2) as u32;
     let block = 1 + rng.below(n - 1) as u32;
     let start = rng.state(n, block);
@@ -224,8 +244,7 @@ fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
                 let chunks: Vec<usize> = (0..state.num_chunks())
                     .filter(|_| keep != 0 || rng.below(2) == 0)
                     .collect();
-                ex.try_apply_group_runs(&mut state, &run, chunks.iter().copied(), &[], None)
-                    .unwrap();
+                run_on(&mut state, &run, &chunks, &[]);
                 let tasks: Vec<Vec<usize>> = chunks.iter().map(|&c| vec![c]).collect();
                 oracle.apply(&run, &tasks);
                 format!("local run {run:?} on {chunks:?}")
@@ -253,8 +272,7 @@ fn walk(seed: u64, n: usize, threads: usize, steps: usize) {
                     .collect();
                 let groups: Vec<Vec<usize>> =
                     reps.iter().map(|&c| state.chunk_group(c, &high)).collect();
-                ex.try_apply_group_runs(&mut state, &run, reps.iter().copied(), &high, None)
-                    .unwrap();
+                run_on(&mut state, &run, &reps, &high);
                 oracle.apply(&run, &groups);
                 format!("group run {run:?} mixing {high:?} on {groups:?}")
             }
@@ -296,7 +314,7 @@ proptest! {
     /// Small states at every chunk size: everything stays on one thread.
     #[test]
     fn arena_matches_boxed_state_on_one_thread(seed in any::<u64>(), n in 3usize..9) {
-        walk(seed, n, 1, 12);
+        walk(seed, n, 1, 12, false);
     }
 }
 
@@ -307,7 +325,23 @@ proptest! {
     /// groups are carved out of the arena and spread over the workers.
     #[test]
     fn arena_matches_boxed_state_across_workers(seed in any::<u64>(), threads in 1usize..3) {
-        walk(seed, 15, 2 * threads, 6);
+        walk(seed, 15, 2 * threads, 6, false);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The walk with a sink on every run, on 1, 2 and 4 workers: the
+    /// state still matches the boxed one, and each run hands over the
+    /// final bits of exactly the chunks that were live before it.
+    #[test]
+    fn sinks_see_every_live_chunk_once_in_its_final_state(
+        seed in any::<u64>(),
+        n in 3usize..9,
+        log_threads in 0u32..3,
+    ) {
+        walk(seed, n, 1 << log_threads, 12, true);
     }
 }
 
@@ -317,7 +351,6 @@ proptest! {
 /// arena, on two through carved chunks (an injector keeps the dispatch).
 #[test]
 fn a_sparse_member_left_all_negative_zero_reads_back_positive() {
-    use qgpu_faults::{FaultConfig, FaultInjector};
     let (n, bits) = (6usize, 3u32);
     let minus = GateAction::Diagonal {
         qubits: vec![0],
@@ -328,20 +361,50 @@ fn a_sparse_member_left_all_negative_zero_reads_back_positive() {
         let mut state = ChunkedState::new_zero(n, bits);
         state.apply_operation(&Operation::new(Gate::X, vec![3]));
         ChunkExecutor::with_exact_threads(threads)
-            .with_faults(std::sync::Arc::new(FaultInjector::new(
-                FaultConfig::default(),
-            )))
+            .with_faults(Arc::new(FaultInjector::new(FaultConfig::default())))
             .try_apply_group_runs(
                 &mut state,
                 std::slice::from_ref(&minus),
                 0..2,
                 &[n - 1],
                 None,
+                None,
             )
             .unwrap();
         assert_eq!(state.dense_chunk_count(), 2);
         assert_eq!(state.as_flat()[1 << 3], -Complex64::ONE);
         for a in &state.as_flat()[2 << 3..] {
+            assert_eq!((a.re.to_bits(), a.im.to_bits()), (0, 0));
+        }
+    }
+}
+
+/// The same run with a sink: chunks 4 and 5, non-live members the run
+/// leaves all `-0.0`, are not handed over — those bits would size apart
+/// from the `+0.0` the ruling on them writes — while the live 0 and 1
+/// are, on the serial path and in a fan-out alike.
+#[test]
+fn a_sparse_member_left_all_negative_zero_is_not_handed_to_a_sink() {
+    let (n, bits) = (6usize, 3u32);
+    let minus = GateAction::Diagonal {
+        qubits: vec![0],
+        dvec: vec![-Complex64::ONE; 2],
+    };
+    for threads in [1, 2] {
+        let mut state = ChunkedState::new_zero(n, bits);
+        state.apply_operation(&Operation::new(Gate::X, vec![3]));
+        let ex = ChunkExecutor::with_exact_threads(threads)
+            .with_faults(Arc::new(FaultInjector::new(FaultConfig::default())));
+        // Counts each slot's writes: chunk 4 is member 1 of rank 0.
+        support::run_with_sink(
+            &ex,
+            &mut state,
+            std::slice::from_ref(&minus),
+            &[0, 1],
+            &[n - 1],
+        );
+        assert_eq!(state.dense_chunk_count(), 2);
+        for a in &state.as_flat()[4 << 3..] {
             assert_eq!((a.re.to_bits(), a.im.to_bits()), (0, 0));
         }
     }

@@ -14,6 +14,8 @@ use qgpu_statevec::kernels::Kernels;
 use qgpu_statevec::reference::apply_action_per_index;
 use qgpu_statevec::{ChunkExecutor, ChunkedState, StateVector};
 
+mod support;
+
 /// xorshift64*: a seeded stream, so a failing case replays.
 struct Rng(u64);
 
@@ -478,6 +480,66 @@ fn executor_paths_match_per_index_at_every_chunk_size_and_thread_count() {
                         format!("{op}, chunk_bits {chunk_bits}")
                     });
                 }
+            }
+        }
+    }
+}
+
+/// The executor with a sink on 1, 2 and 4 workers (a fan-out even at 7
+/// qubits: an injector that kills none keeps every dispatch), every gate
+/// shape at every chunk size: the state lands on the oracle's bits, and
+/// the sink is handed every chunk once, in its final state.
+#[test]
+fn sink_on_runs_match_per_index_and_hand_over_final_chunks() {
+    use qgpu_faults::{FaultConfig, FaultInjector};
+    use Gate::{Ccx, Cp, Cx, Cy, Rx, Rzz, Swap, H};
+    let mut rng = Rng(0x5EED_0005);
+    let gates = [H, Rx(0.3), Cx, Cy, Ccx, Swap, Cp(0.7), Rzz(1.1)];
+    let n = 7;
+    let orders = [[6, 0, 4], [1, 5, 6], [5, 6, 0], [3, 2, 1], [0, 6, 5]];
+    for (g, order) in gates
+        .iter()
+        .flat_map(|g| orders.iter().map(move |o| (*g, o)))
+    {
+        let op = Operation::new(g, order[..g.arity()].to_vec());
+        let action = GateAction::from_operation(&op);
+        let start = rng.amps(1 << n);
+        let mut want = start.clone();
+        apply_action_per_index(&mut want, 0, &action);
+        for chunk_bits in 1..=n as u32 {
+            let high: Vec<usize> = action
+                .mixing_qubits()
+                .iter()
+                .copied()
+                .filter(|&q| q as u32 >= chunk_bits)
+                .collect();
+            let mask: usize = high
+                .iter()
+                .map(|&q| 1usize << (q as u32 - chunk_bits))
+                .sum();
+            let reps: Vec<usize> = (0..1usize << (n as u32 - chunk_bits))
+                .filter(|c| c & mask == 0)
+                .collect();
+            for threads in [1usize, 2, 4] {
+                let ex = ChunkExecutor::with_exact_threads(threads).with_faults(
+                    std::sync::Arc::new(FaultInjector::new(FaultConfig::default())),
+                );
+                let flat = StateVector::from_amplitudes(start.clone());
+                let mut chunked = ChunkedState::from_flat(&flat, chunk_bits);
+                // (An all-zero chunk would be skipped, not multiplied.)
+                if chunked.dense_chunk_count() != chunked.num_chunks() {
+                    continue;
+                }
+                support::run_with_sink(
+                    &ex,
+                    &mut chunked,
+                    std::slice::from_ref(&action),
+                    &reps,
+                    &high,
+                );
+                assert_same(chunked.to_flat().amps(), &want, || {
+                    format!("{op}, chunk_bits {chunk_bits}, {threads} workers")
+                });
             }
         }
     }
