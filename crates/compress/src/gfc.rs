@@ -305,8 +305,8 @@ impl Codec for GfcCodec {
     }
 
     /// One fetch of the size walk for the whole run — or none, for
-    /// chunks of at most [`CLOSED_FORM_VALUES`] values, sized in closed
-    /// form ([`tiny_lens`]).
+    /// chunks of at most `CLOSED_FORM_VALUES` values, sized in closed
+    /// form (`tiny_lens`).
     fn encoded_lens(&self, amps: &[Complex64], chunk_len: usize, out: &mut [u32]) {
         if 2 * chunk_len <= CLOSED_FORM_VALUES {
             return tiny_lens(amps, chunk_len, out);

@@ -211,10 +211,7 @@ fn stage_times_sum_to_the_run_wall_clock() {
                     .timing_only()
                     .with_obs_spans();
                 if noisy {
-                    cfg = cfg
-                        .with_noise(noise.clone())
-                        .with_shots(64)
-                        .with_stoch_seed(42);
+                    cfg = cfg.with_noise(noise).with_shots(64).with_stoch_seed(42);
                 }
                 let start = Instant::now();
                 let r = Simulator::new(cfg).run(&c);

@@ -174,22 +174,17 @@ impl fmt::Display for Table {
 ///
 /// Propagates panics from `f`.
 pub(crate) fn par_map<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    let slots: Vec<parking_lot::Mutex<Option<U>>> = items
-        .iter()
-        .map(|_| parking_lot::Mutex::new(None))
-        .collect();
-    crossbeam::scope(|scope| {
-        for (item, slot) in items.iter().zip(slots.iter()) {
-            scope.spawn(|_| {
-                *slot.lock() = Some(f(item));
-            });
-        }
+    let f = &f;
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = items
+            .iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("experiment worker panicked"))
+            .collect()
     })
-    .expect("experiment worker panicked");
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("worker filled its slot"))
-        .collect()
 }
 
 /// Formats a float with 2 decimals (experiment cell helper).

@@ -25,9 +25,9 @@ pub enum SimError {
         /// The codec's diagnosis.
         reason: String,
     },
-    /// A worker thread died (panicked) inside one of the executor's
-    /// fan-outs. (An *injected* worker death never surfaces: the fan-out
-    /// re-runs the untouched piece.)
+    /// A piece of one of the executor's fan-outs panicked, on a pool
+    /// worker or on the calling thread. (An *injected* worker death never
+    /// surfaces: the fan-out re-runs the untouched piece.)
     WorkerLost {
         /// The fan-out the worker belonged to: `"try_apply_group_runs"`
         /// (a chunked update), `"apply_flat_run"` or `"reduce"`.

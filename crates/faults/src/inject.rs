@@ -23,8 +23,10 @@ pub enum FaultSite {
     /// decision is untrustworthy and the pipeline falls back to
     /// full-chunk execution for that gate.
     MaskCorrupt,
-    /// A worker thread dies mid-dispatch; the executor reports
-    /// [`crate::SimError::WorkerLost`] and the caller re-runs serially.
+    /// A worker dies at hand-off, before touching its piece of a
+    /// dispatch; the executor re-runs the piece serially and counts a
+    /// restart. (A genuine panic in a piece is
+    /// [`crate::SimError::WorkerLost`] instead.)
     WorkerDeath,
     /// A pipeline stage runs pathologically slow (modeled-time multiplier,
     /// standing in for thermal throttling or a contended link).

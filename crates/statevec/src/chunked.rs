@@ -412,11 +412,18 @@ impl ChunkedState {
     /// amplitudes, `from` is all-zero and not.
     pub(crate) fn move_chunk(&mut self, from: usize, to: usize) {
         let r = self.range(from);
-        self.amps.copy_within(r.clone(), to << self.chunk_bits);
+        self.amps.copy_within(r, to << self.chunk_bits);
         self.set_live(to, true);
         self.fresh = self.fresh.max(self.range(to).end);
+        self.clear_chunk(from);
+    }
+
+    /// Ends chunk `i`'s life whatever it holds: it is `+0.0` and not
+    /// live.
+    pub(crate) fn clear_chunk(&mut self, i: usize) {
+        let r = self.range(i);
         self.amps[r].fill(Complex64::ZERO);
-        self.set_live(from, false);
+        self.set_live(i, false);
     }
 
     /// The (disjoint) runs' amplitudes, live or not: writing a non-live

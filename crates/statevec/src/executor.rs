@@ -3,11 +3,16 @@
 //! [`ChunkExecutor`] is the one place threading lives: every functional
 //! path — the flat comparators, the chunked engines, and the reduction
 //! helpers in [`crate::measure`] / [`crate::observable`] — cuts its work
-//! into disjoint pieces, and one fan-out spreads them over a
-//! crossbeam-scoped worker pool. Each worker owns its piece (distinct
-//! chunks, borrowed out of the state's arena for the dispatch, distinct
-//! aligned blocks of a flat slice, or distinct block partials), so no
-//! synchronization — and no `unsafe` — is needed beyond the scope join.
+//! into disjoint pieces, and one fan-out spreads them over the executor's
+//! pool: `threads − 1` parked workers, spawned at its first fan-out and
+//! joined when its last clone drops, take pieces 1.. while the calling
+//! thread works piece 0. Each piece is owned by the thread running it
+//! (distinct chunks, borrowed out of the state's arena for the dispatch,
+//! distinct aligned blocks of a flat slice, or distinct block partials),
+//! so the only synchronization is the hand-off and the completion wait.
+//! The one `unsafe` lends the dispatch's borrowed job to the workers; a
+//! guard that waits for every piece keeps the borrow alive until they are
+//! done with it.
 //!
 //! A chunked update is one dispatch,
 //! [`ChunkExecutor::try_apply_group_runs`]: a run whose mixing qubits
@@ -33,8 +38,10 @@
 //!   pairwise tree ([`qgpu_math::reduce::pairwise_sum`]).
 
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 use qgpu_circuit::access::GateAction;
 use qgpu_faults::{FaultInjector, FaultSite, SimError};
@@ -45,8 +52,9 @@ use qgpu_obs::{span_opt, Recorder, Stage, Track};
 use crate::chunked::{ChunkedState, Member};
 use crate::kernels;
 
-/// Below this many amplitudes thread-spawn overhead dominates and the
-/// executor falls back to the serial path (which computes identical bits).
+/// Below this many amplitudes the hand-off to the workers costs more than
+/// it saves and the executor stays on the serial path (which computes
+/// identical bits).
 const MIN_PARALLEL: usize = 1 << 14;
 
 /// Default block size (in qubits) for cache-blocked flat runs: 2^13
@@ -72,7 +80,7 @@ pub trait Sink: Send {
 }
 
 /// A worker pool applying gate kernels across disjoint chunks in
-/// parallel.
+/// parallel. Clones share the pool (and the dispatch counter).
 ///
 /// # Examples
 ///
@@ -98,13 +106,15 @@ pub struct ChunkExecutor {
     /// worker-death decisions key off it, so a given seed kills the same
     /// workers of the same dispatches on every run.
     dispatches: Arc<AtomicU64>,
+    /// The parked workers, spawned at the first fan-out.
+    pool: Arc<OnceLock<Pool>>,
 }
 
 impl ChunkExecutor {
     /// Creates an executor using up to `threads` workers.
     ///
     /// The pool is clamped to the machine's available parallelism:
-    /// oversubscribing cores only adds spawn and context-switch overhead,
+    /// oversubscribing cores only adds context-switch overhead,
     /// and the aligned partitioning makes results bitwise identical at
     /// every worker count, so the clamp changes wall-clock only.
     ///
@@ -132,13 +142,14 @@ impl ChunkExecutor {
             recorder: None,
             faults: None,
             dispatches: Arc::new(AtomicU64::new(0)),
+            pool: Arc::new(OnceLock::new()),
         }
     }
 
-    /// Attaches an observability recorder: each spawned worker records a
-    /// [`Track::Worker`] span around its share of every dispatch, and the
-    /// `worker.queue` histogram tracks how many work items each worker
-    /// received. Without a recorder the instrumentation is a no-op (no
+    /// Attaches an observability recorder: piece `t` of every dispatch is
+    /// recorded as a [`Track::Worker`]`(t)` span, whichever thread runs it,
+    /// and the `worker.queue` histogram tracks how many work items each
+    /// piece held. Without a recorder the instrumentation is a no-op (no
     /// clock reads).
     pub fn with_recorder(mut self, recorder: Arc<Recorder>) -> Self {
         self.recorder = Some(recorder);
@@ -146,7 +157,7 @@ impl ChunkExecutor {
     }
 
     /// Attaches a fault injector: every dispatch that fans out consults
-    /// it at worker spawn time and may lose workers to injected deaths —
+    /// it at hand-off time and may lose workers to injected deaths —
     /// which the dispatch then recovers from by re-executing the dead
     /// workers' (untouched) pieces serially. A chunked dispatch under an
     /// injector always fans out, however small, so the seeded draws see
@@ -512,17 +523,19 @@ impl ChunkExecutor {
         }
     }
 
-    /// The executor's one fan-out: one worker per piece, in one crossbeam
-    /// scope, `run_piece` given each piece with its index. It counts the
-    /// dispatch and, with a recorder, each worker's span and the
-    /// `queue` (work items) of its piece in `worker.queue`. An injected
-    /// worker death (a pure decision of the injector keyed on the
-    /// dispatch counter and worker index) makes that worker exit *before
-    /// touching its piece*; after the scope joins, any piece not flagged
-    /// done is re-executed serially — identical result, since the dead
-    /// worker mutated nothing. A genuine worker panic cannot guarantee
-    /// that, so it maps to [`SimError::WorkerLost`] and is not retried.
-    /// Returns the number of recovered workers.
+    /// The executor's one fan-out: `run_piece` given each piece with its
+    /// index, piece 0 on the calling thread and the rest on the parked
+    /// workers ([`Pool::run`]); it returns once every piece has finished.
+    /// It counts the dispatch and, with a recorder, each piece's span and
+    /// the `queue` (work items) of each piece in `worker.queue`. An
+    /// injected worker death (a pure decision of the injector keyed on the
+    /// dispatch counter and piece index) makes that piece's run end
+    /// *before touching it*; once every piece has finished, any piece not
+    /// flagged done is re-executed serially — identical result, since the
+    /// dead worker mutated nothing. A genuine panic in a piece cannot
+    /// guarantee that, so it maps to [`SimError::WorkerLost`] and is not
+    /// retried; the pool keeps serving later dispatches. Returns the
+    /// number of recovered workers.
     fn run_dispatch<P: Send>(
         &self,
         pieces: &mut [P],
@@ -533,6 +546,11 @@ impl ChunkExecutor {
     ) -> Result<u64, SimError> {
         let rec = self.recorder.as_deref();
         let dispatch = self.dispatches.fetch_add(1, Ordering::Relaxed);
+        if let Some(r) = rec {
+            for piece in pieces.iter() {
+                r.observe("worker.queue", queue(piece) as u64);
+            }
+        }
         let killed: Vec<bool> = (0..pieces.len())
             .map(|t| {
                 self.faults
@@ -541,29 +559,28 @@ impl ChunkExecutor {
             })
             .collect();
         let done: Vec<AtomicBool> = (0..pieces.len()).map(|_| AtomicBool::new(false)).collect();
-        let (killed, done) = (&killed, &done);
-        crossbeam::scope(|scope| {
-            for (t, piece) in pieces.iter_mut().enumerate() {
-                if let Some(r) = rec {
-                    r.observe("worker.queue", queue(piece) as u64);
-                }
-                scope.spawn(move |_| {
-                    if killed[t] {
-                        return;
-                    }
-                    let _g = span_opt(rec, Track::Worker(t), Stage::Update, span_name);
-                    run_piece(t, piece);
-                    done[t].store(true, Ordering::Release);
-                });
+        // A piece is run by one thread, and re-run here only if it was not:
+        // the lock just lends it across.
+        let slots: Vec<Mutex<&mut P>> = pieces.iter_mut().map(Mutex::new).collect();
+        let lent = |t: usize| slots[t].lock().expect("a piece is run once at a time");
+        let job = |t: usize| {
+            if killed[t] {
+                return;
             }
-        })
-        .map_err(|_| SimError::WorkerLost {
-            dispatch: dispatch_name,
-        })?;
+            let _g = span_opt(rec, Track::Worker(t), Stage::Update, span_name);
+            run_piece(t, &mut lent(t));
+            done[t].store(true, Ordering::Release);
+        };
+        let pool = self.pool.get_or_init(|| Pool::new(self.threads - 1));
+        if pool.run(slots.len(), &job) {
+            return Err(SimError::WorkerLost {
+                dispatch: dispatch_name,
+            });
+        }
         let mut restarts = 0u64;
-        for (t, piece) in pieces.iter_mut().enumerate() {
-            if !done[t].load(Ordering::Acquire) {
-                run_piece(t, piece);
+        for (t, done) in done.iter().enumerate() {
+            if !done.load(Ordering::Acquire) {
+                run_piece(t, &mut lent(t));
                 restarts += 1;
             }
         }
@@ -620,6 +637,209 @@ impl ChunkExecutor {
         )
         .expect("worker thread panicked");
     }
+}
+
+/// The parked workers of an executor's fan-out. Worker `w` runs piece
+/// `w + 1` of each round it is handed; between rounds it waits on a
+/// condition variable. Dropping the pool (with the executor's last
+/// clone) wakes the workers to exit and joins them.
+struct Pool {
+    shared: Arc<Shared>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// What the workers and the dispatching thread share.
+struct Shared {
+    hand: Mutex<Hand>,
+    /// Wakes the parked workers: a round was posted, or the pool drops.
+    posted: Condvar,
+    /// Wakes the dispatching thread: the round's last handed piece is done.
+    finished: Condvar,
+}
+
+/// The state of the hand-off, under [`Shared::hand`].
+struct Hand {
+    /// The open round's job (see [`Pool::run`]); `None` between rounds.
+    job: Option<&'static (dyn Fn(usize) + Sync)>,
+    /// Rounds posted so far: a worker runs a round's job at most once.
+    round: u64,
+    /// Workers `0..handed` run pieces `1..=handed` of the open round.
+    handed: usize,
+    /// Handed pieces not finished yet.
+    running: usize,
+    /// Whether a handed piece of the open round panicked.
+    panicked: bool,
+    /// Set when the pool drops: the workers exit.
+    shutdown: bool,
+}
+
+impl Shared {
+    /// The hand-off state, poisoned or not: every update of [`Hand`] is a
+    /// few stores that leave it valid, and no piece runs under the lock.
+    fn lock(&self) -> MutexGuard<'_, Hand> {
+        self.hand.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// Waits on `cv`, poisoned or not (see [`Shared::lock`]).
+fn wait<'a>(cv: &Condvar, hand: MutexGuard<'a, Hand>) -> MutexGuard<'a, Hand> {
+    cv.wait(hand).unwrap_or_else(PoisonError::into_inner)
+}
+
+impl std::fmt::Debug for Pool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Pool")
+            .field("workers", &self.workers.len())
+            .finish()
+    }
+}
+
+impl Pool {
+    /// Spawns `workers` parked workers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses a thread.
+    fn new(workers: usize) -> Pool {
+        let shared = Arc::new(Shared {
+            hand: Mutex::new(Hand {
+                job: None,
+                round: 0,
+                handed: 0,
+                running: 0,
+                panicked: false,
+                shutdown: false,
+            }),
+            posted: Condvar::new(),
+            finished: Condvar::new(),
+        });
+        let workers = (0..workers)
+            .map(|w| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("qgpu-worker-{w}"))
+                    .spawn(move || park(&shared, w))
+                    .expect("the OS spawns an executor worker")
+            })
+            .collect();
+        Pool { shared, workers }
+    }
+
+    /// Runs `job(t)` for every piece `t` in `0..pieces` and returns once
+    /// all have finished, with whether any panicked. Pieces 1.. go to the
+    /// workers; piece 0, and any piece past the last worker, run on the
+    /// calling thread. A call made while a round is open (from inside a
+    /// piece, or through a clone on another thread) runs every piece on
+    /// its own thread.
+    fn run(&self, pieces: usize, job: &(dyn Fn(usize) + Sync)) -> bool {
+        let here = |ts: Range<usize>| ts.fold(false, |p, t| panics(job, t) | p);
+        let handed = pieces.saturating_sub(1).min(self.workers.len());
+        let mut hand = self.shared.lock();
+        if hand.job.is_some() || handed == 0 {
+            drop(hand);
+            return here(0..pieces);
+        }
+        // SAFETY: `job` is lent to the workers as `'static` for one round.
+        // A round is posted only when none is open (checked above under
+        // the same lock), so only this call closes it. The workers read
+        // `job` only while the round is open: they take it from `hand`
+        // under the lock, call it, and count the piece off under the lock
+        // before looking at `hand` again. The round is closed by `round`
+        // below — by `close` or, if this call unwinds, by its drop — which
+        // waits under the same lock until every handed piece is counted
+        // off and then withdraws the job. Nothing between this store and
+        // `round`'s creation can panic, so this call cannot return or
+        // unwind while a worker may still call `job`, and the borrow
+        // behind it outlives every such call.
+        let job_for_workers = unsafe {
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(job)
+        };
+        hand.job = Some(job_for_workers);
+        hand.round += 1;
+        hand.handed = handed;
+        hand.running = handed;
+        hand.panicked = false;
+        drop(hand);
+        let round = Round {
+            shared: &self.shared,
+            open: true,
+        };
+        self.shared.posted.notify_all();
+        let mine = panics(job, 0) | here(handed + 1..pieces);
+        round.close() | mine
+    }
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shared.lock().shutdown = true;
+        self.shared.posted.notify_all();
+        for worker in self.workers.drain(..) {
+            // A worker catches its pieces' panics and cannot panic itself.
+            let _ = worker.join();
+        }
+    }
+}
+
+/// The open round of a [`Pool::run`]: closing it — or dropping it, on
+/// unwind — waits until every handed piece is done, then withdraws the
+/// job.
+struct Round<'p> {
+    shared: &'p Shared,
+    open: bool,
+}
+
+impl Round<'_> {
+    /// Closes the round: whether a handed piece panicked.
+    fn close(mut self) -> bool {
+        self.open = false;
+        self.wait()
+    }
+
+    fn wait(&self) -> bool {
+        let mut hand = self.shared.lock();
+        while hand.running > 0 {
+            hand = wait(&self.shared.finished, hand);
+        }
+        hand.job = None;
+        hand.panicked
+    }
+}
+
+impl Drop for Round<'_> {
+    fn drop(&mut self) {
+        if self.open {
+            self.wait();
+        }
+    }
+}
+
+/// A parked worker's life: wait for a round that hands it a piece, run
+/// the piece, count it off; exit when the pool drops.
+fn park(shared: &Shared, w: usize) {
+    let mut seen = 0;
+    let mut hand = shared.lock();
+    while !hand.shutdown {
+        match hand.job {
+            Some(job) if hand.round != seen && w < hand.handed => {
+                seen = hand.round;
+                drop(hand);
+                let panicked = panics(job, w + 1);
+                hand = shared.lock();
+                hand.panicked |= panicked;
+                hand.running -= 1;
+                if hand.running == 0 {
+                    shared.finished.notify_one();
+                }
+            }
+            _ => hand = wait(&shared.posted, hand),
+        }
+    }
+}
+
+/// Runs piece `t` of `job`: whether it panicked.
+fn panics(job: &(dyn Fn(usize) + Sync), t: usize) -> bool {
+    catch_unwind(AssertUnwindSafe(|| job(t))).is_err()
 }
 
 /// Asserts that `len` is a power of two and that every qubit `actions`
@@ -1560,5 +1780,189 @@ mod tests {
             SimError::WorkerLost { dispatch } => assert_eq!(dispatch, "test_dispatch"),
             other => panic!("expected WorkerLost, got {other}"),
         }
+    }
+
+    /// Workers the executor's pool spawned (0 without a pool).
+    fn workers(ex: &ChunkExecutor) -> usize {
+        ex.pool.get().map_or(0, |p| p.workers.len())
+    }
+
+    #[test]
+    fn no_worker_is_spawned_at_one_thread_or_under_the_floor() {
+        let run = actions_of(&[(Gate::H, vec![1]), (Gate::T, vec![2])]);
+        let every_path = |ex: &ChunkExecutor, n: usize| {
+            let mut flat = StateVector::new_zero(n);
+            flat.run(&Benchmark::Qft.generate(n));
+            let mut state = ChunkedState::from_flat(&flat, 4);
+            let chunks = 0..state.num_chunks();
+            ex.try_apply_group_runs(&mut state, &run, chunks, &[], None, None)
+                .unwrap();
+            ex.apply_flat_run(flat.amps_mut(), &run);
+            let amps = flat.amps();
+            ex.reduce_f64(amps.len(), |r| amps[r].iter().map(|a| a.norm_sqr()).sum());
+        };
+        let serial = ChunkExecutor::with_exact_threads(1);
+        every_path(&serial, 15);
+        assert!(serial.pool.get().is_none(), "one thread, no pool");
+        let ex = ChunkExecutor::with_exact_threads(4);
+        every_path(&ex, 10);
+        assert!(ex.pool.get().is_none(), "2^10 amplitudes, no pool");
+        // The first fan-out spawns `threads − 1` workers; later ones reuse
+        // them.
+        every_path(&ex, 15);
+        assert_eq!(workers(&ex), 3);
+        every_path(&ex, 15);
+        assert_eq!(workers(&ex), 3);
+    }
+
+    #[test]
+    fn the_pool_serves_the_dispatch_after_a_genuine_panic() {
+        let ex = ChunkExecutor::with_exact_threads(2);
+        let mut pieces = [0usize, 1];
+        let err = ex
+            .run_dispatch(
+                &mut pieces,
+                "test_dispatch",
+                "worker.test",
+                |_| 1,
+                &|t, _| {
+                    assert_ne!(t, 1, "injected genuine panic");
+                },
+            )
+            .expect_err("a real panic must not be swallowed");
+        assert!(matches!(err, SimError::WorkerLost { .. }));
+
+        let n = 15;
+        let mut flat = StateVector::new_zero(n);
+        flat.run(&Benchmark::Rqc.generate(n));
+        let run = actions_of(&[(Gate::H, vec![2]), (Gate::Cx, vec![0, 5])]);
+        let dispatch = |ex: &ChunkExecutor| {
+            let mut state = ChunkedState::from_flat(&flat, 8);
+            let chunks = 0..state.num_chunks();
+            ex.try_apply_group_runs(&mut state, &run, chunks, &[], None, None)
+                .unwrap();
+            state.to_flat()
+        };
+        let after_panic = dispatch(&ex);
+        assert!(bits_equal(
+            &after_panic,
+            &dispatch(&ChunkExecutor::with_exact_threads(2))
+        ));
+        // Piece 1 still goes to the worker, not the calling thread.
+        let mut threads = [None, None];
+        ex.run_dispatch(
+            &mut threads,
+            "test_dispatch",
+            "worker.test",
+            |_| 1,
+            &|_, id| {
+                *id = Some(std::thread::current().id());
+            },
+        )
+        .unwrap();
+        assert_eq!(threads[0], Some(std::thread::current().id()));
+        assert!(threads[1].is_some_and(|id| id != std::thread::current().id()));
+        assert_eq!(workers(&ex), 1);
+    }
+
+    #[test]
+    fn dropping_the_last_clone_joins_every_worker() {
+        use std::cell::RefCell;
+        use std::sync::atomic::AtomicUsize;
+        /// Counts a worker's exit: a thread-local's destructor runs after
+        /// the worker returned, and a join waits for it.
+        struct OnExit(Arc<AtomicUsize>);
+        impl Drop for OnExit {
+            fn drop(&mut self) {
+                // Not needed for the count to hold after a join; it only
+                // keeps a worker that was not joined from counting itself
+                // off before the assertion reads the count.
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        thread_local!(static ON_EXIT: RefCell<Option<OnExit>> = const { RefCell::new(None) });
+        let exited = Arc::new(AtomicUsize::new(0));
+        let ex = ChunkExecutor::with_exact_threads(3);
+        let mut pieces = [(); 3];
+        let mark_exit = |t: usize, _: &mut ()| {
+            if t > 0 {
+                ON_EXIT.with(|e| *e.borrow_mut() = Some(OnExit(Arc::clone(&exited))));
+            }
+        };
+        ex.run_dispatch(
+            &mut pieces,
+            "test_dispatch",
+            "worker.test",
+            |_| 1,
+            &mark_exit,
+        )
+        .unwrap();
+        let shared = Arc::downgrade(&ex.pool.get().expect("a fan-out ran").shared);
+        // The pool and its two workers.
+        assert_eq!(shared.strong_count(), 3);
+        let clone = ex.clone();
+        drop(ex);
+        assert_eq!(shared.strong_count(), 3, "a clone keeps the workers");
+        clone
+            .run_dispatch(
+                &mut pieces,
+                "test_dispatch",
+                "worker.test",
+                |_| 1,
+                &|_, _| {},
+            )
+            .unwrap();
+        assert_eq!(workers(&clone), 2, "and shares them");
+        drop(clone);
+        assert_eq!(exited.load(Ordering::SeqCst), 2, "every worker was joined");
+        assert_eq!(shared.strong_count(), 0);
+    }
+
+    #[test]
+    fn a_panic_in_piece_zero_waits_for_the_other_pieces() {
+        use std::sync::{mpsc, Barrier};
+        /// Tells piece 1 that piece 0 is unwinding.
+        struct Unwinding(mpsc::Sender<()>);
+        impl Drop for Unwinding {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let started = Barrier::new(2);
+        let caller = std::thread::current().id();
+        let piece_one_done = AtomicBool::new(false);
+        let ex = ChunkExecutor::with_exact_threads(2);
+        let mut pieces = [0usize, 1];
+        let err = ex
+            .run_dispatch(
+                &mut pieces,
+                "test_dispatch",
+                "worker.test",
+                |_| 1,
+                &|t, _| {
+                    started.wait();
+                    if t == 0 {
+                        assert_eq!(std::thread::current().id(), caller);
+                        let _signal = Unwinding(tx.clone());
+                        panic!("piece 0 panics");
+                    }
+                    rx.lock().unwrap().recv().expect("piece 0 unwinds");
+                    piece_one_done.store(true, Ordering::SeqCst);
+                },
+            )
+            .expect_err("piece 0 panicked");
+        assert!(matches!(
+            err,
+            SimError::WorkerLost {
+                dispatch: "test_dispatch"
+            }
+        ));
+        assert!(
+            piece_one_done.load(Ordering::SeqCst),
+            "the dispatch ended while piece 1 still ran"
+        );
     }
 }

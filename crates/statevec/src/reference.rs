@@ -1,4 +1,6 @@
-//! Dense-operator reference implementation: an independent oracle.
+//! Dense-operator reference implementation: an independent oracle —
+//! and the per-index loops the block kernels and collapse passes
+//! replaced, kept as their bit-for-bit oracles.
 //!
 //! For small systems, a circuit can be evaluated by materializing each
 //! gate as a full `2^n × 2^n` operator and multiplying state vectors
@@ -11,6 +13,7 @@ use qgpu_circuit::{Circuit, Matrix, Operation};
 use qgpu_math::bits::insert_zero_bits;
 use qgpu_math::Complex64;
 
+use crate::chunked::ChunkedState;
 use crate::state::StateVector;
 
 /// Largest system the dense path accepts (a 2^12 × 2^12 operator is 256 MB).
@@ -161,6 +164,94 @@ pub fn apply_dense_per_index(
                 .iter()
                 .enumerate()
                 .fold(Complex64::ZERO, |acc, (s, &g)| m.get(r, s).mul_add(g, acc));
+        }
+    }
+}
+
+/// The per-index loop [`crate::measure::prob_one_chunked`] replaced,
+/// kept as its bit-for-bit oracle: every amplitude of every live chunk is
+/// tested for the qubit's bit, and the set ones summed in index order.
+///
+/// # Panics
+///
+/// Panics if `qubit` is out of range.
+pub fn prob_one_per_index(state: &ChunkedState, qubit: usize) -> f64 {
+    assert!(qubit < state.num_qubits());
+    let mut acc = 0.0f64;
+    for c in 0..state.num_chunks() {
+        let Some(amps) = state.chunk(c) else { continue };
+        let base = c << state.chunk_bits();
+        for (off, a) in amps.iter().enumerate() {
+            if (base | off) & (1usize << qubit) != 0 {
+                acc += a.norm_sqr();
+            }
+        }
+    }
+    acc
+}
+
+/// The per-index loop [`crate::measure::collapse_chunked`] replaced, kept
+/// as its bit-for-bit oracle: every amplitude of every live chunk is
+/// scaled or zeroed by its own index, and each chunk is then demoted if
+/// it holds zeros only.
+///
+/// # Panics
+///
+/// Panics if `qubit` is out of range.
+pub fn collapse_per_index(state: &mut ChunkedState, qubit: usize, outcome: bool, p_outcome: f64) {
+    assert!(qubit < state.num_qubits());
+    let scale = 1.0 / p_outcome.sqrt();
+    let bit = 1usize << qubit;
+    let chunk_bits = state.chunk_bits();
+    for c in 0..state.num_chunks() {
+        let base = c << chunk_bits;
+        let Some(amps) = state.chunk_mut(c) else {
+            continue;
+        };
+        for (off, a) in amps.iter_mut().enumerate() {
+            if (((base | off) & bit) != 0) == outcome {
+                *a = *a * scale;
+            } else {
+                *a = Complex64::ZERO;
+            }
+        }
+        state.demote_if_zero(c);
+    }
+}
+
+/// The per-index loop [`crate::measure::reset_chunked`] replaced, kept as
+/// its bit-for-bit oracle: [`collapse_per_index`], then for outcome 1
+/// each amplitude with the bit set moved to its partner, one index at a
+/// time (a whole chunk at a time when the qubit selects chunks).
+///
+/// # Panics
+///
+/// Panics if `qubit` is out of range.
+pub fn reset_per_index(state: &mut ChunkedState, qubit: usize, outcome: bool, p_outcome: f64) {
+    collapse_per_index(state, qubit, outcome, p_outcome);
+    if !outcome {
+        return;
+    }
+    let chunk_bits = state.chunk_bits() as usize;
+    if qubit < chunk_bits {
+        let bit = 1usize << qubit;
+        for c in 0..state.num_chunks() {
+            let Some(amps) = state.chunk_mut(c) else {
+                continue;
+            };
+            for off in 0..amps.len() {
+                if off & bit != 0 {
+                    amps[off & !bit] = amps[off];
+                    amps[off] = Complex64::ZERO;
+                }
+            }
+        }
+    } else {
+        let bit = 1usize << (qubit - chunk_bits);
+        for c in 0..state.num_chunks() {
+            if c & bit != 0 && !state.is_zero_chunk(c) {
+                state.move_chunk(c, c & !bit);
+            }
         }
     }
 }
