@@ -183,8 +183,18 @@ fn main() -> ExitCode {
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/census.rs"]
+mod census;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn census_covers_every_entry() {
+        let names = EXPERIMENTS.iter().map(|e| e.0).chain(["all", "list"]);
+        census::check("repro", CLI.flags.iter().map(|f| f.long).chain(names));
+    }
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(str::to_string).collect()

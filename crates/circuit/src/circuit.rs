@@ -191,20 +191,6 @@ impl Circuit {
         level.into_iter().max().unwrap_or(0)
     }
 
-    /// Counts operations per gate name.
-    pub fn gate_counts(&self) -> Vec<(&'static str, usize)> {
-        let mut counts: Vec<(&'static str, usize)> = Vec::new();
-        for op in &self.ops {
-            let name = op.gate().name();
-            match counts.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((name, 1)),
-            }
-        }
-        counts.sort_by_key(|&(n, _)| n);
-        counts
-    }
-
     // ---- builder methods for every gate -------------------------------
 
     /// Hadamard on `q`.
@@ -411,14 +397,6 @@ mod tests {
     fn push_checks_range() {
         let mut c = Circuit::new(2);
         c.h(2);
-    }
-
-    #[test]
-    fn gate_counts() {
-        let mut c = Circuit::new(2);
-        c.h(0).h(1).cx(0, 1);
-        let counts = c.gate_counts();
-        assert_eq!(counts, vec![("cx", 1), ("h", 2)]);
     }
 
     #[test]

@@ -98,27 +98,6 @@ impl GateDag {
             .collect()
     }
 
-    /// Returns one topological order (Kahn's algorithm, FIFO tie-break).
-    ///
-    /// The original circuit order is itself a valid topological order; this
-    /// method is mostly useful for testing and for verifying reorderings.
-    pub fn topological_order(&self) -> Vec<usize> {
-        let mut counts = self.predecessor_counts.clone();
-        let mut queue: std::collections::VecDeque<usize> = self.roots().into();
-        let mut order = Vec::with_capacity(self.len());
-        while let Some(i) = queue.pop_front() {
-            order.push(i);
-            for &s in &self.successors[i] {
-                counts[s] -= 1;
-                if counts[s] == 0 {
-                    queue.push_back(s);
-                }
-            }
-        }
-        debug_assert_eq!(order.len(), self.len(), "DAG must be acyclic");
-        order
-    }
-
     /// Checks that `order` is a permutation of `0..len` respecting all
     /// dependency edges.
     ///
@@ -150,7 +129,6 @@ impl GateDag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::Benchmark;
 
     fn sample() -> Circuit {
         // gs_5-like shape from the paper's Figure 8.
@@ -192,14 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn kahn_order_is_valid() {
-        let c = Benchmark::Qft.generate(8);
-        let dag = GateDag::new(&c);
-        let order = dag.topological_order();
-        assert!(dag.is_valid_order(&order));
-    }
-
-    #[test]
     fn invalid_orders_rejected() {
         let dag = GateDag::new(&sample());
         // Wrong length.
@@ -226,6 +196,6 @@ mod tests {
         let c = Circuit::new(1);
         let dag = GateDag::new(&c);
         assert!(dag.is_empty());
-        assert!(dag.topological_order().is_empty());
+        assert!(dag.roots().is_empty());
     }
 }

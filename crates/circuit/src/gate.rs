@@ -115,7 +115,7 @@ impl Gate {
     /// Returns `true` for gates with a unitary matrix — everything except
     /// [`Gate::Measure`] and [`Gate::Reset`].
     ///
-    /// Transformation passes (fusion, peephole cancellation, dense
+    /// Transformation passes (fusion, circuit inversion, dense
     /// reference simulation) must check this before calling
     /// [`Gate::matrix`] or [`Gate::inverse`]: non-unitary ops are
     /// barriers, not matrices.

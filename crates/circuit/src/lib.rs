@@ -45,7 +45,6 @@ pub mod generators;
 pub mod involvement;
 pub mod noise;
 pub mod qasm;
-pub mod transpile;
 
 pub use circuit::Circuit;
 pub use gate::{Gate, Matrix, Operation};

@@ -60,11 +60,6 @@ impl CompressionStats {
         }
     }
 
-    /// Bytes saved (0 if compression expanded the data).
-    pub fn bytes_saved(&self) -> u64 {
-        self.in_bytes.saturating_sub(self.out_bytes)
-    }
-
     /// Folds another accumulator into this one.
     pub fn merge(&mut self, other: &CompressionStats) {
         self.in_bytes += other.in_bytes;
@@ -96,7 +91,6 @@ mod tests {
     #[test]
     fn expansion_saves_nothing() {
         let s = CompressionStats::new(100, 150);
-        assert_eq!(s.bytes_saved(), 0);
         assert!(s.ratio() < 1.0);
     }
 }

@@ -11,7 +11,6 @@
 
 use qgpu::{SimConfig, Simulator, Version};
 use qgpu_circuit::generators::hydrogen_chain;
-use qgpu_statevec::observable::{Hamiltonian, Pauli, PauliString};
 use qgpu_statevec::StateVector;
 
 fn main() {
@@ -49,9 +48,7 @@ fn main() {
         );
     }
 
-    // Chemistry observables: per-site occupation and the chain's
-    // tight-binding energy ⟨H⟩ with H = -t Σ (X_i X_{i+1} + Y_i Y_{i+1})/2
-    // + U Σ Z_i.
+    // Per-site occupation ⟨n_i⟩ of the final state.
     let mut occupations = Vec::new();
     for q in 0..n {
         occupations.push(qgpu_statevec::measure::prob_one(&reference, q));
@@ -61,17 +58,4 @@ fn main() {
         let bar = "#".repeat((occ * 40.0) as usize);
         println!("  site {site:2}: {occ:.3} {bar}");
     }
-
-    let mut h = Hamiltonian::new();
-    for i in 0..n - 1 {
-        h.add(-0.5, PauliString::new([(i, Pauli::X), (i + 1, Pauli::X)]));
-        h.add(-0.5, PauliString::new([(i, Pauli::Y), (i + 1, Pauli::Y)]));
-    }
-    for i in 0..n {
-        h.add(0.25, PauliString::z(i));
-    }
-    println!(
-        "\ntight-binding energy ⟨H⟩ = {:.6}",
-        h.expectation(&reference)
-    );
 }

@@ -42,8 +42,6 @@ struct Options {
     platform: PlatformAt,
     devices: usize,
     mem_budget: Option<u64>,
-    peephole: bool,
-    cx_basis: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
     flight_out: Option<String>,
@@ -82,8 +80,6 @@ impl Default for Options {
             platform: Platform::scaled_paper_p100,
             devices: 1,
             mem_budget: None,
-            peephole: false,
-            cx_basis: false,
             trace_out: None,
             metrics_out: None,
             flight_out: None,
@@ -138,8 +134,6 @@ const CLI: Cli<Options> = Cli {
         "--batching" "enable the gate-batching extension" => |o, _| o.batching = true;
         "--fuse" "enable the gate-fusion pass" => |o, _| o.fuse = true;
         "--threads" <"N"> "functional worker threads (default 1)" => |o, v| o.threads = v.parse::<NonZeroUsize>()?.get();
-        "--peephole" "run the peephole optimizer before simulating" => |o, _| o.peephole = true;
-        "--cx-basis" "transpile to the {1-qubit, CX} basis first" => |o, _| o.cx_basis = true;
         "--report", "-r" "print the modeled execution report" => |o, _| o.report = true;
         "--report-json" <"PATH"> "write the modeled execution report as JSON" => |o, v| o.report_json = Some(v.into());
         "--save" <"PATH"> "write the final state as a compressed checkpoint" => |o, v| o.save = Some(v.into());
@@ -147,7 +141,7 @@ const CLI: Cli<Options> = Cli {
         "--metrics-out" <"PATH"> "write the metrics document (meta, counters, labeled registry)" => |o, v| o.metrics_out = Some(v.into());
         "--flight-out" <"PATH"> "always dump the flight recorder here (a fault run dumps qgpu-flight.json on a trigger)" => |o, v| o.flight_out = Some(v.into());
         "--drift" "print the modeled-vs-measured drift report" => |o, _| o.drift = true;
-        "--drift-tol" <"PP"> "drift flagging tolerance in percentage points" => |o, v| o.drift_tol = v.parse()?;
+        "--drift-tol" <"PP"> "drift flagging tolerance in percentage points, finite and >= 0" => |o, v| o.drift_tol = cli::tolerance(v)?;
         "--gantt" "print the modeled timeline as an ASCII Gantt chart" => |o, _| o.gantt = true;
         "--inject-seed" <"N"> "fault injector seed (default 0)" => |o, v| o.faults.seed = v.parse()?;
         "--inject-transfer" <"P"> "per-transfer corruption probability" => |o, v| o.faults.p_transfer_corrupt = cli::prob(v)?;
@@ -233,17 +227,7 @@ fn main() -> ExitCode {
 }
 
 fn run(opts: &Options) -> Result<(), String> {
-    let mut circuit = load_circuit(opts)?;
-    if opts.cx_basis {
-        let before = circuit.len();
-        circuit = qgpu_circuit::transpile::to_cx_basis(&circuit);
-        eprintln!("[qgpu-sim] cx-basis: {before} -> {} ops", circuit.len());
-    }
-    if opts.peephole {
-        let before = circuit.len();
-        circuit = qgpu_circuit::transpile::peephole(&circuit);
-        eprintln!("[qgpu-sim] peephole: {before} -> {} ops", circuit.len());
-    }
+    let circuit = load_circuit(opts)?;
     let n = circuit.num_qubits();
     let ops = circuit.len();
     match opts.opts {
@@ -508,8 +492,17 @@ fn run(opts: &Options) -> Result<(), String> {
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/census.rs"]
+mod census;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn census_covers_every_entry() {
+        census::check("qgpu-sim", CLI.flags.iter().map(|f| f.long));
+    }
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(str::to_string).collect()
@@ -523,8 +516,9 @@ mod tests {
             .lines()
             .filter_map(|l| l.split_once("./target/release/qgpu-sim "))
             .map(|(_, rest)| {
-                let cmd = rest.split(['|', ';']).next().unwrap_or_default();
-                let cmd = cmd.replace("2>&1", "").replace('"', "");
+                let rest = rest.replace("2>&1", "");
+                let cmd = rest.split(['|', ';', '>']).next().unwrap_or_default();
+                let cmd = cmd.replace('"', "");
                 argv(
                     &cmd.replace("$b", "qft")
                         .replace("$v", "qgpu")
@@ -606,6 +600,9 @@ mod tests {
             "-b qft -q 8 --platform 4xp4 --inject-device-loss 4:3",
             "-b qft -q 8 --inject-kernel-flip 5:1:1:64",
             "-b qft -q 8 --nope",
+            "-b qft -q 8 --drift --drift-tol nan",
+            "-b qft -q 8 --drift --drift-tol -5",
+            "-b qft -q 8 --drift --drift-tol inf",
         ];
         for line in bad {
             assert!(

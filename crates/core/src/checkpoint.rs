@@ -40,10 +40,11 @@
 //!
 //! ```no_run
 //! use qgpu::checkpoint;
+//! use qgpu_compress::CodecKind;
 //! use qgpu_statevec::StateVector;
 //!
 //! let state = StateVector::new_zero(20);
-//! checkpoint::save(&state, "run.qgpustate")?;
+//! checkpoint::save_with_codec(state.amps(), 0, CodecKind::Gfc, "run.qgpustate")?;
 //! let restored = checkpoint::load("run.qgpustate")?;
 //! assert_eq!(restored.num_qubits(), 20);
 //! # Ok::<(), qgpu::checkpoint::CheckpointError>(())
@@ -129,30 +130,6 @@ impl<W: Write> Write for CrcWriter<'_, W> {
     }
 }
 
-/// Saves a state vector to `path`, GFC-compressed, with integrity CRCs
-/// (format v3, `gates_done = 0`).
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on filesystem failure.
-pub fn save<P: AsRef<Path>>(state: &StateVector, path: P) -> Result<(), CheckpointError> {
-    save_with_progress(state, 0, path)
-}
-
-/// Saves a mid-run snapshot: the state after `gates_done` program ops,
-/// GFC-compressed.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on filesystem failure.
-pub fn save_with_progress<P: AsRef<Path>>(
-    state: &StateVector,
-    gates_done: u64,
-    path: P,
-) -> Result<(), CheckpointError> {
-    save_with_codec(state.amps(), gates_done, CodecKind::Gfc, path)
-}
-
 /// Saves a mid-run snapshot encoded with the given codec — what the
 /// engine's checkpoint middleware calls, on the amplitudes it borrows
 /// from the running state, so a `--codec cascade` run writes
@@ -175,30 +152,6 @@ pub fn save_with_codec<P: AsRef<Path>>(
     write_checkpoint(amps, gates_done, codec, &mut w)?;
     w.flush()?;
     Ok(())
-}
-
-/// Writes a v3 checkpoint to any writer (see module docs for the format)
-/// with `gates_done = 0`, GFC-compressed.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on write failure.
-pub fn write_to<W: Write>(state: &StateVector, w: &mut W) -> Result<(), CheckpointError> {
-    write_to_with_progress(state, 0, w)
-}
-
-/// Writes a v3 checkpoint carrying a mid-run progress marker,
-/// GFC-compressed.
-///
-/// # Errors
-///
-/// Returns [`CheckpointError::Io`] on write failure.
-pub fn write_to_with_progress<W: Write>(
-    state: &StateVector,
-    gates_done: u64,
-    w: &mut W,
-) -> Result<(), CheckpointError> {
-    write_checkpoint(state.amps(), gates_done, CodecKind::Gfc, w)
 }
 
 /// Writes a v3 checkpoint: the state split into blocks, each encoded
@@ -269,15 +222,6 @@ pub fn load<P: AsRef<Path>>(path: P) -> Result<StateVector, CheckpointError> {
 /// See [`load`].
 pub fn load_with_progress<P: AsRef<Path>>(path: P) -> Result<Checkpoint, CheckpointError> {
     read_checkpoint(&mut BufReader::new(File::open(path)?))
-}
-
-/// Reads a checkpoint from any reader, discarding the progress marker.
-///
-/// # Errors
-///
-/// See [`load`].
-pub fn read_from<R: Read>(r: &mut R) -> Result<StateVector, CheckpointError> {
-    Ok(read_checkpoint(r)?.state)
 }
 
 /// Accumulates a CRC32 of every byte read — the reader's running
@@ -421,11 +365,22 @@ mod tests {
         s
     }
 
+    /// `state` after `gates_done` ops as a GFC v3 checkpoint in memory.
+    fn gfc_bytes(state: &StateVector, gates_done: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_checkpoint(state.amps(), gates_done, CodecKind::Gfc, &mut buf).expect("write");
+        buf
+    }
+
+    fn save_gfc(state: &StateVector, gates_done: u64, path: &Path) {
+        save_with_codec(state.amps(), gates_done, CodecKind::Gfc, path).expect("save");
+    }
+
     #[test]
     fn roundtrip_is_bit_exact() {
         let state = benchmark_state(Benchmark::Qft, 10);
         let path = temp_path("roundtrip");
-        save(&state, &path).expect("save");
+        save_gfc(&state, 0, &path);
         let restored = load(&path).expect("load");
         std::fs::remove_file(&path).ok();
         assert_eq!(restored.num_qubits(), 10);
@@ -439,7 +394,7 @@ mod tests {
     fn compressible_states_shrink_on_disk() {
         let state = benchmark_state(Benchmark::Qaoa, 12);
         let path = temp_path("shrink");
-        save(&state, &path).expect("save");
+        save_gfc(&state, 0, &path);
         let on_disk = std::fs::metadata(&path).expect("metadata").len();
         std::fs::remove_file(&path).ok();
         let raw = (1u64 << 12) * 16;
@@ -449,15 +404,15 @@ mod tests {
     #[test]
     fn in_memory_roundtrip() {
         let state = benchmark_state(Benchmark::Gs, 9);
-        let mut buf = Vec::new();
-        write_to(&state, &mut buf).expect("write");
-        let restored = read_from(&mut buf.as_slice()).expect("read");
-        assert!(restored.max_deviation(&state) < 1e-15);
+        let buf = gfc_bytes(&state, 0);
+        let restored = read_checkpoint(&mut buf.as_slice()).expect("read");
+        assert_eq!(restored.gates_done, 0);
+        assert!(restored.state.max_deviation(&state) < 1e-15);
     }
 
     #[test]
     fn rejects_bad_magic() {
-        let err = read_from(&mut &b"NOTASTATExxxxxxxxxxx"[..]).expect_err("bad magic");
+        let err = read_checkpoint(&mut &b"NOTASTATExxxxxxxxxxx"[..]).expect_err("bad magic");
         assert!(matches!(err, CheckpointError::Corrupt("bad magic")));
     }
 
@@ -466,11 +421,10 @@ mod tests {
         // v1/v2 files (whole-state GFC) are refused at the version word,
         // before any of their layout is interpreted.
         let state = benchmark_state(Benchmark::Bv, 8);
-        let mut buf = Vec::new();
-        write_to(&state, &mut buf).expect("write");
+        let mut buf = gfc_bytes(&state, 0);
         for version in [0u32, 1, 2, 4] {
             buf[8..12].copy_from_slice(&version.to_le_bytes());
-            let err = read_from(&mut buf.as_slice()).expect_err("retired version");
+            let err = read_checkpoint(&mut buf.as_slice()).expect_err("retired version");
             assert!(
                 matches!(err, CheckpointError::Corrupt("unsupported version")),
                 "version {version}: {err}"
@@ -481,22 +435,20 @@ mod tests {
     #[test]
     fn rejects_truncated_payload() {
         let state = benchmark_state(Benchmark::Bv, 8);
-        let mut buf = Vec::new();
-        write_to(&state, &mut buf).expect("write");
+        let mut buf = gfc_bytes(&state, 0);
         buf.truncate(buf.len() - 7);
-        assert!(read_from(&mut buf.as_slice()).is_err());
+        assert!(read_checkpoint(&mut buf.as_slice()).is_err());
     }
 
     #[test]
     fn rejects_corrupted_body() {
         let state = benchmark_state(Benchmark::Hlf, 8);
-        let mut buf = Vec::new();
-        write_to(&state, &mut buf).expect("write");
+        let mut buf = gfc_bytes(&state, 0);
         let mid = buf.len() / 2;
         buf[mid] ^= 0xff;
         // The CRCs make this unconditional: any payload bit flip is
         // caught, never a silently different state.
-        assert!(read_from(&mut buf.as_slice()).is_err());
+        assert!(read_checkpoint(&mut buf.as_slice()).is_err());
     }
 
     #[test]
@@ -539,8 +491,8 @@ mod tests {
             ids.iter().all(|&id| id != CodecKind::Cascade.id()),
             "cascade id leaked to disk: {ids:?}"
         );
-        let restored = read_from(&mut cascade_buf.as_slice()).expect("read");
-        assert_eq!(restored.max_deviation(&s), 0.0);
+        let restored = read_checkpoint(&mut cascade_buf.as_slice()).expect("read");
+        assert_eq!(restored.state.max_deviation(&s), 0.0);
     }
 
     /// Extracts the per-block codec ids from a v3 buffer.
@@ -566,7 +518,7 @@ mod tests {
     fn progress_marker_roundtrips() {
         let state = benchmark_state(Benchmark::Qaoa, 9);
         let path = temp_path("progress");
-        save_with_progress(&state, 137, &path).expect("save");
+        save_gfc(&state, 137, &path);
         let ckpt = load_with_progress(&path).expect("load");
         std::fs::remove_file(&path).ok();
         assert_eq!(ckpt.gates_done, 137);
@@ -576,8 +528,7 @@ mod tests {
     #[test]
     fn truncation_is_caught_at_every_cut() {
         let state = benchmark_state(Benchmark::Gs, 8);
-        let mut buf = Vec::new();
-        write_to_with_progress(&state, 5, &mut buf).expect("write");
+        let buf = gfc_bytes(&state, 5);
         // Chop at a spread of positions, including mid-trailer: all must
         // error (Io on short reads, Corrupt on checksum damage).
         for cut in [0, 7, 11, 13, buf.len() / 3, buf.len() / 2, buf.len() - 2] {
@@ -593,8 +544,7 @@ mod tests {
     #[test]
     fn single_bit_flips_are_caught_everywhere() {
         let state = benchmark_state(Benchmark::Hchain, 8);
-        let mut buf = Vec::new();
-        write_to_with_progress(&state, 9, &mut buf).expect("write");
+        let buf = gfc_bytes(&state, 9);
         // Flip one bit at a sweep of offsets covering the header, the
         // progress marker, segment framing, payload, and the trailer.
         for pos in (0..buf.len()).step_by(13).chain([buf.len() - 1]) {

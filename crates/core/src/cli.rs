@@ -184,6 +184,16 @@ pub fn prob(v: &str) -> Result<f64, Error> {
     Ok(p)
 }
 
+/// A tolerance: a finite number `>= 0`.
+pub fn tolerance(v: &str) -> Result<f64, Error> {
+    let t: f64 = v.parse()?;
+    require(
+        t.is_finite() && t >= 0.0,
+        &format!("{v} is not finite and >= 0"),
+    )?;
+    Ok(t)
+}
+
 /// A `D:N` pair: a device and a program op (`D:OP`) or milliseconds (`D:MS`).
 pub fn pair(v: &str) -> Result<(usize, usize), Error> {
     let (d, n) = v.split_once(':').ok_or("wants D:N")?;

@@ -3,7 +3,7 @@
 use qgpu_circuit::NoiseConfig;
 use qgpu_compress::CodecKind;
 use qgpu_device::Platform;
-use qgpu_faults::{CancelToken, FaultConfig, RetryPolicy};
+use qgpu_faults::{CancelToken, FaultConfig};
 use qgpu_sched::devicegroup::OrchestratorConfig;
 use qgpu_sched::reorder::ReorderStrategy;
 use serde::{Deserialize, Serialize};
@@ -54,11 +54,6 @@ impl Version {
             Version::Reorder => "Reorder",
             Version::QGpu => "Q-GPU",
         }
-    }
-
-    /// Chunks stream through the GPU (everything but the baseline).
-    pub fn is_streaming(self) -> bool {
-        self != Version::Baseline
     }
 
     /// Transfers overlap with kernels and each other.
@@ -363,10 +358,6 @@ pub struct SimConfig {
     /// death recovery, and a deterministic fatal fault for
     /// checkpoint-resume testing.
     pub faults: FaultConfig,
-    /// Retry/backoff policy for integrity failures; backoff is charged to
-    /// the modeled timeline as [`qgpu_device::timeline::TaskKind::Backoff`]
-    /// spans.
-    pub retry: RetryPolicy,
     /// Compute per-chunk CRC32 integrity tags on every streamed transfer
     /// even when no faults are injected — the always-on cost the
     /// `fault_overhead` bench bounds. Implied whenever any fault rate is
@@ -448,7 +439,6 @@ impl SimConfig {
             gate_fusion: false,
             obs_spans: false,
             faults: FaultConfig::default(),
-            retry: RetryPolicy::default(),
             integrity_checks: false,
             verify_invariants: false,
             checkpoint_every: 0,
@@ -583,12 +573,6 @@ impl SimConfig {
         self
     }
 
-    /// Overrides the retry/backoff policy (see [`SimConfig::retry`]).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Enables CRC integrity tags on every transfer even with zero fault
     /// rates (see [`SimConfig::integrity_checks`]).
     pub fn with_integrity_checks(mut self) -> Self {
@@ -689,17 +673,11 @@ impl SimConfig {
         self.verify_invariants || self.faults.kernel_faults_enabled()
     }
 
-    /// True when the device-group orchestrator should run: explicitly
-    /// configured, or any fleet-level fault is injected. A kernel-flip
-    /// campaign on a multi-device fleet also counts — the health board's
-    /// quarantine verdicts drain through the orchestrator's re-shard
-    /// path, which must be up for a quarantined device to actually stop
-    /// receiving work.
-    pub fn orchestration_active(&self) -> bool {
-        self.orchestration.is_some() || self.implied_orchestration()
-    }
-
-    /// Injected faults that imply orchestration without explicit config.
+    /// Injected faults that imply orchestration without explicit config:
+    /// any fleet-level fault, or a kernel-flip campaign on a multi-device
+    /// fleet — the health board's quarantine verdicts drain through the
+    /// orchestrator's re-shard path, which must be up for a quarantined
+    /// device to actually stop receiving work.
     fn implied_orchestration(&self) -> bool {
         self.faults.device_faults_enabled()
             || (self.faults.kernel_faults_enabled() && self.platform.num_gpus() > 1)
@@ -735,8 +713,7 @@ mod tests {
     #[test]
     fn version_feature_lattice() {
         use Version::*;
-        assert!(!Baseline.is_streaming());
-        assert!(Naive.is_streaming() && !Naive.has_overlap());
+        assert!(!Baseline.has_overlap() && !Naive.has_overlap());
         assert!(Overlap.has_overlap() && !Overlap.has_pruning());
         assert!(Pruning.has_pruning() && !Pruning.has_reorder());
         assert!(Reorder.has_reorder() && !Reorder.has_compression());

@@ -40,7 +40,7 @@
 use qgpu_circuit::fuse::FusedOp;
 use qgpu_device::timeline::Timeline;
 use qgpu_faults::invariant::{IntegritySummary, InvariantKind, Tolerance};
-use qgpu_faults::{FaultInjector, SimError};
+use qgpu_faults::{FaultInjector, RetryPolicy, SimError};
 use qgpu_math::reduce::{norm_and_peak, norm_sqr_compensated, pairwise_sum};
 use qgpu_math::rng::unit_draw;
 use qgpu_math::Complex64;
@@ -114,7 +114,7 @@ impl IntegrityMw {
         IntegrityMw {
             inj: FaultInjector::new(cfg.faults),
             armed: cfg.faults.kernel_faults_enabled(),
-            retry_budget: cfg.retry.max_retries,
+            retry_budget: RetryPolicy::default().max_retries,
             num_gpus: num_gpus.max(1),
             norms,
             peaks,

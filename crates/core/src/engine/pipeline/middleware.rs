@@ -19,11 +19,12 @@ use std::sync::Arc;
 use qgpu_circuit::fuse::FusedOp;
 use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
 use qgpu_device::Counter;
-use qgpu_faults::{FaultInjector, FaultSite, RetryPolicy, SimError};
+use qgpu_faults::{FaultInjector, FaultSite, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
-use qgpu_sched::devicegroup::OrchestratorConfig;
-use qgpu_sched::devicegroup::{DeviceGroup, PressureAction, PressureGovernor, ReplayTask};
+use qgpu_sched::devicegroup::{
+    DeviceGroup, OrchestratorConfig, PressureAction, PressureGovernor, ReplayTask, BARRIER_INTERVAL,
+};
 use qgpu_sched::plan::Tasks;
 use qgpu_sched::residency::ChunkTable;
 use qgpu_statevec::executor::Sink;
@@ -52,8 +53,8 @@ pub(crate) fn tag(amps: &[Complex64]) -> u32 {
     qgpu_faults::fast_checksum(amp_bytes(amps))
 }
 
-/// The resilient pipeline's working state: the seeded injector, the retry
-/// policy, deterministic occurrence counters for each fault site (the
+/// The resilient pipeline's working state: the seeded injector,
+/// deterministic occurrence counters for each fault site (the
 /// engine loop issues them serially, so a given seed replays identically),
 /// and the per-chunk integrity tags.
 ///
@@ -62,10 +63,8 @@ pub(crate) fn tag(amps: &[Complex64]) -> u32 {
 /// `HashMap` traffic alone blows the `fault_overhead` budget.
 pub(crate) struct Resilience {
     pub(crate) inj: FaultInjector,
-    pub(crate) retry: RetryPolicy,
     pub(crate) transfers: u64,
     codec_ops: u64,
-    kernels: u64,
     /// Arrival-side CRC passes actually paid (each one is a real
     /// checksum over a chunk that moved raw). Compressed chunks are
     /// sealed at encode time and must never show up here — the
@@ -81,10 +80,8 @@ impl Resilience {
     pub(crate) fn new(cfg: &SimConfig) -> Self {
         Resilience {
             inj: FaultInjector::new(cfg.faults),
-            retry: cfg.retry,
             transfers: 0,
             codec_ops: 0,
-            kernels: 0,
             retags: 0,
             tags: ChunkTable::default(),
             zero_tag: [None; MAX_CHUNK_BITS],
@@ -178,14 +175,6 @@ impl Resilience {
         let i = self.codec_ops;
         self.codec_ops += 1;
         self.inj.fires(FaultSite::CodecFail, i)
-    }
-
-    /// Modeled-time multiplier for the next kernel (1.0 unless a stage
-    /// slowdown fires).
-    pub(crate) fn kernel_stretch(&mut self) -> f64 {
-        let i = self.kernels;
-        self.kernels += 1;
-        self.inj.slowdown(i)
     }
 }
 
@@ -317,31 +306,23 @@ impl CheckpointLayer {
     }
 }
 
-/// Checkpoint barriers and device-loss draws: the deterministic one-shot
-/// `device_lost_at` injection (latched, `>=` so the exact index survives
-/// being consumed mid-batch) and the probabilistic once-per-(device,
-/// barrier) draw. The injector exists only when a device-level fault is
-/// configured; [`FaultInjector`] is pure, so this duplicate instance
-/// replays the same draws as any other with the same seed.
+/// Checkpoint barriers and the deterministic one-shot `device_lost_at`
+/// injection (latched, `>=` so the exact index survives being consumed
+/// mid-batch).
 pub(crate) struct BarrierClock {
     next_barrier: u64,
-    barriers: u64,
     loss_fired: bool,
-    inj: Option<FaultInjector>,
 }
 
 impl BarrierClock {
     pub(crate) fn new(cfg: &SimConfig, start: usize) -> Self {
         BarrierClock {
-            next_barrier: cfg
-                .effective_orchestration()
-                .map_or(u64::MAX, |o| start as u64 + o.barrier_interval),
-            barriers: 0,
+            next_barrier: if cfg.effective_orchestration().is_some() {
+                start as u64 + BARRIER_INTERVAL
+            } else {
+                u64::MAX
+            },
             loss_fired: false,
-            inj: cfg
-                .faults
-                .device_faults_enabled()
-                .then(|| FaultInjector::new(cfg.faults)),
         }
     }
 
@@ -361,24 +342,18 @@ impl BarrierClock {
                 lost = Some(cfg.faults.device_lost_id);
             }
         }
-        // Checkpoint barrier: replay logs truncate here, and the
-        // probabilistic loss draws once per (device, barrier).
+        // Checkpoint barrier: replay logs truncate here.
         if idx as u64 >= self.next_barrier {
             group.barrier();
-            self.barriers += 1;
-            self.next_barrier = idx as u64 + group.config().barrier_interval;
-            if let (None, Some(inj)) = (lost, self.inj.as_ref()) {
-                let b = self.barriers;
-                lost = (0..num_gpus).find(|&d| group.is_alive(d) && inj.device_lost_fires(d, b));
-            }
+            self.next_barrier = idx as u64 + BARRIER_INTERVAL;
         }
         lost
     }
 }
 
-/// A device dropped out — the injected loss, a barrier draw, or a
-/// quarantine drain — and leaves the group. Host state is authoritative
-/// (the functional update already ran there), so recovery is purely
+/// A device dropped out — the injected loss or a quarantine drain — and
+/// leaves the group. Host state is authoritative (the functional update
+/// already ran there), so recovery is purely
 /// modeled time and the recovered result is bit-identical to an
 /// undisturbed run. What it costs is the mode's: static mode re-homes the
 /// device's stripe to the host ([`static_alloc::restore_stripe`]);

@@ -836,14 +836,14 @@ impl<'e> Round<'e> {
     }
 
     /// One modeled update kernel over the task's bytes resident on
-    /// `gpu`, stretched by the injected stage slowdown and the device's
-    /// straggler factor. Returns the kernel's end and its service time
-    /// (for [`Round::note_service`]).
+    /// `gpu`, stretched by the device's straggler factor. Returns the
+    /// kernel's end and its service time (for [`Round::note_service`]).
     #[inline]
     pub(crate) fn kernel(&mut self, gpu: usize, ready: f64, flops: f64, fused: bool) -> (f64, f64) {
-        let stretch = self.resil.as_deref_mut().map_or(1.0, |rs| {
-            rs.kernel_stretch() * rs.inj.straggler_stretch(gpu)
-        });
+        let stretch = self
+            .resil
+            .as_deref()
+            .map_or(1.0, |rs| rs.inj.straggler_stretch(gpu));
         let kernel_s = self.dev.costs[gpu].kernel_s * stretch;
         let (gc, bytes) = (Engine::GpuCompute(gpu), self.bytes);
         let kernel = self

@@ -9,7 +9,7 @@
 
 use qgpu_device::timeline::{Engine, Lanes, TaskKind};
 use qgpu_device::Counter;
-use qgpu_faults::{FaultInjector, FaultSite, SimError};
+use qgpu_faults::{FaultInjector, FaultSite, RetryPolicy, SimError};
 use qgpu_obs::Recorder;
 
 use crate::config::SimConfig;
@@ -92,6 +92,7 @@ fn retrying_transfer(
     rs.transfers += 1;
     // Every retry of the same transfer sees the same degraded link.
     let stretch = link_stretch(&rs.inj, index, tl, rec);
+    let retry = RetryPolicy::default();
     let mut attempt: u32 = 0;
     loop {
         let span = copy_with_dma(tl, cfg, dir, ready, bytes, stretch);
@@ -101,7 +102,7 @@ fn retrying_transfer(
         {
             return Ok(span);
         }
-        if attempt >= rs.retry.max_retries {
+        if attempt >= retry.max_retries {
             return Err(SimError::ChunkCorrupt {
                 chunk: index as usize,
                 attempts: attempt + 1,
@@ -115,8 +116,7 @@ fn retrying_transfer(
         let b = tl.schedule(
             dir.route().1,
             span.end,
-            rs.retry
-                .jittered_backoff_s(rs.inj.config().seed ^ index, attempt),
+            retry.jittered_backoff_s(rs.inj.config().seed ^ index, attempt),
             TaskKind::Backoff,
             0,
         );

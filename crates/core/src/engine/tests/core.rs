@@ -183,7 +183,6 @@ fn report_and_metrics_agree_on_every_counter() {
         straggler_device: 1,
         slowdown_factor: 8.0,
         p_link_degraded: 0.05,
-        link_degrade_factor: 4.0,
         ..FaultConfig::default()
     };
     let noise = NoiseConfig {

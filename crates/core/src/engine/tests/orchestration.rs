@@ -140,7 +140,6 @@ fn link_degradation_counts_and_stays_bit_exact() {
     let clean = Simulator::new(fleet_cfg(n, 2, Version::Overlap)).run(&c);
     let faults = FaultConfig {
         p_link_degraded: 0.05,
-        link_degrade_factor: 4.0,
         ..FaultConfig::default()
     };
     let degraded = Simulator::new(fleet_cfg(n, 2, Version::Overlap).with_faults(faults))

@@ -12,8 +12,8 @@ use crate::result::RunResult;
 
 #[test]
 fn seeded_injection_is_absorbed_bit_exactly() {
-    // Transfer corruption, codec failures, mask corruption and stage
-    // slowdowns at realistic rates: the run completes, the state is
+    // Transfer corruption, codec failures and mask corruption at
+    // realistic rates: the run completes, the state is
     // bit-identical to the fault-free run, and every recovery shows
     // up in the report with its modeled time cost.
     let c = Benchmark::Qft.generate(12);
@@ -23,7 +23,6 @@ fn seeded_injection_is_absorbed_bit_exactly() {
         p_transfer_corrupt: 0.01,
         p_codec_fail: 0.02,
         p_mask_corrupt: 0.1,
-        p_stage_slowdown: 0.02,
         ..FaultConfig::default()
     };
     let faulty = Simulator::new(

@@ -54,61 +54,3 @@ pub struct RunResult {
     /// violations, re-executions, repairs, and quarantines.
     pub integrity: Option<IntegritySummary>,
 }
-
-impl RunResult {
-    /// Speedup of this run relative to another (`other` / `self`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this run's total time is zero.
-    pub fn speedup_over(&self, other: &RunResult) -> f64 {
-        assert!(self.report.total_time > 0.0);
-        other.report.total_time / self.report.total_time
-    }
-
-    /// Execution-time reduction vs. `other`, in percent (the headline
-    /// metric of the paper's abstract: 71.89% for the full Q-GPU).
-    pub fn time_reduction_vs(&self, other: &RunResult) -> f64 {
-        if other.report.total_time == 0.0 {
-            return 0.0;
-        }
-        100.0 * (1.0 - self.report.total_time / other.report.total_time)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn result_with_time(t: f64) -> RunResult {
-        let report = ExecutionReport {
-            total_time: t,
-            ..ExecutionReport::default()
-        };
-        RunResult {
-            version: Version::QGpu,
-            circuit_name: "test".into(),
-            state: None,
-            report,
-            trace: Vec::new(),
-            obs: None,
-            samples: None,
-            integrity: None,
-        }
-    }
-
-    #[test]
-    fn speedup_and_reduction() {
-        let fast = result_with_time(1.0);
-        let slow = result_with_time(4.0);
-        assert_eq!(fast.speedup_over(&slow), 4.0);
-        assert_eq!(fast.time_reduction_vs(&slow), 75.0);
-    }
-
-    #[test]
-    fn reduction_of_equal_runs_is_zero() {
-        let a = result_with_time(2.0);
-        let b = result_with_time(2.0);
-        assert!(a.time_reduction_vs(&b).abs() < 1e-12);
-    }
-}

@@ -226,24 +226,10 @@ impl ExecutionReport {
         self.devices_lost + self.chunks_migrated + self.steals + self.pressure_downshifts
     }
 
-    /// Total degradation events: every time the pipeline kept going in a
-    /// reduced mode instead of failing (codec fallbacks + prune fallbacks
-    /// + worker restarts).
-    pub fn degradation_events(&self) -> u64 {
-        self.codec_fallbacks + self.prune_fallbacks + self.worker_restarts
-    }
-
     /// Fraction of total time the host spends updating amplitudes
     /// (the dominant bar of the paper's Figure 2).
     pub fn host_fraction(&self) -> f64 {
         safe_div(self.host_time, self.total_time)
-    }
-
-    /// Fraction of total time attributable to data movement, measured as
-    /// copy-engine busy time relative to the makespan. With overlap this
-    /// can exceed 1 when both directions run concurrently.
-    pub fn transfer_fraction(&self) -> f64 {
-        safe_div(self.transfer_time, self.total_time)
     }
 
     /// Fraction of total time GPUs spend computing.
@@ -274,11 +260,6 @@ impl ExecutionReport {
     /// (the paper's Figure 14).
     pub fn compression_overhead(&self) -> f64 {
         safe_div(self.compress_time + self.decompress_time, self.total_time)
-    }
-
-    /// Achieved GPU FLOP rate (0 when no GPU compute ran).
-    pub fn achieved_gpu_flops(&self) -> f64 {
-        safe_div(self.flops_gpu, self.total_time)
     }
 
     /// GPU arithmetic intensity in FLOP/byte, counting kernel bytes plus
@@ -394,7 +375,7 @@ mod tests {
     fn fractions() {
         let r = ExecutionReport::from_timeline(&sample_timeline(), 1);
         assert!((r.host_fraction() - 6.0 / 6.5).abs() < 1e-12);
-        assert!((r.transfer_fraction() - 2.0 / 6.5).abs() < 1e-12);
+        assert!((r.gpu_fraction() - 0.5 / 6.5).abs() < 1e-12);
     }
 
     #[test]
@@ -430,7 +411,6 @@ mod tests {
         assert_eq!(r.flops_gpu, 1.5e9);
         assert!((r.prune_fraction() - 101.0 / 203.0).abs() < 1e-12);
         assert!((r.compression_ratio() - 103.0 / 104.0).abs() < 1e-12);
-        assert!(r.achieved_gpu_flops() > 0.0);
     }
 
     #[test]
@@ -495,9 +475,6 @@ mod tests {
         assert_eq!(r.transfer_time, 12.0);
         assert!((r.gpu_fraction() - 6.0 / 9.0).abs() < 1e-12);
         assert!((r.host_fraction() - 4.0 / 9.0).abs() < 1e-12);
-        // Copy engines overlap each other, so the fraction may pass 1 —
-        // here 12/9.
-        assert!((r.transfer_fraction() - 12.0 / 9.0).abs() < 1e-12);
         assert_eq!(r.num_gpus, num_gpus);
     }
 
@@ -550,6 +527,6 @@ mod tests {
         let r = ExecutionReport::default();
         assert_eq!(r.host_fraction(), 0.0);
         assert_eq!(r.arithmetic_intensity(), 0.0);
-        assert_eq!(r.achieved_gpu_flops(), 0.0);
+        assert_eq!(r.gpu_fraction(), 0.0);
     }
 }

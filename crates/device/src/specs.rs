@@ -91,12 +91,6 @@ impl GpuSpec {
         self.mem_bw * self.kernel_efficiency
     }
 
-    /// Effective GFC compression/decompression throughput in bytes/s.
-    /// Identical to `codec_bw(CodecClass::Gfc)`.
-    pub fn compress_bw(&self) -> f64 {
-        self.mem_bw * self.compress_efficiency
-    }
-
     /// Effective compression/decompression throughput of the given codec
     /// class in bytes/s — what the `Timeline` charges Compress and
     /// Decompress spans when a run selects a non-default codec.
@@ -181,14 +175,6 @@ impl GpuSpec {
             cascade_efficiency: 0.40,
             kernel_launch: 8e-6,
         }
-    }
-
-    /// Returns a copy with device memory overridden — used to scale
-    /// experiments down to laptop-size state vectors while preserving the
-    /// paper's GPU-memory-to-state ratios.
-    pub fn with_mem_bytes(mut self, mem_bytes: u64) -> Self {
-        self.mem_bytes = mem_bytes;
-        self
     }
 }
 
@@ -333,17 +319,18 @@ mod tests {
     fn effective_bandwidths_are_derated() {
         let g = GpuSpec::p100();
         assert!(g.update_bw() < g.mem_bw);
-        assert!(g.compress_bw() < g.mem_bw);
+        assert!(g.codec_bw(CodecClass::Gfc) < g.mem_bw);
     }
 
     #[test]
     fn codec_bw_classes_bracket_gfc() {
         let g = GpuSpec::p100();
-        // The Gfc class must be *exactly* the legacy compress_bw — the
-        // golden timelines depend on it.
-        assert_eq!(g.codec_bw(CodecClass::Gfc), g.compress_bw());
-        assert!(g.codec_bw(CodecClass::ZeroRun) > g.compress_bw());
-        assert!(g.codec_bw(CodecClass::Alp) < g.compress_bw());
+        // The Gfc class must be *exactly* `mem_bw * compress_efficiency`
+        // — the golden timelines depend on it.
+        let gfc = g.mem_bw * g.compress_efficiency;
+        assert_eq!(g.codec_bw(CodecClass::Gfc), gfc);
+        assert!(g.codec_bw(CodecClass::ZeroRun) > gfc);
+        assert!(g.codec_bw(CodecClass::Alp) < gfc);
         assert!(g.codec_bw(CodecClass::Cascade) < g.codec_bw(CodecClass::ZeroRun));
     }
 
@@ -374,13 +361,6 @@ mod tests {
     #[test]
     fn nvlink_faster_than_pcie() {
         assert!(LinkSpec::nvlink2().bw_per_direction > LinkSpec::pcie3_x16().bw_per_direction);
-    }
-
-    #[test]
-    fn mem_override() {
-        let g = GpuSpec::p100().with_mem_bytes(1 << 20);
-        assert_eq!(g.mem_bytes, 1 << 20);
-        assert_eq!(g.name, "P100");
     }
 
     #[test]

@@ -102,11 +102,6 @@ impl CancelToken {
         }
     }
 
-    /// Whether the token has tripped for any reason.
-    pub fn is_tripped(&self) -> bool {
-        self.reason().is_some()
-    }
-
     /// The pipeline's poll inside op `op` (at its boundary, or between
     /// a streaming gate's phases and tiles): returns the error to abort
     /// with, or `None` to keep running. A token armed via
@@ -155,7 +150,7 @@ mod tests {
     #[test]
     fn first_reason_wins() {
         let t = CancelToken::new();
-        assert!(!t.is_tripped());
+        assert_eq!(t.reason(), None);
         assert!(t.expire());
         assert!(!t.cancel(), "second trip is a no-op");
         assert_eq!(t.reason(), Some(CancelReason::Deadline));
@@ -187,7 +182,7 @@ mod tests {
             t.poll_abort(3),
             Some(SimError::JobAborted { op: 3 })
         ));
-        assert!(t.is_tripped());
+        assert_eq!(t.reason(), Some(CancelReason::Cancelled));
     }
 
     #[test]

@@ -28,16 +28,9 @@ pub enum FaultSite {
     /// restart. (A genuine panic in a piece is
     /// [`crate::SimError::WorkerLost`] instead.)
     WorkerDeath,
-    /// A pipeline stage runs pathologically slow (modeled-time multiplier,
-    /// standing in for thermal throttling or a contended link).
-    StageSlowdown,
-    /// A modeled device drops out of the fleet mid-run (ECC storm, driver
-    /// wedge, preemption); the orchestrator must re-shard its partitions
-    /// onto survivors and replay from the last barrier.
-    DeviceLost,
     /// A host-device link degrades for one transfer occurrence (PCIe
     /// retraining, oversubscribed switch); the transfer completes but at
-    /// [`FaultConfig::link_degrade_factor`] times the nominal cost.
+    /// [`LINK_DEGRADE_FACTOR`] times the nominal cost.
     LinkDegraded,
     /// A bit flips inside a kernel's *output amplitudes* — silent data
     /// corruption the transfer CRCs cannot see, because the corrupted
@@ -53,13 +46,14 @@ impl FaultSite {
             FaultSite::CodecFail => 0x6370_6f64_6563_0000,       // "codec"
             FaultSite::MaskCorrupt => 0x6d61_736b_0000_0000,     // "mask"
             FaultSite::WorkerDeath => 0x776f_726b_6572_0000,     // "worker"
-            FaultSite::StageSlowdown => 0x736c_6f77_0000_0000,   // "slow"
-            FaultSite::DeviceLost => 0x6465_7669_6365_0000,      // "device"
             FaultSite::LinkDegraded => 0x6c69_6e6b_0000_0000,    // "link"
             FaultSite::KernelFlip => 0x6b66_6c69_7000_0000,      // "kflip"
         }
     }
 }
+
+/// Modeled-time multiplier on a transfer when the link degrades.
+pub const LINK_DEGRADE_FACTOR: f64 = 4.0;
 
 /// Per-stage fault probabilities plus the seed. All probabilities default
 /// to zero — a default config injects nothing and the pipeline only pays
@@ -76,17 +70,13 @@ pub struct FaultConfig {
     pub p_mask_corrupt: f64,
     /// Probability a worker dispatch loses a thread.
     pub p_worker_death: f64,
-    /// Probability a stage runs slowed by [`FaultConfig::slowdown_factor`].
-    pub p_stage_slowdown: f64,
-    /// Modeled-time multiplier applied when a slowdown fires.
+    /// Kernel-time multiplier on the pinned
+    /// [`FaultConfig::straggler_device`].
     pub slowdown_factor: f64,
     /// Inject an unrecoverable [`crate::SimError::Fatal`] at this
     /// program-op index (`usize::MAX` = never) — the deterministic hook
     /// the checkpoint-resume tests kill the run with.
     pub fail_at_gate: usize,
-    /// Probability a device drops out of the fleet at a checkpoint
-    /// barrier (drawn per `(device, barrier)` occurrence).
-    pub p_device_lost: f64,
     /// Deterministically lose [`FaultConfig::device_lost_id`] at this
     /// program-op index (`usize::MAX` = never) — the hook the re-shard
     /// tests and the CI smoke job kill a device with.
@@ -95,13 +85,9 @@ pub struct FaultConfig {
     pub device_lost_id: usize,
     /// Probability a transfer occurrence runs over a degraded link.
     pub p_link_degraded: f64,
-    /// Modeled-time multiplier on a transfer when the link degrades.
-    pub link_degrade_factor: f64,
     /// Pin one device as a persistent straggler: every kernel it runs is
     /// stretched by [`FaultConfig::slowdown_factor`] (`usize::MAX` =
-    /// none). This reuses the slowdown injector's factor so straggler
-    /// mitigation is exercised by the same knob the stage-slowdown
-    /// tests already calibrate.
+    /// none).
     pub straggler_device: usize,
     /// Probability a kernel occurrence flips a bit in its output
     /// amplitudes (drawn per `(op, attempt)`, so re-execution converges
@@ -135,14 +121,11 @@ impl Default for FaultConfig {
             p_codec_fail: 0.0,
             p_mask_corrupt: 0.0,
             p_worker_death: 0.0,
-            p_stage_slowdown: 0.0,
             slowdown_factor: 4.0,
             fail_at_gate: usize::MAX,
-            p_device_lost: 0.0,
             device_lost_at: usize::MAX,
             device_lost_id: 0,
             p_link_degraded: 0.0,
-            link_degrade_factor: 4.0,
             straggler_device: usize::MAX,
             p_kernel_flip: 0.0,
             kernel_flip_at: usize::MAX,
@@ -160,7 +143,6 @@ impl FaultConfig {
             || self.p_codec_fail > 0.0
             || self.p_mask_corrupt > 0.0
             || self.p_worker_death > 0.0
-            || self.p_stage_slowdown > 0.0
             || self.fail_at_gate != usize::MAX
             || self.device_faults_enabled()
             || self.kernel_faults_enabled()
@@ -178,8 +160,7 @@ impl FaultConfig {
     /// the orchestration layer up even without an explicit
     /// orchestrator config.
     pub fn device_faults_enabled(&self) -> bool {
-        self.p_device_lost > 0.0
-            || self.device_lost_at != usize::MAX
+        self.device_lost_at != usize::MAX
             || self.p_link_degraded > 0.0
             || self.straggler_device != usize::MAX
     }
@@ -224,8 +205,6 @@ impl FaultInjector {
             FaultSite::CodecFail => self.cfg.p_codec_fail,
             FaultSite::MaskCorrupt => self.cfg.p_mask_corrupt,
             FaultSite::WorkerDeath => self.cfg.p_worker_death,
-            FaultSite::StageSlowdown => self.cfg.p_stage_slowdown,
-            FaultSite::DeviceLost => self.cfg.p_device_lost,
             FaultSite::LinkDegraded => self.cfg.p_link_degraded,
             FaultSite::KernelFlip => self.cfg.p_kernel_flip,
         };
@@ -238,46 +217,12 @@ impl FaultInjector {
         unit_draw(self.cfg.seed, site.salt(), index, attempt as u64) < p
     }
 
-    /// The slowdown multiplier for a stage occurrence: the configured
-    /// factor when [`FaultSite::StageSlowdown`] fires, 1.0 otherwise.
-    pub fn slowdown(&self, index: u64) -> f64 {
-        if self.fires(FaultSite::StageSlowdown, index) {
-            self.cfg.slowdown_factor
-        } else {
-            1.0
-        }
-    }
-
-    /// True when the deterministic fatal fault strikes this program op.
-    pub fn fatal_at(&self, gate: usize) -> bool {
-        self.cfg.fail_at_gate == gate
-    }
-
-    /// The device deterministically lost at this program op, if any.
-    pub fn device_lost_at_op(&self, op: usize) -> Option<usize> {
-        if self.cfg.device_lost_at == op {
-            Some(self.cfg.device_lost_id)
-        } else {
-            None
-        }
-    }
-
-    /// Decides whether `device` drops out at checkpoint barrier
-    /// `barrier`. The index folds both so every `(device, barrier)` pair
-    /// draws independently and identically across fleet sizes.
-    pub fn device_lost_fires(&self, device: usize, barrier: u64) -> bool {
-        self.fires(
-            FaultSite::DeviceLost,
-            barrier.wrapping_mul(0x1_0000).wrapping_add(device as u64),
-        )
-    }
-
     /// The link-time multiplier for transfer occurrence `index`: the
     /// configured degrade factor when [`FaultSite::LinkDegraded`] fires,
     /// 1.0 otherwise.
     pub fn link_stretch(&self, index: u64) -> f64 {
         if self.fires(FaultSite::LinkDegraded, index) {
-            self.cfg.link_degrade_factor
+            LINK_DEGRADE_FACTOR
         } else {
             1.0
         }
@@ -341,8 +286,6 @@ mod tests {
             assert!(!inj.fires(FaultSite::TransferCorrupt, i));
             assert!(!inj.fires(FaultSite::WorkerDeath, i));
         }
-        assert_eq!(inj.slowdown(3), 1.0);
-        assert!(!inj.fatal_at(0));
     }
 
     #[test]
@@ -417,10 +360,11 @@ mod tests {
             fail_at_gate: 17,
             ..FaultConfig::default()
         });
-        assert!(inj.fatal_at(17));
-        assert!(!inj.fatal_at(16));
-        assert!(!inj.fatal_at(18));
-        assert!(inj.config().any_enabled());
+        // A fatal op alone arms the resilient pipeline, not the fleet
+        // or the invariant layers.
+        let cfg = inj.config();
+        assert!(cfg.any_enabled());
+        assert!(!cfg.device_faults_enabled() && !cfg.kernel_faults_enabled());
     }
 
     #[test]
@@ -429,13 +373,9 @@ mod tests {
         assert!(!cfg.device_faults_enabled());
         let inj = FaultInjector::new(cfg);
         for d in 0..4 {
-            for b in 0..64 {
-                assert!(!inj.device_lost_fires(d, b));
-            }
             assert_eq!(inj.straggler_stretch(d), 1.0);
         }
         assert_eq!(inj.link_stretch(0), 1.0);
-        assert_eq!(inj.device_lost_at_op(0), None);
     }
 
     #[test]
@@ -446,36 +386,18 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(cfg.any_enabled() && cfg.device_faults_enabled());
-        let inj = FaultInjector::new(cfg);
-        assert_eq!(inj.device_lost_at_op(9), Some(2));
-        assert_eq!(inj.device_lost_at_op(8), None);
-        assert_eq!(inj.device_lost_at_op(10), None);
-    }
-
-    #[test]
-    fn device_loss_draws_per_device_and_barrier() {
-        let inj = FaultInjector::new(FaultConfig {
-            seed: 11,
-            p_device_lost: 0.5,
-            ..FaultConfig::default()
-        });
-        let a: Vec<bool> = (0..128).map(|b| inj.device_lost_fires(0, b)).collect();
-        let b: Vec<bool> = (0..128).map(|b| inj.device_lost_fires(1, b)).collect();
-        assert_ne!(a, b, "devices must not share a decision stream");
-        let again: Vec<bool> = (0..128).map(|b| inj.device_lost_fires(0, b)).collect();
-        assert_eq!(a, again);
+        assert!(!cfg.kernel_faults_enabled());
     }
 
     #[test]
     fn link_and_straggler_stretch_by_factor() {
         let inj = FaultInjector::new(FaultConfig {
             p_link_degraded: 1.0,
-            link_degrade_factor: 6.0,
             straggler_device: 1,
             slowdown_factor: 3.0,
             ..FaultConfig::default()
         });
-        assert_eq!(inj.link_stretch(5), 6.0);
+        assert_eq!(inj.link_stretch(5), LINK_DEGRADE_FACTOR);
         assert_eq!(inj.straggler_stretch(1), 3.0);
         assert_eq!(inj.straggler_stretch(0), 1.0);
     }
@@ -547,15 +469,5 @@ mod tests {
             ..FaultConfig::default()
         });
         assert_eq!(wild.kernel_flip_bit(), 63);
-    }
-
-    #[test]
-    fn slowdown_scales_by_factor() {
-        let inj = FaultInjector::new(FaultConfig {
-            p_stage_slowdown: 1.0,
-            slowdown_factor: 3.5,
-            ..FaultConfig::default()
-        });
-        assert_eq!(inj.slowdown(0), 3.5);
     }
 }

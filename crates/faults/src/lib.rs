@@ -10,14 +10,15 @@
 //! * [`crc32()`] — the CRC32 (IEEE 802.3) checksum that chunk transfers
 //!   and checkpoint segments carry for integrity verification.
 //! * [`FaultInjector`] — a deterministic, seeded injector with per-stage
-//!   probabilities (transfer corruption, codec failure, stage slowdown,
-//!   worker death). Decisions are pure functions of `(seed, site,
+//!   probabilities (transfer corruption, codec failure, mask corruption,
+//!   worker death, link degradation, kernel bit flips) and deterministic
+//!   hooks (a fatal op, a device loss, a pinned straggler). Decisions are pure functions of `(seed, site,
 //!   index)`, so a run with a given seed injects *exactly* the same
 //!   faults no matter the thread count or pipeline interleaving — which
 //!   is what makes fault-injection tests reproducible.
-//! * [`RetryPolicy`] — bounded retry with exponential backoff (plus
-//!   deterministic seeded jitter), expressed in modeled seconds so the
-//!   device timeline can charge retries visibly.
+//! * [`RetryPolicy`] — bounded retry with a fixed exponential backoff
+//!   (plus deterministic seeded jitter), expressed in modeled seconds so
+//!   the device timeline can charge retries visibly.
 //! * [`invariant`] — ABFT invariant taxonomy, tolerance policy, and the
 //!   [`IntegritySummary`] tally behind the silent-data-corruption
 //!   defense: CRCs only guard *transfers*, so kernel-output corruption
@@ -55,6 +56,6 @@ pub mod retry;
 pub use cancel::{CancelReason, CancelToken};
 pub use crc32::{crc32, fast_checksum, Crc32};
 pub use error::SimError;
-pub use inject::{FaultConfig, FaultInjector, FaultSite};
+pub use inject::{FaultConfig, FaultInjector, FaultSite, LINK_DEGRADE_FACTOR};
 pub use invariant::{IntegritySummary, InvariantKind, Tolerance};
 pub use retry::RetryPolicy;

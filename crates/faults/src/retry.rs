@@ -11,7 +11,8 @@ use crate::SimError;
 const SALT_RETRY_JITTER: u64 = 0x6a69_7474_6572_0000;
 
 /// Retry policy for integrity failures: up to `max_retries` re-attempts,
-/// waiting `base_backoff_s * multiplier^attempt` (capped) before each.
+/// waiting `BASE_BACKOFF_S · MULTIPLIER^attempt` (capped at
+/// `MAX_BACKOFF_S`) before each.
 ///
 /// Backoff is expressed in *modeled* seconds: the engine charges each
 /// wait to the device timeline, so injected faults visibly cost modeled
@@ -25,49 +26,47 @@ const SALT_RETRY_JITTER: u64 = 0x6a69_7474_6572_0000;
 ///
 /// let p = RetryPolicy::default();
 /// assert_eq!(p.backoff_s(1), 2.0 * p.backoff_s(0));
-/// assert!(p.backoff_s(30) <= p.max_backoff_s);
+/// assert!(p.backoff_s(30) <= RetryPolicy::MAX_BACKOFF_S);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RetryPolicy {
     /// Re-attempts after the first failure before giving up.
     pub max_retries: u32,
-    /// Wait before the first retry, in modeled seconds.
-    pub base_backoff_s: f64,
-    /// Multiplier applied per further attempt.
-    pub multiplier: f64,
-    /// Ceiling on any single wait.
-    pub max_backoff_s: f64,
 }
 
 impl Default for RetryPolicy {
-    /// 4 retries starting at 50 µs, doubling, capped at 10 ms — sized to
-    /// a PCIe re-transfer (~1 ms for a 2 MB chunk at 12 GB/s): the first
-    /// backoff is cheap against the transfer it guards, and four doublings
-    /// outlast any plausible transient.
+    /// 4 retries: four doublings of the backoff outlast any plausible
+    /// transient.
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            base_backoff_s: 50e-6,
-            multiplier: 2.0,
-            max_backoff_s: 10e-3,
-        }
+        RetryPolicy { max_retries: 4 }
     }
 }
 
 impl RetryPolicy {
+    // The backoff curve starts at 50 µs, doubles and caps at 10 ms —
+    // sized to a PCIe re-transfer (~1 ms for a 2 MB chunk at 12 GB/s):
+    // the first backoff is cheap against the transfer it guards.
+
+    /// Wait before the first retry, in modeled seconds.
+    pub const BASE_BACKOFF_S: f64 = 50e-6;
+    /// Multiplier applied per further attempt.
+    pub const MULTIPLIER: f64 = 2.0;
+    /// Ceiling on any single wait, in modeled seconds.
+    pub const MAX_BACKOFF_S: f64 = 10e-3;
+
     /// The wait before retry `attempt` (0-based), in modeled seconds.
     ///
     /// Safe at any attempt count: the geometric growth is evaluated in
     /// `f64` for the full exponent (no truncated-exponent wraparound),
     /// and an overflowed (non-finite) product clamps to
-    /// `max_backoff_s` instead of propagating `inf`/`NaN` into the
-    /// timeline.
+    /// [`RetryPolicy::MAX_BACKOFF_S`] instead of propagating `inf`/`NaN`
+    /// into the timeline.
     pub fn backoff_s(&self, attempt: u32) -> f64 {
-        let raw = self.base_backoff_s * self.multiplier.powf(f64::from(attempt));
+        let raw = Self::BASE_BACKOFF_S * Self::MULTIPLIER.powf(f64::from(attempt));
         if raw.is_finite() {
-            raw.min(self.max_backoff_s)
+            raw.min(Self::MAX_BACKOFF_S)
         } else {
-            self.max_backoff_s
+            Self::MAX_BACKOFF_S
         }
     }
 
@@ -93,23 +92,7 @@ impl RetryPolicy {
     /// ```
     pub fn jittered_backoff_s(&self, seed: u64, attempt: u32) -> f64 {
         let u = unit_draw(seed, SALT_RETRY_JITTER, u64::from(attempt), 0);
-        (self.backoff_s(attempt) * (0.75 + 0.5 * u)).min(self.max_backoff_s)
-    }
-
-    /// Total modeled wait if every retry is consumed. Once the per-try
-    /// wait reaches the cap the remaining terms are all `max_backoff_s`,
-    /// so the sum closes in constant extra work even for huge
-    /// `max_retries`.
-    pub fn worst_case_backoff_s(&self) -> f64 {
-        let mut total = 0.0;
-        for a in 0..self.max_retries {
-            let b = self.backoff_s(a);
-            if b >= self.max_backoff_s {
-                return total + f64::from(self.max_retries - a) * self.max_backoff_s;
-            }
-            total += b;
-        }
-        total
+        (self.backoff_s(attempt) * (0.75 + 0.5 * u)).min(Self::MAX_BACKOFF_S)
     }
 
     /// Drives `op` under this policy: the closure receives the 0-based
@@ -137,18 +120,19 @@ mod tests {
 
     #[test]
     fn backoff_grows_then_caps() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            base_backoff_s: 1e-3,
-            multiplier: 2.0,
-            max_backoff_s: 8e-3,
-        };
-        assert_eq!(p.backoff_s(0), 1e-3);
-        assert_eq!(p.backoff_s(1), 2e-3);
-        assert_eq!(p.backoff_s(2), 4e-3);
-        assert_eq!(p.backoff_s(3), 8e-3);
-        assert_eq!(p.backoff_s(4), 8e-3, "cap holds");
-        assert_eq!(p.backoff_s(63), 8e-3, "huge attempts stay finite");
+        let p = RetryPolicy::default();
+        assert_eq!(p.backoff_s(0), RetryPolicy::BASE_BACKOFF_S);
+        for attempt in 1..8 {
+            assert_eq!(p.backoff_s(attempt), 2.0 * p.backoff_s(attempt - 1));
+        }
+        assert_eq!(p.backoff_s(7), 6.4e-3);
+        // 50 µs · 2^8 = 12.8 ms: the first wait over the cap.
+        assert_eq!(p.backoff_s(8), RetryPolicy::MAX_BACKOFF_S, "cap holds");
+        assert_eq!(
+            p.backoff_s(63),
+            RetryPolicy::MAX_BACKOFF_S,
+            "huge attempts stay finite"
+        );
     }
 
     #[test]
@@ -156,48 +140,21 @@ mod tests {
         // Regression: the geometric term must clamp to the cap instead
         // of overflowing to inf (or wrapping through a truncated
         // exponent) at high attempt counts.
+        // 2^1024 and beyond overflow to inf; the wait must not.
         let p = RetryPolicy {
             max_retries: u32::MAX,
-            base_backoff_s: 1.0,
-            multiplier: 10.0,
-            max_backoff_s: 30.0,
         };
-        for attempt in [64, 1_000, 1_000_000, u32::MAX] {
+        for attempt in [64, 1_000, 1_024, 1_000_000, u32::MAX] {
             let b = p.backoff_s(attempt);
             assert!(b.is_finite(), "attempt {attempt} must stay finite");
-            assert_eq!(b, 30.0, "attempt {attempt} clamps to the cap");
+            assert_eq!(
+                b,
+                RetryPolicy::MAX_BACKOFF_S,
+                "attempt {attempt} clamps to the cap"
+            );
+            let j = p.jittered_backoff_s(3, attempt);
+            assert!(j.is_finite() && j <= RetryPolicy::MAX_BACKOFF_S);
         }
-        // Even a multiplier whose square alone overflows f64.
-        let huge = RetryPolicy {
-            multiplier: 1e308,
-            ..p
-        };
-        assert_eq!(huge.backoff_s(2), 30.0);
-        assert_eq!(huge.backoff_s(u32::MAX), 30.0);
-    }
-
-    #[test]
-    fn worst_case_sums_every_attempt() {
-        let p = RetryPolicy {
-            max_retries: 3,
-            base_backoff_s: 1.0,
-            multiplier: 2.0,
-            max_backoff_s: 100.0,
-        };
-        assert_eq!(p.worst_case_backoff_s(), 1.0 + 2.0 + 4.0);
-    }
-
-    #[test]
-    fn worst_case_is_cheap_and_finite_even_for_huge_retry_budgets() {
-        let p = RetryPolicy {
-            max_retries: u32::MAX,
-            base_backoff_s: 1e-3,
-            multiplier: 2.0,
-            max_backoff_s: 1.0,
-        };
-        let w = p.worst_case_backoff_s();
-        assert!(w.is_finite());
-        assert!(w >= f64::from(u32::MAX - 64));
     }
 
     #[test]
@@ -213,7 +170,10 @@ mod tests {
                     a >= 0.75 * nominal && a <= 1.25 * nominal,
                     "{a} vs {nominal}"
                 );
-                assert!(a <= p.max_backoff_s, "jitter must respect the cap");
+                assert!(
+                    a <= RetryPolicy::MAX_BACKOFF_S,
+                    "jitter must respect the cap"
+                );
             }
         }
         // Two sites (different seeds) must not wait in lockstep.
@@ -237,10 +197,7 @@ mod tests {
     fn exhaustion_returns_the_last_underlying_error() {
         // Regression: exhausting the retry budget must surface the final
         // attempt's actual error, not a generic failure.
-        let p = RetryPolicy {
-            max_retries: 2,
-            ..RetryPolicy::default()
-        };
+        let p = RetryPolicy { max_retries: 2 };
         let result: Result<(), _> = p.run(|attempt| {
             Err(match attempt {
                 0 => SimError::WorkerLost { dispatch: "first" },

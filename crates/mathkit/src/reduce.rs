@@ -11,8 +11,7 @@
 //!    on how many threads computed them;
 //! 2. each block is summed left-to-right;
 //! 3. the per-block partials are combined with a deterministic pairwise
-//!    tree ([`pairwise_sum`] / [`pairwise_sum_complex`]), splitting at the
-//!    midpoint at every level.
+//!    tree ([`pairwise_sum`]), splitting at the midpoint at every level.
 //!
 //! Any number of threads may compute step 2 in parallel (blocks are
 //! independent), and step 3 is a cheap serial pass — so the result is
@@ -52,19 +51,6 @@ pub fn pairwise_sum(values: &[f64]) -> f64 {
     }
     let mid = values.len() / 2;
     pairwise_sum(&values[..mid]) + pairwise_sum(&values[mid..])
-}
-
-/// Complex counterpart of [`pairwise_sum`], with the identical tree shape.
-pub fn pairwise_sum_complex(values: &[Complex64]) -> Complex64 {
-    if values.len() <= 4 {
-        let mut acc = Complex64::ZERO;
-        for &v in values {
-            acc += v;
-        }
-        return acc;
-    }
-    let mid = values.len() / 2;
-    pairwise_sum_complex(&values[..mid]) + pairwise_sum_complex(&values[mid..])
 }
 
 /// Number of [`REDUCE_BLOCK`]-sized blocks covering `len` elements.
@@ -163,7 +149,6 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(pairwise_sum(&[]), 0.0);
         assert_eq!(pairwise_sum(&[2.5]), 2.5);
-        assert_eq!(pairwise_sum_complex(&[]), Complex64::ZERO);
     }
 
     #[test]
@@ -194,18 +179,6 @@ mod tests {
         let exact = 1.0 + 1e-16 * (1 << 16) as f64;
         assert!((pairwise - exact).abs() <= (serial - exact).abs());
         assert!((pairwise - exact).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complex_tree_matches_componentwise() {
-        let xs: Vec<Complex64> = (0..333)
-            .map(|i| Complex64::new(i as f64, -(i as f64) / 3.0))
-            .collect();
-        let s = pairwise_sum_complex(&xs);
-        let re: Vec<f64> = xs.iter().map(|c| c.re).collect();
-        let im: Vec<f64> = xs.iter().map(|c| c.im).collect();
-        assert_eq!(s.re.to_bits(), pairwise_sum(&re).to_bits());
-        assert_eq!(s.im.to_bits(), pairwise_sum(&im).to_bits());
     }
 
     #[test]

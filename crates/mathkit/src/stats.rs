@@ -71,11 +71,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample (+inf if empty).
     pub fn min(&self) -> f64 {
         self.min
@@ -203,17 +198,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum::<u64>() + self.underflow + self.overflow
     }
-
-    /// Midpoint of bin `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of bounds.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.counts.len());
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
 }
 
 #[cfg(test)]
@@ -262,13 +246,6 @@ mod tests {
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.counts(), &[1, 1, 1, 1]);
         assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_bin_center() {
-        let h = Histogram::new(0.0, 4.0, 4);
-        assert_eq!(h.bin_center(0), 0.5);
-        assert_eq!(h.bin_center(3), 3.5);
     }
 
     #[test]

@@ -37,41 +37,31 @@
 use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the [`DeviceGroup`] orchestrator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OrchestratorConfig {
     /// Seed folded into every epoch re-shard rotation. Runs that share a
     /// seed shard identically at every epoch.
     pub seed: u64,
-    /// Multiple of the fleet's fastest per-byte pace a device's own pace
-    /// may reach before it counts as a straggler. Identical modeled
-    /// devices execute at identical pace regardless of how unevenly
-    /// their queues drain, so at the default no healthy run ever
-    /// migrates work; a device slowed beyond the factor (e.g. an
-    /// injected 8x straggler) crosses it as soon as its pace estimate
-    /// converges.
-    pub steal_hysteresis: f64,
-    /// Consecutive straggler observations required before work actually
-    /// moves — the temporal half of the hysteresis.
-    pub steal_patience: u32,
     /// Per-device chunk-residency budget in bytes. `None` leaves the
     /// device's modeled memory as the only cap.
     pub mem_budget_bytes: Option<u64>,
-    /// Program ops between checkpoint barriers. The barrier bounds how
-    /// much work replays after a device loss.
-    pub barrier_interval: u64,
 }
 
-impl Default for OrchestratorConfig {
-    fn default() -> Self {
-        OrchestratorConfig {
-            seed: 0,
-            steal_hysteresis: 4.0,
-            steal_patience: 3,
-            mem_budget_bytes: None,
-            barrier_interval: 16,
-        }
-    }
-}
+/// Multiple of the fleet's fastest per-byte pace a device's own pace may
+/// reach before it counts as a straggler. Identical modeled devices
+/// execute at identical pace regardless of how unevenly their queues
+/// drain, so no healthy run ever migrates work; a device slowed beyond
+/// the factor (e.g. an injected 8x straggler) crosses it as soon as its
+/// pace estimate converges.
+pub const STEAL_HYSTERESIS: f64 = 4.0;
+
+/// Consecutive straggler observations required before work actually
+/// moves — the temporal half of the hysteresis.
+pub const STEAL_PATIENCE: u32 = 3;
+
+/// Program ops between checkpoint barriers. The barrier bounds how much
+/// work replays after a device loss.
+pub const BARRIER_INTERVAL: u64 = 16;
 
 /// One unit of work recorded since the last barrier, replayed on a
 /// survivor if the recording device is lost.
@@ -168,11 +158,6 @@ impl DeviceGroup {
         }
     }
 
-    /// The orchestrator configuration.
-    pub fn config(&self) -> &OrchestratorConfig {
-        &self.cfg
-    }
-
     /// Devices still alive.
     pub fn alive_devices(&self) -> usize {
         self.alive_list.len()
@@ -219,7 +204,7 @@ impl DeviceGroup {
     ///
     /// Straggling is judged by *pace*, not backlog: the owner's EMA of
     /// kernel seconds per byte must exceed the fleet's fastest pace by
-    /// more than `steal_hysteresis` for `steal_patience` consecutive
+    /// more than [`STEAL_HYSTERESIS`] for [`STEAL_PATIENCE`] consecutive
     /// observations. Identical devices run at identical pace however
     /// unevenly heterogeneous (e.g. compressed) task sizes spread their
     /// queues, so healthy runs never cross the threshold; a device whose
@@ -238,10 +223,10 @@ impl DeviceGroup {
             .map(|&d| self.pace[d])
             .filter(|&p| p > 0.0)
             .fold(f64::INFINITY, f64::min);
-        let limit = self.cfg.steal_hysteresis * fastest;
+        let limit = STEAL_HYSTERESIS * fastest;
         if self.pace[owner] > limit {
             self.over_count[owner] = self.over_count[owner].saturating_add(1);
-            let flagged = self.over_count[owner].saturating_sub(self.cfg.steal_patience);
+            let flagged = self.over_count[owner].saturating_sub(STEAL_PATIENCE);
             if flagged > 0 && !flagged.is_multiple_of(STEAL_PROBE_INTERVAL) {
                 // Deterministic victim: least-loaded alive device whose
                 // own pace is healthy, lowest index winning ties.
@@ -318,7 +303,7 @@ impl DeviceGroup {
                 max = max.max(p);
             }
         }
-        let armed = self.alive_list.len() >= 2 && max > self.cfg.steal_hysteresis * min;
+        let armed = self.alive_list.len() >= 2 && max > STEAL_HYSTERESIS * min;
         if self.steal_armed && !armed {
             // Disarming forgets partial straggler verdicts: patience must
             // restart from zero if the fleet degrades again.

@@ -5,18 +5,18 @@
 //! loud (the orchestrator re-shards and moves on) while silent data
 //! corruption keeps producing plausible-looking wrong answers. The
 //! [`DeviceHealthBoard`] turns the integrity layer's per-device signals
-//! — invariant violations, retries, CRC failures — into an exponential
-//! moving average per device and walks a three-state machine:
+//! — invariant violations and retries — into an exponential moving
+//! average per device and walks a three-state machine:
 //!
 //! ```text
-//!            score ≥ probation_threshold        score ≥ quarantine_threshold
+//!            score ≥ PROBATION_THRESHOLD        score ≥ QUARANTINE_THRESHOLD
 //! Healthy ──────────────────────────▶ Probation ────────────────────────▶ Quarantined
 //!    ▲                                    │                                   │
-//!    │        score ≤ reinstate_threshold │            every probe_interval-th│
+//!    │        score ≤ REINSTATE_THRESHOLD │            every PROBE_INTERVAL-th│
 //!    └────────────────────────────────────┘            placement is a probe;  │
 //!    ▲                                                 probes that succeed    │
 //!    │   clean probes decay the score; score ≤         decay the score        │
-//!    │   reinstate_threshold reinstates                                       │
+//!    │   REINSTATE_THRESHOLD reinstates                                       │
 //!    └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -62,48 +62,28 @@ pub enum HealthTransition {
     Reinstated,
 }
 
-/// Tuning for the health board's EMA and thresholds.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthConfig {
-    /// EMA smoothing factor in `(0, 1]`: the weight of the newest event.
-    pub alpha: f64,
-    /// Score an invariant violation contributes (the loudest signal —
-    /// the device computed a wrong answer).
-    pub violation_weight: f64,
-    /// Score a CRC/transfer integrity failure contributes.
-    pub crc_weight: f64,
-    /// Score a recoverable retry contributes (weakest signal).
-    pub retry_weight: f64,
-    /// Score at or above which a device is quarantined.
-    pub quarantine_threshold: f64,
-    /// Score at or above which a healthy device enters probation.
-    pub probation_threshold: f64,
-    /// Score at or below which a probation/quarantined device is
-    /// reinstated to healthy.
-    pub reinstate_threshold: f64,
-    /// While quarantined, every `probe_interval`-th placement query is
-    /// allowed through as a probe (minimum 1).
-    pub probe_interval: u64,
-}
+// The board's tuning. Two back-to-back violations quarantine (EMA after
+// two 1.0 events at α = 0.5 is 0.75 ≥ 0.6); one violation alone only
+// reaches probation (0.5); roughly four clean results after that decay
+// the score under the reinstatement bar.
 
-impl Default for HealthConfig {
-    /// Two back-to-back violations quarantine (EMA after two 1.0 events
-    /// at α = 0.5 is 0.75 ≥ 0.6); one violation alone only reaches
-    /// probation (0.5); roughly four clean results after that decay the
-    /// score under the reinstatement bar.
-    fn default() -> Self {
-        HealthConfig {
-            alpha: 0.5,
-            violation_weight: 1.0,
-            crc_weight: 0.6,
-            retry_weight: 0.3,
-            quarantine_threshold: 0.6,
-            probation_threshold: 0.35,
-            reinstate_threshold: 0.05,
-            probe_interval: 4,
-        }
-    }
-}
+/// EMA smoothing factor: the weight of the newest event.
+const ALPHA: f64 = 0.5;
+/// Score an invariant violation contributes (the loudest signal — the
+/// device computed a wrong answer).
+const VIOLATION_WEIGHT: f64 = 1.0;
+/// Score a recoverable retry contributes (the weaker signal).
+const RETRY_WEIGHT: f64 = 0.3;
+/// Score at or above which a device is quarantined.
+const QUARANTINE_THRESHOLD: f64 = 0.6;
+/// Score at or above which a healthy device enters probation.
+const PROBATION_THRESHOLD: f64 = 0.35;
+/// Score at or below which a probation/quarantined device is reinstated
+/// to healthy.
+const REINSTATE_THRESHOLD: f64 = 0.05;
+/// While quarantined, every `PROBE_INTERVAL`-th placement query is
+/// allowed through as a probe.
+const PROBE_INTERVAL: u64 = 4;
 
 #[derive(Debug, Clone)]
 struct DeviceHealth {
@@ -111,7 +91,6 @@ struct DeviceHealth {
     state: HealthState,
     placements_denied: u64,
     violations: u64,
-    crc_failures: u64,
     retries: u64,
     successes: u64,
     quarantines: u64,
@@ -124,7 +103,6 @@ impl DeviceHealth {
             state: HealthState::Healthy,
             placements_denied: 0,
             violations: 0,
-            crc_failures: 0,
             retries: 0,
             successes: 0,
             quarantines: 0,
@@ -141,8 +119,6 @@ pub struct HealthSnapshot {
     pub state: HealthState,
     /// Invariant violations recorded against this device.
     pub violations: u64,
-    /// CRC/transfer failures recorded.
-    pub crc_failures: u64,
     /// Recoverable retries recorded.
     pub retries: u64,
     /// Times this device entered quarantine.
@@ -168,20 +144,13 @@ pub struct HealthSnapshot {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DeviceHealthBoard {
-    cfg: HealthConfig,
     devices: Vec<DeviceHealth>,
 }
 
 impl DeviceHealthBoard {
-    /// A board for `num_devices` devices, all healthy, default tuning.
+    /// A board for `num_devices` devices, all healthy.
     pub fn new(num_devices: usize) -> Self {
-        Self::with_config(num_devices, HealthConfig::default())
-    }
-
-    /// A board with explicit tuning.
-    pub fn with_config(num_devices: usize, cfg: HealthConfig) -> Self {
         DeviceHealthBoard {
-            cfg,
             devices: (0..num_devices).map(|_| DeviceHealth::new()).collect(),
         }
     }
@@ -196,21 +165,14 @@ impl DeviceHealthBoard {
         self.devices.is_empty()
     }
 
-    /// The board's tuning.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     fn fold(&mut self, device: usize, event_score: f64) -> HealthTransition {
-        let cfg = self.cfg;
-        let a = cfg.alpha.clamp(f64::MIN_POSITIVE, 1.0);
         let d = &mut self.devices[device];
-        d.score = (1.0 - a) * d.score + a * event_score;
-        let next = if d.score >= cfg.quarantine_threshold {
+        d.score = (1.0 - ALPHA) * d.score + ALPHA * event_score;
+        let next = if d.score >= QUARANTINE_THRESHOLD {
             HealthState::Quarantined
-        } else if d.score <= cfg.reinstate_threshold {
+        } else if d.score <= REINSTATE_THRESHOLD {
             HealthState::Healthy
-        } else if d.score >= cfg.probation_threshold {
+        } else if d.score >= PROBATION_THRESHOLD {
             HealthState::Probation
         } else {
             // Between reinstate and probation: keep the current state —
@@ -234,19 +196,13 @@ impl DeviceHealthBoard {
     /// Records an ABFT invariant violation attributed to `device`.
     pub fn record_violation(&mut self, device: usize) -> HealthTransition {
         self.devices[device].violations += 1;
-        self.fold(device, self.cfg.violation_weight)
-    }
-
-    /// Records a CRC/transfer integrity failure on `device`.
-    pub fn record_crc_failure(&mut self, device: usize) -> HealthTransition {
-        self.devices[device].crc_failures += 1;
-        self.fold(device, self.cfg.crc_weight)
+        self.fold(device, VIOLATION_WEIGHT)
     }
 
     /// Records a recoverable retry that ran on `device`.
     pub fn record_retry(&mut self, device: usize) -> HealthTransition {
         self.devices[device].retries += 1;
-        self.fold(device, self.cfg.retry_weight)
+        self.fold(device, RETRY_WEIGHT)
     }
 
     /// Records a clean completion on `device`: the score decays toward
@@ -270,7 +226,7 @@ impl DeviceHealthBoard {
     /// Whether the scheduler may place ordinary work on `device`.
     ///
     /// Healthy and probation devices: yes. Quarantined devices: only
-    /// every [`HealthConfig::probe_interval`]-th query gets through, as
+    /// every fourth query (`PROBE_INTERVAL`) gets through, as
     /// a probe — enough traffic to earn reinstatement, little enough
     /// that a lying device cannot poison the fleet. Denied queries are
     /// counted so callers can report drained load.
@@ -280,7 +236,7 @@ impl DeviceHealthBoard {
         }
         let denied = self.devices[device].placements_denied;
         self.devices[device].placements_denied += 1;
-        let interval = self.cfg.probe_interval.max(1);
+        let interval = PROBE_INTERVAL;
         // The first (interval - 1) queries are denied, then one probe.
         denied % interval == interval - 1
     }
@@ -310,7 +266,6 @@ impl DeviceHealthBoard {
             score: d.score,
             state: d.state,
             violations: d.violations,
-            crc_failures: d.crc_failures,
             retries: d.retries,
             quarantines: d.quarantines,
         }
@@ -340,8 +295,11 @@ mod tests {
         let mut b = DeviceHealthBoard::new(2);
         assert_eq!(b.record_violation(0), HealthTransition::Demoted);
         assert_eq!(b.state(0), HealthState::Probation);
+        assert_eq!(b.score(0), ALPHA * VIOLATION_WEIGHT);
+        assert!((PROBATION_THRESHOLD..QUARANTINE_THRESHOLD).contains(&b.score(0)));
         assert!(b.schedulable(0), "probation still schedules");
         assert_eq!(b.record_violation(0), HealthTransition::Quarantined);
+        assert!(b.score(0) >= QUARANTINE_THRESHOLD);
         assert_eq!(b.state(0), HealthState::Quarantined);
         assert_eq!(b.quarantined(), vec![0]);
         assert_eq!(b.healthy_count(), 1);
@@ -364,29 +322,12 @@ mod tests {
     }
 
     #[test]
-    fn crc_failures_count_between_retries_and_violations() {
-        let cfg = HealthConfig::default();
-        assert!(cfg.retry_weight < cfg.crc_weight);
-        assert!(cfg.crc_weight < cfg.violation_weight);
-        let mut b = DeviceHealthBoard::new(1);
-        b.record_crc_failure(0);
-        b.record_crc_failure(0);
-        b.record_crc_failure(0);
-        assert_ne!(
-            b.state(0),
-            HealthState::Healthy,
-            "a CRC storm must at least demote"
-        );
-        assert_eq!(b.snapshot(0).crc_failures, 3);
-    }
-
-    #[test]
     fn quarantine_admits_periodic_probes_only() {
         let mut b = DeviceHealthBoard::new(1);
         b.record_violation(0);
         b.record_violation(0);
         assert_eq!(b.state(0), HealthState::Quarantined);
-        let interval = b.config().probe_interval as usize;
+        let interval = PROBE_INTERVAL as usize;
         let admitted = (0..4 * interval).filter(|_| b.schedulable(0)).count();
         assert_eq!(admitted, 4, "exactly one probe per interval");
     }
@@ -396,14 +337,16 @@ mod tests {
         let mut b = DeviceHealthBoard::new(1);
         b.record_violation(0);
         assert_eq!(b.record_violation(0), HealthTransition::Quarantined);
-        let mut reinstated = false;
-        for _ in 0..16 {
-            if b.record_success(0) == HealthTransition::Reinstated {
-                reinstated = true;
-                break;
-            }
+        // 0.75 halves per clean result: 0.375 steps down to probation,
+        // 0.1875 and 0.094 sit in the dead band, and 0.047 ≤
+        // REINSTATE_THRESHOLD reinstates on the fourth.
+        assert_eq!(b.record_success(0), HealthTransition::Demoted);
+        assert_eq!(b.state(0), HealthState::Probation);
+        for _ in 0..2 {
+            assert_eq!(b.record_success(0), HealthTransition::None);
         }
-        assert!(reinstated, "clean probes must decay the score to healthy");
+        assert_eq!(b.record_success(0), HealthTransition::Reinstated);
+        assert!(b.score(0) <= REINSTATE_THRESHOLD);
         assert_eq!(b.state(0), HealthState::Healthy);
         assert!(b.schedulable(0));
         assert_eq!(b.snapshot(0).quarantines, 1);
@@ -435,7 +378,7 @@ mod tests {
             let mut b = DeviceHealthBoard::new(3);
             b.record_violation(1);
             b.record_retry(2);
-            b.record_crc_failure(1);
+            b.record_retry(1);
             b.record_success(0);
             (b.score(0), b.score(1), b.score(2), b.state(1))
         };
@@ -452,7 +395,6 @@ mod tests {
         let s = b.snapshot(0);
         assert_eq!(s.violations, 1);
         assert_eq!(s.retries, 2);
-        assert_eq!(s.crc_failures, 0);
         assert!(s.score > 0.0);
     }
 

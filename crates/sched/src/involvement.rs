@@ -7,7 +7,7 @@
 //! two bit tricks over the involvement mask; both are implemented here
 //! verbatim, plus the dynamic chunk-size selection.
 
-use qgpu_circuit::{Circuit, Operation};
+use qgpu_circuit::Operation;
 use serde::{Deserialize, Serialize};
 
 /// Tracks which qubits have been involved by the gates applied so far.
@@ -52,12 +52,6 @@ impl InvolvementTracker {
         self.mask
     }
 
-    /// Returns `true` once every qubit has been involved (pruning can no
-    /// longer help).
-    pub fn is_fully_involved(&self) -> bool {
-        self.mask == qgpu_circuit::involvement::full_mask(self.num_qubits)
-    }
-
     /// Marks the operation's qubits involved (Algorithm 1's
     /// `updateInvolvement`).
     pub fn involve(&mut self, op: &Operation) {
@@ -78,13 +72,6 @@ impl InvolvementTracker {
     pub fn chunk_is_zero(&self, chunk: usize, chunk_bits: u32) -> bool {
         let shifted = (chunk as u64) << chunk_bits;
         shifted & self.mask != shifted
-    }
-
-    /// Algorithm 1's early-exit test (line 5): once `iChunk'` exceeds the
-    /// involvement mask, this and *all following* chunks are zero, so the
-    /// scan can stop.
-    pub fn chunks_exhausted(&self, chunk: usize, chunk_bits: u32) -> bool {
-        (chunk as u64) << chunk_bits > self.mask
     }
 
     /// Dynamic chunk size (Algorithm 1's `getChunkSize`): the number of
@@ -133,25 +120,6 @@ impl InvolvementTracker {
         }
         best.1
     }
-
-    /// Number of prunable chunks under the given chunk size.
-    pub fn prunable_chunks(&self, chunk_bits: u32) -> usize {
-        (1usize << (self.num_qubits as u32 - chunk_bits)) - self.surviving_chunks(chunk_bits)
-    }
-}
-
-/// Replays a circuit through a tracker, returning the involvement mask
-/// before each operation (what pruning sees when scheduling that gate).
-pub fn masks_before_each_op(circuit: &Circuit) -> Vec<u64> {
-    let mut t = InvolvementTracker::new(circuit.num_qubits());
-    circuit
-        .iter()
-        .map(|op| {
-            let before = t.mask();
-            t.involve(op);
-            before
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -173,26 +141,22 @@ mod tests {
     fn fully_involved_prunes_nothing() {
         let mut t = InvolvementTracker::new(6);
         t.involve_mask(0b111111);
-        assert!(t.is_fully_involved());
-        assert_eq!(t.prunable_chunks(2), 0);
+        assert_eq!(t.surviving_chunks(2), 1 << 4);
+        assert!((0..1 << 4).all(|c| !t.chunk_is_zero(c, 2)));
     }
 
     #[test]
     fn exhaustion_is_monotone() {
+        // Algorithm 1's early exit: once `iChunk'` exceeds the mask, this
+        // and every later chunk is zero.
         let mut t = InvolvementTracker::new(10);
         t.involve_mask(0b1111); // qubits 0..4
         let chunk_bits = 2;
-        let mut seen_exhausted = false;
-        for c in 0..(1 << 8) {
-            let e = t.chunks_exhausted(c, chunk_bits);
-            if seen_exhausted {
-                assert!(e, "exhaustion must be a suffix property (chunk {c})");
-                // And every exhausted chunk must be zero.
-                assert!(t.chunk_is_zero(c, chunk_bits));
-            }
-            seen_exhausted |= e;
-        }
-        assert!(seen_exhausted);
+        let first = (0..1usize << 8)
+            .find(|&c| (c as u64) << chunk_bits > t.mask())
+            .expect("the mask is below the last chunk");
+        assert!((first..1 << 8).all(|c| t.chunk_is_zero(c, chunk_bits)));
+        assert!(!t.chunk_is_zero(first - 1, chunk_bits));
     }
 
     #[test]
@@ -245,7 +209,15 @@ mod tests {
     fn masks_before_each_op_shape() {
         let mut c = Circuit::new(3);
         c.h(0).cx(0, 1).h(2);
-        let masks = masks_before_each_op(&c);
+        let mut t = InvolvementTracker::new(3);
+        let masks: Vec<u64> = c
+            .iter()
+            .map(|op| {
+                let before = t.mask();
+                t.involve(op);
+                before
+            })
+            .collect();
         assert_eq!(masks, vec![0b000, 0b001, 0b011]);
     }
 

@@ -37,7 +37,7 @@ pub mod reorder;
 pub mod residency;
 
 pub use devicegroup::{DeviceGroup, OrchestratorConfig, PressureAction, PressureGovernor};
-pub use health::{DeviceHealthBoard, HealthConfig, HealthState, HealthTransition};
+pub use health::{DeviceHealthBoard, HealthState, HealthTransition};
 pub use involvement::InvolvementTracker;
 pub use plan::{GatePlan, Tasks};
 pub use reorder::ReorderStrategy;

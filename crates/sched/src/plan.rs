@@ -207,11 +207,6 @@ impl GatePlan {
         &self.high_mixing
     }
 
-    /// Returns `true` if the gate requires chunk grouping (Case 2).
-    pub fn needs_grouping(&self) -> bool {
-        !self.high_mixing.is_empty()
-    }
-
     /// Representatives of the tasks surviving zero-amplitude pruning, in
     /// chunk order: a task is dropped when all of its chunks are provably
     /// zero under `tracker`. The representative is the task's minimal
@@ -323,7 +318,7 @@ mod tests {
     #[test]
     fn case1_low_target_touches_every_chunk() {
         let plan = GatePlan::new(&action(Gate::H, &[1]), 3, 16);
-        assert!(!plan.needs_grouping());
+        assert_eq!(plan.group_len(), 1);
         assert_eq!(plan.tasks().len(), 16);
         assert_eq!(tasks_of(&plan, plan.tasks())[0], [0]);
     }
@@ -332,7 +327,7 @@ mod tests {
     fn case2_high_target_pairs_chunks() {
         // Qubit 4 with 3-qubit chunks: chunk-index bit 1.
         let plan = GatePlan::new(&action(Gate::H, &[4]), 3, 16);
-        assert!(plan.needs_grouping());
+        assert!(plan.group_len() > 1);
         let tasks = tasks_of(&plan, plan.tasks());
         assert_eq!(tasks.len(), 8);
         assert_eq!(tasks[0], [0, 2]);
@@ -343,7 +338,7 @@ mod tests {
     #[test]
     fn diagonal_never_groups() {
         let plan = GatePlan::new(&action(Gate::Cp(0.5), &[1, 7]), 3, 32);
-        assert!(!plan.needs_grouping());
+        assert_eq!(plan.group_len(), 1);
         assert_eq!(plan.tasks().len(), 32);
     }
 
@@ -351,7 +346,7 @@ mod tests {
     fn high_control_filters_chunks() {
         // CX control on qubit 4 (chunk bit 1), target on qubit 0.
         let plan = GatePlan::new(&action(Gate::Cx, &[4, 0]), 3, 16);
-        assert!(!plan.needs_grouping());
+        assert_eq!(plan.group_len(), 1);
         // Only chunks with bit 1 set participate: 8 of 16.
         assert_eq!(plan.tasks().len(), 8);
         assert_eq!(plan.group_len(), 1);
@@ -364,7 +359,7 @@ mod tests {
     fn swap_across_boundary_groups_four() {
         // Both mixing qubits high: groups of 4.
         let plan = GatePlan::new(&action(Gate::Swap, &[4, 5]), 3, 32);
-        assert!(plan.needs_grouping());
+        assert!(plan.group_len() > 1);
         assert_eq!(plan.tasks().len(), 8);
         assert_eq!(plan.group_len(), 4);
     }
@@ -373,7 +368,7 @@ mod tests {
     fn high_control_with_high_mixing() {
         // CCX: controls 6,7 (high), target 4 (high) with 3-bit chunks.
         let plan = GatePlan::new(&action(Gate::Ccx, &[6, 7, 4]), 3, 32);
-        assert!(plan.needs_grouping());
+        assert!(plan.group_len() > 1);
         // Groups must have chunk bits 3 and 4 (qubits 6,7) set: canonical
         // representatives have bit 1 (qubit 4) clear → 4 groups... of the
         // 32 chunks, those with bits {3,4} set: 8; grouped in pairs → 4.

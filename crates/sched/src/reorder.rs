@@ -16,7 +16,6 @@
 //! tests).
 
 use qgpu_circuit::dag::GateDag;
-use qgpu_circuit::involvement::full_mask;
 use qgpu_circuit::{Circuit, Operation};
 use serde::{Deserialize, Serialize};
 
@@ -225,26 +224,17 @@ fn forward_cost(
     cost_current + lookahead_min.unwrap_or(0)
 }
 
-/// Number of operations before full involvement under a strategy — the
-/// scalar the paper's Figure 9 visualizes.
-pub fn delay_to_full_involvement(circuit: &Circuit, strategy: ReorderStrategy) -> usize {
-    let reordered = strategy.reorder(circuit);
-    let full = full_mask(circuit.num_qubits());
-    let mut mask = 0u64;
-    for (i, op) in reordered.iter().enumerate() {
-        mask |= op.qubit_mask();
-        if mask == full {
-            return i + 1;
-        }
-    }
-    reordered.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qgpu_circuit::generators::Benchmark;
-    use qgpu_circuit::involvement::involvement_counts;
+    use qgpu_circuit::involvement::{involvement_counts, ops_until_full_involvement};
+
+    /// Operations before full involvement under `strategy` — the scalar
+    /// the paper's Figure 9 visualizes.
+    fn delay_to_full_involvement(circuit: &Circuit, strategy: ReorderStrategy) -> usize {
+        ops_until_full_involvement(&strategy.reorder(circuit))
+    }
 
     /// The paper's Figure 8 walk-through circuit (gs_5).
     fn gs5() -> Circuit {

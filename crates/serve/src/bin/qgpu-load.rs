@@ -17,6 +17,7 @@
 //! latency are measured by the `benchmark/` harness's `serve_mix`
 //! workload (see `benchmark/README.md`).
 
+use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -93,7 +94,7 @@ const CLI: Cli<Opts> = Cli {
         "--shots" <"N"> "shots per job (default 16)" => |o, v| o.shots = v.parse()?;
         "--seed" <"N"> "chaos and fault seed (default 1)" => |o, v| o.seed = v.parse()?;
         "--queue-cap" <"N"> "per-tenant queue bound (default none)" => |o, v| o.queue_cap = v.parse()?;
-        "--mem-budget" <"BYTES"> "server memory admission budget" => |o, v| o.mem_budget = Some(v.parse()?);
+        "--mem-budget" <"BYTES"> "server memory admission budget, > 0" => |o, v| o.mem_budget = Some(v.parse::<NonZeroU64>()?.get());
         "--retries" <"N"> "job-level retries" => |o, v| o.retries = Some(v.parse()?);
         "--deadline-ms" <"MS"> "default job deadline" => |o, v| o.deadline_ms = Some(v.parse()?);
         "--tight-frac" <"F"> "fraction of jobs given an unmeetable 50 us deadline" => |o, v| o.tight_frac = cli::prob(v)?;
@@ -105,7 +106,7 @@ const CLI: Cli<Opts> = Cli {
         "--chaos-fail-first" <"N"> "kill the first N attempts of every job" => |o, v| o.chaos_fail_first = v.parse()?;
         "--chaos-device-loss" <"D:MS"> "kill device D MS milliseconds into the run" => |o, v| o.chaos_device_loss = Some(cli::pair(v)?);
         "--chaos-kernel-flip" <"P"> "kernel bit-flip probability (arms the invariant checks)" => |o, v| o.chaos_kernel_flip = cli::prob(v)?;
-        "--timeout-s" <"S"> "seconds to wait for each job (default 600)" => |o, v| o.timeout_s = v.parse()?;
+        "--timeout-s" <"S"> "seconds to wait for each job, > 0 (default 600)" => |o, v| o.timeout_s = v.parse::<NonZeroU64>()?.get();
         "--label" <"NAME"> "run label in the metrics document (default serve_load)" => |o, v| o.label = v.into();
         "--metrics-out" <"PATH"> "write the serve metrics document" => |o, v| o.metrics_out = Some(v.into());
     },
@@ -420,8 +421,17 @@ fn main() -> ExitCode {
 }
 
 #[cfg(test)]
+#[path = "../../../../tests/census.rs"]
+mod census;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn census_covers_every_entry() {
+        census::check("qgpu-load", CLI.flags.iter().map(|f| f.long));
+    }
 
     fn argv(line: &str) -> Vec<String> {
         line.split_whitespace().map(str::to_string).collect()
@@ -435,14 +445,19 @@ mod tests {
             .filter_map(|l| l.split_once("./target/release/qgpu-load "))
             .map(|(_, rest)| rest)
             .collect();
-        assert!(!lines.is_empty());
-        for line in lines {
-            let o = parse(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e:?}"));
-            assert_eq!(
-                (o.jobs, o.devices, o.chaos_device_loss),
-                (120, 4, Some((1, 10)))
-            );
-        }
+        let opts: Vec<Opts> = lines
+            .iter()
+            .map(|line| parse(&argv(line)).unwrap_or_else(|e| panic!("{line}: {e:?}")))
+            .collect();
+        // The soak's device kill lands inside its fleet.
+        assert!(opts
+            .iter()
+            .any(|o| (o.jobs, o.devices, o.chaos_device_loss) == (120, 4, Some((1, 10)))));
+        // The knobs line sets what the soak leaves at its defaults.
+        assert!(opts
+            .iter()
+            .any(|o| (o.tenants, o.retries, o.timeout_s, o.label.as_str())
+                == (3, Some(2), 120, "ci_knobs")));
     }
 
     #[test]
@@ -473,6 +488,8 @@ mod tests {
             "--nope",
             "stray",
             "--bench-out x",
+            "--timeout-s 0",
+            "--mem-budget 0",
         ];
         for line in bad {
             assert!(

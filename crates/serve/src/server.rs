@@ -12,7 +12,7 @@
 //!   [`SimError::WorkerLost`], and drive `RetryPolicy`-bounded
 //!   re-execution with a fresh fault seed per attempt (same physics
 //!   seed — replay is bit-exact).
-//! * **reaper** — ticks every `reaper_interval`, trips the token of any
+//! * **reaper** — ticks every [`REAPER_INTERVAL`], trips the token of any
 //!   job whose wall-clock deadline passed (queued jobs are discarded by
 //!   the scheduler when they surface; running jobs abort at the next
 //!   gate boundary or tile of tasks).
@@ -79,6 +79,9 @@ impl ChaosConfig {
     }
 }
 
+/// The reaper's tick.
+pub const REAPER_INTERVAL: Duration = Duration::from_millis(1);
+
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -95,10 +98,6 @@ pub struct ServeConfig {
     pub retry: RetryPolicy,
     /// Deadline applied to jobs that do not bring their own.
     pub default_deadline: Option<Duration>,
-    /// Reaper tick.
-    pub reaper_interval: Duration,
-    /// Flight-recorder ring capacity.
-    pub flight_events: usize,
     /// Serve-level fault injection.
     pub chaos: ChaosConfig,
 }
@@ -112,8 +111,6 @@ impl Default for ServeConfig {
             mem_budget_bytes: None,
             retry: RetryPolicy::default(),
             default_deadline: None,
-            reaper_interval: Duration::from_millis(1),
-            flight_events: qgpu_obs::DEFAULT_FLIGHT_EVENTS,
             chaos: ChaosConfig::default(),
         }
     }
@@ -243,7 +240,7 @@ impl Server {
             max_queue_per_tenant: cfg.max_queue_per_tenant.max(1),
             ..cfg
         };
-        let metrics = ServeMetrics::new(cfg.flight_events);
+        let metrics = ServeMetrics::new(qgpu_obs::DEFAULT_FLIGHT_EVENTS);
         let governor = cfg.mem_budget_bytes.map(PressureGovernor::new);
         let devices = (0..cfg.devices)
             .map(|_| DeviceSlot {
@@ -798,7 +795,7 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
 
 fn reaper_loop(inner: &Arc<Inner>) {
     while !inner.reaper_stop.load(Ordering::Acquire) {
-        std::thread::sleep(inner.cfg.reaper_interval);
+        std::thread::sleep(REAPER_INTERVAL);
         let now = Instant::now();
         let mut tripped = false;
         for job in inner.state.lock().unwrap().jobs.values() {

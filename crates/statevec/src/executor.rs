@@ -2,8 +2,7 @@
 //!
 //! [`ChunkExecutor`] is the one place threading lives: every functional
 //! path — the flat comparators, the chunked engines, and the reduction
-//! helpers in [`crate::measure`] / [`crate::observable`] — cuts its work
-//! into disjoint pieces, and one fan-out spreads them over the executor's
+//! helpers in [`crate::measure`] — cuts its work into disjoint pieces, and one fan-out spreads them over the executor's
 //! pool: `threads − 1` parked workers, spawned at its first fan-out and
 //! joined when its last clone drops, take pieces 1.. while the calling
 //! thread works piece 0. Each piece is owned by the thread running it
@@ -600,25 +599,14 @@ impl ChunkExecutor {
         reduce::pairwise_sum(&partials)
     }
 
-    /// Complex counterpart of [`ChunkExecutor::reduce_f64`].
-    pub fn reduce_complex<F>(&self, len: usize, block_sum: F) -> Complex64
-    where
-        F: Fn(Range<usize>) -> Complex64 + Sync,
-    {
-        let nb = reduce::num_blocks(len);
-        let mut partials = vec![Complex64::ZERO; nb];
-        self.fill_partials(&mut partials, len, &block_sum);
-        reduce::pairwise_sum_complex(&partials)
-    }
-
-    fn fill_partials<T: Copy + Send>(
+    fn fill_partials(
         &self,
-        partials: &mut [T],
+        partials: &mut [f64],
         len: usize,
-        block_sum: &(dyn Fn(Range<usize>) -> T + Sync),
+        block_sum: &(dyn Fn(Range<usize>) -> f64 + Sync),
     ) {
         let nb = partials.len();
-        let fill = |first: usize, piece: &mut [T]| {
+        let fill = |first: usize, piece: &mut [f64]| {
             for (i, p) in piece.iter_mut().enumerate() {
                 *p = block_sum(reduce::block_range(first + i, len));
             }
@@ -627,7 +615,7 @@ impl ChunkExecutor {
             return fill(0, partials);
         }
         let per = nb.div_ceil(self.threads);
-        let mut pieces: Vec<&mut [T]> = partials.chunks_mut(per).collect();
+        let mut pieces: Vec<&mut [f64]> = partials.chunks_mut(per).collect();
         self.run_dispatch(
             &mut pieces,
             "reduce",
@@ -1511,26 +1499,13 @@ mod tests {
     }
 
     #[test]
-    fn reduce_complex_handles_odd_lengths() {
-        let values: Vec<Complex64> = (0..10_001)
-            .map(|i| Complex64::new(1.0 / (i as f64 + 1.0), -0.5 / (i as f64 + 2.0)))
-            .collect();
-        let a = ChunkExecutor::with_exact_threads(1).reduce_complex(values.len(), |r| {
-            let mut acc = Complex64::ZERO;
-            for v in &values[r] {
-                acc += *v;
-            }
-            acc
-        });
-        let b = ChunkExecutor::with_exact_threads(4).reduce_complex(values.len(), |r| {
-            let mut acc = Complex64::ZERO;
-            for v in &values[r] {
-                acc += *v;
-            }
-            acc
-        });
-        assert_eq!(a.re.to_bits(), b.re.to_bits());
-        assert_eq!(a.im.to_bits(), b.im.to_bits());
+    fn reduce_handles_odd_lengths() {
+        let values: Vec<f64> = (0..10_001).map(|i| 1.0 / (i as f64 + 1.0)).collect();
+        let sum = |threads| {
+            ChunkExecutor::with_exact_threads(threads)
+                .reduce_f64(values.len(), |r| values[r].iter().sum())
+        };
+        assert_eq!(sum(1).to_bits(), sum(4).to_bits());
     }
 
     #[test]

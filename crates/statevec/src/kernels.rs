@@ -595,21 +595,6 @@ pub fn apply_action(amps: &mut [Complex64], base: usize, action: &GateAction) {
     Kernels::detected().apply_action(amps, base, action)
 }
 
-/// Number of floating-point operations a gate action performs per
-/// *processed* amplitude pair/group — used by the device timing model.
-///
-/// A complex multiply counts 6 flops, an add 2.
-pub fn action_flops_per_group(action: &GateAction) -> u64 {
-    match action {
-        GateAction::Diagonal { .. } => 6,
-        GateAction::ControlledDense { matrix, .. } => {
-            let dim = matrix.dim() as u64;
-            // dim outputs, each a dot product of dim: mul (6) + add (2).
-            dim * dim * 8
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,13 +727,6 @@ mod tests {
         }
         let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
         assert!((norm - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flop_estimates() {
-        assert_eq!(action_flops_per_group(&action(Gate::Z, &[0])), 6);
-        assert_eq!(action_flops_per_group(&action(Gate::H, &[0])), 32);
-        assert_eq!(action_flops_per_group(&action(Gate::Swap, &[0, 1])), 128);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod chunked;
 pub mod executor;
 pub mod kernels;
 pub mod measure;
-pub mod observable;
 pub mod reference;
 pub mod state;
 

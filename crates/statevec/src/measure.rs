@@ -342,19 +342,6 @@ pub fn seeded_counts_chunked(
     v
 }
 
-/// The most likely basis state and its probability.
-pub fn most_likely(state: &StateVector) -> (usize, f64) {
-    state
-        .amps()
-        .iter()
-        .enumerate()
-        .map(|(i, a)| (i, a.norm_sqr()))
-        .fold(
-            (0, 0.0),
-            |best, cur| if cur.1 > best.1 { cur } else { best },
-        )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,7 +429,7 @@ mod tests {
         let mut c = Circuit::new(3);
         c.x(1);
         s.run(&c);
-        assert_eq!(most_likely(&s), (2, 1.0));
+        assert_eq!(s.probabilities(), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

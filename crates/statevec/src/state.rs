@@ -96,11 +96,6 @@ impl StateVector {
         &mut self.amps
     }
 
-    /// Consumes the state and returns the amplitude vector.
-    pub fn into_amplitudes(self) -> Vec<Complex64> {
-        self.amps
-    }
-
     /// Applies one operation in place (single-threaded).
     pub fn apply(&mut self, op: &Operation) {
         let action = GateAction::from_operation(op);
@@ -173,22 +168,6 @@ impl StateVector {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
     }
 
-    /// Fidelity `|⟨self|other⟩|²` with another state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn fidelity(&self, other: &StateVector) -> f64 {
-        assert_eq!(self.num_qubits, other.num_qubits);
-        let inner: Complex64 = self
-            .amps
-            .iter()
-            .zip(other.amps.iter())
-            .map(|(a, b)| a.conj() * *b)
-            .sum();
-        inner.norm_sqr()
-    }
-
     /// Largest per-amplitude deviation from `other`.
     ///
     /// # Panics
@@ -248,23 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_of_identical_states_is_one() {
-        let c = Benchmark::Qft.generate(6);
-        let mut a = StateVector::new_zero(6);
-        a.run(&c);
-        let b = a.clone();
-        assert!((a.fidelity(&b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fidelity_of_orthogonal_states_is_zero() {
-        let a = StateVector::new_zero(2);
-        let mut b = StateVector::new_zero(2);
-        b.apply(&Operation::new(Gate::X, vec![0]));
-        assert!(a.fidelity(&b) < 1e-15);
-    }
-
-    #[test]
     fn x_then_x_is_identity() {
         let mut s = StateVector::new_zero(4);
         let reference = s.clone();
@@ -294,7 +256,7 @@ mod tests {
         ];
         let s = StateVector::from_amplitudes(amps.clone());
         assert_eq!(s.num_qubits(), 2);
-        assert_eq!(s.into_amplitudes(), amps);
+        assert_eq!(s.amps(), &amps[..]);
     }
 
     #[test]

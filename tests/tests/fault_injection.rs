@@ -31,7 +31,6 @@ fn seeded_campaign_is_absorbed_across_versions() {
         p_transfer_corrupt: 0.01,
         p_codec_fail: 0.01,
         p_mask_corrupt: 0.05,
-        p_stage_slowdown: 0.01,
         ..FaultConfig::default()
     };
     for v in Version::ALL {
