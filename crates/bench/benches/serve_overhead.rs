@@ -1,7 +1,7 @@
 //! Serving overhead guard: submitting jobs through the `qgpu-serve`
-//! stack (admission control, fair scheduler, dispatch channel, worker
-//! thread, cancellation token plumbing, reaper tick) vs invoking the
-//! engine directly, at **zero** injected faults.
+//! stack (admission control, fair queue, a worker thread that dequeues
+//! from it, cancellation token plumbing) vs invoking the engine
+//! directly, at **zero** injected faults.
 //!
 //! The server's contract is "the machinery around the engine is free
 //! when nothing goes wrong": per-job serving cost is a queue hop and a
@@ -42,7 +42,7 @@ fn run_direct(qubits: usize) -> f64 {
 
 /// The same J jobs through a 1-worker/1-device server: identical
 /// sequential engine work, so any wall-clock delta is pure serving
-/// overhead (submit, WFQ, channel hop, token polls, reaper).
+/// overhead (submit, WFQ, the worker's wake-up, token polls).
 fn run_served(qubits: usize) -> f64 {
     let circuit = Benchmark::Qft.generate(qubits);
     let server = Server::new(ServeConfig::default().with_workers(1).with_devices(1));

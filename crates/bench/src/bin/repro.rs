@@ -7,8 +7,10 @@
 //! laptop while preserving the paper's shapes; pass `--qubits` to push
 //! larger. End-to-end performance is measured by the `benchmark/`
 //! harness, not here (see `benchmark/README.md`). `repro --help` lists
-//! the flags; a usage error exits 2, a run failure 1.
+//! the flags; a usage error exits 2, a run failure 1. Once the reader of
+//! stdout has gone away, `repro all` stops and exits 0.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use qgpu::cli::{self, Cli, Error};
@@ -141,19 +143,23 @@ fn collect(
     Ok((tables, extra))
 }
 
-fn run_one(name: &str, qubits: Option<usize>, json: bool) -> Result<(), String> {
-    let (tables, extra) = collect(name, qubits)?;
-    for t in &tables {
+fn show(
+    out: &mut cli::Stdout,
+    tables: &[experiments::Table],
+    extra: &str,
+    json: bool,
+) -> io::Result<()> {
+    for t in tables {
         if json {
-            println!("{}", t.to_json());
+            writeln!(out, "{}", t.to_json())?;
         } else {
-            println!("{t}");
+            writeln!(out, "{t}")?;
         }
     }
     if !json && !extra.is_empty() {
-        println!("{extra}");
+        writeln!(out, "{extra}")?;
     }
-    Ok(())
+    out.flush()
 }
 
 fn main() -> ExitCode {
@@ -161,25 +167,38 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(e) => return CLI.exit(e),
     };
+    let mut out = cli::Stdout::lock();
+    let mut shown = Ok(());
     let names: Vec<&str> = match name.as_str() {
         "list" => {
-            for (name, _, desc) in EXPERIMENTS {
-                println!("{name:8} {desc}");
-            }
+            shown = EXPERIMENTS
+                .iter()
+                .try_for_each(|(name, _, desc)| writeln!(out, "{name:8} {desc}"));
             vec![]
         }
         "all" => EXPERIMENTS.iter().map(|e| e.0).collect(),
         name => vec![name],
     };
     for name in &names {
+        if shown.is_err() || out.closed() {
+            break;
+        }
         if names.len() > 1 {
             eprintln!("[repro] running {name} …");
         }
-        if let Err(e) = run_one(name, args.qubits, args.json) {
-            return CLI.exit(Error::Usage(e));
+        let (tables, extra) = match collect(name, args.qubits) {
+            Ok(t) => t,
+            Err(e) => return CLI.exit(Error::Usage(e)),
+        };
+        shown = show(&mut out, &tables, &extra, args.json);
+    }
+    match shown {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
 #[cfg(test)]

@@ -5,10 +5,12 @@
 //! a modeled platform, prints the most likely basis states and, on
 //! request, the modeled report, sampled shots, traces, metrics and
 //! checkpoints; seeded fault injection exercises the resilience layers.
-//! `qgpu-sim --help` lists the flags. Exit code 0 is success, 1 a failed
-//! run (or a `--compare` beyond 1e-12), 2 a usage error.
+//! `qgpu-sim --help` lists the flags. Exit code 0 is success (a reader
+//! of stdout that went away only ends the output), 1 a failed run (or a
+//! `--compare` beyond 1e-12), 2 a usage error.
 
 use std::fs;
+use std::io::Write;
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
@@ -226,7 +228,7 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(opts: &Options) -> Result<(), String> {
+fn run(opts: &Options) -> Result<(), Box<dyn std::error::Error>> {
     let circuit = load_circuit(opts)?;
     let n = circuit.num_qubits();
     let ops = circuit.len();
@@ -354,16 +356,22 @@ fn run(opts: &Options) -> Result<(), String> {
         .filter(|&(_, p)| p > 1e-12)
         .collect();
     probs.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
-    println!("top basis states:");
+    let mut out = cli::Stdout::lock();
+    writeln!(out, "top basis states:")?;
     for &(basis, p) in probs.iter().take(opts.top) {
-        println!("  |{basis:0n$b}>  p = {p:.6}");
+        writeln!(out, "  |{basis:0n$b}>  p = {p:.6}")?;
     }
 
     if opts.sample {
         let samples = result.samples.as_deref().unwrap_or(&[]);
-        println!("\n{} samples ({} distinct):", opts.shots, samples.len());
+        writeln!(
+            out,
+            "\n{} samples ({} distinct):",
+            opts.shots,
+            samples.len()
+        )?;
         for &(basis, count) in samples {
-            println!("  |{basis:0n$b}>  x{count}");
+            writeln!(out, "  |{basis:0n$b}>  x{count}")?;
         }
     }
 
@@ -380,63 +388,70 @@ fn run(opts: &Options) -> Result<(), String> {
             return Err(format!(
                 "--compare: checkpoint has {} qubits but the run has {n}",
                 reference.num_qubits()
-            ));
+            )
+            .into());
         }
         let dev = state.max_deviation(&reference);
         eprintln!("[qgpu-sim] compare: max deviation {dev:.3e} vs {path}");
         if dev >= 1e-12 {
-            return Err(format!("--compare: deviation {dev:.3e} exceeds 1e-12"));
+            return Err(format!("--compare: deviation {dev:.3e} exceeds 1e-12").into());
         }
     }
 
     if opts.report {
         let r = &result.report;
-        println!("\nmodeled execution report ({}):", opts.version);
-        println!("  total time        : {:.6} s", r.total_time);
-        println!("  host update       : {:.6} s", r.host_time);
-        println!("  gpu compute       : {:.6} s", r.gpu_time);
-        println!("  transfer busy     : {:.6} s", r.transfer_time);
-        println!("  bytes H2D / D2H   : {} / {}", r.bytes_h2d, r.bytes_d2h);
-        println!(
+        writeln!(out, "\nmodeled execution report ({}):", opts.version)?;
+        writeln!(out, "  total time        : {:.6} s", r.total_time)?;
+        writeln!(out, "  host update       : {:.6} s", r.host_time)?;
+        writeln!(out, "  gpu compute       : {:.6} s", r.gpu_time)?;
+        writeln!(out, "  transfer busy     : {:.6} s", r.transfer_time)?;
+        writeln!(
+            out,
+            "  bytes H2D / D2H   : {} / {}",
+            r.bytes_h2d, r.bytes_d2h
+        )?;
+        writeln!(
+            out,
             "  chunks pruned     : {} of {}",
             r.chunks_pruned,
             r.chunks_pruned + r.chunks_processed
-        );
-        println!("  compression ratio : {:.3}x", r.compression_ratio());
+        )?;
+        writeln!(out, "  compression ratio : {:.3}x", r.compression_ratio())?;
         if opts.fuse {
-            println!("  gates fused       : {}", r.gates_fused);
-            println!("  fused kernels     : {}", r.fused_kernels);
+            writeln!(out, "  gates fused       : {}", r.gates_fused)?;
+            writeln!(out, "  fused kernels     : {}", r.fused_kernels)?;
         }
         if r.shots > 0 || r.collapses > 0 || r.noise_ops > 0 {
-            println!("  shots             : {}", r.shots);
-            println!("  collapses         : {}", r.collapses);
-            println!("  noise ops         : {}", r.noise_ops);
+            writeln!(out, "  shots             : {}", r.shots)?;
+            writeln!(out, "  collapses         : {}", r.collapses)?;
+            writeln!(out, "  noise ops         : {}", r.noise_ops)?;
         }
         if opts.faults.any_enabled() {
-            println!("  chunk retries     : {}", r.chunk_retries);
-            println!("  codec fallbacks   : {}", r.codec_fallbacks);
-            println!("  prune fallbacks   : {}", r.prune_fallbacks);
-            println!("  worker restarts   : {}", r.worker_restarts);
+            writeln!(out, "  chunk retries     : {}", r.chunk_retries)?;
+            writeln!(out, "  codec fallbacks   : {}", r.codec_fallbacks)?;
+            writeln!(out, "  prune fallbacks   : {}", r.prune_fallbacks)?;
+            writeln!(out, "  worker restarts   : {}", r.worker_restarts)?;
         }
         if let Some(integ) = &result.integrity {
-            println!("  invariant checks  : {}", integ.checks);
-            println!("  violations        : {}", integ.violations);
-            println!("  flips injected    : {}", integ.flips_injected);
-            println!(
+            writeln!(out, "  invariant checks  : {}", integ.checks)?;
+            writeln!(out, "  violations        : {}", integ.violations)?;
+            writeln!(out, "  flips injected    : {}", integ.flips_injected)?;
+            writeln!(
+                out,
                 "  re-executions     : {} same-device, {} cross-device",
                 integ.reexec_same_device, integ.reexec_cross_device
-            );
-            println!("  repairs           : {}", integ.repairs);
-            println!("  quarantines       : {}", integ.quarantines);
+            )?;
+            writeln!(out, "  repairs           : {}", integ.repairs)?;
+            writeln!(out, "  quarantines       : {}", integ.quarantines)?;
         }
         if opts.devices > 1 || opts.mem_budget.is_some() || r.orchestration_events() > 0 {
-            println!("  devices           : {}", r.num_gpus);
-            println!("  devices lost      : {}", r.devices_lost);
-            println!("  chunks migrated   : {}", r.chunks_migrated);
-            println!("  steals            : {}", r.steals);
-            println!("  pressure downshifts: {}", r.pressure_downshifts);
-            println!("  link degradations : {}", r.link_degradations);
-            println!("  peak resident     : {} bytes", r.peak_resident_bytes);
+            writeln!(out, "  devices           : {}", r.num_gpus)?;
+            writeln!(out, "  devices lost      : {}", r.devices_lost)?;
+            writeln!(out, "  chunks migrated   : {}", r.chunks_migrated)?;
+            writeln!(out, "  steals            : {}", r.steals)?;
+            writeln!(out, "  pressure downshifts: {}", r.pressure_downshifts)?;
+            writeln!(out, "  link degradations : {}", r.link_degradations)?;
+            writeln!(out, "  peak resident     : {} bytes", r.peak_resident_bytes)?;
         }
     }
 
@@ -450,7 +465,7 @@ fn run(opts: &Options) -> Result<(), String> {
         if chart.is_empty() {
             eprintln!("[qgpu-sim] --gantt: no timeline events recorded");
         } else {
-            println!("\n{chart}");
+            writeln!(out, "\n{chart}")?;
         }
     }
 
@@ -486,8 +501,9 @@ fn run(opts: &Options) -> Result<(), String> {
         let obs = result.obs.as_ref().expect("obs enabled with --drift");
         let drift =
             qgpu_obs::DriftReport::new(&result.report, &obs.spans, obs.wall_s, opts.drift_tol);
-        println!("\n{}", drift.render());
+        writeln!(out, "\n{}", drift.render())?;
     }
+    out.flush()?;
     Ok(())
 }
 

@@ -16,8 +16,12 @@
 //! value` or `--x: <reason>`. [`Cli::exit`] prints `--help` to stdout
 //! with exit code 0 and a usage error, followed by the help, to stderr
 //! with exit code 2; run failures are the binaries' own and exit 1.
+//!
+//! A binary writes its results through one [`Stdout`], so a reader that
+//! goes away early (`| head -1`) ends the output, not the process.
 
 use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::num::{ParseFloatError, ParseIntError};
 use std::process::ExitCode;
 
@@ -163,8 +167,68 @@ impl<O> Cli<O> {
             eprint!("{msg}\n\n{}", self.help());
             return ExitCode::from(2);
         }
-        print!("{}", self.help());
-        ExitCode::SUCCESS
+        match Stdout::lock().write_all(self.help().as_bytes()) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("error: {e}");
+                ExitCode::FAILURE
+            }
+        }
+    }
+}
+
+/// A binary's stdout, locked once. A closed reader (`BrokenPipe`, as
+/// under `| head -1`) is a normal end of the output: that write and every
+/// later one is dropped, [`Stdout::closed`] turns true, and the exit code
+/// still reports the run. Any other write error is returned, naming
+/// stdout.
+pub struct Stdout {
+    lock: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Stdout {
+    /// Locks the process's stdout.
+    pub fn lock() -> Self {
+        Stdout {
+            lock: io::stdout().lock(),
+            closed: false,
+        }
+    }
+
+    /// Whether the reader has gone away.
+    pub fn closed(&self) -> bool {
+        self.closed
+    }
+
+    fn end(&mut self, e: io::Error) -> io::Result<()> {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            self.closed = true;
+            return Ok(());
+        }
+        Err(io::Error::new(e.kind(), format!("stdout: {e}")))
+    }
+}
+
+impl io::Write for Stdout {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        if self.closed {
+            return Ok(buf.len());
+        }
+        match self.lock.write(buf) {
+            Err(e) => self.end(e).map(|()| buf.len()),
+            ok => ok,
+        }
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        if self.closed {
+            return Ok(());
+        }
+        match self.lock.flush() {
+            Err(e) => self.end(e),
+            ok => ok,
+        }
     }
 }
 

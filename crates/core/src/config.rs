@@ -647,13 +647,6 @@ impl SimConfig {
         self
     }
 
-    /// Attaches a cooperative cancellation token (see
-    /// [`SimConfig::cancel`]).
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// The noise channels to apply, if any are enabled.
     pub fn effective_noise(&self) -> Option<NoiseConfig> {
         self.noise.filter(NoiseConfig::is_enabled)

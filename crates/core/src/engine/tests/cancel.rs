@@ -4,6 +4,7 @@
 //! reports the partial per-stage timings gathered before the abort.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use qgpu_circuit::generators::Benchmark;
 use qgpu_faults::{CancelToken, SimError};
@@ -14,7 +15,10 @@ use crate::engine::pipeline;
 
 fn run_cancelled(cfg: SimConfig, trip_at: u64) -> (SimError, Arc<Recorder>) {
     let c = Benchmark::Qft.generate(10);
-    let cfg = cfg.with_cancel(CancelToken::cancelled_at(trip_at));
+    let cfg = SimConfig {
+        cancel: Some(CancelToken::cancelled_at(trip_at)),
+        ..cfg
+    };
     let rec = Arc::new(Recorder::new().with_flight(256));
     let err =
         pipeline::run(&c, &cfg, Some(&rec), None).expect_err("armed token must abort the run");
@@ -93,11 +97,10 @@ fn static_mode_honors_the_token_too() {
 #[test]
 fn deadline_trip_surfaces_as_deadline_exceeded() {
     let c = Benchmark::Qft.generate(8);
-    let token = CancelToken::new();
-    token.expire();
-    let cfg = SimConfig::scaled_paper(8)
-        .with_version(Version::QGpu)
-        .with_cancel(token);
+    let cfg = SimConfig {
+        cancel: Some(CancelToken::with_deadline(Some(Instant::now()))),
+        ..SimConfig::scaled_paper(8).with_version(Version::QGpu)
+    };
     let err = pipeline::run(&c, &cfg, None, None).unwrap_err();
     assert!(matches!(err, SimError::DeadlineExceeded { op: 0 }));
 }
@@ -108,11 +111,10 @@ fn untripped_token_is_free_and_bit_exact() {
     let clean =
         crate::engine::Simulator::new(SimConfig::scaled_paper(10).with_version(Version::QGpu))
             .run(&c);
-    let tokened = crate::engine::Simulator::new(
-        SimConfig::scaled_paper(10)
-            .with_version(Version::QGpu)
-            .with_cancel(CancelToken::new()),
-    )
+    let tokened = crate::engine::Simulator::new(SimConfig {
+        cancel: Some(CancelToken::new()),
+        ..SimConfig::scaled_paper(10).with_version(Version::QGpu)
+    })
     .run(&c);
     super::assert_bitwise_eq(
         clean.state.as_ref().expect("collected"),
@@ -140,9 +142,10 @@ fn cancel_during_a_deferred_run_lands_between_chunk_visits() {
         c.h(i % 3).t((i + 1) % 3).cx(i % 3, (i + 2) % 3);
     }
     let token = CancelToken::new();
-    let cfg = SimConfig::scaled_paper(12)
-        .with_version(Version::Baseline)
-        .with_cancel(token.clone());
+    let cfg = SimConfig {
+        cancel: Some(token.clone()),
+        ..SimConfig::scaled_paper(12).with_version(Version::Baseline)
+    };
     let rec = Arc::new(Recorder::new().with_flight(256));
     let finished = Arc::new(AtomicBool::new(false));
     let watcher = {
@@ -231,7 +234,11 @@ fn cancel_lands_within_a_tile_of_a_large_gate() {
             token.cancel()
         })
     };
-    let outcome = pipeline::run(&c, &cfg.with_cancel(token), Some(&rec), None);
+    let cfg = SimConfig {
+        cancel: Some(token),
+        ..cfg
+    };
+    let outcome = pipeline::run(&c, &cfg, Some(&rec), None);
     finished.store(true, Ordering::Release);
     assert!(
         watcher.join().expect("watcher"),
@@ -310,7 +317,11 @@ fn cancel_lands_inside_a_batch() {
             token.cancel()
         })
     };
-    let outcome = pipeline::run(&c, &cfg.with_cancel(token), Some(&rec), None);
+    let cfg = SimConfig {
+        cancel: Some(token),
+        ..cfg
+    };
+    let outcome = pipeline::run(&c, &cfg, Some(&rec), None);
     finished.store(true, Ordering::Release);
     assert!(
         watcher.join().expect("watcher"),

@@ -64,8 +64,8 @@ pub enum SimError {
         /// The program-op index the run stopped at.
         op: usize,
     },
-    /// The run's wall-clock deadline passed; the reaper tripped its
-    /// token and the pipeline stopped at the next gate boundary.
+    /// The run's wall-clock deadline passed; the token's own poll
+    /// tripped it and the pipeline stopped at that poll point.
     DeadlineExceeded {
         /// The program-op index the run stopped at.
         op: usize,

@@ -24,8 +24,9 @@
 //!   defense: CRCs only guard *transfers*, so kernel-output corruption
 //!   needs algebraic checks (norm/magnitude/zero-block preservation).
 //! * [`CancelToken`] — a shared, one-shot cancellation token the
-//!   pipeline polls at gate boundaries, so callers (and serving-layer
-//!   reapers) can stop a run cleanly mid-circuit.
+//!   pipeline polls at gate boundaries, so callers can stop a run
+//!   cleanly mid-circuit; a token with a deadline trips itself at the
+//!   first poll after it.
 //!
 //! # Examples
 //!

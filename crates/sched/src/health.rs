@@ -20,6 +20,10 @@
 //!    └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! A quarantined device whose score decays below the quarantine bar but
+//! not yet to the reinstatement bar steps back to probation
+//! ([`HealthTransition::Recovering`]).
+//!
 //! The board is pure bookkeeping — no clocks, no threads — so the same
 //! sequence of recorded events always produces the same state, and both
 //! the engine (modeled devices) and the serving layer (fleet slots) can
@@ -56,6 +60,8 @@ pub enum HealthTransition {
     None,
     /// Healthy → Probation.
     Demoted,
+    /// Quarantined → Probation: a step toward reinstatement.
+    Recovering,
     /// Probation/Healthy → Quarantined.
     Quarantined,
     /// Quarantined/Probation → Healthy.
@@ -187,6 +193,7 @@ impl DeviceHealthBoard {
                 HealthTransition::Quarantined
             }
             (_, HealthState::Healthy) => HealthTransition::Reinstated,
+            (HealthState::Quarantined, HealthState::Probation) => HealthTransition::Recovering,
             (_, HealthState::Probation) => HealthTransition::Demoted,
         };
         d.state = next;
@@ -337,10 +344,10 @@ mod tests {
         let mut b = DeviceHealthBoard::new(1);
         b.record_violation(0);
         assert_eq!(b.record_violation(0), HealthTransition::Quarantined);
-        // 0.75 halves per clean result: 0.375 steps down to probation,
-        // 0.1875 and 0.094 sit in the dead band, and 0.047 ≤
-        // REINSTATE_THRESHOLD reinstates on the fourth.
-        assert_eq!(b.record_success(0), HealthTransition::Demoted);
+        // 0.75 halves per clean result: 0.375 steps down to probation
+        // (recovering, not a demotion), 0.1875 and 0.094 sit in the dead
+        // band, and 0.047 ≤ REINSTATE_THRESHOLD reinstates on the fourth.
+        assert_eq!(b.record_success(0), HealthTransition::Recovering);
         assert_eq!(b.state(0), HealthState::Probation);
         for _ in 0..2 {
             assert_eq!(b.record_success(0), HealthTransition::None);

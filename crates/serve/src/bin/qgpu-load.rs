@@ -11,12 +11,14 @@
 //! * decisions are visible: shed/retry/cancel/deadline counters match
 //!   what the run provoked.
 //!
-//! `qgpu-load --help` lists the flags. Exit code 0 = contract held;
-//! 1 = violation; 2 = bad usage. `--metrics-out` writes the same
+//! `qgpu-load --help` lists the flags. Exit code 0 = contract held (a
+//! reader of stdout that went away only ends the output); 1 = violation;
+//! 2 = bad usage. `--metrics-out` writes the same
 //! document shape as `qgpu-sim --metrics-out`. Serving throughput and
 //! latency are measured by the `benchmark/` harness's `serve_mix`
 //! workload (see `benchmark/README.md`).
 
+use std::io::{self, Write};
 use std::num::NonZeroU64;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -351,36 +353,59 @@ fn main() -> ExitCode {
         percentile(&latencies_ms, 99.9),
     );
 
-    println!("qgpu-load: {} jobs in {wall_s:.2}s", opts.jobs);
-    for (label, n) in &by_label {
-        println!("  {label:>18}: {n}");
+    // Every result line goes through one locked writer; a reader that
+    // went away ends the output, not the run.
+    let mut out = cli::Stdout::lock();
+    let fail = |e: io::Error| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    };
+    let summary = (|| -> io::Result<()> {
+        writeln!(out, "qgpu-load: {} jobs in {wall_s:.2}s", opts.jobs)?;
+        for (label, n) in &by_label {
+            writeln!(out, "  {label:>18}: {n}")?;
+        }
+        writeln!(out, "  client-side sheds: {shed_client}")?;
+        writeln!(
+            out,
+            "  client cancels: {cancelled_client}, tight deadlines: {tight_jobs}"
+        )?;
+        writeln!(
+            out,
+            "  serve.retries: {}, serve.shed: {}, serve.worker_panics: {}, serve.devices_lost: {}",
+            counter("serve.retries"),
+            counter("serve.shed"),
+            counter("serve.worker_panics"),
+            counter("serve.devices_lost"),
+        )?;
+        writeln!(
+            out,
+            "  engine recovery on completed jobs: {engine_codec_fallbacks} codec fallback(s), \
+             {engine_chunk_retries} chunk retry(ies)"
+        )?;
+        if opts.chaos_kernel_flip > 0.0 || integrity_flips > 0 {
+            writeln!(
+                out,
+                "  integrity on completed jobs: {integrity_flips} flip(s) injected, \
+                 {integrity_violations} violation(s) detected, {integrity_repairs} repaired; \
+                 serve quarantines: {}",
+                counter("serve.quarantines"),
+            )?;
+        }
+        writeln!(
+            out,
+            "  completed: {completed} ({throughput:.1} jobs/s), latency ms \
+             p50={p50:.1} p90={p90:.1} p99={p99:.1} p999={p999:.1}"
+        )?;
+        writeln!(
+            out,
+            "  bit-identity: {completed} checked, {bit_mismatches} mismatched"
+        )?;
+        out.flush()
+    })();
+    if let Err(e) = summary {
+        return fail(e);
     }
-    println!("  client-side sheds: {shed_client}");
-    println!("  client cancels: {cancelled_client}, tight deadlines: {tight_jobs}");
-    println!(
-        "  serve.retries: {}, serve.shed: {}, serve.worker_panics: {}, serve.devices_lost: {}",
-        counter("serve.retries"),
-        counter("serve.shed"),
-        counter("serve.worker_panics"),
-        counter("serve.devices_lost"),
-    );
-    println!(
-        "  engine recovery on completed jobs: {engine_codec_fallbacks} codec fallback(s), \
-         {engine_chunk_retries} chunk retry(ies)"
-    );
-    if opts.chaos_kernel_flip > 0.0 || integrity_flips > 0 {
-        println!(
-            "  integrity on completed jobs: {integrity_flips} flip(s) injected, \
-             {integrity_violations} violation(s) detected, {integrity_repairs} repaired; \
-             serve quarantines: {}",
-            counter("serve.quarantines"),
-        );
-    }
-    println!(
-        "  completed: {completed} ({throughput:.1} jobs/s), latency ms \
-         p50={p50:.1} p90={p90:.1} p99={p99:.1} p999={p999:.1}"
-    );
-    println!("  bit-identity: {completed} checked, {bit_mismatches} mismatched");
 
     let meta = RunMeta::collect(
         &opts.label,
@@ -416,8 +441,14 @@ fn main() -> ExitCode {
         eprintln!("[qgpu-load] FAILED: {violations} contract violation(s)");
         return ExitCode::FAILURE;
     }
-    println!("[qgpu-load] OK: all jobs terminal, completions bit-identical");
-    ExitCode::SUCCESS
+    let ok = writeln!(
+        out,
+        "[qgpu-load] OK: all jobs terminal, completions bit-identical"
+    );
+    match ok.and_then(|()| out.flush()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => fail(e),
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! Every job reaches exactly one *terminal* state — `Completed`,
 //! `Failed`, `Rejected`, `Cancelled`, or `DeadlineExceeded` — and the
 //! transition into it happens exactly once (first writer wins, under
-//! the record's mutex), no matter how reaper, canceller, and worker
+//! the record's mutex), no matter how canceller, shutdown, and worker
 //! race.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -200,18 +200,16 @@ struct JobState {
 }
 
 /// The server-side record of one job, shared between the caller's
-/// [`JobHandle`], the scheduler, the reaper, and the worker running it.
+/// [`JobHandle`], the server's queue, and the worker running it.
 pub(crate) struct JobRecord {
     pub(crate) id: JobId,
     pub(crate) tenant: String,
     pub(crate) submitted: Instant,
-    pub(crate) deadline_at: Option<Instant>,
     /// The caller asked for cancellation (sticky across retries).
     pub(crate) cancel_requested: AtomicBool,
-    /// The reaper saw the deadline pass (sticky across retries).
-    pub(crate) deadline_hit: AtomicBool,
-    /// The *current attempt's* engine token; replaced on retry so a
-    /// reaper/cancel/evict trip always reaches the run in flight.
+    /// The *current attempt's* engine token, carrying the job's
+    /// deadline; renewed on retry so a cancel or evict trip always
+    /// reaches the run in flight.
     pub(crate) token: Mutex<CancelToken>,
     state: Mutex<JobState>,
     cv: Condvar,
@@ -223,10 +221,8 @@ impl JobRecord {
             id,
             tenant,
             submitted: Instant::now(),
-            deadline_at,
             cancel_requested: AtomicBool::new(false),
-            deadline_hit: AtomicBool::new(false),
-            token: Mutex::new(CancelToken::new()),
+            token: Mutex::new(CancelToken::with_deadline(deadline_at)),
             state: Mutex::new(JobState {
                 status: JobStatus::Queued,
                 result: None,
@@ -285,11 +281,24 @@ impl JobRecord {
         }
     }
 
-    /// Installs a fresh token for the next attempt and returns it.
+    /// The terminal state a cancel request or a passed deadline has
+    /// already decided for a job that is not running, if any.
+    pub(crate) fn stopped(&self) -> Option<JobStatus> {
+        if self.cancel_requested.load(Ordering::Acquire) {
+            Some(JobStatus::Cancelled)
+        } else if self.token.lock().unwrap().deadline_passed() {
+            Some(JobStatus::DeadlineExceeded)
+        } else {
+            None
+        }
+    }
+
+    /// Installs a fresh token, carrying the job's deadline, for the next
+    /// attempt and returns it.
     pub(crate) fn arm_token(&self) -> CancelToken {
-        let fresh = CancelToken::new();
-        *self.token.lock().unwrap() = fresh.clone();
-        fresh
+        let mut token = self.token.lock().unwrap();
+        *token = token.renewed();
+        token.clone()
     }
 
     /// Applies `f` to the current attempt's token.
@@ -356,8 +365,8 @@ impl JobHandle {
     /// Requests cancellation: trips the in-flight attempt's token (the
     /// engine stops at its next poll: a gate boundary, or a tile of a
     /// gate's tasks) and marks the request
-    /// sticky so a pending retry cannot resurrect the job. Queued jobs
-    /// are discarded by the scheduler when they surface.
+    /// sticky so a pending retry cannot resurrect the job. A queued job
+    /// is discarded when it reaches the head of the fair queue.
     pub fn cancel(&self) {
         self.rec.cancel_requested.store(true, Ordering::Release);
         self.rec.with_token(|t| {

@@ -12,8 +12,9 @@
 //!   degraded-but-bit-exact form (finer chunks, forced compression)
 //!   before any shedding — degradation changes *footprint*, never
 //!   *results* (the engine's bit-identity invariant).
-//! * **Wall-clock deadlines** enforced by a reaper thread that cancels
-//!   in-flight runs cooperatively at gate boundaries.
+//! * **Wall-clock deadlines** carried in each run's cancellation token:
+//!   the engine's own poll stops an in-flight run cooperatively at the
+//!   first gate boundary (or tile of tasks) after its deadline.
 //! * **Retry with bit-exact replay**: recoverable engine faults
 //!   (`WorkerLost`, `ChunkCorrupt`, `StageTimeout`, device loss)
 //!   re-execute under the job's `RetryPolicy` with a fresh *machine*

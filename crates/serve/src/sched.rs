@@ -16,7 +16,7 @@
 //!
 //! The scheduler is deliberately pure (no threads, no clocks) so its
 //! fairness properties are testable in isolation; the server wraps it
-//! in a mutex and drives it from the scheduler thread.
+//! in a mutex, and each worker dequeues from it when it is free.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -1,25 +1,22 @@
 //! The job server: admission control, fair scheduling, worker pool,
-//! deadline reaper, retries, and graceful shutdown.
+//! deadlines, retries, and graceful shutdown.
 //!
-//! Thread layout (all plain `std::thread` over a shared `Inner`):
-//!
-//! * **scheduler** — owns the [`FairScheduler`], purges jobs whose
-//!   cancellation/deadline fired while queued, picks the least-loaded
-//!   surviving device, and feeds a bounded crossbeam channel (capacity
-//!   1, so queued work stays in the *fair* queue, not the channel).
-//! * **workers** (N) — pull dispatches, run the engine with a
-//!   per-attempt [`CancelToken`], convert worker panics into
-//!   [`SimError::WorkerLost`], and drive `RetryPolicy`-bounded
-//!   re-execution with a fresh fault seed per attempt (same physics
-//!   seed — replay is bit-exact).
-//! * **reaper** — ticks every [`REAPER_INTERVAL`], trips the token of any
-//!   job whose wall-clock deadline passed (queued jobs are discarded by
-//!   the scheduler when they surface; running jobs abort at the next
-//!   gate boundary or tile of tasks).
+//! The server runs exactly `workers` plain `std::thread`s over a shared
+//! `Inner`, and each runs one loop: lock the state, wait on `wake`
+//! until the [`FairScheduler`] has work, take its pick (finalizing jobs
+//! whose cancellation or deadline fired while queued), place it on the
+//! least-loaded surviving device, unlock, and run it. A job leaves the
+//! fair queue only when a worker is free to start it. The worker runs
+//! the engine with a per-attempt [`CancelToken`] that carries the job's
+//! deadline (the engine's own poll trips it, at a gate boundary or
+//! between tiles of tasks), converts worker panics into
+//! [`SimError::WorkerLost`], and drives `RetryPolicy`-bounded
+//! re-execution with a fresh fault seed per attempt (same physics seed
+//! — replay is bit-exact).
 //!
 //! The server tracks a job only until its terminal transition (the
 //! caller's [`JobHandle`] keeps the record and result alive after that),
-//! so its memory and the reaper's tick are O(queued + running).
+//! so its memory is O(queued + running).
 //!
 //! Admission control consults the shared [`PressureGovernor`]: a job
 //! that would exceed the memory budget is shed (`Rejected`, never a
@@ -33,7 +30,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use qgpu::config::OptFlags;
 use qgpu::{RunResult, SimError, Simulator};
 use qgpu_faults::{CancelReason, RetryPolicy};
@@ -78,9 +74,6 @@ impl ChaosConfig {
         ((draw >> 11) as f64 / (1u64 << 53) as f64) < self.p_worker_panic
     }
 }
-
-/// The reaper's tick.
-pub const REAPER_INTERVAL: Duration = Duration::from_millis(1);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -179,11 +172,6 @@ struct PendingJob {
     charged: u64,
 }
 
-struct Dispatch {
-    job: PendingJob,
-    device: usize,
-}
-
 struct DeviceSlot {
     alive: bool,
     running: usize,
@@ -202,13 +190,17 @@ struct ServeState {
     governor: Option<PressureGovernor>,
     committed_bytes: u64,
     /// Admitted-but-not-terminal jobs per tenant. This (not the raw
-    /// scheduler depth) backs the queue bound, so jobs the scheduler
-    /// has pre-pulled toward the worker channel still count.
+    /// scheduler depth) backs the queue bound, so running jobs still
+    /// count.
     active: std::collections::HashMap<String, usize>,
     /// Standing degradation rungs unlocked by sustained pressure.
     degrade_shrink: bool,
     degrade_compress: bool,
     next_id: JobId,
+    /// No new admissions; workers exit once the queue is empty. Set and
+    /// read under the lock, so a worker about to wait cannot miss the
+    /// wake-up that follows it.
+    closed: bool,
 }
 
 struct Inner {
@@ -216,11 +208,9 @@ struct Inner {
     metrics: ServeMetrics,
     state: Mutex<ServeState>,
     wake: Condvar,
-    /// No new admissions.
-    closed: AtomicBool,
-    /// Scheduler discards queued work; workers stop retrying.
+    /// Workers discard queued work and stop retrying. Set under the
+    /// state lock (like `closed`); read without it by retrying workers.
     abort: AtomicBool,
-    reaper_stop: AtomicBool,
 }
 
 /// A running job server. Dropping it without calling
@@ -232,7 +222,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the scheduler, worker pool, and reaper.
+    /// Starts the worker pool.
     pub fn new(cfg: ServeConfig) -> Self {
         let cfg = ServeConfig {
             workers: cfg.workers.max(1),
@@ -262,29 +252,18 @@ impl Server {
                 degrade_shrink: false,
                 degrade_compress: false,
                 next_id: 0,
+                closed: false,
             }),
             wake: Condvar::new(),
-            closed: AtomicBool::new(false),
             abort: AtomicBool::new(false),
-            reaper_stop: AtomicBool::new(false),
         });
 
-        let (tx, rx) = channel::bounded::<Dispatch>(1);
-        let mut threads = Vec::new();
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || scheduler_loop(&inner, tx)));
-        }
-        for _ in 0..cfg.workers {
-            let inner = Arc::clone(&inner);
-            let rx = rx.clone();
-            threads.push(std::thread::spawn(move || worker_loop(&inner, rx)));
-        }
-        drop(rx);
-        {
-            let inner = Arc::clone(&inner);
-            threads.push(std::thread::spawn(move || reaper_loop(&inner)));
-        }
+        let threads = (0..cfg.workers)
+            .map(|_| {
+                let inner = Arc::clone(&inner);
+                std::thread::spawn(move || worker_loop(&inner))
+            })
+            .collect();
         Server { inner, threads }
     }
 
@@ -321,15 +300,17 @@ impl Server {
     /// the flight ring.
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, RejectReason> {
         let inner = &self.inner;
-        if inner.closed.load(Ordering::Acquire) {
+        let mut spec = spec;
+        let mut st = inner.state.lock().unwrap();
+        // Checked under the lock a worker holds when it finds the queue
+        // empty and exits, so every admitted job has a worker left.
+        if st.closed {
             inner.metrics.rejected(&spec.tenant, "shutting_down", false);
             return Err(RejectReason::ShuttingDown);
         }
-        let mut spec = spec;
-        let mut st = inner.state.lock().unwrap();
 
         // Backpressure: bounded per-tenant queues (admitted and not yet
-        // terminal — queued, dispatched, or running).
+        // terminal — queued or running).
         if st.active.get(&spec.tenant).copied().unwrap_or(0) >= inner.cfg.max_queue_per_tenant {
             inner.metrics.rejected(&spec.tenant, "queue_full", true);
             return Err(RejectReason::QueueFull {
@@ -418,7 +399,7 @@ impl Server {
         drop(st);
         inner.metrics.admitted(&tenant);
         inner.metrics.queue_depth(&tenant, depth);
-        inner.wake.notify_all();
+        inner.wake.notify_one();
         Ok(JobHandle { rec })
     }
 
@@ -444,14 +425,14 @@ impl Server {
             evicted
         };
         self.inner.metrics.device_lost(device, evicted);
-        self.inner.wake.notify_all();
     }
 
     /// Stops admissions without shutting down: subsequent submits are
     /// refused with [`RejectReason::ShuttingDown`] while queued and
     /// in-flight work keeps running.
     pub fn close(&self) {
-        self.inner.closed.store(true, Ordering::Release);
+        self.inner.state.lock().unwrap().closed = true;
+        self.inner.wake.notify_all();
     }
 
     /// Gracefully shuts down: stops admissions, then drains or aborts
@@ -465,27 +446,25 @@ impl Server {
         if self.threads.is_empty() {
             return;
         }
-        self.inner.closed.store(true, Ordering::Release);
-        if mode == ShutdownMode::Abort {
-            self.inner.abort.store(true, Ordering::Release);
-            for j in self.inner.state.lock().unwrap().jobs.values() {
-                j.cancel_requested.store(true, Ordering::Release);
-                j.with_token(|t| {
-                    t.cancel();
-                });
+        {
+            // Both flags change under the lock a worker holds until it
+            // waits, so the notification below reaches every worker.
+            let mut st = self.inner.state.lock().unwrap();
+            st.closed = true;
+            if mode == ShutdownMode::Abort {
+                self.inner.abort.store(true, Ordering::Release);
+                for j in st.jobs.values() {
+                    j.cancel_requested.store(true, Ordering::Release);
+                    j.with_token(|t| {
+                        t.cancel();
+                    });
+                }
             }
         }
         self.inner.wake.notify_all();
-        // Scheduler exits once its queues are empty (drain) or on the
-        // abort flag, dropping the channel sender; workers drain the
-        // channel and exit on disconnect; the reaper stops last so
-        // deadlines stay enforced while draining.
-        let reaper = self.threads.pop();
+        // Workers exit once the queue is empty (drain) or on the abort
+        // flag, after cancelling whatever is still queued.
         for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        self.inner.reaper_stop.store(true, Ordering::Release);
-        if let Some(t) = reaper {
             let _ = t.join();
         }
         self.inner.metrics.shutdown(match mode {
@@ -551,6 +530,7 @@ fn emit_health_transition(inner: &Inner, st: &ServeState, device: usize, tr: Hea
     let (name, state) = match tr {
         HealthTransition::None => return,
         HealthTransition::Demoted => ("demoted", HealthState::Probation),
+        HealthTransition::Recovering => ("recovering", HealthState::Probation),
         HealthTransition::Quarantined => ("quarantined", HealthState::Quarantined),
         HealthTransition::Reinstated => ("reinstated", HealthState::Healthy),
     };
@@ -580,98 +560,67 @@ fn finalize_queued(inner: &Inner, st: &mut ServeState, p: PendingJob, status: Jo
     }
 }
 
-fn scheduler_loop(inner: &Arc<Inner>, tx: channel::Sender<Dispatch>) {
-    loop {
-        let dispatch = {
-            let mut st = inner.state.lock().unwrap();
-            loop {
-                if inner.abort.load(Ordering::Acquire) {
-                    while let Some(p) = st.sched.dequeue() {
-                        finalize_queued(inner, &mut st, p, JobStatus::Cancelled);
-                    }
-                    return;
-                }
-                let mut picked = None;
-                while let Some(p) = st.sched.dequeue() {
-                    inner
-                        .metrics
-                        .queue_depth(&p.rec.tenant, st.sched.depth(&p.rec.tenant));
-                    if p.rec.cancel_requested.load(Ordering::Acquire) {
-                        finalize_queued(inner, &mut st, p, JobStatus::Cancelled);
-                        continue;
-                    }
-                    let expired = p.rec.deadline_hit.load(Ordering::Acquire)
-                        || p.rec.deadline_at.is_some_and(|d| Instant::now() >= d);
-                    if expired {
-                        finalize_queued(inner, &mut st, p, JobStatus::DeadlineExceeded);
-                        continue;
-                    }
-                    match pick_device(&mut st) {
-                        Some(d) => {
-                            if st.board.state(d) == HealthState::Quarantined {
-                                inner.metrics.probe(d);
-                            }
-                            st.devices[d].running += 1;
-                            picked = Some(Dispatch { job: p, device: d });
-                        }
-                        None => {
-                            let error = SimError::AllDevicesLost { device: 0 }.to_string();
-                            finalize_queued(inner, &mut st, p, JobStatus::Failed { error });
-                        }
-                    }
-                    if picked.is_some() {
-                        break;
-                    }
-                }
-                if let Some(d) = picked {
-                    break d;
-                }
-                if inner.closed.load(Ordering::Acquire) && st.sched.total_depth() == 0 {
-                    return;
-                }
-                let (guard, _) = inner
-                    .wake
-                    .wait_timeout(st, Duration::from_millis(10))
-                    .unwrap();
-                st = guard;
-            }
-        };
-        if tx.send(dispatch).is_err() {
-            return;
-        }
+fn worker_loop(inner: &Inner) {
+    while let Some((job, device)) = next_job(inner) {
+        run_job(inner, job, device);
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, rx: channel::Receiver<Dispatch>) {
-    while let Ok(d) = rx.recv() {
-        run_job(inner, d);
+/// Waits for the fair queue's pick and places it on a device. Jobs whose
+/// cancellation or deadline fired while queued are finalized on the
+/// way. `None` once the server is closed and the queue is empty, or on
+/// abort, where the first worker to see the flag cancels every queued
+/// job.
+fn next_job(inner: &Inner) -> Option<(PendingJob, usize)> {
+    let mut st = inner.state.lock().unwrap();
+    loop {
+        if inner.abort.load(Ordering::Acquire) {
+            while let Some(p) = st.sched.dequeue() {
+                finalize_queued(inner, &mut st, p, JobStatus::Cancelled);
+            }
+            return None;
+        }
+        while let Some(p) = st.sched.dequeue() {
+            inner
+                .metrics
+                .queue_depth(&p.rec.tenant, st.sched.depth(&p.rec.tenant));
+            if let Some(status) = p.rec.stopped() {
+                finalize_queued(inner, &mut st, p, status);
+                continue;
+            }
+            let Some(d) = pick_device(&mut st) else {
+                let error = SimError::AllDevicesLost { device: 0 }.to_string();
+                finalize_queued(inner, &mut st, p, JobStatus::Failed { error });
+                continue;
+            };
+            if st.board.state(d) == HealthState::Quarantined {
+                inner.metrics.probe(d);
+            }
+            st.devices[d].running += 1;
+            return Some((p, d));
+        }
+        if st.closed {
+            return None;
+        }
+        st = inner.wake.wait(st).unwrap();
     }
 }
 
 #[allow(clippy::cognitive_complexity)]
-fn run_job(inner: &Arc<Inner>, d: Dispatch) {
-    let Dispatch { job: p, mut device } = d;
+fn run_job(inner: &Inner, p: PendingJob, mut device: usize) {
     let rec = &p.rec;
     let mut attempt: u32 = 0;
     let mut first_run = true;
     let outcome: (JobStatus, Option<RunResult>) = loop {
-        if rec.cancel_requested.load(Ordering::Acquire) {
-            break (JobStatus::Cancelled, None);
-        }
-        if rec.deadline_hit.load(Ordering::Acquire)
-            || rec.deadline_at.is_some_and(|dl| Instant::now() >= dl)
-        {
-            break (JobStatus::DeadlineExceeded, None);
+        if let Some(status) = rec.stopped() {
+            break (status, None);
         }
         let token = rec.arm_token();
-        // Re-check after installing the fresh token: a cancel or
-        // deadline that tripped the *previous* token in the gap must
-        // not be lost across the retry boundary.
+        // Re-check after installing the fresh token: a cancel that
+        // tripped the *previous* token in the gap must not be lost
+        // across the retry boundary. (The deadline travels in the token.)
         if rec.cancel_requested.load(Ordering::Acquire) {
             break (JobStatus::Cancelled, None);
-        }
-        if rec.deadline_hit.load(Ordering::Acquire) {
-            break (JobStatus::DeadlineExceeded, None);
         }
         rec.set_running(device, attempt);
         if first_run {
@@ -704,16 +653,15 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
                 }
             }
         };
-        // Caller/reaper decisions surface through the token first.
-        match rec.token.lock().unwrap().reason() {
+        // A cancel or a deadline ends the job whether the engine saw it
+        // (the token tripped) or failed first; only machine faults retry.
+        match token.reason() {
             Some(CancelReason::Cancelled) => break (JobStatus::Cancelled, None),
             Some(CancelReason::Deadline) => break (JobStatus::DeadlineExceeded, None),
             _ => {}
         }
-        match &err {
-            SimError::JobAborted { .. } => break (JobStatus::Cancelled, None),
-            SimError::DeadlineExceeded { .. } => break (JobStatus::DeadlineExceeded, None),
-            _ => {}
+        if let Some(status) = rec.stopped() {
+            break (status, None);
         }
         let retry_ok = err.is_recoverable()
             && attempt < inner.cfg.retry.max_retries
@@ -788,27 +736,6 @@ fn run_job(inner: &Arc<Inner>, d: Dispatch) {
             inner
                 .metrics
                 .latency_ms(&rec.tenant, rec.submitted.elapsed().as_millis() as u64);
-        }
-    }
-    inner.wake.notify_all();
-}
-
-fn reaper_loop(inner: &Arc<Inner>) {
-    while !inner.reaper_stop.load(Ordering::Acquire) {
-        std::thread::sleep(REAPER_INTERVAL);
-        let now = Instant::now();
-        let mut tripped = false;
-        for job in inner.state.lock().unwrap().jobs.values() {
-            let overdue = job.deadline_at.is_some_and(|dl| now >= dl);
-            if overdue && !job.deadline_hit.swap(true, Ordering::AcqRel) {
-                job.with_token(|t| {
-                    t.expire();
-                });
-                tripped = true;
-            }
-        }
-        if tripped {
-            inner.wake.notify_all();
         }
     }
 }

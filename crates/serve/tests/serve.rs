@@ -7,7 +7,7 @@ use std::time::Duration;
 use qgpu::{SimConfig, Simulator, Version};
 use qgpu_circuit::generators::Benchmark;
 use qgpu_serve::{
-    ChaosConfig, JobSpec, JobStatus, RejectReason, ServeConfig, Server, ShutdownMode,
+    ChaosConfig, JobSpec, JobStatus, Priority, RejectReason, ServeConfig, Server, ShutdownMode,
 };
 use qgpu_statevec::StateVector;
 
@@ -141,6 +141,78 @@ fn cancelling_a_queued_job_never_runs_it() {
 }
 
 #[test]
+fn fair_queue_order_holds_behind_a_busy_worker() {
+    // One worker busy on a job that runs until it is cancelled; tenant a
+    // queues two Low jobs, then tenant b one High job. A job leaves the
+    // fair queue only when the worker is free to start it, so b's
+    // smaller virtual finish time puts it ahead of a's second job. With
+    // one worker, b starting first means a2 is still queued when b
+    // finishes.
+    let server = Server::new(ServeConfig::default().with_workers(1));
+    let blocker = server
+        .submit(JobSpec::new(Benchmark::Qft.generate(20), cfg(20)).with_tenant("busy"))
+        .expect("blocker admitted");
+    while matches!(blocker.status(), JobStatus::Queued) {
+        std::thread::yield_now();
+    }
+    let low = |qubits| {
+        JobSpec::new(Benchmark::Qft.generate(qubits), cfg(qubits))
+            .with_tenant("a")
+            .with_priority(Priority::Low)
+    };
+    let a1 = server.submit(low(12)).expect("a1 admitted");
+    let a2 = server.submit(low(12)).expect("a2 admitted");
+    // Time for any hand-off ahead of the fair queue to take a's jobs.
+    std::thread::sleep(Duration::from_millis(50));
+    let b = server
+        .submit(
+            JobSpec::new(Benchmark::Qft.generate(12), cfg(12))
+                .with_tenant("b")
+                .with_priority(Priority::High),
+        )
+        .expect("b admitted");
+    blocker.cancel();
+    assert_eq!(
+        blocker.wait_timeout(WAIT),
+        Some(JobStatus::Cancelled),
+        "the blocker must still be running when every job is queued"
+    );
+    assert_eq!(b.wait_timeout(WAIT), Some(JobStatus::Completed));
+    let a2_then = a2.status();
+    assert!(
+        !a2_then.is_terminal(),
+        "b's High job must start before a's second Low job, which is {a2_then:?}"
+    );
+    for h in [&a1, &a2] {
+        assert_eq!(h.wait_timeout(WAIT), Some(JobStatus::Completed));
+    }
+    server.shutdown(ShutdownMode::Drain);
+}
+
+#[test]
+fn drain_right_after_the_last_wait_never_hangs() {
+    // `wait_timeout` returns as the worker finishes the job, just before
+    // it looks at the queue again; the drain's wake-up must reach it
+    // wherever it is. A hang fails here instead of stalling the suite.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..200 {
+            let server = Server::new(ServeConfig::default().with_workers(2));
+            let h = server
+                .submit(JobSpec::new(Benchmark::Qft.generate(4), cfg(4)))
+                .expect("admitted");
+            assert_eq!(h.wait_timeout(WAIT), Some(JobStatus::Completed));
+            server.shutdown(ShutdownMode::Drain);
+        }
+        done.send(()).unwrap();
+    });
+    assert!(
+        finished.recv_timeout(WAIT).is_ok(),
+        "a drain shutdown hung (or a job did not complete)"
+    );
+}
+
+#[test]
 fn cancelling_a_running_job_stops_it_at_a_gate_boundary() {
     let server = Server::new(ServeConfig::default().with_workers(1));
     let handle = server
@@ -165,15 +237,15 @@ fn cancelling_a_running_job_stops_it_at_a_gate_boundary() {
 #[test]
 fn expired_deadline_is_a_terminal_state_not_a_hang() {
     let server = Server::new(ServeConfig::default().with_workers(1));
-    // Already-expired deadline: discarded by the scheduler, never run.
+    // Already-expired deadline: discarded when dequeued, never run.
     let dead = server
         .submit(JobSpec::new(Benchmark::Qft.generate(10), cfg(10)).with_deadline(Duration::ZERO))
         .expect("admitted");
     assert_eq!(dead.wait_timeout(WAIT), Some(JobStatus::DeadlineExceeded));
     assert_eq!(dead.attempts(), 0);
 
-    // Deadline shorter than the run (≈ 0.2 s optimized): the reaper
-    // trips the token and the engine aborts mid-run.
+    // Deadline shorter than the run (≈ 0.2 s optimized): the token's
+    // own poll trips it and the engine aborts mid-run.
     let tight = server
         .submit(
             JobSpec::new(Benchmark::Qft.generate(18), cfg(18))
