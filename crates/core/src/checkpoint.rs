@@ -271,7 +271,7 @@ pub fn read_checkpoint<R: Read>(r: &mut R) -> Result<Checkpoint, CheckpointError
         return Err(CheckpointError::Corrupt("unsupported version"));
     }
     let num_qubits = cr.read_u32()? as usize;
-    if num_qubits == 0 || num_qubits >= 48 {
+    if num_qubits == 0 || num_qubits > qgpu_statevec::MAX_QUBITS {
         return Err(CheckpointError::Corrupt("implausible qubit count"));
     }
     let gates_done = cr.read_u64()?;

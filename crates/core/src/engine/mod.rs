@@ -6,9 +6,10 @@
 //! `PipelineSpec` — derived from the configured [`crate::Version`] or an
 //! explicit [`crate::OptFlags`] subset — selects what a gate models:
 //!
-//! * the **static** mode (`pipeline::static_alloc` supplies its gate
-//!   model): static chunk allocation, CPU updates host chunks, reactive
-//!   synchronous exchange (the paper's baseline);
+//! * the **static** mode (`pipeline::static_alloc` supplies its
+//!   placement, priced on the streaming mode's `steps::Round`): static
+//!   chunk allocation, CPU updates host chunks, reactive synchronous
+//!   exchange (the paper's baseline);
 //! * the **streaming** mode: chunks stream through the GPU(s) along the
 //!   *Plan → Prune → Deal → Fetch → Decompress → Kernel → Compress →
 //!   Writeback → Sync* round trip, with overlap / pruning / reordering /
@@ -105,10 +106,10 @@ impl Simulator {
     ///
     /// # Panics
     ///
-    /// Panics if the circuit has zero qubits (unconstructible), has more
-    /// qubits than fit in memory, or the run fails with a [`SimError`]
-    /// (injected fatal faults, exhausted retries, checkpoint I/O). Use
-    /// [`Simulator::try_run`] to handle failures as values.
+    /// Panics if the run fails with a [`SimError`] (a circuit wider than
+    /// [`qgpu_statevec::MAX_QUBITS`], injected fatal faults, exhausted
+    /// retries, checkpoint I/O). Use [`Simulator::try_run`] to handle
+    /// failures as values.
     pub fn run(&self, circuit: &Circuit) -> RunResult {
         self.try_run(circuit).expect("simulation failed")
     }
@@ -116,9 +117,10 @@ impl Simulator {
     /// Runs a circuit, surfacing resilience failures as a [`SimError`]
     /// instead of panicking.
     ///
-    /// Errors are only possible when fault injection or checkpointing is
-    /// configured (or a worker thread genuinely panics); an unconfigured
-    /// run never fails.
+    /// Errors are only possible when the circuit is wider than
+    /// [`qgpu_statevec::MAX_QUBITS`], or fault injection or checkpointing
+    /// is configured (or a worker thread genuinely panics); an
+    /// unconfigured run of a circuit that fits never fails.
     pub fn try_run(&self, circuit: &Circuit) -> Result<RunResult, SimError> {
         self.try_run_from(circuit, None)
     }

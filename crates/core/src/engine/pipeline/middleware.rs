@@ -19,7 +19,7 @@ use std::sync::Arc;
 use qgpu_circuit::fuse::FusedOp;
 use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
 use qgpu_device::Counter;
-use qgpu_faults::{FaultInjector, FaultSite, SimError};
+use qgpu_faults::{FaultConfig, FaultInjector, FaultSite, SimError};
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::devicegroup::{
@@ -77,9 +77,9 @@ pub(crate) struct Resilience {
 }
 
 impl Resilience {
-    pub(crate) fn new(cfg: &SimConfig) -> Self {
+    pub(crate) fn new(faults: FaultConfig) -> Self {
         Resilience {
-            inj: FaultInjector::new(cfg.faults),
+            inj: FaultInjector::new(faults),
             transfers: 0,
             codec_ops: 0,
             retags: 0,
@@ -333,12 +333,11 @@ impl BarrierClock {
         idx: usize,
         cfg: &SimConfig,
         group: &mut DeviceGroup,
-        num_gpus: usize,
     ) -> Option<usize> {
         let mut lost: Option<usize> = None;
         if !self.loss_fired && idx >= cfg.faults.device_lost_at {
             self.loss_fired = true;
-            if cfg.faults.device_lost_id < num_gpus {
+            if cfg.faults.device_lost_id < cfg.platform.num_gpus() {
                 lost = Some(cfg.faults.device_lost_id);
             }
         }

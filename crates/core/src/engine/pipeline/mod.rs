@@ -4,10 +4,12 @@
 //! [`crate::Version`] (or an explicit [`crate::OptFlags`] subset) to an
 //! execution mode plus optimization flags. One op loop (`run`) serves
 //! both modes over the shared `Env`: cancellation, checkpoints, barriers,
-//! collapses, the quarantine drain and the readout. A `match` on the mode
-//! picks what differs, at three seams: what a unitary op models
-//! (`unitary_op`), when a collapse may start (`stochastic::collapse`), and
-//! what losing a device costs (`middleware::lose_device`).
+//! collapses, the quarantine drain and the readout; both price every
+//! device action on a `steps::Round`, with the run's one injector and
+//! transfer count. A `match` on the mode picks what differs, at three
+//! seams: which tasks a unitary op runs where (`unitary_op`), when a
+//! collapse may start (`stochastic::collapse`), and what losing a device
+//! costs (`middleware::lose_device`).
 //!
 //! The streaming mode runs the paper's fixed chunk round trip — *Plan →
 //! Prune → Deal → Fetch → Decompress → Kernel → Compress → Writeback →
@@ -27,10 +29,11 @@
 //!   timeline's lanes, then the tile's last-download times;
 //! * then window occupancy sampling and the per-gate sync.
 //!
-//! The static mode (`static_alloc`) models placement, reactive exchange
-//! and the per-gate sync, then applies the update — or, under the
-//! driver's deferral rule (`Env::defer`), only notes it until `flush`.
-//! Under the same rule a batch's update is one `replay` of its ops.
+//! In static mode the placement (`static_alloc`) admits a resident task
+//! at once and a straddling one through the reactive exchange, and the
+//! gate ends in Naive's sync (`steps::static_gate`); the update is then
+//! applied — or, under the driver's deferral rule (`Env::defer`), noted
+//! until `flush`. Under the same rule a batch's update is one `replay`.
 //!
 //! Host cost follows live chunks: the plan enumerates only surviving
 //! tasks, the per-chunk tables are paged stamped vectors (`ChunkTable`)
@@ -56,7 +59,7 @@ use qgpu_circuit::Circuit;
 use qgpu_compress::{codec_for_kind, Codec, CodecKind};
 use qgpu_device::timeline::Timeline;
 use qgpu_device::{CodecClass, Counter, ExecutionReport};
-use qgpu_faults::SimError;
+use qgpu_faults::{FaultConfig, SimError};
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
 use qgpu_sched::residency::ChunkTable;
 use qgpu_sched::InvolvementTracker;
@@ -94,7 +97,6 @@ pub(crate) struct Env<'a> {
     pub(crate) rec: Option<&'a Recorder>,
     pub(crate) spec: PipelineSpec,
     pub(crate) num_qubits: usize,
-    pub(crate) num_gpus: usize,
     pub(crate) base_chunk_bits: u32,
     /// Fixed per-task cost in byte-equivalents at link speed: a round
     /// trip pays two transfer latencies and one kernel launch.
@@ -116,8 +118,7 @@ pub(crate) struct Env<'a> {
     pub(crate) resil: Option<Resilience>,
     pub(crate) integ: Option<IntegrityMw>,
     pub(crate) orch: Option<Orchestration>,
-    /// Static mode's allocation. Streaming keeps the default, which pins
-    /// nothing.
+    /// Static mode's allocation (streaming's pins nothing).
     pub(crate) placement: Placement,
     /// The deferral rule: nothing observes the state op by op (no
     /// integrity checks, no worker-death campaign keyed on dispatches).
@@ -250,7 +251,7 @@ pub(crate) fn run(
     };
     let spec = PipelineSpec::from_config(cfg);
     let rec = recorder.map(Arc::as_ref);
-    let mut mw = ObsMw::new(rec, cfg, cfg.platform.num_gpus());
+    let mut mw = ObsMw::new(rec, cfg);
     // The timeline outlives the mode that fills it, so a run that fails
     // or is cancelled still leaves its counts behind.
     let mut tl = if cfg.trace_events > 0 {
@@ -307,7 +308,7 @@ fn drive(
     };
     let start = middleware::validate_resume(resume, n, program.len())?;
 
-    let mut env = build_env(spec, cfg, rec, recorder, tl, n, start, &program, resume);
+    let mut env = build_env(spec, cfg, rec, recorder, tl, n, start, &program, resume)?;
     if start > 0 {
         middleware::note_resume_discard(start, rec);
         if let Some(mw) = env.integ.as_mut() {
@@ -328,7 +329,7 @@ fn drive(
         }
         ckpt.before_op(idx, &env.state, cfg, rec)?;
         let orch = env.orch.as_mut();
-        if let Some(d) = orch.and_then(|o| clock.poll(idx, cfg, &mut o.group, env.num_gpus)) {
+        if let Some(d) = orch.and_then(|o| clock.poll(idx, cfg, &mut o.group)) {
             middleware::lose_device(&mut env, d)?;
         }
         resize_chunks(&mut env);
@@ -418,7 +419,7 @@ fn unitary_op(
         // `kernel`.
         ExecMode::Static => {
             mw.gate_begin();
-            let plan = static_alloc::model_gate(env, fop);
+            let plan = steps::static_gate(env, fop)?;
             if deferred {
                 env.pending.get_or_insert(idx);
             } else {
@@ -493,7 +494,8 @@ fn finish_run(
     program_len: usize,
 ) -> Result<RunResult, SimError> {
     let (cfg, rec) = (env.cfg, env.rec);
-    if let (Some(rs), Some(r)) = (env.resil.as_ref(), rec) {
+    // Static mode moves nothing raw to re-tag.
+    if let (Some(rs), Some(r), ExecMode::Streaming) = (env.resil.as_ref(), rec, env.spec.mode) {
         r.add("integrity.retags", rs.retags);
     }
     if let Some(imw) = env.integ.as_mut() {
@@ -605,7 +607,11 @@ fn build_env<'a>(
     start: usize,
     program: &[ProgramOp],
     resume: Option<&Checkpoint>,
-) -> Env<'a> {
+) -> Result<Env<'a>, SimError> {
+    let max = qgpu_statevec::MAX_QUBITS;
+    if n > max {
+        return Err(SimError::CircuitTooWide { qubits: n, max });
+    }
     let base_chunk_bits = cfg.chunk_bits_for(n);
     let num_gpus = cfg.platform.num_gpus();
     let overhead_bytes = (2.0 * cfg.platform.link(0).latency + cfg.platform.gpu(0).kernel_launch)
@@ -631,22 +637,27 @@ fn build_env<'a>(
         Counter::GatesFused,
         qgpu_circuit::fuse::program_gates_fused(program) as u64,
     );
-    // Static mode pins chunks and models no per-transfer faults.
-    let (placement, resil) = match spec.mode {
-        ExecMode::Static => (Placement::new(cfg, tl, n, chunk_bits), None),
-        ExecMode::Streaming => {
-            let resil = cfg.resilience_active().then(|| Resilience::new(cfg));
-            (Placement::default(), resil)
+    // Static mode pins chunks. Of the injected faults it models only the
+    // devices' (stragglers, degraded links), drawn on streaming's keys:
+    // its exchange copies are never corrupted.
+    let (placement, faults, armed) = match spec.mode {
+        ExecMode::Static => {
+            let faults = FaultConfig {
+                p_transfer_corrupt: 0.0,
+                ..cfg.faults
+            };
+            let placement = Placement::new(cfg, tl, n, chunk_bits);
+            (placement, faults, cfg.faults.device_faults_enabled())
         }
+        ExecMode::Streaming => (Placement::default(), cfg.faults, cfg.resilience_active()),
     };
     let observed = cfg.integrity_active() || cfg.faults.p_worker_death > 0.0;
 
-    Env {
+    Ok(Env {
         cfg,
         rec,
         spec,
         num_qubits: n,
-        num_gpus,
         base_chunk_bits,
         overhead_bytes,
         dynamic_chunks,
@@ -657,7 +668,7 @@ fn build_env<'a>(
         chunk_bits,
         codec: codec_for(cfg, chunk_bits),
         codec_class: codec_class_of(cfg.codec()),
-        resil,
+        resil: armed.then(|| Resilience::new(faults)),
         integ: cfg
             .integrity_active()
             .then(|| IntegrityMw::new(cfg, n, chunk_bits)),
@@ -676,7 +687,7 @@ fn build_env<'a>(
         dev: steps::Devices::new(num_gpus),
         epoch_floor: 0.0,
         zero_chunk_size: [None; MAX_CHUNK_BITS],
-    }
+    })
 }
 
 #[cfg(test)]
@@ -697,8 +708,9 @@ mod tests {
         let program = crate::engine::program_for(&circuit, &cfg);
         let spec = PipelineSpec::from_config(&cfg);
         let mut tl = Timeline::new();
-        let mut env = build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None);
-        let mut mw = ObsMw::new(None, &cfg, env.num_gpus);
+        let mut env =
+            build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None).expect("fits");
+        let mut mw = ObsMw::new(None, &cfg);
 
         let mut most_pages_spanned = 0usize;
         for (i, op) in program.iter().enumerate() {
@@ -739,10 +751,11 @@ mod tests {
         let run = |threads| {
             let spec = PipelineSpec::from_config(&cfg);
             let mut tl = Timeline::new();
-            let mut env = build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None);
+            let mut env =
+                build_env(spec, &cfg, None, None, &mut tl, n, 0, &program, None).expect("fits");
             let rec = Arc::new(Recorder::new());
             env.executor = ChunkExecutor::with_exact_threads(threads).with_recorder(rec.clone());
-            let mut mw = ObsMw::new(None, &cfg, env.num_gpus);
+            let mut mw = ObsMw::new(None, &cfg);
             let mut sizes = Vec::new();
             for (i, op) in program.iter().enumerate() {
                 resize_chunks(&mut env);

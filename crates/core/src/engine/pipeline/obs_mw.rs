@@ -84,7 +84,7 @@ pub(crate) struct ObsMw<'a> {
 impl<'a> ObsMw<'a> {
     /// A new middleware lapping from "now". With `rec == None` every
     /// method no-ops (and this constructor's clock read is the last).
-    pub(crate) fn new(rec: Option<&'a Recorder>, cfg: &SimConfig, num_gpus: usize) -> Self {
+    pub(crate) fn new(rec: Option<&'a Recorder>, cfg: &SimConfig) -> Self {
         let now = Instant::now();
         ObsMw {
             rec,
@@ -96,7 +96,7 @@ impl<'a> ObsMw<'a> {
             last: now,
             gate_start: now,
             acc: [0; BUCKETS.len()],
-            device_tasks: vec![0; num_gpus],
+            device_tasks: vec![0; cfg.platform.num_gpus()],
         }
     }
 

@@ -18,25 +18,23 @@
 //! is idle.
 //!
 //! The op loop, the functional update and its deferral rule are the
-//! driver's (`pipeline::run`). This module supplies only what the mode
-//! models: where chunks live ([`Placement`]), what a gate costs
-//! ([`model_gate`]), and what losing a device costs ([`restore_stripe`]).
+//! driver's (`pipeline::run`), and every device action is priced where
+//! streaming's are, on a `steps::Round` (`steps::static_gate`). This
+//! module supplies only the policy: where chunks live ([`Placement`]),
+//! which tasks that admits at once and which pay the exchange
+//! ([`Placement::admit`]), and what losing a device costs
+//! ([`restore_stripe`]).
 
-use qgpu_circuit::fuse::FusedOp;
-use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
+use qgpu_device::timeline::{Engine, TaskKind, Timeline};
 use qgpu_device::Counter;
-use qgpu_faults::FaultInjector;
-use qgpu_obs::Recorder;
 use qgpu_sched::plan::GatePlan;
 
 use crate::config::SimConfig;
-use crate::engine::flops_per_amp;
 
-use super::transfer::{self, copy_with_dma, Dir};
 use super::Env;
 
-/// The static allocation and the static mode's clock between gates.
-/// The streaming mode pins nothing and keeps the default.
+/// The static allocation. The streaming mode pins nothing and keeps
+/// the default.
 #[derive(Default)]
 pub(crate) struct Placement {
     /// Chunks `0..resident` are pinned, chunk `c` on device `c % gpus`.
@@ -44,15 +42,16 @@ pub(crate) struct Placement {
     /// Devices still in the fleet: a lost device's stripe lives on the
     /// host.
     alive: Vec<bool>,
-    /// When the next op may start: the last gate's sync, collapse or
-    /// restore.
-    pub(crate) gate_ready: f64,
-    /// Exchange copies issued so far: the link-degradation draws are
-    /// keyed by it.
-    transfer_ix: u64,
-    /// The device-fault injector (pure: replays the same draws as any
-    /// other instance with the same seed).
-    dev_inj: Option<FaultInjector>,
+}
+
+/// A gate's tasks as the placement admits them: the bytes of the host's
+/// batch and of each device's batch, and each task that straddles a
+/// boundary as the device it runs on and the bytes it copies in (and
+/// back).
+pub(crate) struct Admission {
+    pub(crate) host: u64,
+    pub(crate) gpus: Vec<u64>,
+    pub(crate) exchanges: Vec<(usize, u64)>,
 }
 
 impl Placement {
@@ -72,12 +71,6 @@ impl Placement {
         let placement = Placement {
             resident: (0..gpus).map(cap).sum::<usize>().min(num_chunks),
             alive: vec![true; gpus],
-            gate_ready: 0.0,
-            transfer_ix: 0,
-            dev_inj: cfg
-                .faults
-                .device_faults_enabled()
-                .then(|| FaultInjector::new(cfg.faults)),
         };
         if budget.is_some() {
             let capped = (0..gpus).filter(|&g| cap(g) < hw(g)).count();
@@ -102,107 +95,29 @@ impl Placement {
         g.filter(|&g| self.alive[g])
     }
 
-    /// `fop`'s update kernel over `bytes` on device `g` from `ready`,
-    /// stretched on a pinned straggler. Returns its end.
-    fn kernel(
-        &self,
-        lanes: &mut Lanes,
-        cfg: &SimConfig,
-        fop: &FusedOp,
-        g: usize,
-        ready: f64,
-        bytes: u64,
-    ) -> f64 {
-        let stretch = self
-            .dev_inj
-            .as_ref()
-            .map_or(1.0, |i| i.straggler_stretch(g));
-        let gpu = cfg.platform.gpu(g);
-        let t = (bytes as f64 / gpu.update_bw() + gpu.kernel_launch) * stretch;
-        let span = lanes.schedule(Engine::GpuCompute(g), ready, t, TaskKind::Kernel, bytes);
-        lanes.add_flops((bytes as f64 / 16.0) * flops_per_amp(fop.collapsed()));
-        if fop.is_fused() {
-            lanes.count(Counter::FusedKernels, 1);
-        }
-        span.end
-    }
-
-    /// The next exchange copy's injected link stretch (a draw only when
-    /// device faults are configured).
-    fn next_link_stretch(&mut self, lanes: &mut Lanes, rec: Option<&Recorder>) -> f64 {
-        let Some(inj) = self.dev_inj.as_ref() else {
-            return 1.0;
+    /// Where `plan`'s tasks run: a task whose chunks all live in one
+    /// place joins that place's batch; any other runs on the device of
+    /// its first pinned member, which copies the others in.
+    pub(crate) fn admit(&self, plan: &GatePlan, chunk_bytes: u64) -> Admission {
+        let group_bytes = plan.group_len() as u64 * chunk_bytes;
+        let mut adm = Admission {
+            host: 0,
+            gpus: vec![0; self.alive.len()],
+            exchanges: Vec::new(),
         };
-        let ix = self.transfer_ix;
-        self.transfer_ix += 1;
-        transfer::link_stretch(inj, ix, lanes, rec)
-    }
-}
-
-/// One unitary op's modeled cost: the same-device update batches, then
-/// the reactive exchange, then the per-gate sync. Returns the op's plan
-/// for the functional update.
-pub(crate) fn model_gate(env: &mut Env, fop: &FusedOp) -> GatePlan {
-    let (cfg, rec, p, cb) = (env.cfg, env.rec, &mut env.placement, env.chunk_bits);
-    let (num_chunks, chunk_bytes) = (env.state.num_chunks(), 16u64 << cb);
-    let plan = GatePlan::new_observed(fop.collapsed(), cb, num_chunks, rec);
-
-    // Partition tasks: same-device batches vs. mixed groups.
-    let mut host_bytes = 0u64;
-    let mut gpu_bytes = vec![0u64; env.num_gpus];
-    let mut mixed: Vec<usize> = Vec::new();
-    let group_bytes = plan.group_len() as u64 * chunk_bytes;
-    for rep in plan.tasks() {
-        let first = p.gpu_of(rep);
-        if !plan.members(rep).all(|c| p.gpu_of(c) == first) {
-            mixed.push(rep);
-        } else if let Some(g) = first {
-            gpu_bytes[g] += group_bytes;
-        } else {
-            host_bytes += group_bytes;
+        for rep in plan.tasks() {
+            let Some(gpu) = plan.members(rep).find_map(|c| self.gpu_of(c)) else {
+                adm.host += group_bytes;
+                continue;
+            };
+            let off_device = plan.members(rep).filter(|&c| self.gpu_of(c) != Some(gpu));
+            match off_device.count() as u64 {
+                0 => adm.gpus[gpu] += group_bytes,
+                moved => adm.exchanges.push((gpu, moved * chunk_bytes)),
+            }
         }
+        adm
     }
-    env.tl
-        .count(Counter::ChunksProcessed, plan.total_chunks() as u64);
-    if let Some(r) = rec {
-        r.observe_n("chunk.bytes", chunk_bytes, plan.tasks().len() as u64);
-    }
-
-    let (mut lanes, ready) = (env.tl.lanes(), p.gate_ready);
-    let mut chain = ready;
-    if host_bytes > 0 {
-        let t = host_bytes as f64 / cfg.platform.host.chunked_update_bw();
-        let host = lanes.schedule(Engine::Host, ready, t, TaskKind::HostUpdate, host_bytes);
-        chain = chain.max(host.end);
-    }
-    for (g, &bytes) in gpu_bytes.iter().enumerate().filter(|&(_, &b)| b > 0) {
-        chain = chain.max(p.kernel(&mut lanes, cfg, fop, g, ready, bytes));
-    }
-
-    // Reactive exchange: mixed groups processed synchronously, one at a
-    // time, on the primary GPU of the group — *after* the update batches,
-    // since the scheduler blocks when it reaches the boundary (the
-    // paper's Figure 2 splits the makespan into CPU time then exchange
-    // time).
-    for &rep in &mixed {
-        let primary = plan.members(rep).find_map(|c| p.gpu_of(c));
-        let primary = primary.unwrap_or_else(|| p.alive.iter().position(|&a| a).unwrap_or(0));
-        let off_device = plan.members(rep).filter(|&c| p.gpu_of(c) != Some(primary));
-        let moved = off_device.count() as u64 * chunk_bytes;
-        let stretch = p.next_link_stretch(&mut lanes, rec);
-        let h2d = copy_with_dma(&mut lanes, cfg, Dir::Up(primary), chain, moved, stretch);
-        let kernel_end = p.kernel(&mut lanes, cfg, fop, primary, h2d.end, group_bytes);
-        let stretch = p.next_link_stretch(&mut lanes, rec);
-        let down = Dir::Down(primary);
-        chain = copy_with_dma(&mut lanes, cfg, down, kernel_end, moved, stretch).end;
-    }
-
-    // Per-gate synchronization between the scheduler and the device.
-    let sync = cfg.platform.host.sync_latency;
-    p.gate_ready = lanes
-        .schedule(Engine::Host, chain, sync, TaskKind::Sync, 0)
-        .end;
-    plan
 }
 
 /// Device `d` dropped out of the group: its stripe re-homes to the host.
@@ -223,6 +138,6 @@ pub(crate) fn restore_stripe(env: &mut Env, d: usize) {
     let bytes = moved * chunk_bytes;
     let restore = env
         .tl
-        .schedule(Engine::Host, p.gate_ready, t, TaskKind::Sync, bytes);
-    p.gate_ready = restore.end;
+        .schedule(Engine::Host, env.dev.chain, t, TaskKind::Sync, bytes);
+    env.dev.chain = restore.end;
 }

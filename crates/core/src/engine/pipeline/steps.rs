@@ -23,7 +23,8 @@
 //!
 //! Steps consult only [`Env::spec`]'s flags — never the configured
 //! version — so any flag subset composes; integrity checking and fault
-//! injection arrive through the middleware in [`Env`].
+//! injection arrive through the middleware in [`Env`]. Static mode's
+//! gate ([`static_gate`]) is priced on the same [`Round`].
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -31,7 +32,7 @@ use std::ops::Range;
 use qgpu_circuit::fuse::{FusedOp, ProgramOp};
 use qgpu_compress::Codec;
 use qgpu_device::timeline::{Engine, Lanes, TaskKind, Timeline};
-use qgpu_device::Counter;
+use qgpu_device::{Counter, GpuSpec};
 use qgpu_faults::SimError;
 use qgpu_math::Complex64;
 use qgpu_obs::{span_opt, Recorder, Stage as ObsStage, Track};
@@ -46,7 +47,7 @@ use crate::engine::flops_per_amp;
 
 use super::middleware::{self, Orchestration, Resilience, Touched};
 use super::obs_mw::{self, ObsMw};
-use super::transfer::{transfer_with_integrity, Dir};
+use super::transfer::{copy_with_dma, transfer_with_integrity, Dir};
 use super::{Env, Held, RAW_FALLBACK};
 
 /// Tasks per tile of the timeline phase: the columns are sized by it and
@@ -652,8 +653,8 @@ pub(crate) struct Window {
     inflight: usize,
 }
 
-/// The modeled devices between tasks: each GPU's window, Naive's
-/// single-stream chain, and the dealer.
+/// The modeled devices between tasks: each GPU's window, the
+/// single-stream chain (Naive's and static mode's), and the dealer.
 pub(crate) struct Devices {
     windows: Vec<Window>,
     pub(crate) chain: f64,
@@ -698,8 +699,8 @@ impl Devices {
     }
 }
 
-/// The timeline phase's hold on the engine: the timeline's lanes, the
-/// devices, and the middleware a round trip consults.
+/// Both modes' hold on the engine, where every device action is priced:
+/// the timeline's lanes, the devices, and the middleware they consult.
 pub(crate) struct Round<'e> {
     lanes: Lanes<'e>,
     dev: &'e mut Devices,
@@ -740,7 +741,7 @@ impl<'e> Round<'e> {
             GpuCosts {
                 window: window.max(chunks as u64) as usize,
                 codec_bw: gspec.codec_bw(*codec_class),
-                kernel_s: bytes as f64 / gspec.update_bw() + gspec.kernel_launch,
+                kernel_s: kernel_s(gspec, bytes),
             }
         });
         dev.costs.clear();
@@ -840,12 +841,28 @@ impl<'e> Round<'e> {
     /// kernel's end and its service time (for [`Round::note_service`]).
     #[inline]
     pub(crate) fn kernel(&mut self, gpu: usize, ready: f64, flops: f64, fused: bool) -> (f64, f64) {
+        let (kernel_s, bytes) = (self.dev.costs[gpu].kernel_s, self.bytes);
+        self.kernel_over(gpu, ready, kernel_s, bytes, flops, fused)
+    }
+
+    /// [`Round::kernel`] over `bytes` whose unstretched service time is
+    /// `kernel_s`.
+    #[inline]
+    fn kernel_over(
+        &mut self,
+        gpu: usize,
+        ready: f64,
+        kernel_s: f64,
+        bytes: u64,
+        flops: f64,
+        fused: bool,
+    ) -> (f64, f64) {
         let stretch = self
             .resil
             .as_deref()
             .map_or(1.0, |rs| rs.inj.straggler_stretch(gpu));
-        let kernel_s = self.dev.costs[gpu].kernel_s * stretch;
-        let (gc, bytes) = (Engine::GpuCompute(gpu), self.bytes);
+        let kernel_s = kernel_s * stretch;
+        let gc = Engine::GpuCompute(gpu);
         let kernel = self
             .lanes
             .schedule(gc, ready, kernel_s, TaskKind::Kernel, bytes);
@@ -902,20 +919,22 @@ impl<'e> Round<'e> {
             .end
     }
 
+    /// A copy from `ready`: injected and integrity-checked while the
+    /// injector is armed. Returns its end.
     #[inline]
     fn copy(&mut self, dir: Dir, ready: f64, bytes: u64) -> Result<f64, SimError> {
-        let resil = self.resil.as_deref_mut();
-        let span = transfer_with_integrity(
-            &mut self.lanes,
-            self.cfg,
-            dir,
-            ready,
-            bytes,
-            resil,
-            self.rec,
-        )?;
+        let (lanes, cfg) = (&mut self.lanes, self.cfg);
+        let span = match self.resil.as_deref_mut() {
+            None => copy_with_dma(lanes, cfg, dir, ready, bytes, 1.0),
+            Some(rs) => transfer_with_integrity(lanes, cfg, dir, ready, bytes, rs, self.rec)?,
+        };
         Ok(span.end)
     }
+}
+
+/// One kernel's unstretched service time over `bytes` on `gpu`.
+fn kernel_s(gpu: &GpuSpec, bytes: u64) -> f64 {
+    bytes as f64 / gpu.update_bw() + gpu.kernel_launch
 }
 
 /// The timeline loop over one tile: each task's round trip, in order, on
@@ -971,9 +990,54 @@ pub(crate) fn write_back(env: &mut Env, g: &GateCtx, tile: &Tile) {
     }
 }
 
+/// Static mode's gate (paper §III-B) through a [`Round`], from the last
+/// gate's end: the placement admits each task (`Placement::admit`); the
+/// host's and each device's batch run side by side, then each task that
+/// straddles a boundary, one at a time, copies its off-device members in,
+/// updates and copies them back — the scheduler blocks when it reaches the
+/// boundary (Figure 2's CPU time, then exchange time) — and the gate ends
+/// in Naive's per-gate sync. No window, no governor, no batch. Returns
+/// the op's plan for the functional update.
+pub(crate) fn static_gate(env: &mut Env, fop: &FusedOp) -> Result<GatePlan, SimError> {
+    let (cb, chunk_bytes) = (env.chunk_bits, 16u64 << env.chunk_bits);
+    let plan = GatePlan::new_observed(fop.collapsed(), cb, env.state.num_chunks(), env.rec);
+    let adm = env.placement.admit(&plan, chunk_bytes);
+    env.tl
+        .count(Counter::ChunksProcessed, plan.total_chunks() as u64);
+    if let Some(r) = env.rec {
+        r.observe_n("chunk.bytes", chunk_bytes, plan.tasks().len() as u64);
+    }
+    let (fpa, fused) = (flops_per_amp(fop.collapsed()), fop.is_fused());
+    let host_s = adm.host as f64 / env.cfg.platform.host.chunked_update_bw();
+    let mut round = Round::new(env, plan.group_len(), false);
+    let (ready, mut chain) = (round.dev.chain, round.dev.chain);
+    if adm.host > 0 {
+        let (host, bytes) = (Engine::Host, adm.host);
+        let span = round
+            .lanes
+            .schedule(host, ready, host_s, TaskKind::HostUpdate, bytes);
+        chain = chain.max(span.end);
+    }
+    for (g, &bytes) in adm.gpus.iter().enumerate().filter(|&(_, &b)| b > 0) {
+        let kernel_s = kernel_s(round.cfg.platform.gpu(g), bytes);
+        let flops = bytes as f64 / 16.0 * fpa;
+        chain = chain.max(round.kernel_over(g, ready, kernel_s, bytes, flops, fused).0);
+    }
+    let flops = round.bytes as f64 / 16.0 * fpa;
+    for &(gpu, moved) in &adm.exchanges {
+        let up = round.copy(Dir::Up(gpu), chain, moved)?;
+        let (end, _) = round.kernel(gpu, up, flops, fused);
+        chain = round.copy(Dir::Down(gpu), end, moved)?;
+    }
+    round.dev.chain = chain;
+    drop(round);
+    end_of_gate(env);
+    Ok(plan)
+}
+
 /// After the last task: with overlap, window occupancy, sampled once per
 /// gate per device; without, a full synchronization after every gate
-/// (Naive's behavior).
+/// (Naive's and static mode's behavior).
 pub(crate) fn end_of_gate(env: &mut Env) {
     if !env.spec.flags.overlap {
         let sync = env.cfg.platform.host.sync_latency;

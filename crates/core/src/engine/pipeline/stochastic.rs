@@ -102,7 +102,7 @@ pub(crate) fn collapse(env: &mut Env, qubit: usize, is_reset: bool, u: f64) {
     };
     let _g = span_opt(env.rec, Track::Main, ObsStage::Measure, span);
     let ready = match env.spec.mode {
-        ExecMode::Static => env.placement.gate_ready,
+        ExecMode::Static => env.dev.chain,
         ExecMode::Streaming => {
             env.epoch_floor = env.epoch_floor.max(env.tl.makespan());
             env.held.clear();
@@ -124,13 +124,8 @@ pub(crate) fn collapse(env: &mut Env, qubit: usize, is_reset: bool, u: f64) {
     let end = tl
         .schedule(Engine::Host, scale.end, sync, TaskKind::Sync, 0)
         .end;
-    match env.spec.mode {
-        ExecMode::Static => env.placement.gate_ready = end,
-        ExecMode::Streaming => {
-            env.epoch_floor = env.epoch_floor.max(end);
-            env.dev.chain = env.dev.chain.max(end);
-        }
-    }
+    env.epoch_floor = env.epoch_floor.max(end);
+    env.dev.chain = env.dev.chain.max(end);
     let outcome = collapse_state(&mut env.state, qubit, is_reset, u);
     env.tl.count(Counter::Collapses, 1);
     if let Some(r) = env.rec {

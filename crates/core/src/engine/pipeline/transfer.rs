@@ -1,11 +1,11 @@
 //! Shared host↔device transfer modeling: the DMA-staged copy primitive
-//! and its integrity-checked (retrying) variant, both on a timeline's
-//! [`Lanes`].
+//! and its injected, integrity-checked (retrying) variant, both on a
+//! timeline's [`Lanes`].
 //!
-//! Every engine path — streaming stages (batches included), the
-//! static-allocation mode, and device-loss replay — routes its
-//! copies through [`copy_with_dma`], so the §V-E host-DMA bottleneck is
-//! modeled once.
+//! Every engine path — both modes' copies through `steps::Round`, and
+//! device-loss replay — routes its copies through [`copy_with_dma`], so
+//! the §V-E host-DMA bottleneck is modeled once; while an injector is
+//! armed, one transfer count keys its link degradation in either mode.
 
 use qgpu_device::timeline::{Engine, Lanes, TaskKind};
 use qgpu_device::Counter;
@@ -55,31 +55,14 @@ pub(crate) fn copy_with_dma(
     tl.schedule(link_engine, dma.start, link_s, kind, bytes)
 }
 
-/// [`copy_with_dma`] under integrity checking: after each modeled
-/// transfer the injector decides whether the arrival CRC matched. A
-/// mismatch costs a [`TaskKind::Backoff`] span on the link engine and a
-/// full retransmit; after `max_retries` consumed attempts the transfer is
-/// abandoned with [`SimError::ChunkCorrupt`]. With `resil == None` this
-/// is exactly `copy_with_dma`.
-#[inline]
-pub(crate) fn transfer_with_integrity(
-    tl: &mut Lanes,
-    cfg: &SimConfig,
-    dir: Dir,
-    ready: f64,
-    bytes: u64,
-    resil: Option<&mut Resilience>,
-    rec: Option<&Recorder>,
-) -> Result<qgpu_device::Span, SimError> {
-    match resil {
-        None => Ok(copy_with_dma(tl, cfg, dir, ready, bytes, 1.0)),
-        Some(rs) => retrying_transfer(tl, cfg, dir, ready, bytes, rs, rec),
-    }
-}
-
-/// [`transfer_with_integrity`] with the injector armed.
+/// [`copy_with_dma`] under the run's injector: the copy's link stretch
+/// (keyed by the run's transfer count), then after each modeled transfer
+/// the injector decides whether the arrival CRC matched. A mismatch costs
+/// a [`TaskKind::Backoff`] span on the link engine and a full retransmit;
+/// after `max_retries` consumed attempts the transfer is abandoned with
+/// [`SimError::ChunkCorrupt`].
 #[inline(never)]
-fn retrying_transfer(
+pub(crate) fn transfer_with_integrity(
     tl: &mut Lanes,
     cfg: &SimConfig,
     dir: Dir,
@@ -131,14 +114,10 @@ fn retrying_transfer(
     }
 }
 
-/// The injected link stretch of transfer `index` (a mode's own count of
-/// its transfers), counted and logged when the link degrades.
-pub(crate) fn link_stretch(
-    inj: &FaultInjector,
-    index: u64,
-    tl: &mut Lanes,
-    rec: Option<&Recorder>,
-) -> f64 {
+/// The injected link stretch of transfer `index` (the run's count of
+/// its transfers, in either mode), counted and logged when the link
+/// degrades.
+fn link_stretch(inj: &FaultInjector, index: u64, tl: &mut Lanes, rec: Option<&Recorder>) -> f64 {
     let stretch = inj.link_stretch(index);
     if stretch > 1.0 {
         tl.count(Counter::LinkDegradations, 1);

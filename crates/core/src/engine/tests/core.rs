@@ -5,8 +5,9 @@
 use qgpu_circuit::access::GateAction;
 use qgpu_circuit::generators::Benchmark;
 use qgpu_circuit::noise::NoiseConfig;
+use qgpu_circuit::Circuit;
 use qgpu_device::{Counter, Platform};
-use qgpu_faults::FaultConfig;
+use qgpu_faults::{FaultConfig, SimError};
 use qgpu_statevec::StateVector;
 
 use crate::config::{SimConfig, Version};
@@ -247,4 +248,21 @@ fn flops_estimates() {
     assert_eq!(flops_per_amp(&h), 16.0);
     let z = GateAction::from_operation(&Operation::new(Gate::Z, vec![0]));
     assert_eq!(flops_per_amp(&z), 6.0);
+}
+
+#[test]
+fn a_circuit_wider_than_the_state_is_an_error_not_a_panic() {
+    let max = qgpu_statevec::MAX_QUBITS;
+    for n in [max + 1, 64] {
+        let mut c = Circuit::new(n);
+        c.h(n - 1);
+        for v in [Version::Baseline, Version::QGpu] {
+            let cfg = SimConfig::scaled_paper(n).with_version(v);
+            let err = Simulator::new(cfg).try_run(&c).expect_err("too wide");
+            assert!(
+                matches!(err, SimError::CircuitTooWide { qubits, max: m } if qubits == n && m == max),
+                "{n} qubits, {v}: {err}"
+            );
+        }
+    }
 }

@@ -80,11 +80,13 @@ fn compression_reduces_transfer_on_smooth_states() {
 #[test]
 fn compression_overhead_is_bounded() {
     // Paper Figure 14: compress ~3.3%, decompress ~2.8% of exec time.
-    let qgpu = run_version(Benchmark::Qaoa, 14, Version::QGpu);
+    let r = run_version(Benchmark::Qaoa, 14, Version::QGpu).report;
+    let codec = r.compress_time + r.decompress_time;
+    assert!(codec > 0.0, "no codec time");
     assert!(
-        qgpu.report.compression_overhead() < 0.25,
+        codec < 0.25 * r.total_time,
         "overhead {:.3}",
-        qgpu.report.compression_overhead()
+        codec / r.total_time
     );
 }
 

@@ -256,12 +256,6 @@ impl ExecutionReport {
         }
     }
 
-    /// Compression + decompression time as a fraction of total time
-    /// (the paper's Figure 14).
-    pub fn compression_overhead(&self) -> f64 {
-        safe_div(self.compress_time + self.decompress_time, self.total_time)
-    }
-
     /// GPU arithmetic intensity in FLOP/byte, counting kernel bytes plus
     /// transferred bytes (the roofline x-axis of the paper's Figure 15).
     pub fn arithmetic_intensity(&self) -> f64 {

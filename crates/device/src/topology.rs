@@ -147,7 +147,7 @@ impl Platform {
     /// A platform variant with every GPU's memory set to hold the given
     /// fraction of a `num_qubits`-qubit state vector.
     pub fn with_gpu_mem_fraction(mut self, num_qubits: usize, fraction: f64) -> Self {
-        let state_bytes = (1u64 << num_qubits) as f64 * 16.0;
+        let state_bytes = (1u128 << num_qubits) as f64 * 16.0;
         let mem = ((state_bytes * fraction) as u64).max(1 << 12);
         for g in &mut self.gpus {
             g.mem_bytes = mem;

@@ -70,6 +70,13 @@ pub enum SimError {
         /// The program-op index the run stopped at.
         op: usize,
     },
+    /// The circuit is wider than the state vector holds.
+    CircuitTooWide {
+        /// The circuit's qubit count.
+        qubits: usize,
+        /// The widest state the simulator holds.
+        max: usize,
+    },
     /// An ABFT invariant check caught silent data corruption in kernel
     /// output and bounded re-execution could not restore it — the
     /// hardware is lying persistently. Recoverable at the job level: a
@@ -132,6 +139,10 @@ impl fmt::Display for SimError {
             SimError::DeadlineExceeded { op } => {
                 write!(f, "deadline exceeded; run stopped at gate boundary {op}")
             }
+            SimError::CircuitTooWide { qubits, max } => write!(
+                f,
+                "circuit has {qubits} qubits; the state vector holds at most {max}"
+            ),
             SimError::InvariantViolation { gate, chunk } => write!(
                 f,
                 "invariant violation at gate {gate} chunk {chunk} persisted through re-execution"

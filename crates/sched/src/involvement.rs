@@ -74,18 +74,6 @@ impl InvolvementTracker {
         shifted & self.mask != shifted
     }
 
-    /// Dynamic chunk size (Algorithm 1's `getChunkSize`): the number of
-    /// contiguous low involved qubits, clamped to `[1, max_bits]`.
-    ///
-    /// Early in a run, when only qubits `0..k` are involved, a `k`-qubit
-    /// chunk makes chunk 0 hold every non-zero amplitude and all other
-    /// chunks prunable; the clamp keeps chunks within the transfer-buffer
-    /// size once involvement has spread.
-    pub fn dynamic_chunk_bits(&self, max_bits: u32) -> u32 {
-        let trailing = (self.mask.trailing_ones()).max(1);
-        trailing.min(max_bits).min(self.num_qubits as u32)
-    }
-
     /// Number of chunks that *survive* pruning under the given chunk
     /// size: one per pattern of involved qubits at positions ≥
     /// `chunk_bits`.
@@ -157,25 +145,6 @@ mod tests {
             .expect("the mask is below the last chunk");
         assert!((first..1 << 8).all(|c| t.chunk_is_zero(c, chunk_bits)));
         assert!(!t.chunk_is_zero(first - 1, chunk_bits));
-    }
-
-    #[test]
-    fn dynamic_chunk_bits_follow_involvement() {
-        let mut t = InvolvementTracker::new(16);
-        assert_eq!(t.dynamic_chunk_bits(8), 1); // nothing involved yet
-        t.involve_mask(0b1);
-        assert_eq!(t.dynamic_chunk_bits(8), 1);
-        t.involve_mask(0b111);
-        assert_eq!(t.dynamic_chunk_bits(8), 3);
-        t.involve_mask(0xffff);
-        assert_eq!(t.dynamic_chunk_bits(8), 8); // clamped to max
-    }
-
-    #[test]
-    fn gap_in_involvement_stops_trailing_ones() {
-        let mut t = InvolvementTracker::new(16);
-        t.involve_mask(0b101); // qubit 1 untouched
-        assert_eq!(t.dynamic_chunk_bits(8), 1);
     }
 
     #[test]

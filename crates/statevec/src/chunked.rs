@@ -209,10 +209,14 @@ impl Clone for ChunkedState {
     }
 }
 
+/// The widest state this crate holds, in qubits: `2^47` amplitudes are
+/// 2 PiB, past any host.
+pub const MAX_QUBITS: usize = 47;
+
 impl ChunkedState {
     /// The all-zero vector: no chunk live.
     fn null(num_qubits: usize, chunk_bits: u32) -> Self {
-        assert!(num_qubits > 0 && num_qubits < 48);
+        assert!(num_qubits > 0 && num_qubits <= MAX_QUBITS);
         assert!(
             chunk_bits >= 1 && (chunk_bits as usize) <= num_qubits,
             "chunk_bits {chunk_bits} out of range for {num_qubits} qubits"

@@ -44,6 +44,6 @@ pub mod measure;
 pub mod reference;
 pub mod state;
 
-pub use chunked::ChunkedState;
+pub use chunked::{ChunkedState, MAX_QUBITS};
 pub use executor::ChunkExecutor;
 pub use state::StateVector;

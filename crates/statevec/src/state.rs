@@ -41,7 +41,10 @@ impl StateVector {
     /// (`2^n * 16` bytes are allocated).
     pub fn new_zero(num_qubits: usize) -> Self {
         assert!(num_qubits > 0, "need at least one qubit");
-        assert!(num_qubits < 48, "state vector would not fit in memory");
+        assert!(
+            num_qubits <= crate::MAX_QUBITS,
+            "state vector would not fit in memory"
+        );
         let mut amps = crate::chunked::resident_zeroed(1usize << num_qubits);
         amps[0] = Complex64::ONE;
         StateVector { num_qubits, amps }

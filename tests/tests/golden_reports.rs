@@ -481,15 +481,37 @@ fn engine_matches_golden_fingerprints() {
 /// fingerprint of a run where the path never fired would pin nothing.
 #[test]
 fn static_paths_fire() {
-    let run = |label: &str| {
-        let all = scenarios();
-        let s = all.iter().find(|s| s.label == label).expect(label);
-        run_scenario(s)
-    };
-    let loss = run("qft12/baseline+devloss").report;
+    let all = scenarios();
+    let find = |label: &str| all.iter().find(|s| s.label == label).expect(label);
+    let run = |label: &str| run_scenario(find(label));
+    // The plain baseline updates host chunks on the host, pinned ones on
+    // the GPU, and exchanges the tasks that straddle the boundary.
+    let plain = run("qft/Baseline").report;
+    assert!(plain.bytes_h2d > 0, "no reactive exchange");
+    assert!(plain.host_time > 0.0, "no host update");
+    assert!(plain.gpu_time > 0.0, "no GPU kernel");
+    let s = find("qft12/baseline+devloss");
+    let loss = run_scenario(s).report;
     assert_eq!(loss.devices_lost, 1);
     assert!(loss.chunks_migrated > 0);
     assert!(loss.link_degradations > 0);
+    // The pinned straggler stretches its kernels.
+    let steady = FaultConfig {
+        straggler_device: usize::MAX,
+        ..s.config.faults
+    };
+    let unstretched = Scenario {
+        config: s.config.clone().with_faults(steady),
+        label: String::new(),
+        ..*s
+    };
+    let unstretched = run_scenario(&unstretched).report;
+    assert!(
+        loss.gpu_time > unstretched.gpu_time,
+        "straggler: {} vs {}",
+        loss.gpu_time,
+        unstretched.gpu_time
+    );
     let budget = run("qft/baseline+membudget").report;
     assert!(budget.pressure_downshifts > 0);
     let flip = run("qft12/baseline+flip");
